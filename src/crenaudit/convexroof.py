@@ -1,11 +1,18 @@
 """Convex-roof engine for negativity over pure-state decompositions.
 
 Every size-r pure-state decomposition of a density operator arises from an
-r x r unitary acting on the spectral root vectors (the HJW chart).  The
-minimization (convex-roof extended negativity) and maximization (its
-assistance dual) therefore run over the unitary group, parametrized as a
-product of two-level complex Givens rotations swept cyclically, with a
-bracketed one-dimensional search per rotation angle and per phase.
+r x r unitary acting on the spectral root vectors (the HJW chart); only its
+first rank columns matter, an r x rank isometry V.  With R_j the roots
+reshaped across the cut, the average negativity is
+sum_k ||sum_j V_kj R_j||_*^2 - 1.
+
+The minimization (convex-roof extended negativity) runs coordinate descent
+over the unitary group, parametrized as a product of two-level complex
+Givens rotations swept cyclically, with a bracketed one-dimensional search
+per rotation angle and per phase.  The maximization (its assistance dual)
+uses that the objective is convex in V: a batched polar ascent on the
+isometries (the generalized power method of Journee, Nesterov, Richtarik
+& Sepulchre, JMLR 11, 517 (2010)) raises it at every step.
 
 Reported minima are upper bounds of the true minimum and reported maxima
 are lower bounds of the true maximum; audits that need certified verdicts
@@ -99,6 +106,19 @@ class Decomposition:
         return out
 
 
+def _isometry_decomposition(roots: RootSet, v: np.ndarray) -> Decomposition:
+    """Decomposition whose unnormalized members are the rows of v @ roots."""
+    combos = v @ roots.roots
+    weights = np.sum(np.abs(combos) ** 2, axis=1)
+    keep = weights > ZERO_WEIGHT
+    states = tuple(
+        PureState(roots.profile, combos[k] / np.sqrt(weights[k]))
+        for k in range(v.shape[0])
+        if keep[k]
+    )
+    return Decomposition(weights[keep], states)
+
+
 def decomposition_from_unitary(roots: RootSet, u: np.ndarray) -> Decomposition:
     """Decomposition realized by an r x r unitary on the (zero-padded) roots."""
     u = np.asarray(u, dtype=complex)
@@ -110,15 +130,7 @@ def decomposition_from_unitary(roots: RootSet, u: np.ndarray) -> Decomposition:
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(r))))
     if dev > UNITARY_TOL:
         raise DomainError(f"matrix deviates from unitarity by {dev}")
-    combos = u[:, : roots.rank] @ roots.roots
-    weights = np.sum(np.abs(combos) ** 2, axis=1)
-    keep = weights > ZERO_WEIGHT
-    states = tuple(
-        PureState(roots.profile, combos[k] / np.sqrt(weights[k]))
-        for k in range(r)
-        if keep[k]
-    )
-    return Decomposition(weights[keep], states)
+    return _isometry_decomposition(roots, u[:, : roots.rank])
 
 
 def average_negativity(dec: Decomposition, cut) -> float:
@@ -134,6 +146,11 @@ class OptConfig:
 
     ``size`` is the decomposition cardinality; the default rank**2 (capped
     at 16, floored at the rank) is adequate for convex roofs at this scale.
+    ``max_sweeps`` caps the search of each start: for the minimum, sweeps of
+    coordinate descent over every row pair; for the maximum, the polar
+    ascent runs at most ``max_sweeps * size`` steps.  A start has converged
+    when a sweep (minimum) or a step (maximum) gains no more than
+    ``tol_rel * max(1, |value|)`` before that cap.
     """
 
     size: int | None = None
@@ -235,38 +252,33 @@ def _row_grams(rows: np.ndarray) -> np.ndarray:
 
 
 class _RoofSearch:
-    """One optimization problem: roots reshaped across the cut, pair sweeps."""
+    """One optimization problem: roots reshaped across the cut, starts, pair sweeps."""
 
-    def __init__(self, rho: DensityOperator, cut: Bipartition, size: int, roots: RootSet):
-        self.rho = rho
-        self.cut = cut
-        self.roots = roots
+    def __init__(self, cut: Bipartition, size: int, roots: RootSet):
         self.rank = roots.rank
         self.size = size
 
-        dims = rho.profile.dims
+        dims = roots.profile.dims
         order = cut.side_a + cut.side_b
         perm = [p - 1 for p in order]
         d_a = 1
         for p in cut.side_a:
             d_a *= dims[p - 1]
-        d_b = rho.profile.size // d_a
+        d_b = roots.profile.size // d_a
         shaped = roots.roots.reshape((self.rank,) + dims).transpose([0] + [q + 1 for q in perm])
         mats = shaped.reshape(self.rank, d_a, d_b)
         # The nuclear norm only needs the Gram on the smaller side.
-        self.transposed = d_a > d_b
-        if self.transposed:
+        if d_a > d_b:
             mats = np.swapaxes(mats, -1, -2)
         self.root_mats = np.ascontiguousarray(mats)
 
-    def padded(self, u0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Initial (combination matrix, row matrices) for one start."""
+    def start(self, u0: np.ndarray | None) -> np.ndarray:
+        """Initial (size, rank) combination matrix: padded identity, rotated by u0."""
         v = np.zeros((self.size, self.rank), dtype=complex)
         v[: self.rank, : self.rank] = np.eye(self.rank)
         if u0 is not None:
             v = u0 @ v
-        b = np.tensordot(v, self.root_mats, axes=(1, 0))
-        return v, b
+        return v
 
     def sweep_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.size) for j in range(i + 1, self.size)]
@@ -294,7 +306,7 @@ _FINE_T, _FINE_P = (
 )
 
 
-def _pair_objective(a, bg, c, theta, phi, sign):
+def _pair_objective(a, bg, c, theta, phi):
     """Objective of rotating rows i, j by angle theta and phase phi.
 
     Row update: Mi' = cos t Mi - e^{i phi} sin t Mj,
@@ -310,10 +322,10 @@ def _pair_objective(a, bg, c, theta, phi, sign):
     cs = (ct * st)[..., None, None]
     gi = c2 * a - cs * x + s2 * bg
     gj = s2 * a + cs * x + c2 * bg
-    return sign * (_nuc2_gram(gi) + _nuc2_gram(gj))
+    return _nuc2_gram(gi) + _nuc2_gram(gj)
 
 
-def _screen_pairs(mats, cache, idx_i, idx_j, sign):
+def _screen_pairs(mats, cache, idx_i, idx_j):
     """Best coarse-mesh objective for many pairs in one batched evaluation.
 
     Returns (best value per pair, current value per pair) so the caller can
@@ -326,11 +338,11 @@ def _screen_pairs(mats, cache, idx_i, idx_j, sign):
     a = (mi @ np.conj(np.swapaxes(mi, -1, -2)))[:, None]
     bg = (mj @ mjh)[:, None]
     c = (mi @ mjh)[:, None]
-    vals = _pair_objective(a, bg, c, _MESH_T, _MESH_P, sign)
-    return vals.min(axis=1), sign * (cache[idx_i] + cache[idx_j])
+    vals = _pair_objective(a, bg, c, _MESH_T, _MESH_P)
+    return vals.min(axis=1), cache[idx_i] + cache[idx_j]
 
 
-def _optimize_pair(mats, cache, i, j, sign, skip_tol):
+def _optimize_pair(mats, cache, i, j, skip_tol):
     """Search one two-level rotation; apply it in place when it improves.
 
     Returns the rotation (cos, sin, phase factor) or None when no
@@ -340,9 +352,9 @@ def _optimize_pair(mats, cache, i, j, sign, skip_tol):
     a = mi @ mi.conj().T
     bg = mj @ mj.conj().T
     c = mi @ mj.conj().T
-    f0 = sign * (cache[i] + cache[j])
+    f0 = cache[i] + cache[j]
 
-    coarse = _pair_objective(a, bg, c, _MESH_T, _MESH_P, sign)
+    coarse = _pair_objective(a, bg, c, _MESH_T, _MESH_P)
     k = int(np.argmin(coarse))
     if coarse[k] >= f0 - skip_tol:
         return None
@@ -359,7 +371,7 @@ def _optimize_pair(mats, cache, i, j, sign, skip_tol):
     for _ in range(rounds):
         mt = theta + t_step * _FINE_T
         mp = phi + p_step * _FINE_P
-        vals = _pair_objective(a, bg, c, mt, mp, sign)
+        vals = _pair_objective(a, bg, c, mt, mp)
         k = int(np.argmin(vals))
         if vals[k] < best:
             best, theta, phi = float(vals[k]), float(mt[k]), float(mp[k])
@@ -369,13 +381,13 @@ def _optimize_pair(mats, cache, i, j, sign, skip_tol):
     # Parabolic polish: the objective is locally quadratic near the bottom.
     xs = np.array([theta - t_step, theta, theta + t_step, theta, theta])
     ps = np.array([phi, phi, phi, phi - p_step, phi + p_step])
-    fs = _pair_objective(a, bg, c, xs, ps, sign)
+    fs = _pair_objective(a, bg, c, xs, ps)
     denom = fs[0] - 2.0 * fs[1] + fs[2]
     theta_c = theta + 0.5 * t_step * (fs[0] - fs[2]) / denom if denom > 0.0 else theta
     pden = fs[3] - 2.0 * fs[1] + fs[4]
     phi_c = phi + 0.5 * p_step * (fs[3] - fs[4]) / pden if pden > 0.0 else phi
     polish = _pair_objective(
-        a, bg, c, np.array([theta_c, theta_c]), np.array([phi, phi_c]), sign
+        a, bg, c, np.array([theta_c, theta_c]), np.array([phi, phi_c])
     )
     kp = int(np.argmin(polish))
     if polish[kp] < best:
@@ -399,7 +411,7 @@ def _optimize_pair(mats, cache, i, j, sign, skip_tol):
     return float(ct), float(st), w
 
 
-def _run_start(problem: _RoofSearch, u0, sign, max_sweeps, tol_rel):
+def _run_start(problem: _RoofSearch, u0, max_sweeps, tol_rel):
     """Cyclic pair sweeps with batched screening and an active set.
 
     Each sweep screens its candidate pairs in one vectorized coarse-mesh
@@ -408,10 +420,11 @@ def _run_start(problem: _RoofSearch, u0, sign, max_sweeps, tol_rel):
     only when a sweep over every pair makes no progress beyond the
     relative tolerance.
     """
-    v, mats = problem.padded(u0)
+    v = problem.start(u0)
+    mats = np.tensordot(v, problem.root_mats, axes=(1, 0))
     cache = _nuc2_gram(_row_grams(mats)).astype(float)
     idx_i, idx_j = problem.pair_index_arrays()
-    trace = [sign * (float(cache.sum()) - 1.0)]
+    trace = [float(cache.sum()) - 1.0]
     converged = False
     full = True
     hot_rows: set[int] = set()
@@ -426,7 +439,7 @@ def _run_start(problem: _RoofSearch, u0, sign, max_sweeps, tol_rel):
         skip_tol = max(1e-14, 1e-13 * abs(prev))
         touched: set[int] = set()
         if sel.size:
-            best, f0 = _screen_pairs(mats, cache, idx_i[sel], idx_j[sel], sign)
+            best, f0 = _screen_pairs(mats, cache, idx_i[sel], idx_j[sel])
             gains = f0 - best
             flagged = np.flatnonzero(gains > skip_tol)
             # Refine the biggest movers first; the rest of the flagged
@@ -436,7 +449,7 @@ def _run_start(problem: _RoofSearch, u0, sign, max_sweeps, tol_rel):
             cap = max(8, problem.size)
             for k in order[:cap]:
                 i, j = int(idx_i[sel[k]]), int(idx_j[sel[k]])
-                rot = _optimize_pair(mats, cache, i, j, sign, skip_tol)
+                rot = _optimize_pair(mats, cache, i, j, skip_tol)
                 if rot is None:
                     continue
                 ct, st, w = rot
@@ -449,7 +462,7 @@ def _run_start(problem: _RoofSearch, u0, sign, max_sweeps, tol_rel):
                 for k in order[cap:]:
                     touched.add(int(idx_i[sel[k]]))
                     touched.add(int(idx_j[sel[k]]))
-        cur = sign * (float(cache.sum()) - 1.0)
+        cur = float(cache.sum()) - 1.0
         trace.append(cur)
         stalled = abs(prev - cur) <= tol_rel * max(1.0, abs(cur))
         if stalled and full:
@@ -463,6 +476,52 @@ def _run_start(problem: _RoofSearch, u0, sign, max_sweeps, tol_rel):
     return v, trace, converged
 
 
+def _polar_ascent(problem: _RoofSearch, v: np.ndarray, max_steps: int, tol_rel: float):
+    """Batched generalized power iteration for the maximum, all starts at once.
+
+    f(V) = sum_k ||M_k||_*^2 with M_k = sum_j V_kj R_j is convex in V, so
+    with G its gradient, f(V') >= f(V) + Re<G, V' - V>, and the isometry
+    maximizing Re<G, V'> -- the polar factor of G -- never lowers f: each
+    step ascends with no step size to choose.  A start stops once a step
+    gains no more than the relative tolerance.
+
+    ``v`` holds one (size, rank) isometry per start.  Returns the best
+    start's isometry, objective trace and convergence flag, and its index.
+    """
+    rank, d_a, d_b = problem.root_mats.shape
+    roots = problem.root_mats.reshape(rank, d_a * d_b)
+    roots_h = roots.conj().T
+    v = v.copy()
+    n_starts, size, _ = v.shape
+
+    def value_and_gradient(w):
+        mats = (w @ roots).reshape(w.shape[0], size, d_a, d_b)
+        u, sv, wh = np.linalg.svd(mats, full_matrices=False)
+        nuc = sv.sum(axis=-1)
+        # d||M_k||_* = Re tr(W_k U_k^H dM_k), so df/dV_kj = 2 ||M_k||_* tr(R_j^H U_k W_k^H).
+        polar = (u @ wh).reshape(w.shape[0], size, d_a * d_b)
+        return np.sum(nuc * nuc, axis=-1) - 1.0, 2.0 * nuc[..., None] * (polar @ roots_h)
+
+    f, grad = value_and_gradient(v)
+    traces = [[float(x)] for x in f]
+    converged = np.zeros(n_starts, dtype=bool)
+    live = np.arange(n_starts)
+    for _ in range(max_steps):
+        a, _, bh = np.linalg.svd(grad, full_matrices=False)
+        v[live] = a @ bh
+        f_new, grad = value_and_gradient(v[live])
+        for k, s in enumerate(live):
+            traces[s].append(float(f_new[k]))
+        stalled = f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new))
+        converged[live[stalled]] = True
+        live, f, grad = live[~stalled], f_new[~stalled], grad[~stalled]
+        if not live.size:
+            break
+    final = np.array([t[-1] for t in traces])
+    best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
+    return v[best], traces[best], bool(converged[best]), best
+
+
 def optimize(
     rho: DensityOperator,
     cut,
@@ -471,9 +530,13 @@ def optimize(
 ) -> OptResult:
     """Minimize or maximize average negativity over pure-state decompositions.
 
-    Multi-start coordinate descent over two-level rotations in the HJW
-    unitary chart; deterministic for a fixed seed.  The first start is the
-    spectral decomposition itself, the others are Haar-random unitaries.
+    Both directions search the HJW chart from the same starts and are
+    deterministic for a fixed seed: the first start is the spectral
+    decomposition itself, the others are Haar-random unitaries.  The
+    minimum runs coordinate descent over two-level rotations from each
+    start in turn, at most ``max_sweeps`` sweeps over all row pairs.  The
+    maximum runs a batched polar ascent over all starts at once, at most
+    ``max_sweeps * size`` steps (one sweep visits every row).
     """
     if direction not in ("min", "max"):
         raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -483,41 +546,36 @@ def optimize(
     if roots.rank < 1:
         raise DomainError("density operator has numerical rank 0")
     size = cfg.resolve_size(roots.rank)
-    problem = _RoofSearch(rho, cut, size, roots)
-    sign = 1.0 if direction == "min" else -1.0
+    problem = _RoofSearch(cut, size, roots)
     rng = np.random.default_rng(cfg.seed)
+    starts = [None] + [haar_unitary(size, rng) for _ in range(cfg.starts - 1)]
 
-    best = None
-    for start in range(cfg.starts):
-        u0 = None if start == 0 else haar_unitary(size, rng)
-        v, trace, converged = _run_start(problem, u0, sign, cfg.max_sweeps, cfg.tol_rel)
-        key = trace[-1]
-        if best is None or key < best[0] - 1e-15:
-            best = (key, v, trace, converged, start)
+    if direction == "max":
+        v0 = np.stack([problem.start(u0) for u0 in starts])
+        v, trace, converged, best_start = _polar_ascent(
+            problem, v0, cfg.max_sweeps * size, cfg.tol_rel
+        )
+    else:
+        best = None
+        for start, u0 in enumerate(starts):
+            v, trace, converged = _run_start(problem, u0, cfg.max_sweeps, cfg.tol_rel)
+            key = trace[-1]
+            if best is None or key < best[0] - 1e-15:
+                best = (key, v, trace, converged, start)
+        _, v, trace, converged, best_start = best
 
-    _, v, trace, converged, start = best
-    combos = v @ problem.roots.roots
-    weights = np.sum(np.abs(combos) ** 2, axis=1)
-    keep = weights > ZERO_WEIGHT
-    states = tuple(
-        PureState(rho.profile, combos[k] / np.sqrt(weights[k]))
-        for k in range(size)
-        if keep[k]
-    )
-    dec = Decomposition(weights[keep], states)
+    dec = _isometry_decomposition(roots, v)
     recon_dev = float(np.max(np.abs(dec.reconstruct() - rho.matrix)))
     if recon_dev > 1e-8:
         raise NumericalError(f"decomposition reconstruction off by {recon_dev}")
-    value = average_negativity(dec, cut)
-    objective_trace = tuple(t if direction == "min" else -t for t in trace)
     return OptResult(
-        value=value,
+        value=average_negativity(dec, cut),
         decomposition=dec,
         direction=direction,
-        objective_trace=objective_trace,
+        objective_trace=tuple(trace),
         bound_kind="upper_bound_of_min" if direction == "min" else "lower_bound_of_max",
         converged=converged,
-        best_start=start,
+        best_start=best_start,
     )
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from crenaudit import (
     Bipartition,
+    DensityOperator,
     DomainError,
     OptConfig,
     RootSet,
@@ -20,6 +21,8 @@ from crenaudit import (
     partial_trace,
     wootters_concurrence_2q,
 )
+
+from crenaudit.monogamy import _audit_opt_cfg
 
 from conftest import rand_dm, rand_pure
 
@@ -112,12 +115,13 @@ class TestOptimize:
             assert abs(res.value - wootters_concurrence_2q(rho)) <= 1e-3
 
     def test_monotone_trace_both_directions(self, rng):
-        rho = rand_dm((2, 2), 3, rng)
-        lo = optimize(rho, 1, "min")
-        assert all(a >= b - 1e-12 for a, b in zip(lo.objective_trace, lo.objective_trace[1:]))
-        hi = optimize(rho, 1, "max")
-        assert all(a <= b + 1e-12 for a, b in zip(hi.objective_trace, hi.objective_trace[1:]))
-        assert hi.value >= lo.value - 1e-12
+        for dims in ((2, 2), (3, 3)):
+            rho = rand_dm(dims, 3, rng)
+            lo = optimize(rho, 1, "min")
+            assert all(a >= b - 1e-12 for a, b in zip(lo.objective_trace, lo.objective_trace[1:]))
+            hi = optimize(rho, 1, "max")
+            assert all(a <= b + 1e-12 for a, b in zip(hi.objective_trace, hi.objective_trace[1:]))
+            assert hi.value >= lo.value - 1e-12
 
     def test_min_respects_ppt_floor(self, rng):
         for dims in ((2, 2), (3, 2)):
@@ -156,9 +160,9 @@ class TestOptimize:
         assert np.max(np.abs(res.decomposition.reconstruct() - rho.matrix)) <= 1e-8
 
     def test_max_attains_two_qubit_assistance_ceiling(self, rng):
-        # For two-qubit states the maximum average equals the sum of the
-        # sqrt eigenvalues of rho rho-tilde when the rank is 2, and never
-        # exceeds it otherwise.
+        # For two-qubit states the maximum average negativity is the
+        # concurrence of assistance, the sum of the sqrt eigenvalues of
+        # rho rho-tilde, at every rank (Laustsen, Verstraete & van Enk 2003).
         sy = np.array(
             [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
         )
@@ -167,12 +171,45 @@ class TestOptimize:
             r = rho.matrix @ sy @ rho.matrix.conj() @ sy
             return float(np.sum(np.sqrt(np.abs(np.real(np.linalg.eigvals(r))))))
 
-        for rank in (2, 2, 4):
+        for rank in (1, 2, 3, 4):
             rho = rand_dm((2, 2), rank, rng)
-            got = optimize(rho, 1, "max").value
-            assert got <= ceiling(rho) + 1e-8
-            if rank == 2:
-                assert abs(got - ceiling(rho)) <= 1e-6
+            for cfg in (OptConfig(), _audit_opt_cfg(rank, seed=0)):
+                res = optimize(rho, 1, "max", cfg)
+                assert abs(res.value - ceiling(rho)) <= 1e-6
+                assert res.converged
+
+    def test_max_stops_at_once_on_a_flat_landscape(self):
+        # Every decomposition of a W/vacuum mixture averages to
+        # 2p sqrt(A(1-A)), A the excitation weight of party 1.  Local
+        # unitaries keep that value but move the starting decompositions.
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        spec = PCSSpec(WClassSpec(3, 3, table / np.linalg.norm(table)), 0.6, 0.4)
+        rho = build_pcs_density(spec)
+        weight = float(np.sum(np.abs(spec.w.a[0]) ** 2))
+        expected = 2 * spec.p * np.sqrt(weight * (1 - weight))
+        for _ in range(3):
+            u = np.kron(np.kron(haar_unitary(3, rng), haar_unitary(3, rng)), haar_unitary(3, rng))
+            rotated = DensityOperator(rho.profile, u @ rho.matrix @ u.conj().T)
+            res = optimize(rotated, 1, "max")
+            assert abs(res.value - expected) <= 1e-9
+            assert res.converged
+            assert len(res.objective_trace) <= 3
+
+    def test_max_not_below_earlier_engine(self):
+        # Default-config maxima of the coordinate-descent engine this
+        # search replaced, on states outside the two-qubit oracle's reach.
+        cases = (
+            ((3, 3), 5, 5, 1.7100940814770167),
+            ((2, 4), 4, 4, 0.9574621876770345),
+        )
+        for dims, rank, seed, earlier in cases:
+            rho = rand_dm(dims, rank, np.random.default_rng(seed))
+            assert optimize(rho, 1, "max").value >= earlier
+
+    def test_max_capped_before_convergence_reports_it(self, rng):
+        rho = rand_dm((3, 2), 3, rng)
+        assert not optimize(rho, 1, "max", OptConfig(max_sweeps=1)).converged
 
     def test_multiparty_side_cut(self, rng):
         # Roof over the (1,2)|(3) cut of a three-party state; sandwich and
