@@ -13,8 +13,6 @@ output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -41,6 +39,7 @@ from .monogamy import (
     report_row,
     reports_to_csv,
     reports_to_json,
+    rows_to_csv,
 )
 from .qlinalg import (
     Bipartition,
@@ -147,12 +146,7 @@ def _load_state(args) -> PureState | DensityOperator:
 
 def _emit_rows(rows: list[dict[str, str]], columns: tuple[str, ...], run: RunConfig) -> str:
     if run.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        return buf.getvalue()
+        return rows_to_csv(rows, columns)
     if run.fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True)
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexroof import OptConfig, _nuc2_gram, flatness_scan, optimize
+from .convexroof import OptConfig, flatness_scan, optimize
 from .measures import (
     concurrence_pure,
     negativity_mixed,
@@ -161,11 +161,11 @@ def _sample_range_values(basis: np.ndarray, dims: tuple[int, int], coeffs: np.nd
     vecs = coeffs @ basis.T
     d1, d2 = dims
     mats = vecs.reshape(-1, d1, d2)
+    if measure == "negativity":
+        return np.linalg.svd(mats, compute_uv=False).sum(axis=-1) ** 2 - 1.0
     if d1 > d2:
         mats = np.swapaxes(mats, -1, -2)
     grams = mats @ np.conj(np.swapaxes(mats, -1, -2))
-    if measure == "negativity":
-        return _nuc2_gram(grams) - 1.0
     sq = 2.0 * (1.0 - np.einsum("kab,kba->k", grams, grams).real)
     return np.sqrt(np.clip(sq, 0.0, None))
 
@@ -498,13 +498,17 @@ def _sorted_reports(reports) -> list[AuditReport]:
     return sorted(reports, key=lambda r: (r.state_id, r.measure, r.focus))
 
 
-def reports_to_csv(reports) -> str:
+def rows_to_csv(rows, columns) -> str:
+    """CSV text with a header line, one line per row dict, newline-terminated."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=AUDIT_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for report in _sorted_reports(reports):
-        writer.writerow(report_row(report))
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def reports_to_csv(reports) -> str:
+    return rows_to_csv([report_row(r) for r in _sorted_reports(reports)], AUDIT_COLUMNS)
 
 
 def reports_to_json(reports) -> str:

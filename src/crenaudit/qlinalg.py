@@ -170,9 +170,6 @@ class PureState:
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.profile, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -297,17 +294,24 @@ def trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(w)))
 
 
-def cut_matrix(phi: PureState, cut: Bipartition) -> np.ndarray:
-    """Amplitudes of ``phi`` reshaped to a (dim side_a, dim side_b) matrix."""
-    cut = as_bipartition(cut, phi.profile.n)
-    dims = phi.profile.dims
-    order = cut.side_a + cut.side_b
-    perm = [p - 1 for p in order]
+def cut_matrices(vectors: np.ndarray, profile: DimensionProfile, cut: Bipartition) -> np.ndarray:
+    """Stacked amplitude vectors reshaped to (k, dim side_a, dim side_b) matrices.
+
+    The vectors need not be normalized; a single vector gives k = 1.
+    """
+    cut = as_bipartition(cut, profile.n)
+    dims = profile.dims
+    perm = [0, *cut.side_a, *cut.side_b]
     d_a = 1
     for p in cut.side_a:
         d_a *= dims[p - 1]
-    tensor = phi.amplitudes.reshape(dims)
-    return np.transpose(tensor, perm).reshape(d_a, -1)
+    tensor = np.asarray(vectors).reshape((-1,) + dims)
+    return np.transpose(tensor, perm).reshape(tensor.shape[0], d_a, -1)
+
+
+def cut_matrix(phi: PureState, cut: Bipartition) -> np.ndarray:
+    """Amplitudes of ``phi`` reshaped to a (dim side_a, dim side_b) matrix."""
+    return cut_matrices(phi.amplitudes, phi.profile, cut)[0]
 
 
 def schmidt(phi: PureState, cut: Bipartition) -> SchmidtData:
@@ -330,7 +334,3 @@ def spectral_decomposition(rho: DensityOperator) -> list[tuple[float, np.ndarray
     order = np.argsort(w)[::-1]
     return [(float(w[k]), v[:, k].copy()) for k in order]
 
-
-def operator_rank(rho: DensityOperator, tol: float = TOL_RANK) -> int:
-    """Number of eigenvalues above the rank cutoff."""
-    return rho.rank(tol)

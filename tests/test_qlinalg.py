@@ -226,6 +226,17 @@ class TestSchmidt:
 
             assert np.max(np.abs(rebuilt - cut_matrix(psi, bip))) <= 1e-8
 
+    def test_stacked_unnormalized_cut_matrices(self, rng):
+        from crenaudit.qlinalg import cut_matrices, cut_matrix
+
+        profile = DimensionProfile((2, 3, 2))
+        bip = Bipartition((1, 3), 3)
+        states = [rand_pure(profile.dims, rng) for _ in range(3)]
+        stacked = cut_matrices(np.stack([2.0 * s.amplitudes for s in states]), profile, bip)
+        assert stacked.shape == (3, 4, 3)
+        for mat, psi in zip(stacked, states):
+            assert np.array_equal(mat, 2.0 * cut_matrix(psi, bip))
+
 
 class TestSpectralDecomposition:
     def test_pure_projector(self, rng):
