@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import negativity_pure
+from .measures import pure_negativities
 from .qlinalg import (
     TOL_RANK,
     Bipartition,
@@ -100,11 +100,15 @@ class Decomposition:
     def size(self) -> int:
         return len(self.states)
 
+    @property
+    def members(self) -> np.ndarray:
+        """The unnormalized members sqrt(p_k) phi_k, one per row."""
+        amps = np.stack([phi.amplitudes for phi in self.states])
+        return np.sqrt(self.weights)[:, None] * amps
+
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.states[0].dim, self.states[0].dim), dtype=complex)
-        for p, phi in zip(self.weights, self.states):
-            out += p * np.outer(phi.amplitudes, phi.amplitudes.conj())
-        return out
+        members = self.members
+        return members.T @ members.conj()
 
 
 def _isometry_decomposition(roots: RootSet, v: np.ndarray) -> Decomposition:
@@ -135,10 +139,12 @@ def decomposition_from_unitary(roots: RootSet, u: np.ndarray) -> Decomposition:
 
 
 def average_negativity(dec: Decomposition, cut) -> float:
-    """Weighted average pure-state negativity over the decomposition."""
-    return float(
-        sum(p * negativity_pure(phi, cut) for p, phi in zip(dec.weights, dec.states))
-    )
+    """Weighted average pure-state negativity over the decomposition.
+
+    One ``pure_negativities`` call scores all members at once.
+    """
+    mats = cut_matrices(dec.members, dec.states[0].profile, cut)
+    return float(pure_negativities(mats).sum())
 
 
 @dataclass(frozen=True)
@@ -446,9 +452,12 @@ def flatness_scan(
 ) -> FlatnessResult:
     """Average negativity over random HJW decompositions of the given size.
 
-    A max_abs_dev at rounding level certifies (numerically) that the
-    decomposition landscape is flat, i.e. the convex roof is decomposition
-    independent for this state and cut.
+    Each sample is the decomposition ``decomposition_from_unitary`` builds
+    from a Haar unitary; all ``samples`` unitaries are drawn first, in
+    order, and the members of every sample are scored in one
+    ``pure_negativities`` call.  A max_abs_dev at rounding level certifies
+    (numerically) that the decomposition landscape is flat, i.e. the convex
+    roof is decomposition independent for this state and cut.
     """
     if samples < 2:
         raise DomainError("flatness_scan needs at least 2 samples")
@@ -458,9 +467,8 @@ def flatness_scan(
     if r < roots.rank:
         raise DomainError(f"size {r} below rank {roots.rank}")
     rng = np.random.default_rng(seed)
-    values = np.empty(samples)
-    for k in range(samples):
-        dec = decomposition_from_unitary(roots, haar_unitary(r, rng))
-        values[k] = average_negativity(dec, cut)
+    isometries = np.stack([haar_unitary(r, rng)[:, : roots.rank] for _ in range(samples)])
+    mats = cut_matrices(isometries @ roots.roots, roots.profile, cut)
+    values = pure_negativities(mats).reshape(samples, r).sum(axis=1)
     mean = float(values.mean())
     return FlatnessResult(mean=mean, max_abs_dev=float(np.max(np.abs(values - mean))), samples=samples)

@@ -1,6 +1,10 @@
 """Closed-form pure-state entanglement measures and mixed-state negativity.
 
-Pure-state concurrence and negativity, the trace-norm negativity of mixed
+Pure-state concurrence and negativity come from one batched kernel each,
+on stacked cut matrices: for a pure state both are functions of the
+Schmidt coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so a
+decomposition's members, a flatness scan's samples or a range grid are
+scored in one call.  Beside them: the trace-norm negativity of mixed
 states, and the exact two-qubit concurrence used as an oracle by the
 monogamy audits (for two-qubit states the convex-roof extended negativity
 coincides with the concurrence, so the closed form serves both).
@@ -19,16 +23,13 @@ from .qlinalg import (
     NumericalError,
     PureState,
     as_bipartition,
-    cut_matrix,
+    cut_matrices,
     partial_transpose,
     trace_norm,
 )
 
 # Trace-norm rounding noise reported as exactly zero.
 NEGATIVITY_CLAMP = 1e-10
-
-# Max pairwise disagreement tolerated between the three pure-negativity paths.
-PURE_PATH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,55 +42,47 @@ class MeasureValue:
     method: str        # closed_form | trace_norm | optimizer
 
 
+def pure_negativities(mats: np.ndarray) -> np.ndarray:
+    """p_k N(phi_k) for stacked cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
+
+    With s the singular values of M_k, from one batched SVD, this is
+    ||M_k||_*^2 - ||M_k||_F^2 = 2 sum_{i<j} s_i s_j, summed in the second
+    form: its terms are nonnegative, so nothing cancels near product states.
+    """
+    s = np.linalg.svd(mats, compute_uv=False)
+    return 2.0 * np.sum(s[..., 1:] * np.cumsum(s[..., :-1], axis=-1), axis=-1)
+
+
+def pure_concurrences(mats: np.ndarray) -> np.ndarray:
+    """p_k C(phi_k) = sqrt(2 ((tr G_k)^2 - tr G_k^2)) for a (k, d_a, d_b) stack of cut matrices.
+
+    M_k = sqrt(p_k) (cut matrix of phi_k) and G_k = M_k M_k^H, so that
+    tr G_k = ||M_k||_F^2 = p_k; the Gram is taken on the short side, whose
+    marginal has the same purity.
+    """
+    if mats.shape[-2] > mats.shape[-1]:
+        mats = np.swapaxes(mats, -1, -2)
+    grams = mats @ np.conj(np.swapaxes(mats, -1, -2))
+    p = np.einsum("kaa->k", grams).real
+    sq = 2.0 * (p * p - np.einsum("kab,kba->k", grams, grams).real)
+    return np.sqrt(np.clip(sq, 0.0, None))
+
+
 def concurrence_pure(phi: PureState, cut) -> float:
     """sqrt(2 (1 - tr rho_A^2)) for the marginal on side A of the cut."""
-    mat = cut_matrix(phi, as_bipartition(cut, phi.profile.n))
-    gram = mat @ mat.conj().T
-    purity = float(np.trace(gram @ gram).real)
-    return float(np.sqrt(max(2.0 * (1.0 - purity), 0.0)))
+    return float(pure_concurrences(cut_matrices(phi.amplitudes, phi.profile, cut))[0])
 
 
 def negativity_pure(phi: PureState, cut) -> float:
-    """Pure-state negativity across a cut.
+    """Pure-state negativity across a cut: (sum_i s_i)^2 - 1.
 
-    Computed three ways: from the Schmidt coefficients, from the square of
-    the marginal's root trace, and from the trace norm of the partial
-    transpose.  The paths must agree within 1e-9; their disagreement would
-    mean the kernel is broken, so it raises NumericalError.
+    The s_i are the singular values of the cut matrix, the roots of the
+    Schmidt coefficients; this Schmidt form is the only one computed.  The
+    value equals the partial-transpose negativity of the state's density
+    operator and the squared root trace of its marginal minus one; the
+    tests check both, so it raises no NumericalError.
     """
-    cut = as_bipartition(cut, phi.profile.n)
-    mat = cut_matrix(phi, cut)
-
-    s = np.linalg.svd(mat, compute_uv=False)
-    via_schmidt = 2.0 * float(np.sum(np.tril(np.outer(s, s), -1)))
-
-    gram = mat @ mat.conj().T
-    w = np.linalg.eigvalsh(gram)
-    eps = np.finfo(float).eps
-    lam_max = max(float(w[-1]), 0.0)
-    # sqrt amplifies the solver's noise on exactly-zero eigenvalues
-    # (sqrt(1e-16) ~ 1e-8), so floor them at rounding scale first.
-    w = np.where(w > 64.0 * eps * lam_max, w, 0.0)
-    via_marginal = float(np.sum(np.sqrt(w))) ** 2 - 1.0
-
-    pt = partial_transpose(phi.to_density(), cut.side_b)
-    via_pt = trace_norm(pt) - 1.0
-
-    # The marginal-root path computes sqrt of the Gram's eigenvalues, whose
-    # accuracy for eigenvalues near the rank boundary is limited to
-    # ~sqrt(eps) no matter the solver (2 sqrt(64 eps) ~ 4e-7 per such
-    # eigenvalue); widen the guard by that intrinsic floor so it only
-    # fires on genuine kernel defects.
-    n_tiny = int(np.sum(w < np.sqrt(eps) * lam_max))
-    tol = PURE_PATH_TOL + 4e-7 * n_tiny
-    paths = (via_schmidt, via_marginal, via_pt)
-    spread = max(paths) - min(paths)
-    if spread > tol:
-        raise NumericalError(
-            f"pure negativity paths disagree by {spread}: schmidt={via_schmidt}, "
-            f"marginal={via_marginal}, pt={via_pt}"
-        )
-    return max(via_schmidt, 0.0)
+    return float(pure_negativities(cut_matrices(phi.amplitudes, phi.profile, cut))[0])
 
 
 def negativity_mixed(rho: DensityOperator, cut) -> float:

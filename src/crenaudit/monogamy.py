@@ -32,6 +32,8 @@ from .measures import (
     concurrence_pure,
     negativity_mixed,
     negativity_pure,
+    pure_concurrences,
+    pure_negativities,
     wootters_concurrence_2q,
 )
 from .qlinalg import (
@@ -42,6 +44,7 @@ from .qlinalg import (
     DomainError,
     NumericalError,
     PureState,
+    cut_matrices,
     partial_trace,
 )
 from .states import ExcitationWeights, PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
@@ -103,9 +106,8 @@ def random_pure_state(profile: DimensionProfile, rng: np.random.Generator) -> Pu
 
 def average_concurrence(dec, cut) -> float:
     """Weighted average pure-state concurrence over a decomposition."""
-    return float(
-        sum(p * concurrence_pure(phi, cut) for p, phi in zip(dec.weights, dec.states))
-    )
+    mats = cut_matrices(dec.members, dec.states[0].profile, cut)
+    return float(pure_concurrences(mats).sum())
 
 
 def _require_pure(psi) -> PureState:
@@ -158,16 +160,8 @@ def _verdict_dual(lhs_sq: float, terms_sq) -> tuple[float, str]:
 
 def _sample_range_values(basis: np.ndarray, dims: tuple[int, int], coeffs: np.ndarray, measure: str) -> np.ndarray:
     """Measure values of normalized range vectors given by coefficient rows."""
-    vecs = coeffs @ basis.T
-    d1, d2 = dims
-    mats = vecs.reshape(-1, d1, d2)
-    if measure == "negativity":
-        return np.linalg.svd(mats, compute_uv=False).sum(axis=-1) ** 2 - 1.0
-    if d1 > d2:
-        mats = np.swapaxes(mats, -1, -2)
-    grams = mats @ np.conj(np.swapaxes(mats, -1, -2))
-    sq = 2.0 * (1.0 - np.einsum("kab,kba->k", grams, grams).real)
-    return np.sqrt(np.clip(sq, 0.0, None))
+    mats = (coeffs @ basis.T).reshape(-1, *dims)
+    return pure_negativities(mats) if measure == "negativity" else pure_concurrences(mats)
 
 
 def range_floor(rho: DensityOperator, measure: str = "concurrence") -> float | None:

@@ -335,9 +335,8 @@ def test_criterion_8_kernel_properties():
             np.abs(np.linalg.eigvalsh(partial_transpose(psi.to_density(), cut.side_b))).sum()
             - 1.0
         )
-        spread = max(via_schmidt, via_marginal, via_pt) - min(
-            via_schmidt, via_marginal, via_pt
-        )
+        paths = (via_schmidt, via_marginal, via_pt, negativity_pure(psi, cut))
+        spread = max(paths) - min(paths)
         if spread > 1e-9:
             failures.append(f"pure state {k} {dims}: path spread {spread} > 1e-9")
     report("8 (kernel properties)", failures)

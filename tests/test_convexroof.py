@@ -255,8 +255,21 @@ class TestFlatnessScan:
 
     def test_generic_state_is_not_flat(self, rng):
         rho = rand_dm((2, 2), 4, rng)
-        flat = flatness_scan(rho, 1, samples=32, seed=3)
-        assert flat.max_abs_dev > 1e-6
+        roots = RootSet.from_density(rho)
+        for size in (None, 6):
+            flat = flatness_scan(rho, 1, samples=32, seed=3, size=size)
+            assert flat.max_abs_dev > 1e-6
+            # The batched scan scores the decompositions a per-sample loop
+            # builds from the same seed's unitaries, in the same order.
+            draw = np.random.default_rng(3)
+            values = np.array([
+                average_negativity(
+                    decomposition_from_unitary(roots, haar_unitary(size or roots.rank, draw)), 1
+                )
+                for _ in range(32)
+            ])
+            assert abs(flat.mean - values.mean()) <= 1e-12
+            assert abs(flat.max_abs_dev - np.max(np.abs(values - values.mean()))) <= 1e-12
 
     def test_needs_two_samples(self, rng):
         rho = rand_dm((2, 2), 2, rng)

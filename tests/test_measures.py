@@ -17,7 +17,25 @@ from crenaudit import (
     wootters_concurrence_2q,
 )
 
+from crenaudit.measures import pure_concurrences, pure_negativities
+from crenaudit.qlinalg import cut_matrix
+
 from conftest import rand_dm, rand_pure
+
+# Tolerated disagreement between routes to the same pure-state negativity.
+PATH_TOL = 1e-9
+
+
+def marginal_root_negativity(psi, cut) -> float:
+    """(sum of the roots of rho_A's eigenvalues)^2 - 1.
+
+    sqrt amplifies the solver's noise on exactly-zero eigenvalues
+    (sqrt(1e-16) ~ 1e-8), so those are floored at rounding scale first.
+    """
+    mat = cut_matrix(psi, cut)
+    w = np.linalg.eigvalsh(mat @ mat.conj().T)
+    w = np.where(w > 64.0 * np.finfo(float).eps * w[-1], w, 0.0)
+    return float(np.sum(np.sqrt(w))) ** 2 - 1.0
 
 
 def two_term_state(lam0, rng, dims=(3, 4)):
@@ -69,14 +87,35 @@ class TestNegativityPure:
             assert abs(n - c) <= 1e-12
 
     def test_three_paths_agree_on_random_states(self, rng):
-        # The function itself raises if its Schmidt, marginal-root and
-        # partial-transpose routes disagree beyond tolerance.
+        # The Schmidt form that negativity_pure computes must agree with the
+        # partial-transpose and marginal-root routes.
         for dims in ((2, 2), (3, 2), (3, 3), (4, 4), (2, 2, 2), (4, 4, 4)):
             for _ in range(5):
                 psi = rand_pure(dims, rng)
                 cut = Bipartition((1,), len(dims))
                 value = negativity_pure(psi, cut)
                 assert value >= 0.0
+                assert abs(value - negativity_mixed(psi.to_density(), cut)) <= PATH_TOL
+                assert abs(value - marginal_root_negativity(psi, cut)) <= PATH_TOL
+
+
+class TestPureKernels:
+    def test_stacked_members_match_the_pure_measures(self, rng):
+        # Rows are sqrt(p_k) times the members' cut matrices, in both
+        # orientations (d_a < d_b and d_a > d_b); the last member is a product.
+        for dims in ((2, 3), (3, 2), (2, 4), (4, 3)):
+            states = [rand_pure(dims, rng) for _ in range(3)]
+            states.append(tensor_product(rand_pure(dims[:1], rng), rand_pure(dims[1:], rng)))
+            weights = rng.dirichlet(np.ones(len(states)))
+            mats = np.stack([np.sqrt(p) * cut_matrix(phi, 1) for p, phi in zip(weights, states)])
+            negs, concs = pure_negativities(mats), pure_concurrences(mats)
+            want_negs = [p * negativity_pure(phi, 1) for p, phi in zip(weights, states)]
+            want_concs = [p * concurrence_pure(phi, 1) for p, phi in zip(weights, states)]
+            assert np.max(np.abs(negs - want_negs)) <= 1e-12
+            assert np.max(np.abs(concs[:-1] - want_concs[:-1])) <= 1e-12
+            assert negs[-1] <= 1e-12
+            # sqrt(2((tr G)^2 - tr G^2)) has a ~1e-8 conditioning floor on products.
+            assert concs[-1] <= 1e-7
 
 
 class TestNegativityMixed:
