@@ -154,10 +154,12 @@ class OptConfig:
     ``size`` is the decomposition cardinality; the default rank**2 (capped
     at 16, floored at the rank) is adequate for convex roofs at this scale.
     ``max_sweeps * size`` caps the steps of each start: of the polar
-    ascent for the maximum, and of each of the three smoothing stages of
-    the descent for the minimum.  A maximum has converged when a step gains
-    no more than ``tol_rel * max(1, |value|)`` before that cap; a minimum
-    when a step of its last, unsmoothed stage does.
+    ascent for the maximum, and of each of the eight smoothing stages of
+    the descent for the minimum, so at most 8 * max_sweeps * size steps in
+    all.  A maximum has converged when a step gains no more than
+    ``tol_rel * max(1, |value|)`` before that cap; a minimum when a step of
+    its last, unsmoothed stage does, or when that stage finds it
+    stationary.
     """
 
     size: int | None = None
@@ -282,9 +284,11 @@ def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
 
 
 # Smoothing continuation of the descent: without smoothing it stalls at the
-# kinks where singular values vanish.  Smoothed stages only steer the
-# iterate, so they stop at a loose relative gain.
-_SMOOTHING = (1e-2, 1e-4, 0.0)
+# kinks where singular values vanish, and mu shrinks ten-fold a stage
+# (Chen, Math. Program. 134, 71 (2012)) so that no start meets the exact
+# stage far from its minimum.  Smoothed stages only steer the iterate, so
+# they stop at a loose relative gain.
+_SMOOTHING = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0)
 _STAGE_TOL = 1e-6
 # Armijo sufficient decrease with a rounding slack (flat steps would
 # otherwise backtrack until the step underflows), and the BB step range.
@@ -310,18 +314,22 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     """Batched Riemannian gradient descent for the minimum, all starts at once.
 
-    Each stage minimizes the objective with its nuclear norms smoothed by
-    one mu of ``_SMOOTHING``, by Barzilai-Borwein steps on the isometries
-    (Wen & Yin, Math. Program. 142, 397 (2013)): the Euclidean gradient is
-    projected on the tangent space, the step is retracted by the polar
-    factor, and an Armijo test backtracks it.  A stage runs at most
-    ``max_steps`` steps per start and stops a start once a step gains no
-    more than ``_STAGE_TOL`` (smoothed stages) or ``tol_rel`` (the exact
-    last stage) relative to its value.
+    Each of the eight stages minimizes the objective with its nuclear norms
+    smoothed by one mu of ``_SMOOTHING`` (1e-2 down to 1e-8 ten-fold, then
+    0), by Barzilai-Borwein steps on the isometries (Wen & Yin, Math.
+    Program. 142, 397 (2013)): the Euclidean gradient is projected on the
+    tangent space, the step is retracted by the polar factor, and an
+    Armijo test backtracks it.  The stage tolerance is ``_STAGE_TOL``
+    (smoothed stages) or ``tol_rel`` (the exact last stage), relative to
+    the value.  A start whose first trial step could gain no more than it,
+    _FIRST_STEP * |projected gradient|^2, takes no step in the stage;
+    otherwise the stage runs at most ``max_steps`` steps and stops the
+    start once a step gains no more than it.
 
     Traces record the best exact value reached, so they never rise, and the
     returned isometry is the iterate that reached it.  A start has
-    converged when its exact stage stopped on the tolerance before the cap.
+    converged when its exact stage stopped on the tolerance before the cap,
+    or took no step there.
     Returns the best start's isometry, trace and convergence flag, and its
     index.
     """
@@ -337,8 +345,14 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
         grad = _tangent(v, grad)
         grad_sq = _inner(grad, grad)
         step = np.full(n_starts, _FIRST_STEP)
-        live = np.arange(n_starts)
+        # To first order, a first trial step gains at most _FIRST_STEP * grad_sq.
+        stationary = _FIRST_STEP * grad_sq <= tol * np.maximum(1.0, np.abs(f))
+        if mu == 0.0:
+            converged[stationary] = True
+        live = np.flatnonzero(~stationary)
         for _ in range(max_steps):
+            if not live.size:
+                break
             stalled = np.zeros(n_starts, dtype=bool)
             pending = live
             for _ in range(_MAX_BACKTRACKS):
@@ -371,8 +385,6 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
             # A start whose step backtracked to nothing stops unconverged.
             stalled[pending] = True
             live = live[~stalled[live]]
-            if not live.size:
-                break
     final = np.array([t[-1] for t in traces])
     first = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
     return best_v[first], traces[first], bool(converged[first]), first
@@ -389,7 +401,7 @@ def optimize(
     Both directions search the HJW chart from the same starts, all at once,
     and are deterministic for a fixed seed: the first start is the spectral
     decomposition itself, the others are Haar-random unitaries.  The
-    minimum runs a smoothed Riemannian descent in three stages of at most
+    minimum runs a smoothed Riemannian descent in eight stages of at most
     ``max_sweeps * size`` steps each; the maximum runs a polar ascent of at
     most ``max_sweeps * size`` steps.
     """

@@ -54,18 +54,24 @@ def pure_negativities(mats: np.ndarray) -> np.ndarray:
 
 
 def pure_concurrences(mats: np.ndarray) -> np.ndarray:
-    """p_k C(phi_k) = sqrt(2 ((tr G_k)^2 - tr G_k^2)) for a (k, d_a, d_b) stack of cut matrices.
+    """p_k C(phi_k) for a (k, d_a, d_b) stack of cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
 
-    M_k = sqrt(p_k) (cut matrix of phi_k) and G_k = M_k M_k^H, so that
-    tr G_k = ||M_k||_F^2 = p_k; the Gram is taken on the short side, whose
-    marginal has the same purity.
+    With G_k = M_k M_k^H, so that tr G_k = ||M_k||_F^2 = p_k, this is
+    sqrt(2 ((tr G_k)^2 - tr G_k^2)).  By Cauchy-Binet the difference is
+    twice the sum of the squared 2x2 minors |M_ix M_jy - M_iy M_jx|^2 of
+    M_k, a sum of nonnegative terms, so nothing cancels near product
+    states.  The minors are taken one pair i < j of short-side rows at a
+    time, over all column pairs x < y.
     """
     if mats.shape[-2] > mats.shape[-1]:
         mats = np.swapaxes(mats, -1, -2)
-    grams = mats @ np.conj(np.swapaxes(mats, -1, -2))
-    p = np.einsum("kaa->k", grams).real
-    sq = 2.0 * (p * p - np.einsum("kab,kba->k", grams, grams).real)
-    return np.sqrt(np.clip(sq, 0.0, None))
+    cols_x, cols_y = np.triu_indices(mats.shape[-1], 1)
+    sq = np.zeros(mats.shape[:-2])
+    for i, j in zip(*np.triu_indices(mats.shape[-2], 1)):
+        a, b = mats[..., i, :], mats[..., j, :]
+        minors = a[..., cols_x] * b[..., cols_y] - a[..., cols_y] * b[..., cols_x]
+        sq += np.sum(minors.real ** 2 + minors.imag ** 2, axis=-1)
+    return 2.0 * np.sqrt(sq)
 
 
 def concurrence_pure(phi: PureState, cut) -> float:

@@ -22,7 +22,9 @@ from crenaudit import (
     wootters_concurrence_2q,
 )
 
+from crenaudit.convexroof import _descent, _objective, _root_matrices, _start
 from crenaudit.monogamy import _audit_opt_cfg
+from crenaudit.states import kim_sanders_state
 
 from conftest import rand_dm, rand_pure
 
@@ -30,6 +32,14 @@ from conftest import rand_dm, rand_pure
 @pytest.fixture
 def ou_pair():
     return partial_trace(ou_state().to_density(), (1, 2))
+
+
+@pytest.fixture
+def full_rank_qutrit_pair():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        rho = rand_dm((3, 3), 9, rng)
+    return rho
 
 
 class TestRootsAndDecompositions:
@@ -196,6 +206,18 @@ class TestOptimize:
             assert res.converged
             assert len(res.objective_trace) <= 3
 
+    def test_min_stops_at_once_on_a_flat_landscape(self):
+        # Every decomposition of these rank-2 (3,2) pair marginals averages
+        # to 2 sqrt(2) / 3, so every start is stationary at every stage.
+        psi = kim_sanders_state().to_density()
+        for keep in ((1, 2), (1, 3)):
+            pair = partial_trace(psi, keep)
+            for cfg in (OptConfig(), _audit_opt_cfg(pair.rank(), seed=0)):
+                res = optimize(pair, 1, "min", cfg)
+                assert abs(res.value - 2 * np.sqrt(2) / 3) <= 1e-12
+                assert res.converged
+                assert len(res.objective_trace) == 1
+
     def test_max_not_below_earlier_engine(self):
         # Default-config maxima and minima of the coordinate-descent engine
         # these searches replaced, on states outside the two-qubit oracle's
@@ -209,15 +231,26 @@ class TestOptimize:
             assert optimize(rho, 1, "max").value >= earlier_max
             assert optimize(rho, 1, "min").value <= earlier_min
 
-    def test_min_tight_on_full_rank_qutrit_pair(self):
+    def test_min_tight_on_full_rank_qutrit_pair(self, full_rank_qutrit_pair):
         # Coordinate descent returned 0.3295 with converged=True here; 32
         # starts in four local frames of it reached 0.2566.
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            rho = rand_dm((3, 3), 9, rng)
+        rho = full_rank_qutrit_pair
         res = optimize(rho, 1, "min")
-        assert negativity_mixed(rho, 1) <= res.value <= 0.2566
+        assert negativity_mixed(rho, 1) <= res.value <= 0.1190
         assert res.converged
+
+    def test_every_default_start_converges_alone(self, full_rank_qutrit_pair):
+        # Each of optimize's default starts, run alone, must stop on the
+        # exact stage's tolerance before the cap, not only the best start.
+        rho, cfg = full_rank_qutrit_pair, OptConfig()
+        roots = RootSet.from_density(rho)
+        size = cfg.resolve_size(roots.rank)
+        rng = np.random.default_rng(cfg.seed)
+        starts = [None] + [haar_unitary(size, rng) for _ in range(cfg.starts - 1)]
+        evaluate = _objective(_root_matrices(roots, Bipartition((1,), 2)))
+        for u0 in starts:
+            v0 = _start(size, roots.rank, u0)[None]
+            assert _descent(evaluate, v0, cfg.max_sweeps * size, cfg.tol_rel)[2]
 
     def test_max_capped_before_convergence_reports_it(self, rng):
         rho = rand_dm((3, 2), 3, rng)

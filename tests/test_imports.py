@@ -1,4 +1,4 @@
-"""Static check on the package source: no dead sibling imports."""
+"""Static checks on the package source: no dead sibling imports or private names."""
 
 import ast
 from pathlib import Path
@@ -6,13 +6,16 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crenaudit"
 
 
+def _parsed_modules(include_init: bool):
+    paths = sorted(p for p in PACKAGE.glob("*.py") if include_init or p.name != "__init__.py")
+    assert paths
+    return [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
+
+
 def test_modules_use_every_sibling_name_they_import():
     # __init__.py re-exports its imports, so only the other modules count.
     unused = []
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in _parsed_modules(include_init=False):
         imported = {
             alias.asname or alias.name: node.lineno
             for node in ast.walk(tree)
@@ -23,3 +26,29 @@ def test_modules_use_every_sibling_name_they_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"sibling names imported and never used: {unused}"
+
+
+def test_modules_use_every_private_name_they_define():
+    # A module-level function, class or constant named _x (not __x__) is
+    # private to its module, so a module that never reads it carries dead code.
+    unused = []
+    for path, tree in _parsed_modules(include_init=True):
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined[name.id] = node.lineno
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}:{line} {name}" for name, line in defined.items()
+                   if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+                   and name not in used]
+    assert not unused, f"private names defined and never used in their module: {unused}"

@@ -114,8 +114,7 @@ class TestPureKernels:
             assert np.max(np.abs(negs - want_negs)) <= 1e-12
             assert np.max(np.abs(concs[:-1] - want_concs[:-1])) <= 1e-12
             assert negs[-1] <= 1e-12
-            # sqrt(2((tr G)^2 - tr G^2)) has a ~1e-8 conditioning floor on products.
-            assert concs[-1] <= 1e-7
+            assert concs[-1] <= 1e-12
 
 
 class TestNegativityMixed:
