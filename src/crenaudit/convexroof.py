@@ -213,6 +213,18 @@ def _start(size: int, rank: int, u0: np.ndarray | None) -> np.ndarray:
     return v if u0 is None else u0 @ v
 
 
+def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
+    """The (starts, size, rank) stack of start isometries for ``optimize``.
+
+    The first is the spectral decomposition itself, the others are rotated
+    by Haar-random unitaries drawn from ``cfg.seed``.
+    """
+    size = cfg.resolve_size(rank)
+    rng = np.random.default_rng(cfg.seed)
+    rotations = [None] + [haar_unitary(size, rng) for _ in range(cfg.starts - 1)]
+    return np.stack([_start(size, rank, u0) for u0 in rotations])
+
+
 def _objective(root_mats: np.ndarray):
     """Batched objective sum_k ||M_k||_*^2 - 1, M_k = sum_j V_kj R_j, and its gradient.
 
@@ -412,13 +424,10 @@ def optimize(
     roots = RootSet.from_density(rho)
     if roots.rank < 1:
         raise DomainError("density operator has numerical rank 0")
-    size = cfg.resolve_size(roots.rank)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [None] + [haar_unitary(size, rng) for _ in range(cfg.starts - 1)]
-    v0 = np.stack([_start(size, roots.rank, u0) for u0 in starts])
+    v0 = _starts(cfg, roots.rank)
     search = _polar_ascent if direction == "max" else _descent
     v, trace, converged, best_start = search(
-        _objective(_root_matrices(roots, cut)), v0, cfg.max_sweeps * size, cfg.tol_rel
+        _objective(_root_matrices(roots, cut)), v0, cfg.max_sweeps * v0.shape[1], cfg.tol_rel
     )
 
     dec = _isometry_decomposition(roots, v)

@@ -53,24 +53,33 @@ def pure_negativities(mats: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(s[..., 1:] * np.cumsum(s[..., :-1], axis=-1), axis=-1)
 
 
+def _norm_sq(z: np.ndarray) -> np.ndarray:
+    """Squared norms of the complex vectors along the last axis."""
+    return np.einsum("...x,...x->...", z.real, z.real) + np.einsum("...x,...x->...", z.imag, z.imag)
+
+
 def pure_concurrences(mats: np.ndarray) -> np.ndarray:
     """p_k C(phi_k) for a (k, d_a, d_b) stack of cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
 
     With G_k = M_k M_k^H, so that tr G_k = ||M_k||_F^2 = p_k, this is
-    sqrt(2 ((tr G_k)^2 - tr G_k^2)).  By Cauchy-Binet the difference is
-    twice the sum of the squared 2x2 minors |M_ix M_jy - M_iy M_jx|^2 of
-    M_k, a sum of nonnegative terms, so nothing cancels near product
-    states.  The minors are taken one pair i < j of short-side rows at a
-    time, over all column pairs x < y.
+    sqrt(2 ((tr G_k)^2 - tr G_k^2)).  The difference is twice the sum over
+    pairs i < j of short-side rows a_i, a_j of M_k of
+    ||a_i||^2 ||a_j||^2 - |<a_i, a_j>|^2 = ||a_i||^2 ||a_j - (<a_i, a_j> / ||a_i||^2) a_i||^2
+    (0 where a_i = 0), summed in the second form: its terms are
+    nonnegative, so nothing cancels near product states.  Each row a_i is
+    taken against all later rows at once, so the cost is linear in the
+    long side.
     """
     if mats.shape[-2] > mats.shape[-1]:
         mats = np.swapaxes(mats, -1, -2)
-    cols_x, cols_y = np.triu_indices(mats.shape[-1], 1)
     sq = np.zeros(mats.shape[:-2])
-    for i, j in zip(*np.triu_indices(mats.shape[-2], 1)):
-        a, b = mats[..., i, :], mats[..., j, :]
-        minors = a[..., cols_x] * b[..., cols_y] - a[..., cols_y] * b[..., cols_x]
-        sq += np.sum(minors.real ** 2 + minors.imag ** 2, axis=-1)
+    for i in range(mats.shape[-2] - 1):
+        a, rest = mats[..., i, :], mats[..., i + 1 :, :]
+        norm_sq = _norm_sq(a)
+        coef = np.einsum("...rx,...x->...r", rest, a.conj()) / np.where(
+            norm_sq > 0, norm_sq, np.inf
+        )[..., None]
+        sq += norm_sq * _norm_sq(rest - coef[..., None] * a[..., None, :]).sum(axis=-1)
     return 2.0 * np.sqrt(sq)
 
 

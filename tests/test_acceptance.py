@@ -173,6 +173,15 @@ def test_criterion_5_two_qubit_equivalence():
             failures.append(f"state {k}: |roof - closed form| = {gap} > 1e-3")
     print(f"\n  criterion 5: worst |optimizer - closed form| = {worst:.2e}")
 
+    # The hardest known input: a separable full-rank state (Wootters 0),
+    # state 31 of seed 99.  Its gap is pinned and may only be tightened.
+    rng = np.random.default_rng(99)
+    hard = [rand_dm((2, 2), 1 + k % 4, rng) for k in range(32)][-1]
+    gap = abs(pair_cren_min(hard) - __import__("crenaudit").wootters_concurrence_2q(hard))
+    print(f"  criterion 5: hardest known state, gap {gap:.3e}")
+    if gap > 7.23e-4:
+        failures.append(f"hardest known state: |roof - closed form| = {gap} > 7.23e-4")
+
     rng = np.random.default_rng(512)
     worst_eq = 0.0
     for k in range(100):

@@ -22,7 +22,7 @@ from crenaudit import (
     wootters_concurrence_2q,
 )
 
-from crenaudit.convexroof import _descent, _objective, _root_matrices, _start
+from crenaudit.convexroof import _descent, _objective, _root_matrices, _starts
 from crenaudit.monogamy import _audit_opt_cfg
 from crenaudit.states import kim_sanders_state
 
@@ -244,13 +244,11 @@ class TestOptimize:
         # exact stage's tolerance before the cap, not only the best start.
         rho, cfg = full_rank_qutrit_pair, OptConfig()
         roots = RootSet.from_density(rho)
-        size = cfg.resolve_size(roots.rank)
-        rng = np.random.default_rng(cfg.seed)
-        starts = [None] + [haar_unitary(size, rng) for _ in range(cfg.starts - 1)]
+        starts = _starts(cfg, roots.rank)
         evaluate = _objective(_root_matrices(roots, Bipartition((1,), 2)))
-        for u0 in starts:
-            v0 = _start(size, roots.rank, u0)[None]
-            assert _descent(evaluate, v0, cfg.max_sweeps * size, cfg.tol_rel)[2]
+        for k in range(len(starts)):
+            max_steps = cfg.max_sweeps * starts.shape[1]
+            assert _descent(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
 
     def test_max_capped_before_convergence_reports_it(self, rng):
         rho = rand_dm((3, 2), 3, rng)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from crenaudit import (
     DomainError,
     PureState,
     concurrence_pure,
+    ghz_state,
     haar_unitary,
     maximally_entangled,
     negativity_mixed,
@@ -115,6 +118,24 @@ class TestPureKernels:
             assert np.max(np.abs(concs[:-1] - want_concs[:-1])) <= 1e-12
             assert negs[-1] <= 1e-12
             assert concs[-1] <= 1e-12
+
+    def test_lopsided_cut_is_linear_in_the_long_side(self):
+        # A 13-qubit GHZ cut 1|rest has a 2 x 4096 cut matrix; listing all
+        # pairs of its long-side columns would take some 8 million entries.
+        ghz = ghz_state(13)
+        mats = cut_matrix(ghz, Bipartition((1,), 13))[None]
+        assert mats.shape == (1, 2, 4096)
+        tracemalloc.start()
+        try:
+            conc = pure_concurrences(mats)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        assert conc == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_pure(ghz, 1) == pytest.approx(1.0, abs=1e-12)
+        assert pure_concurrences(np.swapaxes(mats, -1, -2))[0] == pytest.approx(1.0, abs=1e-12)
+        assert pure_negativities(mats)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNegativityMixed:
