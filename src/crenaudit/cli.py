@@ -15,29 +15,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import monogamy
-from .convexroof import OptConfig, optimize
-from .measures import (
-    MeasureValue,
-    concurrence_pure,
-    negativity_mixed,
-    negativity_pure,
-    wootters_concurrence_2q,
-)
+from .convexroof import OptConfig
 from .monogamy import (
     analytic_w_audit,
-    ckw_audit,
-    cren_audit,
-    dual_audit,
+    audit,
     fmt,
     hunt,
-    negativity_audit,
-    report_row,
-    reports_to_csv,
+    pair_term,
+    report_rows,
     reports_to_json,
     rows_to_csv,
 )
@@ -92,8 +82,13 @@ class RunConfig:
 
 
 def _parse_parties(text: str) -> tuple[int, ...]:
+    # With commas each item is a party ("1,10"); without, each digit is ("12").
+    if "," in text:
+        chunks = [c.strip() for c in text.split(",") if c.strip()]
+    else:
+        chunks = list(text.strip())
     out = []
-    for chunk in text.replace(",", "").strip():
+    for chunk in chunks:
         if not chunk.isdigit():
             raise DomainError(f"bad party index {chunk!r} in {text!r}")
         out.append(int(chunk))
@@ -195,29 +190,9 @@ def _run_state(args, run: RunConfig) -> int:
             )
         else:
             add("cut", str(cut))
-            add("negativity", fmt(negativity_mixed(state, cut)))
+            add("negativity", fmt(pair_term(state, cut, "negativity").value))
     _write(_emit_rows(rows, ("property", "value"), run), run)
     return 0
-
-
-def _measure_one(state, kind: str, cut: Bipartition, cfg: OptConfig) -> tuple[MeasureValue, str]:
-    if isinstance(state, PureState):
-        # Roof measures on pure input reduce to the pure-state value.
-        if kind == "concurrence":
-            return MeasureValue(kind, concurrence_pure(state, cut), cut, "closed_form"), "exact"
-        return MeasureValue(kind, negativity_pure(state, cut), cut, "closed_form"), "exact"
-    if kind == "concurrence":
-        if state.profile.dims != (2, 2):
-            raise DomainError(
-                "mixed-state concurrence has a closed form only for two qubits; "
-                "use cren (equal for qubit pairs) or a pure state"
-            )
-        return MeasureValue(kind, wootters_concurrence_2q(state), cut, "closed_form"), "exact"
-    if kind == "negativity":
-        return MeasureValue(kind, negativity_mixed(state, cut), cut, "trace_norm"), "exact"
-    direction = "min" if kind == "cren" else "max"
-    res = optimize(state, cut, direction, cfg)
-    return MeasureValue(kind, res.value, cut, "optimizer"), res.bound_kind
 
 
 def _run_measure(args, run: RunConfig) -> int:
@@ -225,22 +200,27 @@ def _run_measure(args, run: RunConfig) -> int:
     cut = Bipartition(_parse_parties(args.cut) if args.cut else (1,), state.profile.n)
     cfg = run.opt_config() or OptConfig(seed=run.seed)
     rows = []
-    for kind in args.measure.split(","):
-        kind = kind.strip()
-        if kind not in ("concurrence", "negativity", "cren", "crenoa"):
-            raise DomainError(f"unknown measure {kind!r}")
-        mv, bound = _measure_one(state, kind, cut, cfg)
+    for measure in args.measure.split(","):
+        measure = measure.strip()
+        term = pair_term(state, cut, measure, cfg)
         rows.append(
             {
-                "measure": mv.kind,
-                "cut": str(mv.cut),
-                "value": fmt(mv.value),
-                "method": mv.method,
-                "bound_kind": bound,
+                "measure": measure,
+                "cut": str(cut),
+                "value": fmt(term.value),
+                "method": term.method,
+                "bound_kind": term.kind,
             }
         )
     _write(_emit_rows(rows, ("measure", "cut", "value", "method", "bound_kind"), run), run)
     return 0
+
+
+def _write_reports(reports, run: RunConfig) -> None:
+    if run.fmt == "json":
+        _write(reports_to_json(reports) + "\n", run)
+    else:
+        _write(_emit_rows(report_rows(reports), monogamy.AUDIT_COLUMNS, run), run)
 
 
 def _run_audit(args, run: RunConfig) -> int:
@@ -248,30 +228,12 @@ def _run_audit(args, run: RunConfig) -> int:
     if not isinstance(state, PureState):
         raise DomainError("audits need a pure state input")
     state_id = args.spec or args.family or "state"
-    focus = args.focus
     cfg = run.opt_config()
-    reports = []
-    for measure in args.measures.split(","):
-        measure = measure.strip()
-        if measure == "cren":
-            reports.append(cren_audit(state, focus, state_id=state_id, opt_cfg=cfg, seed=run.seed))
-        elif measure == "ckw":
-            reports.append(ckw_audit(state, focus, state_id=state_id, opt_cfg=cfg, seed=run.seed))
-        elif measure in ("coa", "crenoa"):
-            reports.append(
-                dual_audit(state, focus, measure, state_id=state_id, opt_cfg=cfg, seed=run.seed)
-            )
-        elif measure == "negativity":
-            reports.append(negativity_audit(state, focus, state_id=state_id))
-        else:
-            raise DomainError(f"unknown audit measure {measure!r}")
-    if run.fmt == "json":
-        _write(reports_to_json(reports) + "\n", run)
-    elif run.fmt == "csv":
-        _write(reports_to_csv(reports), run)
-    else:
-        rows = [report_row(r) for r in sorted(reports, key=lambda r: (r.state_id, r.measure))]
-        _write(_emit_rows(rows, monogamy.AUDIT_COLUMNS, run), run)
+    reports = [
+        audit(state, args.focus, measure.strip(), state_id=state_id, opt_cfg=cfg, seed=run.seed)
+        for measure in args.measures.split(",")
+    ]
+    _write_reports(reports, run)
     return 0
 
 
@@ -319,13 +281,10 @@ def _run_hunt(args, run: RunConfig) -> int:
     findings = hunt(profile, args.trials, run.seed, focus=args.focus)
     candidates = sum(1 for f in findings if f.verdict == monogamy.VERDICT_CANDIDATE)
     certified = sum(1 for f in findings if f.verdict == monogamy.VERDICT_CERTIFIED)
-    if run.fmt == "json":
-        _write(reports_to_json(findings) + "\n", run)
-    elif run.fmt == "csv" or run.output:
-        _write(reports_to_csv(findings), run)
-    else:
-        rows = [report_row(r) for r in findings]
-        _write(_emit_rows(rows, monogamy.AUDIT_COLUMNS, run), run)
+    if run.output and run.fmt == "table":
+        # A findings file is CSV unless JSON is asked for.
+        run = replace(run, fmt="csv")
+    _write_reports(findings, run)
     sys.stderr.write(
         f"hunt: trials={args.trials} candidates={candidates} certified={certified}\n"
     )
@@ -364,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_measure = sub.add_parser("measure", help="compute measures across a cut")
     add_common(p_measure)
-    p_measure.add_argument("--measure", required=True, help="comma list: concurrence,negativity,cren,crenoa")
+    p_measure.add_argument(
+        "--measure", required=True, help="comma list: concurrence,negativity,cren,crenoa,coa"
+    )
     p_measure.add_argument("--cut", help="side-A parties (default party 1)")
 
     p_audit = sub.add_parser("audit", help="run monogamy audits")

@@ -19,8 +19,8 @@ ascent (the generalized power method of Journee, Nesterov, Richtarik &
 Sepulchre, JMLR 11, 517 (2010)) raises it at every step.
 
 Reported minima are upper bounds of the true minimum and reported maxima
-are lower bounds of the true maximum; audits that need certified verdicts
-must pair them with one-sided bounds (see ``monogamy``).
+are lower bounds of the true maximum; ``monogamy.pair_term`` labels them so
+and pairs them with one-sided bounds for certified verdicts.
 """
 
 from __future__ import annotations
@@ -192,7 +192,6 @@ class OptResult:
     decomposition: Decomposition
     direction: str               # min | max
     objective_trace: tuple[float, ...]
-    bound_kind: str              # upper_bound_of_min | lower_bound_of_max
     converged: bool
     best_start: int
 
@@ -439,20 +438,9 @@ def optimize(
         decomposition=dec,
         direction=direction,
         objective_trace=tuple(trace),
-        bound_kind="upper_bound_of_min" if direction == "min" else "lower_bound_of_max",
         converged=converged,
         best_start=best_start,
     )
-
-
-def cren(rho: DensityOperator, cut, cfg: OptConfig | None = None) -> float:
-    """Convex-roof extended negativity (an upper bound of the true minimum)."""
-    return optimize(rho, cut, "min", cfg).value
-
-
-def crenoa(rho: DensityOperator, cut, cfg: OptConfig | None = None) -> float:
-    """Assistance dual of CREN (a lower bound of the true maximum)."""
-    return optimize(rho, cut, "max", cfg).value
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,17 @@ on stacked cut matrices: for a pure state both are functions of the
 Schmidt coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so a
 decomposition's members, a flatness scan's samples or a range grid are
 scored in one call.  Beside them: the trace-norm negativity of mixed
-states, and the exact two-qubit concurrence used as an oracle by the
-monogamy audits (for two-qubit states the convex-roof extended negativity
-coincides with the concurrence, so the closed form serves both).
+states, and the exact two-qubit concurrence that ``monogamy.pair_term``
+uses for two-qubit roof minima (for two-qubit states the convex-roof
+extended negativity coincides with the concurrence, so the closed form
+serves both).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qlinalg import (
-    Bipartition,
     DensityOperator,
     DomainError,
     NumericalError,
@@ -30,16 +28,6 @@ from .qlinalg import (
 
 # Trace-norm rounding noise reported as exactly zero.
 NEGATIVITY_CLAMP = 1e-10
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A computed measure value together with how it was obtained."""
-
-    kind: str          # concurrence | negativity | cren | crenoa | coa
-    value: float
-    cut: Bipartition
-    method: str        # closed_form | trace_norm | optimizer
 
 
 def pure_negativities(mats: np.ndarray) -> np.ndarray:

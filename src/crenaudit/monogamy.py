@@ -1,13 +1,14 @@
-"""Monogamy-of-entanglement audits and the analytic W-class oracle.
+"""Pair terms, monogamy-of-entanglement audits and the analytic W-class oracle.
 
-An audit compares the squared entanglement of one focus party with the
-rest of a pure multipartite state against the sum of its squared pairwise
-entanglements.  Pair terms carry explicit bound semantics (exact, upper,
-or lower), and a violation is only reported as certified when the verdict
-survives substituting one-sided lower bounds for every pair term:
+``pair_term`` is the one method table of the package: for a measure of a
+pure or mixed state across a cut it picks the computation (closed form,
+trace norm, Wootters' two-qubit formula or the decomposition optimizer)
+and says how the value relates to the true one: ``exact``, ``upper`` (an
+optimizer minimum) or ``lower`` (an optimizer maximum).  Each term also
+carries a one-sided lower bound of the true value:
 
 * convex-roof extended negativity: the partial-transpose negativity of a
-  pair marginal never exceeds its convex roof, so it certifies one-sidedly;
+  pair marginal never exceeds its convex roof;
 * concurrence: for a pair with a two-dimensional side the convex roofs of
   concurrence and negativity coincide, and in general the concurrence of a
   mixed pair is bounded below by the smallest concurrence over unit vectors
@@ -15,7 +16,11 @@ survives substituting one-sided lower bounds for every pair term:
   is located by a deterministic sampled grid search, so it is a numerical
   certificate rather than a proof.
 
-Verdict boundaries use ``TOL_SAT``; anything within it counts as saturation.
+An audit compares the squared entanglement of one focus party with the
+rest of a pure multipartite state against the sum of its squared pair
+terms, and a violation is only reported as certified when the verdict
+survives substituting the lower bounds for every pair term.  Verdict
+boundaries use ``TOL_SAT``; anything within it counts as saturation.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .qlinalg import (
     DomainError,
     NumericalError,
     PureState,
+    as_bipartition,
     cut_matrices,
     partial_trace,
 )
@@ -55,6 +61,26 @@ VERDICT_HOLDS = "holds"
 VERDICT_SATURATED = "saturated"
 VERDICT_CANDIDATE = "candidate_violation"
 VERDICT_CERTIFIED = "certified_violation"
+
+PAIR_MEASURES = ("concurrence", "negativity", "cren", "crenoa", "coa")
+# Audit measure -> the pair_term measure of both of its sides.
+AUDIT_MEASURES = {
+    "cren": "cren",
+    "ckw": "concurrence",
+    "negativity": "negativity",
+    "crenoa": "crenoa",
+    "coa": "coa",
+}
+
+
+@dataclass(frozen=True)
+class PairTerm:
+    """One measure across one cut and how it was obtained (see ``pair_term``)."""
+
+    value: float
+    lower: float      # one-sided lower bound of the true value
+    kind: str         # exact | upper | lower: how value relates to the true value
+    method: str       # closed_form | trace_norm | optimizer
 
 
 @dataclass(frozen=True)
@@ -158,31 +184,23 @@ def _verdict_dual(lhs_sq: float, terms_sq) -> tuple[float, str]:
     return residual, VERDICT_CANDIDATE
 
 
-def _sample_range_values(basis: np.ndarray, dims: tuple[int, int], coeffs: np.ndarray, measure: str) -> np.ndarray:
-    """Measure values of normalized range vectors given by coefficient rows."""
-    mats = (coeffs @ basis.T).reshape(-1, *dims)
-    return pure_negativities(mats) if measure == "negativity" else pure_concurrences(mats)
-
-
-def range_floor(rho: DensityOperator, measure: str = "concurrence") -> float | None:
-    """Smallest measure value over sampled unit vectors in the range of rho.
+def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> float | None:
+    """Smallest measure value across the cut over sampled unit vectors in the range of rho.
 
     Every pure state appearing in any decomposition of rho lies in its
     range, so this floors the corresponding convex roof.  Implemented for
     range dimension up to 3 via an iteratively refined deterministic grid;
     returns None when no floor is available.
     """
-    if rho.profile.n != 2:
-        raise DomainError("range_floor expects a two-party state")
     if measure not in ("concurrence", "negativity"):
         raise DomainError(f"unknown measure {measure!r}")
+    cut = as_bipartition(cut, rho.profile.n)
+    kernel = pure_negativities if measure == "negativity" else pure_concurrences
     w, v = np.linalg.eigh(rho.matrix)
     basis = v[:, w > TOL_RANK]
     rank = basis.shape[1]
-    dims = rho.profile.dims
     if rank == 1:
-        vals = _sample_range_values(basis, dims, np.ones((1, 1), dtype=complex), measure)
-        return float(vals[0])
+        return float(kernel(cut_matrices(basis.T, rho.profile, cut))[0])
     if rank > 3:
         return None
 
@@ -219,7 +237,7 @@ def range_floor(rho: DensityOperator, measure: str = "concurrence") -> float | N
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = [m.ravel() for m in mesh]
-        vals = _sample_range_values(basis, dims, coeff_rows(grid), measure)
+        vals = kernel(cut_matrices(coeff_rows(grid) @ basis.T, rho.profile, cut))
         k = int(np.argmin(vals))
         best = float(vals[k])
         centers = np.array([g[k] for g in grid])
@@ -229,49 +247,81 @@ def range_floor(rho: DensityOperator, measure: str = "concurrence") -> float | N
     return max(0.0, best - 1e-3 * (1.0 + best))
 
 
-def _pair_term_roof(rho_pair: DensityOperator, measure: str, cfg: OptConfig, direction: str):
-    """(value, bound kind, certification lower bound) for one pair marginal.
+def pair_term(
+    state: PureState | DensityOperator,
+    cut,
+    measure: str,
+    cfg: OptConfig | None = None,
+) -> PairTerm:
+    """One measure of a state across a cut, by the method the table below picks.
 
-    measure is the roof being audited for this pair: 'cren', 'concurrence',
-    'crenoa' or 'coa'.
+    ``measure`` is one of ``PAIR_MEASURES``.  On mixed input ``cren`` and
+    ``concurrence`` are the convex roofs (minima over decompositions) of
+    negativity and concurrence, ``crenoa`` and ``coa`` their assistance
+    duals (maxima), and ``negativity`` the partial-transpose negativity; on
+    pure input every measure is the pure-state concurrence (``concurrence``,
+    ``coa``) or negativity (the rest).
+
+    ==========================  ===========  =====  ==========================
+    input                       method       kind   lower
+    ==========================  ===========  =====  ==========================
+    pure                        closed_form  exact  value
+    mixed, negativity           trace_norm   exact  value
+    (2, 2) mixed, cren          closed_form  exact  PT negativity
+    (2, 2) mixed, concurrence   closed_form  exact  value
+    other mixed, cren           optimizer    upper  PT negativity
+    other mixed, concurrence    optimizer    upper  range floor, and PT
+                                                    negativity if a side is 2-d
+    mixed, crenoa or coa        optimizer    lower  value
+    ==========================  ===========  =====  ==========================
+
+    The two-qubit closed form is Wootters' spin-flip concurrence (PRL 80,
+    2245 (1998)), the exact minimum of both roofs there.  Optimizer
+    concurrence terms are the average concurrence of the decomposition the
+    negativity search found.  ``cfg`` controls the optimizer; other rows
+    ignore it.
     """
-    two_qubit = rho_pair.profile.dims == (2, 2)
-    if two_qubit and direction == "min":
-        value = wootters_concurrence_2q(rho_pair)
+    if measure not in PAIR_MEASURES:
+        raise DomainError(f"unknown measure {measure!r}")
+    cut = as_bipartition(cut, state.profile.n)
+    concurrence = measure in ("concurrence", "coa")
+    if isinstance(state, PureState):
+        value = (concurrence_pure if concurrence else negativity_pure)(state, cut)
+        return PairTerm(value, value, "exact", "closed_form")
+    if measure == "negativity":
+        value = negativity_mixed(state, cut)
+        return PairTerm(value, value, "exact", "trace_norm")
+    direction = "max" if measure in ("crenoa", "coa") else "min"
+    if direction == "min" and state.profile.dims == (2, 2):
+        value = wootters_concurrence_2q(state)
         # Certification for the negativity roof is defined against the
         # partial-transpose bound, even where the exact value is known.
-        lower = negativity_mixed(rho_pair, 1) if measure == "cren" else value
-        return value, "exact", lower
-    res = optimize(rho_pair, 1, direction, cfg)
-    if measure in ("concurrence", "coa"):
-        value = average_concurrence(res.decomposition, 1)
-    else:
-        value = res.value
+        lower = negativity_mixed(state, cut) if measure == "cren" else value
+        return PairTerm(value, lower, "exact", "closed_form")
+    res = optimize(state, cut, direction, cfg)
+    value = average_concurrence(res.decomposition, cut) if concurrence else res.value
     if direction == "max":
-        return value, "lower", value
+        return PairTerm(value, value, "lower", "optimizer")
     # Minimization: the decomposition average is an upper bound of the roof.
     if measure == "cren":
-        lower = negativity_mixed(rho_pair, 1)
-    else:
-        floor = None
-        if min(rho_pair.profile.dims) == 2:
-            # Two-dimensional side: every member has Schmidt rank <= 2, so
-            # the concurrence roof equals the negativity roof and the
-            # partial-transpose negativity floors it.
-            floor = negativity_mixed(rho_pair, 1)
-        range_min = range_floor(rho_pair, "concurrence")
-        if range_min is not None:
-            floor = range_min if floor is None else max(floor, range_min)
-        lower = 0.0 if floor is None else floor
-    return value, "upper", lower
+        return PairTerm(value, negativity_mixed(state, cut), "upper", "optimizer")
+    floors = []
+    profile = state.profile
+    if min(profile.restrict(cut.side_a).size, profile.restrict(cut.side_b).size) == 2:
+        # Two-dimensional side: every member has Schmidt rank <= 2, so
+        # the concurrence roof equals the negativity roof and the
+        # partial-transpose negativity floors it.
+        floors.append(negativity_mixed(state, cut))
+    range_min = range_floor(state, cut, "concurrence")
+    if range_min is not None:
+        floors.append(range_min)
+    return PairTerm(value, max(floors, default=0.0), "upper", "optimizer")
 
 
-def _build_report(state_id, focus, measure, lhs_sq, rows, dual=False) -> AuditReport:
-    partners = tuple(r[0] for r in rows)
-    terms_sq = tuple(float(r[1]) ** 2 for r in rows)
-    kinds = tuple(r[2] for r in rows)
-    lowers_sq = tuple(float(r[3]) ** 2 for r in rows)
-    if dual:
+def _build_report(state_id, focus, measure, lhs_sq, partners, terms) -> AuditReport:
+    terms_sq = tuple(float(t.value) ** 2 for t in terms)
+    lowers_sq = tuple(float(t.lower) ** 2 for t in terms)
+    if measure in ("coa", "crenoa"):
         residual, verdict = _verdict_dual(lhs_sq, terms_sq)
     else:
         residual, verdict = _verdict_monogamy(lhs_sq, terms_sq, lowers_sq)
@@ -280,101 +330,75 @@ def _build_report(state_id, focus, measure, lhs_sq, rows, dual=False) -> AuditRe
         focus=focus,
         measure=measure,
         lhs_sq=float(lhs_sq),
-        partners=partners,
+        partners=tuple(partners),
         rhs_terms_sq=terms_sq,
-        rhs_bound_kinds=kinds,
+        rhs_bound_kinds=tuple(t.kind for t in terms),
         rhs_lower_sq=lowers_sq,
         residual=residual,
         verdict=verdict,
     )
 
 
-def cren_audit(
+def audit(
     psi: PureState,
     focus: int,
+    measure: str,
     *,
     state_id: str = "state",
     opt_cfg: OptConfig | None = None,
     seed: int = 0,
 ) -> AuditReport:
-    """Audit the convex-roof-negativity monogamy inequality on a pure state.
+    """Audit one monogamy inequality, or its assistance dual, on a pure state.
 
-    Pair terms are exact for qubit pairs (two-qubit roof equals the
-    spin-flip concurrence) and optimizer upper bounds otherwise; a
-    violation is certified only if it survives replacing every pair term
-    by its partial-transpose negativity.
+    ``measure`` is a key of ``AUDIT_MEASURES``.  The left side is the
+    squared pure-state value of the focus party against the rest, and the
+    right side sums the squared ``pair_term`` of each pair marginal of the
+    focus party.  Monogamy (``cren``, ``ckw``, ``negativity``) holds when
+    the left side is at least the sum; a violation is certified only if it
+    survives replacing every pair term by its lower bound.  The duals
+    (``crenoa``, ``coa``) hold when the left side is at most the sum of
+    pair maxima; their terms are lower bounds, so a holds verdict is
+    conservative and an apparent violation stays a candidate.  Without
+    ``opt_cfg`` each optimizer term searches a rank-sized decomposition
+    from three starts seeded by ``seed``.
     """
     psi = _require_pure(psi)
-    lhs = negativity_pure(psi, Bipartition((focus,), psi.profile.n))
-    rows = []
+    if measure not in AUDIT_MEASURES:
+        raise DomainError(f"unknown audit measure {measure!r}")
+    term_measure = AUDIT_MEASURES[measure]
+    lhs = pair_term(psi, Bipartition((focus,), psi.profile.n), term_measure).value
+    partners, terms = [], []
     for i, pair in _pair_marginals(psi, focus):
-        cfg = opt_cfg or _audit_opt_cfg(pair.rank(), seed)
-        value, kind, lower = _pair_term_roof(pair, "cren", cfg, "min")
-        rows.append((i, value, kind, lower))
-    return _build_report(state_id, focus, "cren", lhs * lhs, rows)
+        cfg = opt_cfg
+        if cfg is None and term_measure != "negativity":  # negativity never searches
+            cfg = _audit_opt_cfg(pair.rank(), seed)
+        partners.append(i)
+        terms.append(pair_term(pair, 1, term_measure, cfg))
+    return _build_report(state_id, focus, measure, lhs * lhs, partners, terms)
 
 
-def ckw_audit(
-    psi: PureState,
-    focus: int,
-    *,
-    state_id: str = "state",
-    opt_cfg: OptConfig | None = None,
-    seed: int = 0,
-) -> AuditReport:
-    """Audit the concurrence monogamy inequality on a pure state."""
-    psi = _require_pure(psi)
-    lhs = concurrence_pure(psi, Bipartition((focus,), psi.profile.n))
-    rows = []
-    for i, pair in _pair_marginals(psi, focus):
-        cfg = opt_cfg or _audit_opt_cfg(pair.rank(), seed)
-        value, kind, lower = _pair_term_roof(pair, "concurrence", cfg, "min")
-        rows.append((i, value, kind, lower))
-    return _build_report(state_id, focus, "ckw", lhs * lhs, rows)
+def cren_audit(psi, focus, *, state_id="state", opt_cfg=None, seed=0) -> AuditReport:
+    """The convex-roof-negativity monogamy audit (see ``audit``)."""
+    return audit(psi, focus, "cren", state_id=state_id, opt_cfg=opt_cfg, seed=seed)
+
+
+def ckw_audit(psi, focus, *, state_id="state", opt_cfg=None, seed=0) -> AuditReport:
+    """The concurrence (Coffman-Kundu-Wootters) monogamy audit (see ``audit``)."""
+    return audit(psi, focus, "ckw", state_id=state_id, opt_cfg=opt_cfg, seed=seed)
 
 
 def dual_audit(
-    psi: PureState,
-    focus: int,
-    measure: str = "crenoa",
-    *,
-    state_id: str = "state",
-    opt_cfg: OptConfig | None = None,
-    seed: int = 0,
+    psi, focus, measure="crenoa", *, state_id="state", opt_cfg=None, seed=0
 ) -> AuditReport:
-    """Audit the assistance dual: lhs^2 <= sum of squared pair maxima.
-
-    Pair terms are optimizer lower bounds of the true maxima, so a holds
-    verdict is conservative; apparent violations stay candidates because a
-    lower bound cannot certify them.
-    """
-    psi = _require_pure(psi)
+    """The assistance-dual audit for ``measure`` 'crenoa' or 'coa' (see ``audit``)."""
     if measure not in ("coa", "crenoa"):
         raise DomainError(f"dual measure must be 'coa' or 'crenoa', got {measure!r}")
-    cut = Bipartition((focus,), psi.profile.n)
-    lhs = concurrence_pure(psi, cut) if measure == "coa" else negativity_pure(psi, cut)
-    rows = []
-    for i, pair in _pair_marginals(psi, focus):
-        cfg = opt_cfg or _audit_opt_cfg(pair.rank(), seed)
-        value, kind, lower = _pair_term_roof(pair, measure, cfg, "max")
-        rows.append((i, value, kind, lower))
-    return _build_report(state_id, focus, measure, lhs * lhs, rows, dual=True)
+    return audit(psi, focus, measure, state_id=state_id, opt_cfg=opt_cfg, seed=seed)
 
 
-def negativity_audit(
-    psi: PureState,
-    focus: int,
-    *,
-    state_id: str = "state",
-) -> AuditReport:
-    """Audit the plain partial-transpose negativity monogamy inequality."""
-    psi = _require_pure(psi)
-    lhs = negativity_pure(psi, Bipartition((focus,), psi.profile.n))
-    rows = []
-    for i, pair in _pair_marginals(psi, focus):
-        value = negativity_mixed(pair, 1)
-        rows.append((i, value, "exact", value))
-    return _build_report(state_id, focus, "negativity", lhs * lhs, rows)
+def negativity_audit(psi, focus, *, state_id="state") -> AuditReport:
+    """The partial-transpose negativity monogamy audit (see ``audit``)."""
+    return audit(psi, focus, "negativity", state_id=state_id)
 
 
 def analytic_w_values(spec: WClassSpec, p: float) -> AnalyticWValues:
@@ -417,11 +441,9 @@ def analytic_w_audit(
         )
     if state_id is None:
         state_id = f"pcs(n={spec.w.n},d={spec.w.d},p={spec.p:g},lam={spec.lam:g})"
-    rows = [
-        (i + 2, v, "exact", v)
-        for i, v in enumerate(values.pair_cren)
-    ]
-    report = _build_report(state_id, 1, "cren", values.global_cren ** 2, rows)
+    terms = [PairTerm(v, v, "exact", "closed_form") for v in values.pair_cren]
+    partners = range(2, len(terms) + 2)
+    report = _build_report(state_id, 1, "cren", values.global_cren ** 2, partners, terms)
     return AnalyticWAudit(
         values=values,
         report=report,
@@ -475,21 +497,25 @@ def fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def report_row(report: AuditReport) -> dict[str, str]:
-    return {
-        "state_id": report.state_id,
-        "measure": report.measure,
-        "focus": str(report.focus),
-        "lhs_sq": fmt(report.lhs_sq),
-        "rhs_sq_sum": fmt(report.rhs_sq_sum),
-        "residual": fmt(report.residual),
-        "verdict": report.verdict,
-        "bound_kinds": ";".join(report.rhs_bound_kinds),
-    }
-
-
 def _sorted_reports(reports) -> list[AuditReport]:
     return sorted(reports, key=lambda r: (r.state_id, r.measure, r.focus))
+
+
+def report_rows(reports) -> list[dict[str, str]]:
+    """One ``AUDIT_COLUMNS`` row of strings per report, sorted by state, measure and focus."""
+    return [
+        {
+            "state_id": report.state_id,
+            "measure": report.measure,
+            "focus": str(report.focus),
+            "lhs_sq": fmt(report.lhs_sq),
+            "rhs_sq_sum": fmt(report.rhs_sq_sum),
+            "residual": fmt(report.residual),
+            "verdict": report.verdict,
+            "bound_kinds": ";".join(report.rhs_bound_kinds),
+        }
+        for report in _sorted_reports(reports)
+    ]
 
 
 def rows_to_csv(rows, columns) -> str:
@@ -502,7 +528,7 @@ def rows_to_csv(rows, columns) -> str:
 
 
 def reports_to_csv(reports) -> str:
-    return rows_to_csv([report_row(r) for r in _sorted_reports(reports)], AUDIT_COLUMNS)
+    return rows_to_csv(report_rows(reports), AUDIT_COLUMNS)
 
 
 def reports_to_json(reports) -> str:

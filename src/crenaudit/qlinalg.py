@@ -69,10 +69,6 @@ class DimensionProfile:
         """Party labels, 1-based."""
         return range(1, self.n + 1)
 
-    def dim_of(self, party: int) -> int:
-        self._check_party(party)
-        return self.dims[party - 1]
-
     def index_of(self, digits: Sequence[int]) -> int:
         """Flattened basis index of a digit string (one digit per party)."""
         if len(digits) != self.n:
@@ -88,10 +84,6 @@ class DimensionProfile:
         """Profile of the listed parties, in ascending party order."""
         kept = _sorted_parties(parties, self.n)
         return DimensionProfile(tuple(self.dims[p - 1] for p in kept))
-
-    def _check_party(self, party: int) -> None:
-        if not 1 <= party <= self.n:
-            raise DomainError(f"party {party} out of range 1..{self.n}")
 
 
 def _sorted_parties(parties: Iterable[int], n: int) -> tuple[int, ...]:
@@ -163,10 +155,6 @@ class PureState:
             self, "amplitudes", _as_unit_vector(self.amplitudes, self.profile.size)
         )
 
-    @property
-    def dim(self) -> int:
-        return self.profile.size
-
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.profile, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -198,10 +186,6 @@ class DensityOperator:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.profile.size
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

@@ -50,6 +50,15 @@ class TestStateCommand:
         code, _, err = run_cli("state", "--spec", "/does/not/exist.yaml", capsys=capsys)
         assert code == 2
 
+    def test_comma_list_reads_multi_digit_parties(self, capsys):
+        # Without commas "110" would read as parties 1, 1 and 0.
+        code, out, _ = run_cli(
+            "state", "--family", "ghz", "--n", "11", "--cut", "1,10", capsys=capsys
+        )
+        assert code == 0
+        rows = dict(line.split(None, 1) for line in out.strip().split("\n")[1:])
+        assert rows["schmidt_rank"].strip() == "2"
+
 
 class TestMeasureCommand:
     def test_pure_negativity(self, capsys):
@@ -76,6 +85,29 @@ class TestMeasureCommand:
         )
         assert code == 0
         assert out.split("\n")[1].split()[2] == "1"
+
+    def test_qubit_pair_roof_is_closed_form(self, capsys):
+        code, out, _ = run_cli(
+            "measure", "--family", "w", "--n", "3", "--trace-out", "3",
+            "--measure", "cren", capsys=capsys,
+        )
+        assert code == 0
+        assert "0.666666666667  closed_form  exact" in out
+
+    def test_qutrit_pair_concurrence_is_optimizer_upper_bound(self, capsys):
+        code, out, _ = run_cli(
+            "measure", "--family", "ou", "--trace-out", "3", "--measure", "concurrence",
+            capsys=capsys,
+        )
+        assert code == 0
+        _, _, value, method, kind = out.split("\n")[1].split()
+        assert (method, kind) == ("optimizer", "upper")
+        assert abs(float(value) - 1.0) <= 1e-6
+
+    def test_pure_coa_is_closed_form(self, capsys):
+        code, out, _ = run_cli("measure", "--family", "ou", "--measure", "coa", capsys=capsys)
+        assert code == 0
+        assert out.split("\n")[1].split()[2:] == ["1.15470053838", "closed_form", "exact"]
 
     def test_unknown_measure_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -175,6 +207,15 @@ class TestHuntCommand:
         assert code == 0
         assert out.read_text().startswith("state_id,measure,focus")
 
+    def test_findings_file_is_json_when_asked(self, tmp_path, capsys):
+        out = tmp_path / "findings.json"
+        code, _, _ = run_cli(
+            "hunt", "--profile", "2,2,2", "--trials", "2", "--format", "json",
+            "--output", str(out), capsys=capsys,
+        )
+        assert code == 0
+        assert out.read_text() == "[]\n"
+
     def test_qubit_regime(self, capsys):
         code, out, err = run_cli(
             "hunt", "--profile", "2,2,2", "--trials", "10", capsys=capsys
@@ -186,12 +227,12 @@ class TestHuntCommand:
 class TestExitCodes:
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         from crenaudit import NumericalError
-        from crenaudit import cli as cli_module
+        from crenaudit import monogamy
 
         def broken(*args, **kwargs):
             raise NumericalError("reconstruction invariant broken")
 
-        monkeypatch.setattr(cli_module, "optimize", broken)
+        monkeypatch.setattr(monogamy, "optimize", broken)
         code, _, err = run_cli(
             "measure", "--family", "ou", "--trace-out", "3", "--measure", "cren",
             capsys=capsys,

@@ -159,11 +159,6 @@ class TestOptimize:
         with pytest.raises(DomainError):
             optimize(rho, 1, "min", OptConfig(size=2))
 
-    def test_bound_kinds(self, rng):
-        rho = rand_dm((2, 2), 2, rng)
-        assert optimize(rho, 1, "min").bound_kind == "upper_bound_of_min"
-        assert optimize(rho, 1, "max").bound_kind == "lower_bound_of_max"
-
     def test_reconstruction_of_returned_decomposition(self, rng):
         rho = rand_dm((3, 2), 3, rng)
         res = optimize(rho, 1, "min", OptConfig(starts=2, max_sweeps=30))

@@ -28,6 +28,25 @@ def test_modules_use_every_sibling_name_they_import():
     assert not unused, f"sibling names imported and never used: {unused}"
 
 
+def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
+    # monogamy.pair_term is the one table that picks how a term is computed;
+    # a second caller of either solver would be a second table.
+    callers = set()
+    for path, tree in _parsed_modules(include_init=False):
+        for top in tree.body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("optimize", "wootters_concurrence_2q"):
+                        callers.add((name, owner))
+    assert callers == {
+        ("optimize", "monogamy.pair_term"),
+        ("wootters_concurrence_2q", "monogamy.pair_term"),
+    }
+
+
 def test_modules_use_every_private_name_they_define():
     # A module-level function, class or constant named _x (not __x__) is
     # private to its module, so a module that never reads it carries dead code.

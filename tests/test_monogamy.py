@@ -6,10 +6,13 @@ import pytest
 from crenaudit import (
     DimensionProfile,
     DomainError,
+    OptConfig,
     PCSSpec,
     PartitionSpec,
     WClassSpec,
     analytic_w_audit,
+    audit,
+    build_w_state,
     ckw_audit,
     cren_audit,
     dual_audit,
@@ -17,7 +20,9 @@ from crenaudit import (
     hunt,
     kim_sanders_state,
     negativity_audit,
+    negativity_mixed,
     ou_state,
+    pair_term,
     partial_trace,
     random_pure_state,
     tensor_product,
@@ -131,18 +136,90 @@ class TestQubitCorpora:
             cren_audit(rand_dm((2, 2, 2), 2, rng), 1)
 
 
+def _term_inputs():
+    # Cut 1 of each: 1|23 of the pure OU state and of a W mixture on three
+    # qubits, 1|2 of a W pair (roof 2/3) and of a Kim-Sanders (3, 2) pair.
+    w3_pair = partial_trace(build_w_state(WClassSpec.symmetric(3, 2)).to_density(), (1, 2))
+    w4_triple = partial_trace(build_w_state(WClassSpec.symmetric(4, 2)).to_density(), (1, 2, 3))
+    return {
+        "pure": ou_state(),
+        "qubit_pair": w3_pair,
+        "qutrit_qubit_pair": partial_trace(kim_sanders_state().to_density(), (1, 2)),
+        "qubit_triple": w4_triple,
+    }
+
+
+# (input, measure, method, kind, true value); None means the trace-norm value.
+_TABLE_ROWS = [
+    ("pure", "concurrence", "closed_form", "exact", np.sqrt(4 / 3)),
+    ("pure", "negativity", "closed_form", "exact", 2.0),
+    ("pure", "cren", "closed_form", "exact", 2.0),
+    ("pure", "crenoa", "closed_form", "exact", 2.0),
+    ("pure", "coa", "closed_form", "exact", np.sqrt(4 / 3)),
+    ("qubit_pair", "negativity", "trace_norm", "exact", None),
+    ("qutrit_qubit_pair", "negativity", "trace_norm", "exact", None),
+    ("qubit_pair", "cren", "closed_form", "exact", 2 / 3),
+    ("qubit_pair", "concurrence", "closed_form", "exact", 2 / 3),
+    ("qutrit_qubit_pair", "cren", "optimizer", "upper", np.sqrt(8 / 9)),
+    ("qutrit_qubit_pair", "concurrence", "optimizer", "upper", np.sqrt(8 / 9)),
+    ("qubit_triple", "cren", "optimizer", "upper", np.sqrt(2) / 2),
+    ("qubit_triple", "concurrence", "optimizer", "upper", np.sqrt(2) / 2),
+    ("qubit_pair", "crenoa", "optimizer", "lower", 2 / 3),
+    ("qutrit_qubit_pair", "coa", "optimizer", "lower", np.sqrt(8 / 9)),
+    ("qubit_triple", "crenoa", "optimizer", "lower", np.sqrt(2) / 2),
+]
+
+
+class TestPairTerm:
+    @pytest.mark.parametrize("name, measure, method, kind, true", _TABLE_ROWS)
+    def test_table_row(self, name, measure, method, kind, true):
+        state = _term_inputs()[name]
+        term = pair_term(state, 1, measure, OptConfig(starts=3))
+        assert (term.method, term.kind) == (method, kind)
+        if true is None:
+            true = negativity_mixed(state, 1)
+        # Every test input has a flat decomposition landscape, so even the
+        # optimizer's one-sided values meet the true value.
+        assert term.value == pytest.approx(true, abs=1e-6)
+        if measure == "cren" and name != "pure":
+            assert term.lower == negativity_mixed(state, 1)
+        elif kind == "upper":
+            # Concurrence with a two-dimensional side: the larger of the
+            # range floor and the partial-transpose negativity.
+            assert negativity_mixed(state, 1) <= term.lower <= term.value
+        else:
+            assert term.lower == term.value
+
+    def test_hardest_separable_qubit_pair_is_exactly_zero(self):
+        # State 31 of seed 99: separable and full rank, where the optimizer
+        # stops about 7e-4 above the true roof.
+        rng = np.random.default_rng(99)
+        hard = [rand_dm((2, 2), 1 + k % 4, rng) for k in range(32)][-1]
+        for measure in ("cren", "concurrence"):
+            term = pair_term(hard, 1, measure, OptConfig())
+            assert (term.value, term.kind, term.method) == (0.0, "exact", "closed_form")
+
+    def test_unknown_measures_rejected(self):
+        with pytest.raises(DomainError, match="sorcery"):
+            pair_term(ou_state(), 1, "sorcery")
+        with pytest.raises(DomainError, match="sorcery"):
+            audit(ou_state(), 1, "sorcery")
+        with pytest.raises(DomainError):
+            dual_audit(ou_state(), 1, "cren")
+
+
 class TestRangeFloor:
     def test_flat_rank_three_range(self):
         # The floor carries an explicit resolution haircut, so it sits just
         # below the flat value and never above it.
         rho = partial_trace(ou_state().to_density(), (1, 2))
         for measure in ("concurrence", "negativity"):
-            floor = range_floor(rho, measure)
+            floor = range_floor(rho, 1, measure)
             assert 1.0 - 3e-3 <= floor <= 1.0 + 1e-9
 
     def test_flat_rank_two_range(self):
         rho = partial_trace(kim_sanders_state().to_density(), (1, 2))
-        floor = range_floor(rho, "concurrence")
+        floor = range_floor(rho, 1, "concurrence")
         assert np.sqrt(8 / 9) - 3e-3 <= floor <= np.sqrt(8 / 9) + 1e-9
 
     def test_separable_range_floors_to_zero(self, rng):
@@ -154,10 +231,10 @@ class TestRangeFloor:
         from crenaudit import DensityOperator
 
         rho = DensityOperator(DimensionProfile((2, 2)), mat)
-        assert range_floor(rho, "concurrence") <= 1e-3
+        assert range_floor(rho, 1, "concurrence") <= 1e-3
 
     def test_rank_above_three_unavailable(self, rng):
-        assert range_floor(rand_dm((2, 2), 4, rng), "concurrence") is None
+        assert range_floor(rand_dm((2, 2), 4, rng), 1, "concurrence") is None
 
 
 class TestAnalyticWAudit:
