@@ -18,9 +18,16 @@ search does not stall where singular values vanish.  The maximization
 ascent (the generalized power method of Journee, Nesterov, Richtarik &
 Sepulchre, JMLR 11, 517 (2010)) raises it at every step.
 
+``optimize_many`` is the one entry point of both searches: it stacks the
+roots of many problems, with each start's problem beside it, and runs all
+starts of the problems of one shape in one search, so a hunt or an audit
+pays the Python and LAPACK call overhead once per step rather than once
+per problem.  Every start steps as it would alone, so batched results are
+bit for bit those of ``optimize``, its one-problem call.
+
 Reported minima are upper bounds of the true minimum and reported maxima
-are lower bounds of the true maximum; ``monogamy.pair_term`` labels them so
-and pairs them with one-sided bounds for certified verdicts.
+are lower bounds of the true maximum; ``monogamy.pair_terms`` labels them
+so and pairs them with one-sided bounds for certified verdicts.
 """
 
 from __future__ import annotations
@@ -194,6 +201,7 @@ class OptResult:
     objective_trace: tuple[float, ...]
     converged: bool
     best_start: int
+    start_values: tuple[float, ...]  # final objective of every start, in start order
 
 
 def _root_matrices(roots: RootSet, cut: Bipartition) -> np.ndarray:
@@ -213,7 +221,7 @@ def _start(size: int, rank: int, u0: np.ndarray | None) -> np.ndarray:
 
 
 def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
-    """The (starts, size, rank) stack of start isometries for ``optimize``.
+    """The (starts, size, rank) stack of start isometries of one problem.
 
     The first is the spectral decomposition itself, the others are rotated
     by Haar-random unitaries drawn from ``cfg.seed``.
@@ -224,35 +232,55 @@ def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
     return np.stack([_start(size, rank, u0) for u0 in rotations])
 
 
-def _objective(root_mats: np.ndarray):
+def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
     """Batched objective sum_k ||M_k||_*^2 - 1, M_k = sum_j V_kj R_j, and its gradient.
 
-    ``evaluate(v, mu)`` takes a stack of (size, rank) isometries and returns
-    (f_mu, grad, exact) from one batched SVD of the stacked M_k.  f_mu
-    replaces each nuclear norm by the smoothed sum_i sqrt(s_i^2 + mu^2),
-    an upper bound equal to it at mu = 0, and grad is the Euclidean
-    gradient of f_mu; exact is the unsmoothed value.
+    ``root_mats`` holds the (rank, d_a, d_b) root matrices of one problem,
+    or, with ``problem_of`` giving the problem of each start, a (problems,
+    rank, d_a, d_b) stack of them.  ``evaluate(v, rows, mu)`` takes the
+    (size, rank) isometries of the starts ``rows`` and returns (f_mu, grad,
+    exact) from one batched SVD of the stacked M_k, each built from its own
+    start's roots.  f_mu replaces each nuclear norm by the smoothed
+    sum_i sqrt(s_i^2 + mu^2), an upper bound equal to it at mu = 0, and
+    grad is the Euclidean gradient of f_mu; exact is the unsmoothed value.
     """
-    rank, d_a, d_b = root_mats.shape
-    roots = root_mats.reshape(rank, d_a * d_b)
-    roots_h = roots.conj().T
+    d_a, d_b = root_mats.shape[-2:]
+    roots = root_mats.reshape(*root_mats.shape[:-2], d_a * d_b)
+    roots_h = np.conj(np.swapaxes(roots, -1, -2))
 
-    def evaluate(v, mu=0.0):
+    def evaluate(v, rows, mu=0.0):
+        r, r_h = roots, roots_h
+        if problem_of is not None:
+            # A stack of problems: gather each start's own roots.
+            own = problem_of[rows]
+            r, r_h = roots[own], roots_h[own]
         n, size, _ = v.shape
-        u, sv, wh = np.linalg.svd((v @ roots).reshape(n, size, d_a, d_b), full_matrices=False)
+        u, sv, wh = np.linalg.svd((v @ r).reshape(n, size, d_a, d_b), full_matrices=False)
         nuc = sv.sum(axis=-1)
         exact = np.sum(nuc * nuc, axis=-1) - 1.0
         if mu == 0.0:
             # d||M_k||_* = Re tr(W_k U_k^H dM_k), so df/dV_kj = 2 ||M_k||_* tr(R_j^H U_k W_k^H).
             polar = (u @ wh).reshape(n, size, d_a * d_b)
-            return exact, 2.0 * nuc[..., None] * (polar @ roots_h), exact
+            return exact, 2.0 * nuc[..., None] * (polar @ r_h), exact
         smooth = np.sqrt(sv * sv + mu * mu)
         nuc_mu = smooth.sum(axis=-1)
         dirs = ((u * (sv / smooth)[..., None, :]) @ wh).reshape(n, size, d_a * d_b)
-        grad = 2.0 * nuc_mu[..., None] * (dirs @ roots_h)
+        grad = 2.0 * nuc_mu[..., None] * (dirs @ r_h)
         return np.sum(nuc_mu * nuc_mu, axis=-1) - 1.0, grad, exact
 
     return evaluate
+
+
+def _traces(first: np.ndarray, log) -> list[list[float]]:
+    """Per-start objective traces: a start's first value, then its logged values in order.
+
+    ``log`` holds the (starts, values) pairs a search recorded, in order.
+    """
+    starts = np.concatenate([np.arange(first.size)] + [s for s, _ in log])
+    values = np.concatenate([first] + [x for _, x in log])
+    order = np.argsort(starts, kind="stable")
+    ends = np.cumsum(np.bincount(starts, minlength=first.size))
+    return [t.tolist() for t in np.split(values[order], ends[:-1])]
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -270,28 +298,24 @@ def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     step ascends with no step size to choose.  A start stops once a step
     gains no more than the relative tolerance.
 
-    ``v`` holds one (size, rank) isometry per start.  Returns the best
-    start's isometry, objective trace and convergence flag, and its index.
+    ``v`` holds one (size, rank) isometry per start.  Returns every start's
+    final isometry, objective trace and convergence flag.
     """
     v = v.copy()
-    n_starts = v.shape[0]
-    f, grad, _ = evaluate(v)
-    traces = [[float(x)] for x in f]
-    converged = np.zeros(n_starts, dtype=bool)
-    live = np.arange(n_starts)
+    live = np.arange(v.shape[0])
+    f, grad, _ = evaluate(v, live)
+    first, log = f, []
+    converged = np.zeros(v.shape[0], dtype=bool)
     for _ in range(max_steps):
         v[live] = _polar(grad)
-        f_new, grad, _ = evaluate(v[live])
-        for k, s in enumerate(live):
-            traces[s].append(float(f_new[k]))
+        f_new, grad, _ = evaluate(v[live], live)
+        log.append((live, f_new))
         stalled = f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new))
         converged[live[stalled]] = True
         live, f, grad = live[~stalled], f_new[~stalled], grad[~stalled]
         if not live.size:
             break
-    final = np.array([t[-1] for t in traces])
-    best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
-    return v[best], traces[best], bool(converged[best]), best
+    return v, _traces(first, log), converged
 
 
 # Smoothing continuation of the descent: without smoothing it stalls at the
@@ -341,18 +365,19 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     returned isometry is the iterate that reached it.  A start has
     converged when its exact stage stopped on the tolerance before the cap,
     or took no step there.
-    Returns the best start's isometry, trace and convergence flag, and its
-    index.
+    Returns every start's best isometry, trace and convergence flag.
     """
     v = v.copy()
     n_starts = v.shape[0]
+    every = np.arange(n_starts)
     best_v = v.copy()
     converged = np.zeros(n_starts, dtype=bool)
+    log = []
     for mu in _SMOOTHING:
         tol = tol_rel if mu == 0.0 else _STAGE_TOL
-        f, grad, exact = evaluate(v, mu)
+        f, grad, exact = evaluate(v, every, mu)
         if mu == _SMOOTHING[0]:
-            best, traces = exact, [[float(x)] for x in exact]
+            best, first = exact, exact.copy()
         grad = _tangent(v, grad)
         grad_sq = _inner(grad, grad)
         step = np.full(n_starts, _FIRST_STEP)
@@ -368,25 +393,25 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
             pending = live
             for _ in range(_MAX_BACKTRACKS):
                 trial = _polar(v[pending] - step[pending, None, None] * grad[pending])
-                f_new, g_new, exact = evaluate(trial, mu)
+                f_new, g_new, exact = evaluate(trial, pending, mu)
                 f_old = f[pending]
                 decrease = _ARMIJO * step[pending] * grad_sq[pending]
                 ok = f_new <= f_old - decrease + _ARMIJO_SLACK * np.maximum(1.0, np.abs(f_old))
-                done = pending[ok]
-                g_new = _tangent(trial[ok], g_new[ok])
-                s, y = trial[ok] - v[done], g_new - grad[done]
+                done, moved = pending[ok], trial[ok]
+                g_new = _tangent(moved, g_new[ok])
+                s, y = moved - v[done], g_new - grad[done]
                 yy = _inner(y, y)
                 bb = np.full(done.size, _STEP_RANGE[1])
                 np.divide(np.abs(_inner(s, y)), yy, out=bb, where=yy > 0.0)
                 step[done] = np.clip(bb, *_STEP_RANGE)
                 stalled[done] = f_old[ok] - f_new[ok] <= tol * np.maximum(1.0, np.abs(f_new[ok]))
-                v[done], f[done], grad[done] = trial[ok], f_new[ok], g_new
+                v[done], f[done], grad[done] = moved, f_new[ok], g_new
                 grad_sq[done] = _inner(g_new, g_new)
-                for k, i in zip(np.flatnonzero(ok), done):
-                    if exact[k] < best[i]:
-                        best[i] = exact[k]
-                        best_v[i] = trial[k]
-                    traces[i].append(float(best[i]))
+                reached = exact[ok]
+                better = reached < best[done]
+                best[done[better]] = reached[better]
+                best_v[done[better]] = moved[better]
+                log.append((done, best[done]))
                 pending = pending[~ok]
                 if not pending.size:
                     break
@@ -396,9 +421,78 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
             # A start whose step backtracked to nothing stops unconverged.
             stalled[pending] = True
             live = live[~stalled[live]]
+    return best_v, _traces(first, log), converged
+
+
+def _result(rho, cut, roots, direction, v, traces, converged) -> OptResult:
+    """One problem's result from its starts' isometries, traces and flags.
+
+    The best start is the first whose final value is within 1e-15 of the
+    best final value.
+    """
     final = np.array([t[-1] for t in traces])
-    first = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
-    return best_v[first], traces[first], bool(converged[first]), first
+    if direction == "max":
+        best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
+    else:
+        best = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
+    dec = _isometry_decomposition(roots, v[best])
+    recon_dev = float(np.max(np.abs(dec.reconstruct() - rho.matrix)))
+    if recon_dev > 1e-8:
+        raise NumericalError(f"decomposition reconstruction off by {recon_dev}")
+    return OptResult(
+        value=average_negativity(dec, cut),
+        decomposition=dec,
+        direction=direction,
+        objective_trace=tuple(traces[best]),
+        converged=bool(converged[best]),
+        best_start=best,
+        start_values=tuple(final.tolist()),
+    )
+
+
+def optimize_many(problems) -> list[OptResult]:
+    """Solve roof problems in as few batched searches as their shapes allow.
+
+    ``problems`` is a sequence of ``(rho, cut, direction, cfg)`` tuples,
+    the arguments of ``optimize``.  The problems of one direction,
+    decomposition size, root-matrix shape (rank and cut), ``max_sweeps``
+    and ``tol_rel`` run all their starts in one ``_descent`` or
+    ``_polar_ascent`` call; they may differ in ``starts`` and ``seed``.
+    Every start steps as it would alone, so each result is bit for bit the
+    one its problem gets alone.  A group of one problem uses its roots as
+    they are, with no per-start gather.  Results come in the order of
+    ``problems``.
+    """
+    prepared, groups = [], {}
+    for rho, cut, direction, cfg in problems:
+        if direction not in ("min", "max"):
+            raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
+        cfg = cfg or OptConfig()
+        cut = as_bipartition(cut, rho.profile.n)
+        roots = RootSet.from_density(rho)
+        if roots.rank < 1:
+            raise DomainError("density operator has numerical rank 0")
+        mats, v0 = _root_matrices(roots, cut), _starts(cfg, roots.rank)
+        key = (direction, v0.shape[1], mats.shape, cfg.max_sweeps, cfg.tol_rel)
+        groups.setdefault(key, []).append(len(prepared))
+        prepared.append((rho, cut, roots, mats, v0))
+
+    results: list = [None] * len(prepared)
+    for (direction, size, _, max_sweeps, tol_rel), members in groups.items():
+        rhos, cuts, root_sets, mats, starts = zip(*(prepared[i] for i in members))
+        counts = [v0.shape[0] for v0 in starts]
+        if len(members) == 1:
+            evaluate = _objective(mats[0])
+        else:
+            evaluate = _objective(np.stack(mats), np.repeat(np.arange(len(members)), counts))
+        search = _polar_ascent if direction == "max" else _descent
+        v, traces, converged = search(evaluate, np.concatenate(starts), max_sweeps * size, tol_rel)
+        offset = 0
+        for i, rho, cut, roots, n in zip(members, rhos, cuts, root_sets, counts):
+            own = slice(offset, offset + n)
+            results[i] = _result(rho, cut, roots, direction, v[own], traces[own], converged[own])
+            offset += n
+    return results
 
 
 def optimize(
@@ -414,33 +508,10 @@ def optimize(
     decomposition itself, the others are Haar-random unitaries.  The
     minimum runs a smoothed Riemannian descent in eight stages of at most
     ``max_sweeps * size`` steps each; the maximum runs a polar ascent of at
-    most ``max_sweeps * size`` steps.
+    most ``max_sweeps * size`` steps.  This is the one-problem call of
+    ``optimize_many``.
     """
-    if direction not in ("min", "max"):
-        raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
-    cfg = cfg or OptConfig()
-    cut = as_bipartition(cut, rho.profile.n)
-    roots = RootSet.from_density(rho)
-    if roots.rank < 1:
-        raise DomainError("density operator has numerical rank 0")
-    v0 = _starts(cfg, roots.rank)
-    search = _polar_ascent if direction == "max" else _descent
-    v, trace, converged, best_start = search(
-        _objective(_root_matrices(roots, cut)), v0, cfg.max_sweeps * v0.shape[1], cfg.tol_rel
-    )
-
-    dec = _isometry_decomposition(roots, v)
-    recon_dev = float(np.max(np.abs(dec.reconstruct() - rho.matrix)))
-    if recon_dev > 1e-8:
-        raise NumericalError(f"decomposition reconstruction off by {recon_dev}")
-    return OptResult(
-        value=average_negativity(dec, cut),
-        decomposition=dec,
-        direction=direction,
-        objective_trace=tuple(trace),
-        converged=converged,
-        best_start=best_start,
-    )
+    return optimize_many([(rho, cut, direction, cfg)])[0]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Pair terms, monogamy-of-entanglement audits and the analytic W-class oracle.
 
-``pair_term`` is the one method table of the package: for a measure of a
-pure or mixed state across a cut it picks the computation (closed form,
-trace norm, Wootters' two-qubit formula or the decomposition optimizer)
-and says how the value relates to the true one: ``exact``, ``upper`` (an
-optimizer minimum) or ``lower`` (an optimizer maximum).  Each term also
-carries a one-sided lower bound of the true value:
+``pair_terms`` is the one method table of the package: for a measure of
+pure or mixed states across cuts it picks each computation (closed form,
+trace norm, Wootters' two-qubit formula or the decomposition optimizer,
+whose problems it solves in one batched ``optimize_many`` call) and says
+how the value relates to the true one: ``exact``, ``upper`` (an optimizer
+minimum) or ``lower`` (an optimizer maximum); ``pair_term`` is its
+one-item call.  Each term also carries a one-sided lower bound of the
+true value:
 
 * convex-roof extended negativity: the partial-transpose negativity of a
   pair marginal never exceeds its convex roof;
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexroof import OptConfig, flatness_scan, optimize
+from .convexroof import OptConfig, flatness_scan, optimize_many
 from .measures import (
     concurrence_pure,
     negativity_mixed,
@@ -247,14 +249,10 @@ def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> floa
     return max(0.0, best - 1e-3 * (1.0 + best))
 
 
-def pair_term(
-    state: PureState | DensityOperator,
-    cut,
-    measure: str,
-    cfg: OptConfig | None = None,
-) -> PairTerm:
-    """One measure of a state across a cut, by the method the table below picks.
+def pair_terms(states, cuts, measure: str, cfgs) -> list[PairTerm]:
+    """One measure of each state across its cut, by the method the table below picks.
 
+    ``states``, ``cuts`` and ``cfgs`` are parallel sequences, and
     ``measure`` is one of ``PAIR_MEASURES``.  On mixed input ``cren`` and
     ``concurrence`` are the convex roofs (minima over decompositions) of
     negativity and concurrence, ``crenoa`` and ``coa`` their assistance
@@ -276,31 +274,49 @@ def pair_term(
     ==========================  ===========  =====  ==========================
 
     The two-qubit closed form is Wootters' spin-flip concurrence (PRL 80,
-    2245 (1998)), the exact minimum of both roofs there.  Optimizer
-    concurrence terms are the average concurrence of the decomposition the
-    negativity search found.  ``cfg`` controls the optimizer; other rows
-    ignore it.
+    2245 (1998)), the exact minimum of both roofs there.  Every optimizer
+    row is solved by one ``optimize_many`` call, each under its own
+    ``cfgs`` entry (other rows ignore theirs); its result is what
+    ``optimize`` returns for that row alone.  Optimizer concurrence terms
+    are the average concurrence of the decomposition the negativity search
+    found.
     """
     if measure not in PAIR_MEASURES:
         raise DomainError(f"unknown measure {measure!r}")
-    cut = as_bipartition(cut, state.profile.n)
+    if not len(states) == len(cuts) == len(cfgs):
+        raise DomainError("states, cuts and cfgs must have matching lengths")
     concurrence = measure in ("concurrence", "coa")
-    if isinstance(state, PureState):
-        value = (concurrence_pure if concurrence else negativity_pure)(state, cut)
-        return PairTerm(value, value, "exact", "closed_form")
-    if measure == "negativity":
-        value = negativity_mixed(state, cut)
-        return PairTerm(value, value, "exact", "trace_norm")
     direction = "max" if measure in ("crenoa", "coa") else "min"
-    if direction == "min" and state.profile.dims == (2, 2):
-        value = wootters_concurrence_2q(state)
-        # Certification for the negativity roof is defined against the
-        # partial-transpose bound, even where the exact value is known.
-        lower = negativity_mixed(state, cut) if measure == "cren" else value
-        return PairTerm(value, lower, "exact", "closed_form")
-    res = optimize(state, cut, direction, cfg)
-    value = average_concurrence(res.decomposition, cut) if concurrence else res.value
-    if direction == "max":
+    terms: list = [None] * len(states)
+    searches = []
+    for k, (state, cut, cfg) in enumerate(zip(states, cuts, cfgs)):
+        cut = as_bipartition(cut, state.profile.n)
+        if isinstance(state, PureState):
+            value = (concurrence_pure if concurrence else negativity_pure)(state, cut)
+            terms[k] = PairTerm(value, value, "exact", "closed_form")
+        elif measure == "negativity":
+            value = negativity_mixed(state, cut)
+            terms[k] = PairTerm(value, value, "exact", "trace_norm")
+        elif direction == "min" and state.profile.dims == (2, 2):
+            value = wootters_concurrence_2q(state)
+            # Certification for the negativity roof is defined against the
+            # partial-transpose bound, even where the exact value is known.
+            lower = negativity_mixed(state, cut) if measure == "cren" else value
+            terms[k] = PairTerm(value, lower, "exact", "closed_form")
+        else:
+            searches.append((k, state, cut, cfg))
+    results = optimize_many([(state, cut, direction, cfg) for _, state, cut, cfg in searches])
+    for (k, state, cut, _), res in zip(searches, results):
+        terms[k] = _optimizer_term(state, cut, measure, res)
+    return terms
+
+
+def _optimizer_term(state: DensityOperator, cut: Bipartition, measure: str, res) -> PairTerm:
+    """The optimizer row of the ``pair_terms`` table, from the search result ``res``."""
+    value = res.value
+    if measure in ("concurrence", "coa"):
+        value = average_concurrence(res.decomposition, cut)
+    if res.direction == "max":
         return PairTerm(value, value, "lower", "optimizer")
     # Minimization: the decomposition average is an upper bound of the roof.
     if measure == "cren":
@@ -316,6 +332,20 @@ def pair_term(
     if range_min is not None:
         floors.append(range_min)
     return PairTerm(value, max(floors, default=0.0), "upper", "optimizer")
+
+
+def pair_term(
+    state: PureState | DensityOperator,
+    cut,
+    measure: str,
+    cfg: OptConfig | None = None,
+) -> PairTerm:
+    """One measure of a state across a cut: the one-item call of ``pair_terms``.
+
+    ``pair_terms`` holds the table that picks the method and the bound
+    kind; ``cfg`` controls the optimizer, and other rows ignore it.
+    """
+    return pair_terms([state], [cut], measure, [cfg])[0]
 
 
 def _build_report(state_id, focus, measure, lhs_sq, partners, terms) -> AuditReport:
@@ -352,7 +382,7 @@ def audit(
 
     ``measure`` is a key of ``AUDIT_MEASURES``.  The left side is the
     squared pure-state value of the focus party against the rest, and the
-    right side sums the squared ``pair_term`` of each pair marginal of the
+    right side sums the squared pair term of each pair marginal of the
     focus party.  Monogamy (``cren``, ``ckw``, ``negativity``) holds when
     the left side is at least the sum; a violation is certified only if it
     survives replacing every pair term by its lower bound.  The duals
@@ -360,21 +390,40 @@ def audit(
     pair maxima; their terms are lower bounds, so a holds verdict is
     conservative and an apparent violation stays a candidate.  Without
     ``opt_cfg`` each optimizer term searches a rank-sized decomposition
-    from three starts seeded by ``seed``.
+    from three starts seeded by ``seed``.  One ``pair_terms`` call resolves
+    the left side and every pair marginal, so the marginals' searches run
+    batched.
     """
-    psi = _require_pure(psi)
+    return _audits([psi], focus, measure, [state_id], opt_cfg, [seed])[0]
+
+
+def _audits(psis, focus, measure, state_ids, opt_cfg, seeds) -> list[AuditReport]:
+    """The ``audit`` of each state, with every term of them all from one ``pair_terms`` call."""
+    psis = [_require_pure(psi) for psi in psis]
     if measure not in AUDIT_MEASURES:
         raise DomainError(f"unknown audit measure {measure!r}")
     term_measure = AUDIT_MEASURES[measure]
-    lhs = pair_term(psi, Bipartition((focus,), psi.profile.n), term_measure).value
-    partners, terms = [], []
-    for i, pair in _pair_marginals(psi, focus):
-        cfg = opt_cfg
-        if cfg is None and term_measure != "negativity":  # negativity never searches
-            cfg = _audit_opt_cfg(pair.rank(), seed)
-        partners.append(i)
-        terms.append(pair_term(pair, 1, term_measure, cfg))
-    return _build_report(state_id, focus, measure, lhs * lhs, partners, terms)
+    states, cuts, cfgs, partners = [], [], [], []
+    for psi, seed in zip(psis, seeds):
+        states.append(psi)
+        cuts.append(Bipartition((focus,), psi.profile.n))
+        cfgs.append(None)
+        marginals = _pair_marginals(psi, focus)
+        for _, pair in marginals:
+            cfg = opt_cfg
+            if cfg is None and term_measure != "negativity":  # negativity never searches
+                cfg = _audit_opt_cfg(pair.rank(), seed)
+            states.append(pair)
+            cuts.append(1)
+            cfgs.append(cfg)
+        partners.append([i for i, _ in marginals])
+    terms = iter(pair_terms(states, cuts, term_measure, cfgs))
+    reports = []
+    for state_id, partner in zip(state_ids, partners):
+        lhs = next(terms).value
+        pair = [next(terms) for _ in partner]
+        reports.append(_build_report(state_id, focus, measure, lhs * lhs, partner, pair))
+    return reports
 
 
 def cren_audit(psi, focus, *, state_id="state", opt_cfg=None, seed=0) -> AuditReport:
@@ -452,6 +501,12 @@ def analytic_w_audit(
     )
 
 
+# Trials a hunt audits per pair_terms call: large enough that the batched
+# searches amortize their per-call overhead, small enough to bound memory
+# at any trial count.
+_HUNT_BLOCK = 64
+
+
 def hunt(
     profile: DimensionProfile,
     trials: int,
@@ -463,16 +518,22 @@ def hunt(
 
     Only candidate or certified reports are returned; an empty list is the
     expected outcome.  Findings are data for further study, not errors.
+    Trial t is the ``cren_audit`` of the t-th state drawn from ``seed``,
+    with seed ``seed + t``.  The trials run in blocks of ``_HUNT_BLOCK``:
+    a block draws its states in order, then resolves all their pair terms
+    in one ``pair_terms`` call, whose batched searches return what each
+    audit gets alone.
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
     rng = np.random.default_rng(seed)
     findings = []
-    for t in range(trials):
-        psi = random_pure_state(profile, rng)
-        report = cren_audit(psi, focus, state_id=f"hunt-{t:05d}", seed=seed + t)
-        if report.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED):
-            findings.append(report)
+    for start in range(0, trials, _HUNT_BLOCK):
+        block = range(start, min(start + _HUNT_BLOCK, trials))
+        psis = [random_pure_state(profile, rng) for _ in block]
+        ids = [f"hunt-{t:05d}" for t in block]
+        reports = _audits(psis, focus, "cren", ids, None, [seed + t for t in block])
+        findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
     return findings
 
 

@@ -115,7 +115,10 @@ class Bipartition:
         return tuple(p for p in range(1, self.n + 1) if p not in inside)
 
     def __str__(self) -> str:
-        return "".join(map(str, self.side_a)) + "|" + "".join(map(str, self.side_b))
+        # Digit runs such as "12" read as parties 1 and 2, so labels from
+        # 10 up need a separator.
+        sep = "," if self.n > 9 else ""
+        return sep.join(map(str, self.side_a)) + "|" + sep.join(map(str, self.side_b))
 
 
 def as_bipartition(cut: "Bipartition | int | Iterable[int]", n: int) -> Bipartition:

@@ -59,6 +59,16 @@ class TestStateCommand:
         rows = dict(line.split(None, 1) for line in out.strip().split("\n")[1:])
         assert rows["schmidt_rank"].strip() == "2"
 
+    def test_cut_label_separates_parties_above_nine(self, capsys):
+        # "110|2345678911" would not say which parties are on which side.
+        for n, cut, label in ((11, "1,10", "1,10|2,3,4,5,6,7,8,9,11"), (9, "1,9", "19|2345678")):
+            code, out, _ = run_cli(
+                "state", "--family", "ghz", "--n", str(n), "--cut", cut, capsys=capsys
+            )
+            assert code == 0
+            rows = dict(line.split(None, 1) for line in out.strip().split("\n")[1:])
+            assert rows["cut"].strip() == label
+
 
 class TestMeasureCommand:
     def test_pure_negativity(self, capsys):
@@ -232,7 +242,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise NumericalError("reconstruction invariant broken")
 
-        monkeypatch.setattr(monogamy, "optimize", broken)
+        monkeypatch.setattr(monogamy, "optimize_many", broken)
         code, _, err = run_cli(
             "measure", "--family", "ou", "--trace-out", "3", "--measure", "cren",
             capsys=capsys,

@@ -17,6 +17,7 @@ from crenaudit import (
     negativity_mixed,
     negativity_pure,
     optimize,
+    optimize_many,
     ou_state,
     partial_trace,
     wootters_concurrence_2q,
@@ -259,6 +260,39 @@ class TestOptimize:
         hi = optimize(rho, cut, "max", OptConfig(starts=3))
         assert lo.value >= negativity_mixed(rho, cut) - 1e-9
         assert hi.value >= lo.value - 1e-12
+
+
+class TestOptimizeMany:
+    def test_batch_matches_one_problem_calls_bit_for_bit(self):
+        # One mixed batch: both directions, four cut shapes, ranks 1-4, two
+        # configs, and states of one shape that share a group under
+        # distinct seeds.
+        rng = np.random.default_rng(31)
+        problems = []
+        for dims, ranks in (((2, 2), (1, 4)), ((3, 2), (2, 3)), ((2, 4), (2,)), ((3, 3), (3,))):
+            for rank in ranks:
+                for seed in (0, 1):
+                    rho = rand_dm(dims, rank, rng)
+                    for direction in ("min", "max"):
+                        if rank % 2:
+                            cfg = _audit_opt_cfg(rank, seed)
+                        else:
+                            cfg = OptConfig(starts=2, max_sweeps=20, seed=seed + 4)
+                        problems.append((rho, 1, direction, cfg))
+        batch = optimize_many(problems)
+        assert len(batch) == len(problems)
+        for problem, got in zip(problems, batch):
+            alone = optimize(*problem)
+            assert got.value == alone.value
+            assert got.objective_trace == alone.objective_trace
+            assert got.converged == alone.converged
+            assert got.best_start == alone.best_start
+            assert got.start_values == alone.start_values
+            assert len(got.start_values) == problem[3].starts
+            assert got.start_values[got.best_start] == got.objective_trace[-1]
+            for a, b in zip(got.decomposition.states, alone.decomposition.states):
+                assert np.array_equal(a.amplitudes, b.amplitudes)
+            assert np.array_equal(got.decomposition.weights, alone.decomposition.weights)
 
 
 class TestFlatnessScan:

@@ -28,22 +28,44 @@ def test_modules_use_every_sibling_name_they_import():
     assert not unused, f"sibling names imported and never used: {unused}"
 
 
-def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
-    # monogamy.pair_term is the one table that picks how a term is computed;
-    # a second caller of either solver would be a second table.
-    callers = set()
-    for path, tree in _parsed_modules(include_init=False):
+def _top_level_owners(include_init: bool):
+    """(module.top-level name, node) for every node of the package source."""
+    for path, tree in _parsed_modules(include_init):
         for top in tree.body:
             owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
             for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if name in ("optimize", "wootters_concurrence_2q"):
-                        callers.add((name, owner))
+                yield owner, node
+
+
+def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
+    # monogamy.pair_terms is the one table that picks how a term is computed;
+    # a second caller of either solver would be a second table.
+    # convexroof.optimize is optimize_many's one-problem call, not a table.
+    callers = set()
+    for owner, node in _top_level_owners(include_init=False):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("optimize", "optimize_many", "wootters_concurrence_2q"):
+                callers.add((name, owner))
     assert callers == {
-        ("optimize", "monogamy.pair_term"),
-        ("wootters_concurrence_2q", "monogamy.pair_term"),
+        ("optimize_many", "convexroof.optimize"),
+        ("optimize_many", "monogamy.pair_terms"),
+        ("wootters_concurrence_2q", "monogamy.pair_terms"),
+    }
+
+
+def test_only_optimize_many_runs_the_roof_searches():
+    # Every roof problem is solved through optimize_many's grouping, so no
+    # other function may call, or hold, either search.
+    users = {
+        (node.id, owner)
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Name) and node.id in ("_descent", "_polar_ascent")
+    }
+    assert users == {
+        ("_descent", "convexroof.optimize_many"),
+        ("_polar_ascent", "convexroof.optimize_many"),
     }
 
 

@@ -23,6 +23,7 @@ from crenaudit import (
     negativity_mixed,
     ou_state,
     pair_term,
+    pair_terms,
     partial_trace,
     random_pure_state,
     tensor_product,
@@ -199,6 +200,18 @@ class TestPairTerm:
             term = pair_term(hard, 1, measure, OptConfig())
             assert (term.value, term.kind, term.method) == (0.0, "exact", "closed_form")
 
+    def test_batch_matches_one_item_calls(self):
+        # Every input twice in one call, under distinct seeds, so the
+        # optimizer rows of one shape share a search.
+        states = list(_term_inputs().values()) * 2
+        cuts = [1] * len(states)
+        cfgs = [OptConfig(starts=3, seed=k) for k in range(len(states))]
+        for measure in ("cren", "concurrence", "crenoa"):
+            alone = [pair_term(s, c, measure, cfg) for s, c, cfg in zip(states, cuts, cfgs)]
+            assert pair_terms(states, cuts, measure, cfgs) == alone
+        with pytest.raises(DomainError, match="matching lengths"):
+            pair_terms(states, cuts[:1], "cren", cfgs)
+
     def test_unknown_measures_rejected(self):
         with pytest.raises(DomainError, match="sorcery"):
             pair_term(ou_state(), 1, "sorcery")
@@ -285,6 +298,23 @@ class TestHunt:
     def test_qutrit_regime_reports_no_certified(self):
         findings = hunt(DimensionProfile((3, 2, 2)), 25, seed=0)
         assert all(f.verdict != "certified_violation" for f in findings)
+
+    def test_blocks_return_the_per_trial_audits(self, monkeypatch):
+        # Random states almost never come out as candidates, so count every
+        # holding report as a finding to compare all of them.  70 trials
+        # span two blocks.
+        from crenaudit import monogamy
+
+        monkeypatch.setattr(monogamy, "VERDICT_CANDIDATE", "holds")
+        profile, seed = DimensionProfile((3, 2, 2)), 5
+        rng = np.random.default_rng(seed)
+        expected = [
+            cren_audit(random_pure_state(profile, rng), 1, state_id=f"hunt-{t:05d}", seed=seed + t)
+            for t in range(70)
+        ]
+        expected = [r for r in expected if r.verdict in ("holds", "certified_violation")]
+        assert len(expected) > 64
+        assert hunt(profile, 70, seed) == expected
 
 
 class TestVerdictLogic:
