@@ -271,7 +271,7 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
     return evaluate
 
 
-def _traces(first: np.ndarray, log) -> list[list[float]]:
+def _traces(first: np.ndarray, log) -> list[np.ndarray]:
     """Per-start objective traces: a start's first value, then its logged values in order.
 
     ``log`` holds the (starts, values) pairs a search recorded, in order.
@@ -280,7 +280,7 @@ def _traces(first: np.ndarray, log) -> list[list[float]]:
     values = np.concatenate([first] + [x for _, x in log])
     order = np.argsort(starts, kind="stable")
     ends = np.cumsum(np.bincount(starts, minlength=first.size))
-    return [t.tolist() for t in np.split(values[order], ends[:-1])]
+    return np.split(values[order], ends[:-1])
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -443,7 +443,7 @@ def _result(rho, cut, roots, direction, v, traces, converged) -> OptResult:
         value=average_negativity(dec, cut),
         decomposition=dec,
         direction=direction,
-        objective_trace=tuple(traces[best]),
+        objective_trace=tuple(traces[best].tolist()),
         converged=bool(converged[best]),
         best_start=best,
         start_values=tuple(final.tolist()),
