@@ -63,22 +63,7 @@ class RunConfig:
     fmt: str = "table"
     output: str | None = None
     seed: int = 0
-    size: int | None = None
-    starts: int | None = None
-    sweeps: int | None = None
-    tol: float | None = None
-
-    def opt_config(self) -> OptConfig | None:
-        if all(v is None for v in (self.size, self.starts, self.sweeps, self.tol)):
-            return None
-        base = OptConfig()
-        return OptConfig(
-            size=self.size,
-            starts=self.starts if self.starts is not None else base.starts,
-            max_sweeps=self.sweeps if self.sweeps is not None else base.max_sweeps,
-            tol_rel=self.tol if self.tol is not None else base.tol_rel,
-            seed=self.seed,
-        )
+    opt: OptConfig | None = None  # None when no --opt-* flag is given
 
 
 def _parse_parties(text: str) -> tuple[int, ...]:
@@ -133,9 +118,9 @@ def _load_state(args) -> PureState | DensityOperator:
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         rho = state.to_density() if isinstance(state, PureState) else state
-        dropped = _parse_parties(trace_out)
-        keep = [p for p in rho.profile.parties if p not in set(dropped)]
-        state = partial_trace(rho, keep)
+        # Validated as a cut: the dropped parties must exist and leave some.
+        dropped = Bipartition(_parse_parties(trace_out), rho.profile.n)
+        state = partial_trace(rho, dropped.side_b)
     return state
 
 
@@ -198,7 +183,7 @@ def _run_state(args, run: RunConfig) -> int:
 def _run_measure(args, run: RunConfig) -> int:
     state = _load_state(args)
     cut = Bipartition(_parse_parties(args.cut) if args.cut else (1,), state.profile.n)
-    cfg = run.opt_config() or OptConfig(seed=run.seed)
+    cfg = run.opt or OptConfig(seed=run.seed)
     rows = []
     for measure in args.measure.split(","):
         measure = measure.strip()
@@ -228,9 +213,8 @@ def _run_audit(args, run: RunConfig) -> int:
     if not isinstance(state, PureState):
         raise DomainError("audits need a pure state input")
     state_id = args.spec or args.family or "state"
-    cfg = run.opt_config()
     reports = [
-        audit(state, args.focus, measure.strip(), state_id=state_id, opt_cfg=cfg, seed=run.seed)
+        audit(state, args.focus, measure.strip(), state_id=state_id, opt_cfg=run.opt, seed=run.seed)
         for measure in args.measures.split(",")
     ]
     _write_reports(reports, run)
@@ -368,16 +352,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    run = RunConfig(
-        fmt=args.format,
-        output=args.output,
-        seed=args.seed,
-        size=args.opt_size,
-        starts=args.opt_starts,
-        sweeps=args.opt_sweeps,
-        tol=args.opt_tol,
-    )
     try:
+        # OptConfig's own defaults fill the fields no --opt-* flag sets.
+        flags = {"size": args.opt_size, "starts": args.opt_starts,
+                 "max_sweeps": args.opt_sweeps, "tol_rel": args.opt_tol}
+        overrides = {field: value for field, value in flags.items() if value is not None}
+        opt = OptConfig(seed=args.seed, **overrides) if overrides else None
+        run = RunConfig(fmt=args.format, output=args.output, seed=args.seed, opt=opt)
         return _COMMANDS[args.command](args, run)
     except (ValueError, OSError) as exc:
         # DomainError and the spec-document errors subclass ValueError;

@@ -4,7 +4,10 @@ Every size-r pure-state decomposition of a density operator arises from an
 r x r unitary acting on the spectral root vectors (the HJW chart); only its
 first rank columns matter, an r x rank isometry V.  With R_j the roots
 reshaped across the cut, the average negativity is
-sum_k ||sum_j V_kj R_j||_*^2 - 1.
+sum_k ||sum_j V_kj R_j||_*^2 - 1.  The roots are ``DensityOperator.roots``:
+the operator eigendecomposes itself once, on first use, so the searches,
+``flatness_scan`` and ``monogamy.range_floor`` share that one
+decomposition, and ``rank()`` sizes the chart with the same rank decision.
 
 Both directions run all starts at once on the isometries (the Stiefel
 manifold, as in Rothlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
@@ -38,10 +41,8 @@ import numpy as np
 
 from .measures import pure_negativities
 from .qlinalg import (
-    TOL_RANK,
     Bipartition,
     DensityOperator,
-    DimensionProfile,
     DomainError,
     NumericalError,
     PureState,
@@ -60,27 +61,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Unnormalized spectral root vectors sqrt(e_i) v_i of a density operator."""
-
-    profile: DimensionProfile
-    roots: np.ndarray  # (rank, D), one root per row
-
-    @property
-    def rank(self) -> int:
-        return self.roots.shape[0]
-
-    @classmethod
-    def from_density(cls, rho: DensityOperator, tol: float = TOL_RANK) -> "RootSet":
-        w, v = np.linalg.eigh(rho.matrix)
-        order = np.argsort(w)[::-1]
-        w, v = w[order], v[:, order]
-        keep = w > tol
-        roots = (v[:, keep] * np.sqrt(w[keep])).T
-        return cls(rho.profile, roots)
 
 
 @dataclass(frozen=True)
@@ -118,31 +98,36 @@ class Decomposition:
         return members.T @ members.conj()
 
 
-def _isometry_decomposition(roots: RootSet, v: np.ndarray) -> Decomposition:
-    """Decomposition whose unnormalized members are the rows of v @ roots."""
-    combos = v @ roots.roots
+def _isometry_decomposition(rho: DensityOperator, v: np.ndarray) -> Decomposition:
+    """Decomposition whose unnormalized members are the rows of v @ rho.roots."""
+    combos = v @ rho.roots
     weights = np.sum(np.abs(combos) ** 2, axis=1)
     keep = weights > ZERO_WEIGHT
     states = tuple(
-        PureState(roots.profile, combos[k] / np.sqrt(weights[k]))
+        PureState(rho.profile, combos[k] / np.sqrt(weights[k]))
         for k in range(v.shape[0])
         if keep[k]
     )
     return Decomposition(weights[keep], states)
 
 
-def decomposition_from_unitary(roots: RootSet, u: np.ndarray) -> Decomposition:
-    """Decomposition realized by an r x r unitary on the (zero-padded) roots."""
+def decomposition_from_unitary(rho: DensityOperator, u: np.ndarray) -> Decomposition:
+    """Decomposition realized by an r x r unitary on the (zero-padded) spectral roots.
+
+    Member k is row k of u[:, :rank] @ rho.roots, normalized, with its
+    squared norm as weight; members of weight below ``ZERO_WEIGHT`` are
+    dropped.  The identity gives the spectral decomposition itself.
+    """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError(f"expected a square unitary, got shape {u.shape}")
-    r = u.shape[0]
-    if r < roots.rank:
-        raise DomainError(f"unitary size {r} below the root count {roots.rank}")
+    r, rank = u.shape[0], rho.rank()
+    if r < rank:
+        raise DomainError(f"unitary size {r} below the root count {rank}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(r))))
     if dev > UNITARY_TOL:
         raise DomainError(f"matrix deviates from unitarity by {dev}")
-    return _isometry_decomposition(roots, u[:, : roots.rank])
+    return _isometry_decomposition(rho, u[:, :rank])
 
 
 def average_negativity(dec: Decomposition, cut) -> float:
@@ -204,9 +189,9 @@ class OptResult:
     start_values: tuple[float, ...]  # final objective of every start, in start order
 
 
-def _root_matrices(roots: RootSet, cut: Bipartition) -> np.ndarray:
-    """Roots reshaped across the cut, one (short side, long side) matrix each."""
-    mats = cut_matrices(roots.roots, roots.profile, cut)
+def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
+    """The spectral roots of rho reshaped across the cut, one (short side, long side) matrix each."""
+    mats = cut_matrices(rho.roots, rho.profile, cut)
     # The nuclear norm is transpose invariant; put the short side first.
     if mats.shape[1] > mats.shape[2]:
         mats = np.swapaxes(mats, -1, -2)
@@ -424,7 +409,7 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     return best_v, _traces(first, log), converged
 
 
-def _result(rho, cut, roots, direction, v, traces, converged) -> OptResult:
+def _result(rho, cut, direction, v, traces, converged) -> OptResult:
     """One problem's result from its starts' isometries, traces and flags.
 
     The best start is the first whose final value is within 1e-15 of the
@@ -435,7 +420,7 @@ def _result(rho, cut, roots, direction, v, traces, converged) -> OptResult:
         best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
     else:
         best = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
-    dec = _isometry_decomposition(roots, v[best])
+    dec = _isometry_decomposition(rho, v[best])
     recon_dev = float(np.max(np.abs(dec.reconstruct() - rho.matrix)))
     if recon_dev > 1e-8:
         raise NumericalError(f"decomposition reconstruction off by {recon_dev}")
@@ -469,17 +454,16 @@ def optimize_many(problems) -> list[OptResult]:
             raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
         cfg = cfg or OptConfig()
         cut = as_bipartition(cut, rho.profile.n)
-        roots = RootSet.from_density(rho)
-        if roots.rank < 1:
+        if rho.rank() < 1:
             raise DomainError("density operator has numerical rank 0")
-        mats, v0 = _root_matrices(roots, cut), _starts(cfg, roots.rank)
+        mats, v0 = _root_matrices(rho, cut), _starts(cfg, rho.rank())
         key = (direction, v0.shape[1], mats.shape, cfg.max_sweeps, cfg.tol_rel)
         groups.setdefault(key, []).append(len(prepared))
-        prepared.append((rho, cut, roots, mats, v0))
+        prepared.append((rho, cut, mats, v0))
 
     results: list = [None] * len(prepared)
     for (direction, size, _, max_sweeps, tol_rel), members in groups.items():
-        rhos, cuts, root_sets, mats, starts = zip(*(prepared[i] for i in members))
+        rhos, cuts, mats, starts = zip(*(prepared[i] for i in members))
         counts = [v0.shape[0] for v0 in starts]
         if len(members) == 1:
             evaluate = _objective(mats[0])
@@ -488,9 +472,9 @@ def optimize_many(problems) -> list[OptResult]:
         search = _polar_ascent if direction == "max" else _descent
         v, traces, converged = search(evaluate, np.concatenate(starts), max_sweeps * size, tol_rel)
         offset = 0
-        for i, rho, cut, roots, n in zip(members, rhos, cuts, root_sets, counts):
+        for i, rho, cut, n in zip(members, rhos, cuts, counts):
             own = slice(offset, offset + n)
-            results[i] = _result(rho, cut, roots, direction, v[own], traces[own], converged[own])
+            results[i] = _result(rho, cut, direction, v[own], traces[own], converged[own])
             offset += n
     return results
 
@@ -533,22 +517,23 @@ def flatness_scan(
     """Average negativity over random HJW decompositions of the given size.
 
     Each sample is the decomposition ``decomposition_from_unitary`` builds
-    from a Haar unitary; all ``samples`` unitaries are drawn first, in
-    order, and the members of every sample are scored in one
-    ``pure_negativities`` call.  A max_abs_dev at rounding level certifies
+    from a Haar unitary on ``rho.roots``, the spectral roots ``rho`` keeps
+    from its one cached eigendecomposition; all ``samples`` unitaries are
+    drawn first, in order, and the members of every sample are scored in
+    one ``pure_negativities`` call.  A max_abs_dev at rounding level certifies
     (numerically) that the decomposition landscape is flat, i.e. the convex
     roof is decomposition independent for this state and cut.
     """
     if samples < 2:
         raise DomainError("flatness_scan needs at least 2 samples")
     cut = as_bipartition(cut, rho.profile.n)
-    roots = RootSet.from_density(rho)
-    r = size if size is not None else roots.rank
-    if r < roots.rank:
-        raise DomainError(f"size {r} below rank {roots.rank}")
+    rank = rho.rank()
+    r = size if size is not None else rank
+    if r < rank:
+        raise DomainError(f"size {r} below rank {rank}")
     rng = np.random.default_rng(seed)
-    isometries = np.stack([haar_unitary(r, rng)[:, : roots.rank] for _ in range(samples)])
-    mats = cut_matrices(isometries @ roots.roots, roots.profile, cut)
+    isometries = np.stack([haar_unitary(r, rng)[:, :rank] for _ in range(samples)])
+    mats = cut_matrices(isometries @ rho.roots, rho.profile, cut)
     values = pure_negativities(mats).reshape(samples, r).sum(axis=1)
     mean = float(values.mean())
     return FlatnessResult(mean=mean, max_abs_dev=float(np.max(np.abs(values - mean))), samples=samples)

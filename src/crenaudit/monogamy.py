@@ -44,7 +44,6 @@ from .measures import (
     wootters_concurrence_2q,
 )
 from .qlinalg import (
-    TOL_RANK,
     Bipartition,
     DensityOperator,
     DimensionProfile,
@@ -190,7 +189,8 @@ def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> floa
     """Smallest measure value across the cut over sampled unit vectors in the range of rho.
 
     Every pure state appearing in any decomposition of rho lies in its
-    range, so this floors the corresponding convex roof.  Implemented for
+    range (spanned by ``rho.range_basis``), so this floors the
+    corresponding convex roof.  Implemented for
     range dimension up to 3 via an iteratively refined deterministic grid;
     returns None when no floor is available.
     """
@@ -198,8 +198,7 @@ def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> floa
         raise DomainError(f"unknown measure {measure!r}")
     cut = as_bipartition(cut, rho.profile.n)
     kernel = pure_negativities if measure == "negativity" else pure_concurrences
-    w, v = np.linalg.eigh(rho.matrix)
-    basis = v[:, w > TOL_RANK]
+    basis = rho.range_basis
     rank = basis.shape[1]
     if rank == 1:
         return float(kernel(cut_matrices(basis.T, rho.profile, cut))[0])

@@ -1,10 +1,16 @@
 """Dense complex tensor kernel for multipartite qudit systems.
 
 Index bookkeeping, partial trace, partial transpose, trace norm, and
-spectral / Schmidt decompositions for states over a fixed tuple of local
-dimensions.  Party 1 is the slowest-varying index of the flattened
-amplitude vector (row-major over parties); every module in this package
-relies on that convention.
+Schmidt decompositions for states over a fixed tuple of local dimensions.
+Party 1 is the slowest-varying index of the flattened amplitude vector
+(row-major over parties); every module in this package relies on that
+convention.
+
+A ``DensityOperator`` owns its spectrum and is the only place the package
+eigendecomposes one: the eigenvalues of its construction-time positivity
+check decide ``rank``, and its range (the spectral roots of the HJW
+chart and the orthonormal range basis) comes from one ``eigh``, run on
+first use and cached on the instance.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share between concurrent tasks.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -164,7 +171,11 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace operator over a profile."""
+    """Hermitian, positive semidefinite, unit-trace operator over a profile.
+
+    Its rank counts the eigenvalues above ``TOL_RANK``, and ``roots`` and
+    ``range_basis`` hold the eigenpairs of those eigenvalues.
+    """
 
     profile: DimensionProfile
     matrix: np.ndarray
@@ -183,18 +194,42 @@ class DensityOperator:
             raise DomainError(f"trace {tr} deviates from 1 by more than {TOL_RENORM}")
         if abs(tr - 1.0) > TOL_NORM:
             mat = mat / tr
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -TOL_PSD:
-            raise DomainError(f"matrix has negative eigenvalue {lo}")
+        evals = np.linalg.eigvalsh(mat)
+        if evals[0] < -TOL_PSD:
+            raise DomainError(f"matrix has negative eigenvalue {float(evals[0])}")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigenvalues", evals)  # ascending
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def rank(self, tol: float = TOL_RANK) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.matrix) > tol))
+    def rank(self) -> int:
+        return int(np.sum(self._eigenvalues > TOL_RANK))
+
+    @cached_property
+    def _range(self) -> tuple[np.ndarray, np.ndarray]:
+        """The top-rank eigenvalues, ascending, and their eigenvectors as rows."""
+        w, v = np.linalg.eigh(self.matrix)
+        top = w.size - self.rank()
+        # Copies: a slice would keep the whole D x D eigenvector matrix alive.
+        return w[top:].copy(), v[:, top:].T.copy()
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis of the range, one column per eigenvalue, ascending."""
+        return self._range[1].T
+
+    @property
+    def roots(self) -> np.ndarray:
+        """Spectral roots sqrt(e_i) v_i, one row each, eigenvalues descending.
+
+        Every pure-state decomposition is an isometry applied to these rows
+        (the HJW chart).
+        """
+        w, vecs = self._range
+        return vecs[::-1] * np.sqrt(w[::-1, None])
 
 
 @dataclass(frozen=True)
@@ -313,11 +348,3 @@ def schmidt(phi: PureState, cut: Bipartition) -> SchmidtData:
         right_basis=vh.conj().T,
         rank=rank,
     )
-
-
-def spectral_decomposition(rho: DensityOperator) -> list[tuple[float, np.ndarray]]:
-    """Eigenpairs of a density operator, eigenvalues descending."""
-    w, v = np.linalg.eigh(rho.matrix)
-    order = np.argsort(w)[::-1]
-    return [(float(w[k]), v[:, k].copy()) for k in order]
-

@@ -14,7 +14,6 @@ from crenaudit import (
     PCSSpec,
     PartitionSpec,
     PureState,
-    RootSet,
     WClassSpec,
     analytic_w_audit,
     apply_phase_damping,
@@ -317,11 +316,10 @@ def test_criterion_8_kernel_properties():
             failures.append(f"state {k}: transpose-side spectra differ")
 
         cut = Bipartition((1,), n)
-        roots = RootSet.from_density(rho)
         nmix = negativity_mixed(rho, cut)
         averages = []
         for _ in range(4):
-            dec = decomposition_from_unitary(roots, haar_unitary(roots.rank + 1, rng))
+            dec = decomposition_from_unitary(rho, haar_unitary(rho.rank() + 1, rng))
             if np.max(np.abs(dec.reconstruct() - rho.matrix)) > 1e-8:
                 failures.append(f"state {k}: decomposition reconstruction broke")
             averages.append(average_negativity(dec, cut))

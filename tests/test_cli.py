@@ -1,7 +1,11 @@
 import subprocess
 import sys
 
+import numpy as np
+
+from crenaudit import OptConfig, load_state_spec, pair_term, partial_trace
 from crenaudit.cli import main
+from crenaudit.monogamy import fmt
 
 
 W3_SPEC = """kind: w_class
@@ -70,6 +74,21 @@ class TestStateCommand:
             assert rows["cut"].strip() == label
 
 
+    def test_trace_out_rejects_parties_outside_the_state(self, capsys):
+        # "10" reads digit by digit, so party 0 is named on eleven parties too.
+        for n, dropped in (("3", "4"), ("3", "0"), ("11", "10"), ("3", "123")):
+            code, out, err = run_cli(
+                "state", "--family", "ghz", "--n", n, "--trace-out", dropped, capsys=capsys
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+        code, out, _ = run_cli(
+            "state", "--family", "ghz", "--n", "11", "--trace-out", "1,10", capsys=capsys
+        )
+        assert code == 0
+        assert "2x2x2x2x2x2x2x2x2\n" in out
+
+
 class TestMeasureCommand:
     def test_pure_negativity(self, capsys):
         code, out, _ = run_cli(
@@ -118,6 +137,29 @@ class TestMeasureCommand:
         code, out, _ = run_cli("measure", "--family", "ou", "--measure", "coa", capsys=capsys)
         assert code == 0
         assert out.split("\n")[1].split()[2:] == ["1.15470053838", "closed_form", "exact"]
+
+    def test_opt_flags_set_the_optimizer_config(self, tmp_path, capsys):
+        # The (3,3) marginal of a random (3,3,2) state: its roof search does
+        # not stop at once, so the starts and the step cap change the value.
+        rng = np.random.default_rng(2)
+        amps = rng.standard_normal(18) + 1j * rng.standard_normal(18)
+        amps /= np.linalg.norm(amps)
+        lines = ["kind: amplitudes", "profile: [3, 3, 2]", "amplitudes:"]
+        lines += [
+            f'  - ["{i}{j}{k}", {float(a.real)!r}, {float(a.imag)!r}]'
+            for (i, j, k), a in zip(np.ndindex(3, 3, 2), amps)
+        ]
+        spec = tmp_path / "state.yaml"
+        spec.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(
+            "measure", "--spec", str(spec), "--trace-out", "3", "--measure", "cren",
+            "--seed", "4", "--opt-starts", "2", "--opt-sweeps", "5", capsys=capsys,
+        )
+        assert code == 0
+        rho = partial_trace(load_state_spec(str(spec)).to_density(), (1, 2))
+        want = pair_term(rho, 1, "cren", OptConfig(starts=2, max_sweeps=5, seed=4))
+        assert want.value != pair_term(rho, 1, "cren", OptConfig(seed=4)).value
+        assert out.split("\n")[1].split()[2:] == [fmt(want.value), "optimizer", "upper"]
 
     def test_unknown_measure_exits_2(self, capsys):
         code, _, err = run_cli(

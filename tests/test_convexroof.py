@@ -6,7 +6,6 @@ from crenaudit import (
     DensityOperator,
     DomainError,
     OptConfig,
-    RootSet,
     WClassSpec,
     PCSSpec,
     average_negativity,
@@ -46,51 +45,44 @@ def full_rank_qutrit_pair():
 class TestRootsAndDecompositions:
     def test_roots_rebuild_the_operator(self, rng):
         rho = rand_dm((2, 3), 4, rng)
-        roots = RootSet.from_density(rho)
-        assert roots.rank == 4
-        assert np.max(np.abs(roots.roots.T @ roots.roots.conj() - rho.matrix)) <= 1e-9
+        assert rho.rank() == 4
+        assert np.max(np.abs(rho.roots.T @ rho.roots.conj() - rho.matrix)) <= 1e-9
 
     def test_identity_recovers_spectral_decomposition(self, rng):
         rho = rand_dm((2, 2), 3, rng)
-        roots = RootSet.from_density(rho)
-        dec = decomposition_from_unitary(roots, np.eye(3))
+        dec = decomposition_from_unitary(rho, np.eye(3))
         evals = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1][:3]
         assert np.allclose(np.sort(dec.weights)[::-1], evals, atol=1e-10)
 
     def test_balanced_rotation_on_rank_two(self, rng):
         rho = rand_dm((2, 2), 2, rng)
-        roots = RootSet.from_density(rho)
         c = 1 / np.sqrt(2)
         u = np.array([[c, -c], [c, c]])
-        dec = decomposition_from_unitary(roots, u)
+        dec = decomposition_from_unitary(rho, u)
         assert np.max(np.abs(dec.reconstruct() - rho.matrix)) <= 1e-8
 
     def test_padded_unitary_grows_the_ensemble(self, rng):
         rho = rand_dm((2, 2), 2, rng)
-        roots = RootSet.from_density(rho)
-        dec = decomposition_from_unitary(roots, haar_unitary(5, rng))
+        dec = decomposition_from_unitary(rho, haar_unitary(5, rng))
         assert dec.size > 2
         assert np.max(np.abs(dec.reconstruct() - rho.matrix)) <= 1e-8
 
     def test_non_unitary_rejected(self, rng):
         rho = rand_dm((2, 2), 2, rng)
-        roots = RootSet.from_density(rho)
         with pytest.raises(DomainError):
-            decomposition_from_unitary(roots, np.eye(2) * 1.001)
+            decomposition_from_unitary(rho, np.eye(2) * 1.001)
         with pytest.raises(DomainError):
-            decomposition_from_unitary(roots, np.eye(1))
+            decomposition_from_unitary(rho, np.eye(1))
 
 
 class TestAverageNegativity:
     def test_spectral_average_of_flat_marginal(self, ou_pair):
-        roots = RootSet.from_density(ou_pair)
-        dec = decomposition_from_unitary(roots, np.eye(roots.rank))
+        dec = decomposition_from_unitary(ou_pair, np.eye(ou_pair.rank()))
         assert average_negativity(dec, 1) == pytest.approx(1.0, abs=1e-10)
 
     def test_rank_one_equals_pure_value(self, rng):
         psi = rand_pure((2, 3), rng)
-        roots = RootSet.from_density(psi.to_density())
-        dec = decomposition_from_unitary(roots, np.eye(1))
+        dec = decomposition_from_unitary(psi.to_density(), np.eye(1))
         assert average_negativity(dec, 1) == pytest.approx(
             negativity_pure(psi, 1), abs=1e-10
         )
@@ -142,9 +134,8 @@ class TestOptimize:
     def test_sampled_averages_upper_bound_the_minimum(self, rng):
         rho = rand_dm((2, 2), 2, rng)
         best = optimize(rho, 1, "min").value
-        roots = RootSet.from_density(rho)
         for _ in range(10):
-            dec = decomposition_from_unitary(roots, haar_unitary(4, rng))
+            dec = decomposition_from_unitary(rho, haar_unitary(4, rng))
             assert average_negativity(dec, 1) >= best - 1e-9
 
     def test_deterministic_for_fixed_seed(self, rng):
@@ -239,9 +230,8 @@ class TestOptimize:
         # Each of optimize's default starts, run alone, must stop on the
         # exact stage's tolerance before the cap, not only the best start.
         rho, cfg = full_rank_qutrit_pair, OptConfig()
-        roots = RootSet.from_density(rho)
-        starts = _starts(cfg, roots.rank)
-        evaluate = _objective(_root_matrices(roots, Bipartition((1,), 2)))
+        starts = _starts(cfg, rho.rank())
+        evaluate = _objective(_root_matrices(rho, Bipartition((1,), 2)))
         for k in range(len(starts)):
             max_steps = cfg.max_sweeps * starts.shape[1]
             assert _descent(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
@@ -315,7 +305,6 @@ class TestFlatnessScan:
 
     def test_generic_state_is_not_flat(self, rng):
         rho = rand_dm((2, 2), 4, rng)
-        roots = RootSet.from_density(rho)
         for size in (None, 6):
             flat = flatness_scan(rho, 1, samples=32, seed=3, size=size)
             assert flat.max_abs_dev > 1e-6
@@ -324,7 +313,7 @@ class TestFlatnessScan:
             draw = np.random.default_rng(3)
             values = np.array([
                 average_negativity(
-                    decomposition_from_unitary(roots, haar_unitary(size or roots.rank, draw)), 1
+                    decomposition_from_unitary(rho, haar_unitary(size or rho.rank(), draw)), 1
                 )
                 for _ in range(32)
             ])

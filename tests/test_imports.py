@@ -93,3 +93,14 @@ def test_modules_use_every_private_name_they_define():
                    if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
                    and name not in used]
     assert not unused, f"private names defined and never used in their module: {unused}"
+
+
+def test_only_qlinalg_eigendecomposes_hermitian_matrices():
+    # DensityOperator owns its spectrum (rank, roots, range basis); a second
+    # eigh or eigvalsh elsewhere would be a second rank decision.
+    callers = {
+        owner.split(".")[0]
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+    }
+    assert callers == {"qlinalg"}

@@ -250,6 +250,40 @@ class TestRangeFloor:
         assert range_floor(rand_dm((2, 2), 4, rng), 1, "concurrence") is None
 
 
+class TestEigendecompositionCount:
+    """A density operator is eigendecomposed once, however many callers read its spectrum."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"eigh": [], "eigvalsh": []}
+        for name, log in calls.items():
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, _solver=solver, _log=log, **kwargs):
+                _log.append(np.shape(a))
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_rank_and_range_reuse_one_spectrum(self, calls):
+        rho = partial_trace(ou_state().to_density(), (1, 2))
+        calls["eigvalsh"].clear()
+        assert rho.rank() == 3
+        assert rho.roots.shape == (3, 9) and rho.range_basis.shape == (9, 3)
+        assert calls == {"eigh": [(9, 9)], "eigvalsh": []}
+
+    def test_ckw_audit_decomposes_each_pair_marginal_once(self, calls):
+        # The optimizer's chart and the range floor share each marginal's eigh.
+        ckw_audit(ou_state(), 1)
+        assert calls["eigh"] == [(9, 9), (9, 9)]
+
+    def test_two_qubit_hunt_decomposes_nothing(self, calls):
+        # Two-qubit pair terms are Wootters' closed form: no chart, no floor.
+        hunt(DimensionProfile((2, 2, 2)), 10, seed=0)
+        assert calls["eigh"] == []
+
+
 class TestAnalyticWAudit:
     def test_symmetric_qubit_values(self):
         values = analytic_w_values(WClassSpec.symmetric(3, 2), 1.0)

@@ -11,7 +11,6 @@ from crenaudit import (
     partial_trace,
     partial_transpose,
     schmidt,
-    spectral_decomposition,
     tensor_product,
     trace_norm,
 )
@@ -238,26 +237,36 @@ class TestSchmidt:
             assert np.array_equal(mat, 2.0 * cut_matrix(psi, bip))
 
 
+def root_eigenvalues(rho):
+    """The eigenvalues e_i behind the spectral roots sqrt(e_i) v_i of rho."""
+    return np.sum(np.abs(rho.roots) ** 2, axis=1)
+
+
 class TestSpectralDecomposition:
     def test_pure_projector(self, rng):
         psi = rand_pure((2, 2), rng)
-        pairs = spectral_decomposition(psi.to_density())
-        assert pairs[0][0] == pytest.approx(1.0, abs=1e-10)
-        assert all(e < 1e-10 for e, _ in pairs[1:])
+        rho = psi.to_density()
+        assert rho.rank() == 1
+        assert root_eigenvalues(rho) == pytest.approx([1.0], abs=1e-10)
+        assert abs(np.vdot(rho.range_basis[:, 0], psi.amplitudes)) == pytest.approx(1.0, abs=1e-10)
 
     def test_antisymmetric_pair_marginal(self):
         rho = partial_trace(ou_state().to_density(), (1, 2))
-        pairs = spectral_decomposition(rho)
-        evals = [e for e, _ in pairs]
-        assert np.allclose(evals[:3], [1 / 3] * 3, atol=1e-12)
-        assert all(e < 1e-12 for e in evals[3:])
+        assert rho.rank() == 3
+        assert np.allclose(root_eigenvalues(rho), [1 / 3] * 3, atol=1e-12)
 
     def test_maximally_mixed(self):
         rho = DensityOperator(DimensionProfile((3,)), np.eye(3) / 3)
-        pairs = spectral_decomposition(rho)
-        assert np.allclose([e for e, _ in pairs], [1 / 3] * 3)
+        assert rho.rank() == 3
+        assert np.allclose(root_eigenvalues(rho), [1 / 3] * 3)
 
     def test_reconstruction(self, rng):
         rho = rand_dm((2, 3), 4, rng)
-        rebuilt = sum(e * np.outer(v, v.conj()) for e, v in spectral_decomposition(rho))
-        assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-9
+        roots, basis = rho.roots, rho.range_basis
+        assert roots.shape == (4, 6) and basis.shape == (6, 4)
+        assert np.max(np.abs(roots.T @ roots.conj() - rho.matrix)) <= 1e-9
+        # Roots descend and the basis ascends over the same eigenpairs.
+        evals = root_eigenvalues(rho)
+        assert np.all(np.diff(evals) <= 0.0)
+        assert np.allclose(basis[:, ::-1].T * np.sqrt(evals)[:, None], roots, atol=1e-12)
+        assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
