@@ -23,7 +23,7 @@ from . import monogamy
 from .convexroof import OptConfig
 from .monogamy import (
     analytic_w_audit,
-    audit,
+    audits,
     fmt,
     hunt,
     pair_term,
@@ -213,10 +213,8 @@ def _run_audit(args, run: RunConfig) -> int:
     if not isinstance(state, PureState):
         raise DomainError("audits need a pure state input")
     state_id = args.spec or args.family or "state"
-    reports = [
-        audit(state, args.focus, measure.strip(), state_id=state_id, opt_cfg=run.opt, seed=run.seed)
-        for measure in args.measures.split(",")
-    ]
+    measures = [measure.strip() for measure in args.measures.split(",")]
+    reports = audits(state, args.focus, measures, state_id=state_id, opt_cfg=run.opt, seed=run.seed)
     _write_reports(reports, run)
     return 0
 

@@ -16,7 +16,11 @@ true value:
   mixed pair is bounded below by the smallest concurrence over unit vectors
   in its range (every decomposition member lives there).  That range floor
   is located by a deterministic sampled grid search, so it is a numerical
-  certificate rather than a proof.
+  certificate rather than a proof.  The grid is separable in the angles of
+  the range coefficients c, and the concurrence of a range vector is twice
+  the norm of its 2x2 minors across the cut (Mintert, Kus & Buchleitner,
+  PRL 92, 167902 (2004)), which are quadratic in c: one table of minor
+  vectors per range scores the whole grid.
 
 An audit compares the squared entanglement of one focus party with the
 rest of a pure multipartite state against the sum of its squared pair
@@ -36,6 +40,7 @@ import numpy as np
 
 from .convexroof import OptConfig, flatness_scan, optimize_many
 from .measures import (
+    _norm_sq,
     concurrence_pure,
     negativity_mixed,
     negativity_pure,
@@ -185,50 +190,99 @@ def _verdict_dual(lhs_sq: float, terms_sq) -> tuple[float, str]:
     return residual, VERDICT_CANDIDATE
 
 
+def _minor_table(mats: np.ndarray):
+    """The 2x2 minors of M(c) = sum_p c_p B_p as a quadratic form in c.
+
+    ``mats`` stacks the r matrices B_p.  The minors M_ik M_jl - M_il M_jk
+    (i < j, k < l) of M(c) form the vector sum_{p <= q} c_p c_q T_pq.
+    This returns the index arrays p, q (``np.triu_indices(r)``) and the
+    r(r+1)/2 vectors T_pq as rows, in the coordinates of an orthonormal
+    basis of their span: that keeps the norm of every minor vector, and a
+    row has at most r(r+1)/2 entries however large the cut.
+    """
+    r = mats.shape[0]
+    i, j = np.triu_indices(mats.shape[1], 1)
+    k, l = np.triu_indices(mats.shape[2], 1)
+    ik, il = mats[:, i[:, None], k], mats[:, i[:, None], l]
+    jk, jl = mats[:, j[:, None], k], mats[:, j[:, None], l]
+    # cross[p, q] holds the minors of the bilinear term c_p c_q (B_p, B_q).
+    cross = (ik[:, None] * jl - il[:, None] * jk).reshape(r, r, -1)
+    p, q = np.triu_indices(r)
+    table = cross[p, q] + (p < q)[:, None] * cross[q, p]
+    # T = R^H Q^H with Q orthonormal, so w T and w R^H have equal norms.
+    return p, q, np.linalg.qr(table.conj().T, mode="r").conj().T
+
+
 def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> float | None:
     """Smallest measure value across the cut over sampled unit vectors in the range of rho.
 
     Every pure state appearing in any decomposition of rho lies in its
     range (spanned by ``rho.range_basis``), so this floors the
-    corresponding convex roof.  Implemented for
-    range dimension up to 3 via an iteratively refined deterministic grid;
-    returns None when no floor is available.
+    corresponding convex roof.  Implemented for range dimension up to 3
+    via an iteratively refined deterministic grid over the coefficients c
+    of the basis; returns None when no floor is available.
+
+    The grid is separable: cos, sin and exp are taken on its 1-D angle
+    axes and the coefficients c_p broadcast from them.  The concurrence of
+    sum_p c_p B_p, with B_p the basis vectors across the cut, is twice the
+    norm of its 2x2 minors (Mintert, Kus & Buchleitner, PRL 92, 167902
+    (2004): C = 2 ||(P- (x) P-)(psi (x) psi)||), and those minors are
+    sum_{p <= q} c_p c_q T_pq: one ``_minor_table``, built from a single
+    ``cut_matrices`` call on the basis, scores the whole grid, summed as
+    squares so that nothing cancels near product states.  Terms are added
+    per broadcast shape, so only c_1 c_2 T_12 spans the full rank-3 grid.
+    Negativity scores the broadcast matrices sum_p c_p B_p with
+    ``pure_negativities``.
     """
     if measure not in ("concurrence", "negativity"):
         raise DomainError(f"unknown measure {measure!r}")
     cut = as_bipartition(cut, rho.profile.n)
-    kernel = pure_negativities if measure == "negativity" else pure_concurrences
     basis = rho.range_basis
     rank = basis.shape[1]
-    if rank == 1:
-        return float(kernel(cut_matrices(basis.T, rho.profile, cut))[0])
     if rank > 3:
         return None
+    mats = cut_matrices(basis.T, rho.profile, cut)
+    if rank == 1:
+        kernel = pure_negativities if measure == "negativity" else pure_concurrences
+        return float(kernel(mats)[0])
+
+    if measure == "concurrence":
+        pairs_p, pairs_q, table = _minor_table(mats)
+
+        def score(coeffs):
+            # The minor axis leads, so each term is one contiguous product.
+            rows = table.reshape(table.shape + (1,) * coeffs[0].ndim)
+            groups = {}
+            for p, q, row in zip(pairs_p, pairs_q, rows):
+                term = row * (coeffs[p] * coeffs[q])
+                groups[term.shape] = groups.get(term.shape, 0) + term
+            return 2.0 * np.sqrt(_norm_sq(np.moveaxis(sum(groups.values()), 0, -1)))
+
+    else:
+
+        def score(coeffs):
+            full = np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+            return pure_negativities(np.tensordot(full, mats, axes=1))
 
     if rank == 2:
         centers = np.array([np.pi / 4, np.pi])
         spans = np.array([np.pi / 4, np.pi])
         counts = (41, 61)
 
-        def coeff_rows(grid):
-            t, p = grid
-            return np.stack([np.cos(t), np.sin(t) * np.exp(1j * p)], axis=-1)
+        def coeffs_of(t, p):
+            return [np.cos(t), np.sin(t) * np.exp(1j * p)]
 
     else:
         centers = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
         spans = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
         counts = (13, 13, 17, 17)
 
-        def coeff_rows(grid):
-            t1, t2, p1, p2 = grid
-            return np.stack(
-                [
-                    np.cos(t1),
-                    np.sin(t1) * np.cos(t2) * np.exp(1j * p1),
-                    np.sin(t1) * np.sin(t2) * np.exp(1j * p2),
-                ],
-                axis=-1,
-            )
+        def coeffs_of(t1, t2, p1, p2):
+            return [
+                np.cos(t1),
+                np.sin(t1) * np.cos(t2) * np.exp(1j * p1),
+                np.sin(t1) * np.sin(t2) * np.exp(1j * p2),
+            ]
 
     best = None
     for _ in range(3):
@@ -236,12 +290,11 @@ def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> floa
             np.linspace(c - s, c + s, k)
             for c, s, k in zip(centers, spans, counts)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = [m.ravel() for m in mesh]
-        vals = kernel(cut_matrices(coeff_rows(grid) @ basis.T, rho.profile, cut))
-        k = int(np.argmin(vals))
+        vals = score(coeffs_of(*np.ix_(*axes)))
+        # The first minimum in the C order of an "ij" meshgrid of the axes.
+        k = np.unravel_index(int(np.argmin(vals)), vals.shape)
         best = float(vals[k])
-        centers = np.array([g[k] for g in grid])
+        centers = np.array([axis[i] for axis, i in zip(axes, k)])
         spans = spans / 8.0
     # A sampled minimum can only overestimate the true one; subtract the
     # residual grid resolution so the returned floor stays a lower bound.
@@ -393,35 +446,58 @@ def audit(
     the left side and every pair marginal, so the marginals' searches run
     batched.
     """
-    return _audits([psi], focus, measure, [state_id], opt_cfg, [seed])[0]
+    return _audits([psi], focus, [measure], [state_id], opt_cfg, [seed])[0]
 
 
-def _audits(psis, focus, measure, state_ids, opt_cfg, seeds) -> list[AuditReport]:
-    """The ``audit`` of each state, with every term of them all from one ``pair_terms`` call."""
+def audits(
+    psi: PureState,
+    focus: int,
+    measures,
+    *,
+    state_id: str = "state",
+    opt_cfg: OptConfig | None = None,
+    seed: int = 0,
+) -> list[AuditReport]:
+    """The ``audit`` of one state under each of ``measures``, in order.
+
+    The pair marginals are built once for all the measures, so each is
+    eigendecomposed at most once however many measures search it.
+    """
+    return _audits([psi], focus, measures, [state_id], opt_cfg, [seed])
+
+
+def _audits(psis, focus, measures, state_ids, opt_cfg, seeds) -> list[AuditReport]:
+    """The ``audit`` of each state under each measure, measure by measure.
+
+    Each state's pair marginals are built once, and each measure resolves
+    every term of all the states in one ``pair_terms`` call.
+    """
     psis = [_require_pure(psi) for psi in psis]
-    if measure not in AUDIT_MEASURES:
-        raise DomainError(f"unknown audit measure {measure!r}")
-    term_measure = AUDIT_MEASURES[measure]
-    states, cuts, cfgs, partners = [], [], [], []
-    for psi, seed in zip(psis, seeds):
-        states.append(psi)
-        cuts.append(Bipartition((focus,), psi.profile.n))
-        cfgs.append(None)
-        marginals = _pair_marginals(psi, focus)
-        for _, pair in marginals:
-            cfg = opt_cfg
-            if cfg is None and term_measure != "negativity":  # negativity never searches
-                cfg = _audit_opt_cfg(pair.rank(), seed)
-            states.append(pair)
-            cuts.append(1)
-            cfgs.append(cfg)
-        partners.append([i for i, _ in marginals])
-    terms = iter(pair_terms(states, cuts, term_measure, cfgs))
+    for measure in measures:
+        if measure not in AUDIT_MEASURES:
+            raise DomainError(f"unknown audit measure {measure!r}")
+    marginals = [_pair_marginals(psi, focus) for psi in psis]
     reports = []
-    for state_id, partner in zip(state_ids, partners):
-        lhs = next(terms).value
-        pair = [next(terms) for _ in partner]
-        reports.append(_build_report(state_id, focus, measure, lhs * lhs, partner, pair))
+    for measure in measures:
+        term_measure = AUDIT_MEASURES[measure]
+        states, cuts, cfgs = [], [], []
+        for psi, pairs, seed in zip(psis, marginals, seeds):
+            states.append(psi)
+            cuts.append(Bipartition((focus,), psi.profile.n))
+            cfgs.append(None)
+            for _, pair in pairs:
+                cfg = opt_cfg
+                if cfg is None and term_measure != "negativity":  # negativity never searches
+                    cfg = _audit_opt_cfg(pair.rank(), seed)
+                states.append(pair)
+                cuts.append(1)
+                cfgs.append(cfg)
+        terms = iter(pair_terms(states, cuts, term_measure, cfgs))
+        for state_id, pairs in zip(state_ids, marginals):
+            lhs = next(terms).value
+            terms_of_pairs = [next(terms) for _ in pairs]
+            partners = [i for i, _ in pairs]
+            reports.append(_build_report(state_id, focus, measure, lhs * lhs, partners, terms_of_pairs))
     return reports
 
 
@@ -531,7 +607,7 @@ def hunt(
         block = range(start, min(start + _HUNT_BLOCK, trials))
         psis = [random_pure_state(profile, rng) for _ in block]
         ids = [f"hunt-{t:05d}" for t in block]
-        reports = _audits(psis, focus, "cren", ids, None, [seed + t for t in block])
+        reports = _audits(psis, focus, ["cren"], ids, None, [seed + t for t in block])
         findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
     return findings
 

@@ -12,6 +12,7 @@ from crenaudit import (
     WClassSpec,
     analytic_w_audit,
     audit,
+    audits,
     build_w_state,
     ckw_audit,
     cren_audit,
@@ -28,6 +29,9 @@ from crenaudit import (
     random_pure_state,
     tensor_product,
 )
+from crenaudit import convexroof, measures, monogamy, qlinalg
+from crenaudit.cli import main
+from crenaudit.measures import pure_concurrences, pure_negativities
 from crenaudit.monogamy import (
     AUDIT_COLUMNS,
     analytic_w_values,
@@ -35,6 +39,7 @@ from crenaudit.monogamy import (
     reports_to_csv,
     reports_to_json,
 )
+from crenaudit.qlinalg import cut_matrices
 
 from conftest import rand_dm, rand_pure
 
@@ -68,6 +73,11 @@ class TestCounterexampleAudits:
         assert np.allclose(report.rhs_terms_sq, [8 / 9, 8 / 9], atol=1e-3)
         assert report.verdict == "certified_violation"
         assert sum(report.rhs_lower_sq) > report.lhs_sq + 1e-6
+
+    def test_audits_match_one_measure_calls(self):
+        psi, measures = kim_sanders_state(), ["cren", "ckw", "coa", "crenoa", "negativity"]
+        reports = audits(psi, 1, measures, state_id="ks", seed=3)
+        assert reports == [audit(psi, 1, m, state_id="ks", seed=3) for m in measures]
 
     def test_negativity_audit_on_antisymmetric(self):
         report = negativity_audit(ou_state(), 1)
@@ -217,6 +227,8 @@ class TestPairTerm:
             pair_term(ou_state(), 1, "sorcery")
         with pytest.raises(DomainError, match="sorcery"):
             audit(ou_state(), 1, "sorcery")
+        with pytest.raises(DomainError, match="sorcery"):
+            audits(ou_state(), 1, ["cren", "sorcery"])
         with pytest.raises(DomainError):
             dual_audit(ou_state(), 1, "cren")
 
@@ -249,6 +261,71 @@ class TestRangeFloor:
     def test_rank_above_three_unavailable(self, rng):
         assert range_floor(rand_dm((2, 2), 4, rng), 1, "concurrence") is None
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)])
+    def test_matches_per_vector_grid_search(self, dims):
+        # Four seeded ranges a shape, 24 in all; rank 3 is the costly one
+        # for negativity (a 3x3 SVD per grid point), so one range of it.
+        for rank, seed in [(2, 0), (2, 1), (2, 2), (3, 0)]:
+            rho = rand_dm(dims, rank, np.random.default_rng(100 * seed + rank))
+            for measure in ("concurrence", "negativity"):
+                assert range_floor(rho, 1, measure) == pytest.approx(
+                    _grid_floor_reference(rho, 1, measure), abs=1e-14
+                )
+
+    def test_concurrence_builds_the_cut_matrices_once(self, monkeypatch, rng):
+        # The minor table comes from the basis alone; a cut matrix per grid
+        # point would call cut_matrices again on every pass.
+        calls = []
+
+        def counted(*args, _original=qlinalg.cut_matrices, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        for module in (qlinalg, measures, monogamy, convexroof):
+            monkeypatch.setattr(module, "cut_matrices", counted)
+        for rank in (1, 2, 3):
+            calls.clear()
+            range_floor(rand_dm((3, 3), rank, rng), 1, "concurrence")
+            assert len(calls) == 1
+
+
+def _grid_floor_reference(rho, cut, measure):
+    """range_floor scored point by point: one cut matrix per grid vector."""
+    kernel = pure_negativities if measure == "negativity" else pure_concurrences
+    basis = rho.range_basis
+    if basis.shape[1] == 2:
+        centers, spans, counts = np.array([np.pi / 4, np.pi]), np.array([np.pi / 4, np.pi]), (41, 61)
+
+        def coeff_rows(grid):
+            t, p = grid
+            return np.stack([np.cos(t), np.sin(t) * np.exp(1j * p)], axis=-1)
+
+    else:
+        centers = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
+        spans = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
+        counts = (13, 13, 17, 17)
+
+        def coeff_rows(grid):
+            t1, t2, p1, p2 = grid
+            return np.stack(
+                [
+                    np.cos(t1),
+                    np.sin(t1) * np.cos(t2) * np.exp(1j * p1),
+                    np.sin(t1) * np.sin(t2) * np.exp(1j * p2),
+                ],
+                axis=-1,
+            )
+
+    for _ in range(3):
+        axes = [np.linspace(c - s, c + s, k) for c, s, k in zip(centers, spans, counts)]
+        grid = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+        vals = kernel(cut_matrices(coeff_rows(grid) @ basis.T, rho.profile, cut))
+        k = int(np.argmin(vals))
+        best = float(vals[k])
+        centers = np.array([g[k] for g in grid])
+        spans = spans / 8.0
+    return max(0.0, best - 1e-3 * (1.0 + best))
+
 
 class TestEigendecompositionCount:
     """A density operator is eigendecomposed once, however many callers read its spectrum."""
@@ -276,6 +353,11 @@ class TestEigendecompositionCount:
     def test_ckw_audit_decomposes_each_pair_marginal_once(self, calls):
         # The optimizer's chart and the range floor share each marginal's eigh.
         ckw_audit(ou_state(), 1)
+        assert calls["eigh"] == [(9, 9), (9, 9)]
+
+    def test_cli_audit_decomposes_each_pair_marginal_once(self, calls, capsys):
+        # The default measures cren, ckw and negativity share the marginals.
+        assert main(["audit", "--family", "ou"]) == 0
         assert calls["eigh"] == [(9, 9), (9, 9)]
 
     def test_two_qubit_hunt_decomposes_nothing(self, calls):
