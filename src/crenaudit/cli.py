@@ -25,6 +25,7 @@ from .monogamy import (
     analytic_w_audit,
     audits,
     fmt,
+    fmt_residual,
     hunt,
     pair_term,
     report_rows,
@@ -117,10 +118,9 @@ def _load_state(args) -> PureState | DensityOperator:
         raise DomainError("provide --spec FILE or --family NAME")
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
-        rho = state.to_density() if isinstance(state, PureState) else state
         # Validated as a cut: the dropped parties must exist and leave some.
-        dropped = Bipartition(_parse_parties(trace_out), rho.profile.n)
-        state = partial_trace(rho, dropped.side_b)
+        dropped = Bipartition(_parse_parties(trace_out), state.profile.n)
+        state = partial_trace(state, dropped.side_b)
     return state
 
 
@@ -245,7 +245,7 @@ def _run_sweep(args, run: RunConfig) -> int:
             }
             for col, v in zip(pair_cols, audit.values.pair_cren):
                 row[col] = fmt(v)
-            row["residual"] = fmt(audit.report.residual)
+            row["residual"] = fmt_residual(audit.report.residual)
             row["flatness_max_dev"] = fmt(audit.flatness_max_dev)
             row["verdict"] = audit.report.verdict
             rows.append(row)

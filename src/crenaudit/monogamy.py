@@ -45,7 +45,6 @@ from .measures import (
     negativity_mixed,
     negativity_pure,
     pure_concurrences,
-    pure_negativities,
     wootters_concurrence_2q,
 )
 from .qlinalg import (
@@ -160,14 +159,7 @@ def _pair_marginals(psi: PureState, focus: int):
         raise DomainError(f"focus party {focus} out of range 1..{profile.n}")
     if profile.n < 3:
         raise DomainError("audits need at least 3 parties")
-    rho = psi.to_density()
-    out = []
-    for i in profile.parties:
-        if i == focus:
-            continue
-        pair = partial_trace(rho, (focus, i))
-        out.append((i, pair))
-    return out
+    return [(i, partial_trace(psi, (focus, i))) for i in profile.parties if i != focus]
 
 
 def _verdict_monogamy(lhs_sq: float, terms_sq, lower_sq) -> tuple[float, str]:
@@ -213,14 +205,14 @@ def _minor_table(mats: np.ndarray):
     return p, q, np.linalg.qr(table.conj().T, mode="r").conj().T
 
 
-def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> float | None:
-    """Smallest measure value across the cut over sampled unit vectors in the range of rho.
+def range_floor(rho: DensityOperator, cut) -> float | None:
+    """Smallest concurrence across the cut over sampled unit vectors in the range of rho.
 
     Every pure state appearing in any decomposition of rho lies in its
     range (spanned by ``rho.range_basis``), so this floors the
-    corresponding convex roof.  Implemented for range dimension up to 3
-    via an iteratively refined deterministic grid over the coefficients c
-    of the basis; returns None when no floor is available.
+    concurrence roof.  Implemented for range dimension up to 3 via an
+    iteratively refined deterministic grid over the coefficients c of the
+    basis; returns None when no floor is available.
 
     The grid is separable: cos, sin and exp are taken on its 1-D angle
     axes and the coefficients c_p broadcast from them.  The concurrence of
@@ -231,11 +223,7 @@ def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> floa
     ``cut_matrices`` call on the basis, scores the whole grid, summed as
     squares so that nothing cancels near product states.  Terms are added
     per broadcast shape, so only c_1 c_2 T_12 spans the full rank-3 grid.
-    Negativity scores the broadcast matrices sum_p c_p B_p with
-    ``pure_negativities``.
     """
-    if measure not in ("concurrence", "negativity"):
-        raise DomainError(f"unknown measure {measure!r}")
     cut = as_bipartition(cut, rho.profile.n)
     basis = rho.range_basis
     rank = basis.shape[1]
@@ -243,26 +231,17 @@ def range_floor(rho: DensityOperator, cut, measure: str = "concurrence") -> floa
         return None
     mats = cut_matrices(basis.T, rho.profile, cut)
     if rank == 1:
-        kernel = pure_negativities if measure == "negativity" else pure_concurrences
-        return float(kernel(mats)[0])
+        return float(pure_concurrences(mats)[0])
+    pairs_p, pairs_q, table = _minor_table(mats)
 
-    if measure == "concurrence":
-        pairs_p, pairs_q, table = _minor_table(mats)
-
-        def score(coeffs):
-            # The minor axis leads, so each term is one contiguous product.
-            rows = table.reshape(table.shape + (1,) * coeffs[0].ndim)
-            groups = {}
-            for p, q, row in zip(pairs_p, pairs_q, rows):
-                term = row * (coeffs[p] * coeffs[q])
-                groups[term.shape] = groups.get(term.shape, 0) + term
-            return 2.0 * np.sqrt(_norm_sq(np.moveaxis(sum(groups.values()), 0, -1)))
-
-    else:
-
-        def score(coeffs):
-            full = np.stack(np.broadcast_arrays(*coeffs), axis=-1)
-            return pure_negativities(np.tensordot(full, mats, axes=1))
+    def score(coeffs):
+        # The minor axis leads, so each term is one contiguous product.
+        rows = table.reshape(table.shape + (1,) * coeffs[0].ndim)
+        groups = {}
+        for p, q, row in zip(pairs_p, pairs_q, rows):
+            term = row * (coeffs[p] * coeffs[q])
+            groups[term.shape] = groups.get(term.shape, 0) + term
+        return 2.0 * np.sqrt(_norm_sq(np.moveaxis(sum(groups.values()), 0, -1)))
 
     if rank == 2:
         centers = np.array([np.pi / 4, np.pi])
@@ -380,7 +359,7 @@ def _optimizer_term(state: DensityOperator, cut: Bipartition, measure: str, res)
         # the concurrence roof equals the negativity roof and the
         # partial-transpose negativity floors it.
         floors.append(negativity_mixed(state, cut))
-    range_min = range_floor(state, cut, "concurrence")
+    range_min = range_floor(state, cut)
     if range_min is not None:
         floors.append(range_min)
     return PairTerm(value, max(floors, default=0.0), "upper", "optimizer")
@@ -633,6 +612,14 @@ def fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def fmt_residual(value: float) -> str:
+    """``fmt`` of a residual, with every residual within ``TOL_SAT`` printed as 0.
+
+    A saturated residual is rounding noise whose last bits no result depends on.
+    """
+    return "0" if abs(value) <= TOL_SAT else fmt(value)
+
+
 def _sorted_reports(reports) -> list[AuditReport]:
     return sorted(reports, key=lambda r: (r.state_id, r.measure, r.focus))
 
@@ -646,7 +633,7 @@ def report_rows(reports) -> list[dict[str, str]]:
             "focus": str(report.focus),
             "lhs_sq": fmt(report.lhs_sq),
             "rhs_sq_sum": fmt(report.rhs_sq_sum),
-            "residual": fmt(report.residual),
+            "residual": fmt_residual(report.residual),
             "verdict": report.verdict,
             "bound_kinds": ";".join(report.rhs_bound_kinds),
         }
@@ -680,7 +667,7 @@ def reports_to_json(reports) -> str:
                 "rhs_terms_sq": [float(fmt(v)) for v in report.rhs_terms_sq],
                 "rhs_sq_sum": float(fmt(report.rhs_sq_sum)),
                 "bound_kinds": list(report.rhs_bound_kinds),
-                "residual": float(fmt(report.residual)),
+                "residual": float(fmt_residual(report.residual)),
                 "verdict": report.verdict,
             }
         )

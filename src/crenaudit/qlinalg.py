@@ -4,7 +4,9 @@ Index bookkeeping, partial trace, partial transpose, trace norm, and
 Schmidt decompositions for states over a fixed tuple of local dimensions.
 Party 1 is the slowest-varying index of the flattened amplitude vector
 (row-major over parties); every module in this package relies on that
-convention.
+convention.  Cut matrices and partial traces share one kept | rest party
+order, and the partial trace of a pure state is M M^H of its cut matrix,
+so no module needs the D x D density matrix of a pure state.
 
 A ``DensityOperator`` owns its spectrum and is the only place the package
 eigendecomposes one: the eigenvalues of its construction-time positivity
@@ -18,7 +20,7 @@ functions, so they are safe to share between concurrent tasks.
 
 from __future__ import annotations
 
-import string
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -262,27 +264,27 @@ def tensor_product(a, b):
     raise DomainError("tensor_product requires two operands of the same kind")
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Trace out all parties not in ``keep``.
+def partial_trace(state: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
+    """Trace out all parties not in ``keep``, from a pure state or a density operator.
 
     The result's profile lists the kept parties in ascending party order.
+    A pure state's marginal is M M^H, with M its amplitudes reshaped
+    kept | rest as in ``cut_matrices``, so no D x D matrix is formed.  A
+    density operator takes the same kept | rest order on both index halves,
+    and the rest is traced from the (kept, rest, kept, rest) tensor.
     """
-    kept = _sorted_parties(keep, rho.profile.n)
-    dims = rho.profile.dims
-    n = len(dims)
-    if 2 * n > len(string.ascii_letters):
-        raise DomainError("too many parties for the einsum contraction")
-    tensor = rho.matrix.reshape(dims + dims)
-    labels = list(string.ascii_letters[: 2 * n])
-    for p in range(1, n + 1):
-        if p not in kept:
-            labels[n + p - 1] = labels[p - 1]
-    out = [labels[p - 1] for p in kept] + [labels[n + p - 1] for p in kept]
-    reduced = np.einsum("".join(labels) + "->" + "".join(out), tensor)
-    size = 1
-    for p in kept:
-        size *= dims[p - 1]
-    return DensityOperator(rho.profile.restrict(kept), reduced.reshape(size, size))
+    profile = state.profile
+    kept = _sorted_parties(keep, profile.n)
+    axes, d_keep = _kept_first(profile, kept)
+    dims = profile.dims
+    if isinstance(state, PureState):
+        m = np.transpose(state.amplitudes.reshape(dims), axes).reshape(d_keep, -1)
+        reduced = m @ m.conj().T
+    else:
+        tensor = np.transpose(state.matrix.reshape(dims + dims), axes + [len(dims) + a for a in axes])
+        d_rest = profile.size // d_keep
+        reduced = np.trace(tensor.reshape(d_keep, d_rest, d_keep, d_rest), axis1=1, axis2=3)
+    return DensityOperator(profile.restrict(kept), reduced)
 
 
 def partial_transpose(rho: DensityOperator, transposed: Iterable[int]) -> np.ndarray:
@@ -316,19 +318,22 @@ def trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(w)))
 
 
+def _kept_first(profile: DimensionProfile, kept: Sequence[int]) -> tuple[list[int], int]:
+    """Party axes (0-based) with ``kept`` first and the rest after, and the kept dimension."""
+    inside = set(kept)
+    axes = [p - 1 for p in kept] + [p - 1 for p in profile.parties if p not in inside]
+    return axes, math.prod(profile.dims[p - 1] for p in kept)
+
+
 def cut_matrices(vectors: np.ndarray, profile: DimensionProfile, cut: Bipartition) -> np.ndarray:
     """Stacked amplitude vectors reshaped to (k, dim side_a, dim side_b) matrices.
 
     The vectors need not be normalized; a single vector gives k = 1.
     """
     cut = as_bipartition(cut, profile.n)
-    dims = profile.dims
-    perm = [0, *cut.side_a, *cut.side_b]
-    d_a = 1
-    for p in cut.side_a:
-        d_a *= dims[p - 1]
-    tensor = np.asarray(vectors).reshape((-1,) + dims)
-    return np.transpose(tensor, perm).reshape(tensor.shape[0], d_a, -1)
+    axes, d_a = _kept_first(profile, cut.side_a)
+    tensor = np.asarray(vectors).reshape((-1,) + profile.dims)
+    return np.transpose(tensor, [0] + [a + 1 for a in axes]).reshape(tensor.shape[0], d_a, -1)
 
 
 def cut_matrix(phi: PureState, cut: Bipartition) -> np.ndarray:

@@ -187,23 +187,16 @@ def apply_phase_damping(psi: PureState, lam: float) -> DensityOperator:
 
     Kraus operators: sqrt(lam) I, sqrt(1-lam)(I - P_vac), sqrt(1-lam) P_vac,
     where P_vac projects onto the vacuum of the full multi-party space.
+    Their sum multiplies the vacuum coherences rho_0j and rho_j0 (j != 0)
+    by lam and keeps every other entry of rho = |psi><psi|.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must lie in [0, 1], got {lam}")
     vec = psi.amplitudes
     rho = np.outer(vec, vec.conj())
-    size = psi.profile.size
-    p_vac = np.zeros((size, size), dtype=complex)
-    p_vac[0, 0] = 1.0
-    kraus = [
-        np.sqrt(lam) * np.eye(size, dtype=complex),
-        np.sqrt(1.0 - lam) * (np.eye(size, dtype=complex) - p_vac),
-        np.sqrt(1.0 - lam) * p_vac,
-    ]
-    out = np.zeros_like(rho)
-    for e in kraus:
-        out += e @ rho @ e.conj().T
-    return DensityOperator(psi.profile, out)
+    rho[0, 1:] *= lam
+    rho[1:, 0] *= lam
+    return DensityOperator(psi.profile, rho)
 
 
 def ou_state() -> PureState:

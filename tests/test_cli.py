@@ -1,5 +1,7 @@
+import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -156,7 +158,7 @@ class TestMeasureCommand:
             "--seed", "4", "--opt-starts", "2", "--opt-sweeps", "5", capsys=capsys,
         )
         assert code == 0
-        rho = partial_trace(load_state_spec(str(spec)).to_density(), (1, 2))
+        rho = partial_trace(load_state_spec(str(spec)), (1, 2))
         want = pair_term(rho, 1, "cren", OptConfig(starts=2, max_sweeps=5, seed=4))
         assert want.value != pair_term(rho, 1, "cren", OptConfig(seed=4)).value
         assert out.split("\n")[1].split()[2:] == [fmt(want.value), "optimizer", "upper"]
@@ -187,6 +189,42 @@ class TestAuditCommand:
         assert code == 2
         assert "pure" in err
 
+    def test_saturated_residuals_print_zero(self, capsys):
+        # A residual within TOL_SAT is rounding noise, so its last bits are not printed.
+        code, out, _ = run_cli(
+            "audit", "--family", "w", "--n", "4", "--measures",
+            "cren,ckw,coa,crenoa,negativity", "--format", "json", capsys=capsys,
+        )
+        assert code == 0
+        residuals = {doc["measure"]: (doc["residual"], doc["verdict"]) for doc in json.loads(out)}
+        assert residuals == {
+            "ckw": (0.0, "saturated"),
+            "coa": (0.0, "saturated"),
+            "cren": (0.0, "saturated"),
+            "crenoa": (0.0, "saturated"),
+            "negativity": (0.62132034356, "holds"),
+        }
+        code, out, _ = run_cli(
+            "audit", "--family", "ou", "--measures", "cren", "--format", "csv", capsys=capsys
+        )
+        assert code == 0
+        assert out.split("\n")[1].split(",")[5:7] == ["2", "holds"]
+
+    def test_thirteen_party_w_audit_skips_the_full_density(self, capsys):
+        # Pair marginals are traced from the amplitudes; the 2^13 x 2^13
+        # density matrix of the state alone would take 1 GB.
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                "audit", "--family", "w", "--n", "13", "--measures", "cren", capsys=capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.split("\n")[1].split()[5:7] == ["0", "saturated"]
+        assert peak <= 32 * 2**20
+
 
 class TestSweepCommand:
     def test_lambda_invariance_rows(self, capsys):
@@ -212,6 +250,13 @@ class TestSweepCommand:
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert float(row[2]) == 0.0 and float(row[3]) == 0.0
+
+    def test_saturated_residuals_print_zero(self, capsys):
+        code, out, _ = run_cli("sweep", "--format", "csv", "--samples", "16", capsys=capsys)
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.strip().split("\n")]
+        column = header.index("residual")
+        assert [row[column] for row in rows] == ["0"] * 9
 
     def test_partition_saturation(self, capsys):
         code, out, _ = run_cli(

@@ -104,3 +104,14 @@ def test_only_qlinalg_eigendecomposes_hermitian_matrices():
         if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
     }
     assert callers == {"qlinalg"}
+
+
+def test_no_module_builds_the_density_of_a_pure_state():
+    # partial_trace takes a PureState directly, so the package never needs
+    # the D x D matrix (and its positivity eigendecomposition) of one.
+    callers = {
+        owner
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "to_density"
+    }
+    assert not callers, f"to_density() called in {sorted(callers)}"

@@ -31,7 +31,7 @@ from crenaudit import (
 )
 from crenaudit import convexroof, measures, monogamy, qlinalg
 from crenaudit.cli import main
-from crenaudit.measures import pure_concurrences, pure_negativities
+from crenaudit.measures import pure_concurrences
 from crenaudit.monogamy import (
     AUDIT_COLUMNS,
     analytic_w_values,
@@ -238,13 +238,12 @@ class TestRangeFloor:
         # The floor carries an explicit resolution haircut, so it sits just
         # below the flat value and never above it.
         rho = partial_trace(ou_state().to_density(), (1, 2))
-        for measure in ("concurrence", "negativity"):
-            floor = range_floor(rho, 1, measure)
-            assert 1.0 - 3e-3 <= floor <= 1.0 + 1e-9
+        floor = range_floor(rho, 1)
+        assert 1.0 - 3e-3 <= floor <= 1.0 + 1e-9
 
     def test_flat_rank_two_range(self):
         rho = partial_trace(kim_sanders_state().to_density(), (1, 2))
-        floor = range_floor(rho, 1, "concurrence")
+        floor = range_floor(rho, 1)
         assert np.sqrt(8 / 9) - 3e-3 <= floor <= np.sqrt(8 / 9) + 1e-9
 
     def test_separable_range_floors_to_zero(self, rng):
@@ -256,21 +255,19 @@ class TestRangeFloor:
         from crenaudit import DensityOperator
 
         rho = DensityOperator(DimensionProfile((2, 2)), mat)
-        assert range_floor(rho, 1, "concurrence") <= 1e-3
+        assert range_floor(rho, 1) <= 1e-3
 
     def test_rank_above_three_unavailable(self, rng):
-        assert range_floor(rand_dm((2, 2), 4, rng), 1, "concurrence") is None
+        assert range_floor(rand_dm((2, 2), 4, rng), 1) is None
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)])
     def test_matches_per_vector_grid_search(self, dims):
-        # Four seeded ranges a shape, 24 in all; rank 3 is the costly one
-        # for negativity (a 3x3 SVD per grid point), so one range of it.
+        # Four seeded ranges a shape, 24 in all.
         for rank, seed in [(2, 0), (2, 1), (2, 2), (3, 0)]:
             rho = rand_dm(dims, rank, np.random.default_rng(100 * seed + rank))
-            for measure in ("concurrence", "negativity"):
-                assert range_floor(rho, 1, measure) == pytest.approx(
-                    _grid_floor_reference(rho, 1, measure), abs=1e-14
-                )
+            assert range_floor(rho, 1) == pytest.approx(
+                _grid_floor_reference(rho, 1), abs=1e-14
+            )
 
     def test_concurrence_builds_the_cut_matrices_once(self, monkeypatch, rng):
         # The minor table comes from the basis alone; a cut matrix per grid
@@ -285,13 +282,12 @@ class TestRangeFloor:
             monkeypatch.setattr(module, "cut_matrices", counted)
         for rank in (1, 2, 3):
             calls.clear()
-            range_floor(rand_dm((3, 3), rank, rng), 1, "concurrence")
+            range_floor(rand_dm((3, 3), rank, rng), 1)
             assert len(calls) == 1
 
 
-def _grid_floor_reference(rho, cut, measure):
+def _grid_floor_reference(rho, cut):
     """range_floor scored point by point: one cut matrix per grid vector."""
-    kernel = pure_negativities if measure == "negativity" else pure_concurrences
     basis = rho.range_basis
     if basis.shape[1] == 2:
         centers, spans, counts = np.array([np.pi / 4, np.pi]), np.array([np.pi / 4, np.pi]), (41, 61)
@@ -319,7 +315,7 @@ def _grid_floor_reference(rho, cut, measure):
     for _ in range(3):
         axes = [np.linspace(c - s, c + s, k) for c, s, k in zip(centers, spans, counts)]
         grid = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
-        vals = kernel(cut_matrices(coeff_rows(grid) @ basis.T, rho.profile, cut))
+        vals = pure_concurrences(cut_matrices(coeff_rows(grid) @ basis.T, rho.profile, cut))
         k = int(np.argmin(vals))
         best = float(vals[k])
         centers = np.array([g[k] for g in grid])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -115,11 +117,39 @@ class TestPartialTrace:
         assert red.profile.dims == (2, 2)
 
     def test_invalid_keep_sets(self, rng):
-        rho = rand_dm((2, 2), 2, rng)
-        with pytest.raises(DomainError):
-            partial_trace(rho, ())
-        with pytest.raises(DomainError):
-            partial_trace(rho, (3,))
+        for state in (rand_dm((2, 2), 2, rng), rand_pure((2, 2), rng)):
+            with pytest.raises(DomainError):
+                partial_trace(state, ())
+            with pytest.raises(DomainError):
+                partial_trace(state, (3,))
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 4), (2, 2, 2, 2), (3, 3, 3, 3)])
+    def test_pure_input_matches_the_density_route(self, dims, rng):
+        psi = rand_pure(dims, rng)
+        rho = psi.to_density()
+        n = len(dims)
+        keeps = [k for r in (1, 2, 3) for k in itertools.permutations(range(1, n + 1), r)]
+        for keep in keeps + [tuple(range(1, n + 1))]:
+            red = partial_trace(psi, keep)
+            want = partial_trace(rho, keep)
+            assert red.profile == want.profile
+            assert np.max(np.abs(red.matrix - want.matrix)) <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 4), (2, 2, 2, 2)])
+    def test_density_input_matches_an_index_contraction(self, dims, rng):
+        # rho_keep[i, i'] = sum over the rest's digits r of rho[(i, r), (i', r)].
+        rho = rand_dm(dims, 3, rng)
+        n = len(dims)
+        tensor = rho.matrix.reshape(dims + dims)
+        rows = "abcd"[:n]
+        for keep in [(1,), (3,), (3, 1), (2, 3), tuple(range(1, n + 1))]:
+            kept = sorted(keep)
+            cols = "".join("efgh"[p - 1] if p in kept else rows[p - 1] for p in range(1, n + 1))
+            out = "".join(rows[p - 1] for p in kept) + "".join(cols[p - 1] for p in kept)
+            want = np.einsum(f"{rows}{cols}->{out}", tensor)
+            size = int(np.prod([dims[p - 1] for p in kept]))
+            got = partial_trace(rho, keep).matrix
+            assert np.max(np.abs(got - want.reshape(size, size))) <= 1e-15
 
 
 class TestPartialTranspose:

@@ -111,6 +111,17 @@ class TestPhaseDamping:
         damped = apply_phase_damping(coherent_superposition(PCSSpec(wspec, 0.7, 1.0)), lam)
         assert np.max(np.abs(damped.matrix - build_pcs_density(spec).matrix)) <= 1e-12
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_matches_kraus_sum_on_a_random_state(self, lam, rng):
+        psi = rand_pure((2, 2, 2), rng)
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        p_vac = np.zeros((8, 8))
+        p_vac[0, 0] = 1.0
+        kraus = [np.sqrt(lam) * np.eye(8), np.sqrt(1 - lam) * (np.eye(8) - p_vac),
+                 np.sqrt(1 - lam) * p_vac]
+        want = sum(k @ rho @ k.conj().T for k in kraus)
+        assert np.max(np.abs(apply_phase_damping(psi, lam).matrix - want)) <= 1e-15
+
     def test_full_damping_kills_vacuum_coherences(self, rng):
         wspec = random_w_spec(3, 2, rng)
         damped = apply_phase_damping(coherent_superposition(PCSSpec(wspec, 0.5, 1.0)), 0.0)
