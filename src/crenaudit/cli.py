@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,16 +54,6 @@ from .states import (
 )
 
 _FAMILIES = ("ou", "kim_sanders", "max_entangled", "ghz", "w")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: output handling plus optimizer overrides."""
-
-    fmt: str = "table"
-    output: str | None = None
-    seed: int = 0
-    opt: OptConfig | None = None  # None when no --opt-* flag is given
 
 
 def _parse_parties(text: str) -> tuple[int, ...]:
@@ -124,10 +113,10 @@ def _load_state(args) -> PureState | DensityOperator:
     return state
 
 
-def _emit_rows(rows: list[dict[str, str]], columns: tuple[str, ...], run: RunConfig) -> str:
-    if run.fmt == "csv":
+def _emit_rows(rows: list[dict[str, str]], columns: tuple[str, ...], fmt_name: str) -> str:
+    if fmt_name == "csv":
         return rows_to_csv(rows, columns)
-    if run.fmt == "json":
+    if fmt_name == "json":
         return json.dumps(rows, indent=2, sort_keys=True)
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}
     lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
@@ -136,15 +125,15 @@ def _emit_rows(rows: list[dict[str, str]], columns: tuple[str, ...], run: RunCon
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, run: RunConfig) -> None:
-    if run.output:
-        with open(run.output, "w", encoding="utf-8", newline="") as fh:
+def _write(text: str, output: str | None) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _run_state(args, run: RunConfig) -> int:
+def _run_state(args, opt: OptConfig | None) -> int:
     state = _load_state(args)
     rows: list[dict[str, str]] = []
 
@@ -176,14 +165,14 @@ def _run_state(args, run: RunConfig) -> int:
         else:
             add("cut", str(cut))
             add("negativity", fmt(pair_term(state, cut, "negativity").value))
-    _write(_emit_rows(rows, ("property", "value"), run), run)
+    _write(_emit_rows(rows, ("property", "value"), args.format), args.output)
     return 0
 
 
-def _run_measure(args, run: RunConfig) -> int:
+def _run_measure(args, opt: OptConfig | None) -> int:
     state = _load_state(args)
     cut = Bipartition(_parse_parties(args.cut) if args.cut else (1,), state.profile.n)
-    cfg = run.opt or OptConfig(seed=run.seed)
+    cfg = opt or OptConfig(seed=args.seed)
     rows = []
     for measure in args.measure.split(","):
         measure = measure.strip()
@@ -197,29 +186,30 @@ def _run_measure(args, run: RunConfig) -> int:
                 "bound_kind": term.kind,
             }
         )
-    _write(_emit_rows(rows, ("measure", "cut", "value", "method", "bound_kind"), run), run)
+    columns = ("measure", "cut", "value", "method", "bound_kind")
+    _write(_emit_rows(rows, columns, args.format), args.output)
     return 0
 
 
-def _write_reports(reports, run: RunConfig) -> None:
-    if run.fmt == "json":
-        _write(reports_to_json(reports) + "\n", run)
+def _write_reports(reports, fmt_name: str, output: str | None) -> None:
+    if fmt_name == "json":
+        _write(reports_to_json(reports) + "\n", output)
     else:
-        _write(_emit_rows(report_rows(reports), monogamy.AUDIT_COLUMNS, run), run)
+        _write(_emit_rows(report_rows(reports), monogamy.AUDIT_COLUMNS, fmt_name), output)
 
 
-def _run_audit(args, run: RunConfig) -> int:
+def _run_audit(args, opt: OptConfig | None) -> int:
     state = _load_state(args)
     if not isinstance(state, PureState):
         raise DomainError("audits need a pure state input")
     state_id = args.spec or args.family or "state"
     measures = [measure.strip() for measure in args.measures.split(",")]
-    reports = audits(state, args.focus, measures, state_id=state_id, opt_cfg=run.opt, seed=run.seed)
-    _write_reports(reports, run)
+    reports = audits(state, args.focus, measures, state_id=state_id, opt_cfg=opt, seed=args.seed)
+    _write_reports(reports, args.format, args.output)
     return 0
 
 
-def _run_sweep(args, run: RunConfig) -> int:
+def _run_sweep(args, opt: OptConfig | None) -> int:
     if args.spec:
         wspec = load_w_spec(args.spec)
     else:
@@ -236,7 +226,7 @@ def _run_sweep(args, run: RunConfig) -> int:
                 PCSSpec(wspec, p, lam),
                 partition,
                 samples=args.samples,
-                seed=run.seed,
+                seed=args.seed,
             )
             row = {
                 "p": fmt(p),
@@ -246,7 +236,7 @@ def _run_sweep(args, run: RunConfig) -> int:
             for col, v in zip(pair_cols, audit.values.pair_cren):
                 row[col] = fmt(v)
             row["residual"] = fmt_residual(audit.report.residual)
-            row["flatness_max_dev"] = fmt(audit.flatness_max_dev)
+            row["flatness_max_dev"] = fmt_residual(audit.flatness_max_dev)
             row["verdict"] = audit.report.verdict
             rows.append(row)
     columns = ("p", "lambda", "global_cren") + pair_cols + (
@@ -254,19 +244,18 @@ def _run_sweep(args, run: RunConfig) -> int:
         "flatness_max_dev",
         "verdict",
     )
-    _write(_emit_rows(rows, columns, run), run)
+    _write(_emit_rows(rows, columns, args.format), args.output)
     return 0
 
 
-def _run_hunt(args, run: RunConfig) -> int:
+def _run_hunt(args, opt: OptConfig | None) -> int:
     profile = DimensionProfile(tuple(int(d) for d in args.profile.split(",")))
-    findings = hunt(profile, args.trials, run.seed, focus=args.focus)
+    findings = hunt(profile, args.trials, args.seed, focus=args.focus)
     candidates = sum(1 for f in findings if f.verdict == monogamy.VERDICT_CANDIDATE)
     certified = sum(1 for f in findings if f.verdict == monogamy.VERDICT_CERTIFIED)
-    if run.output and run.fmt == "table":
-        # A findings file is CSV unless JSON is asked for.
-        run = replace(run, fmt="csv")
-    _write_reports(findings, run)
+    # A findings file is CSV unless JSON is asked for.
+    fmt_name = "csv" if args.output and args.format == "table" else args.format
+    _write_reports(findings, fmt_name, args.output)
     sys.stderr.write(
         f"hunt: trials={args.trials} candidates={candidates} certified={certified}\n"
     )
@@ -356,8 +345,7 @@ def main(argv: list[str] | None = None) -> int:
                  "max_sweeps": args.opt_sweeps, "tol_rel": args.opt_tol}
         overrides = {field: value for field, value in flags.items() if value is not None}
         opt = OptConfig(seed=args.seed, **overrides) if overrides else None
-        run = RunConfig(fmt=args.format, output=args.output, seed=args.seed, opt=opt)
-        return _COMMANDS[args.command](args, run)
+        return _COMMANDS[args.command](args, opt)
     except (ValueError, OSError) as exc:
         # DomainError and the spec-document errors subclass ValueError;
         # bare ValueErrors here are malformed numeric arguments.

@@ -198,23 +198,16 @@ def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
     return np.ascontiguousarray(mats)
 
 
-def _start(size: int, rank: int, u0: np.ndarray | None) -> np.ndarray:
-    """Initial (size, rank) isometry: padded identity, rotated by u0."""
-    v = np.zeros((size, rank), dtype=complex)
-    v[:rank, :rank] = np.eye(rank)
-    return v if u0 is None else u0 @ v
-
-
 def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
     """The (starts, size, rank) stack of start isometries of one problem.
 
-    The first is the spectral decomposition itself, the others are rotated
-    by Haar-random unitaries drawn from ``cfg.seed``.
+    The first is the padded identity, the spectral decomposition itself;
+    the others rotate it by Haar-random unitaries drawn from ``cfg.seed``.
     """
     size = cfg.resolve_size(rank)
     rng = np.random.default_rng(cfg.seed)
-    rotations = [None] + [haar_unitary(size, rng) for _ in range(cfg.starts - 1)]
-    return np.stack([_start(size, rank, u0) for u0 in rotations])
+    eye = np.eye(size, rank, dtype=complex)
+    return np.stack([eye] + [haar_unitary(size, rng) @ eye for _ in range(cfg.starts - 1)])
 
 
 def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):

@@ -1,14 +1,13 @@
 """Closed-form pure-state entanglement measures and mixed-state negativity.
 
-Pure-state concurrence and negativity come from one batched kernel each,
-on stacked cut matrices: for a pure state both are functions of the
-Schmidt coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so a
-decomposition's members, a flatness scan's samples or a range grid are
-scored in one call.  Beside them: the trace-norm negativity of mixed
-states, and the exact two-qubit concurrence that ``monogamy.pair_term``
-uses for two-qubit roof minima (for two-qubit states the convex-roof
-extended negativity coincides with the concurrence, so the closed form
-serves both).
+Pure-state concurrence and negativity are functions of the Schmidt
+coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so both come
+from one batched singular-value call on stacked cut matrices: a
+decomposition's members or a flatness scan's samples are scored at once.
+Beside them: the trace-norm negativity of mixed states, and the exact
+two-qubit concurrence that ``monogamy.pair_term`` uses for two-qubit roof
+minima (for two-qubit states the convex-roof extended negativity
+coincides with the concurrence, so the closed form serves both).
 """
 
 from __future__ import annotations
@@ -30,45 +29,35 @@ from .qlinalg import (
 NEGATIVITY_CLAMP = 1e-10
 
 
+def _pair_sum(x: np.ndarray) -> np.ndarray:
+    """sum_{i<j} x_i x_j along the last axis, from the cumulative sums of x.
+
+    For nonnegative x every term is nonnegative, so nothing cancels when
+    all but one entry are near zero, as at product states.
+    """
+    return np.sum(x[..., 1:] * np.cumsum(x[..., :-1], axis=-1), axis=-1)
+
+
 def pure_negativities(mats: np.ndarray) -> np.ndarray:
     """p_k N(phi_k) for stacked cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
 
     With s the singular values of M_k, from one batched SVD, this is
-    ||M_k||_*^2 - ||M_k||_F^2 = 2 sum_{i<j} s_i s_j, summed in the second
-    form: its terms are nonnegative, so nothing cancels near product states.
+    ||M_k||_*^2 - ||M_k||_F^2 = 2 sum_{i<j} s_i s_j.
     """
     s = np.linalg.svd(mats, compute_uv=False)
-    return 2.0 * np.sum(s[..., 1:] * np.cumsum(s[..., :-1], axis=-1), axis=-1)
-
-
-def _norm_sq(z: np.ndarray) -> np.ndarray:
-    """Squared norms of the complex vectors along the last axis."""
-    return np.einsum("...x,...x->...", z.real, z.real) + np.einsum("...x,...x->...", z.imag, z.imag)
+    return 2.0 * _pair_sum(s)
 
 
 def pure_concurrences(mats: np.ndarray) -> np.ndarray:
-    """p_k C(phi_k) for a (k, d_a, d_b) stack of cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
+    """p_k C(phi_k) for stacked cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
 
-    With G_k = M_k M_k^H, so that tr G_k = ||M_k||_F^2 = p_k, this is
-    sqrt(2 ((tr G_k)^2 - tr G_k^2)).  The difference is twice the sum over
-    pairs i < j of short-side rows a_i, a_j of M_k of
-    ||a_i||^2 ||a_j||^2 - |<a_i, a_j>|^2 = ||a_i||^2 ||a_j - (<a_i, a_j> / ||a_i||^2) a_i||^2
-    (0 where a_i = 0), summed in the second form: its terms are
-    nonnegative, so nothing cancels near product states.  Each row a_i is
-    taken against all later rows at once, so the cost is linear in the
-    long side.
+    With s the singular values of M_k, from one batched SVD, this is
+    sqrt(2 ((tr G_k)^2 - tr G_k^2)) for G_k = M_k M_k^H, that is
+    2 sqrt(sum_{i<j} s_i^2 s_j^2): summed from its nonnegative terms, never
+    as the cancelling difference.
     """
-    if mats.shape[-2] > mats.shape[-1]:
-        mats = np.swapaxes(mats, -1, -2)
-    sq = np.zeros(mats.shape[:-2])
-    for i in range(mats.shape[-2] - 1):
-        a, rest = mats[..., i, :], mats[..., i + 1 :, :]
-        norm_sq = _norm_sq(a)
-        coef = np.einsum("...rx,...x->...r", rest, a.conj()) / np.where(
-            norm_sq > 0, norm_sq, np.inf
-        )[..., None]
-        sq += norm_sq * _norm_sq(rest - coef[..., None] * a[..., None, :]).sum(axis=-1)
-    return 2.0 * np.sqrt(sq)
+    s = np.linalg.svd(mats, compute_uv=False)
+    return 2.0 * np.sqrt(_pair_sum(s * s))
 
 
 def concurrence_pure(phi: PureState, cut) -> float:

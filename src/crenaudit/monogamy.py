@@ -40,7 +40,6 @@ import numpy as np
 
 from .convexroof import OptConfig, flatness_scan, optimize_many
 from .measures import (
-    _norm_sq,
     concurrence_pure,
     negativity_mixed,
     negativity_pure,
@@ -180,6 +179,11 @@ def _verdict_dual(lhs_sq: float, terms_sq) -> tuple[float, str]:
     if residual < 0.0:
         return residual, VERDICT_HOLDS
     return residual, VERDICT_CANDIDATE
+
+
+def _norm_sq(z: np.ndarray) -> np.ndarray:
+    """Squared norms of the complex vectors along the last axis."""
+    return np.einsum("...x,...x->...", z.real, z.real) + np.einsum("...x,...x->...", z.imag, z.imag)
 
 
 def _minor_table(mats: np.ndarray):
@@ -613,9 +617,10 @@ def fmt(value: float) -> str:
 
 
 def fmt_residual(value: float) -> str:
-    """``fmt`` of a residual, with every residual within ``TOL_SAT`` printed as 0.
+    """``fmt`` of a residual or deviation, printed as 0 when within ``TOL_SAT``.
 
-    A saturated residual is rounding noise whose last bits no result depends on.
+    A saturated residual, or a flatness deviation at that scale, is rounding
+    noise whose last bits no result depends on.
     """
     return "0" if abs(value) <= TOL_SAT else fmt(value)
 
@@ -648,10 +653,6 @@ def rows_to_csv(rows, columns) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def reports_to_csv(reports) -> str:
-    return rows_to_csv(report_rows(reports), AUDIT_COLUMNS)
 
 
 def reports_to_json(reports) -> str:

@@ -258,6 +258,17 @@ class TestSweepCommand:
         column = header.index("residual")
         assert [row[column] for row in rows] == ["0"] * 9
 
+    def test_flatness_deviation_prints_zero(self, capsys):
+        # A flat scan's deviation is rounding noise, printed like a saturated residual.
+        code, out, _ = run_cli(
+            "sweep", "--n", "3", "--d", "2", "--p-grid", "0.5",
+            "--lambda-grid", "0,1", "--format", "csv", capsys=capsys,
+        )
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.strip().split("\n")]
+        column = header.index("flatness_max_dev")
+        assert [row[column] for row in rows] == ["0", "0"]
+
     def test_partition_saturation(self, capsys):
         code, out, _ = run_cli(
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0.5",

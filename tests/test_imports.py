@@ -115,3 +115,18 @@ def test_no_module_builds_the_density_of_a_pure_state():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "to_density"
     }
     assert not callers, f"to_density() called in {sorted(callers)}"
+
+
+def test_only_measures_takes_singular_values_alone():
+    # The pure measures are functions of the Schmidt coefficients, read from
+    # one batched svd(..., compute_uv=False); every other SVD in the package
+    # needs its singular vectors, so a second values-only call elsewhere
+    # would be a second copy of the pure measures.
+    callers = {
+        owner.split(".")[0]
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "svd"
+        and any(kw.arg == "compute_uv" and getattr(kw.value, "value", None) is False
+                for kw in node.keywords)
+    }
+    assert callers == {"measures"}

@@ -63,9 +63,8 @@ class TestConcurrencePure:
         assert concurrence_pure(maximally_entangled(2), 1) == pytest.approx(1.0)
 
     def test_product_state(self, rng):
-        # sqrt(2(1 - purity)) has a ~1e-8 conditioning floor at purity 1.
         joint = tensor_product(rand_pure((2,), rng), rand_pure((3,), rng))
-        assert concurrence_pure(joint, 1) == pytest.approx(0.0, abs=1e-7)
+        assert concurrence_pure(joint, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetric_qutrit(self):
         assert concurrence_pure(ou_state(), 1) == pytest.approx(np.sqrt(4 / 3), abs=1e-12)
@@ -118,6 +117,35 @@ class TestPureKernels:
             assert np.max(np.abs(concs[:-1] - want_concs[:-1])) <= 1e-12
             assert negs[-1] <= 1e-12
             assert concs[-1] <= 1e-12
+
+    def test_concurrences_match_the_gram_form(self, rng):
+        # Independent reference: sqrt(2 (p^2 - tr G^2)) with G = M M^H and
+        # p = tr G, which cancels at product members, so those are checked
+        # against zero instead.
+        for dims in ((2, 3), (3, 2), (2, 4), (4, 3), (8, 8), (64, 64)):
+            states = [rand_pure(dims, rng) for _ in range(3)]
+            weights = rng.dirichlet(np.ones(len(states)))
+            mats = np.stack([np.sqrt(p) * cut_matrix(phi, 1) for p, phi in zip(weights, states)])
+            gram = mats @ np.conj(np.swapaxes(mats, -1, -2))
+            p = np.trace(gram, axis1=-2, axis2=-1).real
+            want = np.sqrt(2.0 * (p**2 - np.einsum("kij,kji->k", gram, gram).real))
+            assert np.max(np.abs(pure_concurrences(mats) - want)) <= 1e-12
+            product = tensor_product(rand_pure(dims[:1], rng), rand_pure(dims[1:], rng))
+            assert pure_concurrences(cut_matrix(product, 1)[None])[0] <= 1e-12
+
+    def test_square_cut_takes_one_singular_value_call(self, monkeypatch, rng):
+        # Concurrence reads the Schmidt form as negativity does: one batched
+        # values-only SVD per stack, with no loop over the rows of a square cut.
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        mats = cut_matrix(rand_pure((64, 64), rng), 1)[None]
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        pure_concurrences(mats)
+        assert calls == [False]
 
     def test_lopsided_cut_is_linear_in_the_long_side(self):
         # A 13-qubit GHZ cut 1|rest has a 2 x 4096 cut matrix; listing all

@@ -36,8 +36,9 @@ from crenaudit.monogamy import (
     AUDIT_COLUMNS,
     analytic_w_values,
     range_floor,
-    reports_to_csv,
+    report_rows,
     reports_to_json,
+    rows_to_csv,
 )
 from crenaudit.qlinalg import cut_matrices
 
@@ -456,7 +457,7 @@ class TestVerdictLogic:
 class TestReportEmission:
     def test_csv_layout(self):
         reports = [cren_audit(ou_state(), 1, state_id="ou")]
-        text = reports_to_csv(reports)
+        text = rows_to_csv(report_rows(reports), AUDIT_COLUMNS)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(AUDIT_COLUMNS)
         fields = lines[1].split(",")
@@ -468,7 +469,7 @@ class TestReportEmission:
             cren_audit(kim_sanders_state(), 1, state_id="b"),
             cren_audit(ou_state(), 1, state_id="a"),
         ]
-        text = reports_to_csv(reports)
+        text = rows_to_csv(report_rows(reports), AUDIT_COLUMNS)
         rows = text.strip().split("\n")[1:]
         assert rows[0].startswith("a,") and rows[1].startswith("b,")
         assert "2.22222222222" in rows[1]
