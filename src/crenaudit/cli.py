@@ -54,6 +54,13 @@ from .states import (
 )
 
 _FAMILIES = ("ou", "kim_sanders", "max_entangled", "ghz", "w")
+# Optimizer overrides of measure and audit: (flag, OptConfig field, type).
+_OPT_FLAGS = (
+    ("--opt-size", "size", int),
+    ("--opt-starts", "starts", int),
+    ("--opt-sweeps", "max_sweeps", int),
+    ("--opt-tol", "tol_rel", float),
+)
 
 
 def _parse_parties(text: str) -> tuple[int, ...]:
@@ -273,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--output", help="write to this file instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--opt-size", type=int, dest="opt_size")
-        p.add_argument("--opt-starts", type=int, dest="opt_starts")
-        p.add_argument("--opt-sweeps", type=int, dest="opt_sweeps")
-        p.add_argument("--opt-tol", type=float, dest="opt_tol")
         if with_state:
             p.add_argument("--spec", help="state-spec document (YAML)")
             p.add_argument("--family", choices=_FAMILIES)
@@ -288,12 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
                 help="parties to trace out after building (e.g. 3 or 2,3)",
             )
 
+    def add_opt(p: argparse.ArgumentParser) -> None:
+        # Only measure and audit read an OptConfig; hunt sizes each
+        # marginal's search itself.
+        for flag, dest, kind in _OPT_FLAGS:
+            p.add_argument(flag, type=kind, dest=dest)
+
     p_state = sub.add_parser("state", help="inspect a state")
     add_common(p_state)
     p_state.add_argument("--cut", help="side-A parties of a cut, e.g. 1 or 1,2")
 
     p_measure = sub.add_parser("measure", help="compute measures across a cut")
     add_common(p_measure)
+    add_opt(p_measure)
     p_measure.add_argument(
         "--measure", required=True, help="comma list: concurrence,negativity,cren,crenoa,coa"
     )
@@ -301,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="run monogamy audits")
     add_common(p_audit)
+    add_opt(p_audit)
     p_audit.add_argument("--focus", type=int, default=1)
     p_audit.add_argument(
         "--measures",
@@ -341,8 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # OptConfig's own defaults fill the fields no --opt-* flag sets.
-        flags = {"size": args.opt_size, "starts": args.opt_starts,
-                 "max_sweeps": args.opt_sweeps, "tol_rel": args.opt_tol}
+        flags = {dest: getattr(args, dest, None) for _, dest, _ in _OPT_FLAGS}
         overrides = {field: value for field, value in flags.items() if value is not None}
         opt = OptConfig(seed=args.seed, **overrides) if overrides else None
         return _COMMANDS[args.command](args, opt)

@@ -12,9 +12,14 @@ decomposition, and ``rank()`` sizes the chart with the same rank decision.
 Both directions run all starts at once on the isometries (the Stiefel
 manifold, as in Rothlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
 share one objective evaluator: a batched SVD of the stacked cut matrices
-gives the value and its gradient.  The minimization (convex-roof extended
-negativity) is a Barzilai-Borwein gradient descent on the manifold (Wen &
-Yin, Math. Program. 142, 397 (2013)) over nuclear norms smoothed as
+gives the value and its gradient.  Where the short side of the cut is 2,
+the unsmoothed objective (every ascent step and the descent's last stage)
+comes in closed form from each member's 2 x 2 Gram data instead.  The
+smoothed stages keep the SVD, since the descent's endpoints on the
+hardest two-qubit states turn on rounding there (see ``_objective``).
+The minimization (convex-roof extended negativity) is a
+Barzilai-Borwein gradient descent on the manifold (Wen & Yin, Math.
+Program. 142, 397 (2013)) over nuclear norms smoothed as
 sum_i sqrt(s_i^2 + mu^2), with mu shrunk to zero in stages so that the
 search does not stall where singular values vanish.  The maximization
 (its assistance dual) uses that the objective is convex in V: a polar
@@ -48,6 +53,7 @@ from .qlinalg import (
     PureState,
     as_bipartition,
     cut_matrices,
+    norm_sq,
 )
 
 ZERO_WEIGHT = 1e-14       # decomposition members below this weight are dropped
@@ -210,6 +216,43 @@ def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
     return np.stack([eye] + [haar_unitary(size, rng) @ eye for _ in range(cfg.starts - 1)])
 
 
+# Two-row members with s_2 <= about 1e-12 s_1 count as rank one.
+_RANK_ONE = 1e-12
+
+
+def _two_row_roof(mats: np.ndarray):
+    """Squared nuclear norms of stacked 2 x d matrices, and their gradients, with no SVD.
+
+    For rows a and b, Gram-Schmidt gives r = b - c a with c = <a,b>/|a|^2
+    and delta = |a| |r| = s_1 s_2, free of the cancellation in det G,
+    G = M M^H.  Then ||M||_*^2 = |a|^2 + |b|^2 + 2 delta, and its gradient
+    2 ||M||_* U W^H is 2 (M + adj(G) M / delta), where adj(G) M has rows
+    |r|^2 a - conj(c) |a|^2 r and |a|^2 r.  On a rank-one member
+    (delta <= _RANK_ONE * ||M||_F^2) the adjugate term vanishes, and a
+    polar ascent started on product members would never leave them; those
+    members take the SVD's subgradient, whose second singular pair points
+    off the product.  Zero members have zero gradient either way.
+    """
+    a, b = mats[..., 0, :], mats[..., 1, :]
+    g = norm_sq(a)
+    ab = np.sum(a.conj() * b, axis=-1)
+    c = np.divide(ab, g, out=np.zeros_like(ab), where=g > 0.0)
+    r = b - c[..., None] * a
+    rr = norm_sq(r)
+    delta = np.sqrt(g * rr)
+    fro = g + norm_sq(b)
+    rank_one = delta <= _RANK_ONE * fro
+    inv = np.divide(1.0, delta, out=np.zeros_like(delta), where=~rank_one)
+    gr = (g * inv)[..., None] * r
+    adj = np.stack([(rr * inv)[..., None] * a - c.conj()[..., None] * gr, gr], axis=-2)
+    grad = 2.0 * (mats + adj)
+    odd = rank_one & (fro > 0.0)
+    if odd.any():
+        u, sv, wh = np.linalg.svd(mats[odd], full_matrices=False)
+        grad[odd] = 2.0 * sv.sum(axis=-1)[..., None, None] * (u @ wh)
+    return fro + 2.0 * delta, grad
+
+
 def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
     """Batched objective sum_k ||M_k||_*^2 - 1, M_k = sum_j V_kj R_j, and its gradient.
 
@@ -217,10 +260,21 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
     or, with ``problem_of`` giving the problem of each start, a (problems,
     rank, d_a, d_b) stack of them.  ``evaluate(v, rows, mu)`` takes the
     (size, rank) isometries of the starts ``rows`` and returns (f_mu, grad,
-    exact) from one batched SVD of the stacked M_k, each built from its own
-    start's roots.  f_mu replaces each nuclear norm by the smoothed
-    sum_i sqrt(s_i^2 + mu^2), an upper bound equal to it at mu = 0, and
-    grad is the Euclidean gradient of f_mu; exact is the unsmoothed value.
+    exact) of the stacked M_k, each built from its own start's roots.  f_mu
+    replaces each nuclear norm by the smoothed sum_i sqrt(s_i^2 + mu^2), an
+    upper bound equal to it at mu = 0, and grad is the Euclidean gradient
+    of f_mu; exact is the unsmoothed value.
+
+    One batched SVD of the M_k gives them, except when the short side is 2
+    (d_a = 2) and mu = 0 -- every polar-ascent step and the descent's last
+    stage.  There ``_two_row_roof`` gives the exact value and gradient in
+    closed form from each member's two rows, with no SVD but for rank-one
+    members.  The smoothed stages (mu > 0) keep the SVD: a closed form of
+    the smoothed gradient agrees with it to rounding, but the descent's
+    endpoint on the hardest two-qubit states turns on rounding-level
+    differences in those stages (one such form moved the worst known gap
+    to the Wootters value from 7.2e-4 to 4.9e-4), so it wants a
+    measurement of its own.
     """
     d_a, d_b = root_mats.shape[-2:]
     roots = root_mats.reshape(*root_mats.shape[:-2], d_a * d_b)
@@ -233,7 +287,12 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
             own = problem_of[rows]
             r, r_h = roots[own], roots_h[own]
         n, size, _ = v.shape
-        u, sv, wh = np.linalg.svd((v @ r).reshape(n, size, d_a, d_b), full_matrices=False)
+        mats = (v @ r).reshape(n, size, d_a, d_b)
+        if d_a == 2 and mu == 0.0:
+            nuc_sq, grad = _two_row_roof(mats)
+            exact = np.sum(nuc_sq, axis=-1) - 1.0
+            return exact, grad.reshape(n, size, d_a * d_b) @ r_h, exact
+        u, sv, wh = np.linalg.svd(mats, full_matrices=False)
         nuc = sv.sum(axis=-1)
         exact = np.sum(nuc * nuc, axis=-1) - 1.0
         if mu == 0.0:

@@ -55,6 +55,7 @@ from .qlinalg import (
     PureState,
     as_bipartition,
     cut_matrices,
+    norm_sq,
     partial_trace,
 )
 from .states import ExcitationWeights, PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
@@ -181,11 +182,6 @@ def _verdict_dual(lhs_sq: float, terms_sq) -> tuple[float, str]:
     return residual, VERDICT_CANDIDATE
 
 
-def _norm_sq(z: np.ndarray) -> np.ndarray:
-    """Squared norms of the complex vectors along the last axis."""
-    return np.einsum("...x,...x->...", z.real, z.real) + np.einsum("...x,...x->...", z.imag, z.imag)
-
-
 def _minor_table(mats: np.ndarray):
     """The 2x2 minors of M(c) = sum_p c_p B_p as a quadratic form in c.
 
@@ -245,7 +241,7 @@ def range_floor(rho: DensityOperator, cut) -> float | None:
         for p, q, row in zip(pairs_p, pairs_q, rows):
             term = row * (coeffs[p] * coeffs[q])
             groups[term.shape] = groups.get(term.shape, 0) + term
-        return 2.0 * np.sqrt(_norm_sq(np.moveaxis(sum(groups.values()), 0, -1)))
+        return 2.0 * np.sqrt(norm_sq(np.moveaxis(sum(groups.values()), 0, -1)))
 
     if rank == 2:
         centers = np.array([np.pi / 4, np.pi])

@@ -306,6 +306,11 @@ def partial_transpose(rho: DensityOperator, transposed: Iterable[int]) -> np.nda
     return np.transpose(tensor, axes).reshape(size, size)
 
 
+def norm_sq(z: np.ndarray) -> np.ndarray:
+    """Squared norms of the complex vectors along the last axis."""
+    return np.einsum("...x,...x->...", z.real, z.real) + np.einsum("...x,...x->...", z.imag, z.imag)
+
+
 def trace_norm(h: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues."""
     h = np.asarray(h, dtype=complex)

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from crenaudit import OptConfig, load_state_spec, pair_term, partial_trace
 from crenaudit.cli import main
@@ -323,6 +324,13 @@ class TestHuntCommand:
         )
         assert code == 0
         assert out.read_text() == "[]\n"
+
+    def test_optimizer_overrides_are_rejected(self, capsys):
+        # hunt sizes each marginal's search itself, so it takes no --opt-* flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["hunt", "--profile", "3,2,2", "--trials", "2", "--opt-starts", "7"])
+        assert exc.value.code == 2
+        assert "--opt-starts" in capsys.readouterr().err
 
     def test_qubit_regime(self, capsys):
         code, out, err = run_cli(

@@ -4,6 +4,7 @@ import pytest
 from crenaudit import (
     Bipartition,
     DensityOperator,
+    DimensionProfile,
     DomainError,
     OptConfig,
     WClassSpec,
@@ -22,7 +23,7 @@ from crenaudit import (
     wootters_concurrence_2q,
 )
 
-from crenaudit.convexroof import _descent, _objective, _root_matrices, _starts
+from crenaudit.convexroof import _descent, _objective, _polar_ascent, _root_matrices, _starts
 from crenaudit.monogamy import _audit_opt_cfg
 from crenaudit.states import kim_sanders_state
 
@@ -250,6 +251,91 @@ class TestOptimize:
         hi = optimize(rho, cut, "max", OptConfig(starts=3))
         assert lo.value >= negativity_mixed(rho, cut) - 1e-9
         assert hi.value >= lo.value - 1e-12
+
+
+def _orthogonal_mixture(dims, members, weights, rng):
+    """A density operator with the given orthonormal members plus one random member."""
+    profile = DimensionProfile(tuple(dims))
+    basis = np.zeros((len(members) + 1, profile.size), dtype=complex)
+    for k, (labels, amps) in enumerate(members):
+        for label, amp in zip(labels, amps):
+            basis[k, np.ravel_multi_index(label, dims)] = amp
+    z = rng.standard_normal(profile.size) + 1j * rng.standard_normal(profile.size)
+    z -= basis[:-1].T @ (basis[:-1].conj() @ z)
+    basis[-1] = z / np.linalg.norm(z)
+    return DensityOperator(profile, (basis.T * weights) @ basis.conj())
+
+
+def _svd_objective(root_mats, v):
+    """The mu = 0 objective and gradient from a full SVD of every member."""
+    rank, d_a, d_b = root_mats.shape
+    roots = root_mats.reshape(rank, d_a * d_b)
+    mats = (v @ roots).reshape(*v.shape[:2], d_a, d_b)
+    u, sv, wh = np.linalg.svd(mats, full_matrices=False)
+    nuc = sv.sum(axis=-1)
+    polar = (u @ wh).reshape(*v.shape[:2], d_a * d_b)
+    return np.sum(nuc * nuc, axis=-1) - 1.0, 2.0 * nuc[..., None] * (polar @ roots.conj().T), sv
+
+
+class TestTwoRowObjective:
+    def test_closed_form_matches_the_svd(self):
+        # Each state mixes a maximally entangled member (s_1 = s_2), a
+        # product member (rank one) and a random one; the spectral start
+        # scores those roots as they are, the Haar starts mix them.
+        rng = np.random.default_rng(17)
+        bell = [(0, 0), (1, 1)], [2 ** -0.5] * 2
+        ghz = [(0, 0, 0), (1, 1, 1)], [2 ** -0.5] * 2
+        cases = [
+            ((2, 2), [bell, ([(0, 1)], [1.0])], Bipartition((1,), 2)),
+            ((3, 2), [bell, ([(2, 1)], [1.0])], Bipartition((1,), 2)),
+            ((2, 4), [bell, ([(0, 3)], [1.0])], Bipartition((1,), 2)),
+            ((2, 2, 2), [ghz, ([(0, 1, 0)], [1.0])], Bipartition((1,), 3)),
+            ((2, 2, 2), [ghz, ([(0, 1, 0)], [1.0])], Bipartition((2, 3), 3)),
+        ]
+        for dims, members, cut in cases:
+            rho = _orthogonal_mixture(dims, members, np.array([0.5, 0.3, 0.2]), rng)
+            mats = _root_matrices(rho, cut)
+            assert mats.shape[1] == 2
+            v = _starts(OptConfig(starts=4, seed=3), rho.rank())
+            f, grad, exact = _objective(mats)(v, np.arange(len(v)), 0.0)
+            want_f, want_grad, sv = _svd_objective(mats, v)
+            spectral = sv[0, :3]
+            assert np.any(np.abs(spectral[:, 0] - spectral[:, 1]) <= 1e-12)
+            assert np.any(spectral[:, 1] <= 1e-12 * spectral[:, 0])
+            assert np.array_equal(f, exact)
+            assert np.max(np.abs(f - want_f)) <= 1e-13
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+    def test_product_spectral_start_leaves_the_product_members(self):
+        # Every root of this classically correlated state is a product, so
+        # the adjugate part of the gradient vanishes on the spectral start;
+        # the SVD subgradient of its rank-one members lets it ascend.
+        m = np.diag([0.4, 0.0, 0.0, 0.35, 0.0, 0.25]).astype(complex)
+        rho = DensityOperator(DimensionProfile((3, 2)), m)
+        res = optimize(rho, 1, "max")
+        assert abs(res.start_values[0] - 0.9797958971) <= 1e-9
+        cfg = OptConfig()
+        starts = _starts(cfg, rho.rank())
+        evaluate = _objective(_root_matrices(rho, Bipartition((1,), 2)))
+        _, traces, _ = _polar_ascent(evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel)
+        assert all(np.all(np.diff(t) >= -1e-12) for t in traces)
+
+    def test_max_solve_runs_no_svd_on_cut_matrices(self, monkeypatch):
+        # With a two-dimensional side only _polar's (size, rank) gradients
+        # need singular vectors during the solve.
+        rho = rand_dm((3, 2), 3, np.random.default_rng(8))
+        svd, calls = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        optimize(rho, 1, "max")
+        size = OptConfig().resolve_size(3)
+        vectors = [shape for shape, compute_uv in calls if compute_uv]
+        assert vectors and all(shape[-2:] == (size, 3) for shape in vectors)
+        assert not [shape for shape, _ in calls if shape[-2:] == (2, 3)]
 
 
 class TestOptimizeMany:
