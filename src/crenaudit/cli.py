@@ -140,7 +140,7 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run_state(args, opt: OptConfig | None) -> int:
+def _run_state(args) -> int:
     state = _load_state(args)
     rows: list[dict[str, str]] = []
 
@@ -176,10 +176,20 @@ def _run_state(args, opt: OptConfig | None) -> int:
     return 0
 
 
-def _run_measure(args, opt: OptConfig | None) -> int:
+def _opt_config(args) -> OptConfig | None:
+    """The OptConfig of the --opt-* flags given, or None when none is.
+
+    OptConfig's own defaults fill the fields no flag sets.
+    """
+    flags = {dest: getattr(args, dest) for _, dest, _ in _OPT_FLAGS}
+    overrides = {field: value for field, value in flags.items() if value is not None}
+    return OptConfig(seed=args.seed, **overrides) if overrides else None
+
+
+def _run_measure(args) -> int:
+    cfg = _opt_config(args) or OptConfig(seed=args.seed)
     state = _load_state(args)
     cut = Bipartition(_parse_parties(args.cut) if args.cut else (1,), state.profile.n)
-    cfg = opt or OptConfig(seed=args.seed)
     rows = []
     for measure in args.measure.split(","):
         measure = measure.strip()
@@ -205,7 +215,8 @@ def _write_reports(reports, fmt_name: str, output: str | None) -> None:
         _write(_emit_rows(report_rows(reports), monogamy.AUDIT_COLUMNS, fmt_name), output)
 
 
-def _run_audit(args, opt: OptConfig | None) -> int:
+def _run_audit(args) -> int:
+    opt = _opt_config(args)
     state = _load_state(args)
     if not isinstance(state, PureState):
         raise DomainError("audits need a pure state input")
@@ -216,7 +227,7 @@ def _run_audit(args, opt: OptConfig | None) -> int:
     return 0
 
 
-def _run_sweep(args, opt: OptConfig | None) -> int:
+def _run_sweep(args) -> int:
     if args.spec:
         wspec = load_w_spec(args.spec)
     else:
@@ -255,7 +266,7 @@ def _run_sweep(args, opt: OptConfig | None) -> int:
     return 0
 
 
-def _run_hunt(args, opt: OptConfig | None) -> int:
+def _run_hunt(args) -> int:
     profile = DimensionProfile(tuple(int(d) for d in args.profile.split(",")))
     findings = hunt(profile, args.trials, args.seed, focus=args.focus)
     candidates = sum(1 for f in findings if f.verdict == monogamy.VERDICT_CANDIDATE)
@@ -351,11 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # OptConfig's own defaults fill the fields no --opt-* flag sets.
-        flags = {dest: getattr(args, dest, None) for _, dest, _ in _OPT_FLAGS}
-        overrides = {field: value for field, value in flags.items() if value is not None}
-        opt = OptConfig(seed=args.seed, **overrides) if overrides else None
-        return _COMMANDS[args.command](args, opt)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         # DomainError and the spec-document errors subclass ValueError;
         # bare ValueErrors here are malformed numeric arguments.

@@ -4,10 +4,11 @@ Pure-state concurrence and negativity are functions of the Schmidt
 coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so both come
 from one batched singular-value call on stacked cut matrices: a
 decomposition's members or a flatness scan's samples are scored at once.
-Beside them: the trace-norm negativity of mixed states, and the exact
-two-qubit concurrence that ``monogamy.pair_term`` uses for two-qubit roof
-minima (for two-qubit states the convex-roof extended negativity
-coincides with the concurrence, so the closed form serves both).
+Beside them: a concurrence floor over the unit vectors of a subspace,
+the trace-norm negativity of mixed states, and the exact two-qubit
+concurrence that ``monogamy.pair_term`` uses for two-qubit roof minima
+(for two-qubit states the convex-roof extended negativity coincides with
+the concurrence, so the closed form serves both).
 """
 
 from __future__ import annotations
@@ -58,6 +59,34 @@ def pure_concurrences(mats: np.ndarray) -> np.ndarray:
     """
     s = np.linalg.svd(mats, compute_uv=False)
     return 2.0 * np.sqrt(_pair_sum(s * s))
+
+
+def range_concurrence_floor(basis_mats: np.ndarray) -> float:
+    """A lower bound of the concurrence of every unit vector in a range.
+
+    ``basis_mats`` stacks the cut matrices B_p of an orthonormal basis of
+    the range.  The concurrence of sum_p c_p B_p is twice the norm of its
+    2x2 minors (Mintert, Kus & Buchleitner, PRL 92, 167902 (2004)), and
+    those minors are sum_{p <= q} c_p c_q T_pq.  With y_pp = c_p^2 and
+    y_pq = sqrt(2) c_p c_q (p < q) they are A y, where A holds the columns
+    T_pp and T_pq / sqrt(2); a unit c gives ||y|| = 1.  So 2 sigma_min(A)
+    floors the concurrence over the whole range, up to floating point, and
+    equals it at rank 1.  When A has fewer rows than columns some unit y
+    has A y = 0, and the floor is 0.
+    """
+    r = basis_mats.shape[0]
+    i, j = np.triu_indices(basis_mats.shape[1], 1)
+    k, l = np.triu_indices(basis_mats.shape[2], 1)
+    ik, il = basis_mats[:, i[:, None], k], basis_mats[:, i[:, None], l]
+    jk, jl = basis_mats[:, j[:, None], k], basis_mats[:, j[:, None], l]
+    # cross[p, q] holds the minors M_ik M_jl - M_il M_jk of the term c_p c_q (B_p, B_q):
+    # T_pq = cross[p, q] + cross[q, p] for p < q, and that sum is 2 T_pp on the diagonal.
+    cross = (ik[:, None] * jl - il[:, None] * jk).reshape(r, r, -1)
+    p, q = np.triu_indices(r)
+    columns = (cross[p, q] + cross[q, p]) / np.where(p < q, np.sqrt(2.0), 2.0)[:, None]
+    if columns.shape[1] < columns.shape[0]:
+        return 0.0
+    return 2.0 * float(np.linalg.svd(columns.T, compute_uv=False)[-1])
 
 
 def concurrence_pure(phi: PureState, cut) -> float:

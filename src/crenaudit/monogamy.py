@@ -14,13 +14,10 @@ true value:
 * concurrence: for a pair with a two-dimensional side the convex roofs of
   concurrence and negativity coincide, and in general the concurrence of a
   mixed pair is bounded below by the smallest concurrence over unit vectors
-  in its range (every decomposition member lives there).  That range floor
-  is located by a deterministic sampled grid search, so it is a numerical
-  certificate rather than a proof.  The grid is separable in the angles of
-  the range coefficients c, and the concurrence of a range vector is twice
-  the norm of its 2x2 minors across the cut (Mintert, Kus & Buchleitner,
-  PRL 92, 167902 (2004)), which are quadratic in c: one table of minor
-  vectors per range scores the whole grid.
+  in its range (every decomposition member lives there).  The range floor
+  bounds that minimum from below by one singular value of the table of
+  2x2 minor vectors of the range basis (``range_floor``), so it is a proof
+  up to floating point.
 
 An audit compares the squared entanglement of one focus party with the
 rest of a pure multipartite state against the sum of its squared pair
@@ -44,6 +41,7 @@ from .measures import (
     negativity_mixed,
     negativity_pure,
     pure_concurrences,
+    range_concurrence_floor,
     wootters_concurrence_2q,
 )
 from .qlinalg import (
@@ -55,7 +53,6 @@ from .qlinalg import (
     PureState,
     as_bipartition,
     cut_matrices,
-    norm_sq,
     partial_trace,
 )
 from .states import ExcitationWeights, PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
@@ -182,102 +179,20 @@ def _verdict_dual(lhs_sq: float, terms_sq) -> tuple[float, str]:
     return residual, VERDICT_CANDIDATE
 
 
-def _minor_table(mats: np.ndarray):
-    """The 2x2 minors of M(c) = sum_p c_p B_p as a quadratic form in c.
-
-    ``mats`` stacks the r matrices B_p.  The minors M_ik M_jl - M_il M_jk
-    (i < j, k < l) of M(c) form the vector sum_{p <= q} c_p c_q T_pq.
-    This returns the index arrays p, q (``np.triu_indices(r)``) and the
-    r(r+1)/2 vectors T_pq as rows, in the coordinates of an orthonormal
-    basis of their span: that keeps the norm of every minor vector, and a
-    row has at most r(r+1)/2 entries however large the cut.
-    """
-    r = mats.shape[0]
-    i, j = np.triu_indices(mats.shape[1], 1)
-    k, l = np.triu_indices(mats.shape[2], 1)
-    ik, il = mats[:, i[:, None], k], mats[:, i[:, None], l]
-    jk, jl = mats[:, j[:, None], k], mats[:, j[:, None], l]
-    # cross[p, q] holds the minors of the bilinear term c_p c_q (B_p, B_q).
-    cross = (ik[:, None] * jl - il[:, None] * jk).reshape(r, r, -1)
-    p, q = np.triu_indices(r)
-    table = cross[p, q] + (p < q)[:, None] * cross[q, p]
-    # T = R^H Q^H with Q orthonormal, so w T and w R^H have equal norms.
-    return p, q, np.linalg.qr(table.conj().T, mode="r").conj().T
-
-
 def range_floor(rho: DensityOperator, cut) -> float | None:
-    """Smallest concurrence across the cut over sampled unit vectors in the range of rho.
+    """A lower bound of the concurrence across the cut of every unit vector in the range of rho.
 
     Every pure state appearing in any decomposition of rho lies in its
     range (spanned by ``rho.range_basis``), so this floors the
-    concurrence roof.  Implemented for range dimension up to 3 via an
-    iteratively refined deterministic grid over the coefficients c of the
-    basis; returns None when no floor is available.
-
-    The grid is separable: cos, sin and exp are taken on its 1-D angle
-    axes and the coefficients c_p broadcast from them.  The concurrence of
-    sum_p c_p B_p, with B_p the basis vectors across the cut, is twice the
-    norm of its 2x2 minors (Mintert, Kus & Buchleitner, PRL 92, 167902
-    (2004): C = 2 ||(P- (x) P-)(psi (x) psi)||), and those minors are
-    sum_{p <= q} c_p c_q T_pq: one ``_minor_table``, built from a single
-    ``cut_matrices`` call on the basis, scores the whole grid, summed as
-    squares so that nothing cancels near product states.  Terms are added
-    per broadcast shape, so only c_1 c_2 T_12 spans the full rank-3 grid.
+    concurrence roof, up to floating point: ``range_concurrence_floor`` of
+    the basis vectors' cut matrices, from a single ``cut_matrices`` call.
+    It is exact at rank 1.  Returns None above range dimension 3.
     """
     cut = as_bipartition(cut, rho.profile.n)
     basis = rho.range_basis
-    rank = basis.shape[1]
-    if rank > 3:
+    if basis.shape[1] > 3:
         return None
-    mats = cut_matrices(basis.T, rho.profile, cut)
-    if rank == 1:
-        return float(pure_concurrences(mats)[0])
-    pairs_p, pairs_q, table = _minor_table(mats)
-
-    def score(coeffs):
-        # The minor axis leads, so each term is one contiguous product.
-        rows = table.reshape(table.shape + (1,) * coeffs[0].ndim)
-        groups = {}
-        for p, q, row in zip(pairs_p, pairs_q, rows):
-            term = row * (coeffs[p] * coeffs[q])
-            groups[term.shape] = groups.get(term.shape, 0) + term
-        return 2.0 * np.sqrt(norm_sq(np.moveaxis(sum(groups.values()), 0, -1)))
-
-    if rank == 2:
-        centers = np.array([np.pi / 4, np.pi])
-        spans = np.array([np.pi / 4, np.pi])
-        counts = (41, 61)
-
-        def coeffs_of(t, p):
-            return [np.cos(t), np.sin(t) * np.exp(1j * p)]
-
-    else:
-        centers = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
-        spans = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
-        counts = (13, 13, 17, 17)
-
-        def coeffs_of(t1, t2, p1, p2):
-            return [
-                np.cos(t1),
-                np.sin(t1) * np.cos(t2) * np.exp(1j * p1),
-                np.sin(t1) * np.sin(t2) * np.exp(1j * p2),
-            ]
-
-    best = None
-    for _ in range(3):
-        axes = [
-            np.linspace(c - s, c + s, k)
-            for c, s, k in zip(centers, spans, counts)
-        ]
-        vals = score(coeffs_of(*np.ix_(*axes)))
-        # The first minimum in the C order of an "ij" meshgrid of the axes.
-        k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        best = float(vals[k])
-        centers = np.array([axis[i] for axis, i in zip(axes, k)])
-        spans = spans / 8.0
-    # A sampled minimum can only overestimate the true one; subtract the
-    # residual grid resolution so the returned floor stays a lower bound.
-    return max(0.0, best - 1e-3 * (1.0 + best))
+    return range_concurrence_floor(cut_matrices(basis.T, rho.profile, cut))
 
 
 def pair_terms(states, cuts, measure: str, cfgs) -> list[PairTerm]:
@@ -305,12 +220,14 @@ def pair_terms(states, cuts, measure: str, cfgs) -> list[PairTerm]:
     ==========================  ===========  =====  ==========================
 
     The two-qubit closed form is Wootters' spin-flip concurrence (PRL 80,
-    2245 (1998)), the exact minimum of both roofs there.  Every optimizer
-    row is solved by one ``optimize_many`` call, each under its own
-    ``cfgs`` entry (other rows ignore theirs); its result is what
-    ``optimize`` returns for that row alone.  Optimizer concurrence terms
-    are the average concurrence of the decomposition the negativity search
-    found.
+    2245 (1998)), the exact minimum of both roofs there.  Every ``lower``
+    entry holds up to floating point; the range floor is ``range_floor``'s,
+    which gives none above rank 3, and a term with no floor has lower 0.
+    Every optimizer row is solved by one ``optimize_many`` call, each
+    under its own ``cfgs`` entry (other rows ignore theirs); its result is
+    what ``optimize`` returns for that row alone.  Optimizer concurrence
+    terms are the average concurrence of the decomposition the negativity
+    search found.
     """
     if measure not in PAIR_MEASURES:
         raise DomainError(f"unknown measure {measure!r}")

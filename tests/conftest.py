@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from crenaudit import DensityOperator, DimensionProfile, PureState
+
+# pytest imports the package from src/ (pyproject's ``pythonpath``); the
+# subprocesses some tests start (the console entry point) import it from there too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -236,43 +236,53 @@ class TestPairTerm:
 
 class TestRangeFloor:
     def test_flat_rank_three_range(self):
-        # The floor carries an explicit resolution haircut, so it sits just
-        # below the flat value and never above it.
         rho = partial_trace(ou_state().to_density(), (1, 2))
-        floor = range_floor(rho, 1)
-        assert 1.0 - 3e-3 <= floor <= 1.0 + 1e-9
+        assert range_floor(rho, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_rank_two_range(self):
         rho = partial_trace(kim_sanders_state().to_density(), (1, 2))
-        floor = range_floor(rho, 1)
-        assert np.sqrt(8 / 9) - 3e-3 <= floor <= np.sqrt(8 / 9) + 1e-9
+        assert range_floor(rho, 1) == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
 
     def test_separable_range_floors_to_zero(self, rng):
         # A rank-2 mixture of two product states has product states in its
-        # range, so the floor must come out (near) zero.
+        # range, so the floor must come out zero.
         a = tensor_product(rand_pure((2,), rng), rand_pure((2,), rng))
         b = tensor_product(rand_pure((2,), rng), rand_pure((2,), rng))
         mat = 0.5 * a.to_density().matrix + 0.5 * b.to_density().matrix
         from crenaudit import DensityOperator
 
         rho = DensityOperator(DimensionProfile((2, 2)), mat)
-        assert range_floor(rho, 1) <= 1e-3
+        assert range_floor(rho, 1) == 0.0
 
     def test_rank_above_three_unavailable(self, rng):
         assert range_floor(rand_dm((2, 2), 4, rng), 1) is None
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)])
-    def test_matches_per_vector_grid_search(self, dims):
-        # Four seeded ranges a shape, 24 in all.
+    def test_floor_is_below_every_sampled_range_vector(self, dims):
+        # Four seeded ranges a shape, 24 in all: the basis vectors and 2048
+        # Haar-random unit vectors of each range.
         for rank, seed in [(2, 0), (2, 1), (2, 2), (3, 0)]:
             rho = rand_dm(dims, rank, np.random.default_rng(100 * seed + rank))
-            assert range_floor(rho, 1) == pytest.approx(
-                _grid_floor_reference(rho, 1), abs=1e-14
-            )
+            rng = np.random.default_rng(seed)
+            coeffs = rng.standard_normal((2048, rank)) + 1j * rng.standard_normal((2048, rank))
+            coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+            vecs = np.vstack([np.eye(rank), coeffs]) @ rho.range_basis.T
+            sampled = pure_concurrences(cut_matrices(vecs, rho.profile, 1))
+            assert range_floor(rho, 1) <= sampled.min()
+
+    def test_range_meeting_the_product_vectors_floors_to_zero(self):
+        # A 3-dimensional range of 2 (x) 3 generically meets the product
+        # vectors, a 3-dimensional variety of the 5-dimensional projective space.
+        assert range_floor(rand_dm((2, 3), 3, np.random.default_rng(18)), 1) == 0.0
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_rank_one_floor_is_the_pure_concurrence(self, dims, rng):
+        rho = rand_dm(dims, 1, rng)
+        mats = cut_matrices(rho.range_basis.T, rho.profile, 1)
+        assert range_floor(rho, 1) == pytest.approx(pure_concurrences(mats)[0], abs=1e-14)
 
     def test_concurrence_builds_the_cut_matrices_once(self, monkeypatch, rng):
-        # The minor table comes from the basis alone; a cut matrix per grid
-        # point would call cut_matrices again on every pass.
+        # The floor comes from the cut matrices of the range basis alone.
         calls = []
 
         def counted(*args, _original=qlinalg.cut_matrices, **kwargs):
@@ -285,43 +295,6 @@ class TestRangeFloor:
             calls.clear()
             range_floor(rand_dm((3, 3), rank, rng), 1)
             assert len(calls) == 1
-
-
-def _grid_floor_reference(rho, cut):
-    """range_floor scored point by point: one cut matrix per grid vector."""
-    basis = rho.range_basis
-    if basis.shape[1] == 2:
-        centers, spans, counts = np.array([np.pi / 4, np.pi]), np.array([np.pi / 4, np.pi]), (41, 61)
-
-        def coeff_rows(grid):
-            t, p = grid
-            return np.stack([np.cos(t), np.sin(t) * np.exp(1j * p)], axis=-1)
-
-    else:
-        centers = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
-        spans = np.array([np.pi / 4, np.pi / 4, np.pi, np.pi])
-        counts = (13, 13, 17, 17)
-
-        def coeff_rows(grid):
-            t1, t2, p1, p2 = grid
-            return np.stack(
-                [
-                    np.cos(t1),
-                    np.sin(t1) * np.cos(t2) * np.exp(1j * p1),
-                    np.sin(t1) * np.sin(t2) * np.exp(1j * p2),
-                ],
-                axis=-1,
-            )
-
-    for _ in range(3):
-        axes = [np.linspace(c - s, c + s, k) for c, s, k in zip(centers, spans, counts)]
-        grid = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
-        vals = pure_concurrences(cut_matrices(coeff_rows(grid) @ basis.T, rho.profile, cut))
-        k = int(np.argmin(vals))
-        best = float(vals[k])
-        centers = np.array([g[k] for g in grid])
-        spans = spans / 8.0
-    return max(0.0, best - 1e-3 * (1.0 + best))
 
 
 class TestEigendecompositionCount:
