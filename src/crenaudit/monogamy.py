@@ -1,12 +1,12 @@
 """Pair terms, monogamy-of-entanglement audits and the analytic W-class oracle.
 
-``pair_terms`` is the one method table of the package: for a measure of
+``pair_terms`` is the one method table of the package: for measures of
 pure or mixed states across cuts it picks each computation (closed form,
 trace norm, Wootters' two-qubit formula or the decomposition optimizer,
-whose problems it solves in one batched ``optimize_many`` call) and says
-how the value relates to the true one: ``exact``, ``upper`` (an optimizer
-minimum) or ``lower`` (an optimizer maximum); ``pair_term`` is its
-one-item call.  Each term also carries a one-sided lower bound of the
+whose distinct problems it solves in one batched ``optimize_many`` call)
+and says how the value relates to the true one: ``exact``, ``upper`` (an
+optimizer minimum) or ``lower`` (an optimizer maximum); ``pair_term`` is
+its one-item call.  Each term also carries a one-sided lower bound of the
 true value:
 
 * convex-roof extended negativity: the partial-transpose negativity of a
@@ -195,16 +195,17 @@ def range_floor(rho: DensityOperator, cut) -> float | None:
     return range_concurrence_floor(cut_matrices(basis.T, rho.profile, cut))
 
 
-def pair_terms(states, cuts, measure: str, cfgs) -> list[PairTerm]:
+def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     """One measure of each state across its cut, by the method the table below picks.
 
-    ``states``, ``cuts`` and ``cfgs`` are parallel sequences, and
-    ``measure`` is one of ``PAIR_MEASURES``.  On mixed input ``cren`` and
-    ``concurrence`` are the convex roofs (minima over decompositions) of
-    negativity and concurrence, ``crenoa`` and ``coa`` their assistance
-    duals (maxima), and ``negativity`` the partial-transpose negativity; on
-    pure input every measure is the pure-state concurrence (``concurrence``,
-    ``coa``) or negativity (the rest).
+    ``states``, ``cuts``, ``measures`` and ``cfgs`` are parallel sequences,
+    one row each, and every measure is one of ``PAIR_MEASURES``.  On mixed
+    input ``cren`` and ``concurrence`` are the convex roofs (minima over
+    decompositions) of negativity and concurrence, ``crenoa`` and ``coa``
+    their assistance duals (maxima), and ``negativity`` the
+    partial-transpose negativity; on pure input every measure is the
+    pure-state concurrence (``concurrence``, ``coa``) or negativity (the
+    rest).
 
     ==========================  ===========  =====  ==========================
     input                       method       kind   lower
@@ -225,42 +226,64 @@ def pair_terms(states, cuts, measure: str, cfgs) -> list[PairTerm]:
     which gives none above rank 3, and a term with no floor has lower 0.
     Every optimizer row is solved by one ``optimize_many`` call, each
     under its own ``cfgs`` entry (other rows ignore theirs); its result is
-    what ``optimize`` returns for that row alone.  Optimizer concurrence
-    terms are the average concurrence of the decomposition the negativity
-    search found.
+    what ``optimize`` returns for that row alone.  That call holds one
+    search per distinct (state object, cut, direction, cfg), so a ``cren``
+    and a ``concurrence`` row of one state share a minimum, and a
+    ``crenoa`` and a ``coa`` row a maximum.  Optimizer concurrence terms
+    are the average concurrence of the decomposition the negativity search
+    found.  Wootters' concurrence and the partial-transpose negativity are
+    likewise computed once per state (and cut), however many rows read them.
     """
-    if measure not in PAIR_MEASURES:
-        raise DomainError(f"unknown measure {measure!r}")
-    if not len(states) == len(cuts) == len(cfgs):
-        raise DomainError("states, cuts and cfgs must have matching lengths")
-    concurrence = measure in ("concurrence", "coa")
-    direction = "max" if measure in ("crenoa", "coa") else "min"
+    if not len(states) == len(cuts) == len(measures) == len(cfgs):
+        raise DomainError("states, cuts, measures and cfgs must have matching lengths")
+    for measure in measures:
+        if measure not in PAIR_MEASURES:
+            raise DomainError(f"unknown measure {measure!r}")
+    spin_flip, pt_negativities = {}, {}
+
+    def pt_negativity(state, cut):
+        key = (id(state), cut)
+        if key not in pt_negativities:
+            pt_negativities[key] = negativity_mixed(state, cut)
+        return pt_negativities[key]
+
     terms: list = [None] * len(states)
-    searches = []
-    for k, (state, cut, cfg) in enumerate(zip(states, cuts, cfgs)):
+    searches, problems = [], {}
+    for k, (state, cut, measure, cfg) in enumerate(zip(states, cuts, measures, cfgs)):
         cut = as_bipartition(cut, state.profile.n)
+        direction = "max" if measure in ("crenoa", "coa") else "min"
         if isinstance(state, PureState):
-            value = (concurrence_pure if concurrence else negativity_pure)(state, cut)
+            pure = concurrence_pure if measure in ("concurrence", "coa") else negativity_pure
+            value = pure(state, cut)
             terms[k] = PairTerm(value, value, "exact", "closed_form")
         elif measure == "negativity":
-            value = negativity_mixed(state, cut)
+            value = pt_negativity(state, cut)
             terms[k] = PairTerm(value, value, "exact", "trace_norm")
         elif direction == "min" and state.profile.dims == (2, 2):
-            value = wootters_concurrence_2q(state)
+            if id(state) not in spin_flip:
+                spin_flip[id(state)] = wootters_concurrence_2q(state)
+            value = spin_flip[id(state)]
             # Certification for the negativity roof is defined against the
             # partial-transpose bound, even where the exact value is known.
-            lower = negativity_mixed(state, cut) if measure == "cren" else value
+            lower = pt_negativity(state, cut) if measure == "cren" else value
             terms[k] = PairTerm(value, lower, "exact", "closed_form")
         else:
-            searches.append((k, state, cut, cfg))
-    results = optimize_many([(state, cut, direction, cfg) for _, state, cut, cfg in searches])
-    for (k, state, cut, _), res in zip(searches, results):
-        terms[k] = _optimizer_term(state, cut, measure, res)
+            key = (id(state), cut, direction, cfg)
+            problems.setdefault(key, (state, cut, direction, cfg))
+            searches.append((k, state, cut, measure, key))
+    results = dict(zip(problems, optimize_many(list(problems.values()))))
+    for k, state, cut, measure, key in searches:
+        terms[k] = _optimizer_term(state, cut, measure, results[key], pt_negativity)
     return terms
 
 
-def _optimizer_term(state: DensityOperator, cut: Bipartition, measure: str, res) -> PairTerm:
-    """The optimizer row of the ``pair_terms`` table, from the search result ``res``."""
+def _optimizer_term(
+    state: DensityOperator, cut: Bipartition, measure: str, res, pt_negativity
+) -> PairTerm:
+    """The optimizer row of the ``pair_terms`` table, from the search result ``res``.
+
+    ``pt_negativity(state, cut)`` is the partial-transpose negativity.
+    """
     value = res.value
     if measure in ("concurrence", "coa"):
         value = average_concurrence(res.decomposition, cut)
@@ -268,14 +291,14 @@ def _optimizer_term(state: DensityOperator, cut: Bipartition, measure: str, res)
         return PairTerm(value, value, "lower", "optimizer")
     # Minimization: the decomposition average is an upper bound of the roof.
     if measure == "cren":
-        return PairTerm(value, negativity_mixed(state, cut), "upper", "optimizer")
+        return PairTerm(value, pt_negativity(state, cut), "upper", "optimizer")
     floors = []
     profile = state.profile
     if min(profile.restrict(cut.side_a).size, profile.restrict(cut.side_b).size) == 2:
         # Two-dimensional side: every member has Schmidt rank <= 2, so
         # the concurrence roof equals the negativity roof and the
         # partial-transpose negativity floors it.
-        floors.append(negativity_mixed(state, cut))
+        floors.append(pt_negativity(state, cut))
     range_min = range_floor(state, cut)
     if range_min is not None:
         floors.append(range_min)
@@ -293,7 +316,7 @@ def pair_term(
     ``pair_terms`` holds the table that picks the method and the bound
     kind; ``cfg`` controls the optimizer, and other rows ignore it.
     """
-    return pair_terms([state], [cut], measure, [cfg])[0]
+    return pair_terms([state], [cut], [measure], [cfg])[0]
 
 
 def _build_report(state_id, focus, measure, lhs_sq, partners, terms) -> AuditReport:
@@ -357,26 +380,29 @@ def audits(
     """The ``audit`` of one state under each of ``measures``, in order.
 
     The pair marginals are built once for all the measures, so each is
-    eigendecomposed at most once however many measures search it.
+    eigendecomposed at most once, and the measures share their searches:
+    one minimum of each marginal serves ``cren`` and ``ckw``, one maximum
+    ``crenoa`` and ``coa``.
     """
     return _audits([psi], focus, measures, [state_id], opt_cfg, [seed])
 
 
 def _audits(psis, focus, measures, state_ids, opt_cfg, seeds) -> list[AuditReport]:
-    """The ``audit`` of each state under each measure, measure by measure.
+    """The ``audit`` of each state under each measure, in measure order.
 
-    Each state's pair marginals are built once, and each measure resolves
-    every term of all the states in one ``pair_terms`` call.
+    Each state's pair marginals are built once, and one ``pair_terms`` call
+    resolves every term of all the states under all the measures, so the
+    measures that pose the same roof problem share its search: ``cren`` and
+    ``ckw`` the minimum of each marginal, ``crenoa`` and ``coa`` its maximum.
     """
     psis = [_require_pure(psi) for psi in psis]
     for measure in measures:
         if measure not in AUDIT_MEASURES:
             raise DomainError(f"unknown audit measure {measure!r}")
     marginals = [_pair_marginals(psi, focus) for psi in psis]
-    reports = []
+    states, cuts, term_measures, cfgs = [], [], [], []
     for measure in measures:
         term_measure = AUDIT_MEASURES[measure]
-        states, cuts, cfgs = [], [], []
         for psi, pairs, seed in zip(psis, marginals, seeds):
             states.append(psi)
             cuts.append(Bipartition((focus,), psi.profile.n))
@@ -388,7 +414,10 @@ def _audits(psis, focus, measures, state_ids, opt_cfg, seeds) -> list[AuditRepor
                 states.append(pair)
                 cuts.append(1)
                 cfgs.append(cfg)
-        terms = iter(pair_terms(states, cuts, term_measure, cfgs))
+            term_measures += [term_measure] * (1 + len(pairs))
+    terms = iter(pair_terms(states, cuts, term_measures, cfgs))
+    reports = []
+    for measure in measures:
         for state_id, pairs in zip(state_ids, marginals):
             lhs = next(terms).value
             terms_of_pairs = [next(terms) for _ in pairs]

@@ -164,6 +164,30 @@ class TestMeasureCommand:
         assert want.value != pair_term(rho, 1, "cren", OptConfig(seed=4)).value
         assert out.split("\n")[1].split()[2:] == [fmt(want.value), "optimizer", "upper"]
 
+    def test_measure_list_matches_one_measure_runs(self, capsys, monkeypatch):
+        # One call resolves the list: cren and concurrence share the
+        # marginal's minimum, crenoa and coa its maximum.
+        from crenaudit import monogamy
+
+        problems = []
+
+        def counted(batch, _original=monogamy.optimize_many):
+            problems.extend(batch)
+            return _original(batch)
+
+        monkeypatch.setattr(monogamy, "optimize_many", counted)
+        # CSV, as a table's column widths depend on every row.
+        argv = ["measure", "--family", "ou", "--trace-out", "3", "--format", "csv", "--measure"]
+        measures = ["concurrence", "negativity", "cren", "crenoa", "coa"]
+        code, out, _ = run_cli(*argv, ",".join(measures), capsys=capsys)
+        assert code == 0
+        assert len(problems) == 2
+        header, *rows = out.splitlines()
+        for measure, row in zip(measures, rows, strict=True):
+            code, alone, _ = run_cli(*argv, measure, capsys=capsys)
+            assert code == 0
+            assert alone.splitlines() == [header, row]
+
     def test_unknown_measure_exits_2(self, capsys):
         code, _, err = run_cli(
             "measure", "--family", "ou", "--measure", "sorcery", capsys=capsys

@@ -76,9 +76,10 @@ class TestCounterexampleAudits:
         assert sum(report.rhs_lower_sq) > report.lhs_sq + 1e-6
 
     def test_audits_match_one_measure_calls(self):
-        psi, measures = kim_sanders_state(), ["cren", "ckw", "coa", "crenoa", "negativity"]
-        reports = audits(psi, 1, measures, state_id="ks", seed=3)
-        assert reports == [audit(psi, 1, m, state_id="ks", seed=3) for m in measures]
+        measures = ["cren", "ckw", "coa", "crenoa", "negativity"]
+        for psi in (kim_sanders_state(), ou_state()):
+            reports = audits(psi, 1, measures, state_id="ks", seed=3)
+            assert reports == [audit(psi, 1, m, state_id="ks", seed=3) for m in measures]
 
     def test_negativity_audit_on_antisymmetric(self):
         report = negativity_audit(ou_state(), 1)
@@ -218,10 +219,25 @@ class TestPairTerm:
         cuts = [1] * len(states)
         cfgs = [OptConfig(starts=3, seed=k) for k in range(len(states))]
         for measure in ("cren", "concurrence", "crenoa"):
+            measures = [measure] * len(states)
             alone = [pair_term(s, c, measure, cfg) for s, c, cfg in zip(states, cuts, cfgs)]
-            assert pair_terms(states, cuts, measure, cfgs) == alone
+            assert pair_terms(states, cuts, measures, cfgs) == alone
         with pytest.raises(DomainError, match="matching lengths"):
-            pair_terms(states, cuts[:1], "cren", cfgs)
+            pair_terms(states, cuts[:1], measures, cfgs)
+
+    def test_mixed_measure_batch_matches_one_item_calls(self):
+        # Every measure of every input in one call, so rows of one state
+        # share searches and the per-state closed forms, and rows of one
+        # shape share a batched search.
+        rows = [
+            (state, measure, OptConfig(starts=3, seed=k))
+            for k, state in enumerate(_term_inputs().values())
+            for measure in monogamy.PAIR_MEASURES
+        ]
+        states, measures, cfgs = (list(column) for column in zip(*rows))
+        cuts = [1] * len(rows)
+        alone = [pair_term(s, 1, m, cfg) for s, m, cfg in rows]
+        assert pair_terms(states, cuts, measures, cfgs) == alone
 
     def test_unknown_measures_rejected(self):
         with pytest.raises(DomainError, match="sorcery"):
@@ -232,6 +248,52 @@ class TestPairTerm:
             audits(ou_state(), 1, ["cren", "sorcery"])
         with pytest.raises(DomainError):
             dual_audit(ou_state(), 1, "cren")
+
+
+class TestSharedSearches:
+    """Rows posing the same roof problem share one search, and rows of one
+    state one copy of its closed forms."""
+
+    @pytest.fixture
+    def problems(self, monkeypatch):
+        calls = []
+
+        def counted(problems, _original=monogamy.optimize_many):
+            calls.append([(id(rho), cut, direction, cfg) for rho, cut, direction, cfg in problems])
+            return _original(problems)
+
+        monkeypatch.setattr(monogamy, "optimize_many", counted)
+        return calls
+
+    def test_all_five_audits_search_each_marginal_once_per_direction(self, problems):
+        # The Ou state has two (3, 3) pair marginals: cren and ckw share
+        # each one's minimum, crenoa and coa its maximum.
+        audits(ou_state(), 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
+        [call] = problems
+        assert sorted(direction for _, _, direction, _ in call) == ["max", "max", "min", "min"]
+        assert len(set(call)) == 4
+
+    def test_negativity_audit_searches_nothing(self, problems):
+        audits(ou_state(), 1, ["negativity"])
+        assert not any(problems)
+
+    def test_closed_forms_computed_once_per_state(self, monkeypatch):
+        calls = {"wootters_concurrence_2q": 0, "negativity_mixed": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(monogamy, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(monogamy, name, counted)
+        # The two-qubit rows read one Wootters value and one partial-transpose
+        # negativity; the qutrit-qubit rows one negativity, as the cren lower
+        # bound, the two-dimensional-side concurrence floor and the term.
+        inputs = _term_inputs()
+        rows = [(inputs[name], m) for name in ("qubit_pair", "qutrit_qubit_pair")
+                for m in ("cren", "concurrence", "negativity", "cren")]
+        states, measures = (list(column) for column in zip(*rows))
+        pair_terms(states, [1] * len(rows), measures, [OptConfig(starts=2)] * len(rows))
+        assert calls == {"wootters_concurrence_2q": 1, "negativity_mixed": 2}
 
 
 class TestRangeFloor:
