@@ -46,6 +46,7 @@ from .states import (
     PCSSpec,
     PartitionSpec,
     WClassSpec,
+    build_w_state,
     ghz_state,
     kim_sanders_state,
     load_state_spec,
@@ -106,8 +107,6 @@ def _load_state(args) -> PureState | DensityOperator:
         elif family == "ghz":
             state = ghz_state(args.n, args.d)
         elif family == "w":
-            from .states import build_w_state
-
             state = build_w_state(WClassSpec.symmetric(args.n, args.d))
         else:
             raise DomainError(f"unknown family {family!r}")

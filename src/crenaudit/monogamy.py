@@ -1,13 +1,13 @@
 """Pair terms, monogamy-of-entanglement audits and the analytic W-class oracle.
 
-``pair_terms`` is the one method table of the package: for measures of
-pure or mixed states across cuts it picks each computation (closed form,
-trace norm, Wootters' two-qubit formula or the decomposition optimizer,
-whose distinct problems it solves in one batched ``optimize_many`` call)
-and says how the value relates to the true one: ``exact``, ``upper`` (an
-optimizer minimum) or ``lower`` (an optimizer maximum); ``pair_term`` is
-its one-item call.  Each term also carries a one-sided lower bound of the
-true value:
+``PAIR_MEASURES`` maps each pair measure to its pure-state kernel
+(concurrence or negativity) and roof direction.  ``pair_terms`` reads it
+to pick each computation (closed form, trace norm, Wootters' two-qubit
+formula or the decomposition optimizer, whose distinct problems it solves
+in one batched ``optimize_many`` call) and says how the value relates to
+the true one: ``exact``, ``upper`` (an optimizer minimum) or ``lower`` (an
+optimizer maximum); ``pair_term`` is its one-item call.  Each term also
+carries a one-sided lower bound of the true value:
 
 * convex-roof extended negativity: the partial-transpose negativity of a
   pair marginal never exceeds its convex roof;
@@ -37,10 +37,9 @@ import numpy as np
 
 from .convexroof import OptConfig, flatness_scan, optimize_many
 from .measures import (
-    concurrence_pure,
     negativity_mixed,
-    negativity_pure,
     pure_concurrences,
+    pure_negativities,
     range_concurrence_floor,
     wootters_concurrence_2q,
 )
@@ -64,7 +63,15 @@ VERDICT_SATURATED = "saturated"
 VERDICT_CANDIDATE = "candidate_violation"
 VERDICT_CERTIFIED = "certified_violation"
 
-PAIR_MEASURES = ("concurrence", "negativity", "cren", "crenoa", "coa")
+# Pair measure -> (pure-state kernel, roof direction): on mixed states "min"
+# is the kernel's convex roof, "max" its assistance dual, None the PT negativity.
+PAIR_MEASURES = {
+    "concurrence": (pure_concurrences, "min"),
+    "negativity": (pure_negativities, None),
+    "cren": (pure_negativities, "min"),
+    "crenoa": (pure_negativities, "max"),
+    "coa": (pure_concurrences, "max"),
+}
 # Audit measure -> the pair_term measure of both of its sides.
 AUDIT_MEASURES = {
     "cren": "cren",
@@ -132,12 +139,6 @@ def random_pure_state(profile: DimensionProfile, rng: np.random.Generator) -> Pu
     return PureState(profile, z / np.linalg.norm(z))
 
 
-def average_concurrence(dec, cut) -> float:
-    """Weighted average pure-state concurrence over a decomposition."""
-    mats = cut_matrices(dec.members, dec.states[0].profile, cut)
-    return float(pure_concurrences(mats).sum())
-
-
 def _require_pure(psi) -> PureState:
     if not isinstance(psi, PureState):
         raise DomainError("monogamy audits apply to pure states only")
@@ -159,23 +160,19 @@ def _pair_marginals(psi: PureState, focus: int):
     return [(i, partial_trace(psi, (focus, i))) for i in profile.parties if i != focus]
 
 
-def _verdict_monogamy(lhs_sq: float, terms_sq, lower_sq) -> tuple[float, str]:
+def _verdict(lhs_sq: float, terms_sq, lower_sq, direction) -> tuple[float, str]:
+    """Residual and verdict of an audit whose pair terms have roof ``direction``.
+
+    A dual ("max") holds when the left side is at most the sum of its
+    terms; those are lower bounds, so its violation is never certified.
+    """
     residual = float(lhs_sq - sum(terms_sq))
     if abs(residual) <= TOL_SAT:
         return residual, VERDICT_SATURATED
-    if residual > 0.0:
+    if (residual < 0.0) if direction == "max" else (residual > 0.0):
         return residual, VERDICT_HOLDS
-    if lhs_sq - float(sum(lower_sq)) < -TOL_SAT:
+    if direction != "max" and lhs_sq - float(sum(lower_sq)) < -TOL_SAT:
         return residual, VERDICT_CERTIFIED
-    return residual, VERDICT_CANDIDATE
-
-
-def _verdict_dual(lhs_sq: float, terms_sq) -> tuple[float, str]:
-    residual = float(lhs_sq - sum(terms_sq))
-    if abs(residual) <= TOL_SAT:
-        return residual, VERDICT_SATURATED
-    if residual < 0.0:
-        return residual, VERDICT_HOLDS
     return residual, VERDICT_CANDIDATE
 
 
@@ -199,13 +196,13 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     """One measure of each state across its cut, by the method the table below picks.
 
     ``states``, ``cuts``, ``measures`` and ``cfgs`` are parallel sequences,
-    one row each, and every measure is one of ``PAIR_MEASURES``.  On mixed
+    one row each, and every measure is a key of ``PAIR_MEASURES``, whose
+    entry gives the row's pure-state kernel and roof direction.  On mixed
     input ``cren`` and ``concurrence`` are the convex roofs (minima over
     decompositions) of negativity and concurrence, ``crenoa`` and ``coa``
     their assistance duals (maxima), and ``negativity`` the
-    partial-transpose negativity; on pure input every measure is the
-    pure-state concurrence (``concurrence``, ``coa``) or negativity (the
-    rest).
+    partial-transpose negativity; on pure input every measure is its
+    kernel's value on the state's cut matrix.
 
     ==========================  ===========  =====  ==========================
     input                       method       kind   lower
@@ -251,12 +248,11 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     searches, problems = [], {}
     for k, (state, cut, measure, cfg) in enumerate(zip(states, cuts, measures, cfgs)):
         cut = as_bipartition(cut, state.profile.n)
-        direction = "max" if measure in ("crenoa", "coa") else "min"
+        kernel, direction = PAIR_MEASURES[measure]
         if isinstance(state, PureState):
-            pure = concurrence_pure if measure in ("concurrence", "coa") else negativity_pure
-            value = pure(state, cut)
+            value = float(kernel(cut_matrices(state.amplitudes, state.profile, cut))[0])
             terms[k] = PairTerm(value, value, "exact", "closed_form")
-        elif measure == "negativity":
+        elif direction is None:
             value = pt_negativity(state, cut)
             terms[k] = PairTerm(value, value, "exact", "trace_norm")
         elif direction == "min" and state.profile.dims == (2, 2):
@@ -265,32 +261,34 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
             value = spin_flip[id(state)]
             # Certification for the negativity roof is defined against the
             # partial-transpose bound, even where the exact value is known.
-            lower = pt_negativity(state, cut) if measure == "cren" else value
+            lower = pt_negativity(state, cut) if kernel is pure_negativities else value
             terms[k] = PairTerm(value, lower, "exact", "closed_form")
         else:
             key = (id(state), cut, direction, cfg)
             problems.setdefault(key, (state, cut, direction, cfg))
-            searches.append((k, state, cut, measure, key))
+            searches.append((k, state, cut, kernel, key))
     results = dict(zip(problems, optimize_many(list(problems.values()))))
-    for k, state, cut, measure, key in searches:
-        terms[k] = _optimizer_term(state, cut, measure, results[key], pt_negativity)
+    for k, state, cut, kernel, key in searches:
+        terms[k] = _optimizer_term(state, cut, kernel, results[key], pt_negativity)
     return terms
 
 
 def _optimizer_term(
-    state: DensityOperator, cut: Bipartition, measure: str, res, pt_negativity
+    state: DensityOperator, cut: Bipartition, kernel, res, pt_negativity
 ) -> PairTerm:
     """The optimizer row of the ``pair_terms`` table, from the search result ``res``.
 
     ``pt_negativity(state, cut)`` is the partial-transpose negativity.
     """
+    # res.value is the search's own negativity average; only a concurrence
+    # row scores the decomposition again.
     value = res.value
-    if measure in ("concurrence", "coa"):
-        value = average_concurrence(res.decomposition, cut)
+    if kernel is not pure_negativities:
+        value = float(kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
     if res.direction == "max":
         return PairTerm(value, value, "lower", "optimizer")
     # Minimization: the decomposition average is an upper bound of the roof.
-    if measure == "cren":
+    if kernel is pure_negativities:
         return PairTerm(value, pt_negativity(state, cut), "upper", "optimizer")
     floors = []
     profile = state.profile
@@ -322,10 +320,8 @@ def pair_term(
 def _build_report(state_id, focus, measure, lhs_sq, partners, terms) -> AuditReport:
     terms_sq = tuple(float(t.value) ** 2 for t in terms)
     lowers_sq = tuple(float(t.lower) ** 2 for t in terms)
-    if measure in ("coa", "crenoa"):
-        residual, verdict = _verdict_dual(lhs_sq, terms_sq)
-    else:
-        residual, verdict = _verdict_monogamy(lhs_sq, terms_sq, lowers_sq)
+    direction = PAIR_MEASURES[AUDIT_MEASURES[measure]][1]
+    residual, verdict = _verdict(lhs_sq, terms_sq, lowers_sq, direction)
     return AuditReport(
         state_id=state_id,
         focus=focus,
@@ -390,10 +386,8 @@ def audits(
 def _audits(psis, focus, measures, state_ids, opt_cfg, seeds) -> list[AuditReport]:
     """The ``audit`` of each state under each measure, in measure order.
 
-    Each state's pair marginals are built once, and one ``pair_terms`` call
-    resolves every term of all the states under all the measures, so the
-    measures that pose the same roof problem share its search: ``cren`` and
-    ``ckw`` the minimum of each marginal, ``crenoa`` and ``coa`` its maximum.
+    One ``pair_terms`` call resolves every term of all the states under all
+    the measures, so they share their searches as ``audits`` says.
     """
     psis = [_require_pure(psi) for psi in psis]
     for measure in measures:
@@ -409,7 +403,7 @@ def _audits(psis, focus, measures, state_ids, opt_cfg, seeds) -> list[AuditRepor
             cfgs.append(None)
             for _, pair in pairs:
                 cfg = opt_cfg
-                if cfg is None and term_measure != "negativity":  # negativity never searches
+                if cfg is None and PAIR_MEASURES[term_measure][1] is not None:
                     cfg = _audit_opt_cfg(pair.rank(), seed)
                 states.append(pair)
                 cuts.append(1)
@@ -440,7 +434,7 @@ def dual_audit(
     psi, focus, measure="crenoa", *, state_id="state", opt_cfg=None, seed=0
 ) -> AuditReport:
     """The assistance-dual audit for ``measure`` 'crenoa' or 'coa' (see ``audit``)."""
-    if measure not in ("coa", "crenoa"):
+    if measure not in AUDIT_MEASURES or PAIR_MEASURES[AUDIT_MEASURES[measure]][1] != "max":
         raise DomainError(f"dual measure must be 'coa' or 'crenoa', got {measure!r}")
     return audit(psi, focus, measure, state_id=state_id, opt_cfg=opt_cfg, seed=seed)
 

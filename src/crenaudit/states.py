@@ -144,22 +144,23 @@ class PartitionSpec:
         return cls(tuple((p,) for p in range(1, n + 1)))
 
 
+def _basis_sum(profile: DimensionProfile, terms) -> PureState:
+    """The pure state sum of amp |digits> over the (digits, amp) pairs of ``terms``."""
+    vec = np.zeros(profile.size, dtype=complex)
+    for digits, amp in terms:
+        vec[profile.index_of(digits)] = amp
+    return PureState(profile, vec)
+
+
 def build_w_state(spec: WClassSpec) -> PureState:
     """Pure state with amplitude a[j,i] on the basis state of digit i at party j."""
-    profile = spec.profile
-    vec = np.zeros(profile.size, dtype=complex)
-    for j in range(1, spec.n + 1):
-        for i in range(1, spec.d):
-            digits = [0] * spec.n
-            digits[j - 1] = i
-            vec[profile.index_of(digits)] = spec.a[j - 1, i - 1]
-    return PureState(profile, vec)
+    terms = [([i if k == j else 0 for k in range(1, spec.n + 1)], spec.a[j - 1, i - 1])
+             for j in range(1, spec.n + 1) for i in range(1, spec.d)]
+    return _basis_sum(spec.profile, terms)
 
 
 def vacuum_state(profile: DimensionProfile) -> PureState:
-    vec = np.zeros(profile.size, dtype=complex)
-    vec[0] = 1.0
-    return PureState(profile, vec)
+    return _basis_sum(profile, [((0,) * profile.n, 1.0)])
 
 
 def build_pcs_density(spec: PCSSpec) -> DensityOperator:
@@ -205,53 +206,32 @@ def ou_state() -> PureState:
     Levels are labelled 0..2 (the conventional 1..3 labels shifted down so
     the vacuum convention matches the rest of the package).
     """
-    profile = DimensionProfile((3, 3, 3))
-    vec = np.zeros(profile.size, dtype=complex)
     amp = 1.0 / np.sqrt(6.0)
-    for digits, sign in (
-        ((0, 1, 2), +1),
-        ((0, 2, 1), -1),
-        ((1, 2, 0), +1),
-        ((1, 0, 2), -1),
-        ((2, 0, 1), +1),
-        ((2, 1, 0), -1),
-    ):
-        vec[profile.index_of(digits)] = sign * amp
-    return PureState(profile, vec)
+    even, odd = ((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+    terms = [(digits, amp) for digits in even] + [(digits, -amp) for digits in odd]
+    return _basis_sum(DimensionProfile((3, 3, 3)), terms)
 
 
 def kim_sanders_state() -> PureState:
     """The 3x2x2 counterexample state to the concurrence monogamy inequality."""
-    profile = DimensionProfile((3, 2, 2))
-    vec = np.zeros(profile.size, dtype=complex)
     amp = 1.0 / np.sqrt(6.0)
-    vec[profile.index_of((0, 1, 0))] = np.sqrt(2.0) * amp
-    vec[profile.index_of((1, 0, 1))] = np.sqrt(2.0) * amp
-    vec[profile.index_of((2, 0, 0))] = amp
-    vec[profile.index_of((2, 1, 1))] = amp
-    return PureState(profile, vec)
+    terms = [((0, 1, 0), np.sqrt(2.0) * amp), ((1, 0, 1), np.sqrt(2.0) * amp),
+             ((2, 0, 0), amp), ((2, 1, 1), amp)]
+    return _basis_sum(DimensionProfile((3, 2, 2)), terms)
 
 
 def maximally_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on a (d, d) profile."""
     if d < 2:
         raise DomainError(f"local dimension must be >= 2, got {d}")
-    profile = DimensionProfile((d, d))
-    vec = np.zeros(profile.size, dtype=complex)
-    for i in range(d):
-        vec[profile.index_of((i, i))] = 1.0 / np.sqrt(d)
-    return PureState(profile, vec)
+    return _basis_sum(DimensionProfile((d, d)), [((i, i), 1.0 / np.sqrt(d)) for i in range(d)])
 
 
 def ghz_state(n: int = 3, d: int = 2) -> PureState:
     """(1/sqrt(d)) sum_i |i...i> on n parties."""
     if n < 2 or d < 2:
         raise DomainError("GHZ state needs n >= 2 parties of dimension >= 2")
-    profile = DimensionProfile((d,) * n)
-    vec = np.zeros(profile.size, dtype=complex)
-    for i in range(d):
-        vec[profile.index_of((i,) * n)] = 1.0 / np.sqrt(d)
-    return PureState(profile, vec)
+    return _basis_sum(DimensionProfile((d,) * n), [((i,) * n, 1.0 / np.sqrt(d)) for i in range(d)])
 
 
 def coarse_grain(spec: WClassSpec, partition: PartitionSpec) -> WClassSpec:
@@ -418,17 +398,23 @@ def _parse_w_table(doc: dict) -> WClassSpec:
         raise SpecFormatError(f"field 'coefficients': {exc}") from exc
 
 
-def parse_state_spec(text: str):
-    """Parse a state-spec document into a PureState or DensityOperator.
-
-    Inputs whose normalization deviates by more than 1e-8 are rejected.
-    """
+def _load_doc(text: str) -> dict:
+    """The key-value mapping of a state-spec document."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise SpecFormatError(f"not a valid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFormatError("document must be a key-value mapping")
+    return doc
+
+
+def parse_state_spec(text: str):
+    """Parse a state-spec document into a PureState or DensityOperator.
+
+    Inputs whose normalization deviates by more than 1e-8 are rejected.
+    """
+    doc = _load_doc(text)
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise SpecFormatError(f"field 'kind': expected one of {_KINDS}, got {kind!r}")
@@ -489,12 +475,7 @@ def parse_state_spec(text: str):
 
 def parse_w_spec(text: str) -> WClassSpec:
     """Parse just the coefficient table of a w_class or pcs document."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise SpecFormatError(f"not a valid document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SpecFormatError("document must be a key-value mapping")
+    doc = _load_doc(text)
     if doc.get("kind") not in ("w_class", "pcs"):
         raise SpecFormatError("field 'kind': expected w_class or pcs")
     return _parse_w_table(doc)

@@ -39,8 +39,8 @@ from crenaudit import (
     random_pure_state,
 )
 from crenaudit.cli import main
-from crenaudit.monogamy import average_concurrence
-from crenaudit.qlinalg import cut_matrix
+from crenaudit.measures import pure_concurrences
+from crenaudit.qlinalg import cut_matrices, cut_matrix
 
 from conftest import rand_dm, rand_pure
 
@@ -58,8 +58,8 @@ def pair_cren_min(rho, cfg=None) -> float:
 
 
 def pair_concurrence_min(rho, cfg=None) -> float:
-    res = optimize(rho, 1, "min", cfg)
-    return average_concurrence(res.decomposition, 1)
+    members = optimize(rho, 1, "min", cfg).decomposition.members
+    return float(pure_concurrences(cut_matrices(members, rho.profile, 1)).sum())
 
 
 def test_criterion_1_antisymmetric_counterexample():

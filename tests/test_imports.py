@@ -130,3 +130,17 @@ def test_only_measures_takes_singular_values_alone():
                 for kw in node.keywords)
     }
     assert callers == {"measures"}
+
+
+def test_no_literal_lists_the_measure_names():
+    # monogamy.PAIR_MEASURES and AUDIT_MEASURES (dict literals) say what
+    # each measure computes; a tuple, list or set of measure names is a
+    # second copy of that decision, such as a membership test on them.
+    names = {"concurrence", "negativity", "cren", "crenoa", "coa", "ckw"}
+    found = [
+        f"{owner} line {node.lineno}"
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and sum(isinstance(e, ast.Constant) and e.value in names for e in node.elts) >= 2
+    ]
+    assert not found, f"literals of measure names: {found}"

@@ -15,6 +15,7 @@ from crenaudit import (
     audits,
     build_w_state,
     ckw_audit,
+    concurrence_pure,
     cren_audit,
     dual_audit,
     ghz_state,
@@ -22,6 +23,7 @@ from crenaudit import (
     kim_sanders_state,
     negativity_audit,
     negativity_mixed,
+    negativity_pure,
     ou_state,
     pair_term,
     pair_terms,
@@ -238,6 +240,30 @@ class TestPairTerm:
         cuts = [1] * len(rows)
         alone = [pair_term(s, 1, m, cfg) for s, m, cfg in rows]
         assert pair_terms(states, cuts, measures, cfgs) == alone
+
+    def test_pure_rows_equal_the_closed_forms(self, rng):
+        # A pure row is its kernel on the state's cut matrix, which is what
+        # concurrence_pure and negativity_pure compute.
+        closed = {"concurrence": concurrence_pure, "coa": concurrence_pure}
+        inputs = [(ou_state(), 1), (kim_sanders_state(), 2), (rand_pure((2, 3, 4), rng), (1, 3))]
+        rows = [(psi, cut, measure) for psi, cut in inputs for measure in monogamy.PAIR_MEASURES]
+        states, cuts, measures = (list(column) for column in zip(*rows))
+        terms = pair_terms(states, cuts, measures, [None] * len(rows))
+        for (psi, cut, measure), term in zip(rows, terms):
+            assert term.value == closed.get(measure, negativity_pure)(psi, cut)
+
+    def test_optimizer_concurrence_rows_score_the_negativity_search(self):
+        # A concurrence or coa row is the average concurrence of the
+        # decomposition that optimize finds for the negativity roof.
+        inputs = _term_inputs()
+        cfg = OptConfig(starts=3, seed=5)
+        rows = [("qutrit_qubit_pair", "concurrence", "min"), ("qutrit_qubit_pair", "coa", "max"),
+                ("qubit_triple", "concurrence", "min"), ("qubit_pair", "coa", "max")]
+        for name, measure, direction in rows:
+            rho = inputs[name]
+            members = convexroof.optimize(rho, 1, direction, cfg).decomposition.members
+            want = float(pure_concurrences(cut_matrices(members, rho.profile, 1)).sum())
+            assert pair_term(rho, 1, measure, cfg).value == want
 
     def test_unknown_measures_rejected(self):
         with pytest.raises(DomainError, match="sorcery"):
@@ -467,26 +493,31 @@ class TestHunt:
 
 class TestVerdictLogic:
     def test_monogamy_verdicts(self):
-        from crenaudit.monogamy import _verdict_monogamy
+        from crenaudit.monogamy import _verdict
 
-        # Clear pass, exact saturation, and candidate vs certified splits.
-        assert _verdict_monogamy(4.0, [1.0, 1.0], [0.5, 0.5])[1] == "holds"
-        assert _verdict_monogamy(2.0, [1.0, 1.0], [1.0, 1.0])[1] == "saturated"
-        # Upper-bound terms exceed the lhs but the lower bounds do not:
-        # cannot certify.
-        assert _verdict_monogamy(1.0, [0.8, 0.8], [0.3, 0.3])[1] == "candidate_violation"
-        # Even the one-sided lower bounds beat the lhs: certified.
-        residual, verdict = _verdict_monogamy(1.0, [0.8, 0.8], [0.7, 0.7])
-        assert verdict == "certified_violation"
-        assert residual == pytest.approx(1.0 - 1.6)
+        # Roof minima and the partial-transpose negativity (no direction).
+        for direction in ("min", None):
+            # Clear pass, exact saturation, and candidate vs certified splits.
+            assert _verdict(4.0, [1.0, 1.0], [0.5, 0.5], direction)[1] == "holds"
+            assert _verdict(2.0, [1.0, 1.0], [1.0, 1.0], direction)[1] == "saturated"
+            # Upper-bound terms exceed the lhs but the lower bounds do not:
+            # cannot certify.
+            assert _verdict(1.0, [0.8, 0.8], [0.3, 0.3], direction)[1] == "candidate_violation"
+            # Even the one-sided lower bounds beat the lhs: certified.
+            residual, verdict = _verdict(1.0, [0.8, 0.8], [0.7, 0.7], direction)
+            assert verdict == "certified_violation"
+            assert residual == pytest.approx(1.0 - 1.6)
 
     def test_dual_verdicts(self):
-        from crenaudit.monogamy import _verdict_dual
+        from crenaudit.monogamy import _verdict
 
-        assert _verdict_dual(1.0, [0.8, 0.8])[1] == "holds"
-        assert _verdict_dual(1.6, [0.8, 0.8])[1] == "saturated"
+        assert _verdict(1.0, [0.8, 0.8], [0.8, 0.8], "max")[1] == "holds"
+        assert _verdict(1.6, [0.8, 0.8], [0.8, 0.8], "max")[1] == "saturated"
         # Lower-bound terms below the lhs cannot establish a violation.
-        assert _verdict_dual(2.0, [0.8, 0.8])[1] == "candidate_violation"
+        assert _verdict(2.0, [0.8, 0.8], [0.8, 0.8], "max")[1] == "candidate_violation"
+        # A maximum never certifies, even when its lower bounds would
+        # certify a minimum's violation (2.0 - 3.0 < -TOL_SAT).
+        assert _verdict(2.0, [0.8, 0.8], [1.5, 1.5], "max")[1] == "candidate_violation"
 
 
 class TestReportEmission:
