@@ -55,7 +55,13 @@ from .states import (
     ou_state,
 )
 
-_FAMILIES = ("ou", "kim_sanders", "max_entangled", "ghz", "w")
+_FAMILIES = {
+    "ou": lambda args: ou_state(),
+    "kim_sanders": lambda args: kim_sanders_state(),
+    "max_entangled": lambda args: maximally_entangled(args.d),
+    "ghz": lambda args: ghz_state(args.n, args.d),
+    "w": lambda args: build_w_state(WClassSpec.symmetric(args.n, args.d)),
+}
 # Optimizer overrides of measure and audit: (flag, OptConfig field, type).
 _OPT_FLAGS = (
     ("--opt-size", "size", int),
@@ -97,19 +103,7 @@ def _load_state(args) -> PureState | DensityOperator:
     if getattr(args, "spec", None):
         state = load_state_spec(args.spec)
     elif getattr(args, "family", None):
-        family = args.family
-        if family == "ou":
-            state = ou_state()
-        elif family == "kim_sanders":
-            state = kim_sanders_state()
-        elif family == "max_entangled":
-            state = maximally_entangled(args.d)
-        elif family == "ghz":
-            state = ghz_state(args.n, args.d)
-        elif family == "w":
-            state = build_w_state(WClassSpec.symmetric(args.n, args.d))
-        else:
-            raise DomainError(f"unknown family {family!r}")
+        state = _FAMILIES[args.family](args)
     else:
         raise DomainError("provide --spec FILE or --family NAME")
     trace_out = getattr(args, "trace_out", None)

@@ -12,9 +12,10 @@ decomposition, and ``rank()`` sizes the chart with the same rank decision.
 Both directions run all starts at once on the isometries (the Stiefel
 manifold, as in Rothlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
 share one objective evaluator: a batched SVD of the stacked cut matrices
-gives the value and its gradient.  Where the short side of the cut is 2,
-the unsmoothed objective (every ascent step and the descent's last stage)
-comes in closed form from each member's 2 x 2 Gram data instead.  The
+gives the smoothed value and its gradient, the unsmoothed one being its
+mu = 0 case.  Where the short side of the cut is 2, the unsmoothed
+objective (every ascent step and the descent's last stage) comes in
+closed form from each member's 2 x 2 Gram data instead.  The
 smoothed stages keep the SVD, since the descent's endpoints on the
 hardest two-qubit states turn on rounding there (see ``_objective``).
 The minimization (convex-roof extended negativity) is a
@@ -27,11 +28,12 @@ ascent (the generalized power method of Journee, Nesterov, Richtarik &
 Sepulchre, JMLR 11, 517 (2010)) raises it at every step.
 
 ``optimize_many`` is the one entry point of both searches: it stacks the
-roots of many problems, with each start's problem beside it, and runs all
-starts of the problems of one shape in one search, so a hunt or an audit
-pays the Python and LAPACK call overhead once per step rather than once
-per problem.  Every start steps as it would alone, so batched results are
-bit for bit those of ``optimize``, its one-problem call.
+roots of the problems of one shape, with each start's problem beside it,
+and runs all their starts in one search, so a hunt or an audit pays the
+Python and LAPACK call overhead once per step rather than once per
+problem.  A lone problem is a stack of one, in the same layout.  Every
+start steps as it would alone, so batched results are bit for bit those
+of ``optimize``, its one-problem call.
 
 Reported minima are upper bounds of the true minimum and reported maxima
 are lower bounds of the true maximum; ``monogamy.pair_terms`` labels them
@@ -253,17 +255,17 @@ def _two_row_roof(mats: np.ndarray):
     return fro + 2.0 * delta, grad
 
 
-def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
+def _objective(root_mats: np.ndarray, problem_of: np.ndarray):
     """Batched objective sum_k ||M_k||_*^2 - 1, M_k = sum_j V_kj R_j, and its gradient.
 
-    ``root_mats`` holds the (rank, d_a, d_b) root matrices of one problem,
-    or, with ``problem_of`` giving the problem of each start, a (problems,
-    rank, d_a, d_b) stack of them.  ``evaluate(v, rows, mu)`` takes the
-    (size, rank) isometries of the starts ``rows`` and returns (f_mu, grad,
-    exact) of the stacked M_k, each built from its own start's roots.  f_mu
-    replaces each nuclear norm by the smoothed sum_i sqrt(s_i^2 + mu^2), an
-    upper bound equal to it at mu = 0, and grad is the Euclidean gradient
-    of f_mu; exact is the unsmoothed value.
+    ``root_mats`` is the (problems, rank, d_a, d_b) stack of the problems'
+    root matrices and ``problem_of`` gives the problem of each start.
+    ``evaluate(v, rows, mu)`` takes the (size, rank) isometries of the
+    starts ``rows`` and returns (f_mu, grad, exact) of the stacked M_k,
+    each built from its own start's roots.  f_mu replaces each nuclear norm
+    by the smoothed sum_i sqrt(s_i^2 + mu^2), an upper bound equal to it at
+    mu = 0, and grad is the Euclidean gradient of f_mu; exact is the
+    unsmoothed value.
 
     One batched SVD of the M_k gives them, except when the short side is 2
     (d_a = 2) and mu = 0 -- every polar-ascent step and the descent's last
@@ -281,11 +283,9 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
     roots_h = np.conj(np.swapaxes(roots, -1, -2))
 
     def evaluate(v, rows, mu=0.0):
-        r, r_h = roots, roots_h
-        if problem_of is not None:
-            # A stack of problems: gather each start's own roots.
-            own = problem_of[rows]
-            r, r_h = roots[own], roots_h[own]
+        # Gather each start's own roots; take is cheaper than fancy indexing here.
+        own = problem_of.take(rows)
+        r, r_h = roots.take(own, axis=0), roots_h.take(own, axis=0)
         n, size, _ = v.shape
         mats = (v @ r).reshape(n, size, d_a, d_b)
         if d_a == 2 and mu == 0.0:
@@ -294,16 +294,14 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray | None = None):
             return exact, grad.reshape(n, size, d_a * d_b) @ r_h, exact
         u, sv, wh = np.linalg.svd(mats, full_matrices=False)
         nuc = sv.sum(axis=-1)
-        exact = np.sum(nuc * nuc, axis=-1) - 1.0
-        if mu == 0.0:
-            # d||M_k||_* = Re tr(W_k U_k^H dM_k), so df/dV_kj = 2 ||M_k||_* tr(R_j^H U_k W_k^H).
-            polar = (u @ wh).reshape(n, size, d_a * d_b)
-            return exact, 2.0 * nuc[..., None] * (polar @ r_h), exact
+        # df/dV_kj = 2 ||M_k||_mu tr(R_j^H U_k D_k W_k^H), D_k = diag(s_i / sqrt(s_i^2 + mu^2));
+        # at mu = 0, D_k = 1 on every singular pair, a zero one too: the subgradient U_k W_k^H.
         smooth = np.sqrt(sv * sv + mu * mu)
         nuc_mu = smooth.sum(axis=-1)
-        dirs = ((u * (sv / smooth)[..., None, :]) @ wh).reshape(n, size, d_a * d_b)
+        ratio = np.divide(sv, smooth, out=np.ones_like(sv), where=smooth > 0)
+        dirs = ((u * ratio[..., None, :]) @ wh).reshape(n, size, d_a * d_b)
         grad = 2.0 * nuc_mu[..., None] * (dirs @ r_h)
-        return np.sum(nuc_mu * nuc_mu, axis=-1) - 1.0, grad, exact
+        return np.sum(nuc_mu * nuc_mu, axis=-1) - 1.0, grad, np.sum(nuc * nuc, axis=-1) - 1.0
 
     return evaluate
 
@@ -496,9 +494,7 @@ def optimize_many(problems) -> list[OptResult]:
     and ``tol_rel`` run all their starts in one ``_descent`` or
     ``_polar_ascent`` call; they may differ in ``starts`` and ``seed``.
     Every start steps as it would alone, so each result is bit for bit the
-    one its problem gets alone.  A group of one problem uses its roots as
-    they are, with no per-start gather.  Results come in the order of
-    ``problems``.
+    one its problem gets alone.  Results come in the order of ``problems``.
     """
     prepared, groups = [], {}
     for rho, cut, direction, cfg in problems:
@@ -517,10 +513,7 @@ def optimize_many(problems) -> list[OptResult]:
     for (direction, size, _, max_sweeps, tol_rel), members in groups.items():
         rhos, cuts, mats, starts = zip(*(prepared[i] for i in members))
         counts = [v0.shape[0] for v0 in starts]
-        if len(members) == 1:
-            evaluate = _objective(mats[0])
-        else:
-            evaluate = _objective(np.stack(mats), np.repeat(np.arange(len(members)), counts))
+        evaluate = _objective(np.stack(mats), np.repeat(np.arange(len(members)), counts))
         search = _polar_ascent if direction == "max" else _descent
         v, traces, converged = search(evaluate, np.concatenate(starts), max_sweeps * size, tol_rel)
         offset = 0

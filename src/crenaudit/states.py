@@ -367,10 +367,10 @@ def _parse_profile(doc: dict) -> DimensionProfile:
 
 
 def _parse_digits(value, profile: DimensionProfile) -> Sequence[int]:
-    if isinstance(value, str):
+    if isinstance(value, str) and all(c.isdecimal() or c.isspace() for c in value):
         digits = [int(c) for c in value if not c.isspace()]
-    elif isinstance(value, list):
-        digits = [int(v) for v in value]
+    elif isinstance(value, list) and all(isinstance(v, int) for v in value):
+        digits = value
     else:
         raise SpecFormatError(f"field 'amplitudes': bad index digits {value!r}")
     if len(digits) != profile.n:
@@ -436,7 +436,7 @@ def parse_state_spec(text: str):
         entries = doc.get("amplitudes")
         if not isinstance(entries, list) or not entries:
             raise SpecFormatError("field 'amplitudes': expected a list of (digits, re, im) triples")
-        vec = np.zeros(profile.size, dtype=complex)
+        terms = []
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise SpecFormatError(
@@ -445,9 +445,9 @@ def parse_state_spec(text: str):
             digits, re, im = entry
             if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
                 raise SpecFormatError(f"field 'amplitudes': non-numeric amplitude in {entry!r}")
-            vec[profile.index_of(_parse_digits(digits, profile))] = complex(re, im)
+            terms.append((_parse_digits(digits, profile), complex(re, im)))
         try:
-            return PureState(profile, vec)
+            return _basis_sum(profile, terms)
         except DomainError as exc:
             raise SpecFormatError(f"field 'amplitudes': {exc}") from exc
 

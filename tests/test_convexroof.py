@@ -232,7 +232,9 @@ class TestOptimize:
         # exact stage's tolerance before the cap, not only the best start.
         rho, cfg = full_rank_qutrit_pair, OptConfig()
         starts = _starts(cfg, rho.rank())
-        evaluate = _objective(_root_matrices(rho, Bipartition((1,), 2)))
+        evaluate = _objective(
+            _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
+        )
         for k in range(len(starts)):
             max_steps = cfg.max_sweeps * starts.shape[1]
             assert _descent(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
@@ -297,7 +299,8 @@ class TestTwoRowObjective:
             mats = _root_matrices(rho, cut)
             assert mats.shape[1] == 2
             v = _starts(OptConfig(starts=4, seed=3), rho.rank())
-            f, grad, exact = _objective(mats)(v, np.arange(len(v)), 0.0)
+            evaluate = _objective(mats[None], np.zeros(len(v), dtype=int))
+            f, grad, exact = evaluate(v, np.arange(len(v)), 0.0)
             want_f, want_grad, sv = _svd_objective(mats, v)
             spectral = sv[0, :3]
             assert np.any(np.abs(spectral[:, 0] - spectral[:, 1]) <= 1e-12)
@@ -316,7 +319,9 @@ class TestTwoRowObjective:
         assert abs(res.start_values[0] - 0.9797958971) <= 1e-9
         cfg = OptConfig()
         starts = _starts(cfg, rho.rank())
-        evaluate = _objective(_root_matrices(rho, Bipartition((1,), 2)))
+        evaluate = _objective(
+            _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
+        )
         _, traces, _ = _polar_ascent(evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel)
         assert all(np.all(np.diff(t) >= -1e-12) for t in traces)
 
@@ -336,6 +341,28 @@ class TestTwoRowObjective:
         vectors = [shape for shape, compute_uv in calls if compute_uv]
         assert vectors and all(shape[-2:] == (size, 3) for shape in vectors)
         assert not [shape for shape, _ in calls if shape[-2:] == (2, 3)]
+
+
+class TestSvdObjective:
+    def test_mu_zero_matches_the_reference(self):
+        # Neither side of a (3,3) cut is 2, so mu = 0 goes through the SVD.
+        # The product member has zero singular values, and the spectral
+        # start's members beyond the rank are zero matrices.
+        rng = np.random.default_rng(23)
+        phi = [(0, 0), (1, 1), (2, 2)], [3 ** -0.5] * 3
+        weights = np.array([0.5, 0.3, 0.2])
+        rho = _orthogonal_mixture((3, 3), [phi, ([(2, 1)], [1.0])], weights, rng)
+        mats = _root_matrices(rho, Bipartition((1,), 2))
+        v = _starts(OptConfig(starts=4, seed=3), rho.rank())
+        evaluate = _objective(mats[None], np.zeros(len(v), dtype=int))
+        f, grad, exact = evaluate(v, np.arange(len(v)), 0.0)
+        want_f, want_grad, sv = _svd_objective(mats, v)
+        spectral = sv[0]
+        assert np.any(spectral[:3, 1] <= 1e-12 * spectral[:3, 0])
+        assert np.all(spectral[3:] == 0.0)
+        assert np.array_equal(f, exact)
+        assert np.max(np.abs(f - want_f)) <= 1e-13
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12
 
 
 class TestOptimizeMany:

@@ -57,15 +57,17 @@ def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
 
 def test_only_optimize_many_runs_the_roof_searches():
     # Every roof problem is solved through optimize_many's grouping, so no
-    # other function may call, or hold, either search.
+    # other function may call, or hold, either search or build an evaluator
+    # (which would bring back a second root layout).
     users = {
         (node.id, owner)
         for owner, node in _top_level_owners(include_init=True)
-        if isinstance(node, ast.Name) and node.id in ("_descent", "_polar_ascent")
+        if isinstance(node, ast.Name) and node.id in ("_descent", "_polar_ascent", "_objective")
     }
     assert users == {
         ("_descent", "convexroof.optimize_many"),
         ("_polar_ascent", "convexroof.optimize_many"),
+        ("_objective", "convexroof.optimize_many"),
     }
 
 

@@ -303,6 +303,13 @@ amplitudes:
         with pytest.raises(SpecFormatError, match="profile"):
             parse_state_spec("kind: amplitudes\nprofile: [1]\namplitudes:\n  - ['0', 1, 0]")
 
+    @pytest.mark.parametrize("digits", ["'05'", "'0x'", "[0, 1.5]"])
+    def test_rejects_bad_digits_naming_the_field(self, digits):
+        # Out of range, not a digit, and fractional.
+        text = f"kind: amplitudes\nprofile: [2, 2]\namplitudes:\n  - [{digits}, 1.0, 0.0]\n"
+        with pytest.raises(SpecFormatError, match="field 'amplitudes'"):
+            parse_state_spec(text)
+
     def test_rejects_mismatched_digits(self):
         text = """
 kind: amplitudes
