@@ -4,6 +4,9 @@ Subcommands: ``state`` (inspect a state), ``measure`` (compute one
 measure), ``audit`` (run monogamy inequalities), ``sweep`` (parameter
 grids over W-class mixtures), ``hunt`` (random search for violations).
 
+This module is the package's one renderer: every command's rows, and
+every audit report, reach the user as a table, CSV or JSON through it.
+
 Exit codes: 0 on success (violations are findings, not failures), 2 on
 input errors, 3 on internal numerical failures.  Runs are reproducible:
 the default seed is 0 and identical invocations produce byte-identical
@@ -13,24 +16,23 @@ output.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
 import numpy as np
 
-from . import monogamy
 from .convexroof import OptConfig
 from .monogamy import (
+    TOL_SAT,
+    VERDICT_CANDIDATE,
+    VERDICT_CERTIFIED,
     analytic_w_audit,
     audits,
-    fmt,
-    fmt_residual,
     hunt,
     pair_term,
     pair_terms,
-    report_rows,
-    reports_to_json,
-    rows_to_csv,
 )
 from .qlinalg import (
     Bipartition,
@@ -114,9 +116,70 @@ def _load_state(args) -> PureState | DensityOperator:
     return state
 
 
+AUDIT_COLUMNS = (
+    "state_id", "measure", "focus", "lhs_sq", "rhs_sq_sum", "residual", "verdict", "bound_kinds"
+)
+
+
+def fmt(value: float) -> str:
+    """Decimal rendering with 12 significant digits."""
+    return f"{value:.12g}"
+
+
+def fmt_residual(value: float) -> str:
+    """``fmt`` of a residual or deviation, printed as 0 when within ``TOL_SAT``.
+
+    A saturated residual, or a flatness deviation at that scale, is rounding
+    noise whose last bits no result depends on.
+    """
+    return "0" if abs(value) <= TOL_SAT else fmt(value)
+
+
+def report_rows(reports) -> list[dict[str, str]]:
+    """One ``AUDIT_COLUMNS`` row of strings per report, in the given order."""
+    return [
+        {
+            "state_id": report.state_id,
+            "measure": report.measure,
+            "focus": str(report.focus),
+            "lhs_sq": fmt(report.lhs_sq),
+            "rhs_sq_sum": fmt(report.rhs_sq_sum),
+            "residual": fmt_residual(report.residual),
+            "verdict": report.verdict,
+            "bound_kinds": ";".join(report.rhs_bound_kinds),
+        }
+        for report in reports
+    ]
+
+
+def reports_to_json(reports) -> str:
+    """A JSON list of one document per report, in the given order."""
+    docs = [
+        {
+            "state_id": report.state_id,
+            "measure": report.measure,
+            "focus": report.focus,
+            "lhs_sq": float(fmt(report.lhs_sq)),
+            "partners": list(report.partners),
+            "rhs_terms_sq": [float(fmt(v)) for v in report.rhs_terms_sq],
+            "rhs_sq_sum": float(fmt(report.rhs_sq_sum)),
+            "bound_kinds": list(report.rhs_bound_kinds),
+            "residual": float(fmt_residual(report.residual)),
+            "verdict": report.verdict,
+        }
+        for report in reports
+    ]
+    return json.dumps(docs, indent=2, sort_keys=True)
+
+
 def _emit_rows(rows: list[dict[str, str]], columns: tuple[str, ...], fmt_name: str) -> str:
+    """Rows of strings as a table, CSV with a header line, or a JSON list."""
     if fmt_name == "csv":
-        return rows_to_csv(rows, columns)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
     if fmt_name == "json":
         return json.dumps(rows, indent=2, sort_keys=True)
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}
@@ -204,10 +267,12 @@ def _run_measure(args) -> int:
 
 
 def _write_reports(reports, fmt_name: str, output: str | None) -> None:
+    """Render audit reports sorted by state, measure and focus."""
+    reports = sorted(reports, key=lambda r: (r.state_id, r.measure, r.focus))
     if fmt_name == "json":
         _write(reports_to_json(reports) + "\n", output)
     else:
-        _write(_emit_rows(report_rows(reports), monogamy.AUDIT_COLUMNS, fmt_name), output)
+        _write(_emit_rows(report_rows(reports), AUDIT_COLUMNS, fmt_name), output)
 
 
 def _run_audit(args) -> int:
@@ -264,8 +329,8 @@ def _run_sweep(args) -> int:
 def _run_hunt(args) -> int:
     profile = DimensionProfile(tuple(int(d) for d in args.profile.split(",")))
     findings = hunt(profile, args.trials, args.seed, focus=args.focus)
-    candidates = sum(1 for f in findings if f.verdict == monogamy.VERDICT_CANDIDATE)
-    certified = sum(1 for f in findings if f.verdict == monogamy.VERDICT_CERTIFIED)
+    candidates = sum(1 for f in findings if f.verdict == VERDICT_CANDIDATE)
+    certified = sum(1 for f in findings if f.verdict == VERDICT_CERTIFIED)
     # A findings file is CSV unless JSON is asked for.
     fmt_name = "csv" if args.output and args.format == "table" else args.format
     _write_reports(findings, fmt_name, args.output)

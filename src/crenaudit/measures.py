@@ -13,6 +13,8 @@ the concurrence, so the closed form serves both).
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .qlinalg import (
@@ -71,12 +73,15 @@ def range_concurrence_floor(basis_mats: np.ndarray) -> float:
     y_pq = sqrt(2) c_p c_q (p < q) they are A y, where A holds the columns
     T_pp and T_pq / sqrt(2); a unit c gives ||y|| = 1.  So 2 sigma_min(A)
     floors the concurrence over the whole range, up to floating point, and
-    equals it at rank 1.  When A has fewer rows than columns some unit y
-    has A y = 0, and the floor is 0.
+    equals it at rank 1.  When A has fewer rows than columns, that is
+    r (r + 1) / 2 > C(d_a, 2) C(d_b, 2) at rank r, some unit y has A y = 0:
+    the floor is 0, returned before the table is built.
     """
-    r = basis_mats.shape[0]
-    i, j = np.triu_indices(basis_mats.shape[1], 1)
-    k, l = np.triu_indices(basis_mats.shape[2], 1)
+    r, d_a, d_b = basis_mats.shape
+    if comb(r + 1, 2) > comb(d_a, 2) * comb(d_b, 2):
+        return 0.0
+    i, j = np.triu_indices(d_a, 1)
+    k, l = np.triu_indices(d_b, 1)
     ik, il = basis_mats[:, i[:, None], k], basis_mats[:, i[:, None], l]
     jk, jl = basis_mats[:, j[:, None], k], basis_mats[:, j[:, None], l]
     # cross[p, q] holds the minors M_ik M_jl - M_il M_jk of the term c_p c_q (B_p, B_q):
@@ -84,8 +89,6 @@ def range_concurrence_floor(basis_mats: np.ndarray) -> float:
     cross = (ik[:, None] * jl - il[:, None] * jk).reshape(r, r, -1)
     p, q = np.triu_indices(r)
     columns = (cross[p, q] + cross[q, p]) / np.where(p < q, np.sqrt(2.0), 2.0)[:, None]
-    if columns.shape[1] < columns.shape[0]:
-        return 0.0
     return 2.0 * float(np.linalg.svd(columns.T, compute_uv=False)[-1])
 
 

@@ -28,9 +28,6 @@ boundaries use ``TOL_SAT``; anything within it counts as saturation.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,20 +175,18 @@ def _verdict(lhs_sq: float, terms_sq, lower_sq, direction) -> tuple[float, str]:
     return residual, VERDICT_CANDIDATE
 
 
-def range_floor(rho: DensityOperator, cut) -> float | None:
+def range_floor(rho: DensityOperator, cut) -> float:
     """A lower bound of the concurrence across the cut of every unit vector in the range of rho.
 
     Every pure state appearing in any decomposition of rho lies in its
     range (spanned by ``rho.range_basis``), so this floors the
-    concurrence roof, up to floating point: ``range_concurrence_floor`` of
-    the basis vectors' cut matrices, from a single ``cut_matrices`` call.
-    It is exact at rank 1.  Returns None above range dimension 3.
+    concurrence roof, up to floating point, at any rank:
+    ``range_concurrence_floor`` of the basis vectors' cut matrices, from a
+    single ``cut_matrices`` call.  It is exact at rank 1, and 0 wherever
+    the range is too wide for the minor table to bound.
     """
     cut = as_bipartition(cut, rho.profile.n)
-    basis = rho.range_basis
-    if basis.shape[1] > 3:
-        return None
-    return range_concurrence_floor(cut_matrices(basis.T, rho.profile, cut))
+    return range_concurrence_floor(cut_matrices(rho.range_basis.T, rho.profile, cut))
 
 
 def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
@@ -222,7 +217,7 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     The two-qubit closed form is Wootters' spin-flip concurrence (PRL 80,
     2245 (1998)), the exact minimum of both roofs there.  Every ``lower``
     entry holds up to floating point; the range floor is ``range_floor``'s,
-    which gives none above rank 3, and a term with no floor has lower 0.
+    which is 0 where the range is too wide for its minor table.
     Every optimizer row is solved by one ``optimize_many`` call, each
     under its own ``cfgs`` entry (other rows ignore theirs); its result is
     what ``optimize`` returns for that row alone.  That call holds one
@@ -230,21 +225,26 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     and a ``concurrence`` row of one state share a minimum, and a
     ``crenoa`` and a ``coa`` row a maximum.  Optimizer concurrence terms
     are the average concurrence of the decomposition the negativity search
-    found.  Wootters' concurrence and the partial-transpose negativity are
-    likewise computed once per state (and cut), however many rows read them.
+    found.  A pure row's closed form (per kernel), Wootters' concurrence and
+    the partial-transpose negativity are likewise computed once per state
+    and cut, however many rows read them.
     """
     if not len(states) == len(cuts) == len(measures) == len(cfgs):
         raise DomainError("states, cuts, measures and cfgs must have matching lengths")
     for measure in measures:
         if measure not in PAIR_MEASURES:
             raise DomainError(f"unknown measure {measure!r}")
-    spin_flip, pt_negativities = {}, {}
+    memo = {}
+
+    def once(key, compute):
+        # One compute() per (function, state object[, cut]) key, however
+        # many rows read it.
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def pt_negativity(state, cut):
-        key = (id(state), cut)
-        if key not in pt_negativities:
-            pt_negativities[key] = negativity_mixed(state, cut)
-        return pt_negativities[key]
+        return once((negativity_mixed, id(state), cut), lambda: negativity_mixed(state, cut))
 
     terms: list = [None] * len(states)
     searches, problems = [], {}
@@ -252,15 +252,16 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
         if isinstance(state, PureState):
-            value = float(kernel(cut_matrices(state.amplitudes, state.profile, cut))[0])
+            value = once(
+                (kernel, id(state), cut),
+                lambda: float(kernel(cut_matrices(state.amplitudes, state.profile, cut))[0]),
+            )
             terms[k] = PairTerm(value, value, "exact", "closed_form")
         elif direction is None:
             value = pt_negativity(state, cut)
             terms[k] = PairTerm(value, value, "exact", "trace_norm")
         elif direction == "min" and state.profile.dims == (2, 2):
-            if id(state) not in spin_flip:
-                spin_flip[id(state)] = wootters_concurrence_2q(state)
-            value = spin_flip[id(state)]
+            value = once((wootters_concurrence_2q, id(state)), lambda: wootters_concurrence_2q(state))
             # Certification for the negativity roof is defined against the
             # partial-transpose bound, even where the exact value is known.
             lower = pt_negativity(state, cut) if kernel is pure_negativities else value
@@ -292,17 +293,14 @@ def _optimizer_term(
     # Minimization: the decomposition average is an upper bound of the roof.
     if kernel is pure_negativities:
         return PairTerm(value, pt_negativity(state, cut), "upper", "optimizer")
-    floors = []
+    lower = range_floor(state, cut)
     profile = state.profile
     if min(profile.restrict(cut.side_a).size, profile.restrict(cut.side_b).size) == 2:
         # Two-dimensional side: every member has Schmidt rank <= 2, so
         # the concurrence roof equals the negativity roof and the
         # partial-transpose negativity floors it.
-        floors.append(pt_negativity(state, cut))
-    range_min = range_floor(state, cut)
-    if range_min is not None:
-        floors.append(range_min)
-    return PairTerm(value, max(floors, default=0.0), "upper", "optimizer")
+        lower = max(pt_negativity(state, cut), lower)
+    return PairTerm(value, lower, "upper", "optimizer")
 
 
 def pair_term(
@@ -531,83 +529,3 @@ def hunt(
         reports = _audits(psis, focus, ["cren"], ids, None, [seed + t for t in block])
         findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
     return findings
-
-
-# ---------------------------------------------------------------------------
-# Report emission
-# ---------------------------------------------------------------------------
-
-AUDIT_COLUMNS = (
-    "state_id",
-    "measure",
-    "focus",
-    "lhs_sq",
-    "rhs_sq_sum",
-    "residual",
-    "verdict",
-    "bound_kinds",
-)
-
-
-def fmt(value: float) -> str:
-    """Decimal rendering with 12 significant digits."""
-    return f"{value:.12g}"
-
-
-def fmt_residual(value: float) -> str:
-    """``fmt`` of a residual or deviation, printed as 0 when within ``TOL_SAT``.
-
-    A saturated residual, or a flatness deviation at that scale, is rounding
-    noise whose last bits no result depends on.
-    """
-    return "0" if abs(value) <= TOL_SAT else fmt(value)
-
-
-def _sorted_reports(reports) -> list[AuditReport]:
-    return sorted(reports, key=lambda r: (r.state_id, r.measure, r.focus))
-
-
-def report_rows(reports) -> list[dict[str, str]]:
-    """One ``AUDIT_COLUMNS`` row of strings per report, sorted by state, measure and focus."""
-    return [
-        {
-            "state_id": report.state_id,
-            "measure": report.measure,
-            "focus": str(report.focus),
-            "lhs_sq": fmt(report.lhs_sq),
-            "rhs_sq_sum": fmt(report.rhs_sq_sum),
-            "residual": fmt_residual(report.residual),
-            "verdict": report.verdict,
-            "bound_kinds": ";".join(report.rhs_bound_kinds),
-        }
-        for report in _sorted_reports(reports)
-    ]
-
-
-def rows_to_csv(rows, columns) -> str:
-    """CSV text with a header line, one line per row dict, newline-terminated."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def reports_to_json(reports) -> str:
-    docs = []
-    for report in _sorted_reports(reports):
-        docs.append(
-            {
-                "state_id": report.state_id,
-                "measure": report.measure,
-                "focus": report.focus,
-                "lhs_sq": float(fmt(report.lhs_sq)),
-                "partners": list(report.partners),
-                "rhs_terms_sq": [float(fmt(v)) for v in report.rhs_terms_sq],
-                "rhs_sq_sum": float(fmt(report.rhs_sq_sum)),
-                "bound_kinds": list(report.rhs_bound_kinds),
-                "residual": float(fmt_residual(report.residual)),
-                "verdict": report.verdict,
-            }
-        )
-    return json.dumps(docs, indent=2, sort_keys=True)

@@ -6,9 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crenaudit import OptConfig, load_state_spec, pair_term, partial_trace
-from crenaudit.cli import main
-from crenaudit.monogamy import fmt
+from crenaudit import (
+    OptConfig,
+    cren_audit,
+    ghz_state,
+    kim_sanders_state,
+    load_state_spec,
+    negativity_audit,
+    ou_state,
+    pair_term,
+    partial_trace,
+)
+from crenaudit.cli import AUDIT_COLUMNS, _write_reports, fmt, main
 
 
 W3_SPEC = """kind: w_class
@@ -379,6 +388,67 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical failure" in err
+
+
+class TestReportEmission:
+    def test_csv_layout(self, capsys):
+        _write_reports([cren_audit(ou_state(), 1, state_id="ou")], "csv", None)
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == ",".join(AUDIT_COLUMNS)
+        fields = lines[1].split(",")
+        assert fields[0] == "ou"
+        assert fields[6] == "holds"
+
+    def test_csv_sorted_and_12_digits(self, capsys):
+        reports = [
+            cren_audit(kim_sanders_state(), 1, state_id="b"),
+            cren_audit(ou_state(), 1, state_id="a"),
+        ]
+        _write_reports(reports, "csv", None)
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert rows[0].startswith("a,") and rows[1].startswith("b,")
+        assert "2.22222222222" in rows[1]
+
+    def test_json_structure(self, capsys):
+        _write_reports([negativity_audit(ghz_state(3), 1)], "json", None)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc[0]["measure"] == "negativity"
+        assert doc[0]["verdict"] == "holds"
+        assert len(doc[0]["rhs_terms_sq"]) == 2
+
+
+class TestPinnedOutput:
+    """The exact stdout of one audit, so that a change of rendering shows
+    between commits, not only between two runs of one commit.  Every term is
+    a closed form or a trace norm, stable to 12 digits across platforms."""
+
+    ARGV = ("audit", "--family", "w", "--n", "4", "--measures", "cren,ckw,negativity")
+
+    def test_csv(self, capsys):
+        code, out, _ = run_cli(*self.ARGV, "--format", "csv", capsys=capsys)
+        assert code == 0
+        assert out == (
+            "state_id,measure,focus,lhs_sq,rhs_sq_sum,residual,verdict,bound_kinds\n"
+            "w,ckw,1,0.75,0.75,0,saturated,exact;exact;exact\n"
+            "w,cren,1,0.75,0.75,0,saturated,exact;exact;exact\n"
+            "w,negativity,1,0.75,0.12867965644,0.62132034356,holds,exact;exact;exact\n"
+        )
+
+    def test_json(self, capsys):
+        code, out, _ = run_cli(*self.ARGV, "--format", "json", capsys=capsys)
+        assert code == 0
+        common = {"bound_kinds": ["exact"] * 3, "focus": 1, "lhs_sq": 0.75,
+                  "partners": [2, 3, 4], "state_id": "w"}
+        saturated = {"residual": 0.0, "rhs_sq_sum": 0.75, "rhs_terms_sq": [0.25] * 3,
+                     "verdict": "saturated"}
+        docs = [
+            {**common, **saturated, "measure": "ckw"},
+            {**common, **saturated, "measure": "cren"},
+            {**common, "measure": "negativity", "residual": 0.62132034356,
+             "rhs_sq_sum": 0.12867965644, "rhs_terms_sq": [0.0428932188135] * 3,
+             "verdict": "holds"},
+        ]
+        assert out == json.dumps(docs, indent=2, sort_keys=True) + "\n"
 
 
 class TestDeterminism:

@@ -146,3 +146,17 @@ def test_no_literal_lists_the_measure_names():
         and sum(isinstance(e, ast.Constant) and e.value in names for e in node.elts) >= 2
     ]
     assert not found, f"literals of measure names: {found}"
+
+
+def test_only_cli_renders():
+    # cli is the one renderer of tables, CSV and JSON; a second module
+    # importing a format library would be a second copy of the output code.
+    importers = {
+        (path.stem, alias.name)
+        for path, tree in _parsed_modules(include_init=True)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+        for alias in ([ast.alias(node.module)] if isinstance(node, ast.ImportFrom) else node.names)
+        if alias.name in ("csv", "io", "json")
+    }
+    assert {module for module, _ in importers} <= {"cli"}, f"format imports: {sorted(importers)}"

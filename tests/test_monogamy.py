@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -34,14 +32,7 @@ from crenaudit import (
 from crenaudit import convexroof, measures, monogamy, qlinalg
 from crenaudit.cli import main
 from crenaudit.measures import pure_concurrences
-from crenaudit.monogamy import (
-    AUDIT_COLUMNS,
-    analytic_w_values,
-    range_floor,
-    report_rows,
-    reports_to_json,
-    rows_to_csv,
-)
+from crenaudit.monogamy import analytic_w_values, range_floor
 from crenaudit.qlinalg import cut_matrices
 
 from conftest import rand_dm, rand_pure
@@ -321,6 +312,20 @@ class TestSharedSearches:
         pair_terms(states, [1] * len(rows), measures, [OptConfig(starts=2)] * len(rows))
         assert calls == {"wootters_concurrence_2q": 1, "negativity_mixed": 2}
 
+    def test_pure_rows_computed_once_per_kernel(self, monkeypatch):
+        # The five audits read the Ou state's (3, 9) focus cut matrix
+        # through two kernels: one values-only SVD each.
+        shapes = []
+
+        def counted(a, *args, _original=np.linalg.svd, **kwargs):
+            if kwargs.get("compute_uv") is False:
+                shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        audits(ou_state(), 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
+        assert shapes.count((1, 3, 9)) == 2
+
 
 class TestRangeFloor:
     def test_flat_rank_three_range(self):
@@ -342,14 +347,17 @@ class TestRangeFloor:
         rho = DensityOperator(DimensionProfile((2, 2)), mat)
         assert range_floor(rho, 1) == 0.0
 
-    def test_rank_above_three_unavailable(self, rng):
-        assert range_floor(rand_dm((2, 2), 4, rng), 1) is None
+    def test_range_wider_than_the_minor_table_floors_to_zero(self, rng):
+        # Rank 4 of (2, 2): ten columns against one minor, so some unit y
+        # has A y = 0 and the floor is 0.
+        assert range_floor(rand_dm((2, 2), 4, rng), 1) == 0.0
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4)])
     def test_floor_is_below_every_sampled_range_vector(self, dims):
-        # Four seeded ranges a shape, 24 in all: the basis vectors and 2048
-        # Haar-random unit vectors of each range.
-        for rank, seed in [(2, 0), (2, 1), (2, 2), (3, 0)]:
+        # Four seeded ranges a shape, and ranks 4 and 5 on (3, 4), 26 in all:
+        # the basis vectors and 2048 Haar-random unit vectors of each range.
+        cases = [(2, 0), (2, 1), (2, 2), (3, 0)] + ([(4, 0), (5, 0)] if dims == (3, 4) else [])
+        for rank, seed in cases:
             rho = rand_dm(dims, rank, np.random.default_rng(100 * seed + rank))
             rng = np.random.default_rng(seed)
             coeffs = rng.standard_normal((2048, rank)) + 1j * rng.standard_normal((2048, rank))
@@ -519,29 +527,3 @@ class TestVerdictLogic:
         # certify a minimum's violation (2.0 - 3.0 < -TOL_SAT).
         assert _verdict(2.0, [0.8, 0.8], [1.5, 1.5], "max")[1] == "candidate_violation"
 
-
-class TestReportEmission:
-    def test_csv_layout(self):
-        reports = [cren_audit(ou_state(), 1, state_id="ou")]
-        text = rows_to_csv(report_rows(reports), AUDIT_COLUMNS)
-        lines = text.strip().split("\n")
-        assert lines[0] == ",".join(AUDIT_COLUMNS)
-        fields = lines[1].split(",")
-        assert fields[0] == "ou"
-        assert fields[6] == "holds"
-
-    def test_csv_sorted_and_12_digits(self):
-        reports = [
-            cren_audit(kim_sanders_state(), 1, state_id="b"),
-            cren_audit(ou_state(), 1, state_id="a"),
-        ]
-        text = rows_to_csv(report_rows(reports), AUDIT_COLUMNS)
-        rows = text.strip().split("\n")[1:]
-        assert rows[0].startswith("a,") and rows[1].startswith("b,")
-        assert "2.22222222222" in rows[1]
-
-    def test_json_structure(self):
-        doc = json.loads(reports_to_json([negativity_audit(ghz_state(3), 1)]))
-        assert doc[0]["measure"] == "negativity"
-        assert doc[0]["verdict"] == "holds"
-        assert len(doc[0]["rhs_terms_sq"]) == 2
