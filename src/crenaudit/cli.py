@@ -181,7 +181,7 @@ def _emit_rows(rows: list[dict[str, str]], columns: tuple[str, ...], fmt_name: s
         writer.writerows(rows)
         return buf.getvalue()
     if fmt_name == "json":
-        return json.dumps(rows, indent=2, sort_keys=True)
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     widths = {c: max(len(c), *(len(r[c]) for r in rows)) if rows else len(c) for c in columns}
     lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
     for row in rows:
@@ -249,8 +249,7 @@ def _run_measure(args) -> int:
     cut = Bipartition(_parse_parties(args.cut) if args.cut else (1,), state.profile.n)
     measures = [measure.strip() for measure in args.measure.split(",")]
     # One call, so measures that pose the same roof problem share its search.
-    n = len(measures)
-    terms = pair_terms([state] * n, [cut] * n, measures, [cfg] * n)
+    terms = pair_terms([(state, cut, measure, cfg) for measure in measures])
     rows = [
         {
             "measure": measure,
@@ -327,7 +326,10 @@ def _run_sweep(args) -> int:
 
 
 def _run_hunt(args) -> int:
-    profile = DimensionProfile(tuple(int(d) for d in args.profile.split(",")))
+    try:
+        profile = DimensionProfile(tuple(int(d) for d in args.profile.split(",")))
+    except ValueError as exc:
+        raise DomainError(f"--profile {args.profile!r}: {exc}") from None
     findings = hunt(profile, args.trials, args.seed, focus=args.focus)
     candidates = sum(1 for f in findings if f.verdict == VERDICT_CANDIDATE)
     certified = sum(1 for f in findings if f.verdict == VERDICT_CERTIFIED)

@@ -150,13 +150,16 @@ def _audit_opt_cfg(rank: int, seed: int) -> OptConfig:
     return OptConfig(size=max(4, rank), starts=3, max_sweeps=80, tol_rel=1e-9, seed=seed)
 
 
-def _pair_marginals(psi: PureState, focus: int):
-    profile = psi.profile
+def _require_focus(profile: DimensionProfile, focus: int) -> None:
     if not 1 <= focus <= profile.n:
         raise DomainError(f"focus party {focus} out of range 1..{profile.n}")
     if profile.n < 3:
         raise DomainError("audits need at least 3 parties")
-    return [(i, partial_trace(psi, (focus, i))) for i in profile.parties if i != focus]
+
+
+def _pair_marginals(psi: PureState, focus: int):
+    _require_focus(psi.profile, focus)
+    return [(i, partial_trace(psi, (focus, i))) for i in psi.profile.parties if i != focus]
 
 
 def _verdict(lhs_sq: float, terms_sq, lower_sq, direction) -> tuple[float, str]:
@@ -189,17 +192,17 @@ def range_floor(rho: DensityOperator, cut) -> float:
     return range_concurrence_floor(cut_matrices(rho.range_basis.T, rho.profile, cut))
 
 
-def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
+def pair_terms(rows) -> list[PairTerm]:
     """One measure of each state across its cut, by the method the table below picks.
 
-    ``states``, ``cuts``, ``measures`` and ``cfgs`` are parallel sequences,
-    one row each, and every measure is a key of ``PAIR_MEASURES``, whose
-    entry gives the row's pure-state kernel and roof direction.  On mixed
-    input ``cren`` and ``concurrence`` are the convex roofs (minima over
-    decompositions) of negativity and concurrence, ``crenoa`` and ``coa``
-    their assistance duals (maxima), and ``negativity`` the
-    partial-transpose negativity; on pure input every measure is its
-    kernel's value on the state's cut matrix.
+    ``rows`` is a sequence of ``(state, cut, measure, cfg)`` tuples, the
+    arguments of ``pair_term``, and every measure is a key of
+    ``PAIR_MEASURES``, whose entry gives the row's pure-state kernel and
+    roof direction.  On mixed input ``cren`` and ``concurrence`` are the
+    convex roofs (minima over decompositions) of negativity and
+    concurrence, ``crenoa`` and ``coa`` their assistance duals (maxima),
+    and ``negativity`` the partial-transpose negativity; on pure input
+    every measure is its kernel's value on the state's cut matrix.
 
     ==========================  ===========  =====  ==========================
     input                       method       kind   lower
@@ -219,7 +222,7 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     entry holds up to floating point; the range floor is ``range_floor``'s,
     which is 0 where the range is too wide for its minor table.
     Every optimizer row is solved by one ``optimize_many`` call, each
-    under its own ``cfgs`` entry (other rows ignore theirs); its result is
+    under its own row's cfg (other rows ignore theirs); its result is
     what ``optimize`` returns for that row alone.  That call holds one
     search per distinct (state object, cut, direction, cfg), so a ``cren``
     and a ``concurrence`` row of one state share a minimum, and a
@@ -229,9 +232,7 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     the partial-transpose negativity are likewise computed once per state
     and cut, however many rows read them.
     """
-    if not len(states) == len(cuts) == len(measures) == len(cfgs):
-        raise DomainError("states, cuts, measures and cfgs must have matching lengths")
-    for measure in measures:
+    for _, _, measure, _ in rows:
         if measure not in PAIR_MEASURES:
             raise DomainError(f"unknown measure {measure!r}")
     memo = {}
@@ -246,9 +247,9 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
     def pt_negativity(state, cut):
         return once((negativity_mixed, id(state), cut), lambda: negativity_mixed(state, cut))
 
-    terms: list = [None] * len(states)
+    terms: list = [None] * len(rows)
     searches, problems = [], {}
-    for k, (state, cut, measure, cfg) in enumerate(zip(states, cuts, measures, cfgs)):
+    for k, (state, cut, measure, cfg) in enumerate(rows):
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
         if isinstance(state, PureState):
@@ -272,35 +273,28 @@ def pair_terms(states, cuts, measures, cfgs) -> list[PairTerm]:
             searches.append((k, state, cut, kernel, key))
     results = dict(zip(problems, optimize_many(list(problems.values()))))
     for k, state, cut, kernel, key in searches:
-        terms[k] = _optimizer_term(state, cut, kernel, results[key], pt_negativity)
+        res = results[key]
+        # res.value is the search's own negativity average; only a
+        # concurrence row scores the decomposition again.
+        value = res.value
+        if kernel is not pure_negativities:
+            value = float(kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
+        if res.direction == "max":
+            terms[k] = PairTerm(value, value, "lower", "optimizer")
+            continue
+        # Minimization: the decomposition average is an upper bound of the roof.
+        if kernel is pure_negativities:
+            lower = pt_negativity(state, cut)
+        else:
+            lower = range_floor(state, cut)
+            profile = state.profile
+            if min(profile.restrict(cut.side_a).size, profile.restrict(cut.side_b).size) == 2:
+                # Two-dimensional side: every member has Schmidt rank <= 2, so
+                # the concurrence roof equals the negativity roof and the
+                # partial-transpose negativity floors it.
+                lower = max(pt_negativity(state, cut), lower)
+        terms[k] = PairTerm(value, lower, "upper", "optimizer")
     return terms
-
-
-def _optimizer_term(
-    state: DensityOperator, cut: Bipartition, kernel, res, pt_negativity
-) -> PairTerm:
-    """The optimizer row of the ``pair_terms`` table, from the search result ``res``.
-
-    ``pt_negativity(state, cut)`` is the partial-transpose negativity.
-    """
-    # res.value is the search's own negativity average; only a concurrence
-    # row scores the decomposition again.
-    value = res.value
-    if kernel is not pure_negativities:
-        value = float(kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
-    if res.direction == "max":
-        return PairTerm(value, value, "lower", "optimizer")
-    # Minimization: the decomposition average is an upper bound of the roof.
-    if kernel is pure_negativities:
-        return PairTerm(value, pt_negativity(state, cut), "upper", "optimizer")
-    lower = range_floor(state, cut)
-    profile = state.profile
-    if min(profile.restrict(cut.side_a).size, profile.restrict(cut.side_b).size) == 2:
-        # Two-dimensional side: every member has Schmidt rank <= 2, so
-        # the concurrence roof equals the negativity roof and the
-        # partial-transpose negativity floors it.
-        lower = max(pt_negativity(state, cut), lower)
-    return PairTerm(value, lower, "upper", "optimizer")
 
 
 def pair_term(
@@ -314,7 +308,7 @@ def pair_term(
     ``pair_terms`` holds the table that picks the method and the bound
     kind; ``cfg`` controls the optimizer, and other rows ignore it.
     """
-    return pair_terms([state], [cut], [measure], [cfg])[0]
+    return pair_terms([(state, cut, measure, cfg)])[0]
 
 
 def _build_report(state_id, focus, measure, lhs_sq, partners, terms) -> AuditReport:
@@ -361,7 +355,7 @@ def audit(
     the left side and every pair marginal, so the marginals' searches run
     batched.
     """
-    return _audits([psi], focus, [measure], [state_id], opt_cfg, [seed])[0]
+    return _audits([(psi, state_id, seed)], focus, [measure], opt_cfg)[0]
 
 
 def audits(
@@ -380,39 +374,35 @@ def audits(
     one minimum of each marginal serves ``cren`` and ``ckw``, one maximum
     ``crenoa`` and ``coa``.
     """
-    return _audits([psi], focus, measures, [state_id], opt_cfg, [seed])
+    return _audits([(psi, state_id, seed)], focus, measures, opt_cfg)
 
 
-def _audits(psis, focus, measures, state_ids, opt_cfg, seeds) -> list[AuditReport]:
-    """The ``audit`` of each state under each measure, in measure order.
+def _audits(states, focus, measures, opt_cfg) -> list[AuditReport]:
+    """The ``audit`` of each ``(psi, state_id, seed)`` row under each measure, in measure order.
 
     One ``pair_terms`` call resolves every term of all the states under all
     the measures, so they share their searches as ``audits`` says.
     """
-    psis = [_require_pure(psi) for psi in psis]
+    for psi, _, _ in states:
+        _require_pure(psi)
     for measure in measures:
         if measure not in AUDIT_MEASURES:
             raise DomainError(f"unknown audit measure {measure!r}")
-    marginals = [_pair_marginals(psi, focus) for psi in psis]
-    states, cuts, term_measures, cfgs = [], [], [], []
+    marginals = [_pair_marginals(psi, focus) for psi, _, _ in states]
+    rows = []
     for measure in measures:
         term_measure = AUDIT_MEASURES[measure]
-        for psi, pairs, seed in zip(psis, marginals, seeds):
-            states.append(psi)
-            cuts.append(Bipartition((focus,), psi.profile.n))
-            cfgs.append(None)
+        for (psi, _, seed), pairs in zip(states, marginals):
+            rows.append((psi, Bipartition((focus,), psi.profile.n), term_measure, None))
             for _, pair in pairs:
                 cfg = opt_cfg
                 if cfg is None and PAIR_MEASURES[term_measure][1] is not None:
                     cfg = _audit_opt_cfg(pair.rank(), seed)
-                states.append(pair)
-                cuts.append(1)
-                cfgs.append(cfg)
-            term_measures += [term_measure] * (1 + len(pairs))
-    terms = iter(pair_terms(states, cuts, term_measures, cfgs))
+                rows.append((pair, 1, term_measure, cfg))
+    terms = iter(pair_terms(rows))
     reports = []
     for measure in measures:
-        for state_id, pairs in zip(state_ids, marginals):
+        for (_, state_id, _), pairs in zip(states, marginals):
             lhs = next(terms).value
             terms_of_pairs = [next(terms) for _ in pairs]
             partners = [i for i, _ in pairs]
@@ -520,12 +510,14 @@ def hunt(
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
+    _require_focus(profile, focus)
     rng = np.random.default_rng(seed)
     findings = []
     for start in range(0, trials, _HUNT_BLOCK):
-        block = range(start, min(start + _HUNT_BLOCK, trials))
-        psis = [random_pure_state(profile, rng) for _ in block]
-        ids = [f"hunt-{t:05d}" for t in block]
-        reports = _audits(psis, focus, ["cren"], ids, None, [seed + t for t in block])
+        states = [
+            (random_pure_state(profile, rng), f"hunt-{t:05d}", seed + t)
+            for t in range(start, min(start + _HUNT_BLOCK, trials))
+        ]
+        reports = _audits(states, focus, ["cren"], None)
         findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
     return findings

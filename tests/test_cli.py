@@ -27,6 +27,16 @@ coefficients:
   - [0.5773502691896258]
 """
 
+# The README's partially coherent document; sweep reads only its table.
+PCS_SPEC = """kind: pcs
+coefficients:
+  - [0.5773502691896258]
+  - [0.5773502691896258]
+  - [0.5773502691896258]
+p: 0.5
+lambda: 0.25
+"""
+
 BAD_SPEC = """kind: amplitudes
 profile: [2, 2]
 amplitudes:
@@ -54,6 +64,26 @@ class TestStateCommand:
         assert code == 0
         assert "0.666666666667" in out
         assert "0.333333333333" in out
+
+    def test_mixed_state_cut_reads_its_negativity(self, capsys):
+        code, out, _ = run_cli(
+            "state", "--family", "ou", "--trace-out", "3", "--cut", "1", capsys=capsys
+        )
+        assert code == 0
+        rows = dict(line.split(None, 1) for line in out.strip().split("\n")[1:])
+        assert rows["kind"].strip() == "mixed"
+        assert rows["cut"].strip() == "1|2"
+        assert rows["negativity"].strip() == "0.666666666667"
+
+    def test_json_ends_with_a_newline(self, capsys):
+        code, out, _ = run_cli(
+            "state", "--family", "ou", "--trace-out", "3", "--cut", "1", "--format", "json",
+            capsys=capsys,
+        )
+        assert code == 0
+        assert out.endswith("]\n")
+        rows = {row["property"]: row["value"] for row in json.loads(out)}
+        assert rows["negativity"] == "0.666666666667"
 
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.yaml"
@@ -303,6 +333,24 @@ class TestSweepCommand:
         column = header.index("flatness_max_dev")
         assert [row[column] for row in rows] == ["0", "0"]
 
+    def test_pcs_spec_matches_the_symmetric_family(self, tmp_path, capsys):
+        spec = tmp_path / "pcs.yaml"
+        spec.write_text(PCS_SPEC)
+        grids = ("--p-grid", "0.25,0.5,0.75", "--lambda-grid", "0,0.5,1", "--format", "csv")
+        code, from_spec, _ = run_cli("sweep", "--spec", str(spec), *grids, capsys=capsys)
+        assert code == 0
+        code, from_family, _ = run_cli("sweep", "--n", "3", "--d", "2", *grids, capsys=capsys)
+        assert code == 0
+        assert from_spec == from_family
+        assert len(from_spec.strip().split("\n")) == 10
+
+    def test_spec_of_another_kind_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "ou.yaml"
+        spec.write_text("kind: ou\n")
+        code, out, err = run_cli("sweep", "--spec", str(spec), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "field 'kind': expected w_class or pcs" in err
+
     def test_partition_saturation(self, capsys):
         code, out, _ = run_cli(
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0.5",
@@ -329,10 +377,21 @@ class TestHuntCommand:
         assert code == 2
 
     def test_bad_profile_exit_2(self, capsys):
-        code, _, err = run_cli(
-            "hunt", "--profile", "2,x", "--trials", "1", capsys=capsys
-        )
-        assert code == 2
+        for profile in ("2,x", "3,,2"):
+            code, _, err = run_cli(
+                "hunt", "--profile", profile, "--trials", "1", capsys=capsys
+            )
+            assert code == 2
+            assert err.startswith(f"error: --profile '{profile}': ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--profile", "3"), "audits need at least 3 parties"),
+        (("--profile", "3,2,2", "--focus", "7"), "focus party 7 out of range 1..3"),
+    ])
+    @pytest.mark.parametrize("trials", ["0", "2"])
+    def test_unauditable_inputs_exit_2_at_any_trial_count(self, argv, message, trials, capsys):
+        code, out, err = run_cli("hunt", *argv, "--trials", trials, capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_grid_exit_2(self, capsys):
         code, _, err = run_cli(

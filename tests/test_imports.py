@@ -41,13 +41,18 @@ def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
     # monogamy.pair_terms is the one table that picks how a term is computed;
     # a second caller of either solver would be a second table.
     # convexroof.optimize is optimize_many's one-problem call, not a table.
+    # Every read of a solver's name counts, called or not, so a helper
+    # handed one as a value cannot hide a second caller.
     callers = set()
     for owner, node in _top_level_owners(include_init=False):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("optimize", "optimize_many", "wootters_concurrence_2q"):
-                callers.add((name, owner))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in ("optimize", "optimize_many", "wootters_concurrence_2q"):
+            callers.add((name, owner))
     assert callers == {
         ("optimize_many", "convexroof.optimize"),
         ("optimize_many", "monogamy.pair_terms"),

@@ -214,33 +214,28 @@ class TestPairTerm:
         for measure in ("cren", "concurrence", "crenoa"):
             measures = [measure] * len(states)
             alone = [pair_term(s, c, measure, cfg) for s, c, cfg in zip(states, cuts, cfgs)]
-            assert pair_terms(states, cuts, measures, cfgs) == alone
-        with pytest.raises(DomainError, match="matching lengths"):
-            pair_terms(states, cuts[:1], measures, cfgs)
+            assert pair_terms(list(zip(states, cuts, measures, cfgs))) == alone
 
     def test_mixed_measure_batch_matches_one_item_calls(self):
         # Every measure of every input in one call, so rows of one state
         # share searches and the per-state closed forms, and rows of one
         # shape share a batched search.
         rows = [
-            (state, measure, OptConfig(starts=3, seed=k))
+            (state, 1, measure, OptConfig(starts=3, seed=k))
             for k, state in enumerate(_term_inputs().values())
             for measure in monogamy.PAIR_MEASURES
         ]
-        states, measures, cfgs = (list(column) for column in zip(*rows))
-        cuts = [1] * len(rows)
-        alone = [pair_term(s, 1, m, cfg) for s, m, cfg in rows]
-        assert pair_terms(states, cuts, measures, cfgs) == alone
+        alone = [pair_term(*row) for row in rows]
+        assert pair_terms(rows) == alone
 
     def test_pure_rows_equal_the_closed_forms(self, rng):
         # A pure row is its kernel on the state's cut matrix, which is what
         # concurrence_pure and negativity_pure compute.
         closed = {"concurrence": concurrence_pure, "coa": concurrence_pure}
         inputs = [(ou_state(), 1), (kim_sanders_state(), 2), (rand_pure((2, 3, 4), rng), (1, 3))]
-        rows = [(psi, cut, measure) for psi, cut in inputs for measure in monogamy.PAIR_MEASURES]
-        states, cuts, measures = (list(column) for column in zip(*rows))
-        terms = pair_terms(states, cuts, measures, [None] * len(rows))
-        for (psi, cut, measure), term in zip(rows, terms):
+        rows = [(psi, cut, measure, None) for psi, cut in inputs for measure in monogamy.PAIR_MEASURES]
+        terms = pair_terms(rows)
+        for (psi, cut, measure, _), term in zip(rows, terms):
             assert term.value == closed.get(measure, negativity_pure)(psi, cut)
 
     def test_optimizer_concurrence_rows_score_the_negativity_search(self):
@@ -306,10 +301,9 @@ class TestSharedSearches:
         # negativity; the qutrit-qubit rows one negativity, as the cren lower
         # bound, the two-dimensional-side concurrence floor and the term.
         inputs = _term_inputs()
-        rows = [(inputs[name], m) for name in ("qubit_pair", "qutrit_qubit_pair")
-                for m in ("cren", "concurrence", "negativity", "cren")]
-        states, measures = (list(column) for column in zip(*rows))
-        pair_terms(states, [1] * len(rows), measures, [OptConfig(starts=2)] * len(rows))
+        pair_terms([(inputs[name], 1, m, OptConfig(starts=2))
+                    for name in ("qubit_pair", "qutrit_qubit_pair")
+                    for m in ("cren", "concurrence", "negativity", "cren")])
         assert calls == {"wootters_concurrence_2q": 1, "negativity_mixed": 2}
 
     def test_pure_rows_computed_once_per_kernel(self, monkeypatch):
