@@ -287,13 +287,15 @@ def _run_audit(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    if args.spec:
-        wspec = load_w_spec(args.spec)
+    spec = load_w_spec(args.spec) if args.spec else WClassSpec.symmetric(args.n, args.d)
+    # A grid flag that is not given takes a pcs document's one value.
+    if isinstance(spec, PCSSpec):
+        wspec, p_grid, lam_grid = spec.w, [spec.p], [spec.lam]
     else:
-        wspec = WClassSpec.symmetric(args.n, args.d)
+        wspec, p_grid, lam_grid = spec, [0.25, 0.5, 0.75], [0.0, 0.5, 1.0]
+    p_grid = _parse_grid(args.p_grid) if args.p_grid is not None else p_grid
+    lam_grid = _parse_grid(args.lambda_grid) if args.lambda_grid is not None else lam_grid
     partition = _parse_partition(args.partition) if args.partition else None
-    p_grid = _parse_grid(args.p_grid)
-    lam_grid = _parse_grid(args.lambda_grid)
     rows = []
     m = partition.m if partition else wspec.n
     pair_cols = tuple(f"pair_cren_{i}" for i in range(2, m + 1))
@@ -397,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", help="w_class or pcs spec document")
     p_sweep.add_argument("--n", type=int, default=3)
     p_sweep.add_argument("--d", type=int, default=2)
-    p_sweep.add_argument("--p-grid", dest="p_grid", default="0.25,0.5,0.75")
-    p_sweep.add_argument("--lambda-grid", dest="lambda_grid", default="0,0.5,1")
+    p_sweep.add_argument("--p-grid", help="default: a pcs spec's p, else 0.25,0.5,0.75")
+    p_sweep.add_argument("--lambda-grid", help="default: a pcs spec's lambda, else 0,0.5,1")
     p_sweep.add_argument("--partition", help="party blocks, e.g. 1|23")
     p_sweep.add_argument("--samples", type=int, default=64, help="flatness scan samples")
 

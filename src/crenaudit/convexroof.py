@@ -215,7 +215,7 @@ def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
     size = cfg.resolve_size(rank)
     rng = np.random.default_rng(cfg.seed)
     eye = np.eye(size, rank, dtype=complex)
-    return np.stack([eye] + [haar_unitary(size, rng) @ eye for _ in range(cfg.starts - 1)])
+    return np.stack([eye] + [haar_unitary(size, rng)[:, :rank] for _ in range(cfg.starts - 1)])
 
 
 # Two-row members with s_2 <= about 1e-12 s_1 count as rank one.

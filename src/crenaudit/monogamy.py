@@ -51,7 +51,7 @@ from .qlinalg import (
     cut_matrices,
     partial_trace,
 )
-from .states import ExcitationWeights, PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
+from .states import PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
 
 TOL_SAT = 1e-7
 
@@ -113,9 +113,10 @@ class AuditReport:
 class AnalyticWValues:
     """Closed-form pairwise and global roof values of a W-class mixture.
 
-    ``global_cren`` is 2p sqrt(A(1-A)) with A the excitation weight off the
-    focus party; ``pair_cren[k]`` (for party k+2) is 2p sqrt((1-A)(A-A_i)).
-    The squares of the pair values sum to the square of the global value.
+    With w_j = sum_k |a[j-1, k-1]|^2 the excitation weight of party j,
+    ``global_cren`` is 2p sqrt(w_1(1-w_1)) and ``pair_cren[k]`` (for party
+    j = k+2) is 2p sqrt(w_1 w_j).  The w_j sum to 1, so the squares of the
+    pair values sum to the square of the global value.
     """
 
     global_cren: float
@@ -436,13 +437,10 @@ def negativity_audit(psi, focus, *, state_id="state") -> AuditReport:
 
 def analytic_w_values(spec: WClassSpec, p: float) -> AnalyticWValues:
     """Closed-form roof values of a W-class/vacuum mixture with weight p."""
-    weights = ExcitationWeights.from_spec(spec)
-    a = weights.off_focus
-    global_cren = 2.0 * p * np.sqrt(max(a * (1.0 - a), 0.0))
-    pair = tuple(
-        2.0 * p * np.sqrt(max((1.0 - a) * (a - weights.off_pair[i]), 0.0))
-        for i in range(2, spec.n + 1)
-    )
+    w = np.sum(np.abs(spec.a) ** 2, axis=1)
+    # w_1 may exceed 1 by the table's normalization slack.
+    global_cren = 2.0 * p * np.sqrt(max(w[0] * (1.0 - w[0]), 0.0))
+    pair = tuple(2.0 * p * np.sqrt(w[0] * w[1:]))
     return AnalyticWValues(global_cren=float(global_cren), pair_cren=pair)
 
 

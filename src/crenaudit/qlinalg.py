@@ -68,10 +68,7 @@ class DimensionProfile:
 
     @property
     def size(self) -> int:
-        p = 1
-        for d in self.dims:
-            p *= d
-        return p
+        return math.prod(self.dims)
 
     @property
     def parties(self) -> range:

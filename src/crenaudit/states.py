@@ -94,29 +94,6 @@ class PCSSpec:
 
 
 @dataclass(frozen=True)
-class ExcitationWeights:
-    """How the single excitation of a W-class state is shared among parties.
-
-    ``off_focus`` is the total weight carried by parties other than party 1;
-    ``off_pair[i]`` (i = 2..n, keyed by party) is the weight carried by
-    parties other than both 1 and i.  The per-party weights off_focus -
-    off_pair[i] sum back to off_focus.
-    """
-
-    off_focus: float
-    off_pair: dict[int, float]
-
-    @classmethod
-    def from_spec(cls, spec: WClassSpec) -> "ExcitationWeights":
-        per_party = np.sum(np.abs(spec.a) ** 2, axis=1)
-        off_focus = float(1.0 - per_party[0])
-        off_pair = {
-            i: float(1.0 - per_party[0] - per_party[i - 1]) for i in range(2, spec.n + 1)
-        }
-        return cls(off_focus=off_focus, off_pair=off_pair)
-
-
-@dataclass(frozen=True)
 class PartitionSpec:
     """Ordered partition of the parties 1..n into disjoint blocks."""
 
@@ -306,37 +283,28 @@ def expand_coarse_state(spec: WClassSpec, partition: PartitionSpec) -> PureState
 def pair_marginal_analytic(spec: PCSSpec, i: int) -> DensityOperator:
     """Marginal of the partially coherent state on parties (1, i), closed form.
 
-    The all-zero matrix element carries weight p*off_pair(i) + (1 - p):
-    tracing the full state fixes it uniquely, and the package resolves the
-    weight that way rather than from any display formula.
+    With phi = sum_k a[0, k-1] |k0> + a[i-1, k-1] |0k> (k = 1..d-1) the
+    marginal is p|phi><phi| + (1 - p w)|00><00| + lam sqrt(p(1-p)) (|phi><00|
+    + h.c.), where w = ||phi||^2 = w_1 + w_i and w_j = sum_k |a[j-1, k-1]|^2
+    is party j's excitation weight.  The weight p(1 - w) of the traced-out
+    parties' excitations joins the vacuum.
     """
     w = spec.w
     if not 2 <= i <= w.n:
         raise DomainError(f"party {i} out of range 2..{w.n}")
-    weights = ExcitationWeights.from_spec(w)
-    profile = DimensionProfile((w.d, w.d))
-    a1 = w.a[0, :]
-    ai = w.a[i - 1, :]
-    size = profile.size
-    mat = np.zeros((size, size), dtype=complex)
-
-    def idx(x: int, y: int) -> int:
-        return profile.index_of((x, y))
-
-    for k in range(1, w.d):
-        for l in range(1, w.d):
-            mat[idx(k, 0), idx(l, 0)] += spec.p * a1[k - 1] * np.conj(a1[l - 1])
-            mat[idx(k, 0), idx(0, l)] += spec.p * a1[k - 1] * np.conj(ai[l - 1])
-            mat[idx(0, k), idx(l, 0)] += spec.p * ai[k - 1] * np.conj(a1[l - 1])
-            mat[idx(0, k), idx(0, l)] += spec.p * ai[k - 1] * np.conj(ai[l - 1])
-    mat[idx(0, 0), idx(0, 0)] += spec.p * weights.off_pair[i] + (1.0 - spec.p)
-    coh = spec.lam * np.sqrt(spec.p * (1.0 - spec.p))
-    for k in range(1, w.d):
-        mat[idx(k, 0), idx(0, 0)] += coh * a1[k - 1]
-        mat[idx(0, k), idx(0, 0)] += coh * ai[k - 1]
-        mat[idx(0, 0), idx(k, 0)] += coh * np.conj(a1[k - 1])
-        mat[idx(0, 0), idx(0, k)] += coh * np.conj(ai[k - 1])
-    return DensityOperator(profile, mat)
+    phi = np.zeros((w.d, w.d), dtype=complex)
+    phi[1:, 0] = w.a[0]
+    phi[0, 1:] = w.a[i - 1]
+    phi = phi.reshape(-1)
+    vac = np.zeros_like(phi)
+    vac[0] = 1.0
+    cross = np.outer(phi, vac)
+    mat = (
+        spec.p * np.outer(phi, phi.conj())
+        + (1.0 - spec.p * np.vdot(phi, phi).real) * np.outer(vac, vac)
+        + spec.lam * np.sqrt(spec.p * (1.0 - spec.p)) * (cross + cross.conj().T)
+    )
+    return DensityOperator(DimensionProfile((w.d, w.d)), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +429,11 @@ def parse_state_spec(text: str):
             )
     if kind == "w_class":
         return build_w_state(wspec)
+    return build_pcs_density(_parse_pcs(doc, wspec))
+
+
+def _parse_pcs(doc: dict, wspec: WClassSpec) -> PCSSpec:
+    """The PCSSpec of a pcs document's ``p`` and ``lambda`` over ``wspec``."""
     p = doc.get("p")
     lam = doc.get("lambda")
     if not isinstance(p, (int, float)):
@@ -468,17 +441,19 @@ def parse_state_spec(text: str):
     if not isinstance(lam, (int, float)):
         raise SpecFormatError("field 'lambda': expected a number in [0, 1]")
     try:
-        return build_pcs_density(PCSSpec(wspec, float(p), float(lam)))
+        return PCSSpec(wspec, float(p), float(lam))
     except DomainError as exc:
         raise SpecFormatError(f"fields 'p'/'lambda': {exc}") from exc
 
 
-def parse_w_spec(text: str) -> WClassSpec:
-    """Parse just the coefficient table of a w_class or pcs document."""
+def parse_w_spec(text: str) -> WClassSpec | PCSSpec:
+    """The coefficient table of a w_class document, or the PCSSpec of a pcs one."""
     doc = _load_doc(text)
-    if doc.get("kind") not in ("w_class", "pcs"):
+    kind = doc.get("kind")
+    if kind not in ("w_class", "pcs"):
         raise SpecFormatError("field 'kind': expected w_class or pcs")
-    return _parse_w_table(doc)
+    wspec = _parse_w_table(doc)
+    return _parse_pcs(doc, wspec) if kind == "pcs" else wspec
 
 
 def load_state_spec(path: str):
@@ -486,6 +461,6 @@ def load_state_spec(path: str):
         return parse_state_spec(fh.read())
 
 
-def load_w_spec(path: str) -> WClassSpec:
+def load_w_spec(path: str) -> WClassSpec | PCSSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_w_spec(fh.read())

@@ -344,6 +344,34 @@ class TestSweepCommand:
         assert from_spec == from_family
         assert len(from_spec.strip().split("\n")) == 10
 
+    def test_pcs_spec_without_grids_sweeps_its_own_point(self, tmp_path, capsys):
+        spec = tmp_path / "pcs.yaml"
+        spec.write_text(PCS_SPEC)
+        code, out, _ = run_cli("sweep", "--spec", str(spec), "--format", "csv", capsys=capsys)
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.strip().split("\n")]
+        assert [row[:2] for row in rows] == [["0.5", "0.25"]]
+
+    def test_pcs_spec_p_is_checked_as_state_checks_it(self, tmp_path, capsys):
+        spec = tmp_path / "pcs.yaml"
+        spec.write_text(PCS_SPEC.replace("p: 0.5", "p: 1.5"))
+        for command in ("sweep", "state"):
+            code, out, err = run_cli(command, "--spec", str(spec), capsys=capsys)
+            assert (code, out) == (2, "")
+            assert "fields 'p'/'lambda': p must lie in [0, 1], got 1.5" in err
+
+    def test_skewed_table_prints_exact_digits(self, tmp_path, capsys):
+        # Focus weight 1e-8: the printed values are the exact roof values.
+        spec = tmp_path / "skewed.yaml"
+        spec.write_text("kind: w_class\ncoefficients:\n  - [0.0001]\n  - [0.7]\n"
+                        "  - [0.71414284285]\n")
+        code, out, _ = run_cli("sweep", "--spec", str(spec), "--p-grid", "0.5",
+                               "--lambda-grid", "0", "--format", "csv", capsys=capsys)
+        assert code == 0
+        header, row = [line.split(",") for line in out.strip().split("\n")]
+        values = row[header.index("global_cren"):header.index("residual")]
+        assert ",".join(values) == "9.99999990003e-05,6.99999993004e-05,7.14142835713e-05"
+
     def test_spec_of_another_kind_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "ou.yaml"
         spec.write_text("kind: ou\n")

@@ -165,3 +165,15 @@ def test_only_cli_renders():
         if alias.name in ("csv", "io", "json")
     }
     assert {module for module, _ in importers} <= {"cli"}, f"format imports: {sorted(importers)}"
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    # A stale entry breaks `from crenaudit import *`; a missing one hides a name.
+    import crenaudit
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names]
+    assert sorted(crenaudit.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    assert all(hasattr(crenaudit, name) for name in crenaudit.__all__)

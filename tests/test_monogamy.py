@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -434,6 +436,19 @@ class TestAnalyticWAudit:
         values = analytic_w_values(WClassSpec.symmetric(3, 2), 0.5)
         assert values.global_cren == pytest.approx(np.sqrt(2) / 3, abs=1e-12)
         assert np.allclose(values.pair_cren, [1 / 3, 1 / 3], atol=1e-12)
+
+    def test_skewed_table_keeps_its_digits(self):
+        # A focus weight of 1e-8 must not cancel against 1: each value agrees
+        # with 2p sqrt(w_1(1-w_1)) and 2p sqrt(w_1 w_j), 2p = 1, evaluated in
+        # 50-digit decimals from the same (renormalized) table.
+        spec = WClassSpec(3, 2, np.array([[1e-4], [0.7], [0.71414284285]]))
+        values = analytic_w_values(spec, 0.5)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            w = [sum(Decimal(z.real) ** 2 + Decimal(z.imag) ** 2 for z in row) for row in spec.a]
+            want = [(w[0] * (1 - w[0])).sqrt()] + [(w[0] * wj).sqrt() for wj in w[1:]]
+            for got, exact in zip([values.global_cren, *values.pair_cren], want):
+                assert abs(Decimal(got) - exact) <= Decimal("1e-14") * exact
 
     def test_saturation_and_flatness(self):
         audit = analytic_w_audit(PCSSpec(WClassSpec.symmetric(3, 2), 0.5, 0.5))

@@ -3,7 +3,6 @@ import pytest
 
 from crenaudit import (
     DomainError,
-    ExcitationWeights,
     PCSSpec,
     PartitionSpec,
     SpecFormatError,
@@ -51,28 +50,18 @@ class TestWState:
         assert np.count_nonzero(np.abs(psi.amplitudes) > 1e-14) == 2
 
     def test_focus_marginal_spectrum(self, rng):
-        # The party-1 marginal has eigenvalues {off-focus weight, 1 - it}.
+        # The party-1 marginal has eigenvalues {w_1, 1 - w_1}, w_1 = sum_k |a_1k|^2.
         spec = random_w_spec(4, 3, rng)
-        weights = ExcitationWeights.from_spec(spec)
+        w1 = float(np.sum(np.abs(spec.a[0]) ** 2))
         rho1 = partial_trace(build_w_state(spec).to_density(), (1,))
         evals = np.sort(np.linalg.eigvalsh(rho1.matrix))[::-1]
-        expected = sorted([weights.off_focus, 1 - weights.off_focus], reverse=True)
+        expected = sorted([w1, 1 - w1], reverse=True)
         assert np.allclose(evals[:2], expected, atol=1e-12)
         assert np.all(evals[2:] < 1e-12)
 
     def test_unnormalized_table_rejected(self):
         with pytest.raises(DomainError):
             WClassSpec(3, 2, np.full((3, 1), 1.0))
-
-
-class TestExcitationWeights:
-    def test_pair_weights_sum_back(self, rng):
-        for n, d in ((3, 2), (3, 3), (4, 2), (5, 4)):
-            spec = random_w_spec(n, d, rng)
-            w = ExcitationWeights.from_spec(spec)
-            total = sum(w.off_focus - w.off_pair[i] for i in range(2, n + 1))
-            assert total == pytest.approx(w.off_focus, abs=1e-12)
-            assert all(0 <= w.off_pair[i] <= w.off_focus <= 1 for i in w.off_pair)
 
 
 class TestPcsDensity:
@@ -211,14 +200,20 @@ class TestCoarseGrain:
 
 
 class TestPairMarginal:
-    @pytest.mark.parametrize("p,lam", [(0.0, 0.5), (0.3, 0.0), (0.7, 0.6), (1.0, 1.0)])
+    @pytest.mark.parametrize("p,lam", [(0.0, 0.5), (0.3, 0.0), (0.7, 0.6), (1.0, 1.0),
+                                       (0.4, 0.3), (0.9, 0.8), (1.0, 0.5)])
     def test_matches_partial_trace(self, p, lam, rng):
-        spec = PCSSpec(random_w_spec(4, 3, rng), p, lam)
-        rho = build_pcs_density(spec)
-        for i in (2, 3, 4):
-            direct = pair_marginal_analytic(spec, i)
-            traced = partial_trace(rho, (1, i))
-            assert np.max(np.abs(direct.matrix - traced.matrix)) <= 1e-12
+        # Each table also runs with party 1, party 3 and both zero-weight.
+        a = random_w_spec(4, 3, rng).a
+        for zero in ((), (0,), (2,), (0, 2)):
+            table = a.copy()
+            table[list(zero)] = 0.0
+            spec = PCSSpec(WClassSpec(4, 3, table / np.linalg.norm(table)), p, lam)
+            rho = build_pcs_density(spec)
+            for i in (2, 3, 4):
+                direct = pair_marginal_analytic(spec, i)
+                traced = partial_trace(rho, (1, i))
+                assert np.max(np.abs(direct.matrix - traced.matrix)) <= 1e-12
 
     def test_pure_symmetric_case(self):
         spec = PCSSpec(WClassSpec.symmetric(3, 2), 1.0, 0.0)
