@@ -33,7 +33,8 @@ and runs all their starts in one search, so a hunt or an audit pays the
 Python and LAPACK call overhead once per step rather than once per
 problem.  A lone problem is a stack of one, in the same layout.  Every
 start steps as it would alone, so batched results are bit for bit those
-of ``optimize``, its one-problem call.
+of ``optimize``, its one-problem call.  Each Haar sample set (a search's
+starts, a flatness scan) is one ``haar_unitaries`` draw.
 
 Reported minima are upper bounds of the true minimum and reported maxima
 are lower bounds of the true maximum; ``monogamy.pair_terms`` labels them
@@ -63,12 +64,20 @@ DEFAULT_SIZE_CAP = 16     # cap for the rank**2 default decomposition size
 UNITARY_TOL = 1e-10
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+def haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim, dim) Haar unitaries from one stacked QR with R's phases
+    divided out (Mezzadri, Notices AMS 54, 592 (2007)).  Each sample draws its
+    real block, then its imaginary one: the stream, bit for bit, of ``count``
+    successive ``haar_unitary(dim, rng)`` calls."""
+    z = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)[:, None, :]
     return q * (d / np.abs(d))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed unitary, the one-item call of ``haar_unitaries``."""
+    return haar_unitaries(1, dim, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -210,12 +219,11 @@ def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
     """The (starts, size, rank) stack of start isometries of one problem.
 
     The first is the padded identity, the spectral decomposition itself;
-    the others rotate it by Haar-random unitaries drawn from ``cfg.seed``.
+    the others rotate it by one ``haar_unitaries`` draw from ``cfg.seed``.
     """
     size = cfg.resolve_size(rank)
-    rng = np.random.default_rng(cfg.seed)
-    eye = np.eye(size, rank, dtype=complex)
-    return np.stack([eye] + [haar_unitary(size, rng)[:, :rank] for _ in range(cfg.starts - 1)])
+    rotations = haar_unitaries(cfg.starts - 1, size, np.random.default_rng(cfg.seed))
+    return np.concatenate([np.eye(size, rank, dtype=complex)[None], rotations[:, :, :rank]])
 
 
 # Two-row members with s_2 <= about 1e-12 s_1 count as rank one.
@@ -564,10 +572,10 @@ def flatness_scan(
     Each sample is the decomposition ``decomposition_from_unitary`` builds
     from a Haar unitary on ``rho.roots``, the spectral roots ``rho`` keeps
     from its one cached eigendecomposition; all ``samples`` unitaries are
-    drawn first, in order, and the members of every sample are scored in
-    one ``pure_negativities`` call.  A max_abs_dev at rounding level certifies
-    (numerically) that the decomposition landscape is flat, i.e. the convex
-    roof is decomposition independent for this state and cut.
+    one ``haar_unitaries`` draw, in order, and the members of every sample
+    are scored in one ``pure_negativities`` call.  A max_abs_dev at rounding
+    level certifies (numerically) that the decomposition landscape is flat,
+    i.e. the convex roof is decomposition independent for this state and cut.
     """
     if samples < 2:
         raise DomainError("flatness_scan needs at least 2 samples")
@@ -576,8 +584,7 @@ def flatness_scan(
     r = size if size is not None else rank
     if r < rank:
         raise DomainError(f"size {r} below rank {rank}")
-    rng = np.random.default_rng(seed)
-    isometries = np.stack([haar_unitary(r, rng)[:, :rank] for _ in range(samples)])
+    isometries = haar_unitaries(samples, r, np.random.default_rng(seed))[:, :, :rank]
     mats = cut_matrices(isometries @ rho.roots, rho.profile, cut)
     values = pure_negativities(mats).reshape(samples, r).sum(axis=1)
     mean = float(values.mean())

@@ -11,6 +11,7 @@ consumed by the command line front end.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -315,12 +316,10 @@ _KINDS = ("amplitudes", "w_class", "pcs", "ou", "kim_sanders", "max_entangled")
 
 
 def _as_complex(value, field: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
+    # abs(v) < inf is false for YAML's .nan and .inf as well as for overflowed 1e400.
+    pair = value if isinstance(value, list) else [value, 0]
+    if len(pair) == 2 and all(isinstance(v, (int, float)) and abs(v) < np.inf for v in pair):
+        return complex(*pair)
     raise SpecFormatError(f"field '{field}': expected a number or [re, im] pair, got {value!r}")
 
 
@@ -366,10 +365,18 @@ def _parse_w_table(doc: dict) -> WClassSpec:
         raise SpecFormatError(f"field 'coefficients': {exc}") from exc
 
 
+class _SpecLoader(yaml.SafeLoader):
+    """The safe loader, reading ``1e-4`` as a float as YAML 1.2 does (1.1 wants a dot)."""
+
+
+_SpecLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def _load_doc(text: str) -> dict:
     """The key-value mapping of a state-spec document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_SpecLoader)
     except yaml.YAMLError as exc:
         raise SpecFormatError(f"not a valid document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -410,10 +417,7 @@ def parse_state_spec(text: str):
                 raise SpecFormatError(
                     f"field 'amplitudes': expected [digits, re, im] triple, got {entry!r}"
                 )
-            digits, re, im = entry
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise SpecFormatError(f"field 'amplitudes': non-numeric amplitude in {entry!r}")
-            terms.append((_parse_digits(digits, profile), complex(re, im)))
+            terms.append((_parse_digits(entry[0], profile), _as_complex(entry[1:], "amplitudes")))
         try:
             return _basis_sum(profile, terms)
         except DomainError as exc:
@@ -434,14 +438,11 @@ def parse_state_spec(text: str):
 
 def _parse_pcs(doc: dict, wspec: WClassSpec) -> PCSSpec:
     """The PCSSpec of a pcs document's ``p`` and ``lambda`` over ``wspec``."""
-    p = doc.get("p")
-    lam = doc.get("lambda")
-    if not isinstance(p, (int, float)):
-        raise SpecFormatError("field 'p': expected a number in [0, 1]")
-    if not isinstance(lam, (int, float)):
-        raise SpecFormatError("field 'lambda': expected a number in [0, 1]")
+    for key in ("p", "lambda"):
+        if not isinstance(doc.get(key), (int, float)):
+            raise SpecFormatError(f"field '{key}': expected a number in [0, 1]")
     try:
-        return PCSSpec(wspec, float(p), float(lam))
+        return PCSSpec(wspec, float(doc["p"]), float(doc["lambda"]))
     except DomainError as exc:
         raise SpecFormatError(f"fields 'p'/'lambda': {exc}") from exc
 

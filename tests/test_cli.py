@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,9 @@ profile: [2, 2]
 amplitudes:
   - ["00", 0.5, 0.0]
 """
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*argv, capsys):
@@ -372,6 +376,55 @@ class TestSweepCommand:
         values = row[header.index("global_cren"):header.index("residual")]
         assert ",".join(values) == "9.99999990003e-05,6.99999993004e-05,7.14142835713e-05"
 
+    def test_exponent_entries_read_as_numbers(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-4 as a string; spec documents read it as 1.2 does.
+        skewed = "kind: w_class\ncoefficients:\n  - [{}]\n  - [0.7]\n  - [0.71414284285]\n"
+        amplitudes = 'kind: amplitudes\nprofile: [2, 2]\namplitudes:\n  - ["00", {0}, 0]\n' \
+                     '  - ["11", {0}, 0]\n'
+        cases = [
+            ("sweep", skewed.format("0.0001"), skewed.format("1e-4")),
+            ("sweep", PCS_SPEC, PCS_SPEC.replace("p: 0.5", "p: 5e-1")),
+            ("state", PCS_SPEC, PCS_SPEC.replace("lambda: 0.25", "lambda: 25E-2")),
+            ("state", amplitudes.format("0.7071067811865476"),
+             amplitudes.format("7071067811865476e-16")),
+        ]
+        for command, dotted, exponent in cases:
+            outs = []
+            for text in (dotted, exponent):
+                spec = tmp_path / "spec.yaml"
+                spec.write_text(text)
+                code, out, err = run_cli(command, "--spec", str(spec), "--format", "csv",
+                                         capsys=capsys)
+                assert (code, err) == (0, "")
+                outs.append(out)
+            assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("field, old, new", [
+        ("coefficients[1]", "[0.5773502691896258]", "[.nan]"),
+        ("coefficients[1]", "[0.5773502691896258]", "[-.inf]"),
+        ("coefficients[1]", "[0.5773502691896258]", "[1e400]"),
+        ("coefficients[1]", "[0.5773502691896258]", "[1e-4x]"),
+        ("p", "p: 0.5", "p: .nan"),
+        ("p", "p: 0.5", "p: 1e400"),
+        ("lambda", "lambda: 0.25", "lambda: nan"),
+    ])
+    def test_non_finite_or_non_numeric_entries_exit_2(self, field, old, new, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(PCS_SPEC.replace(old, new, 1))
+        for command in ("sweep", "state"):
+            code, out, err = run_cli(command, "--spec", str(spec), capsys=capsys)
+            assert (code, out) == (2, "")
+            assert f"'{field}'" in err
+
+    @pytest.mark.parametrize("value", [".nan", "-.inf", "1e400", "0.7x"])
+    def test_non_finite_or_non_numeric_amplitude_exits_2(self, value, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text('kind: amplitudes\nprofile: [2, 2]\namplitudes:\n'
+                        f'  - ["00", {value}, 0]\n  - ["11", 0.7071067811865476, 0]\n')
+        code, out, err = run_cli("state", "--spec", str(spec), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "field 'amplitudes'" in err
+
     def test_spec_of_another_kind_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "ou.yaml"
         spec.write_text("kind: ou\n")
@@ -388,6 +441,23 @@ class TestSweepCommand:
         assert code == 0
         row = out.strip().split("\n")[1]
         assert "saturated" in row
+
+
+class TestGoldenSweep:
+    """The exact stdout of two seeded sweeps, checked in as files, so that a
+    change of rendering, of the closed forms or of a flatness verdict shows
+    between commits.  The Haar stream itself is pinned in test_convexroof."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("--n", "3", "--d", "2"), "sweep_n3_d2_samples16.csv"),
+        (("--n", "4", "--d", "3", "--partition", "1|23|4"),
+         "sweep_n4_d3_partition_1-23-4_samples16.csv"),
+    ])
+    def test_csv(self, argv, golden, capsys):
+        code, out, _ = run_cli("sweep", *argv, "--samples", "16", "--format", "csv",
+                               capsys=capsys)
+        assert code == 0
+        assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
 class TestHuntCommand:

@@ -13,6 +13,7 @@ from crenaudit import (
     build_pcs_density,
     decomposition_from_unitary,
     flatness_scan,
+    haar_unitaries,
     haar_unitary,
     negativity_mixed,
     negativity_pure,
@@ -24,7 +25,9 @@ from crenaudit import (
 )
 
 from crenaudit.convexroof import _descent, _objective, _polar_ascent, _root_matrices, _starts
+from crenaudit.measures import pure_negativities
 from crenaudit.monogamy import _audit_opt_cfg
+from crenaudit.qlinalg import as_bipartition, cut_matrices
 from crenaudit.states import kim_sanders_state
 
 from conftest import rand_dm, rand_pure
@@ -41,6 +44,43 @@ def full_rank_qutrit_pair():
     for _ in range(5):
         rho = rand_dm((3, 3), 9, rng)
     return rho
+
+
+class TestHaarUnitaries:
+    """A batched draw is the per-sample stream, so seeded results stay put."""
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 16])
+    def test_batch_is_the_per_sample_stream(self, count, dim):
+        batched, looped = np.random.default_rng(5), np.random.default_rng(5)
+        got = haar_unitaries(count, dim, batched)
+        assert got.shape == (count, dim, dim)
+        for u, one in zip(got, [haar_unitary(dim, looped) for _ in range(count)], strict=True):
+            assert np.array_equal(u, one)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-12
+        assert np.array_equal(batched.standard_normal(3), looped.standard_normal(3))
+
+    @pytest.mark.parametrize("starts", [1, 8])
+    def test_starts_match_the_per_start_loop(self, starts):
+        cfg = OptConfig(starts=starts, seed=3)
+        for rank in (1, 2, 3):
+            size = cfg.resolve_size(rank)
+            rng = np.random.default_rng(3)
+            reference = np.stack([np.eye(size, rank, dtype=complex)]
+                                 + [haar_unitary(size, rng)[:, :rank] for _ in range(starts - 1)])
+            assert np.array_equal(_starts(cfg, rank), reference)
+
+    def test_flatness_scan_matches_the_per_sample_loop(self, rng):
+        rho = rand_dm((2, 3), 2, rng)
+        cut = as_bipartition(1, 2)
+        draw = np.random.default_rng(4)
+        isometries = np.stack([haar_unitary(3, draw)[:, :2] for _ in range(16)])
+        values = pure_negativities(cut_matrices(isometries @ rho.roots, rho.profile, cut))
+        values = values.reshape(16, 3).sum(axis=1)
+        mean = float(values.mean())
+        flat = flatness_scan(rho, 1, samples=16, seed=4, size=3)
+        assert flat.mean == mean
+        assert flat.max_abs_dev == float(np.max(np.abs(values - mean)))
 
 
 class TestRootsAndDecompositions:

@@ -113,6 +113,22 @@ def test_only_qlinalg_eigendecomposes_hermitian_matrices():
     assert callers == {"qlinalg"}
 
 
+def test_no_module_draws_haar_unitaries_one_by_one():
+    # A set of Haar samples is one haar_unitaries draw, the same stream as a
+    # loop of haar_unitary calls; a loop of them pays one QR call per sample.
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = sorted({
+        f"{owner} line {node.lineno}"
+        for owner, loop in _top_level_owners(include_init=True)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "haar_unitary"
+    })
+    assert not found, f"haar_unitary called in a loop: {found}"
+
+
 def test_no_module_builds_the_density_of_a_pure_state():
     # partial_trace takes a PureState directly, so the package never needs
     # the D x D matrix (and its positivity eigendecomposition) of one.
