@@ -5,7 +5,8 @@ r x r unitary acting on the spectral root vectors (the HJW chart); only its
 first rank columns matter, an r x rank isometry V.  With R_j the roots
 reshaped across the cut, the average negativity is
 sum_k ||sum_j V_kj R_j||_*^2 - 1.  The roots are ``DensityOperator.roots``:
-the operator eigendecomposes itself once, on first use, so the searches,
+the operator eigendecomposes itself once, on first use (or, when built
+from a factor, takes its spectrum from the factor's SVD), so the searches,
 ``flatness_scan`` and ``monogamy.range_floor`` share that one
 decomposition, and ``rank()`` sizes the chart with the same rank decision.
 
@@ -571,7 +572,9 @@ def flatness_scan(
 
     Each sample is the decomposition ``decomposition_from_unitary`` builds
     from a Haar unitary on ``rho.roots``, the spectral roots ``rho`` keeps
-    from its one cached eigendecomposition; all ``samples`` unitaries are
+    from its one cached eigendecomposition, or from its factor's SVD when
+    it is built from a factor (the W/vacuum states of ``states`` are, so
+    scanning them runs no D x D eigensolve); all ``samples`` unitaries are
     one ``haar_unitaries`` draw, in order, and the members of every sample
     are scored in one ``pure_negativities`` call.  A max_abs_dev at rounding
     level certifies (numerically) that the decomposition landscape is flat,

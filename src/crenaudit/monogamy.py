@@ -114,9 +114,9 @@ class AnalyticWValues:
     """Closed-form pairwise and global roof values of a W-class mixture.
 
     With w_j = sum_k |a[j-1, k-1]|^2 the excitation weight of party j,
-    ``global_cren`` is 2p sqrt(w_1(1-w_1)) and ``pair_cren[k]`` (for party
-    j = k+2) is 2p sqrt(w_1 w_j).  The w_j sum to 1, so the squares of the
-    pair values sum to the square of the global value.
+    ``global_cren`` is 2p sqrt(w_1(1-w_1)) = 2p sqrt(w_1 sum_{j>=2} w_j) and
+    ``pair_cren[k]`` (for party j = k+2) is 2p sqrt(w_1 w_j), so the squares
+    of the pair values sum to the square of the global value.
     """
 
     global_cren: float
@@ -438,8 +438,8 @@ def negativity_audit(psi, focus, *, state_id="state") -> AuditReport:
 def analytic_w_values(spec: WClassSpec, p: float) -> AnalyticWValues:
     """Closed-form roof values of a W-class/vacuum mixture with weight p."""
     w = np.sum(np.abs(spec.a) ** 2, axis=1)
-    # w_1 may exceed 1 by the table's normalization slack.
-    global_cren = 2.0 * p * np.sqrt(max(w[0] * (1.0 - w[0]), 0.0))
+    # The sum of the other weights, not 1 - w_1, which cancels as w_1 nears 1.
+    global_cren = 2.0 * p * np.sqrt(w[0] * np.sum(w[1:]))
     pair = tuple(2.0 * p * np.sqrt(w[0] * w[1:]))
     return AnalyticWValues(global_cren=float(global_cren), pair_cren=pair)
 

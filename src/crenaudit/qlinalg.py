@@ -9,10 +9,12 @@ order, and the partial trace of a pure state is M M^H of its cut matrix,
 so no module needs the D x D density matrix of a pure state.
 
 A ``DensityOperator`` owns its spectrum and is the only place the package
-eigendecomposes one: the eigenvalues of its construction-time positivity
-check decide ``rank``, and its range (the spectral roots of the HJW
-chart and the orthonormal range basis) comes from one ``eigh``, run on
-first use and cached on the instance.
+eigendecomposes one.  Built from a matrix, the eigenvalues of its
+construction-time positivity check decide ``rank``, and its range (the
+spectral roots of the HJW chart and the orthonormal range basis) comes
+from one ``eigh``, run on first use and cached on the instance.  Built
+from a factor X (rho = X X^H, D x k), it takes its spectrum and range
+from one thin SVD of X, and runs no D x D eigensolve.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share between concurrent tasks.
@@ -21,7 +23,7 @@ functions, so they are safe to share between concurrent tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -172,31 +174,48 @@ class PureState:
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator over a profile.
 
-    Its rank counts the eigenvalues above ``TOL_RANK``, and ``roots`` and
-    ``range_basis`` hold the eigenpairs of those eigenvalues.
+    Give exactly one of ``matrix`` and ``factor``.  A factor X (D x k) gives
+    the matrix X X^H, positive by construction, and its thin SVD gives the
+    spectrum: eigenvalues s_i^2 and range vectors the left singular vectors.
+    A matrix is checked for positivity by ``eigvalsh``.  Its rank counts the
+    eigenvalues above ``TOL_RANK``, and ``roots`` and ``range_basis`` hold
+    the eigenpairs of those eigenvalues.
     """
 
     profile: DimensionProfile
-    matrix: np.ndarray
+    matrix: np.ndarray | None = None
+    factor: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, factor: np.ndarray | None) -> None:
+        if (self.matrix is None) == (factor is None):
+            raise DomainError("give exactly one of a matrix and a factor")
         size = self.profile.size
-        mat = np.asarray(self.matrix, dtype=complex)
+        x = None if factor is None else np.asarray(factor, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex) if x is None else x @ x.conj().T
         if mat.shape != (size, size):
             raise DomainError(f"matrix has shape {mat.shape}, expected {(size, size)}")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T))) if size else 0.0
+        adjoint = mat.conj().T
+        herm_dev = float(np.max(np.abs(mat - adjoint))) if size else 0.0
         if herm_dev > TOL_HERM:
             raise DomainError(f"matrix deviates from Hermitian by {herm_dev}")
-        mat = (mat + mat.conj().T) / 2.0
+        # A new array, so the caller's matrix is neither kept nor changed.
+        mat = (mat + adjoint) / 2.0
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > TOL_RENORM:
             raise DomainError(f"trace {tr} deviates from 1 by more than {TOL_RENORM}")
         if abs(tr - 1.0) > TOL_NORM:
             mat = mat / tr
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] < -TOL_PSD:
-            raise DomainError(f"matrix has negative eigenvalue {float(evals[0])}")
-        mat = mat.copy()
+            x = None if x is None else x / np.sqrt(tr)
+        if x is None:
+            evals = np.linalg.eigvalsh(mat)
+            if evals[0] < -TOL_PSD:
+                raise DomainError(f"matrix has negative eigenvalue {float(evals[0])}")
+        else:
+            u, s, _ = np.linalg.svd(x, full_matrices=False)
+            evals = s[::-1] ** 2
+            top = evals.size - int(np.sum(evals > TOL_RANK))
+            # Filled here, so the cached ``_range`` below never runs for a factor.
+            object.__setattr__(self, "_range", (evals[top:], u[:, ::-1][:, top:].T.copy()))
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_eigenvalues", evals)  # ascending

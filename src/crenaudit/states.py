@@ -142,16 +142,12 @@ def vacuum_state(profile: DimensionProfile) -> PureState:
 
 
 def build_pcs_density(spec: PCSSpec) -> DensityOperator:
-    """Density operator p|W><W| + (1-p)|vac><vac| + lam sqrt(p(1-p)) cross terms."""
-    w = build_w_state(spec.w).amplitudes
-    vac = vacuum_state(spec.w.profile).amplitudes
-    cross = np.outer(w, vac.conj())
-    mat = (
-        spec.p * np.outer(w, w.conj())
-        + (1.0 - spec.p) * np.outer(vac, vac.conj())
-        + spec.lam * np.sqrt(spec.p * (1.0 - spec.p)) * (cross + cross.conj().T)
-    )
-    return DensityOperator(spec.w.profile, mat)
+    """Density operator p|W><W| + (1-p)|vac><vac| + lam sqrt(p(1-p)) cross terms.
+
+    It is the phase-damped coherent superposition, so it is built from a
+    rank-2 factor and takes its spectrum from that factor's SVD.
+    """
+    return apply_phase_damping(coherent_superposition(spec), spec.lam)
 
 
 def coherent_superposition(spec: PCSSpec) -> PureState:
@@ -168,14 +164,18 @@ def apply_phase_damping(psi: PureState, lam: float) -> DensityOperator:
     where P_vac projects onto the vacuum of the full multi-party space.
     Their sum multiplies the vacuum coherences rho_0j and rho_j0 (j != 0)
     by lam and keeps every other entry of rho = |psi><psi|.
+
+    With a = psi_0 e_0 the vacuum part and b = psi - a, the result is X X^H
+    for the rank-2 factor X = [b + lam a, sqrt(1 - lam^2) a], so the
+    density takes its spectrum from the SVD of X, with no D x D eigensolve.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must lie in [0, 1], got {lam}")
-    vec = psi.amplitudes
-    rho = np.outer(vec, vec.conj())
-    rho[0, 1:] *= lam
-    rho[1:, 0] *= lam
-    return DensityOperator(psi.profile, rho)
+    a = np.zeros_like(psi.amplitudes)
+    a[0] = psi.amplitudes[0]
+    b = psi.amplitudes - a
+    factor = np.stack([b + lam * a, np.sqrt(1.0 - lam * lam) * a], axis=1)
+    return DensityOperator(psi.profile, factor=factor)
 
 
 def ou_state() -> PureState:

@@ -11,13 +11,16 @@ from crenaudit import (
     PartitionSpec,
     WClassSpec,
     analytic_w_audit,
+    apply_phase_damping,
     audit,
     audits,
     build_w_state,
     ckw_audit,
+    coherent_superposition,
     concurrence_pure,
     cren_audit,
     dual_audit,
+    flatness_scan,
     ghz_state,
     hunt,
     kim_sanders_state,
@@ -427,6 +430,15 @@ class TestEigendecompositionCount:
         hunt(DimensionProfile((2, 2, 2)), 10, seed=0)
         assert calls["eigh"] == []
 
+    @pytest.mark.parametrize("n, d, lam", [(3, 2, 0.4), (4, 3, 0.0), (8, 2, 1.0)])
+    def test_w_vacuum_scans_run_no_eigensolve(self, calls, n, d, lam):
+        # The W/vacuum density comes from its rank-2 factor, whose thin SVD
+        # gives the spectrum: neither the scan nor the audit runs eigh or eigvalsh.
+        spec = PCSSpec(WClassSpec.symmetric(n, d), 0.6, lam)
+        flatness_scan(apply_phase_damping(coherent_superposition(spec), lam), 1, 8)
+        analytic_w_audit(spec)
+        assert calls == {"eigh": [], "eigvalsh": []}
+
 
 class TestAnalyticWAudit:
     def test_symmetric_qubit_values(self):
@@ -449,6 +461,18 @@ class TestAnalyticWAudit:
             want = [(w[0] * (1 - w[0])).sqrt()] + [(w[0] * wj).sqrt() for wj in w[1:]]
             for got, exact in zip([values.global_cren, *values.pair_cren], want):
                 assert abs(Decimal(got) - exact) <= Decimal("1e-14") * exact
+
+    def test_focus_weight_near_one_keeps_its_digits(self):
+        # w_1 = 1 - 2e-8: the global value must not come from 1 - w_1, which
+        # cancels; it agrees with 2p sqrt(w_1 (w_2 + w_3)), p = 1, evaluated in
+        # 50-digit decimals from the same table.
+        spec = WClassSpec(3, 2, np.array([[np.sqrt(1 - 2e-8)], [1e-4], [1e-4]]))
+        values = analytic_w_values(spec, 1.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            w = [sum(Decimal(z.real) ** 2 + Decimal(z.imag) ** 2 for z in row) for row in spec.a]
+            exact = 2 * (w[0] * (w[1] + w[2])).sqrt()
+            assert abs(Decimal(values.global_cren) - exact) <= Decimal("1e-15") * exact
 
     def test_saturation_and_flatness(self):
         audit = analytic_w_audit(PCSSpec(WClassSpec.symmetric(3, 2), 0.5, 0.5))

@@ -16,6 +16,7 @@ from crenaudit import (
     tensor_product,
     trace_norm,
 )
+from crenaudit.qlinalg import TOL_PSD, TOL_RANK
 from crenaudit.states import maximally_entangled
 
 from conftest import rand_dm, rand_pure
@@ -300,3 +301,63 @@ class TestSpectralDecomposition:
         assert np.all(np.diff(evals) <= 0.0)
         assert np.allclose(basis[:, ::-1].T * np.sqrt(evals)[:, None], roots, atol=1e-12)
         assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
+
+
+def assert_spectrum_consistent(rho):
+    """Rank, roots and range basis agree with an independent eigvalsh of the matrix."""
+    evals = np.linalg.eigvalsh(rho.matrix)
+    assert evals[0] >= -TOL_PSD
+    assert rho.rank() == int(np.sum(evals > TOL_RANK))
+    assert np.max(np.abs(rho.roots.T @ rho.roots.conj() - rho.matrix)) <= 1e-14
+    basis = rho.range_basis
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(rho.rank()))) <= 1e-14
+
+
+class TestFactorPath:
+    """A density built from a factor X is X X^H, with its spectrum from the SVD of X."""
+
+    @pytest.mark.parametrize("dims, k", [((2, 2), 1), ((2, 3), 2), ((3, 3, 2), 3), ((2, 2, 2, 2), 5)])
+    def test_random_factor(self, dims, k, rng):
+        profile = DimensionProfile(dims)
+        x = rng.standard_normal((profile.size, k)) + 1j * rng.standard_normal((profile.size, k))
+        x /= np.linalg.norm(x)
+        rho = DensityOperator(profile, factor=x)
+        assert np.max(np.abs(rho.matrix - x @ x.conj().T)) <= 1e-15
+        assert rho.rank() == k
+        assert_spectrum_consistent(rho)
+
+    def test_dependent_columns_count_once(self, rng):
+        # Two columns along one vector and a zero column: rank 1.
+        psi = rand_pure((3, 2), rng).amplitudes
+        x = np.stack([0.6 * psi, 0.8j * psi, np.zeros(6)], axis=1)
+        rho = DensityOperator(DimensionProfile((3, 2)), factor=x)
+        assert rho.rank() == 1
+        assert_spectrum_consistent(rho)
+
+    def test_matches_the_matrix_route(self, rng):
+        profile = DimensionProfile((2, 3))
+        x = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        x /= np.linalg.norm(x)
+        a, b = DensityOperator(profile, factor=x), DensityOperator(profile, x @ x.conj().T)
+        assert a.rank() == b.rank() == 2
+        assert np.allclose(root_eigenvalues(a), root_eigenvalues(b), atol=1e-14)
+        overlap = a.range_basis.conj().T @ b.range_basis
+        assert np.allclose(np.abs(overlap), np.eye(2), atol=1e-12)
+
+    def test_small_trace_slack_renormalizes(self, rng):
+        psi = rand_pure((2, 2), rng).amplitudes
+        rho = DensityOperator(DimensionProfile((2, 2)), factor=np.sqrt(1 + 1e-9) * psi[:, None])
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
+        assert root_eigenvalues(rho) == pytest.approx([1.0], abs=1e-15)
+
+    def test_rejects_bad_inputs(self, rng):
+        profile = DimensionProfile((2, 2))
+        psi = rand_pure((2, 2), rng).amplitudes
+        with pytest.raises(DomainError):
+            DensityOperator(profile)
+        with pytest.raises(DomainError):
+            DensityOperator(profile, np.outer(psi, psi.conj()), factor=psi[:, None])
+        with pytest.raises(DomainError):
+            DensityOperator(profile, factor=psi[:3, None])
+        with pytest.raises(DomainError):
+            DensityOperator(profile, factor=2.0 * psi[:, None])

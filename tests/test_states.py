@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crenaudit import (
+    DensityOperator,
     DomainError,
     PCSSpec,
     PartitionSpec,
@@ -13,6 +14,7 @@ from crenaudit import (
     coarse_grain,
     coherent_superposition,
     concurrence_pure,
+    flatness_scan,
     ghz_state,
     kim_sanders_state,
     maximally_entangled,
@@ -22,6 +24,7 @@ from crenaudit import (
     parse_state_spec,
     partial_trace,
 )
+from crenaudit.qlinalg import TOL_PSD, TOL_RANK
 from crenaudit.states import expand_coarse_state
 
 from conftest import rand_pure
@@ -85,6 +88,43 @@ class TestPcsDensity:
         a = build_pcs_density(PCSSpec(wspec, 1.0, 0.2))
         b = build_w_state(wspec).to_density()
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
+
+
+def outer_product_density(spec: PCSSpec) -> np.ndarray:
+    """p|W><W| + (1-p)|vac><vac| + lam sqrt(p(1-p)) (|W><vac| + h.c.), from outer products."""
+    w = build_w_state(spec.w).amplitudes
+    vac = np.zeros_like(w)
+    vac[0] = 1.0
+    cross = np.outer(w, vac)
+    return (spec.p * np.outer(w, w.conj()) + (1 - spec.p) * np.outer(vac, vac)
+            + spec.lam * np.sqrt(spec.p * (1 - spec.p)) * (cross + cross.conj().T))
+
+
+class TestFactorBuiltDensity:
+    """W/vacuum densities come from a rank-2 factor; the spectrum from its SVD."""
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (4, 3), (8, 2), (5, 3)])
+    @pytest.mark.parametrize("p, lam", [(0.6, 0.3), (0.2, 0.0), (0.7, 1.0), (0.0, 0.5), (1.0, 0.5)])
+    def test_matches_the_outer_product_form(self, n, d, p, lam, rng):
+        spec = PCSSpec(random_w_spec(n, d, rng), p, lam)
+        rho = build_pcs_density(spec)
+        assert np.max(np.abs(rho.matrix - outer_product_density(spec))) <= 1e-15
+        evals = np.linalg.eigvalsh(rho.matrix)
+        assert evals[0] >= -TOL_PSD
+        # lam = 1, p = 0 and p = 1 are the rank-1 edges.
+        assert rho.rank() == int(np.sum(evals > TOL_RANK)) == (1 if lam == 1 or p in (0, 1) else 2)
+        assert np.max(np.abs(rho.roots.T @ rho.roots.conj() - rho.matrix)) <= 1e-14
+        basis = rho.range_basis
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(rho.rank()))) <= 1e-14
+
+    @pytest.mark.parametrize("n, d, size", [(3, 2, 2), (4, 3, 4), (5, 3, 3)])
+    def test_flatness_agrees_with_the_matrix_route(self, n, d, size, rng):
+        spec = PCSSpec(random_w_spec(n, d, rng), 0.55, 0.4)
+        rho = build_pcs_density(spec)
+        by_matrix = DensityOperator(rho.profile, rho.matrix)
+        a = flatness_scan(rho, 1, 16, seed=2, size=size)
+        b = flatness_scan(by_matrix, 1, 16, seed=2, size=size)
+        assert abs(a.mean - b.mean) <= 1e-12
 
 
 class TestPhaseDamping:
