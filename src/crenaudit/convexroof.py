@@ -14,11 +14,9 @@ Both directions run all starts at once on the isometries (the Stiefel
 manifold, as in Rothlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
 share one objective evaluator: a batched SVD of the stacked cut matrices
 gives the smoothed value and its gradient, the unsmoothed one being its
-mu = 0 case.  Where the short side of the cut is 2, the unsmoothed
-objective (every ascent step and the descent's last stage) comes in
-closed form from each member's 2 x 2 Gram data instead.  The
-smoothed stages keep the SVD, since the descent's endpoints on the
-hardest two-qubit states turn on rounding there (see ``_objective``).
+mu = 0 case.  Where the short side of the cut is 2, the objective at
+every smoothing (every ascent step and every stage of the descent) comes
+in closed form from each member's 2 x 2 Gram data instead.
 The minimization (convex-roof extended negativity) is a
 Barzilai-Borwein gradient descent on the manifold (Wen & Yin, Math.
 Program. 142, 397 (2013)) over nuclear norms smoothed as
@@ -231,18 +229,25 @@ def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
 _RANK_ONE = 1e-12
 
 
-def _two_row_roof(mats: np.ndarray):
-    """Squared nuclear norms of stacked 2 x d matrices, and their gradients, with no SVD.
+def _two_row_roof(mats: np.ndarray, mu: float):
+    """Smoothed and exact squared nuclear norms of stacked 2 x d matrices, with no SVD.
 
-    For rows a and b, Gram-Schmidt gives r = b - c a with c = <a,b>/|a|^2
-    and delta = |a| |r| = s_1 s_2, free of the cancellation in det G,
-    G = M M^H.  Then ||M||_*^2 = |a|^2 + |b|^2 + 2 delta, and its gradient
-    2 ||M||_* U W^H is 2 (M + adj(G) M / delta), where adj(G) M has rows
-    |r|^2 a - conj(c) |a|^2 r and |a|^2 r.  On a rank-one member
-    (delta <= _RANK_ONE * ||M||_F^2) the adjugate term vanishes, and a
-    polar ascent started on product members would never leave them; those
-    members take the SVD's subgradient, whose second singular pair points
-    off the product.  Zero members have zero gradient either way.
+    For rows a and b, Gram-Schmidt gives r = b - c a with c = <a,b>/|a|^2,
+    so det G = |a|^2 |r|^2 (G = M M^H) comes free of the cancellation in
+    det G.  With q = sqrt(det(G + mu^2 I)) = sqrt(|a|^2 |r|^2 +
+    mu^2 ||M||_F^2 + mu^4), the smoothed norm sum_i sqrt(s_i^2 + mu^2) has
+    square ||M||_F^2 + 2 mu^2 + 2 q, and its gradient
+    2 ||M||_mu (G + mu^2 I)^(-1/2) M is 2 ((1 + mu^2 / q) M + adj(G) M / q),
+    where adj(G) M has rows |r|^2 a - conj(c) |a|^2 r and |a|^2 r.  The
+    exact square ||M||_F^2 + 2 |a| |r| is the mu = 0 value; a zero member
+    scores 4 mu^2 with zero gradient, as the SVD gives.  Returns
+    (smoothed, exact, gradient of the smoothed square).
+
+    For mu >= 1e-8, q >= mu ||M||_F keeps every member of a trace-one
+    decomposition (||M||_F <= 1) off the rank-one test.  At mu = 0, on a rank-one member (q <= _RANK_ONE * ||M||_F^2)
+    the adjugate term vanishes, and a polar ascent started on product
+    members would never leave them; those members take the SVD's
+    subgradient, whose second singular pair points off the product.
     """
     a, b = mats[..., 0, :], mats[..., 1, :]
     g = norm_sq(a)
@@ -250,18 +255,23 @@ def _two_row_roof(mats: np.ndarray):
     c = np.divide(ab, g, out=np.zeros_like(ab), where=g > 0.0)
     r = b - c[..., None] * a
     rr = norm_sq(r)
-    delta = np.sqrt(g * rr)
     fro = g + norm_sq(b)
-    rank_one = delta <= _RANK_ONE * fro
-    inv = np.divide(1.0, delta, out=np.zeros_like(delta), where=~rank_one)
+    det, mu2 = g * rr, mu * mu
+    q = np.sqrt(det + mu2 * fro + mu2 * mu2)
+    rank_one = q <= _RANK_ONE * fro
+    inv = np.divide(1.0, q, out=np.zeros_like(q), where=~rank_one)
     gr = (g * inv)[..., None] * r
     adj = np.stack([(rr * inv)[..., None] * a - c.conj()[..., None] * gr, gr], axis=-2)
-    grad = 2.0 * (mats + adj)
+    # At mu = 0 the scale 1 + mu^2 / q is 1 and the smoothed square is the
+    # exact one, so every polar-ascent step skips both.
+    scaled = (1.0 + mu2 * inv)[..., None, None] * mats if mu else mats
+    grad = 2.0 * (scaled + adj)
     odd = rank_one & (fro > 0.0)
     if odd.any():
         u, sv, wh = np.linalg.svd(mats[odd], full_matrices=False)
         grad[odd] = 2.0 * sv.sum(axis=-1)[..., None, None] * (u @ wh)
-    return fro + 2.0 * delta, grad
+    smoothed = fro + 2.0 * mu2 + 2.0 * q
+    return smoothed, fro + 2.0 * np.sqrt(det) if mu else smoothed, grad
 
 
 def _objective(root_mats: np.ndarray, problem_of: np.ndarray):
@@ -277,15 +287,11 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray):
     unsmoothed value.
 
     One batched SVD of the M_k gives them, except when the short side is 2
-    (d_a = 2) and mu = 0 -- every polar-ascent step and the descent's last
-    stage.  There ``_two_row_roof`` gives the exact value and gradient in
-    closed form from each member's two rows, with no SVD but for rank-one
-    members.  The smoothed stages (mu > 0) keep the SVD: a closed form of
-    the smoothed gradient agrees with it to rounding, but the descent's
-    endpoint on the hardest two-qubit states turns on rounding-level
-    differences in those stages (one such form moved the worst known gap
-    to the Wootters value from 7.2e-4 to 4.9e-4), so it wants a
-    measurement of its own.
+    (d_a = 2).  There ``_two_row_roof`` gives the smoothed and exact values
+    and the gradient in closed form from each member's two rows, at every
+    mu, with no SVD but for rank-one members at mu = 0.  It agrees with
+    the SVD to rounding; the descent's endpoints on the hardest two-qubit
+    states turn on such rounding, so they differ from the SVD's.
     """
     d_a, d_b = root_mats.shape[-2:]
     roots = root_mats.reshape(*root_mats.shape[:-2], d_a * d_b)
@@ -297,10 +303,11 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray):
         r, r_h = roots.take(own, axis=0), roots_h.take(own, axis=0)
         n, size, _ = v.shape
         mats = (v @ r).reshape(n, size, d_a, d_b)
-        if d_a == 2 and mu == 0.0:
-            nuc_sq, grad = _two_row_roof(mats)
-            exact = np.sum(nuc_sq, axis=-1) - 1.0
-            return exact, grad.reshape(n, size, d_a * d_b) @ r_h, exact
+        if d_a == 2:
+            nuc_sq_mu, nuc_sq, grad = _two_row_roof(mats, mu)
+            f_mu = np.sum(nuc_sq_mu, axis=-1) - 1.0
+            exact = np.sum(nuc_sq, axis=-1) - 1.0 if mu else f_mu
+            return f_mu, grad.reshape(n, size, d_a * d_b) @ r_h, exact
         u, sv, wh = np.linalg.svd(mats, full_matrices=False)
         nuc = sv.sum(axis=-1)
         # df/dV_kj = 2 ||M_k||_mu tr(R_j^H U_k D_k W_k^H), D_k = diag(s_i / sqrt(s_i^2 + mu^2));

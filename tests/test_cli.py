@@ -627,3 +627,11 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert "3x3x3" in proc.stdout
+
+    def test_package_runs_as_a_module(self, capsys):
+        argv = ["state", "--family", "ou", "--cut", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "crenaudit", *argv], capture_output=True, text=True
+        )
+        code, out, _ = run_cli(*argv, capsys=capsys)
+        assert (proc.returncode, proc.stdout) == (code, out)

@@ -24,7 +24,15 @@ from crenaudit import (
     wootters_concurrence_2q,
 )
 
-from crenaudit.convexroof import _descent, _objective, _polar_ascent, _root_matrices, _starts
+from crenaudit.convexroof import (
+    _SMOOTHING,
+    _descent,
+    _objective,
+    _polar_ascent,
+    _root_matrices,
+    _starts,
+    _two_row_roof,
+)
 from crenaudit.measures import pure_negativities
 from crenaudit.monogamy import _audit_opt_cfg
 from crenaudit.qlinalg import as_bipartition, cut_matrices
@@ -308,15 +316,21 @@ def _orthogonal_mixture(dims, members, weights, rng):
     return DensityOperator(profile, (basis.T * weights) @ basis.conj())
 
 
-def _svd_objective(root_mats, v):
-    """The mu = 0 objective and gradient from a full SVD of every member."""
+def _svd_objective(root_mats, v, mu=0.0):
+    """The objective smoothed by mu and its gradient from a full SVD of every member.
+
+    Each nuclear norm is sum_i sqrt(s_i^2 + mu^2), with gradient
+    U diag(s_i / sqrt(s_i^2 + mu^2)) W^H (U W^H at mu = 0).
+    """
     rank, d_a, d_b = root_mats.shape
     roots = root_mats.reshape(rank, d_a * d_b)
     mats = (v @ roots).reshape(*v.shape[:2], d_a, d_b)
     u, sv, wh = np.linalg.svd(mats, full_matrices=False)
-    nuc = sv.sum(axis=-1)
-    polar = (u @ wh).reshape(*v.shape[:2], d_a * d_b)
-    return np.sum(nuc * nuc, axis=-1) - 1.0, 2.0 * nuc[..., None] * (polar @ roots.conj().T), sv
+    smooth = np.sqrt(sv**2 + mu**2)
+    nuc = smooth.sum(axis=-1)
+    ratio = np.ones_like(sv) if mu == 0.0 else sv / smooth
+    dirs = ((u * ratio[..., None, :]) @ wh).reshape(*v.shape[:2], d_a * d_b)
+    return np.sum(nuc * nuc, axis=-1) - 1.0, 2.0 * nuc[..., None] * (dirs @ roots.conj().T), sv
 
 
 class TestTwoRowObjective:
@@ -340,14 +354,28 @@ class TestTwoRowObjective:
             assert mats.shape[1] == 2
             v = _starts(OptConfig(starts=4, seed=3), rho.rank())
             evaluate = _objective(mats[None], np.zeros(len(v), dtype=int))
-            f, grad, exact = evaluate(v, np.arange(len(v)), 0.0)
-            want_f, want_grad, sv = _svd_objective(mats, v)
-            spectral = sv[0, :3]
-            assert np.any(np.abs(spectral[:, 0] - spectral[:, 1]) <= 1e-12)
-            assert np.any(spectral[:, 1] <= 1e-12 * spectral[:, 0])
-            assert np.array_equal(f, exact)
-            assert np.max(np.abs(f - want_f)) <= 1e-13
-            assert np.max(np.abs(grad - want_grad)) <= 1e-12
+            unsmoothed = evaluate(v, np.arange(len(v)), 0.0)[0]
+            for mu in _SMOOTHING:
+                f, grad, exact = evaluate(v, np.arange(len(v)), mu)
+                want_f, want_grad, sv = _svd_objective(mats, v, mu)
+                spectral = sv[0, :3]
+                assert np.any(np.abs(spectral[:, 0] - spectral[:, 1]) <= 1e-12)
+                assert np.any(spectral[:, 1] <= 1e-12 * spectral[:, 0])
+                assert np.array_equal(exact, unsmoothed)
+                assert np.max(np.abs(f - want_f)) <= 1e-13
+                assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+    def test_zero_member_scores_the_smoothing_alone(self):
+        # A zero 2 x 3 member beside a random one: its smoothed norm is
+        # sqrt(mu^2) + sqrt(mu^2), with zero gradient, as the SVD gives.
+        rng = np.random.default_rng(5)
+        mats = np.zeros((2, 2, 3), dtype=complex)
+        mats[1] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        for mu in _SMOOTHING[:-1]:
+            smoothed, exact, grad = _two_row_roof(mats, mu)
+            assert smoothed[0] == 4.0 * mu * mu
+            assert exact[0] == 0.0
+            assert np.all(grad[0] == 0.0)
 
     def test_product_spectral_start_leaves_the_product_members(self):
         # Every root of this classically correlated state is a product, so
@@ -365,9 +393,10 @@ class TestTwoRowObjective:
         _, traces, _ = _polar_ascent(evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel)
         assert all(np.all(np.diff(t) >= -1e-12) for t in traces)
 
-    def test_max_solve_runs_no_svd_on_cut_matrices(self, monkeypatch):
-        # With a two-dimensional side only _polar's (size, rank) gradients
-        # need singular vectors during the solve.
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_solve_runs_no_svd_on_cut_matrices(self, direction, monkeypatch):
+        # With a two-dimensional side only _polar's (size, rank) retractions
+        # need singular vectors during the solve, at every smoothing stage.
         rho = rand_dm((3, 2), 3, np.random.default_rng(8))
         svd, calls = np.linalg.svd, []
 
@@ -376,7 +405,7 @@ class TestTwoRowObjective:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        optimize(rho, 1, "max")
+        optimize(rho, 1, direction)
         size = OptConfig().resolve_size(3)
         vectors = [shape for shape, compute_uv in calls if compute_uv]
         assert vectors and all(shape[-2:] == (size, 3) for shape in vectors)
