@@ -42,6 +42,7 @@ so and pairs them with one-sided bounds for certified verdicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,8 @@ class OptConfig:
             raise DomainError("starts must be >= 1")
         if self.tol_rel <= 0.0:
             raise DomainError("tol_rel must be positive")
+        if not math.isfinite(self.tol_rel):
+            raise DomainError(f"tol_rel must be finite, got {self.tol_rel}")
         if self.max_sweeps < 1:
             raise DomainError("max_sweeps must be >= 1")
 

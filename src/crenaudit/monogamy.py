@@ -4,10 +4,11 @@
 (concurrence or negativity) and roof direction.  ``pair_terms`` reads it
 to pick each computation (closed form, trace norm, Wootters' two-qubit
 formula or the decomposition optimizer, whose distinct problems it solves
-in one batched ``optimize_many`` call) and says how the value relates to
-the true one: ``exact``, ``upper`` (an optimizer minimum) or ``lower`` (an
-optimizer maximum); ``pair_term`` is its one-item call.  Each term also
-carries a one-sided lower bound of the true value:
+in one batched ``optimize_many`` call), keeps each value in the state's
+memo, so later calls on the same object reuse it, and says how the value
+relates to the true one: ``exact``, ``upper`` (an optimizer minimum) or
+``lower`` (an optimizer maximum); ``pair_term`` is its one-item call.
+Each term also carries a one-sided lower bound of the true value:
 
 * convex-roof extended negativity: the partial-transpose negativity of a
   pair marginal never exceeds its convex roof;
@@ -158,9 +159,18 @@ def _require_focus(profile: DimensionProfile, focus: int) -> None:
         raise DomainError("audits need at least 3 parties")
 
 
+def _memoized(state, key, compute):
+    """``compute()``, kept in ``state``'s memo under ``key`` for every later call."""
+    if key not in state._memo:
+        state._memo[key] = compute()
+    return state._memo[key]
+
+
 def _pair_marginals(psi: PureState, focus: int):
     _require_focus(psi.profile, focus)
-    return [(i, partial_trace(psi, (focus, i))) for i in psi.profile.parties if i != focus]
+    return _memoized(psi, ("pair_marginals", focus), lambda: tuple(
+        (i, partial_trace(psi, (focus, i))) for i in psi.profile.parties if i != focus
+    ))
 
 
 def _verdict(lhs_sq: float, terms_sq, lower_sq, direction) -> tuple[float, str]:
@@ -222,40 +232,36 @@ def pair_terms(rows) -> list[PairTerm]:
     2245 (1998)), the exact minimum of both roofs there.  Every ``lower``
     entry holds up to floating point; the range floor is ``range_floor``'s,
     which is 0 where the range is too wide for its minor table.
-    Every optimizer row is solved by one ``optimize_many`` call, each
-    under its own row's cfg (other rows ignore theirs); its result is
-    what ``optimize`` returns for that row alone.  That call holds one
-    search per distinct (state object, cut, direction, cfg), so a ``cren``
-    and a ``concurrence`` row of one state share a minimum, and a
-    ``crenoa`` and a ``coa`` row a maximum.  Optimizer concurrence terms
-    are the average concurrence of the decomposition the negativity search
-    found.  A pure row's closed form (per kernel), Wootters' concurrence and
-    the partial-transpose negativity are likewise computed once per state
-    and cut, however many rows read them.
+    Each optimizer row is solved under its own row's cfg (other rows
+    ignore theirs, and None means ``OptConfig()``); its result is what
+    ``optimize`` returns for that row alone.  A state keeps every search
+    in its memo, keyed by cut, direction and cfg, so there is one search
+    per distinct (state object, cut, direction, cfg) across calls: a
+    ``cren`` and a ``concurrence`` row of one state share a minimum, and a
+    ``crenoa`` and a ``coa`` row a maximum, in one call or in separate
+    ones.  The searches no memo holds yet run in one ``optimize_many``
+    call.  Optimizer concurrence terms are the average concurrence of the
+    decomposition the negativity search found.  A pure row's closed form
+    (per kernel), Wootters' concurrence, the partial-transpose negativity
+    and the range floor are likewise kept on the state, per cut, and
+    computed once however many rows and calls read them.
     """
     for _, _, measure, _ in rows:
         if measure not in PAIR_MEASURES:
             raise DomainError(f"unknown measure {measure!r}")
-    memo = {}
-
-    def once(key, compute):
-        # One compute() per (function, state object[, cut]) key, however
-        # many rows read it.
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
 
     def pt_negativity(state, cut):
-        return once((negativity_mixed, id(state), cut), lambda: negativity_mixed(state, cut))
+        return _memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
 
     terms: list = [None] * len(rows)
-    searches, problems = [], {}
+    searches, queued, solve = [], {}, []
     for k, (state, cut, measure, cfg) in enumerate(rows):
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
         if isinstance(state, PureState):
-            value = once(
-                (kernel, id(state), cut),
+            value = _memoized(
+                state,
+                ("pure", kernel, cut),
                 lambda: float(kernel(cut_matrices(state.amplitudes, state.profile, cut))[0]),
             )
             terms[k] = PairTerm(value, value, "exact", "closed_form")
@@ -263,18 +269,23 @@ def pair_terms(rows) -> list[PairTerm]:
             value = pt_negativity(state, cut)
             terms[k] = PairTerm(value, value, "exact", "trace_norm")
         elif direction == "min" and state.profile.dims == (2, 2):
-            value = once((wootters_concurrence_2q, id(state)), lambda: wootters_concurrence_2q(state))
+            value = _memoized(state, ("wootters",), lambda: wootters_concurrence_2q(state))
             # Certification for the negativity roof is defined against the
             # partial-transpose bound, even where the exact value is known.
             lower = pt_negativity(state, cut) if kernel is pure_negativities else value
             terms[k] = PairTerm(value, lower, "exact", "closed_form")
         else:
-            key = (id(state), cut, direction, cfg)
-            problems.setdefault(key, (state, cut, direction, cfg))
+            key = ("search", cut, direction, cfg or OptConfig())
+            # Solve each search no memo holds once, however many rows pose it.
+            same = queued.setdefault(key, [])
+            if key not in state._memo and all(s is not state for s in same):
+                same.append(state)
+                solve.append((state, key))
             searches.append((k, state, cut, kernel, key))
-    results = dict(zip(problems, optimize_many(list(problems.values()))))
+    for (state, key), res in zip(solve, optimize_many([(s, *key[1:]) for s, key in solve])):
+        state._memo[key] = res
     for k, state, cut, kernel, key in searches:
-        res = results[key]
+        res = state._memo[key]
         # res.value is the search's own negativity average; only a
         # concurrence row scores the decomposition again.
         value = res.value
@@ -287,7 +298,7 @@ def pair_terms(rows) -> list[PairTerm]:
         if kernel is pure_negativities:
             lower = pt_negativity(state, cut)
         else:
-            lower = range_floor(state, cut)
+            lower = _memoized(state, ("range_floor", cut), lambda: range_floor(state, cut))
             profile = state.profile
             if min(profile.restrict(cut.side_a).size, profile.restrict(cut.side_b).size) == 2:
                 # Two-dimensional side: every member has Schmidt rank <= 2, so
@@ -370,10 +381,12 @@ def audits(
 ) -> list[AuditReport]:
     """The ``audit`` of one state under each of ``measures``, in order.
 
-    The pair marginals are built once for all the measures, so each is
+    The state keeps its pair marginals, so each is built and
     eigendecomposed at most once, and the measures share their searches:
     one minimum of each marginal serves ``cren`` and ``ckw``, one maximum
-    ``crenoa`` and ``coa``.
+    ``crenoa`` and ``coa``.  The marginals keep their searches, so separate
+    ``audit`` calls on the same state object share them too; this call
+    runs the searches of all the measures in one batch.
     """
     return _audits([(psi, state_id, seed)], focus, measures, opt_cfg)
 

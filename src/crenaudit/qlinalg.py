@@ -17,13 +17,15 @@ from a factor X (rho = X X^H, D x k), it takes its spectrum and range
 from one thin SVD of X, and runs no D x D eigensolve.
 
 All values are immutable after construction and all operations are pure
-functions, so they are safe to share between concurrent tasks.
+functions, so they are safe to share between concurrent tasks.  A state's
+private ``_memo`` holds only values derived deterministically from its
+immutable fields, so a race on it at worst computes one value twice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -156,10 +158,16 @@ def _as_unit_vector(amplitudes: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """A normalized amplitude vector over a DimensionProfile."""
+    """A normalized amplitude vector over a DimensionProfile.
+
+    ``_memo`` keeps what ``monogamy`` derives from the state (its pair
+    marginals and pure-row values), so every later call on the same object
+    reuses them.  It takes no part in equality.
+    """
 
     profile: DimensionProfile
     amplitudes: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -179,12 +187,16 @@ class DensityOperator:
     spectrum: eigenvalues s_i^2 and range vectors the left singular vectors.
     A matrix is checked for positivity by ``eigvalsh``.  Its rank counts the
     eigenvalues above ``TOL_RANK``, and ``roots`` and ``range_basis`` hold
-    the eigenpairs of those eigenvalues.
+    the eigenpairs of those eigenvalues.  ``_memo`` keeps what ``monogamy``
+    derives from the operator (its pair-term values and roof searches), so
+    every later call on the same object reuses them; it takes no part in
+    equality.
     """
 
     profile: DimensionProfile
     matrix: np.ndarray | None = None
     factor: InitVar[np.ndarray | None] = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, factor: np.ndarray | None) -> None:
         if (self.matrix is None) == (factor is None):

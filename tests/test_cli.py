@@ -546,6 +546,13 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_opt_tol_exits_2(self, tol, capsys):
+        code, out, err = run_cli(
+            "audit", "--family", "ou", "--opt-tol", tol, capsys=capsys
+        )
+        assert (code, out, err) == (2, "", f"error: tol_rel must be finite, got {tol}\n")
+
 
 class TestReportEmission:
     def test_csv_layout(self, capsys):

@@ -200,6 +200,13 @@ class TestOptimize:
         with pytest.raises(DomainError):
             optimize(rho, 1, "min", OptConfig(size=2))
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # inf would stop every ascent after one step and call it converged,
+        # nan would run every start to the step cap.
+        with pytest.raises(DomainError, match=f"tol_rel must be finite, got {tol}"):
+            OptConfig(tol_rel=tol)
+
     def test_reconstruction_of_returned_decomposition(self, rng):
         rho = rand_dm((3, 2), 3, rng)
         res = optimize(rho, 1, "min", OptConfig(starts=2, max_sweeps=30))

@@ -193,3 +193,16 @@ def test_all_lists_exactly_the_names_init_imports():
     assert sorted(crenaudit.__all__) == sorted(imported)
     assert len(set(imported)) == len(imported)
     assert all(hasattr(crenaudit, name) for name in crenaudit.__all__)
+
+
+def test_no_cache_is_keyed_by_object_identity():
+    # What the package derives from a state lives in that state's own memo
+    # and dies with it; an id() key or a functools cache outlives the object.
+    found = []
+    for owner, node in _top_level_owners(include_init=True):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id":
+            found.append(f"{owner} line {node.lineno}: id()")
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if field and getattr(node, field) in ("cache", "lru_cache"):
+            found.append(f"{owner} line {node.lineno}: {getattr(node, field)}")
+    assert not found, f"identity-keyed caches: {found}"

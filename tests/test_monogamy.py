@@ -267,9 +267,20 @@ class TestPairTerm:
             dual_audit(ou_state(), 1, "cren")
 
 
+# The five named audits of focus party 1, by audit measure.
+_NAMED_AUDITS = {
+    "cren": lambda psi: cren_audit(psi, 1),
+    "ckw": lambda psi: ckw_audit(psi, 1),
+    "coa": lambda psi: dual_audit(psi, 1, "coa"),
+    "crenoa": lambda psi: dual_audit(psi, 1, "crenoa"),
+    "negativity": lambda psi: negativity_audit(psi, 1),
+}
+
+
 class TestSharedSearches:
     """Rows posing the same roof problem share one search, and rows of one
-    state one copy of its closed forms."""
+    state one copy of its closed forms, in one call or across calls on the
+    same state object."""
 
     @pytest.fixture
     def problems(self, monkeypatch):
@@ -289,6 +300,44 @@ class TestSharedSearches:
         [call] = problems
         assert sorted(direction for _, _, direction, _ in call) == ["max", "max", "min", "min"]
         assert len(set(call)) == 4
+
+    def test_named_audits_search_each_marginal_once_per_direction(self, problems):
+        # Separate calls on one state object: its two (3, 3) pair marginals
+        # each get one minimum and one maximum across the four roof audits.
+        psi = ou_state()
+        for run in _NAMED_AUDITS.values():
+            run(psi)
+        posed = [problem for call in problems for problem in call]
+        assert sorted(direction for _, _, direction, _ in posed) == ["max", "max", "min", "min"]
+        assert len({(rho, direction) for rho, _, direction, _ in posed}) == 4
+
+    def test_new_seed_cfg_or_object_searches_again(self, problems):
+        psi = ou_state()
+        cren_audit(psi, 1)
+        cren_audit(psi, 1, seed=1)
+        cren_audit(psi, 1, opt_cfg=OptConfig(starts=2))
+        cren_audit(ou_state(), 1)  # equal values, a distinct object
+        cren_audit(psi, 1)
+        ckw_audit(psi, 1, seed=1)
+        cren_audit(psi, 1, opt_cfg=OptConfig(starts=2))
+        assert [len(call) for call in problems] == [2, 2, 2, 2, 0, 0, 0]
+
+    def test_default_cfg_shares_the_search_of_an_explicit_default(self, problems):
+        rho = _term_inputs()["qutrit_qubit_pair"]
+        pair_term(rho, 1, "cren")
+        pair_term(rho, 1, "concurrence", OptConfig())
+        assert [len(call) for call in problems] == [1, 0]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (3, 2, 2), (3, 3, 3)])
+    @pytest.mark.parametrize("order", [
+        ["cren", "ckw", "coa", "crenoa", "negativity"],
+        ["crenoa", "negativity", "ckw", "coa", "cren"],
+    ])
+    def test_separate_audits_equal_reports_on_fresh_objects(self, dims, order):
+        psi = random_pure_state(DimensionProfile(dims), np.random.default_rng(11))
+        fresh = {m: run(qlinalg.PureState(psi.profile, psi.amplitudes))
+                 for m, run in _NAMED_AUDITS.items()}
+        assert {m: _NAMED_AUDITS[m](psi) for m in order} == fresh
 
     def test_negativity_audit_searches_nothing(self, problems):
         audits(ou_state(), 1, ["negativity"])
@@ -423,6 +472,13 @@ class TestEigendecompositionCount:
     def test_cli_audit_decomposes_each_pair_marginal_once(self, calls, capsys):
         # The default measures cren, ckw and negativity share the marginals.
         assert main(["audit", "--family", "ou"]) == 0
+        assert calls["eigh"] == [(9, 9), (9, 9)]
+
+    def test_named_audits_decompose_each_pair_marginal_once(self, calls):
+        # Separate calls on one state object share its pair marginals.
+        psi = ou_state()
+        for run in _NAMED_AUDITS.values():
+            run(psi)
         assert calls["eigh"] == [(9, 9), (9, 9)]
 
     def test_two_qubit_hunt_decomposes_nothing(self, calls):
