@@ -213,7 +213,7 @@ def _run_state(args) -> int:
         add("rank", "1")
     else:
         add("kind", "mixed")
-        add("trace", fmt(float(np.trace(state.matrix).real)))
+        add("trace", fmt(state.trace()))
         add("purity", fmt(state.purity()))
         add("rank", str(state.rank()))
     if args.cut:

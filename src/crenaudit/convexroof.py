@@ -584,9 +584,10 @@ def flatness_scan(
     from a Haar unitary on ``rho.roots``, the spectral roots ``rho`` keeps
     from its one cached eigendecomposition, or from its factor's SVD when
     it is built from a factor (the W/vacuum states of ``states`` are, so
-    scanning them runs no D x D eigensolve); all ``samples`` unitaries are
-    one ``haar_unitaries`` draw, in order, and the members of every sample
-    are scored in one ``pure_negativities`` call.  A max_abs_dev at rounding
+    scanning them runs no D x D eigensolve and forms no D x D matrix); all
+    ``samples`` unitaries are one ``haar_unitaries`` draw, in order, and
+    the members of every sample are scored in one ``pure_negativities``
+    call.  A max_abs_dev at rounding
     level certifies (numerically) that the decomposition landscape is flat,
     i.e. the convex roof is decomposition independent for this state and cut.
     """

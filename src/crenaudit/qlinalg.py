@@ -13,19 +13,21 @@ eigendecomposes one.  Built from a matrix, the eigenvalues of its
 construction-time positivity check decide ``rank``, and its range (the
 spectral roots of the HJW chart and the orthonormal range basis) comes
 from one ``eigh``, run on first use and cached on the instance.  Built
-from a factor X (rho = X X^H, D x k), it takes its spectrum and range
-from one thin SVD of X, and runs no D x D eigensolve.
+from a factor X (rho = X X^H, D x k), it keeps X, takes its spectrum and
+range from one thin SVD of X, runs no D x D eigensolve, and forms the
+D x D matrix only when something reads it.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share between concurrent tasks.  A state's
-private ``_memo`` holds only values derived deterministically from its
-immutable fields, so a race on it at worst computes one value twice.
+private ``_memo``, and a factor-built density's ``matrix``, hold only
+values derived deterministically from its immutable fields, so a race on
+them at worst computes one value twice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -142,11 +144,23 @@ def as_bipartition(cut: "Bipartition | int | Iterable[int]", n: int) -> Bipartit
     return Bipartition(tuple(cut), n)
 
 
+def _checked_trace(tr: float) -> float:
+    """The trace to divide by: 1.0 when within ``TOL_NORM`` of 1, else ``tr``.
+
+    A trace further than ``TOL_RENORM`` from 1 raises ``DomainError``.
+    """
+    if abs(tr - 1.0) > TOL_RENORM:
+        raise DomainError(f"trace {tr} deviates from 1 by more than {TOL_RENORM}")
+    return tr if abs(tr - 1.0) > TOL_NORM else 1.0
+
+
 def _as_unit_vector(amplitudes: np.ndarray, size: int) -> np.ndarray:
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if vec.shape != (size,):
         raise DomainError(f"amplitude vector has length {vec.size}, expected {size}")
     nrm = float(np.linalg.norm(vec))
+    if not math.isfinite(nrm):
+        raise DomainError("amplitude vector has non-finite entries")
     if abs(nrm - 1.0) > TOL_RENORM:
         raise DomainError(f"state norm {nrm} deviates from 1 by more than {TOL_RENORM}")
     if abs(nrm - 1.0) > TOL_NORM:
@@ -156,18 +170,18 @@ def _as_unit_vector(amplitudes: np.ndarray, size: int) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized amplitude vector over a DimensionProfile.
 
-    ``_memo`` keeps what ``monogamy`` derives from the state (its pair
-    marginals and pure-row values), so every later call on the same object
-    reuses them.  It takes no part in equality.
+    Equality is identity.  ``_memo`` keeps what ``monogamy`` derives from
+    the state (its pair marginals and pure-row values), so every later call
+    on the same object reuses them.
     """
 
     profile: DimensionProfile
     amplitudes: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -178,62 +192,98 @@ class PureState:
         return DensityOperator(self.profile, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator over a profile.
 
-    Give exactly one of ``matrix`` and ``factor``.  A factor X (D x k) gives
-    the matrix X X^H, positive by construction, and its thin SVD gives the
-    spectrum: eigenvalues s_i^2 and range vectors the left singular vectors.
-    A matrix is checked for positivity by ``eigvalsh``.  Its rank counts the
-    eigenvalues above ``TOL_RANK``, and ``roots`` and ``range_basis`` hold
-    the eigenpairs of those eigenvalues.  ``_memo`` keeps what ``monogamy``
-    derives from the operator (its pair-term values and roof searches), so
-    every later call on the same object reuses them; it takes no part in
-    equality.
+    Give exactly one of ``matrix`` and ``factor``.  A matrix is checked for
+    positivity by ``eigvalsh``.  Its rank counts the eigenvalues above
+    ``TOL_RANK``, and ``roots`` and ``range_basis`` hold the eigenpairs of
+    those eigenvalues.  A factor X (D x k) stands for the matrix X X^H,
+    positive and Hermitian by construction: its trace is ||X||_F^2, and its
+    thin SVD gives the spectrum, eigenvalues s_i^2 and range vectors the
+    left singular vectors.  The operator keeps X and forms ``matrix`` only
+    when it is first read, so scans that read only ``roots`` never hold a
+    D x D array.  ``matrix`` is read-only either way.
+
+    Instances are immutable, and equality is identity.  ``_memo`` keeps
+    what ``monogamy`` derives from the operator (its pair-term values and
+    roof searches), so every later call on the same object reuses them.
     """
 
-    profile: DimensionProfile
-    matrix: np.ndarray | None = None
-    factor: InitVar[np.ndarray | None] = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self, factor: np.ndarray | None) -> None:
-        if (self.matrix is None) == (factor is None):
+    def __init__(
+        self,
+        profile: DimensionProfile,
+        matrix: np.ndarray | None = None,
+        factor: np.ndarray | None = None,
+    ) -> None:
+        if (matrix is None) == (factor is None):
             raise DomainError("give exactly one of a matrix and a factor")
-        size = self.profile.size
-        x = None if factor is None else np.asarray(factor, dtype=complex)
-        mat = np.asarray(self.matrix, dtype=complex) if x is None else x @ x.conj().T
-        if mat.shape != (size, size):
-            raise DomainError(f"matrix has shape {mat.shape}, expected {(size, size)}")
-        adjoint = mat.conj().T
-        herm_dev = float(np.max(np.abs(mat - adjoint))) if size else 0.0
-        if herm_dev > TOL_HERM:
-            raise DomainError(f"matrix deviates from Hermitian by {herm_dev}")
-        # A new array, so the caller's matrix is neither kept nor changed.
-        mat = (mat + adjoint) / 2.0
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > TOL_RENORM:
-            raise DomainError(f"trace {tr} deviates from 1 by more than {TOL_RENORM}")
-        if abs(tr - 1.0) > TOL_NORM:
-            mat = mat / tr
-            x = None if x is None else x / np.sqrt(tr)
-        if x is None:
+        attrs = self.__dict__
+        attrs["profile"] = profile
+        attrs["_memo"] = {}
+        size = profile.size
+        if factor is None:
+            mat = np.asarray(matrix, dtype=complex)
+            if mat.shape != (size, size):
+                raise DomainError(f"matrix has shape {mat.shape}, expected {(size, size)}")
+            if not np.isfinite(mat).all():
+                raise DomainError("matrix has non-finite entries")
+            adjoint = mat.conj().T
+            herm_dev = float(np.max(np.abs(mat - adjoint)))
+            if herm_dev > TOL_HERM:
+                raise DomainError(f"matrix deviates from Hermitian by {herm_dev}")
+            # A new array, so the caller's matrix is neither kept nor changed.
+            mat = (mat + adjoint) / 2.0
+            tr = _checked_trace(float(np.trace(mat).real))
+            if tr != 1.0:
+                mat = mat / tr
             evals = np.linalg.eigvalsh(mat)
             if evals[0] < -TOL_PSD:
                 raise DomainError(f"matrix has negative eigenvalue {float(evals[0])}")
+            mat.setflags(write=False)
+            attrs["matrix"] = mat
         else:
+            x = np.array(factor, dtype=complex)
+            if x.ndim != 2 or x.shape[0] != size:
+                raise DomainError(f"factor has shape {x.shape}, expected ({size}, k)")
+            tr = float(np.vdot(x, x).real)
+            if not math.isfinite(tr):
+                raise DomainError("factor has non-finite entries")
+            tr = _checked_trace(tr)
+            if tr != 1.0:
+                x = x / np.sqrt(tr)
+            x.setflags(write=False)
             u, s, _ = np.linalg.svd(x, full_matrices=False)
             evals = s[::-1] ** 2
             top = evals.size - int(np.sum(evals > TOL_RANK))
             # Filled here, so the cached ``_range`` below never runs for a factor.
-            object.__setattr__(self, "_range", (evals[top:], u[:, ::-1][:, top:].T.copy()))
+            attrs["_range"] = (evals[top:], u[:, ::-1][:, top:].T.copy())
+            attrs["_factor"] = x
+        attrs["_eigenvalues"] = evals  # ascending
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"DensityOperator(profile={self.profile!r}, rank={self.rank()})"
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The D x D matrix; for a factor X, X X^H formed on first read."""
+        x = self._factor
+        mat = x @ x.conj().T
+        mat = (mat + mat.conj().T) / 2.0
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_eigenvalues", evals)  # ascending
+        return mat
+
+    def trace(self) -> float:
+        return float(np.sum(self._eigenvalues))
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(np.sum(self._eigenvalues ** 2))
 
     def rank(self) -> int:
         return int(np.sum(self._eigenvalues > TOL_RANK))

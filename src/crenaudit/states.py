@@ -145,7 +145,8 @@ def build_pcs_density(spec: PCSSpec) -> DensityOperator:
     """Density operator p|W><W| + (1-p)|vac><vac| + lam sqrt(p(1-p)) cross terms.
 
     It is the phase-damped coherent superposition, so it is built from a
-    rank-2 factor and takes its spectrum from that factor's SVD.
+    rank-2 factor, takes its spectrum from that factor's SVD, and forms its
+    D x D matrix only if something reads it.
     """
     return apply_phase_damping(coherent_superposition(spec), spec.lam)
 
@@ -166,8 +167,9 @@ def apply_phase_damping(psi: PureState, lam: float) -> DensityOperator:
     by lam and keeps every other entry of rho = |psi><psi|.
 
     With a = psi_0 e_0 the vacuum part and b = psi - a, the result is X X^H
-    for the rank-2 factor X = [b + lam a, sqrt(1 - lam^2) a], so the
-    density takes its spectrum from the SVD of X, with no D x D eigensolve.
+    for the rank-2 factor X = [b + lam a, sqrt(1 - lam^2) a].  The density
+    keeps X and takes its spectrum from the SVD of X, with no D x D
+    eigensolve; its D x D matrix is formed only when something reads it.
     """
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must lie in [0, 1], got {lam}")

@@ -69,6 +69,24 @@ class TestStateCommand:
         assert "0.666666666667" in out
         assert "0.333333333333" in out
 
+    def test_pcs_state_rows_form_no_density_matrix(self, tmp_path, capsys):
+        # Trace and purity come from the factor's spectrum; the 4096 x 4096
+        # density matrix would take 268 MB.
+        spec = tmp_path / "pcs64.yaml"
+        row = "  - [" + ", ".join(["0.2357022603955158"] * 3) + "]\n"
+        spec.write_text("kind: pcs\ncoefficients:\n" + row * 6 + "p: 0.5\nlambda: 0.25\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli("state", "--spec", str(spec), capsys=capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rows = dict(line.split() for line in out.strip().split("\n")[1:])
+        assert rows["profile"] == "4x4x4x4x4x4"
+        assert (rows["trace"], rows["rank"]) == ("1", "2")
+        assert peak <= 32 * 2**20
+
     def test_mixed_state_cut_reads_its_negativity(self, capsys):
         code, out, _ = run_cli(
             "state", "--family", "ou", "--trace-out", "3", "--cut", "1", capsys=capsys
@@ -295,6 +313,20 @@ class TestAuditCommand:
 
 
 class TestSweepCommand:
+    def test_large_sweep_forms_no_density_matrix(self, tmp_path):
+        # Each W/vacuum density is kept as its 4096 x 2 factor; one 4096 x 4096
+        # density matrix alone would take 268 MB.
+        out = tmp_path / "sweep.txt"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--n", "6", "--d", "4", "--samples", "2", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.read_text().split("\n")[1].split()[-1] == "saturated"
+        assert peak <= 64 * 2**20
+
     def test_lambda_invariance_rows(self, capsys):
         code, out, _ = run_cli(
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0.5",

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from crenaudit import (
     DomainError,
     PureState,
     ou_state,
+    flatness_scan,
     partial_trace,
     partial_transpose,
     schmidt,
@@ -47,6 +50,19 @@ class TestProfilesAndStates:
     def test_pure_state_rejects_large_deviation(self):
         with pytest.raises(DomainError):
             PureState(DimensionProfile((2,)), np.array([1.1, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_pure_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            PureState(DimensionProfile((2, 2)), np.array([bad, 0, 0, 0]))
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejects_non_finite_entries(self, where, bad):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[where] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityOperator(DimensionProfile((2, 2)), mat)
 
     def test_density_rejects_non_hermitian(self):
         mat = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
@@ -357,7 +373,83 @@ class TestFactorPath:
             DensityOperator(profile)
         with pytest.raises(DomainError):
             DensityOperator(profile, np.outer(psi, psi.conj()), factor=psi[:, None])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"factor has shape \(3, 1\), expected \(4, k\)"):
             DensityOperator(profile, factor=psi[:3, None])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"factor has shape \(4,\)"):
+            DensityOperator(profile, factor=psi)
+        with pytest.raises(DomainError, match="trace"):
             DensityOperator(profile, factor=2.0 * psi[:, None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_factors(self, bad, rng):
+        x = np.stack([rand_pure((2, 2), rng).amplitudes, np.zeros(4)], axis=1)
+        x[2, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityOperator(DimensionProfile((2, 2)), factor=x)
+
+    def test_matrix_is_formed_on_first_read(self, rng):
+        profile = DimensionProfile((2, 3, 2))
+        x = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+        x /= np.linalg.norm(x)
+        rho = DensityOperator(profile, factor=x)
+        flatness_scan(rho, 1, 4)
+        assert "matrix" not in vars(rho)
+        mat = rho.matrix
+        assert np.max(np.abs(mat - x @ x.conj().T)) <= 1e-15
+        assert not mat.flags.writeable
+        assert rho.matrix is mat
+
+    def test_factor_is_copied(self, rng):
+        x = rand_pure((2, 2), rng).amplitudes[:, None].copy()
+        rho = DensityOperator(DimensionProfile((2, 2)), factor=x)
+        want = x @ x.conj().T
+        x[:] = 0.0
+        assert np.max(np.abs(rho.matrix - want)) <= 1e-15
+
+    @pytest.mark.parametrize("route", ["matrix", "factor"])
+    def test_purity_and_trace_come_from_the_spectrum(self, route, rng):
+        profile = DimensionProfile((2, 3))
+        x = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        x /= np.linalg.norm(x)
+        rho = (DensityOperator(profile, factor=x) if route == "factor"
+               else DensityOperator(profile, x @ x.conj().T))
+        assert rho.trace() == pytest.approx(1.0, abs=1e-14)
+        mat = x @ x.conj().T
+        assert rho.purity() == pytest.approx(np.trace(mat @ mat).real, abs=1e-14)
+        if route == "factor":
+            assert "matrix" not in vars(rho)
+
+
+class TestIdentity:
+    """States compare and hash by identity; repr never forms a D x D matrix."""
+
+    def test_equality_is_identity(self, rng):
+        psi = rand_pure((2, 2), rng)
+        twin = PureState(psi.profile, psi.amplitudes)
+        rho, rho_twin = psi.to_density(), twin.to_density()
+        assert psi == psi and rho == rho
+        assert psi != twin and rho != rho_twin
+        assert len({psi, twin, rho, rho_twin}) == 4
+
+    def test_density_is_immutable(self, rng):
+        rho = rand_pure((2, 2), rng).to_density()
+        with pytest.raises(FrozenInstanceError):
+            rho.profile = DimensionProfile((4,))
+        with pytest.raises(FrozenInstanceError):
+            del rho.matrix
+
+    def test_repr_of_a_factor_density_forms_no_matrix(self):
+        # The 4096 x 4096 matrix would take 268 MB.
+        profile = DimensionProfile((4,) * 6)
+        x = np.zeros((profile.size, 2), dtype=complex)
+        x[0, 0], x[1, 1] = 0.6, 0.8
+        rho = DensityOperator(profile, factor=x)
+        tracemalloc.start()
+        try:
+            text = repr(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "DensityOperator(profile=DimensionProfile(dims=(4, 4, 4, 4, 4, 4)), rank=2)"
+        assert "matrix" not in vars(rho)
+        assert peak <= 2**20
