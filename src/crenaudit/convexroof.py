@@ -4,11 +4,10 @@ Every size-r pure-state decomposition of a density operator arises from an
 r x r unitary acting on the spectral root vectors (the HJW chart); only its
 first rank columns matter, an r x rank isometry V.  With R_j the roots
 reshaped across the cut, the average negativity is
-sum_k ||sum_j V_kj R_j||_*^2 - 1.  The roots are ``DensityOperator.roots``:
-the operator eigendecomposes itself once, on first use (or, when built
-from a factor, takes its spectrum from the factor's SVD), so the searches,
-``flatness_scan`` and ``monogamy.range_floor`` share that one
-decomposition, and ``rank()`` sizes the chart with the same rank decision.
+sum_k ||sum_j V_kj R_j||_*^2 - 1.  The roots are ``DensityOperator.roots``,
+which the operator holds from its one decomposition at construction, so
+the searches, ``flatness_scan`` and ``monogamy.range_floor`` share it, and
+``rank()`` sizes the chart with the same rank decision.
 
 Both directions run all starts at once on the isometries (the Stiefel
 manifold, as in Rothlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
@@ -581,10 +580,9 @@ def flatness_scan(
     """Average negativity over random HJW decompositions of the given size.
 
     Each sample is the decomposition ``decomposition_from_unitary`` builds
-    from a Haar unitary on ``rho.roots``, the spectral roots ``rho`` keeps
-    from its one cached eigendecomposition, or from its factor's SVD when
-    it is built from a factor (the W/vacuum states of ``states`` are, so
-    scanning them runs no D x D eigensolve and forms no D x D matrix); all
+    from a Haar unitary on ``rho.roots``, the spectral roots ``rho`` holds
+    (a W/vacuum state of ``states`` takes them from its rank-2 factor, so
+    scanning it runs no D x D eigensolve and forms no D x D matrix); all
     ``samples`` unitaries are one ``haar_unitaries`` draw, in order, and
     the members of every sample are scored in one ``pure_negativities``
     call.  A max_abs_dev at rounding

@@ -132,12 +132,16 @@ _SY_SY = np.array(
 def wootters_concurrence_2q(rho: DensityOperator) -> float:
     """Exact concurrence of a two-qubit mixed state (spin-flip formula).
 
+    With X = ``rho.roots.T`` (rho = X X^H), the square roots of the
+    eigenvalues of rho (sy sy) rho* (sy sy) are the singular values of the
+    symmetric X^T (sy sy) X (rank x rank), so one SVD gives them, with no
+    non-Hermitian eigensolve and no D x D matrix.
+
     For two-qubit states this is also the exact convex-roof extended
     negativity, since every two-qubit pure state has Schmidt rank <= 2.
     """
     if rho.profile.dims != (2, 2):
         raise DomainError(f"expected a (2, 2) profile, got {rho.profile.dims}")
-    r = rho.matrix @ _SY_SY @ rho.matrix.conj() @ _SY_SY
-    evals = np.sort(np.abs(np.real(np.linalg.eigvals(r))))
-    roots = np.sqrt(evals)
-    return float(max(0.0, roots[3] - roots[2] - roots[1] - roots[0]))
+    roots = rho.roots
+    lam = np.linalg.svd(roots @ _SY_SY @ roots.T, compute_uv=False)
+    return float(max(0.0, lam[0] - np.sum(lam[1:])))

@@ -382,7 +382,7 @@ def audits(
     """The ``audit`` of one state under each of ``measures``, in order.
 
     The state keeps its pair marginals, so each is built and
-    eigendecomposed at most once, and the measures share their searches:
+    decomposed at most once, and the measures share their searches:
     one minimum of each marginal serves ``cren`` and ``ckw``, one maximum
     ``crenoa`` and ``coa``.  The marginals keep their searches, so separate
     ``audit`` calls on the same state object share them too; this call

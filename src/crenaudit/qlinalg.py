@@ -5,17 +5,17 @@ Schmidt decompositions for states over a fixed tuple of local dimensions.
 Party 1 is the slowest-varying index of the flattened amplitude vector
 (row-major over parties); every module in this package relies on that
 convention.  Cut matrices and partial traces share one kept | rest party
-order, and the partial trace of a pure state is M M^H of its cut matrix,
-so no module needs the D x D density matrix of a pure state.
+order.
 
-A ``DensityOperator`` owns its spectrum and is the only place the package
-eigendecomposes one.  Built from a matrix, the eigenvalues of its
-construction-time positivity check decide ``rank``, and its range (the
-spectral roots of the HJW chart and the orthonormal range basis) comes
-from one ``eigh``, run on first use and cached on the instance.  Built
-from a factor X (rho = X X^H, D x k), it keeps X, takes its spectrum and
-range from one thin SVD of X, runs no D x D eigensolve, and forms the
-D x D matrix only when something reads it.
+A ``DensityOperator`` is held as its range factor: the spectral roots
+sqrt(e_i) v_i of its nonzero eigenvalues, which every pure-state
+decomposition, range floor and partial trace starts from.  It is the
+only place the package decomposes a density, and it does so once, at
+construction: a matrix by ``eigh``, a factor X (rho = X X^H) by a thin
+SVD of X.  The partial trace of a pure state or a density reshapes those
+rows kept | rest into the factor of the marginal, so no partial trace
+forms a D x D matrix, and a factor-built density forms its own only when
+something (a partial transpose, a reconstruction check) reads it.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share between concurrent tasks.  A state's
@@ -188,22 +188,20 @@ class PureState:
             self, "amplitudes", _as_unit_vector(self.amplitudes, self.profile.size)
         )
 
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.profile, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator over a profile.
 
-    Give exactly one of ``matrix`` and ``factor``.  A matrix is checked for
-    positivity by ``eigvalsh``.  Its rank counts the eigenvalues above
-    ``TOL_RANK``, and ``roots`` and ``range_basis`` hold the eigenpairs of
-    those eigenvalues.  A factor X (D x k) stands for the matrix X X^H,
-    positive and Hermitian by construction: its trace is ||X||_F^2, and its
-    thin SVD gives the spectrum, eigenvalues s_i^2 and range vectors the
-    left singular vectors.  The operator keeps X and forms ``matrix`` only
-    when it is first read, so scans that read only ``roots`` never hold a
-    D x D array.  ``matrix`` is read-only either way.
+    Give exactly one of ``matrix`` and ``factor``.  A matrix is decomposed
+    once, by ``eigh``: its eigenvalues check positivity, those above
+    ``TOL_RANK`` count the rank, and their eigenvectors span the range.  A
+    factor X (D x k) stands for the matrix X X^H, positive and Hermitian by
+    construction: its trace is ||X||_F^2, and its thin SVD gives the
+    spectrum, eigenvalues s_i^2 with the left singular vectors, so no D x D
+    eigensolve runs.  Either way the operator holds ``roots``, its range
+    factor, and ``range_basis``.  A factor-built operator keeps X and forms
+    ``matrix`` only when it is first read.  ``matrix`` is read-only either
+    way.
 
     Instances are immutable, and equality is identity.  ``_memo`` keeps
     what ``monogamy`` derives from the operator (its pair-term values and
@@ -237,7 +235,7 @@ class DensityOperator:
             tr = _checked_trace(float(np.trace(mat).real))
             if tr != 1.0:
                 mat = mat / tr
-            evals = np.linalg.eigvalsh(mat)
+            evals, vecs = np.linalg.eigh(mat)
             if evals[0] < -TOL_PSD:
                 raise DomainError(f"matrix has negative eigenvalue {float(evals[0])}")
             mat.setflags(write=False)
@@ -253,13 +251,22 @@ class DensityOperator:
             if tr != 1.0:
                 x = x / np.sqrt(tr)
             x.setflags(write=False)
-            u, s, _ = np.linalg.svd(x, full_matrices=False)
-            evals = s[::-1] ** 2
-            top = evals.size - int(np.sum(evals > TOL_RANK))
-            # Filled here, so the cached ``_range`` below never runs for a factor.
-            attrs["_range"] = (evals[top:], u[:, ::-1][:, top:].T.copy())
             attrs["_factor"] = x
+            u, s, _ = np.linalg.svd(x, full_matrices=False)
+            evals, vecs = s[::-1] ** 2, u[:, ::-1]
+        top = evals.size - int(np.sum(evals > TOL_RANK))
+        # A copy: a slice would keep the whole D x D eigenvector matrix alive.
+        w, rows = evals[top:], vecs[:, top:].T.copy()
+        roots = rows[::-1] * np.sqrt(w[::-1, None])
+        rows.setflags(write=False)
+        roots.setflags(write=False)
         attrs["_eigenvalues"] = evals  # ascending
+        # Orthonormal basis of the range, one column per eigenvalue, ascending.
+        attrs["range_basis"] = rows.T
+        # Spectral roots sqrt(e_i) v_i, one row each, eigenvalues descending:
+        # every pure-state decomposition is an isometry applied to these rows
+        # (the HJW chart).
+        attrs["roots"] = roots
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -286,30 +293,7 @@ class DensityOperator:
         return float(np.sum(self._eigenvalues ** 2))
 
     def rank(self) -> int:
-        return int(np.sum(self._eigenvalues > TOL_RANK))
-
-    @cached_property
-    def _range(self) -> tuple[np.ndarray, np.ndarray]:
-        """The top-rank eigenvalues, ascending, and their eigenvectors as rows."""
-        w, v = np.linalg.eigh(self.matrix)
-        top = w.size - self.rank()
-        # Copies: a slice would keep the whole D x D eigenvector matrix alive.
-        return w[top:].copy(), v[:, top:].T.copy()
-
-    @property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis of the range, one column per eigenvalue, ascending."""
-        return self._range[1].T
-
-    @property
-    def roots(self) -> np.ndarray:
-        """Spectral roots sqrt(e_i) v_i, one row each, eigenvalues descending.
-
-        Every pure-state decomposition is an isometry applied to these rows
-        (the HJW chart).
-        """
-        w, vecs = self._range
-        return vecs[::-1] * np.sqrt(w[::-1, None])
+        return len(self.roots)
 
 
 @dataclass(frozen=True)
@@ -327,42 +311,25 @@ class SchmidtData:
     rank: int
 
 
-def tensor_product(a, b):
-    """Kronecker product of two pure states or two density operators.
-
-    The resulting profile is the concatenation of the operands' profiles,
-    with the first operand's parties slowest-varying.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        profile = DimensionProfile(a.profile.dims + b.profile.dims)
-        return PureState(profile, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        profile = DimensionProfile(a.profile.dims + b.profile.dims)
-        return DensityOperator(profile, np.kron(a.matrix, b.matrix))
-    raise DomainError("tensor_product requires two operands of the same kind")
-
-
 def partial_trace(state: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Trace out all parties not in ``keep``, from a pure state or a density operator.
 
     The result's profile lists the kept parties in ascending party order.
-    A pure state's marginal is M M^H, with M its amplitudes reshaped
-    kept | rest as in ``cut_matrices``, so no D x D matrix is formed.  A
-    density operator takes the same kept | rest order on both index halves,
-    and the rest is traced from the (kept, rest, kept, rest) tensor.
+    The input's factor rows R_j (a pure state's amplitudes, or a density's
+    spectral ``roots``) are reshaped kept | rest as in ``cut_matrices`` and
+    set side by side, M = [R_1 R_2 ...] (d_keep x k d_rest), and the
+    marginal is the density with factor M, sum_j R_j R_j^H: no D x D
+    matrix is read or formed.
     """
     profile = state.profile
     kept = _sorted_parties(keep, profile.n)
     axes, d_keep = _kept_first(profile, kept)
-    dims = profile.dims
-    if isinstance(state, PureState):
-        m = np.transpose(state.amplitudes.reshape(dims), axes).reshape(d_keep, -1)
-        reduced = m @ m.conj().T
-    else:
-        tensor = np.transpose(state.matrix.reshape(dims + dims), axes + [len(dims) + a for a in axes])
-        d_rest = profile.size // d_keep
-        reduced = np.trace(tensor.reshape(d_keep, d_rest, d_keep, d_rest), axis1=1, axis2=3)
-    return DensityOperator(profile.restrict(kept), reduced)
+    rows = state.amplitudes if isinstance(state, PureState) else state.roots
+    tensor = np.reshape(rows, (-1,) + profile.dims)
+    # Kept axes, then the row index, then the rest: M's columns run over (row, rest).
+    order = [a + 1 for a in axes[: len(kept)]] + [0] + [a + 1 for a in axes[len(kept):]]
+    factor = np.transpose(tensor, order).reshape(d_keep, -1)
+    return DensityOperator(profile.restrict(kept), factor=factor)
 
 
 def partial_transpose(rho: DensityOperator, transposed: Iterable[int]) -> np.ndarray:

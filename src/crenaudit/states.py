@@ -219,8 +219,9 @@ def coarse_grain(spec: WClassSpec, partition: PartitionSpec) -> WClassSpec:
 
     The merged coefficient for block s at level i is sqrt(q_si) >= 0 with
     q_si the total squared weight the block's parties carry at level i;
-    phases are absorbed into the implicit block-local basis relabelling
-    (see ``block_isometry``).
+    phases are absorbed into a block-local basis change, the isometry
+    whose column i is the block's normalized one-excitation component at
+    level i, which leaves every quantity across the blocks unchanged.
     """
     if partition.n != spec.n:
         raise DomainError(f"partition covers {partition.n} parties, spec has {spec.n}")
@@ -229,85 +230,6 @@ def coarse_grain(spec: WClassSpec, partition: PartitionSpec) -> WClassSpec:
         weights = np.sum(np.abs(spec.a[[j - 1 for j in block], :]) ** 2, axis=0)
         merged[s, :] = np.sqrt(weights)
     return WClassSpec(partition.m, spec.d, merged)
-
-
-def block_isometry(spec: WClassSpec, partition: PartitionSpec, s: int) -> np.ndarray:
-    """Isometry from block s's merged qudit into the block's physical space.
-
-    Column 0 is the block vacuum; column i (1 <= i <= d-1) is the block's
-    normalized one-excitation component at level i, or an arbitrary unit
-    vector orthogonal to the previous columns when the block carries no
-    weight at that level.
-    """
-    block = partition.blocks[s]
-    block_profile = DimensionProfile((spec.d,) * len(block))
-    size = block_profile.size
-    cols = np.zeros((size, spec.d), dtype=complex)
-    cols[0, 0] = 1.0
-    for i in range(1, spec.d):
-        v = np.zeros(size, dtype=complex)
-        for pos, party in enumerate(block):
-            digits = [0] * len(block)
-            digits[pos] = i
-            v[block_profile.index_of(digits)] = spec.a[party - 1, i - 1]
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-15:
-            cols[:, i] = v / nrm
-        else:
-            # Zero-weight level: complete with any unit vector orthogonal
-            # to the columns chosen so far.
-            for k in range(size):
-                cand = np.zeros(size, dtype=complex)
-                cand[k] = 1.0
-                cand -= cols @ (cols.conj().T @ cand)
-                if np.linalg.norm(cand) > 1e-7:
-                    cols[:, i] = cand / np.linalg.norm(cand)
-                    break
-    return cols
-
-
-def expand_coarse_state(spec: WClassSpec, partition: PartitionSpec) -> PureState:
-    """Embed the coarse-grained state back into the original party space."""
-    coarse = coarse_grain(spec, partition)
-    coarse_state = build_w_state(coarse).amplitudes
-    iso = block_isometry(spec, partition, 0)
-    for s in range(1, partition.m):
-        iso = np.kron(iso, block_isometry(spec, partition, s))
-    expanded = iso @ coarse_state
-    # Blocks list parties in ascending order, but the partition's block
-    # order may interleave them; permute back to party order 1..n.
-    order = [p for b in partition.blocks for p in b]
-    perm = np.argsort(order)
-    dims = tuple(spec.d for _ in range(spec.n))
-    tensor = expanded.reshape(dims).transpose(perm)
-    return PureState(DimensionProfile(dims), tensor.reshape(-1))
-
-
-def pair_marginal_analytic(spec: PCSSpec, i: int) -> DensityOperator:
-    """Marginal of the partially coherent state on parties (1, i), closed form.
-
-    With phi = sum_k a[0, k-1] |k0> + a[i-1, k-1] |0k> (k = 1..d-1) the
-    marginal is p|phi><phi| + (1 - p w)|00><00| + lam sqrt(p(1-p)) (|phi><00|
-    + h.c.), where w = ||phi||^2 = w_1 + w_i and w_j = sum_k |a[j-1, k-1]|^2
-    is party j's excitation weight.  The weight p(1 - w) of the traced-out
-    parties' excitations joins the vacuum.
-    """
-    w = spec.w
-    if not 2 <= i <= w.n:
-        raise DomainError(f"party {i} out of range 2..{w.n}")
-    phi = np.zeros((w.d, w.d), dtype=complex)
-    phi[1:, 0] = w.a[0]
-    phi[0, 1:] = w.a[i - 1]
-    phi = phi.reshape(-1)
-    vac = np.zeros_like(phi)
-    vac[0] = 1.0
-    cross = np.outer(phi, vac)
-    mat = (
-        spec.p * np.outer(phi, phi.conj())
-        + (1.0 - spec.p * np.vdot(phi, phi).real) * np.outer(vac, vac)
-        + spec.lam * np.sqrt(spec.p * (1.0 - spec.p)) * (cross + cross.conj().T)
-    )
-    return DensityOperator(DimensionProfile((w.d, w.d)), mat)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,18 @@ def rand_pure(dims, rng) -> PureState:
     return PureState(profile, z / np.linalg.norm(z))
 
 
-def rand_dm(dims, rank, rng) -> DensityOperator:
-    """Rank-controlled random density operator (Ginibre construction)."""
+def rand_dm(dims, rank, rng, factor: bool = False) -> DensityOperator:
+    """Rank-controlled random density operator (Ginibre construction).
+
+    Built from its D x D matrix, or with ``factor`` from the Ginibre factor
+    itself; both routes draw the same numbers.
+    """
     profile = DimensionProfile(tuple(dims))
     g = rng.standard_normal((profile.size, rank)) + 1j * rng.standard_normal(
         (profile.size, rank)
     )
+    if factor:
+        return DensityOperator(profile, factor=g / np.linalg.norm(g))
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityOperator(profile, m)

@@ -43,6 +43,7 @@ from crenaudit.measures import pure_concurrences
 from crenaudit.qlinalg import cut_matrices, cut_matrix
 
 from conftest import rand_dm, rand_pure
+from oracles import expand_coarse_state, to_density
 
 
 def report(criterion: str, failures: list[str]) -> None:
@@ -72,7 +73,7 @@ def test_criterion_1_antisymmetric_counterexample():
     n = negativity_pure(psi, 1)
     if abs(n - 2.0) > 1e-9:
         failures.append(f"N across 1|23 = {n}, expected 2 within 1e-9")
-    rho = psi.to_density()
+    rho = to_density(psi)
     for keep in ((1, 2), (1, 3)):
         pair = partial_trace(rho, keep)
         c2_pair = pair_concurrence_min(pair) ** 2
@@ -97,7 +98,7 @@ def test_criterion_2_mixed_dimension_counterexample():
     n2 = negativity_pure(psi, 1) ** 2
     if abs(n2 - 4.0) > 1e-9:
         failures.append(f"roof negativity^2 across 1|23 = {n2}, expected 4 within 1e-9")
-    rho = psi.to_density()
+    rho = to_density(psi)
     for keep in ((1, 2), (1, 3)):
         pair = partial_trace(rho, keep)
         c2_pair = pair_concurrence_min(pair) ** 2
@@ -275,7 +276,6 @@ def test_criterion_7_partition_invariance():
     """Coarse-graining four parties into 2 or 3 blocks keeps saturation."""
     failures = []
     wspec = WClassSpec.symmetric(4, 2)
-    from crenaudit.states import expand_coarse_state
 
     count = 0
     for blocks in (2, 3):
@@ -339,7 +339,7 @@ def test_criterion_8_kernel_properties():
         w = np.clip(np.linalg.eigvalsh(mat @ mat.conj().T), 0.0, None)
         via_marginal = float(np.sum(np.sqrt(w))) ** 2 - 1.0
         via_pt = (
-            np.abs(np.linalg.eigvalsh(partial_transpose(psi.to_density(), cut.side_b))).sum()
+            np.abs(np.linalg.eigvalsh(partial_transpose(to_density(psi), cut.side_b))).sum()
             - 1.0
         )
         paths = (via_schmidt, via_marginal, via_pt, negativity_pure(psi, cut))

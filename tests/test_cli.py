@@ -87,6 +87,26 @@ class TestStateCommand:
         assert (rows["trace"], rows["rank"]) == ("1", "2")
         assert peak <= 32 * 2**20
 
+    def test_pcs_trace_out_forms_no_density_matrix(self, tmp_path, capsys):
+        # The pair marginal is traced from the density's two roots; the
+        # 4096 x 4096 matrix of the six-party density alone would take 268 MB.
+        spec = tmp_path / "pcs64.yaml"
+        row = "  - [" + ", ".join(["0.2357022603955158"] * 3) + "]\n"
+        spec.write_text("kind: pcs\ncoefficients:\n" + row * 6 + "p: 0.6\nlambda: 0.3\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                "state", "--spec", str(spec), "--trace-out", "3,4,5,6", capsys=capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rows = dict(line.split() for line in out.strip().split("\n")[1:])
+        assert rows["profile"] == "4x4"
+        assert (rows["trace"], rows["rank"]) == ("1", "2")
+        assert peak <= 64 * 2**20
+
     def test_mixed_state_cut_reads_its_negativity(self, capsys):
         code, out, _ = run_cli(
             "state", "--family", "ou", "--trace-out", "3", "--cut", "1", capsys=capsys

@@ -39,11 +39,12 @@ from crenaudit.qlinalg import as_bipartition, cut_matrices
 from crenaudit.states import kim_sanders_state
 
 from conftest import rand_dm, rand_pure
+from oracles import pair_marginal_analytic, tensor_product, to_density
 
 
 @pytest.fixture
 def ou_pair():
-    return partial_trace(ou_state().to_density(), (1, 2))
+    return partial_trace(to_density(ou_state()), (1, 2))
 
 
 @pytest.fixture
@@ -131,14 +132,14 @@ class TestAverageNegativity:
 
     def test_rank_one_equals_pure_value(self, rng):
         psi = rand_pure((2, 3), rng)
-        dec = decomposition_from_unitary(psi.to_density(), np.eye(1))
+        dec = decomposition_from_unitary(to_density(psi), np.eye(1))
         assert average_negativity(dec, 1) == pytest.approx(
             negativity_pure(psi, 1), abs=1e-10
         )
 
     def test_product_decomposition_averages_to_zero(self, rng):
         # A separable mixture decomposed into its product members.
-        from crenaudit import Decomposition, tensor_product
+        from crenaudit import Decomposition
 
         members = [
             tensor_product(rand_pure((2,), rng), rand_pure((2,), rng))
@@ -151,9 +152,9 @@ class TestAverageNegativity:
 class TestOptimize:
     def test_pure_state_value_is_fixed(self, rng):
         psi = rand_pure((3, 3), rng)
-        res = optimize(psi.to_density(), 1, "min")
+        res = optimize(to_density(psi), 1, "min")
         assert res.value == pytest.approx(negativity_pure(psi, 1), abs=1e-9)
-        res = optimize(psi.to_density(), 1, "max", OptConfig(starts=2))
+        res = optimize(to_density(psi), 1, "max", OptConfig(starts=2))
         assert res.value == pytest.approx(negativity_pure(psi, 1), abs=1e-9)
 
     def test_flat_marginal_minimum(self, ou_pair):
@@ -252,7 +253,7 @@ class TestOptimize:
     def test_min_stops_at_once_on_a_flat_landscape(self):
         # Every decomposition of these rank-2 (3,2) pair marginals averages
         # to 2 sqrt(2) / 3, so every start is stationary at every stage.
-        psi = kim_sanders_state().to_density()
+        psi = to_density(kim_sanders_state())
         for keep in ((1, 2), (1, 3)):
             pair = partial_trace(psi, keep)
             for cfg in (OptConfig(), _audit_opt_cfg(pair.rank(), seed=0)):
@@ -483,8 +484,6 @@ class TestFlatnessScan:
         assert flat.mean == pytest.approx(2 * 0.5 * np.sqrt((2 / 3) * (1 / 3)), abs=1e-10)
 
     def test_pair_marginal_is_flat(self):
-        from crenaudit import pair_marginal_analytic
-
         spec = PCSSpec(WClassSpec.symmetric(3, 2), 0.6, 0.3)
         rho = pair_marginal_analytic(spec, 2)
         flat = flatness_scan(rho, 1, samples=64, seed=0)

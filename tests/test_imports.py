@@ -113,6 +113,30 @@ def test_only_qlinalg_eigendecomposes_hermitian_matrices():
     assert callers == {"qlinalg"}
 
 
+def test_only_partial_transpose_and_the_reconstruction_check_read_matrix():
+    # A density is held as its range factor (its roots); the D x D matrix is
+    # read only to transpose a party's indices and where optimize checks
+    # that its decomposition rebuilds the density.
+    readers = {
+        owner
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"qlinalg.partial_transpose", "convexroof._result"}
+
+
+def test_no_module_runs_a_general_eigensolve():
+    # Every matrix the package decomposes is Hermitian or a factor; the
+    # spin-flip concurrence reads singular values of its roots instead.
+    callers = sorted({
+        f"{owner} line {node.lineno}"
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Attribute) and node.attr in ("eig", "eigvals")
+    })
+    assert not callers, f"general eigensolves: {callers}"
+
+
 def test_no_module_draws_haar_unitaries_one_by_one():
     # A set of Haar samples is one haar_unitaries draw, the same stream as a
     # loop of haar_unitary calls; a loop of them pays one QR call per sample.

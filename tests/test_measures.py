@@ -9,6 +9,8 @@ from crenaudit import (
     DimensionProfile,
     DomainError,
     PureState,
+    WClassSpec,
+    build_w_state,
     concurrence_pure,
     ghz_state,
     haar_unitary,
@@ -16,7 +18,7 @@ from crenaudit import (
     negativity_mixed,
     negativity_pure,
     ou_state,
-    tensor_product,
+    partial_trace,
     wootters_concurrence_2q,
 )
 
@@ -24,6 +26,7 @@ from crenaudit.measures import pure_concurrences, pure_negativities
 from crenaudit.qlinalg import cut_matrix
 
 from conftest import rand_dm, rand_pure
+from oracles import tensor_product, to_density
 
 # Tolerated disagreement between routes to the same pure-state negativity.
 PATH_TOL = 1e-9
@@ -54,7 +57,7 @@ def two_term_state(lam0, rng, dims=(3, 4)):
 
 
 def werner(w):
-    bell = maximally_entangled(2).to_density().matrix
+    bell = to_density(maximally_entangled(2)).matrix
     return DensityOperator(DimensionProfile((2, 2)), w * bell + (1 - w) * np.eye(4) / 4)
 
 
@@ -97,7 +100,7 @@ class TestNegativityPure:
                 cut = Bipartition((1,), len(dims))
                 value = negativity_pure(psi, cut)
                 assert value >= 0.0
-                assert abs(value - negativity_mixed(psi.to_density(), cut)) <= PATH_TOL
+                assert abs(value - negativity_mixed(to_density(psi), cut)) <= PATH_TOL
                 assert abs(value - marginal_root_negativity(psi, cut)) <= PATH_TOL
 
 
@@ -177,7 +180,7 @@ class TestNegativityMixed:
         assert negativity_mixed(rho, 1) == 0.0
 
     def test_bell_projector(self):
-        assert negativity_mixed(maximally_entangled(2).to_density(), 1) == pytest.approx(
+        assert negativity_mixed(to_density(maximally_entangled(2)), 1) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -200,7 +203,7 @@ class TestNegativityMixed:
 
 class TestWoottersConcurrence:
     def test_bell(self):
-        assert wootters_concurrence_2q(maximally_entangled(2).to_density()) == pytest.approx(
+        assert wootters_concurrence_2q(to_density(maximally_entangled(2))) == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -219,10 +222,26 @@ class TestWoottersConcurrence:
             wootters_concurrence_2q(rand_dm((3, 2), 2, rng))
 
     def test_pure_input_matches_pure_concurrence(self, rng):
-        # The spin-flip formula subtracts sqrt of three zero eigenvalues,
-        # each carrying ~1e-8 of sqrt-amplified solver noise.
+        # A pure state has one root, so its one singular value is the
+        # concurrence, with no zero eigenvalues to take square roots of.
         for _ in range(10):
             psi = rand_pure((2, 2), rng)
-            assert wootters_concurrence_2q(psi.to_density()) == pytest.approx(
-                concurrence_pure(psi, 1), abs=1e-7
+            assert wootters_concurrence_2q(to_density(psi)) == pytest.approx(
+                concurrence_pure(psi, 1), abs=1e-14
             )
+
+    def test_w_marginals_to_rounding(self):
+        # The qubit W marginal on parties (1, j) has concurrence 2|a_1 a_j|.
+        # Its rank-2 roots give it to rounding: 700 marginals, n = 3..6.
+        rng = np.random.default_rng(2024)
+        errors = []
+        for _ in range(50):
+            for n in (3, 4, 5, 6):
+                z = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+                spec = WClassSpec(n, 2, z / np.linalg.norm(z))
+                psi = build_w_state(spec)
+                for j in range(2, n + 1):
+                    want = 2.0 * abs(spec.a[0, 0] * spec.a[j - 1, 0])
+                    errors.append(abs(wootters_concurrence_2q(partial_trace(psi, (1, j))) - want))
+        assert len(errors) == 700
+        assert max(errors) <= 1e-15

@@ -1,9 +1,11 @@
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from crenaudit import (
+    DensityOperator,
     DimensionProfile,
     DomainError,
     OptConfig,
@@ -32,7 +34,6 @@ from crenaudit import (
     pair_terms,
     partial_trace,
     random_pure_state,
-    tensor_product,
 )
 from crenaudit import convexroof, measures, monogamy, qlinalg
 from crenaudit.cli import main
@@ -41,6 +42,7 @@ from crenaudit.monogamy import analytic_w_values, range_floor
 from crenaudit.qlinalg import cut_matrices
 
 from conftest import rand_dm, rand_pure
+from oracles import tensor_product, to_density
 
 
 class TestCounterexampleAudits:
@@ -150,12 +152,12 @@ class TestQubitCorpora:
 def _term_inputs():
     # Cut 1 of each: 1|23 of the pure OU state and of a W mixture on three
     # qubits, 1|2 of a W pair (roof 2/3) and of a Kim-Sanders (3, 2) pair.
-    w3_pair = partial_trace(build_w_state(WClassSpec.symmetric(3, 2)).to_density(), (1, 2))
-    w4_triple = partial_trace(build_w_state(WClassSpec.symmetric(4, 2)).to_density(), (1, 2, 3))
+    w3_pair = partial_trace(to_density(build_w_state(WClassSpec.symmetric(3, 2))), (1, 2))
+    w4_triple = partial_trace(to_density(build_w_state(WClassSpec.symmetric(4, 2))), (1, 2, 3))
     return {
         "pure": ou_state(),
         "qubit_pair": w3_pair,
-        "qutrit_qubit_pair": partial_trace(kim_sanders_state().to_density(), (1, 2)),
+        "qutrit_qubit_pair": partial_trace(to_density(kim_sanders_state()), (1, 2)),
         "qubit_triple": w4_triple,
     }
 
@@ -377,11 +379,11 @@ class TestSharedSearches:
 
 class TestRangeFloor:
     def test_flat_rank_three_range(self):
-        rho = partial_trace(ou_state().to_density(), (1, 2))
+        rho = partial_trace(to_density(ou_state()), (1, 2))
         assert range_floor(rho, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_rank_two_range(self):
-        rho = partial_trace(kim_sanders_state().to_density(), (1, 2))
+        rho = partial_trace(to_density(kim_sanders_state()), (1, 2))
         assert range_floor(rho, 1) == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
 
     def test_separable_range_floors_to_zero(self, rng):
@@ -389,7 +391,7 @@ class TestRangeFloor:
         # range, so the floor must come out zero.
         a = tensor_product(rand_pure((2,), rng), rand_pure((2,), rng))
         b = tensor_product(rand_pure((2,), rng), rand_pure((2,), rng))
-        mat = 0.5 * a.to_density().matrix + 0.5 * b.to_density().matrix
+        mat = 0.5 * to_density(a).matrix + 0.5 * to_density(b).matrix
         from crenaudit import DensityOperator
 
         rho = DensityOperator(DimensionProfile((2, 2)), mat)
@@ -442,7 +444,7 @@ class TestRangeFloor:
 
 
 class TestEigendecompositionCount:
-    """A density operator is eigendecomposed once, however many callers read its spectrum."""
+    """A density operator is decomposed once, at construction, however many callers read its spectrum."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -457,29 +459,59 @@ class TestEigendecompositionCount:
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
-    def test_rank_and_range_reuse_one_spectrum(self, calls):
-        rho = partial_trace(ou_state().to_density(), (1, 2))
-        calls["eigvalsh"].clear()
+    @pytest.fixture
+    def factor_svds(self, monkeypatch):
+        # The input shapes of the SVDs run by DensityOperator construction;
+        # the optimizer's and the measures' SVDs are not decompositions of a density.
+        shapes = []
+
+        def counted(a, *args, _solver=np.linalg.svd, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_code is qlinalg.DensityOperator.__init__.__code__:
+                shapes.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return shapes
+
+    def test_a_matrix_density_runs_one_eigh(self, calls, factor_svds):
+        amps = ou_state().amplitudes
+        rho = DensityOperator(DimensionProfile((3, 3, 3)), np.outer(amps, amps.conj()))
+        assert rho.rank() == 1
+        assert rho.roots.shape == (1, 27) and rho.range_basis.shape == (27, 1)
+        assert (rho.trace(), rho.purity()) == pytest.approx((1.0, 1.0), abs=1e-14)
+        assert calls == {"eigh": [(27, 27)], "eigvalsh": []}
+        assert factor_svds == []
+
+    def test_pure_pair_marginals_run_one_thin_svd_each(self, calls, factor_svds):
+        rho = partial_trace(ou_state(), (1, 2))
         assert rho.rank() == 3
         assert rho.roots.shape == (3, 9) and rho.range_basis.shape == (9, 3)
-        assert calls == {"eigh": [(9, 9)], "eigvalsh": []}
+        assert calls == {"eigh": [], "eigvalsh": []}
+        assert factor_svds == [(9, 3)]
 
-    def test_ckw_audit_decomposes_each_pair_marginal_once(self, calls):
-        # The optimizer's chart and the range floor share each marginal's eigh.
+    def test_ckw_audit_decomposes_each_pair_marginal_once(self, calls, factor_svds):
+        # The optimizer's chart and the range floor share each marginal's SVD.
         ckw_audit(ou_state(), 1)
-        assert calls["eigh"] == [(9, 9), (9, 9)]
+        assert calls == {"eigh": [], "eigvalsh": []}
+        assert factor_svds == [(9, 3), (9, 3)]
 
-    def test_cli_audit_decomposes_each_pair_marginal_once(self, calls, capsys):
+    def test_cli_audit_decomposes_each_pair_marginal_once(self, calls, factor_svds, capsys):
         # The default measures cren, ckw and negativity share the marginals.
+        # The two eigvalsh are trace_norm's, of the negativity terms' partial
+        # transposes, not decompositions of a density.
         assert main(["audit", "--family", "ou"]) == 0
-        assert calls["eigh"] == [(9, 9), (9, 9)]
+        assert calls == {"eigh": [], "eigvalsh": [(9, 9), (9, 9)]}
+        assert factor_svds == [(9, 3), (9, 3)]
 
-    def test_named_audits_decompose_each_pair_marginal_once(self, calls):
+    def test_named_audits_decompose_each_pair_marginal_once(self, calls, factor_svds):
         # Separate calls on one state object share its pair marginals.
         psi = ou_state()
         for run in _NAMED_AUDITS.values():
             run(psi)
-        assert calls["eigh"] == [(9, 9), (9, 9)]
+        # trace_norm of each negativity term's partial transpose, as above.
+        assert calls == {"eigh": [], "eigvalsh": [(9, 9), (9, 9)]}
+        assert factor_svds == [(9, 3), (9, 3)]
 
     def test_two_qubit_hunt_decomposes_nothing(self, calls):
         # Two-qubit pair terms are Wootters' closed form: no chart, no floor.

@@ -10,19 +10,22 @@ from crenaudit import (
     DensityOperator,
     DimensionProfile,
     DomainError,
+    PCSSpec,
     PureState,
+    WClassSpec,
+    build_pcs_density,
     ou_state,
     flatness_scan,
     partial_trace,
     partial_transpose,
     schmidt,
-    tensor_product,
     trace_norm,
 )
 from crenaudit.qlinalg import TOL_PSD, TOL_RANK
 from crenaudit.states import maximally_entangled
 
 from conftest import rand_dm, rand_pure
+from oracles import pair_marginal_analytic, tensor_product, to_density
 
 
 def ket(profile, digits):
@@ -98,7 +101,7 @@ class TestTensorProduct:
 
     def test_projector_with_maximally_mixed(self):
         q = DimensionProfile((2,))
-        rho0 = ket(q, (0,)).to_density()
+        rho0 = to_density(ket(q, (0,)))
         mixed = DensityOperator(q, np.eye(2) / 2)
         out = tensor_product(rho0, mixed)
         assert np.allclose(out.matrix, np.diag([0.5, 0.5, 0, 0]))
@@ -112,13 +115,13 @@ class TestTensorProduct:
     def test_mixed_kinds_rejected(self):
         q = DimensionProfile((2,))
         with pytest.raises(DomainError):
-            tensor_product(ket(q, (0,)), ket(q, (0,)).to_density())
+            tensor_product(ket(q, (0,)), to_density(ket(q, (0,))))
 
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         bell = maximally_entangled(2)
-        red = partial_trace(bell.to_density(), (1,))
+        red = partial_trace(to_density(bell), (1,))
         assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_product_state_factorizes_exactly(self, rng):
@@ -143,7 +146,7 @@ class TestPartialTrace:
     @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 4), (2, 2, 2, 2), (3, 3, 3, 3)])
     def test_pure_input_matches_the_density_route(self, dims, rng):
         psi = rand_pure(dims, rng)
-        rho = psi.to_density()
+        rho = to_density(psi)
         n = len(dims)
         keeps = [k for r in (1, 2, 3) for k in itertools.permutations(range(1, n + 1), r)]
         for keep in keeps + [tuple(range(1, n + 1))]:
@@ -152,10 +155,11 @@ class TestPartialTrace:
             assert red.profile == want.profile
             assert np.max(np.abs(red.matrix - want.matrix)) <= 1e-14
 
+    @pytest.mark.parametrize("route", ["matrix", "factor"])
     @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 4), (2, 2, 2, 2)])
-    def test_density_input_matches_an_index_contraction(self, dims, rng):
+    def test_density_input_matches_an_index_contraction(self, dims, route, rng):
         # rho_keep[i, i'] = sum over the rest's digits r of rho[(i, r), (i', r)].
-        rho = rand_dm(dims, 3, rng)
+        rho = rand_dm(dims, 3, rng, factor=route == "factor")
         n = len(dims)
         tensor = rho.matrix.reshape(dims + dims)
         rows = "abcd"[:n]
@@ -169,10 +173,27 @@ class TestPartialTrace:
             assert np.max(np.abs(got - want.reshape(size, size))) <= 1e-15
 
 
+    def test_w_vacuum_trace_forms_no_matrix(self):
+        # The trace reads the density's two roots; its 4096 x 4096 matrix
+        # alone would take 268 MB.
+        spec = PCSSpec(WClassSpec.symmetric(6, 4), 0.6, 0.3)
+        rho = build_pcs_density(spec)
+        tracemalloc.start()
+        try:
+            pair = partial_trace(rho, [1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in rho.__dict__
+        assert peak <= 2**20
+        assert pair.rank() == 2
+        assert np.max(np.abs(pair.matrix - pair_marginal_analytic(spec, 2).matrix)) <= 1e-15
+
+
 class TestPartialTranspose:
     def test_bell_projector_eigenvalues(self):
         bell = maximally_entangled(2)
-        pt = partial_transpose(bell.to_density(), (2,))
+        pt = partial_transpose(to_density(bell), (2,))
         evals = np.sort(np.linalg.eigvalsh(pt))
         assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -189,7 +210,7 @@ class TestPartialTranspose:
         vec = np.zeros(9, dtype=complex)
         for i in range(3):
             vec[profile.index_of((i, i))] = np.sqrt(lam[i])
-        pt = partial_transpose(PureState(profile, vec).to_density(), (2,))
+        pt = partial_transpose(to_density(PureState(profile, vec)), (2,))
         for i in range(3):
             for j in range(i + 1, 3):
                 v = np.zeros(9, dtype=complex)
@@ -224,7 +245,7 @@ class TestTraceNorm:
         assert trace_norm(rho.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_partial_transpose(self):
-        pt = partial_transpose(maximally_entangled(2).to_density(), (2,))
+        pt = partial_transpose(to_density(maximally_entangled(2)), (2,))
         assert trace_norm(pt) == pytest.approx(2.0, abs=1e-12)
 
     def test_non_hermitian_rejected(self):
@@ -292,13 +313,13 @@ def root_eigenvalues(rho):
 class TestSpectralDecomposition:
     def test_pure_projector(self, rng):
         psi = rand_pure((2, 2), rng)
-        rho = psi.to_density()
+        rho = to_density(psi)
         assert rho.rank() == 1
         assert root_eigenvalues(rho) == pytest.approx([1.0], abs=1e-10)
         assert abs(np.vdot(rho.range_basis[:, 0], psi.amplitudes)) == pytest.approx(1.0, abs=1e-10)
 
     def test_antisymmetric_pair_marginal(self):
-        rho = partial_trace(ou_state().to_density(), (1, 2))
+        rho = partial_trace(to_density(ou_state()), (1, 2))
         assert rho.rank() == 3
         assert np.allclose(root_eigenvalues(rho), [1 / 3] * 3, atol=1e-12)
 
@@ -327,6 +348,26 @@ def assert_spectrum_consistent(rho):
     assert np.max(np.abs(rho.roots.T @ rho.roots.conj() - rho.matrix)) <= 1e-14
     basis = rho.range_basis
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(rho.rank()))) <= 1e-14
+
+
+class TestMatrixPath:
+    """A density built from a matrix is decomposed by one eigh."""
+
+    def test_spectrum_matches_separate_rank_and_range_solves(self):
+        # The rank counted from an eigvalsh, and the range from a second,
+        # eigh, solve of the same matrix: the one eigh gives the same bits.
+        rng = np.random.default_rng(99)
+        shapes = [(2,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (2, 3, 4)]
+        for k in range(200):
+            dims = shapes[k % len(shapes)]
+            rho = rand_dm(dims, 1 + int(rng.integers(int(np.prod(dims)))), rng)
+            rank = int(np.sum(np.linalg.eigvalsh(rho.matrix) > TOL_RANK))
+            w, v = np.linalg.eigh(rho.matrix)
+            top = w.size - rank
+            rows = v[:, top:].T.copy()
+            assert rho.rank() == rank
+            assert np.array_equal(rho.range_basis, rows.T)
+            assert np.array_equal(rho.roots, rows[::-1] * np.sqrt(w[top:][::-1, None]))
 
 
 class TestFactorPath:
@@ -426,13 +467,13 @@ class TestIdentity:
     def test_equality_is_identity(self, rng):
         psi = rand_pure((2, 2), rng)
         twin = PureState(psi.profile, psi.amplitudes)
-        rho, rho_twin = psi.to_density(), twin.to_density()
+        rho, rho_twin = to_density(psi), to_density(twin)
         assert psi == psi and rho == rho
         assert psi != twin and rho != rho_twin
         assert len({psi, twin, rho, rho_twin}) == 4
 
     def test_density_is_immutable(self, rng):
-        rho = rand_pure((2, 2), rng).to_density()
+        rho = to_density(rand_pure((2, 2), rng))
         with pytest.raises(FrozenInstanceError):
             rho.profile = DimensionProfile((4,))
         with pytest.raises(FrozenInstanceError):

@@ -20,14 +20,13 @@ from crenaudit import (
     maximally_entangled,
     negativity_pure,
     ou_state,
-    pair_marginal_analytic,
     parse_state_spec,
     partial_trace,
 )
 from crenaudit.qlinalg import TOL_PSD, TOL_RANK
-from crenaudit.states import expand_coarse_state
 
 from conftest import rand_pure
+from oracles import expand_coarse_state, pair_marginal_analytic, to_density
 
 
 def random_w_spec(n, d, rng) -> WClassSpec:
@@ -56,7 +55,7 @@ class TestWState:
         # The party-1 marginal has eigenvalues {w_1, 1 - w_1}, w_1 = sum_k |a_1k|^2.
         spec = random_w_spec(4, 3, rng)
         w1 = float(np.sum(np.abs(spec.a[0]) ** 2))
-        rho1 = partial_trace(build_w_state(spec).to_density(), (1,))
+        rho1 = partial_trace(to_density(build_w_state(spec)), (1,))
         evals = np.sort(np.linalg.eigvalsh(rho1.matrix))[::-1]
         expected = sorted([w1, 1 - w1], reverse=True)
         assert np.allclose(evals[:2], expected, atol=1e-12)
@@ -72,7 +71,7 @@ class TestPcsDensity:
         spec = PCSSpec(random_w_spec(3, 2, rng), 0.6, 1.0)
         rho = build_pcs_density(spec)
         psi = coherent_superposition(spec)
-        assert np.max(np.abs(rho.matrix - psi.to_density().matrix)) <= 1e-12
+        assert np.max(np.abs(rho.matrix - to_density(psi).matrix)) <= 1e-12
 
     def test_incoherent_is_rank_two_mixture(self, rng):
         spec = PCSSpec(random_w_spec(3, 2, rng), 0.6, 0.0)
@@ -86,7 +85,7 @@ class TestPcsDensity:
     def test_full_weight_ignores_coherence(self, rng):
         wspec = random_w_spec(3, 3, rng)
         a = build_pcs_density(PCSSpec(wspec, 1.0, 0.2))
-        b = build_w_state(wspec).to_density()
+        b = to_density(build_w_state(wspec))
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
 
 
@@ -131,7 +130,7 @@ class TestPhaseDamping:
     def test_identity_channel(self, rng):
         psi = rand_pure((2, 2, 2), rng)
         out = apply_phase_damping(psi, 1.0)
-        assert np.max(np.abs(out.matrix - psi.to_density().matrix)) <= 1e-12
+        assert np.max(np.abs(out.matrix - to_density(psi).matrix)) <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_matches_direct_construction(self, lam, rng):
@@ -167,7 +166,7 @@ class TestCounterexampleStates:
         psi = ou_state()
         assert concurrence_pure(psi, 1) ** 2 == pytest.approx(4 / 3, abs=1e-12)
         assert negativity_pure(psi, 1) == pytest.approx(2.0, abs=1e-10)
-        roots = partial_trace(psi.to_density(), (1, 2)).roots
+        roots = partial_trace(to_density(psi), (1, 2)).roots
         assert np.allclose(np.sum(np.abs(roots) ** 2, axis=1), [1 / 3] * 3, atol=1e-12)
 
     def test_antisymmetric_marginal_range_is_flat(self, rng):
@@ -175,7 +174,7 @@ class TestCounterexampleStates:
         # one-party spectrum {1/2, 1/2, 0}.
         psi = ou_state()
         for keep in ((1, 2), (1, 3)):
-            rho = partial_trace(psi.to_density(), keep)
+            rho = partial_trace(to_density(psi), keep)
             basis = rho.range_basis.T
             for _ in range(64):
                 c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -203,7 +202,7 @@ class TestCounterexampleStates:
 
     def test_ghz_pair_marginals_unentangled(self):
         ghz = ghz_state(3)
-        pair = partial_trace(ghz.to_density(), (1, 2))
+        pair = partial_trace(to_density(ghz), (1, 2))
         assert np.allclose(pair.matrix, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
 
 
