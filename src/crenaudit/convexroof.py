@@ -2,8 +2,9 @@
 
 Every size-r pure-state decomposition of a density operator arises from an
 r x r unitary acting on the spectral root vectors (the HJW chart); only its
-first rank columns matter, an r x rank isometry V.  With R_j the roots
-reshaped across the cut, the average negativity is
+first rank columns matter, an r x rank isometry V, and the rows of
+V @ roots are the members sqrt(p_k) phi_k that a ``Decomposition`` holds.
+With R_j the roots reshaped across the cut, the average negativity is
 sum_k ||sum_j V_kj R_j||_*^2 - 1.  The roots are ``DensityOperator.roots``,
 which the operator holds from its one decomposition at construction, so
 the searches, ``flatness_scan`` and ``monogamy.range_floor`` share it, and
@@ -50,6 +51,7 @@ from .measures import pure_negativities
 from .qlinalg import (
     Bipartition,
     DensityOperator,
+    DimensionProfile,
     DomainError,
     NumericalError,
     PureState,
@@ -81,62 +83,62 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Weights and normalized pure states reconstructing a density operator."""
+    """A pure-state decomposition: ``members`` is the read-only (k, D) array of
+    rows sqrt(p_k) phi_k, whose outer products sum to the density."""
 
-    weights: np.ndarray
-    states: tuple[PureState, ...]
+    profile: DimensionProfile
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size != len(self.states):
-            raise DomainError("weights and states must have matching lengths")
-        if np.any(w <= 0.0):
+        m = np.array(self.members, dtype=complex)
+        if m.ndim != 2 or m.shape[1] != self.profile.size:
+            raise DomainError(f"members have shape {m.shape}, expected (k, {self.profile.size})")
+        if not np.isfinite(m).all():
+            raise DomainError("members have non-finite entries")
+        w = norm_sq(m)
+        if not np.all(w > 0.0):
             raise DomainError("weights must be positive")
         if abs(float(w.sum()) - 1.0) > 1e-8:
             raise DomainError(f"weights sum to {w.sum()}, expected 1")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", tuple(self.states))
+        m.setflags(write=False)
+        object.__setattr__(self, "members", m)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return norm_sq(self.members)
+
+    @property
+    def states(self) -> tuple[PureState, ...]:
+        """The normalized phi_k, built on each read."""
+        norms = np.sqrt(self.weights)
+        return tuple(PureState(self.profile, m / r) for m, r in zip(self.members, norms))
 
     @property
     def size(self) -> int:
-        return len(self.states)
-
-    @property
-    def members(self) -> np.ndarray:
-        """The unnormalized members sqrt(p_k) phi_k, one per row."""
-        amps = np.stack([phi.amplitudes for phi in self.states])
-        return np.sqrt(self.weights)[:, None] * amps
+        return self.members.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        members = self.members
-        return members.T @ members.conj()
+        return self.members.T @ self.members.conj()
 
 
 def _isometry_decomposition(rho: DensityOperator, v: np.ndarray) -> Decomposition:
-    """Decomposition whose unnormalized members are the rows of v @ rho.roots."""
+    """Decomposition whose members are the rows of v @ rho.roots above ``ZERO_WEIGHT``."""
     combos = v @ rho.roots
-    weights = np.sum(np.abs(combos) ** 2, axis=1)
-    keep = weights > ZERO_WEIGHT
-    states = tuple(
-        PureState(rho.profile, combos[k] / np.sqrt(weights[k]))
-        for k in range(v.shape[0])
-        if keep[k]
-    )
-    return Decomposition(weights[keep], states)
+    return Decomposition(rho.profile, combos[norm_sq(combos) > ZERO_WEIGHT])
 
 
 def decomposition_from_unitary(rho: DensityOperator, u: np.ndarray) -> Decomposition:
     """Decomposition realized by an r x r unitary on the (zero-padded) spectral roots.
 
-    Member k is row k of u[:, :rank] @ rho.roots, normalized, with its
-    squared norm as weight; members of weight below ``ZERO_WEIGHT`` are
-    dropped.  The identity gives the spectral decomposition itself.
+    Its members are the rows of u[:, :rank] @ rho.roots, each sqrt(p_k)
+    phi_k; members of weight below ``ZERO_WEIGHT`` are dropped.  The
+    identity gives the spectral decomposition itself.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError(f"expected a square unitary, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise DomainError("unitary has non-finite entries")
     r, rank = u.shape[0], rho.rank()
     if r < rank:
         raise DomainError(f"unitary size {r} below the root count {rank}")
@@ -149,9 +151,9 @@ def decomposition_from_unitary(rho: DensityOperator, u: np.ndarray) -> Decomposi
 def average_negativity(dec: Decomposition, cut) -> float:
     """Weighted average pure-state negativity over the decomposition.
 
-    One ``pure_negativities`` call scores all members at once.
+    One ``pure_negativities`` call scores all members, p_k N(phi_k) each.
     """
-    mats = cut_matrices(dec.members, dec.states[0].profile, cut)
+    mats = cut_matrices(dec.members, dec.profile, cut)
     return float(pure_negativities(mats).sum())
 
 

@@ -254,7 +254,9 @@ def pair_terms(rows) -> list[PairTerm]:
         return _memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
 
     terms: list = [None] * len(rows)
-    searches, queued, solve = [], {}, []
+    # ``solve`` keys, in row order, the (state, key) searches no memo holds
+    # yet; states hash by identity, so each runs once however many rows pose it.
+    searches, solve = [], {}
     for k, (state, cut, measure, cfg) in enumerate(rows):
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
@@ -276,11 +278,8 @@ def pair_terms(rows) -> list[PairTerm]:
             terms[k] = PairTerm(value, lower, "exact", "closed_form")
         else:
             key = ("search", cut, direction, cfg or OptConfig())
-            # Solve each search no memo holds once, however many rows pose it.
-            same = queued.setdefault(key, [])
-            if key not in state._memo and all(s is not state for s in same):
-                same.append(state)
-                solve.append((state, key))
+            if key not in state._memo:
+                solve[state, key] = None
             searches.append((k, state, cut, kernel, key))
     for (state, key), res in zip(solve, optimize_many([(s, *key[1:]) for s, key in solve])):
         state._memo[key] = res

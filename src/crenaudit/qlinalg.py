@@ -323,12 +323,10 @@ def partial_trace(state: PureState | DensityOperator, keep: Iterable[int]) -> De
     """
     profile = state.profile
     kept = _sorted_parties(keep, profile.n)
-    axes, d_keep = _kept_first(profile, kept)
     rows = state.amplitudes if isinstance(state, PureState) else state.roots
-    tensor = np.reshape(rows, (-1,) + profile.dims)
-    # Kept axes, then the row index, then the rest: M's columns run over (row, rest).
-    order = [a + 1 for a in axes[: len(kept)]] + [0] + [a + 1 for a in axes[len(kept):]]
-    factor = np.transpose(tensor, order).reshape(d_keep, -1)
+    mats = _kept_rest(rows, profile, kept)
+    # Kept index first, then the row and the rest: M's columns run over (row, rest).
+    factor = np.swapaxes(mats, 0, 1).reshape(mats.shape[1], -1)
     return DensityOperator(profile.restrict(kept), factor=factor)
 
 
@@ -368,11 +366,14 @@ def trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(w)))
 
 
-def _kept_first(profile: DimensionProfile, kept: Sequence[int]) -> tuple[list[int], int]:
-    """Party axes (0-based) with ``kept`` first and the rest after, and the kept dimension."""
+def _kept_rest(rows: np.ndarray, profile: DimensionProfile, kept: Sequence[int]) -> np.ndarray:
+    """Stacked rows reshaped kept | rest to (k, d_kept, d_rest) matrices, parties ascending."""
     inside = set(kept)
-    axes = [p - 1 for p in kept] + [p - 1 for p in profile.parties if p not in inside]
-    return axes, math.prod(profile.dims[p - 1] for p in kept)
+    # Axis 0 stacks the rows, so party p is axis p of the tensor.
+    axes = list(kept) + [p for p in profile.parties if p not in inside]
+    tensor = np.asarray(rows).reshape((-1,) + profile.dims)
+    d_kept = math.prod(profile.dims[p - 1] for p in kept)
+    return np.transpose(tensor, [0] + axes).reshape(tensor.shape[0], d_kept, -1)
 
 
 def cut_matrices(vectors: np.ndarray, profile: DimensionProfile, cut: Bipartition) -> np.ndarray:
@@ -380,10 +381,7 @@ def cut_matrices(vectors: np.ndarray, profile: DimensionProfile, cut: Bipartitio
 
     The vectors need not be normalized; a single vector gives k = 1.
     """
-    cut = as_bipartition(cut, profile.n)
-    axes, d_a = _kept_first(profile, cut.side_a)
-    tensor = np.asarray(vectors).reshape((-1,) + profile.dims)
-    return np.transpose(tensor, [0] + [a + 1 for a in axes]).reshape(tensor.shape[0], d_a, -1)
+    return _kept_rest(vectors, profile, as_bipartition(cut, profile.n).side_a)
 
 
 def cut_matrix(phi: PureState, cut: Bipartition) -> np.ndarray:

@@ -55,6 +55,8 @@ class WClassSpec:
             raise DomainError(
                 f"coefficient table has shape {table.shape}, expected {(self.n, self.d - 1)}"
             )
+        if not np.isfinite(table).all():
+            raise DomainError("coefficient table has non-finite entries")
         total = float(np.sum(np.abs(table) ** 2))
         if abs(total - 1.0) > TOL_RENORM:
             raise DomainError(f"coefficient table norm^2 {total} deviates from 1")
@@ -239,17 +241,21 @@ def coarse_grain(spec: WClassSpec, partition: PartitionSpec) -> WClassSpec:
 _KINDS = ("amplitudes", "w_class", "pcs", "ou", "kim_sanders", "max_entangled")
 
 
+# YAML's true and false load as bool, a subclass of int, so number fields test exact types.
+_NUMBER = (int, float)
+
+
 def _as_complex(value, field: str) -> complex:
     # abs(v) < inf is false for YAML's .nan and .inf as well as for overflowed 1e400.
     pair = value if isinstance(value, list) else [value, 0]
-    if len(pair) == 2 and all(isinstance(v, (int, float)) and abs(v) < np.inf for v in pair):
+    if len(pair) == 2 and all(type(v) in _NUMBER and abs(v) < np.inf for v in pair):
         return complex(*pair)
     raise SpecFormatError(f"field '{field}': expected a number or [re, im] pair, got {value!r}")
 
 
 def _parse_profile(doc: dict) -> DimensionProfile:
     dims = doc.get("profile")
-    if not isinstance(dims, list) or not dims or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not dims or not all(type(d) is int for d in dims):
         raise SpecFormatError("field 'profile': expected a list of integers")
     try:
         return DimensionProfile(tuple(dims))
@@ -260,7 +266,7 @@ def _parse_profile(doc: dict) -> DimensionProfile:
 def _parse_digits(value, profile: DimensionProfile) -> Sequence[int]:
     if isinstance(value, str) and all(c.isdecimal() or c.isspace() for c in value):
         digits = [int(c) for c in value if not c.isspace()]
-    elif isinstance(value, list) and all(isinstance(v, int) for v in value):
+    elif isinstance(value, list) and all(type(v) is int for v in value):
         digits = value
     else:
         raise SpecFormatError(f"field 'amplitudes': bad index digits {value!r}")
@@ -271,7 +277,9 @@ def _parse_digits(value, profile: DimensionProfile) -> Sequence[int]:
     return digits
 
 
-def _parse_w_table(doc: dict) -> WClassSpec:
+def _parse_w_doc(doc: dict) -> WClassSpec | PCSSpec:
+    """The table of a w_class document, or the PCSSpec of a pcs one (its table
+    with ``p`` and ``lambda``); a declared ``profile`` must match the table."""
     table = doc.get("coefficients")
     if not isinstance(table, list) or not table:
         raise SpecFormatError("field 'coefficients': expected a list of per-party rows")
@@ -284,9 +292,25 @@ def _parse_w_table(doc: dict) -> WClassSpec:
     if any(len(r) != width for r in rows):
         raise SpecFormatError("field 'coefficients': all rows must have the same length")
     try:
-        return WClassSpec(len(rows), width + 1, np.array(rows, dtype=complex))
+        wspec = WClassSpec(len(rows), width + 1, np.array(rows, dtype=complex))
     except DomainError as exc:
         raise SpecFormatError(f"field 'coefficients': {exc}") from exc
+    if "profile" in doc:
+        declared = _parse_profile(doc)
+        if declared.dims != wspec.profile.dims:
+            raise SpecFormatError(
+                f"field 'profile': {declared.dims} does not match the coefficient table "
+                f"({wspec.profile.dims})"
+            )
+    if doc["kind"] == "w_class":
+        return wspec
+    for key in ("p", "lambda"):
+        if type(doc.get(key)) not in _NUMBER:
+            raise SpecFormatError(f"field '{key}': expected a number in [0, 1]")
+    try:
+        return PCSSpec(wspec, float(doc["p"]), float(doc["lambda"]))
+    except DomainError as exc:
+        raise SpecFormatError(f"fields 'p'/'lambda': {exc}") from exc
 
 
 class _SpecLoader(yaml.SafeLoader):
@@ -324,7 +348,7 @@ def parse_state_spec(text: str):
         return kim_sanders_state()
     if kind == "max_entangled":
         d = doc.get("d")
-        if not isinstance(d, int):
+        if type(d) is not int:
             raise SpecFormatError("field 'd': expected an integer")
         try:
             return maximally_entangled(d)
@@ -347,28 +371,8 @@ def parse_state_spec(text: str):
         except DomainError as exc:
             raise SpecFormatError(f"field 'amplitudes': {exc}") from exc
 
-    wspec = _parse_w_table(doc)
-    if "profile" in doc:
-        declared = _parse_profile(doc)
-        if declared.dims != wspec.profile.dims:
-            raise SpecFormatError(
-                f"field 'profile': {declared.dims} does not match the coefficient table "
-                f"({wspec.profile.dims})"
-            )
-    if kind == "w_class":
-        return build_w_state(wspec)
-    return build_pcs_density(_parse_pcs(doc, wspec))
-
-
-def _parse_pcs(doc: dict, wspec: WClassSpec) -> PCSSpec:
-    """The PCSSpec of a pcs document's ``p`` and ``lambda`` over ``wspec``."""
-    for key in ("p", "lambda"):
-        if not isinstance(doc.get(key), (int, float)):
-            raise SpecFormatError(f"field '{key}': expected a number in [0, 1]")
-    try:
-        return PCSSpec(wspec, float(doc["p"]), float(doc["lambda"]))
-    except DomainError as exc:
-        raise SpecFormatError(f"fields 'p'/'lambda': {exc}") from exc
+    spec = _parse_w_doc(doc)
+    return build_w_state(spec) if kind == "w_class" else build_pcs_density(spec)
 
 
 def parse_w_spec(text: str) -> WClassSpec | PCSSpec:
@@ -377,8 +381,7 @@ def parse_w_spec(text: str) -> WClassSpec | PCSSpec:
     kind = doc.get("kind")
     if kind not in ("w_class", "pcs"):
         raise SpecFormatError("field 'kind': expected w_class or pcs")
-    wspec = _parse_w_table(doc)
-    return _parse_pcs(doc, wspec) if kind == "pcs" else wspec
+    return _parse_w_doc(doc)
 
 
 def load_state_spec(path: str):

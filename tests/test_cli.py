@@ -459,6 +459,10 @@ class TestSweepCommand:
         ("p", "p: 0.5", "p: .nan"),
         ("p", "p: 0.5", "p: 1e400"),
         ("lambda", "lambda: 0.25", "lambda: nan"),
+        # YAML booleans are not numbers, though True == 1 and False == 0.
+        ("coefficients[1]", "[0.5773502691896258]", "[true]"),
+        ("p", "p: 0.5", "p: true"),
+        ("lambda", "lambda: 0.25", "lambda: false"),
     ])
     def test_non_finite_or_non_numeric_entries_exit_2(self, field, old, new, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"
@@ -476,6 +480,16 @@ class TestSweepCommand:
         code, out, err = run_cli("state", "--spec", str(spec), capsys=capsys)
         assert (code, out) == (2, "")
         assert "field 'amplitudes'" in err
+
+    @pytest.mark.parametrize("text", [W3_SPEC, PCS_SPEC], ids=["w_class", "pcs"])
+    def test_declared_profile_must_match_the_table(self, text, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(text + "profile: [2, 2]\n")
+        for command in ("sweep", "state"):
+            code, out, err = run_cli(command, "--spec", str(spec), capsys=capsys)
+            assert (code, out) == (2, "")
+            assert ("field 'profile': (2, 2) does not match the coefficient table "
+                    "((2, 2, 2))") in err
 
     def test_spec_of_another_kind_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "ou.yaml"

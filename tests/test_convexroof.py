@@ -3,6 +3,7 @@ import pytest
 
 from crenaudit import (
     Bipartition,
+    Decomposition,
     DensityOperator,
     DimensionProfile,
     DomainError,
@@ -111,6 +112,15 @@ class TestRootsAndDecompositions:
         dec = decomposition_from_unitary(rho, u)
         assert np.max(np.abs(dec.reconstruct() - rho.matrix)) <= 1e-8
 
+    def test_members_are_the_rotated_roots(self, rng):
+        rho = rand_dm((2, 3), 3, rng)
+        u = haar_unitary(4, rng)
+        dec = decomposition_from_unitary(rho, u)
+        assert np.array_equal(dec.members, u[:, :3] @ rho.roots)
+        assert not dec.members.flags.writeable
+        states = np.stack([phi.amplitudes for phi in dec.states])
+        assert np.allclose(np.sqrt(dec.weights)[:, None] * states, dec.members, atol=1e-15)
+
     def test_padded_unitary_grows_the_ensemble(self, rng):
         rho = rand_dm((2, 2), 2, rng)
         dec = decomposition_from_unitary(rho, haar_unitary(5, rng))
@@ -123,6 +133,21 @@ class TestRootsAndDecompositions:
             decomposition_from_unitary(rho, np.eye(2) * 1.001)
         with pytest.raises(DomainError):
             decomposition_from_unitary(rho, np.eye(1))
+        nan = np.eye(2, dtype=complex)
+        nan[0, 1] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            decomposition_from_unitary(rho, nan)
+
+    @pytest.mark.parametrize("members, message", [
+        (np.full((2, 4), np.nan), "non-finite"),
+        (np.full(4, 0.5), "shape"),
+        (np.full((1, 2), 0.5 ** 0.5), "shape"),
+        (np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]), "positive"),
+        (np.full((2, 4), 0.5), "sum to 2"),
+    ])
+    def test_bad_members_rejected(self, members, message):
+        with pytest.raises(DomainError, match=message):
+            Decomposition(DimensionProfile((2, 2)), members)
 
 
 class TestAverageNegativity:
@@ -139,13 +164,12 @@ class TestAverageNegativity:
 
     def test_product_decomposition_averages_to_zero(self, rng):
         # A separable mixture decomposed into its product members.
-        from crenaudit import Decomposition
-
         members = [
             tensor_product(rand_pure((2,), rng), rand_pure((2,), rng))
             for _ in range(3)
         ]
-        dec = Decomposition(np.full(3, 1 / 3), tuple(members))
+        dec = Decomposition(members[0].profile,
+                            np.stack([phi.amplitudes for phi in members]) / np.sqrt(3))
         assert average_negativity(dec, 1) == pytest.approx(0.0, abs=1e-8)
 
 

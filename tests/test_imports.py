@@ -230,3 +230,26 @@ def test_no_cache_is_keyed_by_object_identity():
         if field and getattr(node, field) in ("cache", "lru_cache"):
             found.append(f"{owner} line {node.lineno}: {getattr(node, field)}")
     assert not found, f"identity-keyed caches: {found}"
+
+
+def test_only_partial_transpose_and_the_kept_rest_reshape_transpose():
+    # Cut matrices and partial traces share one kept | rest reshape; a
+    # second np.transpose of party axes would be a second copy of it.
+    callers = {
+        owner
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Attribute) and node.attr == "transpose"
+    }
+    assert callers == {"qlinalg.partial_transpose", "qlinalg._kept_rest"}
+
+
+def test_convexroof_builds_pure_states_only_for_decomposition_states():
+    # A decomposition is held as its member rows; normalized PureStates are
+    # built only when something reads Decomposition.states.
+    callers = {
+        owner
+        for owner, node in _top_level_owners(include_init=False)
+        if owner.startswith("convexroof.") and isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "PureState"
+    }
+    assert callers == {"convexroof.Decomposition"}

@@ -65,6 +65,11 @@ class TestWState:
         with pytest.raises(DomainError):
             WClassSpec(3, 2, np.full((3, 1), 1.0))
 
+    def test_non_finite_table_rejected(self):
+        # abs(nan - 1) > tol is False, so the norm test alone lets NaN through.
+        with pytest.raises(DomainError, match="non-finite"):
+            WClassSpec(2, 2, np.array([[np.nan], [1.0]]))
+
 
 class TestPcsDensity:
     def test_fully_coherent_is_pure(self, rng):
@@ -337,9 +342,19 @@ amplitudes:
         with pytest.raises(SpecFormatError, match="profile"):
             parse_state_spec("kind: amplitudes\nprofile: [1]\namplitudes:\n  - ['0', 1, 0]")
 
-    @pytest.mark.parametrize("digits", ["'05'", "'0x'", "[0, 1.5]"])
+    @pytest.mark.parametrize("text, message", [
+        ("kind: amplitudes\nprofile: [true, 2]\namplitudes:\n  - ['00', 1, 0]",
+         "field 'profile': expected a list of integers"),
+        ("kind: max_entangled\nd: true", "field 'd': expected an integer"),
+    ])
+    def test_rejects_booleans_as_integers(self, text, message):
+        # YAML's true is a bool, and bool is a subclass of int.
+        with pytest.raises(SpecFormatError, match=message):
+            parse_state_spec(text)
+
+    @pytest.mark.parametrize("digits", ["'05'", "'0x'", "[0, 1.5]", "[true, 0]"])
     def test_rejects_bad_digits_naming_the_field(self, digits):
-        # Out of range, not a digit, and fractional.
+        # Out of range, not a digit, fractional, and a YAML boolean.
         text = f"kind: amplitudes\nprofile: [2, 2]\namplitudes:\n  - [{digits}, 1.0, 0.0]\n"
         with pytest.raises(SpecFormatError, match="field 'amplitudes'"):
             parse_state_spec(text)
