@@ -42,7 +42,6 @@ from .qlinalg import (
     NumericalError,
     PureState,
     partial_trace,
-    schmidt,
 )
 from .states import (
     PCSSpec,
@@ -152,9 +151,9 @@ def report_rows(reports) -> list[dict[str, str]]:
     ]
 
 
-def reports_to_json(reports) -> str:
-    """A JSON list of one document per report, in the given order."""
-    docs = [
+def report_docs(reports) -> list[dict]:
+    """One JSON document per report, in the given order."""
+    return [
         {
             "state_id": report.state_id,
             "measure": report.measure,
@@ -169,11 +168,10 @@ def reports_to_json(reports) -> str:
         }
         for report in reports
     ]
-    return json.dumps(docs, indent=2, sort_keys=True)
 
 
-def _emit_rows(rows: list[dict[str, str]], columns: tuple[str, ...], fmt_name: str) -> str:
-    """Rows of strings as a table, CSV with a header line, or a JSON list."""
+def _emit_rows(rows: list[dict], columns: tuple[str, ...], fmt_name: str) -> str:
+    """Rows as a table or CSV with a header line (their values strings), or a JSON list."""
     if fmt_name == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
@@ -218,16 +216,17 @@ def _run_state(args) -> int:
         add("rank", str(state.rank()))
     if args.cut:
         cut = Bipartition(_parse_parties(args.cut), profile.n)
+        add("cut", str(cut))
         if isinstance(state, PureState):
-            data = schmidt(state, cut)
-            add("cut", str(cut))
-            add("schmidt_rank", str(data.rank))
+            # The Schmidt coefficients are the side-A marginal's spectrum.
+            marginal = partial_trace(state, cut.side_a)
+            rank = marginal.rank()
+            add("schmidt_rank", str(rank))
             add(
                 "schmidt_coefficients",
-                " ".join(fmt(float(c)) for c in data.coefficients[: data.rank]),
+                " ".join(fmt(float(c)) for c in marginal.eigenvalues[::-1][:rank]),
             )
         else:
-            add("cut", str(cut))
             add("negativity", fmt(pair_term(state, cut, "negativity").value))
     _write(_emit_rows(rows, ("property", "value"), args.format), args.output)
     return 0
@@ -268,10 +267,8 @@ def _run_measure(args) -> int:
 def _write_reports(reports, fmt_name: str, output: str | None) -> None:
     """Render audit reports sorted by state, measure and focus."""
     reports = sorted(reports, key=lambda r: (r.state_id, r.measure, r.focus))
-    if fmt_name == "json":
-        _write(reports_to_json(reports) + "\n", output)
-    else:
-        _write(_emit_rows(report_rows(reports), AUDIT_COLUMNS, fmt_name), output)
+    rows = report_docs(reports) if fmt_name == "json" else report_rows(reports)
+    _write(_emit_rows(rows, AUDIT_COLUMNS, fmt_name), output)
 
 
 def _run_audit(args) -> int:
@@ -281,7 +278,7 @@ def _run_audit(args) -> int:
         raise DomainError("audits need a pure state input")
     state_id = args.spec or args.family or "state"
     measures = [measure.strip() for measure in args.measures.split(",")]
-    reports = audits(state, args.focus, measures, state_id=state_id, opt_cfg=opt, seed=args.seed)
+    reports = audits([(state, state_id, args.seed)], args.focus, measures, opt)
     _write_reports(reports, args.format, args.output)
     return 0
 

@@ -81,10 +81,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(1, dim, rng)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """A pure-state decomposition: ``members`` is the read-only (k, D) array of
-    rows sqrt(p_k) phi_k, whose outer products sum to the density."""
+    rows sqrt(p_k) phi_k, whose outer products sum to the density.  Equality
+    is identity."""
 
     profile: DimensionProfile
     members: np.ndarray
@@ -112,10 +113,6 @@ class Decomposition:
         """The normalized phi_k, built on each read."""
         norms = np.sqrt(self.weights)
         return tuple(PureState(self.profile, m / r) for m, r in zip(self.members, norms))
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         return self.members.T @ self.members.conj()
@@ -196,9 +193,9 @@ class OptConfig:
         return max(rank, min(rank * rank, DEFAULT_SIZE_CAP))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptResult:
-    """Best endpoint of the decomposition search."""
+    """Best endpoint of the decomposition search.  Equality is identity."""
 
     value: float
     decomposition: Decomposition
@@ -522,8 +519,6 @@ def optimize_many(problems) -> list[OptResult]:
             raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
         cfg = cfg or OptConfig()
         cut = as_bipartition(cut, rho.profile.n)
-        if rho.rank() < 1:
-            raise DomainError("density operator has numerical rank 0")
         mats, v0 = _root_matrices(rho, cut), _starts(cfg, rho.rank())
         key = (direction, v0.shape[1], mats.shape, cfg.max_sweeps, cfg.tol_rel)
         groups.setdefault(key, []).append(len(prepared))
@@ -569,7 +564,6 @@ class FlatnessResult:
 
     mean: float
     max_abs_dev: float
-    samples: int
 
 
 def flatness_scan(
@@ -602,4 +596,4 @@ def flatness_scan(
     mats = cut_matrices(isometries @ rho.roots, rho.profile, cut)
     values = pure_negativities(mats).reshape(samples, r).sum(axis=1)
     mean = float(values.mean())
-    return FlatnessResult(mean=mean, max_abs_dev=float(np.max(np.abs(values - mean))), samples=samples)
+    return FlatnessResult(mean=mean, max_abs_dev=float(np.max(np.abs(values - mean))))

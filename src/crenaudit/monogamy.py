@@ -25,6 +25,9 @@ rest of a pure multipartite state against the sum of its squared pair
 terms, and a violation is only reported as certified when the verdict
 survives substituting the lower bounds for every pair term.  Verdict
 boundaries use ``TOL_SAT``; anything within it counts as saturation.
+``audits`` takes ``(psi, state_id, seed)`` rows and resolves the terms of
+all of them under all its measures in one ``pair_terms`` call; ``audit``
+is its one-item call.
 """
 
 from __future__ import annotations
@@ -362,60 +365,45 @@ def audit(
     pair maxima; their terms are lower bounds, so a holds verdict is
     conservative and an apparent violation stays a candidate.  Without
     ``opt_cfg`` each optimizer term searches a rank-sized decomposition
-    from three starts seeded by ``seed``.  One ``pair_terms`` call resolves
-    the left side and every pair marginal, so the marginals' searches run
-    batched.
+    from three starts seeded by ``seed``.  This is the one-item call of
+    ``audits``.
     """
-    return _audits([(psi, state_id, seed)], focus, [measure], opt_cfg)[0]
+    return audits([(psi, state_id, seed)], focus, [measure], opt_cfg)[0]
 
 
-def audits(
-    psi: PureState,
-    focus: int,
-    measures,
-    *,
-    state_id: str = "state",
-    opt_cfg: OptConfig | None = None,
-    seed: int = 0,
-) -> list[AuditReport]:
-    """The ``audit`` of one state under each of ``measures``, in order.
+def audits(rows, focus: int, measures, opt_cfg: OptConfig | None = None) -> list[AuditReport]:
+    """The ``audit`` of each ``(psi, state_id, seed)`` row under each measure.
 
-    The state keeps its pair marginals, so each is built and
-    decomposed at most once, and the measures share their searches:
-    one minimum of each marginal serves ``cren`` and ``ckw``, one maximum
-    ``crenoa`` and ``coa``.  The marginals keep their searches, so separate
-    ``audit`` calls on the same state object share them too; this call
-    runs the searches of all the measures in one batch.
+    ``state_id`` labels a row's reports and ``seed`` seeds its default
+    searches, as in ``audit``.  Reports come measure by measure, and
+    within a measure in row order.  One ``pair_terms`` call resolves every
+    term of all the rows under all the measures, so the searches of every
+    state run in one batch.  Each state keeps its pair marginals, so each
+    is built and decomposed at most once, and the measures share their
+    searches: one minimum of each marginal serves ``cren`` and ``ckw``,
+    one maximum ``crenoa`` and ``coa``.  The marginals keep their
+    searches, so separate calls on the same state object share them too.
     """
-    return _audits([(psi, state_id, seed)], focus, measures, opt_cfg)
-
-
-def _audits(states, focus, measures, opt_cfg) -> list[AuditReport]:
-    """The ``audit`` of each ``(psi, state_id, seed)`` row under each measure, in measure order.
-
-    One ``pair_terms`` call resolves every term of all the states under all
-    the measures, so they share their searches as ``audits`` says.
-    """
-    for psi, _, _ in states:
+    for psi, _, _ in rows:
         _require_pure(psi)
     for measure in measures:
         if measure not in AUDIT_MEASURES:
             raise DomainError(f"unknown audit measure {measure!r}")
-    marginals = [_pair_marginals(psi, focus) for psi, _, _ in states]
-    rows = []
+    marginals = [_pair_marginals(psi, focus) for psi, _, _ in rows]
+    term_rows = []
     for measure in measures:
         term_measure = AUDIT_MEASURES[measure]
-        for (psi, _, seed), pairs in zip(states, marginals):
-            rows.append((psi, Bipartition((focus,), psi.profile.n), term_measure, None))
+        for (psi, _, seed), pairs in zip(rows, marginals):
+            term_rows.append((psi, Bipartition((focus,), psi.profile.n), term_measure, None))
             for _, pair in pairs:
                 cfg = opt_cfg
                 if cfg is None and PAIR_MEASURES[term_measure][1] is not None:
                     cfg = _audit_opt_cfg(pair.rank(), seed)
-                rows.append((pair, 1, term_measure, cfg))
-    terms = iter(pair_terms(rows))
+                term_rows.append((pair, 1, term_measure, cfg))
+    terms = iter(pair_terms(term_rows))
     reports = []
     for measure in measures:
-        for (_, state_id, _), pairs in zip(states, marginals):
+        for (_, state_id, _), pairs in zip(rows, marginals):
             lhs = next(terms).value
             terms_of_pairs = [next(terms) for _ in pairs]
             partners = [i for i, _ in pairs]
@@ -460,7 +448,6 @@ def analytic_w_audit(
     spec: PCSSpec,
     partition: PartitionSpec | None = None,
     *,
-    state_id: str | None = None,
     samples: int = 64,
     seed: int = 0,
 ) -> AnalyticWAudit:
@@ -482,8 +469,7 @@ def analytic_w_audit(
         raise NumericalError(
             f"flatness mean {flat.mean} disagrees with the analytic value {values.global_cren}"
         )
-    if state_id is None:
-        state_id = f"pcs(n={spec.w.n},d={spec.w.d},p={spec.p:g},lam={spec.lam:g})"
+    state_id = f"pcs(n={spec.w.n},d={spec.w.d},p={spec.p:g},lam={spec.lam:g})"
     terms = [PairTerm(v, v, "exact", "closed_form") for v in values.pair_cren]
     partners = range(2, len(terms) + 2)
     report = _build_report(state_id, 1, "cren", values.global_cren ** 2, partners, terms)
@@ -514,9 +500,8 @@ def hunt(
     expected outcome.  Findings are data for further study, not errors.
     Trial t is the ``cren_audit`` of the t-th state drawn from ``seed``,
     with seed ``seed + t``.  The trials run in blocks of ``_HUNT_BLOCK``:
-    a block draws its states in order, then resolves all their pair terms
-    in one ``pair_terms`` call, whose batched searches return what each
-    audit gets alone.
+    a block draws its states in order, then audits them in one ``audits``
+    call, whose batched searches return what each audit gets alone.
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
@@ -524,10 +509,10 @@ def hunt(
     rng = np.random.default_rng(seed)
     findings = []
     for start in range(0, trials, _HUNT_BLOCK):
-        states = [
+        rows = [
             (random_pure_state(profile, rng), f"hunt-{t:05d}", seed + t)
             for t in range(start, min(start + _HUNT_BLOCK, trials))
         ]
-        reports = _audits(states, focus, ["cren"], None)
+        reports = audits(rows, focus, ["cren"])
         findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
     return findings

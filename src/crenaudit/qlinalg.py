@@ -1,11 +1,11 @@
 """Dense complex tensor kernel for multipartite qudit systems.
 
-Index bookkeeping, partial trace, partial transpose, trace norm, and
-Schmidt decompositions for states over a fixed tuple of local dimensions.
-Party 1 is the slowest-varying index of the flattened amplitude vector
+Index bookkeeping, partial trace, partial transpose and trace norm for
+states over a fixed tuple of local dimensions.  Party 1 is the slowest-varying index of the flattened amplitude vector
 (row-major over parties); every module in this package relies on that
 convention.  Cut matrices and partial traces share one kept | rest party
-order.
+order, so the Schmidt coefficients of a pure state across a cut are the
+``eigenvalues`` of its side-A marginal.
 
 A ``DensityOperator`` is held as its range factor: the spectral roots
 sqrt(e_i) v_i of its nonzero eigenvalues, which every pure-state
@@ -199,7 +199,9 @@ class DensityOperator:
     construction: its trace is ||X||_F^2, and its thin SVD gives the
     spectrum, eigenvalues s_i^2 with the left singular vectors, so no D x D
     eigensolve runs.  Either way the operator holds ``roots``, its range
-    factor, and ``range_basis``.  A factor-built operator keeps X and forms
+    factor, ``range_basis``, and the read-only ``eigenvalues``: ascending,
+    exactly as decomposed (min(D, k) of them for a D x k factor), those
+    below ``TOL_RANK`` included.  A factor-built operator keeps X and forms
     ``matrix`` only when it is first read.  ``matrix`` is read-only either
     way.
 
@@ -258,9 +260,9 @@ class DensityOperator:
         # A copy: a slice would keep the whole D x D eigenvector matrix alive.
         w, rows = evals[top:], vecs[:, top:].T.copy()
         roots = rows[::-1] * np.sqrt(w[::-1, None])
-        rows.setflags(write=False)
-        roots.setflags(write=False)
-        attrs["_eigenvalues"] = evals  # ascending
+        for arr in (evals, rows, roots):
+            arr.setflags(write=False)
+        attrs["eigenvalues"] = evals
         # Orthonormal basis of the range, one column per eigenvalue, ascending.
         attrs["range_basis"] = rows.T
         # Spectral roots sqrt(e_i) v_i, one row each, eigenvalues descending:
@@ -287,28 +289,13 @@ class DensityOperator:
         return mat
 
     def trace(self) -> float:
-        return float(np.sum(self._eigenvalues))
+        return float(np.sum(self.eigenvalues))
 
     def purity(self) -> float:
-        return float(np.sum(self._eigenvalues ** 2))
+        return float(np.sum(self.eigenvalues ** 2))
 
     def rank(self) -> int:
         return len(self.roots)
-
-
-@dataclass(frozen=True)
-class SchmidtData:
-    """Schmidt coefficients and bases of a pure state across a cut.
-
-    ``coefficients`` are the squared singular values, sorted descending and
-    summing to one; column k of ``left_basis`` / ``right_basis`` is the k-th
-    Schmidt vector on side A / B.
-    """
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-    rank: int
 
 
 def partial_trace(state: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:
@@ -388,16 +375,3 @@ def cut_matrix(phi: PureState, cut: Bipartition) -> np.ndarray:
     """Amplitudes of ``phi`` reshaped to a (dim side_a, dim side_b) matrix."""
     return cut_matrices(phi.amplitudes, phi.profile, cut)[0]
 
-
-def schmidt(phi: PureState, cut: Bipartition) -> SchmidtData:
-    """Schmidt decomposition of a pure state across a bipartition."""
-    mat = cut_matrix(phi, as_bipartition(cut, phi.profile.n))
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    lam = s * s
-    rank = int(np.sum(lam > TOL_RANK))
-    return SchmidtData(
-        coefficients=lam,
-        left_basis=u,
-        right_basis=vh.conj().T,
-        rank=rank,
-    )

@@ -32,13 +32,20 @@ class SpecFormatError(DomainError):
     """A state-spec document is malformed; the message names the field."""
 
 
-@dataclass(frozen=True)
+def _check_counts(n: int, d: int) -> None:
+    if n < 2:
+        raise DomainError(f"need at least 2 parties, got {n}")
+    if d < 2:
+        raise DomainError(f"local dimension must be >= 2, got {d}")
+
+
+@dataclass(frozen=True, eq=False)
 class WClassSpec:
     """Coefficient table of an n-party, d-level one-excitation state.
 
     ``a[j-1, i-1]`` is the amplitude of the basis state with digit i at
     party j and zeros elsewhere (j in 1..n, i in 1..d-1).  The table is
-    normalized: sum |a|^2 = 1.
+    normalized: sum |a|^2 = 1.  Equality is identity.
     """
 
     n: int
@@ -46,10 +53,7 @@ class WClassSpec:
     a: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"need at least 2 parties, got {self.n}")
-        if self.d < 2:
-            raise DomainError(f"local dimension must be >= 2, got {self.d}")
+        _check_counts(self.n, self.d)
         table = np.asarray(self.a, dtype=complex)
         if table.shape != (self.n, self.d - 1):
             raise DomainError(
@@ -73,16 +77,18 @@ class WClassSpec:
     @classmethod
     def symmetric(cls, n: int, d: int = 2) -> "WClassSpec":
         """Uniform table: every party and level carries equal weight."""
+        _check_counts(n, d)
         a = np.full((n, d - 1), 1.0 / np.sqrt(n * (d - 1)), dtype=complex)
         return cls(n, d, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PCSSpec:
     """A one-excitation state in partially coherent superposition with the vacuum.
 
     ``p`` is the excitation weight and ``lam`` the degree of coherence of
-    the cross terms between the excited component and the vacuum.
+    the cross terms between the excited component and the vacuum.  Equality
+    is identity.
     """
 
     w: WClassSpec
@@ -118,10 +124,6 @@ class PartitionSpec:
     @property
     def m(self) -> int:
         return len(self.blocks)
-
-    @classmethod
-    def singletons(cls, n: int) -> "PartitionSpec":
-        return cls(tuple((p,) for p in range(1, n + 1)))
 
 
 def _basis_sum(profile: DimensionProfile, terms) -> PureState:

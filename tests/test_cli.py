@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,15 @@ p: 0.5
 lambda: 0.25
 """
 
+# Norm 1 + 9.6e-11: the state is inside the band left unrenormalized, its
+# marginal's trace, 1 + 1.9e-10, outside it.
+NEAR_UNIT_SPEC = """kind: amplitudes
+profile: [2, 2]
+amplitudes:
+  - ["00", 0.80000000012, 0]
+  - ["11", 0.6, 0]
+"""
+
 BAD_SPEC = """kind: amplitudes
 profile: [2, 2]
 amplitudes:
@@ -68,6 +78,17 @@ class TestStateCommand:
         assert code == 0
         assert "0.666666666667" in out
         assert "0.333333333333" in out
+
+    def test_schmidt_coefficients_of_a_near_unit_state_sum_to_one(self, tmp_path, capsys):
+        spec = tmp_path / "near.yaml"
+        spec.write_text(NEAR_UNIT_SPEC)
+        for cut in ("1", "2"):
+            code, out, _ = run_cli("state", "--spec", str(spec), "--cut", cut, "--format", "json",
+                                   capsys=capsys)
+            rows = {row["property"]: row["value"] for row in json.loads(out)}
+            coeffs = [float(c) for c in rows["schmidt_coefficients"].split()]
+            assert code == 0 and rows["schmidt_rank"] == "2"
+            assert abs(sum(coeffs) - 1.0) <= 1e-12
 
     def test_pcs_state_rows_form_no_density_matrix(self, tmp_path, capsys):
         # Trace and purity come from the factor's spectrum; the 4096 x 4096
@@ -618,6 +639,20 @@ class TestExitCodes:
             "audit", "--family", "ou", "--opt-tol", tol, capsys=capsys
         )
         assert (code, out, err) == (2, "", f"error: tol_rel must be finite, got {tol}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--n", "0"), "need at least 2 parties, got 0"),
+        (("sweep", "--n", "-1"), "need at least 2 parties, got -1"),
+        (("sweep", "--n", "3", "--d", "1"), "local dimension must be >= 2, got 1"),
+        (("state", "--family", "w", "--d", "1"), "local dimension must be >= 2, got 1"),
+        (("audit", "--family", "w", "--n", "0"), "need at least 2 parties, got 0"),
+    ])
+    def test_bad_w_counts_exit_2_with_one_error_line(self, argv, message, capsys):
+        # Any warning, such as numpy's divide by zero, fails the run.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestReportEmission:

@@ -124,7 +124,7 @@ class TestRootsAndDecompositions:
     def test_padded_unitary_grows_the_ensemble(self, rng):
         rho = rand_dm((2, 2), 2, rng)
         dec = decomposition_from_unitary(rho, haar_unitary(5, rng))
-        assert dec.size > 2
+        assert len(dec.members) > 2
         assert np.max(np.abs(dec.reconstruct() - rho.matrix)) <= 1e-8
 
     def test_non_unitary_rejected(self, rng):

@@ -113,6 +113,22 @@ def test_only_qlinalg_eigendecomposes_hermitian_matrices():
     assert callers == {"qlinalg"}
 
 
+def test_only_density_operator_decomposes_in_qlinalg():
+    # DensityOperator is the one decomposition, with the one rank rule; a
+    # Schmidt spectrum is the eigenvalues of a marginal, not a second SVD.
+    callers = {
+        (node.attr, owner)
+        for owner, node in _top_level_owners(include_init=False)
+        if owner.startswith("qlinalg.") and isinstance(node, ast.Attribute)
+        and node.attr in ("svd", "eigh", "eigvalsh")
+    }
+    assert callers == {
+        ("eigh", "qlinalg.DensityOperator"),
+        ("svd", "qlinalg.DensityOperator"),
+        ("eigvalsh", "qlinalg.trace_norm"),
+    }
+
+
 def test_only_partial_transpose_and_the_reconstruction_check_read_matrix():
     # A density is held as its range factor (its roots); the D x D matrix is
     # read only to transpose a party's indices and where optimize checks

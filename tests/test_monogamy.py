@@ -78,7 +78,7 @@ class TestCounterexampleAudits:
     def test_audits_match_one_measure_calls(self):
         measures = ["cren", "ckw", "coa", "crenoa", "negativity"]
         for psi in (kim_sanders_state(), ou_state()):
-            reports = audits(psi, 1, measures, state_id="ks", seed=3)
+            reports = audits([(psi, "ks", 3)], 1, measures)
             assert reports == [audit(psi, 1, m, state_id="ks", seed=3) for m in measures]
 
     def test_negativity_audit_on_antisymmetric(self):
@@ -264,7 +264,7 @@ class TestPairTerm:
         with pytest.raises(DomainError, match="sorcery"):
             audit(ou_state(), 1, "sorcery")
         with pytest.raises(DomainError, match="sorcery"):
-            audits(ou_state(), 1, ["cren", "sorcery"])
+            audits([(ou_state(), "ou", 0)], 1, ["cren", "sorcery"])
         with pytest.raises(DomainError):
             dual_audit(ou_state(), 1, "cren")
 
@@ -298,7 +298,7 @@ class TestSharedSearches:
     def test_all_five_audits_search_each_marginal_once_per_direction(self, problems):
         # The Ou state has two (3, 3) pair marginals: cren and ckw share
         # each one's minimum, crenoa and coa its maximum.
-        audits(ou_state(), 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
+        audits([(ou_state(), "ou", 0)], 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
         [call] = problems
         assert sorted(direction for _, _, direction, _ in call) == ["max", "max", "min", "min"]
         assert len(set(call)) == 4
@@ -342,7 +342,7 @@ class TestSharedSearches:
         assert {m: _NAMED_AUDITS[m](psi) for m in order} == fresh
 
     def test_negativity_audit_searches_nothing(self, problems):
-        audits(ou_state(), 1, ["negativity"])
+        audits([(ou_state(), "ou", 0)], 1, ["negativity"])
         assert not any(problems)
 
     def test_closed_forms_computed_once_per_state(self, monkeypatch):
@@ -373,7 +373,7 @@ class TestSharedSearches:
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        audits(ou_state(), 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
+        audits([(ou_state(), "ou", 0)], 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
         assert shapes.count((1, 3, 9)) == 2
 
 

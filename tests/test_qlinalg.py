@@ -10,15 +10,17 @@ from crenaudit import (
     DensityOperator,
     DimensionProfile,
     DomainError,
+    OptConfig,
     PCSSpec,
     PureState,
     WClassSpec,
     build_pcs_density,
+    decomposition_from_unitary,
+    optimize,
     ou_state,
     flatness_scan,
     partial_trace,
     partial_transpose,
-    schmidt,
     trace_norm,
 )
 from crenaudit.qlinalg import TOL_PSD, TOL_RANK
@@ -254,44 +256,47 @@ class TestTraceNorm:
 
 
 class TestSchmidt:
+    """Schmidt data across a cut read from the side-A marginal: its rank and
+    its spectrum, descending."""
+
+    @staticmethod
+    def coefficients(psi, cut):
+        marginal = partial_trace(psi, cut)
+        return marginal.eigenvalues[::-1][: marginal.rank()]
+
     def test_already_diagonal(self):
         profile = DimensionProfile((2, 2))
         vec = np.zeros(4, dtype=complex)
         vec[profile.index_of((0, 0))] = np.sqrt(0.8)
         vec[profile.index_of((1, 1))] = np.sqrt(0.2)
-        data = schmidt(PureState(profile, vec), Bipartition((1,), 2))
-        assert np.allclose(data.coefficients, [0.8, 0.2], atol=1e-12)
-        assert data.rank == 2
+        coeffs = self.coefficients(PureState(profile, vec), (1,))
+        assert np.allclose(coeffs, [0.8, 0.2], atol=1e-12)
+        assert len(coeffs) == 2
 
     def test_product_state_rank_one(self, rng):
         psi = rand_pure((2,), rng)
         chi = rand_pure((3,), rng)
-        joint = tensor_product(psi, chi)
-        data = schmidt(joint, Bipartition((1,), 2))
-        assert data.rank == 1
-        assert data.coefficients[0] == pytest.approx(1.0, abs=1e-12)
+        coeffs = self.coefficients(tensor_product(psi, chi), (1,))
+        assert len(coeffs) == 1
+        assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_antisymmetric_qutrit_state_flat(self):
-        data = schmidt(ou_state(), Bipartition((1,), 3))
-        assert data.rank == 3
-        assert np.allclose(data.coefficients, np.full(3, 1 / 3), atol=1e-12)
+        coeffs = self.coefficients(ou_state(), (1,))
+        assert len(coeffs) == 3
+        assert np.allclose(coeffs, np.full(3, 1 / 3), atol=1e-12)
 
     def test_sum_and_reconstruction(self, rng):
+        from crenaudit.qlinalg import cut_matrix
+
         for dims, cut in (((2, 3), (1,)), ((2, 2, 3), (1, 3)), ((4, 4), (1,))):
             psi = rand_pure(dims, rng)
-            bip = Bipartition(cut, len(dims))
-            data = schmidt(psi, bip)
-            assert abs(float(np.sum(data.coefficients)) - 1.0) <= 1e-10
-            rebuilt = np.zeros(
-                (data.left_basis.shape[0], data.right_basis.shape[0]), dtype=complex
-            )
-            for k in range(len(data.coefficients)):
-                rebuilt += np.sqrt(data.coefficients[k]) * np.outer(
-                    data.left_basis[:, k], data.right_basis[:, k].conj()
-                )
-            from crenaudit.qlinalg import cut_matrix
-
-            assert np.max(np.abs(rebuilt - cut_matrix(psi, bip))) <= 1e-8
+            marginal = partial_trace(psi, cut)
+            assert not marginal.eigenvalues.flags.writeable
+            assert abs(float(np.sum(self.coefficients(psi, cut))) - 1.0) <= 1e-10
+            # The roots sqrt(lambda_k) u_k rebuild the Gram matrix M M^H.
+            mat = cut_matrix(psi, Bipartition(cut, len(dims)))
+            rebuilt = marginal.roots.T @ marginal.roots.conj()
+            assert np.max(np.abs(rebuilt - mat @ mat.conj().T)) <= 1e-12
 
     def test_stacked_unnormalized_cut_matrices(self, rng):
         from crenaudit.qlinalg import cut_matrices, cut_matrix
@@ -471,6 +476,19 @@ class TestIdentity:
         assert psi == psi and rho == rho
         assert psi != twin and rho != rho_twin
         assert len({psi, twin, rho, rho_twin}) == 4
+
+    def test_array_holding_values_compare_by_identity(self, rng):
+        rho = rand_dm((2, 2), 2, rng)
+        spec = WClassSpec.symmetric(3)
+        pairs = [
+            (decomposition_from_unitary(rho, np.eye(2)), decomposition_from_unitary(rho, np.eye(2))),
+            tuple(optimize(rho, 1, "max", OptConfig(starts=1, max_sweeps=1)) for _ in range(2)),
+            (spec, WClassSpec(spec.n, spec.d, spec.a)),
+            (PCSSpec(spec, 0.5, 0.5), PCSSpec(spec, 0.5, 0.5)),
+        ]
+        for value, twin in pairs:
+            assert value == value and value != twin
+            assert len({value, twin}) == 2
 
     def test_density_is_immutable(self, rng):
         rho = to_density(rand_pure((2, 2), rng))

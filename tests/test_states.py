@@ -214,7 +214,7 @@ class TestCounterexampleStates:
 class TestCoarseGrain:
     def test_identity_partition_keeps_magnitudes(self, rng):
         spec = random_w_spec(3, 3, rng)
-        out = coarse_grain(spec, PartitionSpec.singletons(3))
+        out = coarse_grain(spec, PartitionSpec(((1,), (2,), (3,))))
         assert np.allclose(np.abs(out.a), np.abs(spec.a), atol=1e-12)
 
     def test_symmetric_w_two_blocks(self):
