@@ -32,8 +32,12 @@ and runs all their starts in one search, so a hunt or an audit pays the
 Python and LAPACK call overhead once per step rather than once per
 problem.  A lone problem is a stack of one, in the same layout.  Every
 start steps as it would alone, so batched results are bit for bit those
-of ``optimize``, its one-problem call.  Each Haar sample set (a search's
-starts, a flatness scan) is one ``haar_unitaries`` draw.
+of ``optimize``, its one-problem call.  A caller may pass a stop rule
+that ends searches whose outcome it no longer needs (``monogamy.hunt``
+alone does, once a trial's verdict is proven); a stopped result is
+marked ``stopped``, and every search the rule leaves running still gets
+its results bit for bit.  Each Haar sample set (a search's starts, a
+flatness scan) is one ``haar_unitaries`` draw.
 
 Reported minima are upper bounds of the true minimum and reported maxima
 are lower bounds of the true maximum; ``monogamy.pair_terms`` labels them
@@ -195,7 +199,8 @@ class OptConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
-    """Best endpoint of the decomposition search.  Equality is identity."""
+    """Best point the decomposition search reached: its endpoint unless
+    ``stopped``.  Equality is identity."""
 
     value: float
     decomposition: Decomposition
@@ -204,6 +209,7 @@ class OptResult:
     converged: bool
     best_start: int
     start_values: tuple[float, ...]  # final objective of every start, in start order
+    stopped: bool = False            # ended early by ``optimize_many``'s stop rule
 
 
 def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
@@ -398,7 +404,7 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum((np.conj(a) * b).real, axis=(-2, -1))
 
 
-def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
+def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float, halt=None):
     """Batched Riemannian gradient descent for the minimum, all starts at once.
 
     Each of the eight stages minimizes the objective with its nuclear norms
@@ -417,28 +423,37 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     returned isometry is the iterate that reached it.  A start has
     converged when its exact stage stopped on the tolerance before the cap,
     or took no step there.
+
+    ``halt``, if given, is called with every start's best exact value
+    before each step and returns a mask of the starts to stop; those take
+    no further step or evaluation in any stage.
     Returns every start's best isometry, trace and convergence flag.
     """
     v = v.copy()
     n_starts = v.shape[0]
-    every = np.arange(n_starts)
+    active = np.arange(n_starts)
     best_v = v.copy()
     converged = np.zeros(n_starts, dtype=bool)
+    f, grad_sq, step = np.empty(n_starts), np.empty(n_starts), np.empty(n_starts)
+    grad = np.empty_like(v)
     log = []
     for mu in _SMOOTHING:
         tol = tol_rel if mu == 0.0 else _STAGE_TOL
-        f, grad, exact = evaluate(v, every, mu)
+        f[active], g, exact = evaluate(v[active], active, mu)
         if mu == _SMOOTHING[0]:
             best, first = exact, exact.copy()
-        grad = _tangent(v, grad)
-        grad_sq = _inner(grad, grad)
-        step = np.full(n_starts, _FIRST_STEP)
+        grad[active] = _tangent(v[active], g)
+        grad_sq[active] = _inner(grad[active], grad[active])
+        step[active] = _FIRST_STEP
         # To first order, a first trial step gains at most _FIRST_STEP * grad_sq.
-        stationary = _FIRST_STEP * grad_sq <= tol * np.maximum(1.0, np.abs(f))
+        stationary = _FIRST_STEP * grad_sq[active] <= tol * np.maximum(1.0, np.abs(f[active]))
         if mu == 0.0:
-            converged[stationary] = True
-        live = np.flatnonzero(~stationary)
+            converged[active[stationary]] = True
+        live = active[~stationary]
         for _ in range(max_steps):
+            if halt is not None:
+                keep = ~halt(best)
+                active, live = active[keep[active]], live[keep[live]]
             if not live.size:
                 break
             stalled = np.zeros(n_starts, dtype=bool)
@@ -476,7 +491,7 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     return best_v, _traces(first, log), converged
 
 
-def _result(rho, cut, direction, v, traces, converged) -> OptResult:
+def _result(rho, cut, direction, v, traces, converged, stopped) -> OptResult:
     """One problem's result from its starts' isometries, traces and flags.
 
     The best start is the first whose final value is within 1e-15 of the
@@ -499,10 +514,11 @@ def _result(rho, cut, direction, v, traces, converged) -> OptResult:
         converged=bool(converged[best]),
         best_start=best,
         start_values=tuple(final.tolist()),
+        stopped=bool(stopped),
     )
 
 
-def optimize_many(problems) -> list[OptResult]:
+def optimize_many(problems, *, stop=None) -> list[OptResult]:
     """Solve roof problems in as few batched searches as their shapes allow.
 
     ``problems`` is a sequence of ``(rho, cut, direction, cfg)`` tuples,
@@ -512,6 +528,18 @@ def optimize_many(problems) -> list[OptResult]:
     ``_polar_ascent`` call; they may differ in ``starts`` and ``seed``.
     Every start steps as it would alone, so each result is bit for bit the
     one its problem gets alone.  Results come in the order of ``problems``.
+
+    ``stop``, if given, ends searches whose outcome the caller no longer
+    needs.  Before each group runs and before each descent step it is
+    called with every problem's value so far, indexed as ``problems``:
+    the spectral decomposition's (every search's start 0) for a group not
+    yet run, the best any start has reached in a running descent, the
+    final value once solved.  It returns a mask of the problems to stop.
+    A problem stopped before its group runs draws no starts and gets the
+    spectral decomposition; one stopped in a descent keeps its best point.
+    Both are marked ``stopped``: the value still bounds the roof on its
+    direction's side, but is not the search's end.  Problems never
+    stopped get their results bit for bit, as without a rule.
     """
     prepared, groups = [], {}
     for rho, cut, direction, cfg in problems:
@@ -519,22 +547,51 @@ def optimize_many(problems) -> list[OptResult]:
             raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
         cfg = cfg or OptConfig()
         cut = as_bipartition(cut, rho.profile.n)
-        mats, v0 = _root_matrices(rho, cut), _starts(cfg, rho.rank())
-        key = (direction, v0.shape[1], mats.shape, cfg.max_sweeps, cfg.tol_rel)
+        mats = _root_matrices(rho, cut)
+        key = (direction, cfg.resolve_size(rho.rank()), mats.shape, cfg.max_sweeps, cfg.tol_rel)
         groups.setdefault(key, []).append(len(prepared))
-        prepared.append((rho, cut, mats, v0))
+        prepared.append((rho, cut, mats, cfg))
 
     results: list = [None] * len(prepared)
+    values, stopped = np.empty(len(prepared)), np.zeros(len(prepared), dtype=bool)
+    if stop is not None:
+        for members in groups.values():
+            spectral = pure_negativities(np.stack([prepared[i][2] for i in members]))
+            values[members] = spectral.sum(axis=-1)
     for (direction, size, _, max_sweeps, tol_rel), members in groups.items():
-        rhos, cuts, mats, starts = zip(*(prepared[i] for i in members))
+        if stop is not None:
+            stopped[members] = stop(values)[members]
+        for i in members:
+            if stopped[i]:
+                rho, cut, mats, _ = prepared[i]
+                spectral = np.eye(size, mats.shape[0], dtype=complex)[None]
+                results[i] = _result(rho, cut, direction, spectral, [values[i:i + 1]], [False], True)
+        members = [i for i in members if not stopped[i]]
+        if not members:
+            continue
+        rhos, cuts, mats, cfgs = zip(*(prepared[i] for i in members))
+        starts = [_starts(cfg, rho.rank()) for rho, cfg in zip(rhos, cfgs)]
         counts = [v0.shape[0] for v0 in starts]
         evaluate = _objective(np.stack(mats), np.repeat(np.arange(len(members)), counts))
-        search = _polar_ascent if direction == "max" else _descent
-        v, traces, converged = search(evaluate, np.concatenate(starts), max_sweeps * size, tol_rel)
+        args = (evaluate, np.concatenate(starts), max_sweeps * size, tol_rel)
+        if direction == "max":
+            v, traces, converged = _polar_ascent(*args)
+        elif stop is None:
+            v, traces, converged = _descent(*args)
+        else:
+            ids, offsets = np.array(members), np.cumsum([0, *counts[:-1]])
+
+            def halt(start_best):
+                values[ids] = np.minimum.reduceat(start_best, offsets)
+                stopped[ids] |= stop(values)[ids]
+                return np.repeat(stopped[ids], counts)
+
+            v, traces, converged = _descent(*args, halt)
         offset = 0
         for i, rho, cut, n in zip(members, rhos, cuts, counts):
             own = slice(offset, offset + n)
-            results[i] = _result(rho, cut, direction, v[own], traces[own], converged[own])
+            results[i] = _result(rho, cut, direction, v[own], traces[own], converged[own], stopped[i])
+            values[i] = results[i].value
             offset += n
     return results
 

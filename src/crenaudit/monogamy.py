@@ -206,7 +206,7 @@ def range_floor(rho: DensityOperator, cut) -> float:
     return range_concurrence_floor(cut_matrices(rho.range_basis.T, rho.profile, cut))
 
 
-def pair_terms(rows) -> list[PairTerm]:
+def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     """One measure of each state across its cut, by the method the table below picks.
 
     ``rows`` is a sequence of ``(state, cut, measure, cfg)`` tuples, the
@@ -248,6 +248,14 @@ def pair_terms(rows) -> list[PairTerm]:
     (per kernel), Wootters' concurrence, the partial-transpose negativity
     and the range floor are likewise kept on the state, per cut, and
     computed once however many rows and calls read them.
+
+    ``stop``, if given, is ``optimize_many``'s stop rule over the rows: it
+    takes an array of every row's value so far (a closed form's value, and
+    a search row's search value so far, which never rises for a minimum)
+    and returns a mask of the rows whose searches may stop.  A search
+    stops once every row that poses it may.  A stopped search's rows keep
+    their kind (its minimum is still an upper bound and its maximum a
+    lower one), but its result is not kept in the state's memo.
     """
     for _, _, measure, _ in rows:
         if measure not in PAIR_MEASURES:
@@ -284,10 +292,36 @@ def pair_terms(rows) -> list[PairTerm]:
             if key not in state._memo:
                 solve[state, key] = None
             searches.append((k, state, cut, kernel, key))
-    for (state, key), res in zip(solve, optimize_many([(s, *key[1:]) for s, key in solve])):
-        state._memo[key] = res
+    problems = [(s, *key[1:]) for s, key in solve]
+    if stop is None:
+        results = optimize_many(problems)
+    else:
+        # The rows at their values so far: closed forms and kept searches
+        # as they are, each row of a new search at its problem's value.
+        values = np.array([np.nan if t is None else t.value for t in terms])
+        order = {problem: j for j, problem in enumerate(solve)}
+        posing, owner = [], []
+        for k, state, _, _, key in searches:
+            if (state, key) in order:
+                posing.append(k)
+                owner.append(order[state, key])
+            else:
+                values[k] = state._memo[key].value
+        posing, owner = np.array(posing, dtype=int), np.array(owner, dtype=int)
+
+        def problem_stop(best):
+            values[posing] = best[owner]
+            needed = np.zeros(len(problems), dtype=bool)
+            needed[owner[~stop(values)[posing]]] = True
+            return ~needed
+
+        results = optimize_many(problems, stop=problem_stop)
+    solved = dict(zip(solve, results))
+    for (state, key), res in solved.items():
+        if not res.stopped:
+            state._memo[key] = res
     for k, state, cut, kernel, key in searches:
-        res = state._memo[key]
+        res = solved.get((state, key)) or state._memo[key]
         # res.value is the search's own negativity average; only a
         # concurrence row scores the decomposition again.
         value = res.value
@@ -384,6 +418,16 @@ def audits(rows, focus: int, measures, opt_cfg: OptConfig | None = None) -> list
     one maximum ``crenoa`` and ``coa``.  The marginals keep their
     searches, so separate calls on the same state object share them too.
     """
+    marginals, term_rows = _audit_rows(rows, focus, measures, opt_cfg)
+    return _audit_reports(rows, focus, measures, marginals, pair_terms(term_rows))
+
+
+def _audit_rows(rows, focus: int, measures, opt_cfg: OptConfig | None):
+    """Each audit row's pair marginals, and the ``pair_terms`` rows of all its audits.
+
+    The term rows run measure by measure, and within a measure audit row by
+    audit row: the focus|rest row, then one row per pair marginal.
+    """
     for psi, _, _ in rows:
         _require_pure(psi)
     for measure in measures:
@@ -400,7 +444,12 @@ def audits(rows, focus: int, measures, opt_cfg: OptConfig | None = None) -> list
                 if cfg is None and PAIR_MEASURES[term_measure][1] is not None:
                     cfg = _audit_opt_cfg(pair.rank(), seed)
                 term_rows.append((pair, 1, term_measure, cfg))
-    terms = iter(pair_terms(term_rows))
+    return marginals, term_rows
+
+
+def _audit_reports(rows, focus: int, measures, marginals, terms) -> list[AuditReport]:
+    """The reports of ``_audit_rows``' audits from the terms of its rows, in its order."""
+    terms = iter(terms)
     reports = []
     for measure in measures:
         for (_, state_id, _), pairs in zip(rows, marginals):
@@ -485,6 +534,9 @@ def analytic_w_audit(
 # searches amortize their per-call overhead, small enough to bound memory
 # at any trial count.
 _HUNT_BLOCK = 64
+# Slack on each proof of a hunt verdict, for the rounding between a
+# search's own values and the reported ones.
+_STOP_MARGIN = 1e-12
 
 
 def hunt(
@@ -500,12 +552,20 @@ def hunt(
     expected outcome.  Findings are data for further study, not errors.
     Trial t is the ``cren_audit`` of the t-th state drawn from ``seed``,
     with seed ``seed + t``.  The trials run in blocks of ``_HUNT_BLOCK``:
-    a block draws its states in order, then audits them in one ``audits``
-    call, whose batched searches return what each audit gets alone.
+    a block draws its states in order, then resolves all their terms in
+    one ``pair_terms`` call, whose batched searches stop the searches of a
+    trial once its verdict is proven to be one that is not reported.  A
+    pair's value never rises as its search runs, from the spectral
+    decomposition on, so lhs_sq minus the sum of the squared values so far
+    bounds the trial's final residual from below: above ``TOL_SAT`` only
+    ``holds`` is reachable, and at or above -``TOL_SAT`` only ``holds`` and
+    ``saturated``.  A trial never stopped gets exactly its ``cren_audit``
+    report, so the findings are those of the audits.
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
     _require_focus(profile, focus)
+    reported = {VERDICT_CANDIDATE, VERDICT_CERTIFIED}
     rng = np.random.default_rng(seed)
     findings = []
     for start in range(0, trials, _HUNT_BLOCK):
@@ -513,6 +573,25 @@ def hunt(
             (random_pure_state(profile, rng), f"hunt-{t:05d}", seed + t)
             for t in range(start, min(start + _HUNT_BLOCK, trials))
         ]
-        reports = audits(rows, focus, ["cren"])
-        findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
+        marginals, term_rows = _audit_rows(rows, focus, ["cren"], None)
+
+        def stop(values):
+            # Each trial's rows are its focus|rest value, then its pair values.
+            sq = np.square(values).reshape(len(rows), profile.n)
+            floor = sq[:, 0] - sq[:, 1:].sum(axis=1)
+            violation = floor < -TOL_SAT + _STOP_MARGIN
+            wanted = np.zeros(len(rows), dtype=bool)
+            for verdict, reachable in (
+                (VERDICT_HOLDS, True),
+                (VERDICT_SATURATED, floor <= TOL_SAT + _STOP_MARGIN),
+                (VERDICT_CANDIDATE, violation),
+                (VERDICT_CERTIFIED, violation),
+            ):
+                if verdict in reported:
+                    wanted |= reachable
+            return np.repeat(~wanted, profile.n)
+
+        terms = pair_terms(term_rows, stop=stop)
+        reports = _audit_reports(rows, focus, ["cren"], marginals, terms)
+        findings += [r for r in reports if r.verdict in reported]
     return findings

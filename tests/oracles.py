@@ -110,3 +110,26 @@ def pair_marginal_analytic(spec: PCSSpec, i: int) -> DensityOperator:
         + spec.lam * np.sqrt(spec.p * (1.0 - spec.p)) * (cross + cross.conj().T)
     )
     return DensityOperator(DimensionProfile((w.d, w.d)), mat)
+
+
+def three_tangle(psi: PureState) -> float:
+    """The 3-tangle 4|d1 - 2 d2 + 4 d3| of a three-qubit pure state.
+
+    Coffman, Kundu & Wootters, PRA 61, 052306 (2000), eq. (29), in the
+    amplitudes a_ijk: it is the CKW residual C_A(BC)^2 - C_AB^2 - C_AC^2
+    at every focus party.
+    """
+    if psi.profile.dims != (2, 2, 2):
+        raise DomainError("the 3-tangle is defined for three qubits")
+    a = psi.amplitudes.reshape(2, 2, 2)
+    d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+          + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2)
+    d2 = (a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+          + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+          + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+          + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+          + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+          + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1])
+    d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+          + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))

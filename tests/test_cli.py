@@ -616,6 +616,15 @@ class TestHuntCommand:
         assert code == 0
         assert "candidates=0 certified=0" in err
 
+    def test_qutrit_block_is_clean_and_repeatable(self, capsys):
+        # A full block of 64 qutrit trials, each stopped once its residual is
+        # proven to hold.
+        argv = ("hunt", "--profile", "3,3,3", "--trials", "64", "--seed", "2")
+        first = run_cli(*argv, capsys=capsys)
+        assert first[0] == 0
+        assert first[2] == "hunt: trials=64 candidates=0 certified=0\n"
+        assert run_cli(*argv, capsys=capsys) == first
+
 
 class TestExitCodes:
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):

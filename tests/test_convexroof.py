@@ -499,6 +499,74 @@ class TestOptimizeMany:
             assert np.array_equal(got.decomposition.weights, alone.decomposition.weights)
 
 
+def _same_result(a, b):
+    return (a.value == b.value and a.objective_trace == b.objective_trace
+            and a.converged == b.converged and a.best_start == b.best_start
+            and a.start_values == b.start_values and a.stopped == b.stopped
+            and np.array_equal(a.decomposition.members, b.decomposition.members))
+
+
+class TestStopRule:
+    @pytest.fixture
+    def problems(self):
+        # Two directions and three shape groups, one with a lone problem.
+        rng = np.random.default_rng(41)
+        problems = []
+        for dims, rank, count in (((3, 2), 3, 3), ((3, 3), 3, 4), ((2, 4), 2, 1)):
+            for k in range(count):
+                rho = rand_dm(dims, rank, rng)
+                problems.append((rho, 1, "min", _audit_opt_cfg(rank, k)))
+                if k == 0:
+                    problems.append((rho, 1, "max", OptConfig(starts=2, max_sweeps=20, seed=k)))
+        return problems
+
+    def test_rule_that_never_fires_changes_nothing(self, problems):
+        calls = []
+
+        def never(values):
+            calls.append(values.copy())
+            return np.zeros(values.shape, dtype=bool)
+
+        for got, want in zip(optimize_many(problems, stop=never), optimize_many(problems), strict=True):
+            assert _same_result(got, want)
+            assert not got.stopped
+        assert len(calls) > 3  # before each of the groups, then during the descents
+        assert all(values.shape == (len(problems),) for values in calls)
+
+    def test_stopped_problems_leave_the_others_bit_for_bit(self, problems):
+        # A minimum (0) and a maximum (5) stop before their groups run; two
+        # minima (2 and 6) once their descents get below the spectral value.
+        calls = []
+
+        def rule(values):
+            calls.append(values.copy())
+            mask = np.zeros(values.shape, dtype=bool)
+            mask[[0, 5]] = True
+            mask[[2, 6]] = values[[2, 6]] < calls[0][[2, 6]]
+            return mask
+
+        got, want = optimize_many(problems, stop=rule), optimize_many(problems)
+        for i, (a, b) in enumerate(zip(got, want, strict=True)):
+            rho, cut, _, cfg = problems[i]
+            if i in (0, 5):
+                spectral = decomposition_from_unitary(rho, np.eye(rho.rank()))
+                assert a.stopped and a.best_start == 0 and len(a.start_values) == 1
+                assert np.array_equal(a.decomposition.members, spectral.members)
+                assert a.value == average_negativity(spectral, cut)
+            elif i in (2, 6):
+                # Cut short: above the full search's end, below its spectral start.
+                assert a.stopped and len(a.start_values) == cfg.starts
+                assert a.start_values != b.start_values
+                assert b.value - 1e-12 <= a.value < calls[0][i]
+            else:
+                assert _same_result(a, b)
+        # Each value handed to the rule is a minimum's best so far: it never
+        # rises, but for rounding between the search's values and the result's.
+        mins = [i for i, p in enumerate(problems) if p[2] == "min"]
+        for before, after in zip(calls, calls[1:]):
+            assert np.all(after[mins] <= before[mins] + 1e-14)
+
+
 class TestFlatnessScan:
     def test_coherent_w_mixture_is_flat(self):
         spec = PCSSpec(WClassSpec.symmetric(3, 2), 0.5, 0.5)

@@ -76,6 +76,25 @@ def test_only_optimize_many_runs_the_roof_searches():
     }
 
 
+def test_only_hunt_stops_searches_early():
+    # A stopped search ends above the minimum it would reach, so only hunt,
+    # which reports no verdict a stopped trial can still reach, builds a
+    # stop rule; pair_terms hands it on to optimize_many, and every audit,
+    # measure and roof runs its searches to the end.  Both take it by
+    # keyword only, so a positional argument cannot pass one either.
+    passing, taking = set(), set()
+    for owner, node in _top_level_owners(include_init=True):
+        if isinstance(node, ast.keyword) and node.arg == "stop":
+            passing.add(owner)
+        elif isinstance(node, ast.arguments):
+            if any(a.arg == "stop" for a in node.args + node.posonlyargs):
+                taking.add(f"{owner} (positional)")
+            if any(a.arg == "stop" for a in node.kwonlyargs):
+                taking.add(owner)
+    assert passing == {"monogamy.hunt", "monogamy.pair_terms"}
+    assert taking == {"convexroof.optimize_many", "monogamy.pair_terms"}
+
+
 def test_modules_use_every_private_name_they_define():
     # A module-level function, class or constant named _x (not __x__) is
     # private to its module, so a module that never reads it carries dead code.

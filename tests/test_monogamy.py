@@ -15,6 +15,7 @@ from crenaudit import (
     analytic_w_audit,
     apply_phase_damping,
     audit,
+    average_negativity,
     audits,
     build_w_state,
     ckw_audit,
@@ -38,11 +39,11 @@ from crenaudit import (
 from crenaudit import convexroof, measures, monogamy, qlinalg
 from crenaudit.cli import main
 from crenaudit.measures import pure_concurrences
-from crenaudit.monogamy import analytic_w_values, range_floor
+from crenaudit.monogamy import TOL_SAT, analytic_w_values, range_floor
 from crenaudit.qlinalg import cut_matrices
 
 from conftest import rand_dm, rand_pure
-from oracles import tensor_product, to_density
+from oracles import tensor_product, three_tangle, to_density
 
 
 class TestCounterexampleAudits:
@@ -618,6 +619,122 @@ class TestHunt:
         expected = [r for r in expected if r.verdict in ("holds", "certified_violation")]
         assert len(expected) > 64
         assert hunt(profile, 70, seed) == expected
+
+
+def _w_qutrit_states(count, eps, rng):
+    """Random W-class three-qutrit states, each moved by eps along a random direction."""
+    states = []
+    for _ in range(count):
+        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        w = build_w_state(WClassSpec(3, 3, a / np.linalg.norm(a)))
+        z = rng.standard_normal(w.profile.size) + 1j * rng.standard_normal(w.profile.size)
+        v = w.amplitudes + eps * z / np.linalg.norm(z)
+        states.append(qlinalg.PureState(w.profile, v / np.linalg.norm(v)))
+    return states
+
+
+class TestHuntStop:
+    """A hunt trial's searches stop once its verdict is proven unreported,
+    and this never changes what the hunt reports."""
+
+    SEED = 3
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+
+        def spied(problems, _original=monogamy.optimize_many, **kwargs):
+            results = _original(problems, **kwargs)
+            calls.append((problems, results))
+            return results
+
+        monkeypatch.setattr(monogamy, "optimize_many", spied)
+        return calls
+
+    def _hunt(self, states, monkeypatch):
+        """hunt over fresh copies of ``states``, drawn in order in place of random ones."""
+        copies = iter([qlinalg.PureState(s.profile, s.amplitudes) for s in states])
+        monkeypatch.setattr(monogamy, "random_pure_state", lambda profile, rng: next(copies))
+        return hunt(states[0].profile, len(states), self.SEED)
+
+    def _audited(self, states):
+        """The cren reports of hunt's trials, from audits of fresh copies with no stop rule."""
+        rows = [(qlinalg.PureState(s.profile, s.amplitudes), f"hunt-{t:05d}", self.SEED + t)
+                for t, s in enumerate(states)]
+        return audits(rows, 1, ["cren"])
+
+    @pytest.mark.parametrize("kind", ["haar", "perturbed_w"])
+    def test_findings_equal_the_unstopped_audits(self, kind, searches, monkeypatch):
+        if kind == "haar":
+            rng = np.random.default_rng(self.SEED)
+            states = [random_pure_state(DimensionProfile((3, 3, 3)), rng) for _ in range(12)]
+            findings = hunt(states[0].profile, len(states), self.SEED)
+        else:
+            states = _w_qutrit_states(12, 1e-6, np.random.default_rng(8))
+            findings = self._hunt(states, monkeypatch)
+        [(problems, results)] = searches
+        reports = self._audited(states)
+        reported = ("candidate_violation", "certified_violation")
+        assert findings == [r for r in reports if r.verdict in reported]
+        # Trial t poses its two pair marginals' searches, in order.
+        stopped = 0
+        for t, report in enumerate(reports):
+            own = results[2 * t:2 * t + 2]
+            if any(res.stopped for res in own):
+                stopped += 1
+                # Re-scored from the decompositions it stopped at, the trial
+                # still cannot fall below saturation.
+                values = [average_negativity(res.decomposition, 1) for res in own]
+                assert report.lhs_sq - sum(v * v for v in values) >= -TOL_SAT
+                assert report.verdict not in reported
+        assert stopped > 0
+        assert len(problems) == 2 * len(states)
+
+    def test_exact_w_states_stop_before_any_step(self, searches, monkeypatch):
+        # Saturated to rounding, and every decomposition of their pair
+        # marginals gives the roof, so the spectral values prove saturation.
+        states = _w_qutrit_states(12, 0.0, np.random.default_rng(8))
+        assert self._hunt(states, monkeypatch) == []
+        [(_, results)] = searches
+        assert all(res.stopped and len(res.start_values) == 1 for res in results)
+        assert {r.verdict for r in self._audited(states)} == {"saturated"}
+
+    def test_trials_left_running_get_their_audit_reports(self, searches, monkeypatch):
+        # Report saturated trials too: the exact W-class trials then run to
+        # the end, beside Haar trials stopped as proven holds.
+        monkeypatch.setattr(monogamy, "VERDICT_CANDIDATE", "saturated")
+        rng = np.random.default_rng(self.SEED)
+        haar = [random_pure_state(DimensionProfile((3, 3, 3)), rng) for _ in range(4)]
+        states = _w_qutrit_states(4, 0.0, np.random.default_rng(8)) + haar
+        findings = self._hunt(states, monkeypatch)
+        [(_, results)] = searches
+        assert findings == self._audited(states)[:4]
+        assert [res.stopped for res in results] == [False] * 8 + [True] * 8
+
+    def test_stopped_searches_are_not_kept(self, searches):
+        # A stopped search is not the search's end, so a later call on the
+        # same marginal searches again and gets what a fresh object gets.
+        rho = partial_trace(ou_state(), (1, 2))
+        cfg = OptConfig(starts=2)
+        [stopped] = pair_terms([(rho, 1, "cren", cfg)], stop=lambda values: np.ones(1, dtype=bool))
+        assert searches[0][1][0].stopped
+        again = pair_term(rho, 1, "cren", cfg)
+        assert len(searches) == 2 and not searches[1][1][0].stopped
+        assert again == pair_term(partial_trace(ou_state(), (1, 2)), 1, "cren", cfg)
+        assert again.value <= stopped.value + 1e-12
+
+
+class TestThreeTangle:
+    def test_cren_residual_is_the_three_tangle_at_every_focus(self):
+        # Both pair terms are Wootters' concurrence and the left side the
+        # focus's squared concurrence: the CKW residual, which is the 3-tangle.
+        rng = np.random.default_rng(17)
+        states = [random_pure_state(DimensionProfile((2, 2, 2)), rng) for _ in range(60)]
+        states += [ghz_state(3), build_w_state(WClassSpec.symmetric(3))]
+        for focus in (1, 2, 3):
+            reports = audits([(psi, "x", 0) for psi in states], focus, ["cren"])
+            for psi, report in zip(states, reports, strict=True):
+                assert abs(report.residual - three_tangle(psi)) <= 1e-12
 
 
 class TestVerdictLogic:
