@@ -8,7 +8,9 @@ in one batched ``optimize_many`` call), keeps each value in the state's
 memo, so later calls on the same object reuse it, and says how the value
 relates to the true one: ``exact``, ``upper`` (an optimizer minimum) or
 ``lower`` (an optimizer maximum); ``pair_term`` is its one-item call.
-Each term also carries a one-sided lower bound of the true value:
+Each term also carries a bracket ``[lower, upper]`` that holds the true
+value: ``[value, value]`` for an exact term, ``[value, inf]`` for a
+maximum, and ``[floor, value]`` for a minimum, whose floor is
 
 * convex-roof extended negativity: the partial-transpose negativity of a
   pair marginal never exceeds its convex roof;
@@ -22,9 +24,9 @@ Each term also carries a one-sided lower bound of the true value:
 
 An audit compares the squared entanglement of one focus party with the
 rest of a pure multipartite state against the sum of its squared pair
-terms, and a violation is only reported as certified when the verdict
-survives substituting the lower bounds for every pair term.  Verdict
-boundaries use ``TOL_SAT``; anything within it counts as saturation.
+terms, and reads its verdict from their brackets alone, the same way for
+monogamy and its assistance dual (``_verdict``).  Verdict boundaries use
+``TOL_SAT``; anything within it counts as saturation.
 ``audits`` takes ``(psi, state_id, seed)`` rows and resolves the terms of
 all of them under all its measures in one ``pair_terms`` call; ``audit``
 is its one-item call.
@@ -88,7 +90,8 @@ class PairTerm:
     """One measure across one cut and how it was obtained (see ``pair_term``)."""
 
     value: float
-    lower: float      # one-sided lower bound of the true value
+    lower: float      # [lower, upper] holds the true value
+    upper: float
     kind: str         # exact | upper | lower: how value relates to the true value
     method: str       # closed_form | trace_norm | optimizer
 
@@ -104,9 +107,10 @@ class AuditReport:
     partners: tuple[int, ...]
     rhs_terms_sq: tuple[float, ...]
     rhs_bound_kinds: tuple[str, ...]  # exact | upper | lower, per term
-    rhs_lower_sq: tuple[float, ...]   # one-sided bounds backing certification
+    rhs_lower_sq: tuple[float, ...]   # with rhs_upper_sq, the brackets the verdict reads
     residual: float                   # lhs_sq - sum(rhs_terms_sq)
     verdict: str
+    rhs_upper_sq: tuple[float, ...]   # inf where a term has no upper bound
 
     @property
     def rhs_sq_sum(self) -> float:
@@ -176,20 +180,32 @@ def _pair_marginals(psi: PureState, focus: int):
     ))
 
 
-def _verdict(lhs_sq: float, terms_sq, lower_sq, direction) -> tuple[float, str]:
-    """Residual and verdict of an audit whose pair terms have roof ``direction``.
+def _verdict(lhs_sq: float, terms_sq, lower_sq, upper_sq, dual: bool) -> tuple[float, str]:
+    """Residual and verdict of an audit whose squared terms lie in ``[lower_sq, upper_sq]``.
 
-    A dual ("max") holds when the left side is at most the sum of its
-    terms; those are lower bounds, so its violation is never certified.
+    Monogamy asks lhs_sq >= the sum of the squared terms, a ``dual`` audit
+    lhs_sq <= it.  Saturation is read from the terms' own residual first;
+    then the inequality holds if every point of the brackets satisfies it
+    by more than ``TOL_SAT``, is certified violated if every point violates
+    it by more, and is otherwise a candidate violation.
     """
     residual = float(lhs_sq - sum(terms_sq))
     if abs(residual) <= TOL_SAT:
         return residual, VERDICT_SATURATED
-    if (residual < 0.0) if direction == "max" else (residual > 0.0):
+    # The least and the most the inequality's margin can be over the brackets.
+    least, most = lhs_sq - float(sum(upper_sq)), lhs_sq - float(sum(lower_sq))
+    if dual:
+        least, most = -most, -least
+    if least > TOL_SAT:
         return residual, VERDICT_HOLDS
-    if direction != "max" and lhs_sq - float(sum(lower_sq)) < -TOL_SAT:
+    if most < -TOL_SAT:
         return residual, VERDICT_CERTIFIED
     return residual, VERDICT_CANDIDATE
+
+
+def _is_dual(measure: str) -> bool:
+    """Whether audit ``measure`` is an assistance dual: its pair terms are maxima."""
+    return PAIR_MEASURES[AUDIT_MEASURES[measure]][1] == "max"
 
 
 def range_floor(rho: DensityOperator, cut) -> float:
@@ -218,23 +234,24 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     and ``negativity`` the partial-transpose negativity; on pure input
     every measure is its kernel's value on the state's cut matrix.
 
-    ==========================  ===========  =====  ==========================
-    input                       method       kind   lower
-    ==========================  ===========  =====  ==========================
-    pure                        closed_form  exact  value
-    mixed, negativity           trace_norm   exact  value
-    (2, 2) mixed, cren          closed_form  exact  PT negativity
-    (2, 2) mixed, concurrence   closed_form  exact  value
-    other mixed, cren           optimizer    upper  PT negativity
-    other mixed, concurrence    optimizer    upper  range floor, and PT
+    ==========================  ===========  =====  ============================
+    input                       method       kind   [lower, upper]
+    ==========================  ===========  =====  ============================
+    pure                        closed_form  exact  [value, value]
+    mixed, negativity           trace_norm   exact  [value, value]
+    (2, 2) cren or concurrence  closed_form  exact  [value, value]
+    other mixed, cren           optimizer    upper  [PT negativity, value]
+    other mixed, concurrence    optimizer    upper  [range floor, value], and PT
                                                     negativity if a side is 2-d
-    mixed, crenoa or coa        optimizer    lower  value
-    ==========================  ===========  =====  ==========================
+    mixed, crenoa or coa        optimizer    lower  [value, inf]
+    ==========================  ===========  =====  ============================
 
     The two-qubit closed form is Wootters' spin-flip concurrence (PRL 80,
-    2245 (1998)), the exact minimum of both roofs there.  Every ``lower``
-    entry holds up to floating point; the range floor is ``range_floor``'s,
-    which is 0 where the range is too wide for its minor table.
+    2245 (1998)), the exact minimum of both roofs there.  Every bracket
+    holds the true value up to floating point; the range floor is
+    ``range_floor``'s, which is 0 where the range is too wide for its
+    minor table, and a floor of a rank-1 marginal is exact, so it can
+    round above the value by a few ulps.
     Each optimizer row is solved under its own row's cfg (other rows
     ignore theirs, and None means ``OptConfig()``); its result is what
     ``optimize`` returns for that row alone.  A state keeps every search
@@ -254,8 +271,9 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     a search row's search value so far, which never rises for a minimum)
     and returns a mask of the rows whose searches may stop.  A search
     stops once every row that poses it may.  A stopped search's rows keep
-    their kind (its minimum is still an upper bound and its maximum a
-    lower one), but its result is not kept in the state's memo.
+    their kind and bracket (its minimum still bounds the roof from above,
+    and its maximum the dual from below), but its result is not kept in
+    the state's memo.
     """
     for _, _, measure, _ in rows:
         if measure not in PAIR_MEASURES:
@@ -271,27 +289,22 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     for k, (state, cut, measure, cfg) in enumerate(rows):
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
+        method = "closed_form"
         if isinstance(state, PureState):
-            value = _memoized(
-                state,
-                ("pure", kernel, cut),
-                lambda: float(kernel(cut_matrices(state.amplitudes, state.profile, cut))[0]),
-            )
-            terms[k] = PairTerm(value, value, "exact", "closed_form")
+            value = _memoized(state, ("pure", kernel, cut), lambda: float(
+                kernel(cut_matrices(state.amplitudes, state.profile, cut))[0]
+            ))
         elif direction is None:
-            value = pt_negativity(state, cut)
-            terms[k] = PairTerm(value, value, "exact", "trace_norm")
+            value, method = pt_negativity(state, cut), "trace_norm"
         elif direction == "min" and state.profile.dims == (2, 2):
             value = _memoized(state, ("wootters",), lambda: wootters_concurrence_2q(state))
-            # Certification for the negativity roof is defined against the
-            # partial-transpose bound, even where the exact value is known.
-            lower = pt_negativity(state, cut) if kernel is pure_negativities else value
-            terms[k] = PairTerm(value, lower, "exact", "closed_form")
         else:
             key = ("search", cut, direction, cfg or OptConfig())
             if key not in state._memo:
                 solve[state, key] = None
             searches.append((k, state, cut, kernel, key))
+            continue
+        terms[k] = PairTerm(value, value, value, "exact", method)
     problems = [(s, *key[1:]) for s, key in solve]
     if stop is None:
         results = optimize_many(problems)
@@ -328,7 +341,7 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
         if kernel is not pure_negativities:
             value = float(kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
         if res.direction == "max":
-            terms[k] = PairTerm(value, value, "lower", "optimizer")
+            terms[k] = PairTerm(value, value, np.inf, "lower", "optimizer")
             continue
         # Minimization: the decomposition average is an upper bound of the roof.
         if kernel is pure_negativities:
@@ -341,7 +354,7 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
                 # the concurrence roof equals the negativity roof and the
                 # partial-transpose negativity floors it.
                 lower = max(pt_negativity(state, cut), lower)
-        terms[k] = PairTerm(value, lower, "upper", "optimizer")
+        terms[k] = PairTerm(value, lower, value, "upper", "optimizer")
     return terms
 
 
@@ -362,8 +375,8 @@ def pair_term(
 def _build_report(state_id, focus, measure, lhs_sq, partners, terms) -> AuditReport:
     terms_sq = tuple(float(t.value) ** 2 for t in terms)
     lowers_sq = tuple(float(t.lower) ** 2 for t in terms)
-    direction = PAIR_MEASURES[AUDIT_MEASURES[measure]][1]
-    residual, verdict = _verdict(lhs_sq, terms_sq, lowers_sq, direction)
+    uppers_sq = tuple(float(t.upper) ** 2 for t in terms)
+    residual, verdict = _verdict(lhs_sq, terms_sq, lowers_sq, uppers_sq, _is_dual(measure))
     return AuditReport(
         state_id=state_id,
         focus=focus,
@@ -375,6 +388,7 @@ def _build_report(state_id, focus, measure, lhs_sq, partners, terms) -> AuditRep
         rhs_lower_sq=lowers_sq,
         residual=residual,
         verdict=verdict,
+        rhs_upper_sq=uppers_sq,
     )
 
 
@@ -393,14 +407,12 @@ def audit(
     squared pure-state value of the focus party against the rest, and the
     right side sums the squared pair term of each pair marginal of the
     focus party.  Monogamy (``cren``, ``ckw``, ``negativity``) holds when
-    the left side is at least the sum; a violation is certified only if it
-    survives replacing every pair term by its lower bound.  The duals
-    (``crenoa``, ``coa``) hold when the left side is at most the sum of
-    pair maxima; their terms are lower bounds, so a holds verdict is
-    conservative and an apparent violation stays a candidate.  Without
-    ``opt_cfg`` each optimizer term searches a rank-sized decomposition
-    from three starts seeded by ``seed``.  This is the one-item call of
-    ``audits``.
+    the left side is at least the sum, the duals (``crenoa``, ``coa``)
+    when it is at most the sum of pair maxima.  The verdict reads the
+    terms' brackets (``_verdict``): a maximum has no upper bound, so a
+    dual violation is never certified.  Without ``opt_cfg`` each optimizer
+    term searches a rank-sized decomposition from three starts seeded by
+    ``seed``.  This is the one-item call of ``audits``.
     """
     return audits([(psi, state_id, seed)], focus, [measure], opt_cfg)[0]
 
@@ -474,7 +486,7 @@ def dual_audit(
     psi, focus, measure="crenoa", *, state_id="state", opt_cfg=None, seed=0
 ) -> AuditReport:
     """The assistance-dual audit for ``measure`` 'crenoa' or 'coa' (see ``audit``)."""
-    if measure not in AUDIT_MEASURES or PAIR_MEASURES[AUDIT_MEASURES[measure]][1] != "max":
+    if measure not in AUDIT_MEASURES or not _is_dual(measure):
         raise DomainError(f"dual measure must be 'coa' or 'crenoa', got {measure!r}")
     return audit(psi, focus, measure, state_id=state_id, opt_cfg=opt_cfg, seed=seed)
 
@@ -519,7 +531,7 @@ def analytic_w_audit(
             f"flatness mean {flat.mean} disagrees with the analytic value {values.global_cren}"
         )
     state_id = f"pcs(n={spec.w.n},d={spec.w.d},p={spec.p:g},lam={spec.lam:g})"
-    terms = [PairTerm(v, v, "exact", "closed_form") for v in values.pair_cren]
+    terms = [PairTerm(v, v, v, "exact", "closed_form") for v in values.pair_cren]
     partners = range(2, len(terms) + 2)
     report = _build_report(state_id, 1, "cren", values.global_cren ** 2, partners, terms)
     return AnalyticWAudit(
@@ -534,8 +546,8 @@ def analytic_w_audit(
 # searches amortize their per-call overhead, small enough to bound memory
 # at any trial count.
 _HUNT_BLOCK = 64
-# Slack on each proof of a hunt verdict, for the rounding between a
-# search's own values and the reported ones.
+# Slack on the proof that a hunt trial is no finding, for the rounding
+# between a search's own values and the reported ones.
 _STOP_MARGIN = 1e-12
 
 
@@ -554,18 +566,17 @@ def hunt(
     with seed ``seed + t``.  The trials run in blocks of ``_HUNT_BLOCK``:
     a block draws its states in order, then resolves all their terms in
     one ``pair_terms`` call, whose batched searches stop the searches of a
-    trial once its verdict is proven to be one that is not reported.  A
-    pair's value never rises as its search runs, from the spectral
-    decomposition on, so lhs_sq minus the sum of the squared values so far
-    bounds the trial's final residual from below: above ``TOL_SAT`` only
-    ``holds`` is reachable, and at or above -``TOL_SAT`` only ``holds`` and
-    ``saturated``.  A trial never stopped gets exactly its ``cren_audit``
-    report, so the findings are those of the audits.
+    trial once it can no longer be a finding.  A pair's value never rises
+    as its search runs, from the spectral decomposition on, so lhs_sq
+    minus the sum of the squared values so far bounds the trial's final
+    residual from below.  Once that bound is ``_STOP_MARGIN`` or more above
+    -``TOL_SAT``, no violation is reachable and the trial stops.  A
+    trial never stopped gets exactly its ``cren_audit`` report, so the
+    findings are those of the audits.
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
     _require_focus(profile, focus)
-    reported = {VERDICT_CANDIDATE, VERDICT_CERTIFIED}
     rng = np.random.default_rng(seed)
     findings = []
     for start in range(0, trials, _HUNT_BLOCK):
@@ -578,20 +589,8 @@ def hunt(
         def stop(values):
             # Each trial's rows are its focus|rest value, then its pair values.
             sq = np.square(values).reshape(len(rows), profile.n)
-            floor = sq[:, 0] - sq[:, 1:].sum(axis=1)
-            violation = floor < -TOL_SAT + _STOP_MARGIN
-            wanted = np.zeros(len(rows), dtype=bool)
-            for verdict, reachable in (
-                (VERDICT_HOLDS, True),
-                (VERDICT_SATURATED, floor <= TOL_SAT + _STOP_MARGIN),
-                (VERDICT_CANDIDATE, violation),
-                (VERDICT_CERTIFIED, violation),
-            ):
-                if verdict in reported:
-                    wanted |= reachable
-            return np.repeat(~wanted, profile.n)
+            return np.repeat(sq[:, 0] - sq[:, 1:].sum(axis=1) >= -TOL_SAT + _STOP_MARGIN, profile.n)
 
-        terms = pair_terms(term_rows, stop=stop)
-        reports = _audit_reports(rows, focus, ["cren"], marginals, terms)
-        findings += [r for r in reports if r.verdict in reported]
+        reports = _audit_reports(rows, focus, ["cren"], marginals, pair_terms(term_rows, stop=stop))
+        findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
     return findings

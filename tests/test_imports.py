@@ -95,6 +95,21 @@ def test_only_hunt_stops_searches_early():
     assert taking == {"convexroof.optimize_many", "monogamy.pair_terms"}
 
 
+def test_only_pair_terms_and_the_dual_helper_compare_roof_directions():
+    # pair_terms picks each term's computation and bracket by direction, and
+    # _is_dual says which audits are duals; _verdict reads brackets alone.
+    # A third comparison with "min" or "max" would be a second copy of the
+    # direction decision.
+    comparers = {
+        owner
+        for owner, node in _top_level_owners(include_init=False)
+        if owner.startswith("monogamy.") and isinstance(node, ast.Compare)
+        and any(isinstance(e, ast.Constant) and e.value in ("min", "max")
+                for e in (node.left, *node.comparators))
+    }
+    assert comparers == {"monogamy.pair_terms", "monogamy._is_dual"}
+
+
 def test_modules_use_every_private_name_they_define():
     # A module-level function, class or constant named _x (not __x__) is
     # private to its module, so a module that never reads it carries dead code.

@@ -184,6 +184,18 @@ _TABLE_ROWS = [
 ]
 
 
+def _assert_bracket_holds(term):
+    if term.kind == "exact":
+        assert term.lower == term.value == term.upper
+        return
+    # Only a maximum has no upper bound.
+    assert (term.upper == np.inf) == (term.kind == "lower")
+    # A rank-1 floor is exact, so it may round a few ulps above the value;
+    # clamping it would hide an unsound floor as well.
+    assert term.lower <= term.value + 1e-12
+    assert term.value <= term.upper
+
+
 class TestPairTerm:
     @pytest.mark.parametrize("name, measure, method, kind, true", _TABLE_ROWS)
     def test_table_row(self, name, measure, method, kind, true):
@@ -195,7 +207,7 @@ class TestPairTerm:
         # Every test input has a flat decomposition landscape, so even the
         # optimizer's one-sided values meet the true value.
         assert term.value == pytest.approx(true, abs=1e-6)
-        if measure == "cren" and name != "pure":
+        if measure == "cren" and kind == "upper":
             assert term.lower == negativity_mixed(state, 1)
         elif kind == "upper":
             # Concurrence with a two-dimensional side: the larger of the
@@ -203,6 +215,7 @@ class TestPairTerm:
             assert negativity_mixed(state, 1) <= term.lower <= term.value
         else:
             assert term.lower == term.value
+        _assert_bracket_holds(term)
 
     def test_hardest_separable_qubit_pair_is_exactly_zero(self):
         # State 31 of seed 99: separable and full rank, where the optimizer
@@ -268,6 +281,54 @@ class TestPairTerm:
             audits([(ou_state(), "ou", 0)], 1, ["cren", "sorcery"])
         with pytest.raises(DomainError):
             dual_audit(ou_state(), 1, "cren")
+
+
+def _audited_states():
+    """(name, psi, focus) of the acceptance audits, and of states with rank-1 pair marginals.
+
+    The latter are products of a random 3x2 or 3x3 pair with a qubit, whose
+    (1, 2) marginal is pure; their floors are exact, so rounding can put
+    them above the value.
+    """
+    states = [("ou", ou_state(), 1)]
+    states += [(f"ks-{focus}", kim_sanders_state(), focus) for focus in (1, 2, 3)]
+    states += [("w4", build_w_state(WClassSpec.symmetric(4, 2)), 1),
+               ("w3x3", build_w_state(WClassSpec.symmetric(3, 3)), 1),
+               ("ghz4x3", ghz_state(4, 3), 1)]
+    rng = np.random.default_rng(1)
+    states += [(f"product-{k}", tensor_product(rand_pure((3, 2 + k % 2), rng), rand_pure((2,), rng)), 1)
+               for k in range(16)]
+    return states
+
+
+class TestBrackets:
+    """Every audit term's bracket [lower, upper] holds its value (the table
+    rows are checked in TestPairTerm), and every report holds the brackets
+    its verdict was read from."""
+
+    def test_audit_terms(self):
+        measures = list(monogamy.AUDIT_MEASURES)
+        kinds = set()
+        for name, psi, focus in _audited_states():
+            _, rows = monogamy._audit_rows([(psi, name, 0)], focus, measures, None)
+            for term in pair_terms(rows):
+                _assert_bracket_holds(term)
+                kinds.add(term.kind)
+        assert kinds == {"exact", "upper", "lower"}
+
+    def test_reports_reproduce_their_verdicts(self):
+        measures = list(monogamy.AUDIT_MEASURES)
+        reports = [report for name, psi, focus in _audited_states()
+                   for report in audits([(psi, name, 0)], focus, measures)]
+        reports += [analytic_w_audit(PCSSpec(WClassSpec.symmetric(n, d), 0.6, 0.3), samples=8).report
+                    for n, d in ((3, 2), (4, 3))]
+        verdicts = set()
+        for r in reports:
+            dual = monogamy._is_dual(r.measure)
+            got = monogamy._verdict(r.lhs_sq, r.rhs_terms_sq, r.rhs_lower_sq, r.rhs_upper_sq, dual)
+            assert got == (r.residual, r.verdict)
+            verdicts.add(r.verdict)
+        assert verdicts == {"holds", "saturated", "certified_violation", "candidate_violation"}
 
 
 # The five named audits of focus party 1, by audit measure.
@@ -610,6 +671,9 @@ class TestHunt:
         from crenaudit import monogamy
 
         monkeypatch.setattr(monogamy, "VERDICT_CANDIDATE", "holds")
+        # Holding trials are the ones hunt stops, so run every search to its end.
+        unstopped = monogamy.pair_terms
+        monkeypatch.setattr(monogamy, "pair_terms", lambda rows, stop=None: unstopped(rows))
         profile, seed = DimensionProfile((3, 2, 2)), 5
         rng = np.random.default_rng(seed)
         expected = [
@@ -699,17 +763,24 @@ class TestHuntStop:
         assert all(res.stopped and len(res.start_values) == 1 for res in results)
         assert {r.verdict for r in self._audited(states)} == {"saturated"}
 
-    def test_trials_left_running_get_their_audit_reports(self, searches, monkeypatch):
-        # Report saturated trials too: the exact W-class trials then run to
-        # the end, beside Haar trials stopped as proven holds.
-        monkeypatch.setattr(monogamy, "VERDICT_CANDIDATE", "saturated")
+    def test_rows_left_running_get_their_rule_free_terms(self, searches):
+        # A row rule that stops the Haar trials' rows at once and never the
+        # exact W-class trials' rows: those run to the end, beside stopped
+        # searches of the same shape, and end where no rule would.
         rng = np.random.default_rng(self.SEED)
         haar = [random_pure_state(DimensionProfile((3, 3, 3)), rng) for _ in range(4)]
         states = _w_qutrit_states(4, 0.0, np.random.default_rng(8)) + haar
-        findings = self._hunt(states, monkeypatch)
+
+        def term_rows():
+            # Three rows per trial: its focus|rest row, then its two pairs.
+            rows = [(qlinalg.PureState(s.profile, s.amplitudes), f"hunt-{t:05d}", self.SEED + t)
+                    for t, s in enumerate(states)]
+            return monogamy._audit_rows(rows, 1, ["cren"], None)[1]
+
+        terms = pair_terms(term_rows(), stop=lambda values: np.arange(len(values)) >= 12)
         [(_, results)] = searches
-        assert findings == self._audited(states)[:4]
         assert [res.stopped for res in results] == [False] * 8 + [True] * 8
+        assert terms[:12] == pair_terms(term_rows())[:12]
 
     def test_stopped_searches_are_not_kept(self, searches):
         # A stopped search is not the search's end, so a later call on the
@@ -738,30 +809,34 @@ class TestThreeTangle:
 
 
 class TestVerdictLogic:
-    def test_monogamy_verdicts(self):
+    # (lhs_sq, terms_sq, lower_sq, upper_sq) -> (monogamy verdict, dual verdict).
+    # Monogamy holds when lhs_sq is at least the sum of the squared terms,
+    # a dual when it is at most the sum; a verdict is proven only where
+    # every point of the brackets gives it.
+    TABLE = [
+        # Exact terms: the point is the whole bracket.
+        ((4.0, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]), ("holds", "certified_violation")),
+        ((2.0, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]), ("saturated", "saturated")),
+        ((1.0, [0.8, 0.8], [0.8, 0.8], [0.8, 0.8]), ("certified_violation", "holds")),
+        # Roof minima [floor, value]: a monogamy violation is certified only
+        # if the floors violate it too.
+        ((4.0, [1.0, 1.0], [0.5, 0.5], [1.0, 1.0]), ("holds", "certified_violation")),
+        ((1.0, [0.8, 0.8], [0.3, 0.3], [0.8, 0.8]), ("candidate_violation", "candidate_violation")),
+        ((1.0, [0.8, 0.8], [0.7, 0.7], [0.8, 0.8]), ("certified_violation", "holds")),
+        # Maxima [value, inf]: a dual violation is never certified, and a
+        # monogamy violation still can be.
+        ((1.0, [0.8, 0.8], [0.8, 0.8], [np.inf, np.inf]), ("certified_violation", "holds")),
+        ((1.6, [0.8, 0.8], [0.8, 0.8], [np.inf, np.inf]), ("saturated", "saturated")),
+        ((2.0, [0.8, 0.8], [0.8, 0.8], [np.inf, np.inf]), ("candidate_violation", "candidate_violation")),
+        # Within TOL_SAT of a bracket's end proves nothing.
+        ((2.0 + 5e-8, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0 + 1e-7]), ("saturated", "saturated")),
+        ((2.0 + 2e-7, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0 + 1.5e-7]), ("candidate_violation", "candidate_violation")),
+    ]
+
+    @pytest.mark.parametrize("args, verdicts", TABLE)
+    def test_table(self, args, verdicts):
         from crenaudit.monogamy import _verdict
 
-        # Roof minima and the partial-transpose negativity (no direction).
-        for direction in ("min", None):
-            # Clear pass, exact saturation, and candidate vs certified splits.
-            assert _verdict(4.0, [1.0, 1.0], [0.5, 0.5], direction)[1] == "holds"
-            assert _verdict(2.0, [1.0, 1.0], [1.0, 1.0], direction)[1] == "saturated"
-            # Upper-bound terms exceed the lhs but the lower bounds do not:
-            # cannot certify.
-            assert _verdict(1.0, [0.8, 0.8], [0.3, 0.3], direction)[1] == "candidate_violation"
-            # Even the one-sided lower bounds beat the lhs: certified.
-            residual, verdict = _verdict(1.0, [0.8, 0.8], [0.7, 0.7], direction)
-            assert verdict == "certified_violation"
-            assert residual == pytest.approx(1.0 - 1.6)
-
-    def test_dual_verdicts(self):
-        from crenaudit.monogamy import _verdict
-
-        assert _verdict(1.0, [0.8, 0.8], [0.8, 0.8], "max")[1] == "holds"
-        assert _verdict(1.6, [0.8, 0.8], [0.8, 0.8], "max")[1] == "saturated"
-        # Lower-bound terms below the lhs cannot establish a violation.
-        assert _verdict(2.0, [0.8, 0.8], [0.8, 0.8], "max")[1] == "candidate_violation"
-        # A maximum never certifies, even when its lower bounds would
-        # certify a minimum's violation (2.0 - 3.0 < -TOL_SAT).
-        assert _verdict(2.0, [0.8, 0.8], [1.5, 1.5], "max")[1] == "candidate_violation"
-
+        lhs_sq, terms_sq = args[:2]
+        for dual, verdict in zip((False, True), verdicts):
+            assert _verdict(*args, dual) == (lhs_sq - sum(terms_sq), verdict)
