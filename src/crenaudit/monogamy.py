@@ -551,6 +551,27 @@ _HUNT_BLOCK = 64
 _STOP_MARGIN = 1e-12
 
 
+def _no_finding(sq: np.ndarray) -> np.ndarray:
+    """Per trial row of squared values (lhs, then pair upper bounds): no violation is reachable."""
+    return sq[:, 0] - sq[:, 1:].sum(axis=1) >= -TOL_SAT + _STOP_MARGIN
+
+
+def _slice_values(amps: np.ndarray, profile: DimensionProfile, focus: int) -> np.ndarray:
+    """Each stacked state's focus|rest value, then an upper bound of each pair's ``cren``.
+
+    The slices of psi at the basis states of the parties outside pair
+    (focus, j) decompose its marginal, so their average negativity, read
+    from the columns of the pair's cut matrix, bounds the pair's roof from above.
+    """
+    values = [pure_negativities(cut_matrices(amps, profile, (focus,)))]
+    for j in profile.parties:
+        if j != focus:
+            slices = np.swapaxes(cut_matrices(amps, profile, (focus, j)), 1, 2)
+            pair = slices.reshape((-1,) + profile.restrict((focus, j)).dims)
+            values.append(pure_negativities(pair).reshape(len(amps), -1).sum(axis=1))
+    return np.stack(values, axis=1)
+
+
 def hunt(
     profile: DimensionProfile,
     trials: int,
@@ -564,15 +585,22 @@ def hunt(
     expected outcome.  Findings are data for further study, not errors.
     Trial t is the ``cren_audit`` of the t-th state drawn from ``seed``,
     with seed ``seed + t``.  The trials run in blocks of ``_HUNT_BLOCK``:
-    a block draws its states in order, then resolves all their terms in
-    one ``pair_terms`` call, whose batched searches stop the searches of a
+    a block draws its states in order and first screens them: the slices
+    of a state decompose each of its pair marginals, so their average
+    negativities bound the pair terms from above (``_slice_values``), and
+    a trial whose bounds already prove it no finding is dropped before any
+    marginal is built.  The rest resolve all their terms in one
+    ``pair_terms`` call, whose batched searches stop the searches of a
     trial once it can no longer be a finding.  A pair's value never rises
     as its search runs, from the spectral decomposition on, so lhs_sq
     minus the sum of the squared values so far bounds the trial's final
-    residual from below.  Once that bound is ``_STOP_MARGIN`` or more above
-    -``TOL_SAT``, no violation is reachable and the trial stops.  A
-    trial never stopped gets exactly its ``cren_audit`` report, so the
-    findings are those of the audits.
+    residual from below.  Once that bound (or the screen's) is
+    ``_STOP_MARGIN`` or more above -``TOL_SAT``, no violation is reachable
+    (``_no_finding``).  A trial neither screened nor stopped gets exactly
+    its ``cren_audit`` report.  A screened trial is never a finding, even
+    where its audit's search, which does not start from the slices, would
+    end above their bound and call it a candidate violation: the slice
+    decomposition refutes that candidate.
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
@@ -584,12 +612,16 @@ def hunt(
             (random_pure_state(profile, rng), f"hunt-{t:05d}", seed + t)
             for t in range(start, min(start + _HUNT_BLOCK, trials))
         ]
+        amps = np.stack([psi.amplitudes for psi, _, _ in rows])
+        screened = _no_finding(np.square(_slice_values(amps, profile, focus)))
+        rows = [row for row, proven in zip(rows, screened) if not proven]
+        if not rows:
+            continue
         marginals, term_rows = _audit_rows(rows, focus, ["cren"], None)
 
         def stop(values):
             # Each trial's rows are its focus|rest value, then its pair values.
-            sq = np.square(values).reshape(len(rows), profile.n)
-            return np.repeat(sq[:, 0] - sq[:, 1:].sum(axis=1) >= -TOL_SAT + _STOP_MARGIN, profile.n)
+            return np.repeat(_no_finding(np.square(values).reshape(len(rows), profile.n)), profile.n)
 
         reports = _audit_reports(rows, focus, ["cren"], marginals, pair_terms(term_rows, stop=stop))
         findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]

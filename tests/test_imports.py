@@ -163,6 +163,19 @@ def test_only_density_operator_decomposes_in_qlinalg():
     }
 
 
+def test_monogamy_decomposes_no_matrix_itself():
+    # A marginal's spectrum is DensityOperator's, and pure values are the
+    # measures' kernels; a decomposition in monogamy (such as a hunt screen
+    # that splits marginals itself) would be a second decomposition path.
+    callers = sorted({
+        f"{owner} line {node.lineno}: {node.attr}"
+        for owner, node in _top_level_owners(include_init=False)
+        if owner.startswith("monogamy.") and isinstance(node, ast.Attribute)
+        and node.attr in ("svd", "eigh", "eigvalsh", "qr")
+    })
+    assert not callers, f"decompositions in monogamy: {callers}"
+
+
 def test_only_partial_transpose_and_the_reconstruction_check_read_matrix():
     # A density is held as its range factor (its roots); the D x D matrix is
     # read only to transpose a party's indices and where optimize checks

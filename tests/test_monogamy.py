@@ -671,7 +671,9 @@ class TestHunt:
         from crenaudit import monogamy
 
         monkeypatch.setattr(monogamy, "VERDICT_CANDIDATE", "holds")
-        # Holding trials are the ones hunt stops, so run every search to its end.
+        # Holding trials are the ones hunt screens and stops, so screen none
+        # and run every search to its end.
+        monkeypatch.setattr(monogamy, "_no_finding", lambda sq: np.zeros(len(sq), dtype=bool))
         unstopped = monogamy.pair_terms
         monkeypatch.setattr(monogamy, "pair_terms", lambda rows, stop=None: unstopped(rows))
         profile, seed = DimensionProfile((3, 2, 2)), 5
@@ -683,6 +685,33 @@ class TestHunt:
         expected = [r for r in expected if r.verdict in ("holds", "certified_violation")]
         assert len(expected) > 64
         assert hunt(profile, 70, seed) == expected
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Each optimize_many call's problems and results."""
+    calls = []
+
+    def spied(problems, _original=monogamy.optimize_many, **kwargs):
+        results = _original(problems, **kwargs)
+        calls.append((problems, results))
+        return results
+
+    monkeypatch.setattr(monogamy, "optimize_many", spied)
+    return calls
+
+
+@pytest.fixture
+def audited_ids(monkeypatch):
+    """The state ids of the rows passed to ``_audit_rows``: the trials hunt did not screen."""
+    ids = []
+
+    def spied(rows, *args, _original=monogamy._audit_rows):
+        ids.extend(state_id for _, state_id, _ in rows)
+        return _original(rows, *args)
+
+    monkeypatch.setattr(monogamy, "_audit_rows", spied)
+    return ids
 
 
 def _w_qutrit_states(count, eps, rng):
@@ -703,18 +732,6 @@ class TestHuntStop:
 
     SEED = 3
 
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        calls = []
-
-        def spied(problems, _original=monogamy.optimize_many, **kwargs):
-            results = _original(problems, **kwargs)
-            calls.append((problems, results))
-            return results
-
-        monkeypatch.setattr(monogamy, "optimize_many", spied)
-        return calls
-
     def _hunt(self, states, monkeypatch):
         """hunt over fresh copies of ``states``, drawn in order in place of random ones."""
         copies = iter([qlinalg.PureState(s.profile, s.amplitudes) for s in states])
@@ -728,7 +745,7 @@ class TestHuntStop:
         return audits(rows, 1, ["cren"])
 
     @pytest.mark.parametrize("kind", ["haar", "perturbed_w"])
-    def test_findings_equal_the_unstopped_audits(self, kind, searches, monkeypatch):
+    def test_findings_equal_the_unstopped_audits(self, kind, searches, audited_ids, monkeypatch):
         if kind == "haar":
             rng = np.random.default_rng(self.SEED)
             states = [random_pure_state(DimensionProfile((3, 3, 3)), rng) for _ in range(12)]
@@ -737,12 +754,18 @@ class TestHuntStop:
             states = _w_qutrit_states(12, 1e-6, np.random.default_rng(8))
             findings = self._hunt(states, monkeypatch)
         [(problems, results)] = searches
+        # The rule-free audits below pass their own rows to _audit_rows.
+        hunted = set(audited_ids)
         reports = self._audited(states)
         reported = ("candidate_violation", "certified_violation")
         assert findings == [r for r in reports if r.verdict in reported]
-        # Trial t poses its two pair marginals' searches, in order.
+        # Screened trials pose no search, and each unscreened trial poses
+        # its two pair marginals' searches, in order.
+        unscreened = [r for r in reports if r.state_id in hunted]
+        assert 0 < len(unscreened) < len(reports)
+        assert all(r.verdict not in reported for r in reports if r not in unscreened)
         stopped = 0
-        for t, report in enumerate(reports):
+        for t, report in enumerate(unscreened):
             own = results[2 * t:2 * t + 2]
             if any(res.stopped for res in own):
                 stopped += 1
@@ -752,15 +775,14 @@ class TestHuntStop:
                 assert report.lhs_sq - sum(v * v for v in values) >= -TOL_SAT
                 assert report.verdict not in reported
         assert stopped > 0
-        assert len(problems) == 2 * len(states)
+        assert len(problems) == 2 * len(unscreened)
 
     def test_exact_w_states_stop_before_any_step(self, searches, monkeypatch):
         # Saturated to rounding, and every decomposition of their pair
-        # marginals gives the roof, so the spectral values prove saturation.
+        # marginals gives the roof, so their slices prove saturation.
         states = _w_qutrit_states(12, 0.0, np.random.default_rng(8))
         assert self._hunt(states, monkeypatch) == []
-        [(_, results)] = searches
-        assert all(res.stopped and len(res.start_values) == 1 for res in results)
+        assert searches == []
         assert {r.verdict for r in self._audited(states)} == {"saturated"}
 
     def test_rows_left_running_get_their_rule_free_terms(self, searches):
@@ -793,6 +815,86 @@ class TestHuntStop:
         assert len(searches) == 2 and not searches[1][1][0].stopped
         assert again == pair_term(partial_trace(ou_state(), (1, 2)), 1, "cren", cfg)
         assert again.value <= stopped.value + 1e-12
+
+
+class TestHuntScreen:
+    """hunt drops a trial before any marginal exists when the slices of its
+    state, a decomposition of each pair marginal, prove it no finding."""
+
+    SEED = 4
+    REPORTED = ("candidate_violation", "certified_violation")
+
+    @staticmethod
+    def _slices(psi, focus, j):
+        """The (focus, j) slices of psi at each basis state of the other parties, as rows."""
+        a, b = sorted((focus, j))
+        tensor = np.moveaxis(psi.amplitudes.reshape(psi.profile.dims), [a - 1, b - 1], [0, 1])
+        return tensor.reshape(psi.profile.dims[a - 1] * psi.profile.dims[b - 1], -1).T
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 4), (4, 2, 3), (3, 3, 2, 2)])
+    def test_slice_values_are_slice_decomposition_averages(self, dims):
+        profile = DimensionProfile(dims)
+        rng = np.random.default_rng(self.SEED)
+        states = [random_pure_state(profile, rng) for _ in range(4)]
+        amps = np.stack([psi.amplitudes for psi in states])
+        for focus in profile.parties:
+            values = monogamy._slice_values(amps, profile, focus)
+            partners = [j for j in profile.parties if j != focus]
+            for psi, row in zip(states, values, strict=True):
+                assert abs(row[0] - pair_term(psi, focus, "cren").value) <= 1e-12
+                for j, c in zip(partners, row[1:], strict=True):
+                    pair = profile.restrict((focus, j))
+                    slices = convexroof.Decomposition(pair, self._slices(psi, focus, j))
+                    assert abs(c - average_negativity(slices, 1)) <= 1e-12
+                    assert c >= negativity_mixed(partial_trace(psi, (focus, j)), 1) - 1e-12
+
+    def test_screen_proves_only_beyond_the_stop_margin(self):
+        # The screen and the stop rule share one boundary:
+        # lhs_sq - sum(terms_sq) >= -TOL_SAT + _STOP_MARGIN.
+        margin = monogamy._STOP_MARGIN
+        sq = np.array([[0.0, TOL_SAT - 2 * margin], [0.0, TOL_SAT - margin / 2], [1.0, 0.5]])
+        assert monogamy._no_finding(sq).tolist() == [True, False, True]
+
+    def _hunt_states(self, states, focus, monkeypatch):
+        """hunt at ``focus`` over fresh copies of ``states``, drawn in order."""
+        copies = iter([qlinalg.PureState(s.profile, s.amplitudes) for s in states])
+        monkeypatch.setattr(monogamy, "random_pure_state", lambda profile, rng: next(copies))
+        return hunt(states[0].profile, len(states), self.SEED, focus=focus)
+
+    def _rule_free(self, states, focus, ids):
+        """The cren reports of the trials named by ``ids``, from audits with no stop rule."""
+        rows = [(qlinalg.PureState(s.profile, s.amplitudes), f"hunt-{t:05d}", self.SEED + t)
+                for t, s in enumerate(states) if f"hunt-{t:05d}" in ids]
+        return audits(rows, focus, ["cren"])
+
+    def test_screened_trials_are_no_findings(self, audited_ids, monkeypatch):
+        rng = np.random.default_rng(self.SEED)
+        cases = [
+            ([random_pure_state(DimensionProfile(dims), rng) for _ in range(12)], focus)
+            for dims in [(3, 2, 2), (3, 3, 3), (4, 3, 3), (2, 3, 4)] for focus in (1, 2)
+        ]
+        cases += [(_w_qutrit_states(12, eps, rng), 1) for eps in (1e-6, 1e-3)]
+        screened = 0
+        for states, focus in cases:
+            audited_ids.clear()
+            self._hunt_states(states, focus, monkeypatch)
+            ids = {f"hunt-{t:05d}" for t in range(len(states))} - set(audited_ids)
+            assert all(r.verdict not in self.REPORTED for r in self._rule_free(states, focus, ids))
+            screened += len(ids)
+        assert screened >= 40
+
+    def test_a_state_its_slices_cannot_prove_is_searched(self, audited_ids, searches, monkeypatch):
+        # (1/2) sum_k |Bell_k>|k> on 2,2,4: every (1,2) slice is maximally
+        # entangled, so the slices bound that pair's term by 1, yet the
+        # marginal is I/4, which is separable.
+        bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+        psi = qlinalg.PureState(DimensionProfile((2, 2, 4)), (bell.T / 2).reshape(-1))
+        assert np.allclose(partial_trace(psi, (1, 2)).matrix, np.eye(4) / 4)
+        findings = self._hunt_states([psi], 1, monkeypatch)
+        assert audited_ids == ["hunt-00000"]
+        assert len(searches) == 1
+        reports = self._rule_free([psi], 1, {"hunt-00000"})
+        assert findings == [r for r in reports if r.verdict in self.REPORTED]
 
 
 class TestThreeTangle:
