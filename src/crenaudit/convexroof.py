@@ -24,7 +24,11 @@ sum_i sqrt(s_i^2 + mu^2), with mu shrunk to zero in stages so that the
 search does not stall where singular values vanish.  The maximization
 (its assistance dual) uses that the objective is convex in V: a polar
 ascent (the generalized power method of Journee, Nesterov, Richtarik &
-Sepulchre, JMLR 11, 517 (2010)) raises it at every step.
+Sepulchre, JMLR 11, 517 (2010)) raises it at every step.  Its first
+steps are plain polar steps; a start still live after them takes
+Nesterov-extrapolated steps, redone as plain ones (with the momentum
+restarted) wherever they gain too little, and it has converged only once a
+plain step gains no more than the tolerance.
 
 ``optimize_many`` is the one entry point of both searches: it stacks the
 roots of the problems of one shape, with each start's problem beside it,
@@ -167,8 +171,8 @@ class OptConfig:
     ``max_sweeps * size`` caps the steps of each start: of the polar
     ascent for the maximum, and of each of the eight smoothing stages of
     the descent for the minimum, so at most 8 * max_sweeps * size steps in
-    all.  A maximum has converged when a step gains no more than
-    ``tol_rel * max(1, |value|)`` before that cap; a minimum when a step of
+    all.  A maximum has converged when a plain polar step gains no more
+    than ``tol_rel * max(1, |value|)`` before that cap; a minimum when a step of
     its last, unsmoothed stage does, or when that stage finds it
     stationary.
     """
@@ -347,14 +351,26 @@ def _polar(a: np.ndarray) -> np.ndarray:
     return left @ right_h
 
 
+_PLAIN_STEPS = 16  # polar-ascent steps before a live start extrapolates
+
+
 def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     """Batched generalized power iteration for the maximum, all starts at once.
 
     f(V) = sum_k ||M_k||_*^2 with M_k = sum_j V_kj R_j is convex in V, so
     with G its gradient, f(V') >= f(V) + Re<G, V' - V>, and the isometry
-    maximizing Re<G, V'> -- the polar factor of G -- never lowers f: each
-    step ascends with no step size to choose.  A start stops once a step
-    gains no more than the relative tolerance.
+    maximizing Re<G, V'> -- the polar factor P of G -- never lowers f:
+    each plain step V' = P ascends with no step size to choose.
+
+    After ``_PLAIN_STEPS`` plain steps, a start still live (gaining at a
+    linear rate) steps to Y = polar(P + beta (P - P_prev)), P_prev its
+    previous P, with Nesterov's beta = (t_k - 1) / t_{k+1} and t_{k+1} =
+    (1 + sqrt(1 + 4 t_k^2)) / 2 from t = 1, where the step is P.  Where Y
+    gains no more than the relative tolerance, or loses, the start takes P
+    instead and t restarts at 1 (adaptive restart: O'Donoghue & Candes,
+    Found. Comput. Math. 15, 715 (2015)).  So values never fall, and a
+    start stops, converged, only once a plain step gains no more than the
+    tolerance.
 
     ``v`` holds one (size, rank) isometry per start.  Returns every start's
     final isometry, objective trace and convergence flag.
@@ -364,9 +380,24 @@ def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     f, grad, _ = evaluate(v, live)
     first, log = f, []
     converged = np.zeros(v.shape[0], dtype=bool)
-    for _ in range(max_steps):
-        v[live] = _polar(grad)
-        f_new, grad, _ = evaluate(v[live], live)
+    t, prev = np.ones(v.shape[0]), np.empty_like(v)
+    for step in range(max_steps):
+        if step < _PLAIN_STEPS:
+            v[live] = _polar(grad)
+            f_new, grad, _ = evaluate(v[live], live)
+        else:
+            p = _polar(grad)
+            t_next = 0.5 + np.sqrt(0.25 + t[live] ** 2)
+            beta = (t[live] - 1.0) / t_next
+            moving = beta > 0.0
+            y = p.copy()
+            y[moving] = _polar(p[moving] + beta[moving, None, None] * (p[moving] - prev[live[moving]]))
+            f_new, grad, _ = evaluate(y, live)
+            redo = moving & (f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new)))
+            if redo.any():
+                y[redo] = p[redo]
+                f_new[redo], grad[redo], _ = evaluate(p[redo], live[redo])
+            v[live], prev[live], t[live] = y, p, np.where(redo, 1.0, t_next)
         log.append((live, f_new))
         stalled = f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new))
         converged[live[stalled]] = True

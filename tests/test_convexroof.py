@@ -26,9 +26,11 @@ from crenaudit import (
 )
 
 from crenaudit.convexroof import (
+    _PLAIN_STEPS,
     _SMOOTHING,
     _descent,
     _objective,
+    _polar,
     _polar_ascent,
     _root_matrices,
     _starts,
@@ -319,6 +321,21 @@ class TestOptimize:
             max_steps = cfg.max_sweeps * starts.shape[1]
             assert _descent(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
 
+    def test_every_default_ascent_start_converges_alone(self):
+        # Each default start of the polar ascent, run alone on the states of
+        # test_max_not_below_earlier_engine, must stop on a plain step's
+        # tolerance before the cap; plain steps alone crawl there.
+        cfg = OptConfig()
+        for dims, rank, seed in (((3, 3), 5, 5), ((2, 4), 4, 4)):
+            rho = rand_dm(dims, rank, np.random.default_rng(seed))
+            starts = _starts(cfg, rho.rank())
+            evaluate = _objective(
+                _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
+            )
+            for k in range(len(starts)):
+                max_steps = cfg.max_sweeps * starts.shape[1]
+                assert _polar_ascent(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
+
     def test_max_capped_before_convergence_reports_it(self, rng):
         rho = rand_dm((3, 2), 3, rng)
         for direction in ("max", "min"):
@@ -363,6 +380,91 @@ def _svd_objective(root_mats, v, mu=0.0):
     ratio = np.ones_like(sv) if mu == 0.0 else sv / smooth
     dirs = ((u * ratio[..., None, :]) @ wh).reshape(*v.shape[:2], d_a * d_b)
     return np.sum(nuc * nuc, axis=-1) - 1.0, 2.0 * nuc[..., None] * (dirs @ roots.conj().T), sv
+
+
+def _plain_ascent(evaluate, v, max_steps, tol_rel):
+    """The plain generalized power method, v = polar(gradient) at every step.
+
+    Returns what ``_polar_ascent`` does: final isometries, traces and flags.
+    """
+    v, live = v.copy(), np.arange(len(v))
+    f, grad, _ = evaluate(v, live)
+    traces, converged = [[x] for x in f], np.zeros(len(v), dtype=bool)
+    for _ in range(max_steps):
+        left, _, right_h = np.linalg.svd(grad, full_matrices=False)
+        v[live] = left @ right_h
+        f_new, grad, _ = evaluate(v[live], live)
+        for k, x in zip(live, f_new):
+            traces[k].append(x)
+        stalled = f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new))
+        converged[live[stalled]] = True
+        live, f, grad = live[~stalled], f_new[~stalled], grad[~stalled]
+        if not live.size:
+            break
+    return v, [np.array(t) for t in traces], converged
+
+
+@pytest.fixture(scope="module")
+def ascent_corpus():
+    """Three seeded states each of (3,2), (2,4) and (3,3) at ranks 2-4.
+
+    One entry per shape and rank: the evaluator of its three problems, their
+    default starts, the step cap and the ``_polar_ascent`` of them all.
+    """
+    rng, cfg, corpus = np.random.default_rng(41), OptConfig(), []
+    for dims in ((3, 2), (2, 4), (3, 3)):
+        for rank in (2, 3, 4):
+            mats = [_root_matrices(rand_dm(dims, rank, rng), Bipartition((1,), 2)) for _ in range(3)]
+            starts = _starts(cfg, rank)
+            evaluate = _objective(np.stack(mats), np.repeat(np.arange(3), len(starts)))
+            v0, max_steps = np.concatenate([starts] * 3), cfg.max_sweeps * starts.shape[1]
+            corpus.append((evaluate, v0, max_steps, _polar_ascent(evaluate, v0, max_steps, cfg.tol_rel)))
+    return corpus
+
+
+class TestPolarAscent:
+    def test_converged_means_a_plain_step_gains_no_more(self, ascent_corpus):
+        # One more plain step from every returned isometry gains within the
+        # tolerance, and every start stops before the cap.
+        tol = OptConfig().tol_rel
+        for evaluate, _, _, (v, _, converged) in ascent_corpus:
+            rows = np.arange(len(v))
+            f, grad, _ = evaluate(v, rows)
+            f_next = evaluate(_polar(grad), rows)[0]
+            assert converged.all()
+            assert np.all(f_next - f <= tol * np.maximum(1.0, np.abs(f_next)))
+
+    def test_never_below_the_plain_ascent(self, ascent_corpus):
+        # Extrapolated steps raise no trace and lower no problem's maximum.
+        for evaluate, v0, max_steps, (_, traces, _) in ascent_corpus:
+            assert all(np.all(np.diff(t) >= -1e-12) for t in traces)
+            plain = _plain_ascent(evaluate, v0, max_steps, OptConfig().tol_rel)[1]
+            best = np.array([t[-1] for t in traces]).reshape(3, -1).max(axis=1)
+            reference = np.array([t[-1] for t in plain]).reshape(3, -1).max(axis=1)
+            assert np.all(best >= reference - 1e-12)
+
+    def test_plain_phase_solves_are_the_plain_ascent(self, monkeypatch):
+        # Two-qubit and Kim-Sanders pair marginals stop within the plain
+        # phase, so their maxima are the plain ascent's bit for bit.
+        rng = np.random.default_rng(3)
+        rhos = [rand_dm((2, 2), rank, rng) for rank in (1, 2, 3, 4) for _ in range(3)]
+        for psi in (ou_state(), kim_sanders_state()):
+            rhos += [partial_trace(to_density(psi), keep) for keep in ((1, 2), (1, 3), (2, 3))]
+        results = [optimize(rho, 1, "max") for rho in rhos]
+        lengths = []
+
+        def plain(*args):
+            out = _plain_ascent(*args)
+            lengths.extend(len(t) for t in out[1])
+            return out
+
+        monkeypatch.setattr("crenaudit.convexroof._polar_ascent", plain)
+        for rho, res in zip(rhos, results):
+            ref = optimize(rho, 1, "max")
+            assert res.value == ref.value
+            assert res.objective_trace == ref.objective_trace
+            assert res.start_values == ref.start_values
+        assert max(lengths) <= _PLAIN_STEPS + 1
 
 
 class TestTwoRowObjective:
