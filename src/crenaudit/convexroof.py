@@ -362,15 +362,16 @@ def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     maximizing Re<G, V'> -- the polar factor P of G -- never lowers f:
     each plain step V' = P ascends with no step size to choose.
 
-    After ``_PLAIN_STEPS`` plain steps, a start still live (gaining at a
-    linear rate) steps to Y = polar(P + beta (P - P_prev)), P_prev its
-    previous P, with Nesterov's beta = (t_k - 1) / t_{k+1} and t_{k+1} =
-    (1 + sqrt(1 + 4 t_k^2)) / 2 from t = 1, where the step is P.  Where Y
-    gains no more than the relative tolerance, or loses, the start takes P
-    instead and t restarts at 1 (adaptive restart: O'Donoghue & Candes,
-    Found. Comput. Math. 15, 715 (2015)).  So values never fall, and a
-    start stops, converged, only once a plain step gains no more than the
-    tolerance.
+    Every step goes to Y = polar(P + beta (P - P_prev)), P_prev the
+    start's previous P, with Nesterov's beta = (t_k - 1) / t_{k+1} and
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2; at t = 1, beta = 0 and Y is P.
+    The first ``_PLAIN_STEPS`` steps hold t at 1, so they are plain steps,
+    and only a start still live after them (gaining at a linear rate)
+    extrapolates.  Where Y gains no more than the relative tolerance, or
+    loses, the start takes P instead and t restarts at 1 (adaptive restart:
+    O'Donoghue & Candes, Found. Comput. Math. 15, 715 (2015)).  So values
+    never fall, and a start stops, converged, only once a plain step gains
+    no more than the tolerance.
 
     ``v`` holds one (size, rank) isometry per start.  Returns every start's
     final isometry, objective trace and convergence flag.
@@ -382,22 +383,20 @@ def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     converged = np.zeros(v.shape[0], dtype=bool)
     t, prev = np.ones(v.shape[0]), np.empty_like(v)
     for step in range(max_steps):
-        if step < _PLAIN_STEPS:
-            v[live] = _polar(grad)
-            f_new, grad, _ = evaluate(v[live], live)
-        else:
-            p = _polar(grad)
-            t_next = 0.5 + np.sqrt(0.25 + t[live] ** 2)
-            beta = (t[live] - 1.0) / t_next
-            moving = beta > 0.0
-            y = p.copy()
+        p = _polar(grad)
+        t_next = 0.5 + np.sqrt(0.25 + t[live] ** 2)
+        beta = (t[live] - 1.0) / t_next
+        moving = beta > 0.0
+        y = p.copy()
+        if moving.any():
             y[moving] = _polar(p[moving] + beta[moving, None, None] * (p[moving] - prev[live[moving]]))
-            f_new, grad, _ = evaluate(y, live)
-            redo = moving & (f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new)))
-            if redo.any():
-                y[redo] = p[redo]
-                f_new[redo], grad[redo], _ = evaluate(p[redo], live[redo])
-            v[live], prev[live], t[live] = y, p, np.where(redo, 1.0, t_next)
+        f_new, grad, _ = evaluate(y, live)
+        redo = moving & (f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new)))
+        if redo.any():
+            y[redo] = p[redo]
+            f_new[redo], grad[redo], _ = evaluate(p[redo], live[redo])
+        v[live], prev[live] = y, p
+        t[live] = np.where(redo | (step < _PLAIN_STEPS), 1.0, t_next)
         log.append((live, f_new))
         stalled = f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new))
         converged[live[stalled]] = True

@@ -309,32 +309,26 @@ class TestOptimize:
         assert negativity_mixed(rho, 1) <= res.value <= 0.1190
         assert res.converged
 
-    def test_every_default_start_converges_alone(self, full_rank_qutrit_pair):
-        # Each of optimize's default starts, run alone, must stop on the
-        # exact stage's tolerance before the cap, not only the best start.
-        rho, cfg = full_rank_qutrit_pair, OptConfig()
-        starts = _starts(cfg, rho.rank())
-        evaluate = _objective(
-            _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
-        )
-        for k in range(len(starts)):
-            max_steps = cfg.max_sweeps * starts.shape[1]
-            assert _descent(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
-
-    def test_every_default_ascent_start_converges_alone(self):
-        # Each default start of the polar ascent, run alone on the states of
-        # test_max_not_below_earlier_engine, must stop on a plain step's
-        # tolerance before the cap; plain steps alone crawl there.
+    @pytest.mark.parametrize("search", [_descent, _polar_ascent], ids=["descent", "ascent"])
+    def test_every_default_start_converges_alone(self, search, full_rank_qutrit_pair):
+        # Each of optimize's default starts, run alone, must stop on its
+        # search's tolerance before the cap, not only the best start.  The
+        # ascent runs on the states of test_max_not_below_earlier_engine,
+        # where plain polar steps alone crawl to the cap.
+        cases = (((3, 3), 5, 5), ((2, 4), 4, 4))
+        if search is _descent:
+            rhos = [full_rank_qutrit_pair]
+        else:
+            rhos = [rand_dm(dims, rank, np.random.default_rng(seed)) for dims, rank, seed in cases]
         cfg = OptConfig()
-        for dims, rank, seed in (((3, 3), 5, 5), ((2, 4), 4, 4)):
-            rho = rand_dm(dims, rank, np.random.default_rng(seed))
+        for rho in rhos:
             starts = _starts(cfg, rho.rank())
             evaluate = _objective(
                 _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
             )
             for k in range(len(starts)):
                 max_steps = cfg.max_sweeps * starts.shape[1]
-                assert _polar_ascent(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
+                assert search(evaluate, starts[k : k + 1], max_steps, cfg.tol_rel)[2]
 
     def test_max_capped_before_convergence_reports_it(self, rng):
         rho = rand_dm((3, 2), 3, rng)
@@ -435,7 +429,7 @@ class TestPolarAscent:
             assert np.all(f_next - f <= tol * np.maximum(1.0, np.abs(f_next)))
 
     def test_never_below_the_plain_ascent(self, ascent_corpus):
-        # Extrapolated steps raise no trace and lower no problem's maximum.
+        # Extrapolated steps lower no trace and no problem's maximum.
         for evaluate, v0, max_steps, (_, traces, _) in ascent_corpus:
             assert all(np.all(np.diff(t) >= -1e-12) for t in traces)
             plain = _plain_ascent(evaluate, v0, max_steps, OptConfig().tol_rel)[1]
