@@ -4,7 +4,7 @@ Pure-state concurrence and negativity are functions of the Schmidt
 coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so both come
 from one batched singular-value call on stacked cut matrices: a
 decomposition's members or a flatness scan's samples are scored at once.
-Beside them: a concurrence floor over the unit vectors of a subspace,
+Beside them: a concurrence floor and ceiling over the unit vectors of a subspace,
 the trace-norm negativity of mixed states, and the exact two-qubit
 concurrence that ``monogamy.pair_term`` uses for two-qubit roof minima
 (for two-qubit states the convex-roof extended negativity coincides with
@@ -13,7 +13,7 @@ the concurrence, so the closed form serves both).
 
 from __future__ import annotations
 
-from math import comb
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -63,33 +63,51 @@ def pure_concurrences(mats: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(_pair_sum(s * s))
 
 
-def range_concurrence_floor(basis_mats: np.ndarray) -> float:
-    """A lower bound of the concurrence of every unit vector in a range.
+def minor_table(basis_mats: np.ndarray) -> np.ndarray:
+    """The table A of the 2x2 minors of a range, one column per pair p <= q of its basis.
 
     ``basis_mats`` stacks the cut matrices B_p of an orthonormal basis of
     the range.  The concurrence of sum_p c_p B_p is twice the norm of its
     2x2 minors (Mintert, Kus & Buchleitner, PRL 92, 167902 (2004)), and
     those minors are sum_{p <= q} c_p c_q T_pq.  With y_pp = c_p^2 and
     y_pq = sqrt(2) c_p c_q (p < q) they are A y, where A holds the columns
-    T_pp and T_pq / sqrt(2); a unit c gives ||y|| = 1.  So 2 sigma_min(A)
-    floors the concurrence over the whole range, up to floating point, and
-    equals it at rank 1.  When A has fewer rows than columns, that is
-    r (r + 1) / 2 > C(d_a, 2) C(d_b, 2) at rank r, some unit y has A y = 0:
-    the floor is 0, returned before the table is built.
+    T_pp and T_pq / sqrt(2); a unit c gives ||y||^2 = (sum_p |c_p|^2)^2 = 1.
+    A has C(d_a, 2) C(d_b, 2) rows and r (r + 1) / 2 columns at rank r.
     """
     r, d_a, d_b = basis_mats.shape
-    if comb(r + 1, 2) > comb(d_a, 2) * comb(d_b, 2):
-        return 0.0
-    i, j = np.triu_indices(d_a, 1)
-    k, l = np.triu_indices(d_b, 1)
+    (i, j), (k, l) = _pairs(d_a, 1), _pairs(d_b, 1)
     ik, il = basis_mats[:, i[:, None], k], basis_mats[:, i[:, None], l]
     jk, jl = basis_mats[:, j[:, None], k], basis_mats[:, j[:, None], l]
     # cross[p, q] holds the minors M_ik M_jl - M_il M_jk of the term c_p c_q (B_p, B_q):
     # T_pq = cross[p, q] + cross[q, p] for p < q, and that sum is 2 T_pp on the diagonal.
     cross = (ik[:, None] * jl - il[:, None] * jk).reshape(r, r, -1)
-    p, q = np.triu_indices(r)
-    columns = (cross[p, q] + cross[q, p]) / np.where(p < q, np.sqrt(2.0), 2.0)[:, None]
-    return 2.0 * float(np.linalg.svd(columns.T, compute_uv=False)[-1])
+    p, q = _pairs(r, 0)
+    return ((cross[p, q] + cross[q, p]) / np.where(p < q, np.sqrt(2.0), 2.0)[:, None]).T
+
+
+def _pairs(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, offset)`` for offset 0 or 1, without its n x n mask."""
+    pick = combinations if offset else combinations_with_replacement
+    return tuple(np.array(list(pick(range(n), 2))).T)
+
+
+def range_concurrence_bracket(basis_mats: np.ndarray) -> tuple[float, float]:
+    """A lower and an upper bound of the concurrence of every unit vector in a range.
+
+    With A the ``minor_table`` of the range, every unit vector's
+    concurrence is 2 ||A y|| for a unit y, and sigma_min(A) <= ||A y|| <=
+    sigma_max(A).  So the floor 2 sigma_min(A) and the ceiling
+    2 sigma_max(A), from one SVD, bracket the concurrence over the whole
+    range, up to floating point; at rank 1 A is one column and both equal
+    it.  When A has fewer rows than columns, that is r (r + 1) / 2 >
+    C(d_a, 2) C(d_b, 2) at rank r, some unit y has A y = 0 and the floor
+    is 0; the table is built all the same, since its ceiling still holds.
+    """
+    table = minor_table(basis_mats)
+    s = np.linalg.svd(table, compute_uv=False)
+    # A wide A (fewer singular values than columns) maps some unit y to 0.
+    floor = 0.0 if len(s) < table.shape[1] else 2.0 * float(s[-1])
+    return floor, 2.0 * float(s[0])
 
 
 def concurrence_pure(phi: PureState, cut) -> float:

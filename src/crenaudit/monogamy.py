@@ -3,24 +3,31 @@
 ``PAIR_MEASURES`` maps each pair measure to its pure-state kernel
 (concurrence or negativity) and roof direction.  ``pair_terms`` reads it
 to pick each computation (closed form, trace norm, Wootters' two-qubit
-formula or the decomposition optimizer, whose distinct problems it solves
-in one batched ``optimize_many`` call), keeps each value in the state's
-memo, so later calls on the same object reuse it, and says how the value
-relates to the true one: ``exact``, ``upper`` (an optimizer minimum) or
-``lower`` (an optimizer maximum); ``pair_term`` is its one-item call.
-Each term also carries a bracket ``[lower, upper]`` that holds the true
-value: ``[value, value]`` for an exact term, ``[value, inf]`` for a
-maximum, and ``[floor, value]`` for a minimum, whose floor is
+formula, the minor table of the range or the decomposition optimizer,
+whose distinct problems it solves in one batched ``optimize_many``
+call), keeps each value in the state's memo, so later calls on the same
+object reuse it, and says how the value relates to the true one:
+``exact``, ``upper`` (an optimizer minimum) or ``lower`` (an optimizer
+maximum); ``pair_term`` is its one-item call.  Each term also carries a
+bracket ``[lower, upper]`` that holds the true value: ``[value, value]``
+for an exact term, ``[floor, value]`` for a minimum and
+``[value, ceiling]`` for a maximum.  Every mixed roof row takes its
+floor and ceiling from one rule, ``range_bracket``: every decomposition
+member lies in the range, and twice the extreme singular values of the
+table of 2x2 minors of the range basis bound the concurrence C of every
+unit vector there, so they are a proof up to floating point.
 
-* convex-roof extended negativity: the partial-transpose negativity of a
-  pair marginal never exceeds its convex roof;
-* concurrence: for a pair with a two-dimensional side the convex roofs of
-  concurrence and negativity coincide, and in general the concurrence of a
-  mixed pair is bounded below by the smallest concurrence over unit vectors
-  in its range (every decomposition member lives there).  The range floor
-  bounds that minimum from below by one singular value of the table of
-  2x2 minor vectors of the range basis (``range_floor``), so it is a proof
-  up to floating point.
+* Every pure state has N >= C, so the concurrence floor floors both roofs;
+  the negativity roof keeps the partial-transpose negativity as a floor too.
+* Where a side is two-dimensional every member has Schmidt rank <= 2, so
+  N = C on each: all four roof rows share one bracket, [max(PT negativity,
+  C floor), C ceiling].
+* Elsewhere the C ceiling bounds ``concurrence`` and ``coa`` from above,
+  and nothing but a search bounds ``cren`` (its value) or ``crenoa`` (+inf).
+
+A row whose bracket closes to rounding is ``exact`` at its ceiling and
+poses no search: the Kim-Sanders qutrit-qubit pairs, whose ranges have
+constant concurrence sqrt(8/9), get all four roof terms that way.
 
 An audit compares the squared entanglement of one focus party with the
 rest of a pure multipartite state against the sum of its squared pair
@@ -43,7 +50,7 @@ from .measures import (
     negativity_mixed,
     pure_concurrences,
     pure_negativities,
-    range_concurrence_floor,
+    range_concurrence_bracket,
     wootters_concurrence_2q,
 )
 from .qlinalg import (
@@ -60,6 +67,15 @@ from .qlinalg import (
 from .states import PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
 
 TOL_SAT = 1e-7
+# A roof row whose minor-table bracket is this narrow, relative to
+# max(1, floor), is closed and reported exact at its ceiling.  Floor and
+# ceiling are twice the extreme singular values of one SVD of a table whose
+# entries are products of unit-norm coefficients, so on a range of
+# constant concurrence (sigma_min = sigma_max in exact arithmetic) their
+# computed gap is a few ulps, about 3e-16 on the Kim-Sanders pairs.  The
+# constant leaves that a margin of over 10^3 and is 10^5 below TOL_SAT,
+# the resolution of every verdict.
+_TABLE_CLOSED = 1e-12
 
 VERDICT_HOLDS = "holds"
 VERDICT_SATURATED = "saturated"
@@ -93,7 +109,7 @@ class PairTerm:
     lower: float      # [lower, upper] holds the true value
     upper: float
     kind: str         # exact | upper | lower: how value relates to the true value
-    method: str       # closed_form | trace_norm | optimizer
+    method: str       # closed_form | trace_norm | minor_table | optimizer
 
 
 @dataclass(frozen=True)
@@ -208,18 +224,29 @@ def _is_dual(measure: str) -> bool:
     return PAIR_MEASURES[AUDIT_MEASURES[measure]][1] == "max"
 
 
-def range_floor(rho: DensityOperator, cut) -> float:
-    """A lower bound of the concurrence across the cut of every unit vector in the range of rho.
+def range_bracket(rho: DensityOperator, cut) -> tuple[float, float]:
+    """Bounds of the concurrence across the cut of every unit vector in the range of rho.
 
     Every pure state appearing in any decomposition of rho lies in its
     range (spanned by ``rho.range_basis``), so this floors the
-    concurrence roof, up to floating point, at any rank:
-    ``range_concurrence_floor`` of the basis vectors' cut matrices, from a
-    single ``cut_matrices`` call.  It is exact at rank 1, and 0 wherever
-    the range is too wide for the minor table to bound.
+    concurrence roof and ceils its assistance dual, up to floating point,
+    at any rank: ``range_concurrence_bracket`` of the basis vectors' cut
+    matrices, from a single ``cut_matrices`` call and one SVD of their
+    minor table.  Both bounds are exact at rank 1; the floor is 0 wherever
+    the range is too wide for the table to bound it from below, but the
+    table is built even then, since its ceiling still holds.
     """
     cut = as_bipartition(cut, rho.profile.n)
-    return range_concurrence_floor(cut_matrices(rho.range_basis.T, rho.profile, cut))
+    return range_concurrence_bracket(cut_matrices(rho.range_basis.T, rho.profile, cut))
+
+
+def range_floor(rho: DensityOperator, cut) -> float:
+    """A lower bound of the concurrence across the cut of every unit vector in the range of rho.
+
+    The floor of ``range_bracket``: twice the smallest singular value of
+    the range's minor table, or 0 where the table is wide.
+    """
+    return range_bracket(rho, cut)[0]
 
 
 def pair_terms(rows, *, stop=None) -> list[PairTerm]:
@@ -234,24 +261,32 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     and ``negativity`` the partial-transpose negativity; on pure input
     every measure is its kernel's value on the state's cut matrix.
 
-    ==========================  ===========  =====  ============================
+    ==========================  ===========  =====  ==========================
     input                       method       kind   [lower, upper]
-    ==========================  ===========  =====  ============================
+    ==========================  ===========  =====  ==========================
     pure                        closed_form  exact  [value, value]
     mixed, negativity           trace_norm   exact  [value, value]
     (2, 2) cren or concurrence  closed_form  exact  [value, value]
-    other mixed, cren           optimizer    upper  [PT negativity, value]
-    other mixed, concurrence    optimizer    upper  [range floor, value], and PT
-                                                    negativity if a side is 2-d
-    mixed, crenoa or coa        optimizer    lower  [value, inf]
-    ==========================  ===========  =====  ============================
+    mixed roof, bracket closed  minor_table  exact  [ceiling, ceiling]
+    other mixed, cren           optimizer    upper  [floor, value]
+    other mixed, concurrence    optimizer    upper  [floor, value]
+    other mixed, crenoa or coa  optimizer    lower  [value, ceiling]
+    ==========================  ===========  =====  ==========================
 
+    A mixed roof row's [floor, ceiling] is the one the minor table of its
+    range proves (``range_bracket``): the concurrence floor and ceiling,
+    raised to the partial-transpose negativity for ``cren``, and for every
+    row where a side is two-dimensional, where N = C on every member.
+    Elsewhere ``cren``'s ceiling is its search's value and ``crenoa``'s is
+    +inf.  The bracket closes when ceiling - floor is at most
+    ``_TABLE_CLOSED * max(1, floor)``; a search is posed only for the rows
+    whose brackets stay open, and a searched row keeps its search's value.
     The two-qubit closed form is Wootters' spin-flip concurrence (PRL 80,
     2245 (1998)), the exact minimum of both roofs there.  Every bracket
-    holds the true value up to floating point; the range floor is
-    ``range_floor``'s, which is 0 where the range is too wide for its
-    minor table, and a floor of a rank-1 marginal is exact, so it can
-    round above the value by a few ulps.
+    holds the true value up to floating point; the floor is 0 where the
+    range is too wide for its minor table, and the bracket of a flat or
+    rank-1 range is exact, so its floor can round above a search's value
+    by a few ulps.
     Each optimizer row is solved under its own row's cfg (other rows
     ignore theirs, and None means ``OptConfig()``); its result is what
     ``optimize`` returns for that row alone.  A state keeps every search
@@ -263,8 +298,8 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     call.  Optimizer concurrence terms are the average concurrence of the
     decomposition the negativity search found.  A pure row's closed form
     (per kernel), Wootters' concurrence, the partial-transpose negativity
-    and the range floor are likewise kept on the state, per cut, and
-    computed once however many rows and calls read them.
+    and the minor table's bracket are likewise kept on the state, per cut,
+    and computed once however many rows and calls read them.
 
     ``stop``, if given, is ``optimize_many``'s stop rule over the rows: it
     takes an array of every row's value so far (a closed form's value, and
@@ -281,6 +316,24 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
 
     def pt_negativity(state, cut):
         return _memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
+
+    def table_bracket(state, cut, kernel):
+        # The [floor, ceiling] of a mixed roof row of ``kernel`` (either
+        # direction) that the minor table of the state's range proves.
+        floor, ceiling, two_dim = _memoized(state, ("range_bracket", cut), lambda: (
+            *range_bracket(state, cut),
+            min(state.profile.restrict(cut.side_a).size, state.profile.restrict(cut.side_b).size) == 2,
+        ))
+        if two_dim:
+            # Two-dimensional side: every member has Schmidt rank <= 2, so
+            # N = C on each, and both roofs and both duals share the
+            # concurrence bracket, floored by the partial-transpose negativity too.
+            return max(pt_negativity(state, cut), floor), ceiling
+        if kernel is pure_negativities:
+            # N >= C on every member: the concurrence floor floors the
+            # negativity roof, but its ceiling bounds no negativity.
+            return max(pt_negativity(state, cut), floor), np.inf
+        return floor, ceiling
 
     terms: list = [None] * len(rows)
     # ``solve`` keys, in row order, the (state, key) searches no memo holds
@@ -299,11 +352,15 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
         elif direction == "min" and state.profile.dims == (2, 2):
             value = _memoized(state, ("wootters",), lambda: wootters_concurrence_2q(state))
         else:
-            key = ("search", cut, direction, cfg or OptConfig())
-            if key not in state._memo:
-                solve[state, key] = None
-            searches.append((k, state, cut, kernel, key))
-            continue
+            lower, upper = table_bracket(state, cut, kernel)
+            if upper - lower <= _TABLE_CLOSED * max(1.0, lower):
+                value, method = upper, "minor_table"
+            else:
+                key = ("search", cut, direction, cfg or OptConfig())
+                if key not in state._memo:
+                    solve[state, key] = None
+                searches.append((k, state, cut, kernel, key, lower, upper))
+                continue
         terms[k] = PairTerm(value, value, value, "exact", method)
     problems = [(s, *key[1:]) for s, key in solve]
     if stop is None:
@@ -314,7 +371,7 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
         values = np.array([np.nan if t is None else t.value for t in terms])
         order = {problem: j for j, problem in enumerate(solve)}
         posing, owner = [], []
-        for k, state, _, _, key in searches:
+        for k, state, _, _, key, _, _ in searches:
             if (state, key) in order:
                 posing.append(k)
                 owner.append(order[state, key])
@@ -333,28 +390,18 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     for (state, key), res in solved.items():
         if not res.stopped:
             state._memo[key] = res
-    for k, state, cut, kernel, key in searches:
+    for k, state, cut, kernel, key, lower, upper in searches:
         res = solved.get((state, key)) or state._memo[key]
         # res.value is the search's own negativity average; only a
         # concurrence row scores the decomposition again.
         value = res.value
         if kernel is not pure_negativities:
             value = float(kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
+        # A decomposition's average bounds a minimum from above and a maximum from below.
         if res.direction == "max":
-            terms[k] = PairTerm(value, value, np.inf, "lower", "optimizer")
-            continue
-        # Minimization: the decomposition average is an upper bound of the roof.
-        if kernel is pure_negativities:
-            lower = pt_negativity(state, cut)
+            terms[k] = PairTerm(value, value, upper, "lower", "optimizer")
         else:
-            lower = _memoized(state, ("range_floor", cut), lambda: range_floor(state, cut))
-            profile = state.profile
-            if min(profile.restrict(cut.side_a).size, profile.restrict(cut.side_b).size) == 2:
-                # Two-dimensional side: every member has Schmidt rank <= 2, so
-                # the concurrence roof equals the negativity roof and the
-                # partial-transpose negativity floors it.
-                lower = max(pt_negativity(state, cut), lower)
-        terms[k] = PairTerm(value, lower, value, "upper", "optimizer")
+            terms[k] = PairTerm(value, lower, value, "upper", "optimizer")
     return terms
 
 
@@ -409,8 +456,9 @@ def audit(
     focus party.  Monogamy (``cren``, ``ckw``, ``negativity``) holds when
     the left side is at least the sum, the duals (``crenoa``, ``coa``)
     when it is at most the sum of pair maxima.  The verdict reads the
-    terms' brackets (``_verdict``): a maximum has no upper bound, so a
-    dual violation is never certified.  Without ``opt_cfg`` each optimizer
+    terms' brackets (``_verdict``), so a dual violation is certified only
+    where the minor tables of the pair ranges bound every maximum from
+    above, as on the Kim-Sanders state.  Without ``opt_cfg`` each optimizer
     term searches a rank-sized decomposition from three starts seeded by
     ``seed``.  This is the one-item call of ``audits``.
     """

@@ -9,7 +9,7 @@ order, so the Schmidt coefficients of a pure state across a cut are the
 
 A ``DensityOperator`` is held as its range factor: the spectral roots
 sqrt(e_i) v_i of its nonzero eigenvalues, which every pure-state
-decomposition, range floor and partial trace starts from.  It is the
+decomposition, range bracket and partial trace starts from.  It is the
 only place the package decomposes a density, and it does so once, at
 construction: a matrix by ``eigh``, a factor X (rho = X X^H) by a thin
 SVD of X.  The partial trace of a pure state or a density reshapes those

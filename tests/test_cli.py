@@ -228,15 +228,26 @@ class TestMeasureCommand:
         assert code == 0
         assert "0.666666666667  closed_form  exact" in out
 
-    def test_qutrit_pair_concurrence_is_optimizer_upper_bound(self, capsys):
+    def test_qutrit_pair_cren_is_optimizer_upper_bound(self, capsys):
         code, out, _ = run_cli(
-            "measure", "--family", "ou", "--trace-out", "3", "--measure", "concurrence",
+            "measure", "--family", "ou", "--trace-out", "3", "--measure", "cren",
             capsys=capsys,
         )
         assert code == 0
         _, _, value, method, kind = out.split("\n")[1].split()
         assert (method, kind) == ("optimizer", "upper")
         assert abs(float(value) - 1.0) <= 1e-6
+
+    def test_flat_qutrit_pair_concurrence_is_exact_from_the_minor_table(self, capsys):
+        # Every unit vector of the Ou pair's range has concurrence 1, so the
+        # minor table's floor and ceiling meet and no search runs.
+        code, out, _ = run_cli(
+            "measure", "--family", "ou", "--trace-out", "3", "--measure", "concurrence,coa",
+            capsys=capsys,
+        )
+        assert code == 0
+        for line in out.split("\n")[1:3]:
+            assert line.split()[2:] == ["1", "minor_table", "exact"]
 
     def test_pure_coa_is_closed_form(self, capsys):
         code, out, _ = run_cli("measure", "--family", "ou", "--measure", "coa", capsys=capsys)

@@ -38,8 +38,8 @@ from crenaudit import (
 )
 from crenaudit import convexroof, measures, monogamy, qlinalg
 from crenaudit.cli import main
-from crenaudit.measures import pure_concurrences
-from crenaudit.monogamy import TOL_SAT, analytic_w_values, range_floor
+from crenaudit.measures import pure_concurrences, pure_negativities
+from crenaudit.monogamy import TOL_SAT, analytic_w_values, range_bracket, range_floor
 from crenaudit.qlinalg import cut_matrices
 
 from conftest import rand_dm, rand_pure
@@ -152,18 +152,26 @@ class TestQubitCorpora:
 
 def _term_inputs():
     # Cut 1 of each: 1|23 of the pure OU state and of a W mixture on three
-    # qubits, 1|2 of a W pair (roof 2/3) and of a Kim-Sanders (3, 2) pair.
+    # qubits, 1|2 of a W pair (roof 2/3), of a Kim-Sanders (3, 2) pair, whose
+    # range has constant concurrence sqrt(8/9), and of a seeded rank-2 (3, 2)
+    # marginal, whose range does not.
     w3_pair = partial_trace(to_density(build_w_state(WClassSpec.symmetric(3, 2))), (1, 2))
     w4_triple = partial_trace(to_density(build_w_state(WClassSpec.symmetric(4, 2))), (1, 2, 3))
     return {
         "pure": ou_state(),
         "qubit_pair": w3_pair,
         "qutrit_qubit_pair": partial_trace(to_density(kim_sanders_state()), (1, 2)),
+        "qutrit_qubit_mix": rand_dm((3, 2), 2, np.random.default_rng(4)),
         "qubit_triple": w4_triple,
     }
 
 
-# (input, measure, method, kind, true value); None means the trace-norm value.
+# A search far larger than the table rows' own, for the roofs of inputs
+# with no closed form.
+_REFERENCE = OptConfig(size=12, starts=24, max_sweeps=300, seed=7)
+
+# (input, measure, method, kind, true value); None means the trace-norm
+# value, and "min" or "max" the _REFERENCE search's.
 _TABLE_ROWS = [
     ("pure", "concurrence", "closed_form", "exact", np.sqrt(4 / 3)),
     ("pure", "negativity", "closed_form", "exact", 2.0),
@@ -174,12 +182,16 @@ _TABLE_ROWS = [
     ("qutrit_qubit_pair", "negativity", "trace_norm", "exact", None),
     ("qubit_pair", "cren", "closed_form", "exact", 2 / 3),
     ("qubit_pair", "concurrence", "closed_form", "exact", 2 / 3),
-    ("qutrit_qubit_pair", "cren", "optimizer", "upper", np.sqrt(8 / 9)),
-    ("qutrit_qubit_pair", "concurrence", "optimizer", "upper", np.sqrt(8 / 9)),
+    ("qutrit_qubit_pair", "cren", "minor_table", "exact", np.sqrt(8 / 9)),
+    ("qutrit_qubit_pair", "concurrence", "minor_table", "exact", np.sqrt(8 / 9)),
+    ("qutrit_qubit_pair", "crenoa", "minor_table", "exact", np.sqrt(8 / 9)),
+    ("qutrit_qubit_pair", "coa", "minor_table", "exact", np.sqrt(8 / 9)),
+    ("qutrit_qubit_mix", "cren", "optimizer", "upper", "min"),
+    ("qutrit_qubit_mix", "concurrence", "optimizer", "upper", "min"),
     ("qubit_triple", "cren", "optimizer", "upper", np.sqrt(2) / 2),
     ("qubit_triple", "concurrence", "optimizer", "upper", np.sqrt(2) / 2),
     ("qubit_pair", "crenoa", "optimizer", "lower", 2 / 3),
-    ("qutrit_qubit_pair", "coa", "optimizer", "lower", np.sqrt(8 / 9)),
+    ("qutrit_qubit_mix", "coa", "optimizer", "lower", "max"),
     ("qubit_triple", "crenoa", "optimizer", "lower", np.sqrt(2) / 2),
 ]
 
@@ -188,10 +200,12 @@ def _assert_bracket_holds(term):
     if term.kind == "exact":
         assert term.lower == term.value == term.upper
         return
-    # Only a maximum has no upper bound.
-    assert (term.upper == np.inf) == (term.kind == "lower")
-    # A rank-1 floor is exact, so it may round a few ulps above the value;
-    # clamping it would hide an unsound floor as well.
+    # A minimum is its bracket's top, a maximum its bottom; a maximum's
+    # ceiling is the minor table's where it proves one, else +inf.
+    assert term.upper == term.value if term.kind == "upper" else term.lower == term.value
+    # A floor that meets the roof (a flat range's, as on the Ou pairs) may
+    # round a few ulps above the value; clamping it would hide an unsound
+    # floor as well.
     assert term.lower <= term.value + 1e-12
     assert term.value <= term.upper
 
@@ -204,15 +218,19 @@ class TestPairTerm:
         assert (term.method, term.kind) == (method, kind)
         if true is None:
             true = negativity_mixed(state, 1)
-        # Every test input has a flat decomposition landscape, so even the
-        # optimizer's one-sided values meet the true value.
+        elif isinstance(true, str):
+            true = convexroof.optimize(state, 1, true, _REFERENCE).value
+        # Every test input has a flat decomposition landscape, or is a
+        # (3, 2) pair, where the rows' own search meets the reference's, so
+        # even the optimizer's one-sided values meet the true value.
         assert term.value == pytest.approx(true, abs=1e-6)
-        if measure == "cren" and kind == "upper":
-            assert term.lower == negativity_mixed(state, 1)
-        elif kind == "upper":
-            # Concurrence with a two-dimensional side: the larger of the
-            # range floor and the partial-transpose negativity.
-            assert negativity_mixed(state, 1) <= term.lower <= term.value
+        # Every mixed roof row here has a two-dimensional side, so its
+        # bracket is the minor table's, floored by the partial-transpose
+        # negativity.
+        if kind == "upper":
+            assert term.lower == max(negativity_mixed(state, 1), range_floor(state, 1))
+        elif kind == "lower":
+            assert (term.lower, term.upper) == (term.value, range_bracket(state, 1)[1])
         else:
             assert term.lower == term.value
         _assert_bracket_holds(term)
@@ -264,7 +282,7 @@ class TestPairTerm:
         # decomposition that optimize finds for the negativity roof.
         inputs = _term_inputs()
         cfg = OptConfig(starts=3, seed=5)
-        rows = [("qutrit_qubit_pair", "concurrence", "min"), ("qutrit_qubit_pair", "coa", "max"),
+        rows = [("qutrit_qubit_mix", "concurrence", "min"), ("qutrit_qubit_mix", "coa", "max"),
                 ("qubit_triple", "concurrence", "min"), ("qubit_pair", "coa", "max")]
         for name, measure, direction in rows:
             rho = inputs[name]
@@ -387,7 +405,7 @@ class TestSharedSearches:
         assert [len(call) for call in problems] == [2, 2, 2, 2, 0, 0, 0]
 
     def test_default_cfg_shares_the_search_of_an_explicit_default(self, problems):
-        rho = _term_inputs()["qutrit_qubit_pair"]
+        rho = _term_inputs()["qutrit_qubit_mix"]
         pair_term(rho, 1, "cren")
         pair_term(rho, 1, "concurrence", OptConfig())
         assert [len(call) for call in problems] == [1, 0]
@@ -416,8 +434,8 @@ class TestSharedSearches:
 
             monkeypatch.setattr(monogamy, name, counted)
         # The two-qubit rows read one Wootters value and one partial-transpose
-        # negativity; the qutrit-qubit rows one negativity, as the cren lower
-        # bound, the two-dimensional-side concurrence floor and the term.
+        # negativity; the qutrit-qubit rows one negativity, as the floor of
+        # their minor-table bracket and as the term.
         inputs = _term_inputs()
         pair_terms([(inputs[name], 1, m, OptConfig(starts=2))
                     for name in ("qubit_pair", "qutrit_qubit_pair")
@@ -503,6 +521,137 @@ class TestRangeFloor:
             calls.clear()
             range_floor(rand_dm((3, 3), rank, rng), 1)
             assert len(calls) == 1
+
+
+# Shapes the bracket rule tells apart: a two-dimensional side first or
+# second, and none.
+_BRACKET_SHAPES = [(3, 2), (2, 3), (2, 4), (3, 3), (4, 3)]
+
+
+def _bracket_marginal(dims, rank):
+    return rand_dm(dims, rank, np.random.default_rng([rank, *dims]))
+
+
+def _range_samples(rho, count, seed):
+    """Cut 1 of the basis vectors and of ``count`` Haar-random unit vectors of rho's range."""
+    rank = rho.rank()
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((count, rank)) + 1j * rng.standard_normal((count, rank))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    return cut_matrices(np.vstack([np.eye(rank), coeffs]) @ rho.range_basis.T, rho.profile, 1)
+
+
+def _assert_flat_range_bracket_is_tight():
+    # Every unit vector of a Kim-Sanders (3, 2) pair's range has
+    # concurrence sqrt(8/9), so the table's floor and ceiling both meet it.
+    rho = partial_trace(to_density(kim_sanders_state()), (1, 2))
+    sampled = pure_concurrences(_range_samples(rho, 10_000, 0))
+    floor, ceiling = range_bracket(rho, 1)
+    assert sampled.min() - 1e-12 <= floor and ceiling <= sampled.max() + 1e-12
+    assert floor == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
+    assert ceiling == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
+
+
+def _assert_kim_sanders_pairs_exact(focus):
+    """The Kim-Sanders audits of ``focus`` under all five measures, by measure,
+    after asserting that every roof term of a (3, 2) pair is exact at sqrt(8/9)."""
+    reports = audits([(kim_sanders_state(), "ks", 0)], focus, list(monogamy.AUDIT_MEASURES))
+    for report in reports:
+        if report.measure == "negativity":
+            continue
+        # Party 1 is the qutrit: its pairs are the (3, 2) marginals.
+        for partner, kind, term_sq in zip(report.partners, report.rhs_bound_kinds, report.rhs_terms_sq):
+            if 1 in (focus, partner):
+                assert kind == "exact"
+                assert np.sqrt(term_sq) == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
+    return {r.measure: r for r in reports}
+
+
+class TestRangeBracket:
+    """The minor table's [floor, ceiling] holds the concurrence of every
+    range vector, and its negativity too where a side is two-dimensional,
+    and every default search lies inside its row's bracket."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dims", _BRACKET_SHAPES)
+    def test_sampled_range_vectors_lie_in_the_bracket(self, dims, rank):
+        rho = _bracket_marginal(dims, rank)
+        floor, ceiling = range_bracket(rho, 1)
+        mats = _range_samples(rho, 10_000, rank)
+        sampled = [pure_concurrences(mats)]
+        if 2 in dims:
+            # Schmidt rank <= 2 on every vector: N = C.
+            sampled.append(pure_negativities(mats))
+        for values in sampled:
+            assert floor - 1e-12 <= values.min()
+            assert values.max() <= ceiling + 1e-12
+
+    @pytest.mark.parametrize("dims", _BRACKET_SHAPES)
+    def test_default_searches_lie_in_their_rows_brackets(self, dims):
+        roof_measures = ("cren", "concurrence", "crenoa", "coa")
+        for rank in (1, 2, 3, 4):
+            rho = _bracket_marginal(dims, rank)
+            terms = pair_terms([(rho, 1, m, None) for m in roof_measures])
+            for measure, term in zip(roof_measures, terms):
+                # A searched row's value is its default search's.
+                _assert_bracket_holds(term)
+                if term.kind == "exact":
+                    # A closed row posed no search: run the one it skipped.
+                    kernel, direction = monogamy.PAIR_MEASURES[measure]
+                    members = convexroof.optimize(rho, 1, direction, OptConfig()).decomposition.members
+                    value = float(kernel(cut_matrices(members, rho.profile, 1)).sum())
+                    assert term.lower - 1e-12 <= value <= term.upper + 1e-12
+
+    def test_flat_range_bracket_is_tight(self):
+        _assert_flat_range_bracket_is_tight()
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_a_perturbed_table_fails_on_the_flat_range(self, monkeypatch, column):
+        def perturbed(basis_mats, _original=measures.minor_table):
+            table = _original(basis_mats)
+            table[:, column] *= 1 + 1e-6
+            return table
+
+        monkeypatch.setattr(measures, "minor_table", perturbed)
+        with pytest.raises(AssertionError):
+            _assert_flat_range_bracket_is_tight()
+        with pytest.raises(AssertionError):
+            _assert_kim_sanders_pairs_exact(focus=1)
+
+
+class TestCounterexampleBrackets:
+    """The paper's qudit counterexamples under all five audits.  The
+    Kim-Sanders (3, 2) pairs close their minor-table brackets at sqrt(8/9),
+    so their four roof terms are exact and pose no search; the Ou pairs'
+    ranges have constant concurrence 1, which closes their ckw and coa terms."""
+
+    @pytest.mark.parametrize("focus", [1, 2, 3])
+    def test_kim_sanders_pair_terms_are_exact(self, focus, searches):
+        reports = _assert_kim_sanders_pairs_exact(focus)
+        posed = [rho.profile.dims for problems, _ in searches for rho, *_ in problems]
+        # Only a two-qubit pair's maximum, at foci 2 and 3, still searches.
+        assert posed == ([] if focus == 1 else [(2, 2)])
+        verdicts = {m: r.verdict for m, r in reports.items()}
+        if focus == 1:
+            assert verdicts == {"cren": "holds", "ckw": "certified_violation", "negativity": "holds",
+                                "crenoa": "certified_violation", "coa": "holds"}
+        else:
+            assert set(verdicts.values()) == {"holds"}
+
+    def test_ou_closes_ckw_and_coa_but_searches_cren_and_crenoa(self, searches):
+        reports = {r.measure: r for r in audits([(ou_state(), "ou", 0)], 1, list(monogamy.AUDIT_MEASURES))}
+        for measure in ("ckw", "coa"):
+            assert reports[measure].rhs_bound_kinds == ("exact", "exact")
+            assert reports[measure].rhs_terms_sq == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert reports["cren"].rhs_bound_kinds == ("upper", "upper")
+        assert reports["crenoa"].rhs_bound_kinds == ("lower", "lower")
+        # The concurrence floor 1 floors cren too: its bracket is [1, value].
+        assert reports["cren"].rhs_lower_sq == pytest.approx([1.0, 1.0], abs=1e-12)
+        [(problems, _)] = searches
+        assert sorted(direction for _, _, direction, _ in problems) == ["max", "max", "min", "min"]
+        verdicts = {m: r.verdict for m, r in reports.items()}
+        assert verdicts == {"cren": "holds", "ckw": "certified_violation", "negativity": "holds",
+                            "crenoa": "candidate_violation", "coa": "holds"}
 
 
 class TestEigendecompositionCount:
