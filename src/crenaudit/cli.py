@@ -336,7 +336,8 @@ def _run_hunt(args) -> int:
     fmt_name = "csv" if args.output and args.format == "table" else args.format
     _write_reports(findings, fmt_name, args.output)
     sys.stderr.write(
-        f"hunt: trials={args.trials} candidates={candidates} certified={certified}\n"
+        f"hunt: trials={args.trials} candidates={candidates} certified={certified}"
+        f" screened={findings.screened} stopped={findings.stopped} searched={findings.searched}\n"
     )
     return 0
 

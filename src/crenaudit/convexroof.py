@@ -37,11 +37,11 @@ Python and LAPACK call overhead once per step rather than once per
 problem.  A lone problem is a stack of one, in the same layout.  Every
 start steps as it would alone, so batched results are bit for bit those
 of ``optimize``, its one-problem call.  A caller may pass a stop rule
-that ends searches whose outcome it no longer needs (``monogamy.hunt``
-alone does, once a trial's verdict is proven); a stopped result is
-marked ``stopped``, and every search the rule leaves running still gets
-its results bit for bit.  Each Haar sample set (a search's starts, a
-flatness scan) is one ``haar_unitaries`` draw.
+that ends minimum searches whose outcome it no longer needs
+(``monogamy.hunt`` alone does, once a trial's verdict is proven); a
+stopped search returns no result, and every search the rule leaves
+running still gets its results bit for bit.  Each Haar sample set (a
+search's starts, a flatness scan) is one ``haar_unitaries`` draw.
 
 Reported minima are upper bounds of the true minimum and reported maxima
 are lower bounds of the true maximum; ``monogamy.pair_terms`` labels them
@@ -203,8 +203,7 @@ class OptConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
-    """Best point the decomposition search reached: its endpoint unless
-    ``stopped``.  Equality is identity."""
+    """Best point a decomposition search reached at its end.  Equality is identity."""
 
     value: float
     decomposition: Decomposition
@@ -213,7 +212,6 @@ class OptResult:
     converged: bool
     best_start: int
     start_values: tuple[float, ...]  # final objective of every start, in start order
-    stopped: bool = False            # ended early by ``optimize_many``'s stop rule
 
 
 def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
@@ -521,7 +519,7 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float, halt=None)
     return best_v, _traces(first, log), converged
 
 
-def _result(rho, cut, direction, v, traces, converged, stopped) -> OptResult:
+def _result(rho, cut, direction, v, traces, converged) -> OptResult:
     """One problem's result from its starts' isometries, traces and flags.
 
     The best start is the first whose final value is within 1e-15 of the
@@ -544,11 +542,10 @@ def _result(rho, cut, direction, v, traces, converged, stopped) -> OptResult:
         converged=bool(converged[best]),
         best_start=best,
         start_values=tuple(final.tolist()),
-        stopped=bool(stopped),
     )
 
 
-def optimize_many(problems, *, stop=None) -> list[OptResult]:
+def optimize_many(problems, *, stop=None) -> list[OptResult | None]:
     """Solve roof problems in as few batched searches as their shapes allow.
 
     ``problems`` is a sequence of ``(rho, cut, direction, cfg)`` tuples,
@@ -559,16 +556,14 @@ def optimize_many(problems, *, stop=None) -> list[OptResult]:
     Every start steps as it would alone, so each result is bit for bit the
     one its problem gets alone.  Results come in the order of ``problems``.
 
-    ``stop``, if given, ends searches whose outcome the caller no longer
-    needs.  Before each group runs and before each descent step it is
-    called with every problem's value so far, indexed as ``problems``:
-    the spectral decomposition's (every search's start 0) for a group not
-    yet run, the best any start has reached in a running descent, the
-    final value once solved.  It returns a mask of the problems to stop.
-    A problem stopped before its group runs draws no starts and gets the
-    spectral decomposition; one stopped in a descent keeps its best point.
-    Both are marked ``stopped``: the value still bounds the roof on its
-    direction's side, but is not the search's end.  Problems never
+    ``stop``, if given, ends minimum searches whose outcome the caller no
+    longer needs.  Before each descent step it is called with every
+    problem's value so far, indexed as ``problems``: the spectral
+    decomposition's (every search's start 0) for a group not yet run, the
+    best any start has reached in a running descent, the final value once
+    solved.  It returns a mask of the problems to stop; only the running
+    descent's are, and a maximum never is.  A stopped problem takes no
+    further step and gets None in place of a result.  Problems never
     stopped get their results bit for bit, as without a rule.
     """
     prepared, groups = [], {}
@@ -589,39 +584,28 @@ def optimize_many(problems, *, stop=None) -> list[OptResult]:
             spectral = pure_negativities(np.stack([prepared[i][2] for i in members]))
             values[members] = spectral.sum(axis=-1)
     for (direction, size, _, max_sweeps, tol_rel), members in groups.items():
-        if stop is not None:
-            stopped[members] = stop(values)[members]
-        for i in members:
-            if stopped[i]:
-                rho, cut, mats, _ = prepared[i]
-                spectral = np.eye(size, mats.shape[0], dtype=complex)[None]
-                results[i] = _result(rho, cut, direction, spectral, [values[i:i + 1]], [False], True)
-        members = [i for i in members if not stopped[i]]
-        if not members:
-            continue
         rhos, cuts, mats, cfgs = zip(*(prepared[i] for i in members))
         starts = [_starts(cfg, rho.rank()) for rho, cfg in zip(rhos, cfgs)]
         counts = [v0.shape[0] for v0 in starts]
         evaluate = _objective(np.stack(mats), np.repeat(np.arange(len(members)), counts))
+        ids, offsets = np.array(members), np.cumsum([0, *counts[:-1]])
+
+        def halt(start_best):
+            values[ids] = np.minimum.reduceat(start_best, offsets)
+            stopped[ids] |= stop(values)[ids]
+            return np.repeat(stopped[ids], counts)
+
         args = (evaluate, np.concatenate(starts), max_sweeps * size, tol_rel)
         if direction == "max":
             v, traces, converged = _polar_ascent(*args)
-        elif stop is None:
-            v, traces, converged = _descent(*args)
         else:
-            ids, offsets = np.array(members), np.cumsum([0, *counts[:-1]])
-
-            def halt(start_best):
-                values[ids] = np.minimum.reduceat(start_best, offsets)
-                stopped[ids] |= stop(values)[ids]
-                return np.repeat(stopped[ids], counts)
-
-            v, traces, converged = _descent(*args, halt)
+            v, traces, converged = _descent(*args, halt if stop else None)
         offset = 0
         for i, rho, cut, n in zip(members, rhos, cuts, counts):
             own = slice(offset, offset + n)
-            results[i] = _result(rho, cut, direction, v[own], traces[own], converged[own], stopped[i])
-            values[i] = results[i].value
+            if not stopped[i]:
+                results[i] = _result(rho, cut, direction, v[own], traces[own], converged[own])
+                values[i] = results[i].value
             offset += n
     return results
 

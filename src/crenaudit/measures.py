@@ -128,12 +128,12 @@ def negativity_pure(phi: PureState, cut) -> float:
 
 
 def negativity_mixed(rho: DensityOperator, cut) -> float:
-    """Trace norm of the partial transpose minus one, clamped at zero."""
+    """Trace norm of the partial transpose minus one; within ``NEGATIVITY_CLAMP`` of 0, 0."""
     cut = as_bipartition(cut, rho.profile.n)
     value = trace_norm(partial_transpose(rho, cut.side_b)) - 1.0
     if value < -NEGATIVITY_CLAMP:
         raise NumericalError(f"negativity {value} below the clamp threshold")
-    return max(value, 0.0)
+    return value if value > NEGATIVITY_CLAMP else 0.0
 
 
 _SY_SY = np.array(

@@ -249,7 +249,7 @@ def range_floor(rho: DensityOperator, cut) -> float:
     return range_bracket(rho, cut)[0]
 
 
-def pair_terms(rows, *, stop=None) -> list[PairTerm]:
+def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     """One measure of each state across its cut, by the method the table below picks.
 
     ``rows`` is a sequence of ``(state, cut, measure, cfg)`` tuples, the
@@ -304,11 +304,11 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
     ``stop``, if given, is ``optimize_many``'s stop rule over the rows: it
     takes an array of every row's value so far (a closed form's value, and
     a search row's search value so far, which never rises for a minimum)
-    and returns a mask of the rows whose searches may stop.  A search
-    stops once every row that poses it may.  A stopped search's rows keep
-    their kind and bracket (its minimum still bounds the roof from above,
-    and its maximum the dual from below), but its result is not kept in
-    the state's memo.
+    and returns a mask of the rows whose searches may stop.  A minimum's
+    search stops once every row that poses it may, and a maximum's never
+    does.  The rows of a stopped search get None in place of a term, and
+    nothing is kept in the state's memo for it, so a later call searches
+    again.
     """
     for _, _, measure, _ in rows:
         if measure not in PAIR_MEASURES:
@@ -362,10 +362,8 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
                 searches.append((k, state, cut, kernel, key, lower, upper))
                 continue
         terms[k] = PairTerm(value, value, value, "exact", method)
-    problems = [(s, *key[1:]) for s, key in solve]
-    if stop is None:
-        results = optimize_many(problems)
-    else:
+    problem_stop = None
+    if stop is not None:
         # The rows at their values so far: closed forms and kept searches
         # as they are, each row of a new search at its problem's value.
         values = np.array([np.nan if t is None else t.value for t in terms])
@@ -381,17 +379,18 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm]:
 
         def problem_stop(best):
             values[posing] = best[owner]
-            needed = np.zeros(len(problems), dtype=bool)
+            needed = np.zeros(len(solve), dtype=bool)
             needed[owner[~stop(values)[posing]]] = True
             return ~needed
 
-        results = optimize_many(problems, stop=problem_stop)
-    solved = dict(zip(solve, results))
-    for (state, key), res in solved.items():
-        if not res.stopped:
+    results = optimize_many([(s, *key[1:]) for s, key in solve], stop=problem_stop)
+    for (state, key), res in zip(solve, results):
+        if res is not None:
             state._memo[key] = res
     for k, state, cut, kernel, key, lower, upper in searches:
-        res = solved.get((state, key)) or state._memo[key]
+        res = state._memo.get(key)
+        if res is None:
+            continue  # its search was stopped
         # res.value is the search's own negativity average; only a
         # concurrence row scores the decomposition again.
         value = res.value
@@ -508,15 +507,17 @@ def _audit_rows(rows, focus: int, measures, opt_cfg: OptConfig | None):
 
 
 def _audit_reports(rows, focus: int, measures, marginals, terms) -> list[AuditReport]:
-    """The reports of ``_audit_rows``' audits from the terms of its rows, in its order."""
+    """The reports of ``_audit_rows``' audits from the terms of its rows, in its order;
+    an audit missing a term (its search stopped) gets none."""
     terms = iter(terms)
     reports = []
     for measure in measures:
         for (_, state_id, _), pairs in zip(rows, marginals):
             lhs = next(terms).value
             terms_of_pairs = [next(terms) for _ in pairs]
-            partners = [i for i, _ in pairs]
-            reports.append(_build_report(state_id, focus, measure, lhs * lhs, partners, terms_of_pairs))
+            if None not in terms_of_pairs:
+                partners = [i for i, _ in pairs]
+                reports.append(_build_report(state_id, focus, measure, lhs * lhs, partners, terms_of_pairs))
     return reports
 
 
@@ -620,13 +621,19 @@ def _slice_values(amps: np.ndarray, profile: DimensionProfile, focus: int) -> np
     return np.stack(values, axis=1)
 
 
+class HuntFindings(list):
+    """``hunt``'s findings, and how many trials it screened, stopped and searched (audited to the end)."""
+
+    screened = stopped = searched = 0
+
+
 def hunt(
     profile: DimensionProfile,
     trials: int,
     seed: int = 0,
     *,
     focus: int = 1,
-) -> list[AuditReport]:
+) -> HuntFindings:
     """Sample random pure states and return any monogamy-violation findings.
 
     Only candidate or certified reports are returned; an empty list is the
@@ -644,17 +651,18 @@ def hunt(
     minus the sum of the squared values so far bounds the trial's final
     residual from below.  Once that bound (or the screen's) is
     ``_STOP_MARGIN`` or more above -``TOL_SAT``, no violation is reachable
-    (``_no_finding``).  A trial neither screened nor stopped gets exactly
-    its ``cren_audit`` report.  A screened trial is never a finding, even
-    where its audit's search, which does not start from the slices, would
-    end above their bound and call it a candidate violation: the slice
-    decomposition refutes that candidate.
+    (``_no_finding``).  A stopped trial gets no report, and a trial
+    neither screened nor stopped gets exactly its ``cren_audit`` report.
+    A screened trial is never a finding, even where its audit's search,
+    which does not start from the slices, would end above their bound and
+    call it a candidate violation: the slice decomposition refutes that
+    candidate.  The returned list also counts the trials of each kind.
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
     _require_focus(profile, focus)
     rng = np.random.default_rng(seed)
-    findings = []
+    findings = HuntFindings()
     for start in range(0, trials, _HUNT_BLOCK):
         rows = [
             (random_pure_state(profile, rng), f"hunt-{t:05d}", seed + t)
@@ -662,6 +670,7 @@ def hunt(
         ]
         amps = np.stack([psi.amplitudes for psi, _, _ in rows])
         screened = _no_finding(np.square(_slice_values(amps, profile, focus)))
+        findings.screened += int(screened.sum())
         rows = [row for row, proven in zip(rows, screened) if not proven]
         if not rows:
             continue
@@ -672,5 +681,7 @@ def hunt(
             return np.repeat(_no_finding(np.square(values).reshape(len(rows), profile.n)), profile.n)
 
         reports = _audit_reports(rows, focus, ["cren"], marginals, pair_terms(term_rows, stop=stop))
+        findings.stopped += len(rows) - len(reports)
+        findings.searched += len(reports)
         findings += [r for r in reports if r.verdict in (VERDICT_CANDIDATE, VERDICT_CERTIFIED)]
     return findings

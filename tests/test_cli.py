@@ -284,9 +284,9 @@ class TestMeasureCommand:
 
         problems = []
 
-        def counted(batch, _original=monogamy.optimize_many):
+        def counted(batch, _original=monogamy.optimize_many, **kwargs):
             problems.extend(batch)
-            return _original(batch)
+            return _original(batch, **kwargs)
 
         monkeypatch.setattr(monogamy, "optimize_many", counted)
         # CSV, as a table's column widths depend on every row.
@@ -628,12 +628,14 @@ class TestHuntCommand:
         assert "candidates=0 certified=0" in err
 
     def test_qutrit_block_is_clean_and_repeatable(self, capsys):
-        # A full block of 64 qutrit trials, each stopped once its residual is
-        # proven to hold.
+        # A full block of 64 qutrit trials: those the slices do not screen
+        # are stopped once their residuals are proven to hold.
         argv = ("hunt", "--profile", "3,3,3", "--trials", "64", "--seed", "2")
         first = run_cli(*argv, capsys=capsys)
         assert first[0] == 0
-        assert first[2] == "hunt: trials=64 candidates=0 certified=0\n"
+        assert first[2] == (
+            "hunt: trials=64 candidates=0 certified=0 screened=26 stopped=38 searched=0\n"
+        )
         assert run_cli(*argv, capsys=capsys) == first
 
 

@@ -598,7 +598,7 @@ class TestOptimizeMany:
 def _same_result(a, b):
     return (a.value == b.value and a.objective_trace == b.objective_trace
             and a.converged == b.converged and a.best_start == b.best_start
-            and a.start_values == b.start_values and a.stopped == b.stopped
+            and a.start_values == b.start_values
             and np.array_equal(a.decomposition.members, b.decomposition.members))
 
 
@@ -606,6 +606,8 @@ class TestStopRule:
     @pytest.fixture
     def problems(self):
         # Two directions and three shape groups, one with a lone problem.
+        # Minima 0, 2 and 3 are of shape (3, 2), 4 and 6-8 of (3, 3), 9 of
+        # (2, 4); 1, 5 and 10 are maxima.
         rng = np.random.default_rng(41)
         problems = []
         for dims, rank, count in (((3, 2), 3, 3), ((3, 3), 3, 4), ((2, 4), 2, 1)):
@@ -624,36 +626,33 @@ class TestStopRule:
             return np.zeros(values.shape, dtype=bool)
 
         for got, want in zip(optimize_many(problems, stop=never), optimize_many(problems), strict=True):
-            assert _same_result(got, want)
-            assert not got.stopped
-        assert len(calls) > 3  # before each of the groups, then during the descents
+            assert got is not None and _same_result(got, want)
+        assert len(calls) > 3  # before each descent step
         assert all(values.shape == (len(problems),) for values in calls)
 
-    def test_stopped_problems_leave_the_others_bit_for_bit(self, problems):
-        # A minimum (0) and a maximum (5) stop before their groups run; two
-        # minima (2 and 6) once their descents get below the spectral value.
+    def test_stopped_minima_get_none_and_leave_the_others_bit_for_bit(self, problems):
+        # Minimum 0 stops at its descent's first step, minima 2 and 6 once
+        # they get below their spectral values; the rule asks for maximum 5
+        # too, but a maximum never stops.
+        spectral = np.array([
+            average_negativity(decomposition_from_unitary(rho, np.eye(rho.rank())), cut)
+            for rho, cut, _, _ in problems
+        ])
         calls = []
 
         def rule(values):
             calls.append(values.copy())
             mask = np.zeros(values.shape, dtype=bool)
             mask[[0, 5]] = True
-            mask[[2, 6]] = values[[2, 6]] < calls[0][[2, 6]]
+            mask[[2, 6]] = values[[2, 6]] < spectral[[2, 6]] - 1e-9
             return mask
 
         got, want = optimize_many(problems, stop=rule), optimize_many(problems)
         for i, (a, b) in enumerate(zip(got, want, strict=True)):
-            rho, cut, _, cfg = problems[i]
-            if i in (0, 5):
-                spectral = decomposition_from_unitary(rho, np.eye(rho.rank()))
-                assert a.stopped and a.best_start == 0 and len(a.start_values) == 1
-                assert np.array_equal(a.decomposition.members, spectral.members)
-                assert a.value == average_negativity(spectral, cut)
-            elif i in (2, 6):
-                # Cut short: above the full search's end, below its spectral start.
-                assert a.stopped and len(a.start_values) == cfg.starts
-                assert a.start_values != b.start_values
-                assert b.value - 1e-12 <= a.value < calls[0][i]
+            if i in (0, 2, 6):
+                assert a is None
+                # The full search would have got below the spectral value too.
+                assert b.value < spectral[i] - 1e-9
             else:
                 assert _same_result(a, b)
         # Each value handed to the rule is a minimum's best so far: it never
@@ -661,6 +660,20 @@ class TestStopRule:
         mins = [i for i, p in enumerate(problems) if p[2] == "min"]
         for before, after in zip(calls, calls[1:]):
             assert np.all(after[mins] <= before[mins] + 1e-14)
+        # Groups not yet run show their spectral values, and a stopped
+        # minimum takes no further step, so its value stays where it stopped.
+        assert np.allclose(calls[0][4:], spectral[4:], rtol=0.0, atol=1e-12)
+        for i in (0, 2, 6):
+            stopped_at = next(k for k, values in enumerate(calls) if i == 0 or values[i] < spectral[i] - 1e-9)
+            assert all(values[i] == calls[stopped_at][i] for values in calls[stopped_at:])
+
+    def test_rule_that_always_fires_stops_every_minimum_and_no_maximum(self, problems):
+        got = optimize_many(problems, stop=lambda values: np.ones(values.shape, dtype=bool))
+        for problem, a in zip(problems, got, strict=True):
+            if problem[2] == "min":
+                assert a is None
+            else:
+                assert _same_result(a, optimize(*problem))
 
 
 class TestFlatnessScan:

@@ -244,6 +244,16 @@ class TestPairTerm:
             term = pair_term(hard, 1, measure, OptConfig())
             assert (term.value, term.kind, term.method) == (0.0, "exact", "closed_form")
 
+    def test_separable_qutrit_pair_reads_zero_negativity(self):
+        # The pair marginal of the qutrit GHZ state mixes |ii><ii|, so its
+        # partial transpose's trace norm is 1 up to rounding (1 + 2.2e-16),
+        # which must not floor the cren roof above its search's 0.
+        pair = partial_trace(ghz_state(3, 3), (1, 2))
+        assert negativity_mixed(pair, 1) == 0.0
+        assert pair_term(pair, 1, "negativity").value == 0.0
+        term = pair_term(pair, 1, "cren")
+        assert term.value == 0.0 and term.lower <= term.upper
+
     def test_batch_matches_one_item_calls(self):
         # Every input twice in one call, under distinct seeds, so the
         # optimizer rows of one shape share a search.
@@ -368,9 +378,9 @@ class TestSharedSearches:
     def problems(self, monkeypatch):
         calls = []
 
-        def counted(problems, _original=monogamy.optimize_many):
+        def counted(problems, _original=monogamy.optimize_many, **kwargs):
             calls.append([(id(rho), cut, direction, cfg) for rho, cut, direction, cfg in problems])
-            return _original(problems)
+            return _original(problems, **kwargs)
 
         monkeypatch.setattr(monogamy, "optimize_many", counted)
         return calls
@@ -913,24 +923,21 @@ class TestHuntStop:
         unscreened = [r for r in reports if r.state_id in hunted]
         assert 0 < len(unscreened) < len(reports)
         assert all(r.verdict not in reported for r in reports if r not in unscreened)
-        stopped = 0
-        for t, report in enumerate(unscreened):
-            own = results[2 * t:2 * t + 2]
-            if any(res.stopped for res in own):
-                stopped += 1
-                # Re-scored from the decompositions it stopped at, the trial
-                # still cannot fall below saturation.
-                values = [average_negativity(res.decomposition, 1) for res in own]
-                assert report.lhs_sq - sum(v * v for v in values) >= -TOL_SAT
-                assert report.verdict not in reported
-        assert stopped > 0
         assert len(problems) == 2 * len(unscreened)
+        # Every trial the rule stops is no finding of its rule-free audit.
+        stopped = [r for t, r in enumerate(unscreened) if None in results[2 * t:2 * t + 2]]
+        assert stopped
+        assert all(r.verdict not in reported for r in stopped)
+        assert (findings.screened, findings.stopped, findings.searched) == (
+            len(reports) - len(unscreened), len(stopped), len(unscreened) - len(stopped))
 
     def test_exact_w_states_stop_before_any_step(self, searches, monkeypatch):
         # Saturated to rounding, and every decomposition of their pair
         # marginals gives the roof, so their slices prove saturation.
         states = _w_qutrit_states(12, 0.0, np.random.default_rng(8))
-        assert self._hunt(states, monkeypatch) == []
+        findings = self._hunt(states, monkeypatch)
+        assert findings == []
+        assert (findings.screened, findings.stopped, findings.searched) == (12, 0, 0)
         assert searches == []
         assert {r.verdict for r in self._audited(states)} == {"saturated"}
 
@@ -942,28 +949,42 @@ class TestHuntStop:
         haar = [random_pure_state(DimensionProfile((3, 3, 3)), rng) for _ in range(4)]
         states = _w_qutrit_states(4, 0.0, np.random.default_rng(8)) + haar
 
-        def term_rows():
-            # Three rows per trial: its focus|rest row, then its two pairs.
+        def audit_rows():
+            # Three term rows per trial: its focus|rest row, then its two pairs.
             rows = [(qlinalg.PureState(s.profile, s.amplitudes), f"hunt-{t:05d}", self.SEED + t)
                     for t, s in enumerate(states)]
-            return monogamy._audit_rows(rows, 1, ["cren"], None)[1]
+            return rows, *monogamy._audit_rows(rows, 1, ["cren"], None)
 
-        terms = pair_terms(term_rows(), stop=lambda values: np.arange(len(values)) >= 12)
+        rows, marginals, term_rows = audit_rows()
+        terms = pair_terms(term_rows, stop=lambda values: np.arange(len(values)) >= 12)
         [(_, results)] = searches
-        assert [res.stopped for res in results] == [False] * 8 + [True] * 8
-        assert terms[:12] == pair_terms(term_rows())[:12]
+        assert [res is None for res in results] == [False] * 8 + [True] * 8
+        # The Haar trials' focus|rest rows are closed forms; their pair rows get None.
+        assert [t is None for t in terms[12:]] == [False, True, True] * 4
+        assert terms[:12] == pair_terms(audit_rows()[2])[:12]
+        # Trials with a missing term get no report.
+        reports = monogamy._audit_reports(rows, 1, ["cren"], marginals, terms)
+        assert [r.state_id for r in reports] == [f"hunt-{t:05d}" for t in range(4)]
 
-    def test_stopped_searches_are_not_kept(self, searches):
-        # A stopped search is not the search's end, so a later call on the
-        # same marginal searches again and gets what a fresh object gets.
-        rho = partial_trace(ou_state(), (1, 2))
-        cfg = OptConfig(starts=2)
-        [stopped] = pair_terms([(rho, 1, "cren", cfg)], stop=lambda values: np.ones(1, dtype=bool))
-        assert searches[0][1][0].stopped
-        again = pair_term(rho, 1, "cren", cfg)
-        assert len(searches) == 2 and not searches[1][1][0].stopped
-        assert again == pair_term(partial_trace(ou_state(), (1, 2)), 1, "cren", cfg)
-        assert again.value <= stopped.value + 1e-12
+    def test_stopped_searches_get_none_and_are_not_kept(self, searches):
+        # A stopped search is not the search's end: both rows posing it get
+        # None, the maximum beside it runs to its end, and a later call on
+        # the same marginal searches again and gets what a fresh object gets.
+        def fresh():
+            return rand_dm((3, 3), 3, np.random.default_rng(5))
+
+        rho, cfg = fresh(), OptConfig(starts=2)
+        rows = [(rho, 1, "cren", cfg), (rho, 1, "concurrence", cfg), (rho, 1, "crenoa", cfg)]
+        cren, concurrence, crenoa = pair_terms(rows, stop=lambda values: np.ones(3, dtype=bool))
+        assert cren is None and concurrence is None
+        assert crenoa == pair_term(fresh(), 1, "crenoa", cfg)
+        assert searches[0][1][0] is None and searches[0][1][1] is not None
+        assert not any(key[0] == "search" and key[2] == "min" for key in rho._memo)
+        again = pair_terms(rows[:2])
+        # The third call searches the minimum alone, to its end.
+        assert len(searches) == 3 and len(searches[2][0]) == 1 and searches[2][1][0] is not None
+        assert again == pair_terms([(fresh(), *row[1:]) for row in rows[:2]])
+        assert again[0].method == again[1].method == "optimizer"
 
 
 class TestHuntScreen:
