@@ -7,7 +7,7 @@ V @ roots are the members sqrt(p_k) phi_k that a ``Decomposition`` holds.
 With R_j the roots reshaped across the cut, the average negativity is
 sum_k ||sum_j V_kj R_j||_*^2 - 1.  The roots are ``DensityOperator.roots``,
 which the operator holds from its one decomposition at construction, so
-the searches, ``flatness_scan`` and ``monogamy.range_bracket`` share it, and
+the searches, ``flatness_scan`` and ``measures.range_bracket`` share it, and
 ``rank()`` sizes the chart with the same rank decision.
 
 Both directions run all starts at once on the isometries (the Stiefel

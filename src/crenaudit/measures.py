@@ -4,11 +4,11 @@ Pure-state concurrence and negativity are functions of the Schmidt
 coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so both come
 from one batched singular-value call on stacked cut matrices: a
 decomposition's members or a flatness scan's samples are scored at once.
-Beside them: a concurrence floor and ceiling over the unit vectors of a subspace,
-the trace-norm negativity of mixed states, and the exact two-qubit
-concurrence that ``monogamy.pair_term`` uses for two-qubit roof minima
-(for two-qubit states the convex-roof extended negativity coincides with
-the concurrence, so the closed form serves both).
+Beside them: the concurrence floor and ceiling over a mixed state's range
+(``range_bracket``), the trace-norm negativity of mixed states, and the
+exact two-qubit roof and assistance values (``spin_flip_values``); on two
+qubits the convex-roof extended negativity equals the concurrence, so
+``monogamy.pair_terms`` reads them for every two-qubit roof row.
 """
 
 from __future__ import annotations
@@ -91,19 +91,21 @@ def _pairs(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(list(pick(range(n), 2))).T)
 
 
-def range_concurrence_bracket(basis_mats: np.ndarray) -> tuple[float, float]:
-    """A lower and an upper bound of the concurrence of every unit vector in a range.
+def range_bracket(rho: DensityOperator, cut) -> tuple[float, float]:
+    """A lower and an upper bound of the concurrence across the cut of every unit vector in the range of rho.
 
-    With A the ``minor_table`` of the range, every unit vector's
-    concurrence is 2 ||A y|| for a unit y, and sigma_min(A) <= ||A y|| <=
-    sigma_max(A).  So the floor 2 sigma_min(A) and the ceiling
+    Every member of every decomposition of rho lies in its range.  With A
+    the ``minor_table`` of the range basis' cut matrices, every unit
+    vector's concurrence is 2 ||A y|| for a unit y, and sigma_min(A) <=
+    ||A y|| <= sigma_max(A).  So the floor 2 sigma_min(A) and the ceiling
     2 sigma_max(A), from one SVD, bracket the concurrence over the whole
     range, up to floating point; at rank 1 A is one column and both equal
     it.  When A has fewer rows than columns, that is r (r + 1) / 2 >
     C(d_a, 2) C(d_b, 2) at rank r, some unit y has A y = 0 and the floor
     is 0; the table is built all the same, since its ceiling still holds.
     """
-    table = minor_table(basis_mats)
+    cut = as_bipartition(cut, rho.profile.n)
+    table = minor_table(cut_matrices(rho.range_basis.T, rho.profile, cut))
     s = np.linalg.svd(table, compute_uv=False)
     # A wide A (fewer singular values than columns) maps some unit y to 0.
     floor = 0.0 if len(s) < table.shape[1] else 2.0 * float(s[-1])
@@ -147,19 +149,26 @@ _SY_SY = np.array(
 )
 
 
-def wootters_concurrence_2q(rho: DensityOperator) -> float:
-    """Exact concurrence of a two-qubit mixed state (spin-flip formula).
+def spin_flip_values(rho: DensityOperator) -> tuple[float, float]:
+    """Exact concurrence roof and concurrence of assistance of a two-qubit state.
 
-    With X = ``rho.roots.T`` (rho = X X^H), the square roots of the
-    eigenvalues of rho (sy sy) rho* (sy sy) are the singular values of the
-    symmetric X^T (sy sy) X (rank x rank), so one SVD gives them, with no
-    non-Hermitian eigensolve and no D x D matrix.
-
-    For two-qubit states this is also the exact convex-roof extended
-    negativity, since every two-qubit pure state has Schmidt rank <= 2.
+    With lambda_i the square roots of the eigenvalues of rho (sy sy) rho*
+    (sy sy), in decreasing order, these are max(0, lambda_1 - sum_{i>=2}
+    lambda_i) (Wootters, PRL 80, 2245 (1998)) and sum_i lambda_i (Laustsen,
+    Verstraete & van Enk, QIC 3, 64 (2003)).  With X = ``rho.roots.T``
+    (rho = X X^H) the lambda_i are the singular values of the symmetric
+    X^T (sy sy) X (rank x rank), so one SVD gives both, with no
+    non-Hermitian eigensolve and no D x D matrix.  Every two-qubit pure
+    state has Schmidt rank <= 2, so these are also the convex-roof extended
+    negativity and its assistance dual.
     """
     if rho.profile.dims != (2, 2):
         raise DomainError(f"expected a (2, 2) profile, got {rho.profile.dims}")
     roots = rho.roots
     lam = np.linalg.svd(roots @ _SY_SY @ roots.T, compute_uv=False)
-    return float(max(0.0, lam[0] - np.sum(lam[1:])))
+    return float(max(0.0, lam[0] - np.sum(lam[1:]))), float(np.sum(lam))
+
+
+def wootters_concurrence_2q(rho: DensityOperator) -> float:
+    """Exact concurrence of a two-qubit mixed state: the roof of ``spin_flip_values``."""
+    return spin_flip_values(rho)[0]

@@ -1,21 +1,23 @@
 """Pair terms, monogamy-of-entanglement audits and the analytic W-class oracle.
 
 ``PAIR_MEASURES`` maps each pair measure to its pure-state kernel
-(concurrence or negativity) and roof direction.  ``pair_terms`` reads it
-to pick each computation (closed form, trace norm, Wootters' two-qubit
-formula, the minor table of the range or the decomposition optimizer,
-whose distinct problems it solves in one batched ``optimize_many``
-call), keeps each value in the state's memo, so later calls on the same
-object reuse it, and says how the value relates to the true one:
-``exact``, ``upper`` (an optimizer minimum) or ``lower`` (an optimizer
-maximum); ``pair_term`` is its one-item call.  Each term also carries a
-bracket ``[lower, upper]`` that holds the true value: ``[value, value]``
-for an exact term, ``[floor, value]`` for a minimum and
-``[value, ceiling]`` for a maximum.  Every mixed roof row takes its
-floor and ceiling from one rule, ``range_bracket``: every decomposition
-member lies in the range, and twice the extreme singular values of the
-table of 2x2 minors of the range basis bound the concurrence C of every
-unit vector there, so they are a proof up to floating point.
+(concurrence or negativity) and roof direction.  ``pair_terms`` reads it,
+keeps each value in the state's memo, so later calls on the same object
+reuse it, and says how the value relates to the true one: ``exact``,
+``upper`` (an optimizer minimum) or ``lower`` (an optimizer maximum);
+``pair_term`` is its one-item call.  Each term carries a bracket
+``[lower, upper]`` that holds the true value, and every row reads its
+bracket from one closed form first: the pure kernel, the trace norm, the
+two-qubit spin-flip values (``spin_flip_values``, in both directions) or
+the minor table of the range (``range_bracket``).  A row whose bracket
+closes to rounding is ``exact`` at its ceiling and poses no search; the
+others are solved by the decomposition optimizer, in one batched
+``optimize_many`` call, and bracketed ``[floor, value]`` (a minimum) or
+``[value, ceiling]`` (a maximum).  The minor table bounds every mixed
+roof row: every decomposition member lies in the range, and twice the
+extreme singular values of the table of 2x2 minors of the range basis
+bound the concurrence C of every unit vector there, so they are a proof
+up to floating point.
 
 * Every pure state has N >= C, so the concurrence floor floors both roofs;
   the negativity roof keeps the partial-transpose negativity as a floor too.
@@ -25,9 +27,9 @@ unit vector there, so they are a proof up to floating point.
 * Elsewhere the C ceiling bounds ``concurrence`` and ``coa`` from above,
   and nothing but a search bounds ``cren`` (its value) or ``crenoa`` (+inf).
 
-A row whose bracket closes to rounding is ``exact`` at its ceiling and
-poses no search: the Kim-Sanders qutrit-qubit pairs, whose ranges have
-constant concurrence sqrt(8/9), get all four roof terms that way.
+So a qubit audit poses no search, and the Kim-Sanders qutrit-qubit pairs,
+whose ranges have constant concurrence sqrt(8/9), get all four roof terms
+exact from the table.
 
 An audit compares the squared entanglement of one focus party with the
 rest of a pure multipartite state against the sum of its squared pair
@@ -50,8 +52,8 @@ from .measures import (
     negativity_mixed,
     pure_concurrences,
     pure_negativities,
-    range_concurrence_bracket,
-    wootters_concurrence_2q,
+    range_bracket,
+    spin_flip_values,
 )
 from .qlinalg import (
     Bipartition,
@@ -67,14 +69,15 @@ from .qlinalg import (
 from .states import PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
 
 TOL_SAT = 1e-7
-# A roof row whose minor-table bracket is this narrow, relative to
-# max(1, floor), is closed and reported exact at its ceiling.  Floor and
-# ceiling are twice the extreme singular values of one SVD of a table whose
-# entries are products of unit-norm coefficients, so on a range of
-# constant concurrence (sigma_min = sigma_max in exact arithmetic) their
-# computed gap is a few ulps, about 3e-16 on the Kim-Sanders pairs.  The
-# constant leaves that a margin of over 10^3 and is 10^5 below TOL_SAT,
-# the resolution of every verdict.
+# A pair_terms row whose bracket is this narrow, relative to max(1, floor),
+# is closed and reported exact at its ceiling.  A closed form's bracket is
+# one point.  A minor table's floor and ceiling are twice the extreme
+# singular values of one SVD of a table whose entries are products of
+# unit-norm coefficients, so on a range of constant concurrence
+# (sigma_min = sigma_max in exact arithmetic) their computed gap is a few
+# ulps, about 3e-16 on the Kim-Sanders pairs.  The constant leaves that a
+# margin of over 10^3 and is 10^5 below TOL_SAT, the resolution of every
+# verdict.
 _TABLE_CLOSED = 1e-12
 
 VERDICT_HOLDS = "holds"
@@ -224,27 +227,11 @@ def _is_dual(measure: str) -> bool:
     return PAIR_MEASURES[AUDIT_MEASURES[measure]][1] == "max"
 
 
-def range_bracket(rho: DensityOperator, cut) -> tuple[float, float]:
-    """Bounds of the concurrence across the cut of every unit vector in the range of rho.
-
-    Every pure state appearing in any decomposition of rho lies in its
-    range (spanned by ``rho.range_basis``), so this floors the
-    concurrence roof and ceils its assistance dual, up to floating point,
-    at any rank: ``range_concurrence_bracket`` of the basis vectors' cut
-    matrices, from a single ``cut_matrices`` call and one SVD of their
-    minor table.  Both bounds are exact at rank 1; the floor is 0 wherever
-    the range is too wide for the table to bound it from below, but the
-    table is built even then, since its ceiling still holds.
-    """
-    cut = as_bipartition(cut, rho.profile.n)
-    return range_concurrence_bracket(cut_matrices(rho.range_basis.T, rho.profile, cut))
-
-
 def range_floor(rho: DensityOperator, cut) -> float:
     """A lower bound of the concurrence across the cut of every unit vector in the range of rho.
 
-    The floor of ``range_bracket``: twice the smallest singular value of
-    the range's minor table, or 0 where the table is wide.
+    The floor of ``measures.range_bracket``: twice the smallest singular
+    value of the range's minor table, or 0 where the table is wide.
     """
     return range_bracket(rho, cut)[0]
 
@@ -261,32 +248,33 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     and ``negativity`` the partial-transpose negativity; on pure input
     every measure is its kernel's value on the state's cut matrix.
 
-    ==========================  ===========  =====  ==========================
-    input                       method       kind   [lower, upper]
-    ==========================  ===========  =====  ==========================
-    pure                        closed_form  exact  [value, value]
-    mixed, negativity           trace_norm   exact  [value, value]
-    (2, 2) cren or concurrence  closed_form  exact  [value, value]
-    mixed roof, bracket closed  minor_table  exact  [ceiling, ceiling]
-    other mixed, cren           optimizer    upper  [floor, value]
-    other mixed, concurrence    optimizer    upper  [floor, value]
-    other mixed, crenoa or coa  optimizer    lower  [value, ceiling]
-    ==========================  ===========  =====  ==========================
+    =========================  ===========  =====  ==================
+    input                      method       kind   [lower, upper]
+    =========================  ===========  =====  ==================
+    pure                       closed_form  exact  [value, value]
+    mixed, negativity          trace_norm   exact  [value, value]
+    (2, 2) roof, min or max    closed_form  exact  [value, value]
+    mixed roof, table closed   minor_table  exact  [ceiling, ceiling]
+    other roof minimum         optimizer    upper  [floor, value]
+    other roof maximum         optimizer    lower  [value, ceiling]
+    =========================  ===========  =====  ==================
 
-    A mixed roof row's [floor, ceiling] is the one the minor table of its
-    range proves (``range_bracket``): the concurrence floor and ceiling,
-    raised to the partial-transpose negativity for ``cren``, and for every
-    row where a side is two-dimensional, where N = C on every member.
-    Elsewhere ``cren``'s ceiling is its search's value and ``crenoa``'s is
-    +inf.  The bracket closes when ceiling - floor is at most
-    ``_TABLE_CLOSED * max(1, floor)``; a search is posed only for the rows
-    whose brackets stay open, and a searched row keeps its search's value.
-    The two-qubit closed form is Wootters' spin-flip concurrence (PRL 80,
-    2245 (1998)), the exact minimum of both roofs there.  Every bracket
-    holds the true value up to floating point; the floor is 0 where the
-    range is too wide for its minor table, and the bracket of a flat or
-    rank-1 range is exact, so its floor can round above a search's value
-    by a few ulps.
+    Every row first reads one bracket [floor, ceiling] from its closed
+    forms, and is ``exact`` at its ceiling, posing no search, exactly when
+    it closes: when ceiling - floor is at most ``_TABLE_CLOSED * max(1,
+    floor)``.  The two-qubit roof rows read ``spin_flip_values``: Wootters'
+    concurrence (PRL 80, 2245 (1998)) for the minima, the concurrence of
+    assistance (Laustsen, Verstraete & van Enk, QIC 3, 64 (2003)) for the
+    maxima; N = C on every two-qubit pure state.  Every other roof row reads the bracket the minor table of its range proves
+    (``range_bracket``): the concurrence floor and ceiling, raised to the
+    partial-transpose negativity for ``cren``, and for every row where a
+    side is two-dimensional, where N = C on every member.  Elsewhere
+    ``cren``'s ceiling is its search's value and ``crenoa``'s is +inf.  A
+    search is posed only for the rows whose brackets stay open, and a
+    searched row keeps its search's value.  Every bracket holds the true
+    value up to floating point; the floor is 0 where the range is too wide
+    for its minor table, and the bracket of a flat or rank-1 range is
+    exact, so its floor can round above a search's value by a few ulps.
     Each optimizer row is solved under its own row's cfg (other rows
     ignore theirs, and None means ``OptConfig()``); its result is what
     ``optimize`` returns for that row alone.  A state keeps every search
@@ -297,7 +285,7 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     ones.  The searches no memo holds yet run in one ``optimize_many``
     call.  Optimizer concurrence terms are the average concurrence of the
     decomposition the negativity search found.  A pure row's closed form
-    (per kernel), Wootters' concurrence, the partial-transpose negativity
+    (per kernel), the spin-flip values, the partial-transpose negativity
     and the minor table's bracket are likewise kept on the state, per cut,
     and computed once however many rows and calls read them.
 
@@ -317,9 +305,19 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     def pt_negativity(state, cut):
         return _memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
 
-    def table_bracket(state, cut, kernel):
-        # The [floor, ceiling] of a mixed roof row of ``kernel`` (either
-        # direction) that the minor table of the state's range proves.
+    def bracket(state, cut, kernel, direction):
+        # The row's [floor, ceiling] from its closed forms, and their method.
+        if isinstance(state, PureState):
+            value = _memoized(state, ("pure", kernel, cut), lambda: float(
+                kernel(cut_matrices(state.amplitudes, state.profile, cut))[0]
+            ))
+            return value, value, "closed_form"
+        if direction is None:
+            value = pt_negativity(state, cut)
+            return value, value, "trace_norm"
+        if state.profile.dims == (2, 2):
+            value = _memoized(state, ("spin_flip",), lambda: spin_flip_values(state))[direction == "max"]
+            return value, value, "closed_form"
         floor, ceiling, two_dim = _memoized(state, ("range_bracket", cut), lambda: (
             *range_bracket(state, cut),
             min(state.profile.restrict(cut.side_a).size, state.profile.restrict(cut.side_b).size) == 2,
@@ -328,12 +326,12 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
             # Two-dimensional side: every member has Schmidt rank <= 2, so
             # N = C on each, and both roofs and both duals share the
             # concurrence bracket, floored by the partial-transpose negativity too.
-            return max(pt_negativity(state, cut), floor), ceiling
+            return max(pt_negativity(state, cut), floor), ceiling, "minor_table"
         if kernel is pure_negativities:
             # N >= C on every member: the concurrence floor floors the
             # negativity roof, but its ceiling bounds no negativity.
-            return max(pt_negativity(state, cut), floor), np.inf
-        return floor, ceiling
+            return max(pt_negativity(state, cut), floor), np.inf, "minor_table"
+        return floor, ceiling, "minor_table"
 
     terms: list = [None] * len(rows)
     # ``solve`` keys, in row order, the (state, key) searches no memo holds
@@ -342,26 +340,14 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     for k, (state, cut, measure, cfg) in enumerate(rows):
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
-        method = "closed_form"
-        if isinstance(state, PureState):
-            value = _memoized(state, ("pure", kernel, cut), lambda: float(
-                kernel(cut_matrices(state.amplitudes, state.profile, cut))[0]
-            ))
-        elif direction is None:
-            value, method = pt_negativity(state, cut), "trace_norm"
-        elif direction == "min" and state.profile.dims == (2, 2):
-            value = _memoized(state, ("wootters",), lambda: wootters_concurrence_2q(state))
-        else:
-            lower, upper = table_bracket(state, cut, kernel)
-            if upper - lower <= _TABLE_CLOSED * max(1.0, lower):
-                value, method = upper, "minor_table"
-            else:
-                key = ("search", cut, direction, cfg or OptConfig())
-                if key not in state._memo:
-                    solve[state, key] = None
-                searches.append((k, state, cut, kernel, key, lower, upper))
-                continue
-        terms[k] = PairTerm(value, value, value, "exact", method)
+        lower, upper, method = bracket(state, cut, kernel, direction)
+        if upper - lower <= _TABLE_CLOSED * max(1.0, lower):
+            terms[k] = PairTerm(upper, upper, upper, "exact", method)
+            continue
+        key = ("search", cut, direction, cfg or OptConfig())
+        if key not in state._memo:
+            solve[state, key] = None
+        searches.append((k, state, cut, kernel, key, lower, upper))
     problem_stop = None
     if stop is not None:
         # The rows at their values so far: closed forms and kept searches

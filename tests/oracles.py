@@ -133,3 +133,18 @@ def three_tangle(psi: PureState) -> float:
     d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
           + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+
+
+def spin_flip_lambdas(rho: DensityOperator) -> np.ndarray:
+    """The spin-flip values of a two-qubit density, in decreasing order.
+
+    The square roots of the eigenvalues of the 4 x 4 non-Hermitian
+    R = rho (sy sy) rho* (sy sy), from a general eigensolve.  Wootters'
+    concurrence is max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4), the
+    concurrence of assistance sum_i lambda_i.
+    """
+    sy = np.array([[0, -1j], [1j, 0]])
+    flip = np.kron(sy, sy)
+    m = rho.matrix
+    eig = np.linalg.eigvals(m @ flip @ m.conj() @ flip)
+    return np.sort(np.sqrt(np.clip(eig.real, 0.0, None)))[::-1]

@@ -40,7 +40,8 @@ def _top_level_owners(include_init: bool):
 def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
     # monogamy.pair_terms is the one table that picks how a term is computed;
     # a second caller of either solver would be a second table.
-    # convexroof.optimize is optimize_many's one-problem call, not a table.
+    # convexroof.optimize is optimize_many's one-problem call, not a table,
+    # and measures.wootters_concurrence_2q is spin_flip_values' one-item call.
     # Every read of a solver's name counts, called or not, so a helper
     # handed one as a value cannot hide a second caller.
     callers = set()
@@ -51,12 +52,13 @@ def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
             name = node.attr
         else:
             continue
-        if name in ("optimize", "optimize_many", "wootters_concurrence_2q"):
+        if name in ("optimize", "optimize_many", "spin_flip_values", "wootters_concurrence_2q"):
             callers.add((name, owner))
     assert callers == {
         ("optimize_many", "convexroof.optimize"),
         ("optimize_many", "monogamy.pair_terms"),
-        ("wootters_concurrence_2q", "monogamy.pair_terms"),
+        ("spin_flip_values", "measures.wootters_concurrence_2q"),
+        ("spin_flip_values", "monogamy.pair_terms"),
     }
 
 

@@ -17,16 +17,17 @@ from crenaudit import (
     maximally_entangled,
     negativity_mixed,
     negativity_pure,
+    optimize,
     ou_state,
     partial_trace,
     wootters_concurrence_2q,
 )
 
-from crenaudit.measures import pure_concurrences, pure_negativities
+from crenaudit.measures import pure_concurrences, pure_negativities, spin_flip_values
 from crenaudit.qlinalg import cut_matrix
 
 from conftest import rand_dm, rand_pure
-from oracles import tensor_product, to_density
+from oracles import spin_flip_lambdas, tensor_product, to_density
 
 # Tolerated disagreement between routes to the same pure-state negativity.
 PATH_TOL = 1e-9
@@ -245,3 +246,43 @@ class TestWoottersConcurrence:
                     errors.append(abs(wootters_concurrence_2q(partial_trace(psi, (1, j))) - want))
         assert len(errors) == 700
         assert max(errors) <= 1e-15
+
+
+class TestSpinFlipValues:
+    """The two-qubit roof and assistance values from one SVD, against a
+    general eigensolve of the spin-flipped product and against the optimizer."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_match_the_eigenvalue_oracle(self, rank):
+        rng = np.random.default_rng(rank)
+        for _ in range(16):
+            rho = rand_dm((2, 2), rank, rng)
+            lam = spin_flip_lambdas(rho)
+            roof, assistance = spin_flip_values(rho)
+            assert roof == pytest.approx(max(0.0, lam[0] - lam[1:].sum()), abs=1e-7)
+            assert assistance == pytest.approx(lam.sum(), abs=1e-7)
+            assert roof == wootters_concurrence_2q(rho)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_assistance_meets_the_maximum_search(self, rank):
+        rng = np.random.default_rng(10 + rank)
+        for _ in range(4):
+            rho = rand_dm((2, 2), rank, rng)
+            roof, assistance = spin_flip_values(rho)
+            searched = optimize(rho, 1, "max").value
+            # The search's decomposition bounds the maximum from below.
+            assert assistance >= searched - 1e-12
+            assert assistance - searched <= 1e-8
+            if rank >= 2:
+                # Neither the roof nor the largest lambda alone is the
+                # maximum, so a swapped formula fails here.
+                assert assistance - roof > 1e-3
+                assert assistance - spin_flip_lambdas(rho)[0] > 1e-3
+
+    def test_pure_states_close_both_values_at_the_concurrence(self, rng):
+        for _ in range(10):
+            psi = rand_pure((2, 2), rng)
+            roof, assistance = spin_flip_values(to_density(psi))
+            want = concurrence_pure(psi, 1)
+            assert roof == pytest.approx(want, abs=1e-14)
+            assert assistance == pytest.approx(want, abs=1e-14)

@@ -38,7 +38,7 @@ from crenaudit import (
 )
 from crenaudit import convexroof, measures, monogamy, qlinalg
 from crenaudit.cli import main
-from crenaudit.measures import pure_concurrences, pure_negativities
+from crenaudit.measures import pure_concurrences, pure_negativities, spin_flip_values
 from crenaudit.monogamy import TOL_SAT, analytic_w_values, range_bracket, range_floor
 from crenaudit.qlinalg import cut_matrices
 
@@ -190,7 +190,7 @@ _TABLE_ROWS = [
     ("qutrit_qubit_mix", "concurrence", "optimizer", "upper", "min"),
     ("qubit_triple", "cren", "optimizer", "upper", np.sqrt(2) / 2),
     ("qubit_triple", "concurrence", "optimizer", "upper", np.sqrt(2) / 2),
-    ("qubit_pair", "crenoa", "optimizer", "lower", 2 / 3),
+    ("qubit_pair", "crenoa", "closed_form", "exact", 2 / 3),
     ("qutrit_qubit_mix", "coa", "optimizer", "lower", "max"),
     ("qubit_triple", "crenoa", "optimizer", "lower", np.sqrt(2) / 2),
 ]
@@ -435,22 +435,37 @@ class TestSharedSearches:
         audits([(ou_state(), "ou", 0)], 1, ["negativity"])
         assert not any(problems)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2)])
+    def test_qubit_audits_search_nothing(self, problems, dims):
+        # Every pair marginal is a (2, 2) state, whose four roof terms are
+        # closed forms in both directions.
+        psi = random_pure_state(DimensionProfile(dims), np.random.default_rng(3))
+        reports = audits([(psi, "qubits", 0)], 1, list(monogamy.AUDIT_MEASURES))
+        assert not any(problems)
+        assert {kind for r in reports for kind in r.rhs_bound_kinds} == {"exact"}
+        # Minima read Wootters' value, maxima the concurrence of assistance.
+        pairs = dict(monogamy._pair_marginals(psi, 1))
+        for r in reports:
+            if r.measure != "negativity":
+                values = [spin_flip_values(pairs[j])[monogamy._is_dual(r.measure)] for j in r.partners]
+                assert r.rhs_terms_sq == tuple(v * v for v in values)
+
     def test_closed_forms_computed_once_per_state(self, monkeypatch):
-        calls = {"wootters_concurrence_2q": 0, "negativity_mixed": 0}
+        calls = {"spin_flip_values": 0, "negativity_mixed": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(monogamy, name)):
                 calls[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(monogamy, name, counted)
-        # The two-qubit rows read one Wootters value and one partial-transpose
-        # negativity; the qutrit-qubit rows one negativity, as the floor of
-        # their minor-table bracket and as the term.
+        # The two-qubit rows read one spin-flip SVD, in both directions, and
+        # one partial-transpose negativity; the qutrit-qubit rows one
+        # negativity, as the floor of their minor-table bracket and as the term.
         inputs = _term_inputs()
         pair_terms([(inputs[name], 1, m, OptConfig(starts=2))
                     for name in ("qubit_pair", "qutrit_qubit_pair")
-                    for m in ("cren", "concurrence", "negativity", "cren")])
-        assert calls == {"wootters_concurrence_2q": 1, "negativity_mixed": 2}
+                    for m in ("cren", "concurrence", "negativity", "cren", "crenoa", "coa")])
+        assert calls == {"spin_flip_values": 1, "negativity_mixed": 2}
 
     def test_pure_rows_computed_once_per_kernel(self, monkeypatch):
         # The five audits read the Ou state's (3, 9) focus cut matrix
@@ -638,9 +653,9 @@ class TestCounterexampleBrackets:
     @pytest.mark.parametrize("focus", [1, 2, 3])
     def test_kim_sanders_pair_terms_are_exact(self, focus, searches):
         reports = _assert_kim_sanders_pairs_exact(focus)
-        posed = [rho.profile.dims for problems, _ in searches for rho, *_ in problems]
-        # Only a two-qubit pair's maximum, at foci 2 and 3, still searches.
-        assert posed == ([] if focus == 1 else [(2, 2)])
+        # The (3, 2) pairs close their minor tables and the (2, 2) pair of
+        # foci 2 and 3 reads its spin-flip values: no search at any focus.
+        assert not [problem for problems, _ in searches for problem in problems]
         verdicts = {m: r.verdict for m, r in reports.items()}
         if focus == 1:
             assert verdicts == {"cren": "holds", "ckw": "certified_violation", "negativity": "holds",
