@@ -30,6 +30,23 @@ Nesterov-extrapolated steps, redone as plain ones (with the momentum
 restarted) wherever they gain too little, and it has converged only once a
 plain step gains no more than the tolerance.
 
+Every problem first has its roots compressed onto their local supports
+across the cut (``measures.local_supports``), so a search runs on root
+matrices no larger than the supports.  A problem whose supports are both
+at most two-dimensional (every two-qubit state, and the pair marginals of
+W-class states) runs no search: its optimal decomposition is explicit.
+With tau = W diag(lambda) W^T the Takagi form of the roots' spin-flip
+overlaps (``measures.spin_flip_takagi``), the rows of W^H @ roots have
+concurrences lambda_i, and N = C on every member, so they give the
+maximum, sum_i lambda_i (Laustsen, Verstraete & van Enk, QIC 3, 64
+(2003)).  For the minimum the rows are phased so that their overlaps are
+(lambda_1, -lambda_2, ...), or, where lambda_1 <= sum_{i>=2} lambda_i,
+sum to zero, and mixed by a real 2 x 2 or 4 x 4 Hadamard, so that every
+member carries C / size of Wootters' C = max(0, lambda_1 - sum_{i>=2}
+lambda_i) (PRL 80, 2245 (1998)).  Such a result has one start, whose trace
+is its value, and is converged; its value is the members' average
+negativity, as a search's is.
+
 ``optimize_many`` is the one entry point of both searches: it stacks the
 roots of the problems of one shape, with each start's problem beside it,
 and runs all their starts in one search, so a hunt or an audit pays the
@@ -55,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import pure_negativities
+from .measures import local_supports, pure_negativities, spin_flip_takagi
 from .qlinalg import (
     Bipartition,
     DensityOperator,
@@ -215,8 +232,8 @@ class OptResult:
 
 
 def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
-    """The spectral roots of rho reshaped across the cut, one (short side, long side) matrix each."""
-    mats = cut_matrices(rho.roots, rho.profile, cut)
+    """The spectral roots of rho on its local supports across the cut, one (short side, long side) matrix each."""
+    mats = local_supports(rho, cut)
     # The nuclear norm is transpose invariant; put the short side first.
     if mats.shape[1] > mats.shape[2]:
         mats = np.swapaxes(mats, -1, -2)
@@ -519,29 +536,91 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float, halt=None)
     return best_v, _traces(first, log), converged
 
 
-def _result(rho, cut, direction, v, traces, converged) -> OptResult:
+_HADAMARD_2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+# The real Hadamard matrix that mixes a minimum's rows, by rank: a rank-3
+# minimum is padded with a zero row and mixed by the 4 x 4 one.
+_HADAMARD = {1: np.ones((1, 1)), 2: _HADAMARD_2, 3: np.kron(_HADAMARD_2, _HADAMARD_2)}
+_HADAMARD[4] = _HADAMARD[3]
+
+
+def _arccos(num: float, den: float) -> float:
+    """arccos(num / den), clipped to [-1, 1] for rounding; 0 where den is 0."""
+    return float(np.arccos(np.clip(num / den, -1.0, 1.0))) if den > 0.0 else 0.0
+
+
+def _unit(z: complex) -> complex:
+    """z / |z|, or 1 where z is 0."""
+    return z / abs(z) if z != 0 else 1.0
+
+
+def _roof_phases(lam: np.ndarray) -> np.ndarray:
+    """Unit z_i with sum_i z_i lambda_i = max(0, lambda_1 - sum_{i>=2} lambda_i), lambda descending.
+
+    Where lambda_1 exceeds the rest, z = (1, -1, ...).  Otherwise the four
+    lengths (a zero padding rank 3) close a polygon: with e = max(c - d, a -
+    b) in [|c - d|, c + d] and in [a - b, a + b], a, b and e close a
+    triangle and e, c and d another, whose angles the law of cosines gives.
+    """
+    if lam[0] >= lam[1:].sum():
+        return np.array([1.0] + [-1.0] * (len(lam) - 1), dtype=complex)
+    a, b, c, d = lam
+    e = max(c - d, a - b)
+    z_b = np.exp(1j * _arccos(e * e - a * a - b * b, 2.0 * a * b))
+    z_e = _unit(-a - b * z_b)
+    z_c = z_e * np.exp(1j * _arccos(e * e + c * c - d * d, 2.0 * e * c))
+    return np.array([1.0, z_b, z_c, _unit(e * z_e - c * z_c)])
+
+
+def _closed_form_isometry(mats: np.ndarray, direction: str) -> np.ndarray:
+    """The optimal isometry of a problem whose (rank, 2, 2) root matrices are on its local supports.
+
+    The rows of W^H, for the Takagi factor W of the roots' spin-flip
+    overlaps, give members of concurrence lambda_i: the maximum.  For the
+    minimum, row i is scaled by sqrt(z_i) (``_roof_phases``), so its
+    overlap is z_i lambda_i, and a real Hadamard on the n = 1, 2 or 4 rows
+    gives every member the overlap sum_i z_i lambda_i / n = C / n.
+    """
+    w, lam = spin_flip_takagi(mats)
+    v = w.conj().T
+    if direction == "max":
+        return v
+    rank = len(lam)
+    hadamard = _HADAMARD[rank]
+    n = len(hadamard)
+    rows = np.zeros((n, rank), dtype=complex)
+    rows[:rank] = np.sqrt(_roof_phases(np.pad(lam, (0, n - rank)))[:rank, None]) * v
+    return hadamard @ rows
+
+
+def _result(rho, cut, direction, v, traces=None, converged=None) -> OptResult:
     """One problem's result from its starts' isometries, traces and flags.
 
     The best start is the first whose final value is within 1e-15 of the
-    best final value.
+    best final value.  Without traces, ``v`` holds one closed-form
+    isometry: one converged start, whose trace is its value.
     """
-    final = np.array([t[-1] for t in traces])
-    if direction == "max":
-        best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
-    else:
-        best = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
+    best = 0
+    if traces is not None:
+        final = np.array([t[-1] for t in traces])
+        if direction == "max":
+            best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
+        else:
+            best = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
     dec = _isometry_decomposition(rho, v[best])
     recon_dev = float(np.max(np.abs(dec.reconstruct() - rho.matrix)))
     if recon_dev > 1e-8:
         raise NumericalError(f"decomposition reconstruction off by {recon_dev}")
+    value = average_negativity(dec, cut)
+    if traces is None:
+        traces, converged = [np.array([value])], [True]
     return OptResult(
-        value=average_negativity(dec, cut),
+        value=value,
         decomposition=dec,
         direction=direction,
         objective_trace=tuple(traces[best].tolist()),
         converged=bool(converged[best]),
         best_start=best,
-        start_values=tuple(final.tolist()),
+        start_values=tuple(float(t[-1]) for t in traces),
     )
 
 
@@ -554,31 +633,38 @@ def optimize_many(problems, *, stop=None) -> list[OptResult | None]:
     and ``tol_rel`` run all their starts in one ``_descent`` or
     ``_polar_ascent`` call; they may differ in ``starts`` and ``seed``.
     Every start steps as it would alone, so each result is bit for bit the
-    one its problem gets alone.  Results come in the order of ``problems``.
+    one its problem gets alone.  A problem whose local supports are both
+    at most two-dimensional joins no group: its result is the closed form
+    (``_closed_form_isometry``).  Results come in the order of ``problems``.
 
     ``stop``, if given, ends minimum searches whose outcome the caller no
     longer needs.  Before each descent step it is called with every
     problem's value so far, indexed as ``problems``: the spectral
     decomposition's (every search's start 0) for a group not yet run, the
     best any start has reached in a running descent, the final value once
-    solved.  It returns a mask of the problems to stop; only the running
+    solved (a closed form's from the start).  It returns a mask of the problems to stop; only the running
     descent's are, and a maximum never is.  A stopped problem takes no
     further step and gets None in place of a result.  Problems never
     stopped get their results bit for bit, as without a rule.
     """
-    prepared, groups = [], {}
+    prepared, groups, results = [], {}, []
     for rho, cut, direction, cfg in problems:
         if direction not in ("min", "max"):
             raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
         cfg = cfg or OptConfig()
         cut = as_bipartition(cut, rho.profile.n)
+        size = cfg.resolve_size(rho.rank())
         mats = _root_matrices(rho, cut)
-        key = (direction, cfg.resolve_size(rho.rank()), mats.shape, cfg.max_sweeps, cfg.tol_rel)
-        groups.setdefault(key, []).append(len(prepared))
+        if mats.shape[1:] == (2, 2):
+            results.append(_result(rho, cut, direction, _closed_form_isometry(mats, direction)[None]))
+        else:
+            key = (direction, size, mats.shape, cfg.max_sweeps, cfg.tol_rel)
+            groups.setdefault(key, []).append(len(results))
+            results.append(None)
         prepared.append((rho, cut, mats, cfg))
 
-    results: list = [None] * len(prepared)
-    values, stopped = np.empty(len(prepared)), np.zeros(len(prepared), dtype=bool)
+    values = np.array([np.nan if res is None else res.value for res in results])
+    stopped = np.zeros(len(prepared), dtype=bool)
     if stop is not None:
         for members in groups.values():
             spectral = pure_negativities(np.stack([prepared[i][2] for i in members]))
@@ -623,8 +709,9 @@ def optimize(
     decomposition itself, the others are Haar-random unitaries.  The
     minimum runs a smoothed Riemannian descent in eight stages of at most
     ``max_sweeps * size`` steps each; the maximum runs a polar ascent of at
-    most ``max_sweeps * size`` steps.  This is the one-problem call of
-    ``optimize_many``.
+    most ``max_sweeps * size`` steps.  Where both local supports are at
+    most two-dimensional neither runs: the result is the closed form.  This
+    is the one-problem call of ``optimize_many``.
     """
     return optimize_many([(rho, cut, direction, cfg)])[0]
 

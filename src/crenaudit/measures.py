@@ -5,10 +5,14 @@ coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so both come
 from one batched singular-value call on stacked cut matrices: a
 decomposition's members or a flatness scan's samples are scored at once.
 Beside them: the concurrence floor and ceiling over a mixed state's range
-(``range_bracket``), the trace-norm negativity of mixed states, and the
-exact two-qubit roof and assistance values (``spin_flip_values``); on two
-qubits the convex-roof extended negativity equals the concurrence, so
-``monogamy.pair_terms`` reads them for every two-qubit roof row.
+(``range_bracket``), the trace-norm negativity of mixed states, a
+density's roots on its local supports across a cut (``local_supports``),
+and, where both supports are at most two-dimensional, the exact roof and
+assistance values (``spin_flip_values``) and the Takagi form that gives
+their optimal decompositions (``spin_flip_takagi``); there every member
+has Schmidt rank <= 2, so the convex-roof extended negativity equals the
+concurrence, and ``monogamy.pair_terms`` and ``convexroof.optimize_many``
+read them for every such roof.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .qlinalg import (
+    Bipartition,
     DensityOperator,
     DomainError,
     NumericalError,
@@ -30,6 +35,11 @@ from .qlinalg import (
 
 # Trace-norm rounding noise reported as exactly zero.
 NEGATIVITY_CLAMP = 1e-10
+# The most weight of a marginal that its local support may leave out.  A
+# support counts a direction only above it, far below TOL_RANK: exact
+# W-class marginals leave out about 1e-33, and those moved off them by 1e-6
+# about 1e-13, whose roofs would close about sqrt(1e-13) off if compressed.
+SUPPORT_DROP = 1e-26
 
 
 def _pair_sum(x: np.ndarray) -> np.ndarray:
@@ -138,6 +148,51 @@ def negativity_mixed(rho: DensityOperator, cut) -> float:
     return value if value > NEGATIVITY_CLAMP else 0.0
 
 
+def _support_frame(stacked: np.ndarray) -> np.ndarray | None:
+    """Orthonormal columns spanning the column space of ``stacked`` but for at most ``SUPPORT_DROP`` of its weight.
+
+    The squared singular values of ``stacked`` are the spectrum of the
+    marginal it factors; the smallest of them whose sum stays within
+    ``SUPPORT_DROP`` are left out, but at least two columns are kept.
+    None where that keeps every dimension: the side needs no frame.  The
+    values come first, alone, so a full-support side takes no SVD with
+    singular vectors.
+    """
+    d = stacked.shape[0]
+    s = np.linalg.svd(stacked, compute_uv=False)
+    # left_out[k]: the weight outside the top k directions, summed from the smallest.
+    left_out = np.cumsum((s * s)[::-1])[::-1]
+    k = max(2, int(np.sum(left_out > SUPPORT_DROP)))
+    if k >= d:
+        return None
+    return np.linalg.svd(stacked, full_matrices=False)[0][:, :k]
+
+
+def local_supports(rho: DensityOperator, cut) -> np.ndarray:
+    """The roots of rho across the cut, as (rank, k_a, k_b) matrices on its local supports.
+
+    Every member of every decomposition of rho lies in its range, so in
+    supp(rho_A) (x) supp(rho_B), and local isometries change no pure-state
+    measure: a roof is the roof of the roots on the supports.  Each side's
+    support comes from a thin SVD of its stacked reshape of the roots
+    R_j, [R_1 R_2 ...] for side A (the factor of rho_A), and with U_A, U_B
+    orthonormal bases of the supports R_j becomes U_A^H R_j conj(U_B).  A
+    side is compressed only where it has more than two dimensions and its
+    support, of at least two, leaves out at most ``SUPPORT_DROP`` of the
+    weight; every other side keeps its basis, so a full-support state's
+    matrices are its roots' ``cut_matrices`` bit for bit.
+    """
+    mats = cut_matrices(rho.roots, rho.profile, cut)
+    _, d_a, d_b = mats.shape
+    frame = _support_frame(np.swapaxes(mats, 0, 1).reshape(d_a, -1)) if d_a > 2 else None
+    if frame is not None:
+        mats = frame.conj().T @ mats
+    frame = _support_frame(np.swapaxes(mats, 0, 2).reshape(d_b, -1)) if d_b > 2 else None
+    if frame is not None:
+        mats = mats @ frame.conj()
+    return mats
+
+
 _SY_SY = np.array(
     [
         [0, 0, 0, -1],
@@ -149,24 +204,65 @@ _SY_SY = np.array(
 )
 
 
-def spin_flip_values(rho: DensityOperator) -> tuple[float, float]:
-    """Exact concurrence roof and concurrence of assistance of a two-qubit state.
+def _spin_flip_matrix(mats: np.ndarray) -> np.ndarray:
+    """tau = X (sy sy) X^T for the rows X of (rank, 2, 2) root matrices: the roots' spin-flip overlaps."""
+    x = mats.reshape(len(mats), 4)
+    return x @ _SY_SY @ x.T
 
-    With lambda_i the square roots of the eigenvalues of rho (sy sy) rho*
-    (sy sy), in decreasing order, these are max(0, lambda_1 - sum_{i>=2}
-    lambda_i) (Wootters, PRL 80, 2245 (1998)) and sum_i lambda_i (Laustsen,
-    Verstraete & van Enk, QIC 3, 64 (2003)).  With X = ``rho.roots.T``
-    (rho = X X^H) the lambda_i are the singular values of the symmetric
-    X^T (sy sy) X (rank x rank), so one SVD gives both, with no
-    non-Hermitian eigensolve and no D x D matrix.  Every two-qubit pure
-    state has Schmidt rank <= 2, so these are also the convex-roof extended
-    negativity and its assistance dual.
+
+def spin_flip_values(rho: DensityOperator, cut=1) -> tuple[float, float]:
+    """Exact concurrence roof and concurrence of assistance of a state with two-dimensional local supports.
+
+    Every two-qubit state qualifies, and so does every state whose
+    ``local_supports`` across the cut are at most two-dimensional, such as
+    the pair marginals of W-class states.  With lambda_i the square roots
+    of the eigenvalues of rho (sy sy) rho* (sy sy) on the supports, in
+    decreasing order, these are max(0, lambda_1 - sum_{i>=2} lambda_i)
+    (Wootters, PRL 80, 2245 (1998)) and sum_i lambda_i (Laustsen,
+    Verstraete & van Enk, QIC 3, 64 (2003)).  With X the roots on the
+    supports (rho = X^T X^*, one row each), the lambda_i are the singular
+    values of the symmetric X (sy sy) X^T (rank x rank), so one SVD gives
+    both, with no non-Hermitian eigensolve and no D x D matrix.  Every
+    member has Schmidt rank <= 2, so these are also the convex-roof
+    extended negativity and its assistance dual.  The form is symmetric in
+    the sides, and is read with party 1 on side A, so either naming of a
+    cut gives the same bits.
     """
-    if rho.profile.dims != (2, 2):
-        raise DomainError(f"expected a (2, 2) profile, got {rho.profile.dims}")
-    roots = rho.roots
-    lam = np.linalg.svd(roots @ _SY_SY @ roots.T, compute_uv=False)
+    cut = as_bipartition(cut, rho.profile.n)
+    if 1 not in cut.side_a:
+        cut = Bipartition(cut.side_b, cut.n)
+    mats = local_supports(rho, cut)
+    if mats.shape[1:] != (2, 2):
+        raise DomainError(f"local supports across {cut} are {mats.shape[1:]}, not at most 2 x 2")
+    lam = np.linalg.svd(_spin_flip_matrix(mats), compute_uv=False)
     return float(max(0.0, lam[0] - np.sum(lam[1:]))), float(np.sum(lam))
+
+
+def spin_flip_takagi(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Takagi form tau = W diag(lambda) W^T of the spin-flip overlaps of (rank, 2, 2) root matrices.
+
+    W is unitary and lambda descending, so the rows of W^H @ roots have
+    spin-flip overlaps lambda_i and no others: their concurrences are
+    lambda_i.  As a real-linear map of w = x + iy, w -> tau conj(w) is a
+    real symmetric H of eigenvalues +-lambda_i: the Takagi vectors, tau
+    conj(w) = lambda_i w, at +lambda_i, and i w at -lambda_i.  Shifted by
+    2 lambda_1, the top singular value of tau, H is positive semidefinite,
+    so the top singular vectors of its SVD are its top eigenvectors, the
+    Takagi vectors, however lambda is degenerate (as on Werner states).
+    The vector of a small lambda_i stays at least lambda_j apart from
+    every i w_j but its own, and mixing w_i with i w_i only turns its
+    phase.  A last polar step makes W unitary where lambda has zeros,
+    whose vectors that SVD leaves mixed with their i w; the others it
+    leaves as they are.
+    """
+    tau = _spin_flip_matrix(mats)
+    rank = len(tau)
+    lam = np.linalg.svd(tau, compute_uv=False)
+    shift = 2.0 * lam[0] * np.eye(rank)
+    h = np.block([[tau.real + shift, tau.imag], [tau.imag, shift - tau.real]])
+    top = np.linalg.svd(h)[0][:, :rank]
+    left, _, right_h = np.linalg.svd(top[:rank] + 1j * top[rank:])
+    return left @ right_h, lam
 
 
 def wootters_concurrence_2q(rho: DensityOperator) -> float:

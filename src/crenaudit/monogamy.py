@@ -8,8 +8,9 @@ reuse it, and says how the value relates to the true one: ``exact``,
 ``pair_term`` is its one-item call.  Each term carries a bracket
 ``[lower, upper]`` that holds the true value, and every row reads its
 bracket from one closed form first: the pure kernel, the trace norm, the
-two-qubit spin-flip values (``spin_flip_values``, in both directions) or
-the minor table of the range (``range_bracket``).  A row whose bracket
+spin-flip values (``spin_flip_values``, in both directions) of a state
+whose local supports are at most two-dimensional, or the minor table of
+the range (``range_bracket``).  A row whose bracket
 closes to rounding is ``exact`` at its ceiling and poses no search; the
 others are solved by the decomposition optimizer, in one batched
 ``optimize_many`` call, and bracketed ``[floor, value]`` (a minimum) or
@@ -21,15 +22,15 @@ up to floating point.
 
 * Every pure state has N >= C, so the concurrence floor floors both roofs;
   the negativity roof keeps the partial-transpose negativity as a floor too.
-* Where a side is two-dimensional every member has Schmidt rank <= 2, so
-  N = C on each: all four roof rows share one bracket, [max(PT negativity,
-  C floor), C ceiling].
+* Where a side's local support is two-dimensional every member has
+  Schmidt rank <= 2, so N = C on each: all four roof rows share one
+  bracket, [max(PT negativity, C floor), C ceiling].
 * Elsewhere the C ceiling bounds ``concurrence`` and ``coa`` from above,
   and nothing but a search bounds ``cren`` (its value) or ``crenoa`` (+inf).
 
-So a qubit audit poses no search, and the Kim-Sanders qutrit-qubit pairs,
-whose ranges have constant concurrence sqrt(8/9), get all four roof terms
-exact from the table.
+So neither a qubit audit nor a W-class audit poses a search, and the
+Kim-Sanders qutrit-qubit pairs, whose ranges have constant concurrence
+sqrt(8/9), get all four roof terms exact from the table.
 
 An audit compares the squared entanglement of one focus party with the
 rest of a pure multipartite state against the sum of its squared pair
@@ -49,6 +50,7 @@ import numpy as np
 
 from .convexroof import OptConfig, flatness_scan, optimize_many
 from .measures import (
+    local_supports,
     negativity_mixed,
     pure_concurrences,
     pure_negativities,
@@ -248,27 +250,30 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     and ``negativity`` the partial-transpose negativity; on pure input
     every measure is its kernel's value on the state's cut matrix.
 
-    =========================  ===========  =====  ==================
-    input                      method       kind   [lower, upper]
-    =========================  ===========  =====  ==================
-    pure                       closed_form  exact  [value, value]
-    mixed, negativity          trace_norm   exact  [value, value]
-    (2, 2) roof, min or max    closed_form  exact  [value, value]
-    mixed roof, table closed   minor_table  exact  [ceiling, ceiling]
-    other roof minimum         optimizer    upper  [floor, value]
-    other roof maximum         optimizer    lower  [value, ceiling]
-    =========================  ===========  =====  ==================
+    ================================  ===========  =====  ==================
+    input                             method       kind   [lower, upper]
+    ================================  ===========  =====  ==================
+    pure                              closed_form  exact  [value, value]
+    mixed, negativity                 trace_norm   exact  [value, value]
+    2x2 local supports, min or max    closed_form  exact  [value, value]
+    mixed roof, table closed          minor_table  exact  [ceiling, ceiling]
+    other roof minimum                optimizer    upper  [floor, value]
+    other roof maximum                optimizer    lower  [value, ceiling]
+    ================================  ===========  =====  ==================
 
     Every row first reads one bracket [floor, ceiling] from its closed
     forms, and is ``exact`` at its ceiling, posing no search, exactly when
     it closes: when ceiling - floor is at most ``_TABLE_CLOSED * max(1,
-    floor)``.  The two-qubit roof rows read ``spin_flip_values``: Wootters'
-    concurrence (PRL 80, 2245 (1998)) for the minima, the concurrence of
-    assistance (Laustsen, Verstraete & van Enk, QIC 3, 64 (2003)) for the
-    maxima; N = C on every two-qubit pure state.  Every other roof row reads the bracket the minor table of its range proves
+    floor)``.  A roof row whose local supports across its cut
+    (``local_supports``) are both at most two-dimensional, as on every
+    two-qubit state and every W-class pair marginal, reads
+    ``spin_flip_values``: Wootters' concurrence (PRL 80, 2245 (1998)) for
+    the minima, the concurrence of assistance (Laustsen, Verstraete & van
+    Enk, QIC 3, 64 (2003)) for the maxima; N = C on every member there.
+    Every other roof row reads the bracket the minor table of its range proves
     (``range_bracket``): the concurrence floor and ceiling, raised to the
     partial-transpose negativity for ``cren``, and for every row where a
-    side is two-dimensional, where N = C on every member.  Elsewhere
+    support is two-dimensional, where N = C on every member.  Elsewhere
     ``cren``'s ceiling is its search's value and ``crenoa``'s is +inf.  A
     search is posed only for the rows whose brackets stay open, and a
     searched row keeps its search's value.  Every bracket holds the true
@@ -285,9 +290,10 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     ones.  The searches no memo holds yet run in one ``optimize_many``
     call.  Optimizer concurrence terms are the average concurrence of the
     decomposition the negativity search found.  A pure row's closed form
-    (per kernel), the spin-flip values, the partial-transpose negativity
-    and the minor table's bracket are likewise kept on the state, per cut,
-    and computed once however many rows and calls read them.
+    (per kernel), the support dimensions, the spin-flip values, the
+    partial-transpose negativity and the minor table's bracket are likewise
+    kept on the state, per cut, and computed once however many rows and
+    calls read them.
 
     ``stop``, if given, is ``optimize_many``'s stop rule over the rows: it
     takes an array of every row's value so far (a closed form's value, and
@@ -315,16 +321,14 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
         if direction is None:
             value = pt_negativity(state, cut)
             return value, value, "trace_norm"
-        if state.profile.dims == (2, 2):
-            value = _memoized(state, ("spin_flip",), lambda: spin_flip_values(state))[direction == "max"]
+        supports = _memoized(state, ("local_supports", cut), lambda: local_supports(state, cut).shape[1:])
+        if supports == (2, 2):
+            value = _memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut))[direction == "max"]
             return value, value, "closed_form"
-        floor, ceiling, two_dim = _memoized(state, ("range_bracket", cut), lambda: (
-            *range_bracket(state, cut),
-            min(state.profile.restrict(cut.side_a).size, state.profile.restrict(cut.side_b).size) == 2,
-        ))
-        if two_dim:
-            # Two-dimensional side: every member has Schmidt rank <= 2, so
-            # N = C on each, and both roofs and both duals share the
+        floor, ceiling = _memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
+        if min(supports) == 2:
+            # A two-dimensional support: every member has Schmidt rank <= 2,
+            # so N = C on each, and both roofs and both duals share the
             # concurrence bracket, floored by the partial-transpose negativity too.
             return max(pt_negativity(state, cut), floor), ceiling, "minor_table"
         if kernel is pure_negativities:

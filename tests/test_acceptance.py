@@ -169,8 +169,8 @@ def test_criterion_5_two_qubit_equivalence():
         rho = rand_dm((2, 2), 1 + k % 4, rng)
         gap = abs(pair_cren_min(rho) - __import__("crenaudit").wootters_concurrence_2q(rho))
         worst = max(worst, gap)
-        if gap > 1e-3:
-            failures.append(f"state {k}: |roof - closed form| = {gap} > 1e-3")
+        if gap > 1e-12:
+            failures.append(f"state {k}: |roof - closed form| = {gap} > 1e-12")
     print(f"\n  criterion 5: worst |optimizer - closed form| = {worst:.2e}")
 
     # The hardest known input: a separable full-rank state (Wootters 0),
@@ -179,8 +179,8 @@ def test_criterion_5_two_qubit_equivalence():
     hard = [rand_dm((2, 2), 1 + k % 4, rng) for k in range(32)][-1]
     gap = abs(pair_cren_min(hard) - __import__("crenaudit").wootters_concurrence_2q(hard))
     print(f"  criterion 5: hardest known state, gap {gap:.3e}")
-    if gap > 7.23e-4:
-        failures.append(f"hardest known state: |roof - closed form| = {gap} > 7.23e-4")
+    if gap > 1e-12:
+        failures.append(f"hardest known state: |roof - closed form| = {gap} > 1e-12")
 
     rng = np.random.default_rng(512)
     worst_eq = 0.0

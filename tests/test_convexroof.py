@@ -10,8 +10,10 @@ from crenaudit import (
     OptConfig,
     WClassSpec,
     PCSSpec,
+    PureState,
     average_negativity,
     build_pcs_density,
+    build_w_state,
     decomposition_from_unitary,
     flatness_scan,
     haar_unitaries,
@@ -32,12 +34,13 @@ from crenaudit.convexroof import (
     _objective,
     _polar,
     _polar_ascent,
+    _roof_phases,
     _root_matrices,
     _starts,
     _two_row_roof,
 )
-from crenaudit.measures import pure_negativities
-from crenaudit.monogamy import _audit_opt_cfg
+from crenaudit.measures import local_supports, pure_negativities, spin_flip_takagi, spin_flip_values
+from crenaudit.monogamy import _audit_opt_cfg, analytic_w_values
 from crenaudit.qlinalg import as_bipartition, cut_matrices
 from crenaudit.states import kim_sanders_state
 
@@ -191,10 +194,10 @@ class TestOptimize:
         for rank in (2, 3):
             rho = rand_dm((2, 2), rank, rng)
             res = optimize(rho, 1, "min")
-            assert abs(res.value - wootters_concurrence_2q(rho)) <= 1e-3
+            assert abs(res.value - wootters_concurrence_2q(rho)) <= 1e-12
 
     def test_monotone_trace_both_directions(self, rng):
-        for dims in ((2, 2), (3, 3)):
+        for dims in ((2, 3), (3, 3)):
             rho = rand_dm(dims, 3, rng)
             lo = optimize(rho, 1, "min")
             assert all(a >= b - 1e-12 for a, b in zip(lo.objective_trace, lo.objective_trace[1:]))
@@ -203,19 +206,19 @@ class TestOptimize:
             assert hi.value >= lo.value - 1e-12
 
     def test_min_respects_ppt_floor(self, rng):
-        for dims in ((2, 2), (3, 2)):
+        for dims in ((2, 3), (3, 2)):
             rho = rand_dm(dims, 2, rng)
             assert optimize(rho, 1, "min").value >= negativity_mixed(rho, 1) - 1e-9
 
     def test_sampled_averages_upper_bound_the_minimum(self, rng):
-        rho = rand_dm((2, 2), 2, rng)
+        rho = rand_dm((2, 3), 2, rng)
         best = optimize(rho, 1, "min").value
         for _ in range(10):
             dec = decomposition_from_unitary(rho, haar_unitary(4, rng))
             assert average_negativity(dec, 1) >= best - 1e-9
 
     def test_deterministic_for_fixed_seed(self, rng):
-        rho = rand_dm((2, 2), 3, rng)
+        rho = rand_dm((2, 3), 3, rng)
         a = optimize(rho, 1, "min", OptConfig(seed=7))
         b = optimize(rho, 1, "min", OptConfig(seed=7))
         assert a.value == b.value
@@ -346,6 +349,161 @@ class TestOptimize:
         assert hi.value >= lo.value - 1e-12
 
 
+def _two_qubit_cases():
+    """Two-qubit states at ranks 1-4, with degenerate or zero spin-flip values, by name."""
+    profile = DimensionProfile((2, 2))
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+    singlet = np.outer(bells[3], bells[3])
+    cases = {
+        f"werner-{p:.3f}": DensityOperator(profile, p * singlet + (1 - p) * np.eye(4) / 4)
+        for p in (0.2, 1 / 3, 0.5, 0.8, 1.0)
+    }
+    for k in (2, 3, 4):
+        cases[f"bell-diagonal-{k}"] = DensityOperator(profile, bells[:k].T @ bells[:k] / k)
+    rng = np.random.default_rng(13)
+    a, b, c, e = (rand_pure((2,), rng).amplitudes for _ in range(4))
+    cases["product"] = DensityOperator(profile, factor=np.kron(a, b)[:, None])
+    pair = np.stack([np.kron(a, b), np.kron(c, e)], axis=1) / np.sqrt(2)
+    cases["product-mixture"] = DensityOperator(profile, factor=pair)
+    cases["bell-and-product"] = DensityOperator(profile, (np.outer(bells[0], bells[0]) + np.diag([0, 1, 0, 0])) / 2)
+    sides = [rand_dm((2,), 2, rng).matrix for _ in range(2)]
+    cases["product-full-rank"] = DensityOperator(profile, np.kron(*sides))
+    hard = np.random.default_rng(99)
+    cases["seed-99-state-31"] = [rand_dm((2, 2), 1 + k % 4, hard) for k in range(32)][-1]
+    for rank in (1, 2, 3, 4):
+        cases[f"random-{rank}"] = rand_dm((2, 2), rank, rng)
+    return cases
+
+
+class TestClosedForm:
+    """Roofs whose local supports are at most 2 x 2 are solved from the
+    Takagi form of their spin-flip overlaps, with no search."""
+
+    @pytest.mark.parametrize("name", list(_two_qubit_cases()))
+    def test_two_qubit_decompositions_meet_the_spin_flip_values(self, name):
+        rho = _two_qubit_cases()[name]
+        roof, assistance = spin_flip_values(rho)
+        rank = rho.rank()
+        for direction, want in (("min", roof), ("max", assistance)):
+            res = optimize(rho, 1, direction)
+            assert abs(res.value - want) <= 1e-12
+            assert np.max(np.abs(res.decomposition.reconstruct() - rho.matrix)) <= 1e-12
+            assert res.objective_trace == res.start_values == (res.value,)
+            assert res.converged and res.best_start == 0
+            members = res.decomposition.members
+            values = pure_negativities(cut_matrices(members, rho.profile, 1))
+            if direction == "min":
+                # Every member carries C / size, the size 1, 2 or 4.
+                assert len(members) == {1: 1, 2: 2}.get(rank, 4)
+                assert np.max(np.abs(values - roof / len(members))) <= 1e-12
+            assert abs(values.sum() - res.value) <= 1e-15
+        if rank > 1:
+            with pytest.raises(DomainError, match="below rank"):
+                optimize(rho, 1, "min", OptConfig(size=rank - 1))
+
+    def test_degenerate_and_zero_values_are_present(self):
+        # The cases reach every branch: a 3-fold degenerate Takagi value
+        # (Werner), lambda_1 <= the rest at ranks 3 and 4 (the polygon), a
+        # zero value beside a nonzero one, and all values zero.
+        lams = {name: spin_flip_takagi(local_supports(rho, 1))[1]
+                for name, rho in _two_qubit_cases().items()}
+        assert np.ptp(lams["werner-0.500"][1:]) <= 1e-15
+        assert lams["bell-diagonal-3"][0] <= lams["bell-diagonal-3"][1:].sum()
+        assert lams["werner-0.200"][0] <= lams["werner-0.200"][1:].sum()
+        assert lams["bell-and-product"][1] <= 1e-15 < lams["bell-and-product"][0]
+        assert lams["product"][0] <= 1e-15
+
+    @pytest.mark.parametrize("lam", [
+        [0.5, 0.5, 0.0, 0.0], [0.4, 0.3, 0.2, 0.1], [0.3, 0.3, 0.3, 0.1], [0.25] * 4,
+        [0.4, 0.2, 0.2, 0.2], [0.5, 0.3, 0.2, 0.0], [0.3, 0.3, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0],
+        [0.7, 0.3, 0.0, 0.0], [0.6, 0.3, 0.1], [0.6, 0.4],
+    ])
+    def test_phases_close_the_polygon_or_leave_the_roof(self, lam):
+        lam = np.array(lam)
+        z = _roof_phases(lam)
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+        assert abs(np.sum(z * lam) - max(0.0, lam[0] - lam[1:].sum())) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_w_vacuum_mixtures_meet_the_analytic_values(self, n, d):
+        # Both cuts of every W/vacuum mixture have local supports of two
+        # dimensions: the focus|rest cut (up to D = 1024 here, as the
+        # reconstruction check forms D x D matrices) and every pair.
+        rng = np.random.default_rng(10 * n + d)
+        z = rng.standard_normal((n, d - 1)) + 1j * rng.standard_normal((n, d - 1))
+        spec = WClassSpec(n, d, z / np.linalg.norm(z))
+        p = rng.uniform(0.1, 1.0)
+        rho = build_pcs_density(PCSSpec(spec, p, rng.uniform(0.0, 1.0)))
+        values = analytic_w_values(spec, p)
+        problems = [(partial_trace(rho, (1, j)), 1, want) for j, want in enumerate(values.pair_cren, 2)]
+        if rho.profile.size <= 1024:
+            problems.append((rho, Bipartition((1,), n), values.global_cren))
+        for state, cut, want in problems:
+            assert local_supports(state, cut).shape[1:] == (2, 2)
+            for direction in ("min", "max"):
+                res = optimize(state, cut, direction)
+                assert abs(res.value - want) <= 1e-14
+                assert len(res.start_values) == 1
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_w_states_moved_off_the_class_are_searched(self, eps):
+        # A qutrit W pair marginal has two-dimensional supports; moved by
+        # eps, its supports leave out about eps^2 of the weight, far above
+        # SUPPORT_DROP, so its roofs are searched.
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        w = build_w_state(WClassSpec(3, 3, a / np.linalg.norm(a)))
+        z = rng.standard_normal(w.profile.size) + 1j * rng.standard_normal(w.profile.size)
+        cfg = OptConfig(starts=2, max_sweeps=10)
+        for step, starts in ((0.0, 1), (eps, cfg.starts)):
+            v = w.amplitudes + step * z / np.linalg.norm(z)
+            pair = partial_trace(PureState(w.profile, v / np.linalg.norm(v)), (1, 2))
+            assert local_supports(pair, 1).shape[1:] == ((2, 2) if step == 0.0 else (3, 3))
+            for direction in ("min", "max"):
+                assert len(optimize(pair, 1, direction, cfg).start_values) == starts
+
+    def test_a_two_dimensional_support_takes_the_two_row_objective(self, monkeypatch):
+        # A (3, 3) marginal whose side-A support is two-dimensional is
+        # searched on (2, 3) root matrices, by the two-row objective.
+        rng = np.random.default_rng(4)
+        embed = np.kron(haar_unitary(3, rng)[:, :2], np.eye(3))
+        narrow = rand_dm((2, 3), 3, rng)
+        rho = DensityOperator(DimensionProfile((3, 3)), embed @ narrow.matrix @ embed.conj().T)
+        assert _root_matrices(rho, Bipartition((1,), 2)).shape == (3, 2, 3)
+        shapes = []
+
+        def counted(mats, mu, _original=_two_row_roof):
+            shapes.append(mats.shape[-2:])
+            return _original(mats, mu)
+
+        monkeypatch.setattr("crenaudit.convexroof._two_row_roof", counted)
+        lo, hi = optimize(rho, 1, "min"), optimize(rho, 1, "max")
+        assert set(shapes) == {(2, 3)}
+        assert len(lo.start_values) == len(hi.start_values) == OptConfig().starts
+        assert negativity_mixed(rho, 1) - 1e-9 <= lo.value <= hi.value
+
+    def test_full_support_search_is_unchanged(self):
+        # A Haar (3, 3) marginal has full local supports: its root matrices
+        # are its roots' cut matrices, and its searches end bit for bit where
+        # they ended before the supports were compressed.
+        rho = rand_dm((3, 3), 3, np.random.default_rng(21))
+        cut = Bipartition((1,), 2)
+        assert np.array_equal(_root_matrices(rho, cut), cut_matrices(rho.roots, rho.profile, cut))
+        cfg = OptConfig(starts=3, max_sweeps=40, seed=2)
+        pinned = {
+            "min": ("0x1.be5dd9ab90578p-1", 93,
+                    ("0x1.be5dd9ab90574p-1", "0x1.be6abd9fd63acp-1", "0x1.be64c65f5db34p-1")),
+            "max": ("0x1.8fdd4314aa54dp+0", 39,
+                    ("0x1.8fdd4314aa546p+0", "0x1.8fdd431276554p+0", "0x1.8fdd4313d4304p+0")),
+        }
+        for direction, (value, steps, finals) in pinned.items():
+            res = optimize(rho, cut, direction, cfg)
+            assert res.value == float.fromhex(value)
+            assert len(res.objective_trace) == steps
+            assert res.start_values == tuple(float.fromhex(x) for x in finals)
+
+
 def _orthogonal_mixture(dims, members, weights, rng):
     """A density operator with the given orthonormal members plus one random member."""
     profile = DimensionProfile(tuple(dims))
@@ -440,8 +598,20 @@ class TestPolarAscent:
     def test_plain_phase_solves_are_the_plain_ascent(self, monkeypatch):
         # Two-qubit and Kim-Sanders pair marginals stop within the plain
         # phase, so their maxima are the plain ascent's bit for bit.
-        rng = np.random.default_rng(3)
-        rhos = [rand_dm((2, 2), rank, rng) for rank in (1, 2, 3, 4) for _ in range(3)]
+        # optimize solves two-qubit maxima in closed form, so their
+        # ascents run here from optimize's starts on the same evaluator.
+        rng, cfg = np.random.default_rng(3), OptConfig()
+        for rho in [rand_dm((2, 2), rank, rng) for rank in (1, 2, 3, 4) for _ in range(3)]:
+            starts = _starts(cfg, rho.rank())
+            evaluate = _objective(
+                _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
+            )
+            args = (evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel)
+            (v, traces, converged), plain = _polar_ascent(*args), _plain_ascent(*args)
+            assert np.array_equal(v, plain[0]) and np.array_equal(converged, plain[2])
+            assert all(np.array_equal(a, b) for a, b in zip(traces, plain[1], strict=True))
+            assert max(len(t) for t in traces) <= _PLAIN_STEPS + 1
+        rhos = []
         for psi in (ou_state(), kim_sanders_state()):
             rhos += [partial_trace(to_density(psi), keep) for keep in ((1, 2), (1, 3), (2, 3))]
         results = [optimize(rho, 1, "max") for rho in rhos]
@@ -564,12 +734,12 @@ class TestSvdObjective:
 
 class TestOptimizeMany:
     def test_batch_matches_one_problem_calls_bit_for_bit(self):
-        # One mixed batch: both directions, four cut shapes, ranks 1-4, two
-        # configs, and states of one shape that share a group under
-        # distinct seeds.
+        # One mixed batch: both directions, four profiles with full local
+        # supports, so every problem is searched, ranks 1-4, two configs,
+        # and states of one shape that share a group under distinct seeds.
         rng = np.random.default_rng(31)
         problems = []
-        for dims, ranks in (((2, 2), (1, 4)), ((3, 2), (2, 3)), ((2, 4), (2,)), ((3, 3), (3,))):
+        for dims, ranks in (((2, 3), (4,)), ((3, 2), (2, 3)), ((2, 4), (2,)), ((3, 3), (1, 3))):
             for rank in ranks:
                 for seed in (0, 1):
                     rho = rand_dm(dims, rank, rng)

@@ -23,8 +23,14 @@ from crenaudit import (
     wootters_concurrence_2q,
 )
 
-from crenaudit.measures import pure_concurrences, pure_negativities, spin_flip_values
-from crenaudit.qlinalg import cut_matrix
+from crenaudit.measures import (
+    SUPPORT_DROP,
+    local_supports,
+    pure_concurrences,
+    pure_negativities,
+    spin_flip_values,
+)
+from crenaudit.qlinalg import cut_matrices, cut_matrix
 
 from conftest import rand_dm, rand_pure
 from oracles import spin_flip_lambdas, tensor_product, to_density
@@ -286,3 +292,63 @@ class TestSpinFlipValues:
             want = concurrence_pure(psi, 1)
             assert roof == pytest.approx(want, abs=1e-14)
             assert assistance == pytest.approx(want, abs=1e-14)
+
+
+def _two_level_leak(weight, rng):
+    """A rank-2 (3, 3) density whose level 2 of each party carries exactly ``weight``.
+
+    The factor's level-2 part sits on level 2 of both parties, orthogonal
+    to the rest, so each side's marginal has the eigenvalue ``weight`` there.
+    """
+    g = np.zeros((3, 3, 2), dtype=complex)
+    g[:2, :2] = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    g[:2, :2] *= np.sqrt(1.0 - weight) / np.linalg.norm(g)
+    g[2, 2] = np.sqrt(weight / 2.0)
+    return DensityOperator(DimensionProfile((3, 3)), factor=g.reshape(9, 2))
+
+
+class TestLocalSupports:
+    @pytest.mark.parametrize("dims, rank, side", [
+        ((3, 3), 3, (1,)), ((2, 4), 2, (1,)), ((3, 2), 3, (1,)), ((2, 3, 2), 2, (1, 3)), ((3, 3), 1, (2,)),
+    ])
+    def test_full_supports_keep_the_roots_bit_for_bit(self, dims, rank, side, rng):
+        rho = rand_dm(dims, rank, rng)
+        cut = Bipartition(side, len(dims))
+        assert np.array_equal(local_supports(rho, cut), cut_matrices(rho.roots, rho.profile, cut))
+
+    def test_compression_keeps_every_member_value(self, rng):
+        # A qutrit W pair marginal lives on 2 x 2 supports: on them, every
+        # combination of its roots has the singular values, so the
+        # negativity and concurrence, of the full combination.
+        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        pair = partial_trace(build_w_state(WClassSpec(3, 3, a / np.linalg.norm(a))), (1, 2))
+        mats = local_supports(pair, 1)
+        assert mats.shape == (2, 2, 2)
+        v = haar_unitary(4, rng)[:, :2]
+        full = cut_matrices(v @ pair.roots, pair.profile, 1)
+        small = (v @ mats.reshape(2, 4)).reshape(4, 2, 2)
+        for kernel in (pure_negativities, pure_concurrences):
+            assert np.max(np.abs(kernel(full) - kernel(small))) <= 1e-15
+
+    @pytest.mark.parametrize("weight, shape", [
+        (1e-20, (3, 3)), (1e-13, (3, 3)), (SUPPORT_DROP * 10, (3, 3)), (SUPPORT_DROP / 10, (2, 2)), (0.0, (2, 2)),
+    ])
+    def test_a_direction_counts_above_the_strict_threshold(self, weight, shape, rng):
+        # TOL_RANK (1e-12) would drop a 1e-13 direction; the support keeps it.
+        assert local_supports(_two_level_leak(weight, rng), 1).shape[1:] == shape
+
+    def test_two_qubit_values_keep_their_bits(self, rng):
+        # On (2, 2) profiles the spin-flip values are those of the roots
+        # themselves, bit for bit, under either naming of the cut.
+        sy_sy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+        for rank in (1, 2, 3, 4):
+            rho = rand_dm((2, 2), rank, rng)
+            lam = np.linalg.svd(rho.roots @ sy_sy @ rho.roots.T, compute_uv=False)
+            want = (float(max(0.0, lam[0] - np.sum(lam[1:]))), float(np.sum(lam)))
+            assert spin_flip_values(rho) == spin_flip_values(rho, 2) == want
+
+    def test_supports_wider_than_two_are_rejected(self, rng):
+        with pytest.raises(DomainError, match="local supports"):
+            spin_flip_values(_two_level_leak(1e-20, rng))
+        roof, assistance = spin_flip_values(_two_level_leak(0.0, rng))
+        assert 0.0 <= roof <= assistance

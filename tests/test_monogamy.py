@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crenaudit import (
+    Bipartition,
     DensityOperator,
     DimensionProfile,
     DomainError,
@@ -17,8 +18,10 @@ from crenaudit import (
     audit,
     average_negativity,
     audits,
+    build_pcs_density,
     build_w_state,
     ckw_audit,
+    coarse_grain,
     coherent_superposition,
     concurrence_pure,
     cren_audit,
@@ -152,14 +155,16 @@ class TestQubitCorpora:
 
 def _term_inputs():
     # Cut 1 of each: 1|23 of the pure OU state and of a W mixture on three
-    # qubits, 1|2 of a W pair (roof 2/3), of a Kim-Sanders (3, 2) pair, whose
-    # range has constant concurrence sqrt(8/9), and of a seeded rank-2 (3, 2)
-    # marginal, whose range does not.
+    # qubits, 1|2 of a W pair (roof 2/3), of a qutrit W pair (roof 2/3),
+    # of a Kim-Sanders (3, 2) pair, whose range has constant concurrence
+    # sqrt(8/9), and of a seeded rank-2 (3, 2) marginal, whose range does
+    # not.  Both W mixtures have two-dimensional local supports.
     w3_pair = partial_trace(to_density(build_w_state(WClassSpec.symmetric(3, 2))), (1, 2))
     w4_triple = partial_trace(to_density(build_w_state(WClassSpec.symmetric(4, 2))), (1, 2, 3))
     return {
         "pure": ou_state(),
         "qubit_pair": w3_pair,
+        "qutrit_w_pair": partial_trace(build_w_state(WClassSpec.symmetric(3, 3)), (1, 2)),
         "qutrit_qubit_pair": partial_trace(to_density(kim_sanders_state()), (1, 2)),
         "qutrit_qubit_mix": rand_dm((3, 2), 2, np.random.default_rng(4)),
         "qubit_triple": w4_triple,
@@ -188,11 +193,16 @@ _TABLE_ROWS = [
     ("qutrit_qubit_pair", "coa", "minor_table", "exact", np.sqrt(8 / 9)),
     ("qutrit_qubit_mix", "cren", "optimizer", "upper", "min"),
     ("qutrit_qubit_mix", "concurrence", "optimizer", "upper", "min"),
-    ("qubit_triple", "cren", "optimizer", "upper", np.sqrt(2) / 2),
-    ("qubit_triple", "concurrence", "optimizer", "upper", np.sqrt(2) / 2),
+    ("qubit_triple", "cren", "closed_form", "exact", np.sqrt(2) / 2),
+    ("qubit_triple", "concurrence", "closed_form", "exact", np.sqrt(2) / 2),
+    ("qutrit_w_pair", "cren", "closed_form", "exact", 2 / 3),
+    ("qutrit_w_pair", "concurrence", "closed_form", "exact", 2 / 3),
+    ("qutrit_w_pair", "crenoa", "closed_form", "exact", 2 / 3),
+    ("qutrit_w_pair", "coa", "closed_form", "exact", 2 / 3),
     ("qubit_pair", "crenoa", "closed_form", "exact", 2 / 3),
     ("qutrit_qubit_mix", "coa", "optimizer", "lower", "max"),
-    ("qubit_triple", "crenoa", "optimizer", "lower", np.sqrt(2) / 2),
+    ("qutrit_qubit_mix", "crenoa", "optimizer", "lower", "max"),
+    ("qubit_triple", "crenoa", "closed_form", "exact", np.sqrt(2) / 2),
 ]
 
 
@@ -236,8 +246,9 @@ class TestPairTerm:
         _assert_bracket_holds(term)
 
     def test_hardest_separable_qubit_pair_is_exactly_zero(self):
-        # State 31 of seed 99: separable and full rank, where the optimizer
-        # stops about 7e-4 above the true roof.
+        # State 31 of seed 99: separable and full rank, where the search
+        # stopped about 7e-4 above the true roof before two-qubit roofs
+        # were closed forms in the optimizer too.
         rng = np.random.default_rng(99)
         hard = [rand_dm((2, 2), 1 + k % 4, rng) for k in range(32)][-1]
         for measure in ("cren", "concurrence"):
@@ -289,11 +300,13 @@ class TestPairTerm:
 
     def test_optimizer_concurrence_rows_score_the_negativity_search(self):
         # A concurrence or coa row is the average concurrence of the
-        # decomposition that optimize finds for the negativity roof.
-        inputs = _term_inputs()
+        # decomposition that optimize finds for the negativity roof.  The
+        # qubit mixture, unlike the W triple, has full local supports, so
+        # its rows are searched.
+        inputs = {**_term_inputs(), "qubit_triple_mix": rand_dm((2, 2, 2), 2, np.random.default_rng(6))}
         cfg = OptConfig(starts=3, seed=5)
         rows = [("qutrit_qubit_mix", "concurrence", "min"), ("qutrit_qubit_mix", "coa", "max"),
-                ("qubit_triple", "concurrence", "min"), ("qubit_pair", "coa", "max")]
+                ("qubit_triple_mix", "concurrence", "min"), ("qubit_triple_mix", "coa", "max")]
         for name, measure, direction in rows:
             rho = inputs[name]
             members = convexroof.optimize(rho, 1, direction, cfg).decomposition.members
@@ -764,6 +777,91 @@ class TestEigendecompositionCount:
         assert calls == {"eigh": [], "eigvalsh": []}
 
 
+class TestSupportClosedForms:
+    """Roof rows whose local supports are at most 2 x 2 are spin-flip closed
+    forms, in both directions, and pose no search."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_w_vacuum_mixtures_meet_the_analytic_values(self, n, d, searches):
+        rng = np.random.default_rng(100 + 10 * n + d)
+        z = rng.standard_normal((n, d - 1)) + 1j * rng.standard_normal((n, d - 1))
+        spec = WClassSpec(n, d, z / np.linalg.norm(z))
+        p = rng.uniform(0.1, 1.0)
+        rho = build_pcs_density(PCSSpec(spec, p, rng.uniform(0.0, 1.0)))
+        values = analytic_w_values(spec, p)
+        cases = [(rho, Bipartition((1,), n), values.global_cren)]
+        cases += [(partial_trace(rho, (1, j)), 1, want) for j, want in enumerate(values.pair_cren, 2)]
+        rows = [(state, cut, measure, None) for state, cut, _ in cases
+                for measure in ("cren", "concurrence", "crenoa", "coa")]
+        terms = pair_terms(rows)
+        assert not any(problems for problems, _ in searches)
+        for (_, _, want), four in zip(cases, np.reshape(np.array(terms, dtype=object), (-1, 4))):
+            for term in four:
+                assert (term.kind, term.method) == ("exact", "closed_form")
+                assert abs(term.value - want) <= 1e-14
+
+    @pytest.mark.parametrize("n, d, blocks", [
+        (4, 2, ((1, 2), (3,), (4,))), (4, 3, ((1,), (2, 3), (4,))), (5, 2, ((1, 2, 3), (4, 5))),
+    ])
+    def test_coarse_grained_blocks_keep_two_dimensional_supports(self, n, d, blocks, searches):
+        # Across cuts between blocks of parties, the fine-grained W/vacuum
+        # mixture has two-dimensional block supports, so its terms are the
+        # closed forms of the coarse-grained spec, as the partition sweeps read them.
+        rng = np.random.default_rng(n + d)
+        z = rng.standard_normal((n, d - 1)) + 1j * rng.standard_normal((n, d - 1))
+        spec, p = WClassSpec(n, d, z / np.linalg.norm(z)), 0.7
+        rho = build_pcs_density(PCSSpec(spec, p, 0.4))
+        values = analytic_w_values(coarse_grain(spec, PartitionSpec(blocks)), p)
+        first = blocks[0]
+        cases = [(rho, Bipartition(first, n), values.global_cren)]
+        for block, want in zip(blocks[1:], values.pair_cren, strict=True):
+            kept = sorted(first + block)
+            cut = Bipartition(tuple(kept.index(q) + 1 for q in first), len(kept))
+            cases.append((partial_trace(rho, kept), cut, want))
+        for state, cut, want in cases:
+            for term in pair_terms([(state, cut, measure, None) for measure in ("cren", "crenoa")]):
+                assert (term.kind, term.method) == ("exact", "closed_form")
+                assert abs(term.value - want) <= 1e-14
+        assert not any(problems for problems, _ in searches)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_w_states_moved_off_the_class_are_searched(self, eps, searches):
+        # Exact qutrit W pair marginals are closed forms; moved by eps, they
+        # leave out about eps^2 of their weight beyond two dimensions, far
+        # above SUPPORT_DROP, and are searched.
+        for step, method in ((0.0, "closed_form"), (eps, "optimizer")):
+            psi = _w_qutrit_states(1, step, np.random.default_rng(8))[0]
+            pair = partial_trace(psi, (1, 2))
+            rows = [(pair, 1, measure, OptConfig(starts=2, max_sweeps=10)) for measure in ("cren", "crenoa")]
+            assert {term.method for term in pair_terms(rows)} == {method}
+        assert [len(problems) for problems, _ in searches] == [0, 2]
+
+    def test_qutrit_w_audits_search_nothing(self, searches):
+        # Every pair marginal of a qutrit W state has two-dimensional local
+        # supports, so all its roof terms are exact and no audit searches.
+        psi = build_w_state(WClassSpec.symmetric(3, 3))
+        reports = audits([(psi, "w", 0)], 1, list(monogamy.AUDIT_MEASURES))
+        assert not any(problems for problems, _ in searches)
+        assert {kind for r in reports for kind in r.rhs_bound_kinds} == {"exact"}
+        assert {r.verdict for r in reports if r.measure in ("cren", "crenoa")} == {"saturated"}
+
+    def test_a_two_dimensional_support_gives_the_minor_table_bracket(self):
+        # A (3, 3) marginal with one side's support two-dimensional: every
+        # member has Schmidt rank <= 2, so cren and crenoa share the
+        # concurrence bracket of the range's minor table, as where a side
+        # of the profile is two-dimensional.
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((3, 3, 2)) + 1j * rng.standard_normal((3, 3, 2))
+        g[2] = 0.0  # party 1 never at level 2
+        rho = DensityOperator(DimensionProfile((3, 3)), factor=g.reshape(9, 2) / np.linalg.norm(g))
+        assert measures.local_supports(rho, 1).shape[1:] == (2, 3)
+        floor, ceiling = range_bracket(rho, 1)
+        cren, crenoa = pair_terms([(rho, 1, "cren", OptConfig(starts=2)), (rho, 1, "crenoa", OptConfig(starts=2))])
+        assert (cren.lower, cren.upper) == (max(negativity_mixed(rho, 1), floor), cren.value)
+        assert (crenoa.lower, crenoa.upper) == (crenoa.value, ceiling)
+
+
 class TestAnalyticWAudit:
     def test_symmetric_qubit_values(self):
         values = analytic_w_values(WClassSpec.symmetric(3, 2), 1.0)
@@ -958,11 +1056,13 @@ class TestHuntStop:
 
     def test_rows_left_running_get_their_rule_free_terms(self, searches):
         # A row rule that stops the Haar trials' rows at once and never the
-        # exact W-class trials' rows: those run to the end, beside stopped
-        # searches of the same shape, and end where no rule would.
+        # W-class trials' rows: those run to the end, beside stopped
+        # searches of the same shape, and end where no rule would.  The
+        # W-class states are moved off the class, since exact ones have
+        # two-dimensional local supports and pose no search.
         rng = np.random.default_rng(self.SEED)
         haar = [random_pure_state(DimensionProfile((3, 3, 3)), rng) for _ in range(4)]
-        states = _w_qutrit_states(4, 0.0, np.random.default_rng(8)) + haar
+        states = _w_qutrit_states(4, 1e-3, np.random.default_rng(8)) + haar
 
         def audit_rows():
             # Three term rows per trial: its focus|rest row, then its two pairs.
