@@ -43,9 +43,13 @@ maximum, sum_i lambda_i (Laustsen, Verstraete & van Enk, QIC 3, 64
 (lambda_1, -lambda_2, ...), or, where lambda_1 <= sum_{i>=2} lambda_i,
 sum to zero, and mixed by a real 2 x 2 or 4 x 4 Hadamard, so that every
 member carries C / size of Wootters' C = max(0, lambda_1 - sum_{i>=2}
-lambda_i) (PRL 80, 2245 (1998)).  Such a result has one start, whose trace
-is its value, and is converged; its value is the members' average
-negativity, as a search's is.
+lambda_i) (PRL 80, 2245 (1998)).  Such a result has one start
+(``best_start`` 0), whose trace and ``start_values`` are its value alone,
+and is converged; its value is the members' average negativity, as a
+search's is.  ``monogamy.pair_terms`` settles every such row from
+``measures.spin_flip_values`` and poses it no problem, so this closed form
+serves direct ``optimize`` calls alone: library users, and perfbench's
+roof corpus and its ``best_known.py``.
 
 ``optimize_many`` is the one entry point of both searches: it stacks the
 roots of the problems of one shape, with each start's problem beside it,
@@ -72,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import local_supports, pure_negativities, spin_flip_takagi
+from .measures import local_supports, pure_negativities, spin_flip_closes, spin_flip_takagi
 from .qlinalg import (
     Bipartition,
     DensityOperator,
@@ -231,9 +235,12 @@ class OptResult:
     start_values: tuple[float, ...]  # final objective of every start, in start order
 
 
-def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
-    """The spectral roots of rho on its local supports across the cut, one (short side, long side) matrix each."""
-    mats = local_supports(rho, cut)
+def _root_matrices(rho: DensityOperator, cut: Bipartition, supports=None) -> np.ndarray:
+    """The spectral roots of rho on its local supports across the cut, one (short side, long side) matrix each.
+
+    ``supports`` are the ``local_supports`` matrices where the caller holds them.
+    """
+    mats = local_supports(rho, cut) if supports is None else supports
     # The nuclear norm is transpose invariant; put the short side first.
     if mats.shape[1] > mats.shape[2]:
         mats = np.swapaxes(mats, -1, -2)
@@ -592,50 +599,60 @@ def _closed_form_isometry(mats: np.ndarray, direction: str) -> np.ndarray:
     return hadamard @ rows
 
 
-def _result(rho, cut, direction, v, traces=None, converged=None) -> OptResult:
-    """One problem's result from its starts' isometries, traces and flags.
-
-    The best start is the first whose final value is within 1e-15 of the
-    best final value.  Without traces, ``v`` holds one closed-form
-    isometry: one converged start, whose trace is its value.
-    """
-    best = 0
-    if traces is not None:
-        final = np.array([t[-1] for t in traces])
-        if direction == "max":
-            best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
-        else:
-            best = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
-    dec = _isometry_decomposition(rho, v[best])
+def _checked_decomposition(rho: DensityOperator, v: np.ndarray) -> Decomposition:
+    """The decomposition of isometry v, checked to reconstruct rho."""
+    dec = _isometry_decomposition(rho, v)
     recon_dev = float(np.max(np.abs(dec.reconstruct() - rho.matrix)))
     if recon_dev > 1e-8:
         raise NumericalError(f"decomposition reconstruction off by {recon_dev}")
+    return dec
+
+
+def _closed_form_result(rho, cut, direction, mats) -> OptResult:
+    """The closed form's result: one converged start, whose trace is its value."""
+    dec = _checked_decomposition(rho, _closed_form_isometry(mats, direction))
     value = average_negativity(dec, cut)
-    if traces is None:
-        traces, converged = [np.array([value])], [True]
+    return OptResult(value, dec, direction, (value,), True, 0, (value,))
+
+
+def _result(rho, cut, direction, v, traces, converged) -> OptResult:
+    """One problem's result from its starts' isometries, traces and flags.
+
+    The best start is the first whose final value is within 1e-15 of the
+    best final value.
+    """
+    final = np.array([t[-1] for t in traces])
+    if direction == "max":
+        best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
+    else:
+        best = int(np.flatnonzero(final <= final.min() + 1e-15)[0])
+    dec = _checked_decomposition(rho, v[best])
     return OptResult(
-        value=value,
+        value=average_negativity(dec, cut),
         decomposition=dec,
         direction=direction,
         objective_trace=tuple(traces[best].tolist()),
         converged=bool(converged[best]),
         best_start=best,
-        start_values=tuple(float(t[-1]) for t in traces),
+        start_values=tuple(final.tolist()),
     )
 
 
-def optimize_many(problems, *, stop=None) -> list[OptResult | None]:
+def optimize_many(problems, *, supports=None, stop=None) -> list[OptResult | None]:
     """Solve roof problems in as few batched searches as their shapes allow.
 
     ``problems`` is a sequence of ``(rho, cut, direction, cfg)`` tuples,
-    the arguments of ``optimize``.  The problems of one direction,
-    decomposition size, root-matrix shape (rank and cut), ``max_sweeps``
-    and ``tol_rel`` run all their starts in one ``_descent`` or
+    the arguments of ``optimize``; ``supports``, if given, holds each
+    problem's ``local_supports`` matrices, in the same order, so that a
+    caller that has read them does not pay for them twice.  The problems
+    of one direction, decomposition size, root-matrix shape (rank and
+    cut), ``max_sweeps`` and ``tol_rel`` run all their starts in one ``_descent`` or
     ``_polar_ascent`` call; they may differ in ``starts`` and ``seed``.
     Every start steps as it would alone, so each result is bit for bit the
     one its problem gets alone.  A problem whose local supports are both
-    at most two-dimensional joins no group: its result is the closed form
-    (``_closed_form_isometry``).  Results come in the order of ``problems``.
+    at most two-dimensional (``measures.spin_flip_closes``) joins no
+    group: its result is the closed form (``_closed_form_isometry``).
+    Results come in the order of ``problems``.
 
     ``stop``, if given, ends minimum searches whose outcome the caller no
     longer needs.  Before each descent step it is called with every
@@ -648,15 +665,15 @@ def optimize_many(problems, *, stop=None) -> list[OptResult | None]:
     stopped get their results bit for bit, as without a rule.
     """
     prepared, groups, results = [], {}, []
-    for rho, cut, direction, cfg in problems:
+    for k, (rho, cut, direction, cfg) in enumerate(problems):
         if direction not in ("min", "max"):
             raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
         cfg = cfg or OptConfig()
         cut = as_bipartition(cut, rho.profile.n)
         size = cfg.resolve_size(rho.rank())
-        mats = _root_matrices(rho, cut)
-        if mats.shape[1:] == (2, 2):
-            results.append(_result(rho, cut, direction, _closed_form_isometry(mats, direction)[None]))
+        mats = _root_matrices(rho, cut, None if supports is None else supports[k])
+        if spin_flip_closes(mats):
+            results.append(_closed_form_result(rho, cut, direction, mats))
         else:
             key = (direction, size, mats.shape, cfg.max_sweeps, cfg.tol_rel)
             groups.setdefault(key, []).append(len(results))

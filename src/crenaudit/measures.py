@@ -7,10 +7,11 @@ decomposition's members or a flatness scan's samples are scored at once.
 Beside them: the concurrence floor and ceiling over a mixed state's range
 (``range_bracket``), the trace-norm negativity of mixed states, a
 density's roots on its local supports across a cut (``local_supports``),
-and, where both supports are at most two-dimensional, the exact roof and
-assistance values (``spin_flip_values``) and the Takagi form that gives
-their optimal decompositions (``spin_flip_takagi``); there every member
-has Schmidt rank <= 2, so the convex-roof extended negativity equals the
+and, where both supports are at most two-dimensional (``spin_flip_closes``,
+the one test of that), the exact roof and assistance values
+(``spin_flip_values``) and the Takagi form that gives their optimal
+decompositions (``spin_flip_takagi``); there every member has Schmidt
+rank <= 2, so the convex-roof extended negativity equals the
 concurrence, and ``monogamy.pair_terms`` and ``convexroof.optimize_many``
 read them for every such roof.
 """
@@ -180,8 +181,13 @@ def local_supports(rho: DensityOperator, cut) -> np.ndarray:
     side is compressed only where it has more than two dimensions and its
     support, of at least two, leaves out at most ``SUPPORT_DROP`` of the
     weight; every other side keeps its basis, so a full-support state's
-    matrices are its roots' ``cut_matrices`` bit for bit.
+    matrices are its roots' ``cut_matrices`` bit for bit.  The supports are
+    found with party 1 on side A, so the two namings of a cut give the
+    same numbers, transposed.
     """
+    cut = as_bipartition(cut, rho.profile.n)
+    if 1 not in cut.side_a:
+        return np.swapaxes(local_supports(rho, Bipartition(cut.side_b, cut.n)), 1, 2)
     mats = cut_matrices(rho.roots, rho.profile, cut)
     _, d_a, d_b = mats.shape
     frame = _support_frame(np.swapaxes(mats, 0, 1).reshape(d_a, -1)) if d_a > 2 else None
@@ -191,6 +197,17 @@ def local_supports(rho: DensityOperator, cut) -> np.ndarray:
     if frame is not None:
         mats = mats @ frame.conj()
     return mats
+
+
+def spin_flip_closes(supports: np.ndarray) -> bool:
+    """Whether roots on their ``local_supports`` pose a spin-flip closed form: both supports at most two-dimensional.
+
+    ``local_supports`` keeps at least two dimensions a side, so these are
+    the (rank, 2, 2) matrices.  ``spin_flip_values``,
+    ``monogamy.pair_terms`` and ``convexroof.optimize_many`` all take their
+    closed forms by this one test.
+    """
+    return supports.shape[1:] == (2, 2)
 
 
 _SY_SY = np.array(
@@ -210,7 +227,7 @@ def _spin_flip_matrix(mats: np.ndarray) -> np.ndarray:
     return x @ _SY_SY @ x.T
 
 
-def spin_flip_values(rho: DensityOperator, cut=1) -> tuple[float, float]:
+def spin_flip_values(rho: DensityOperator, cut=1, supports=None) -> tuple[float, float]:
     """Exact concurrence roof and concurrence of assistance of a state with two-dimensional local supports.
 
     Every two-qubit state qualifies, and so does every state whose
@@ -226,14 +243,15 @@ def spin_flip_values(rho: DensityOperator, cut=1) -> tuple[float, float]:
     member has Schmidt rank <= 2, so these are also the convex-roof
     extended negativity and its assistance dual.  The form is symmetric in
     the sides, and is read with party 1 on side A, so either naming of a
-    cut gives the same bits.
+    cut gives the same bits.  ``supports``, if given, are rho's
+    ``local_supports`` across the cut, held by the caller.
     """
     cut = as_bipartition(cut, rho.profile.n)
-    if 1 not in cut.side_a:
-        cut = Bipartition(cut.side_b, cut.n)
-    mats = local_supports(rho, cut)
-    if mats.shape[1:] != (2, 2):
+    mats = local_supports(rho, cut) if supports is None else supports
+    if not spin_flip_closes(mats):
         raise DomainError(f"local supports across {cut} are {mats.shape[1:]}, not at most 2 x 2")
+    if 1 not in cut.side_a:
+        mats = np.swapaxes(mats, 1, 2)
     lam = np.linalg.svd(_spin_flip_matrix(mats), compute_uv=False)
     return float(max(0.0, lam[0] - np.sum(lam[1:]))), float(np.sum(lam))
 

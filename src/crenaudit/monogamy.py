@@ -55,6 +55,7 @@ from .measures import (
     pure_concurrences,
     pure_negativities,
     range_bracket,
+    spin_flip_closes,
     spin_flip_values,
 )
 from .qlinalg import (
@@ -288,9 +289,10 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     ``cren`` and a ``concurrence`` row of one state share a minimum, and a
     ``crenoa`` and a ``coa`` row a maximum, in one call or in separate
     ones.  The searches no memo holds yet run in one ``optimize_many``
-    call.  Optimizer concurrence terms are the average concurrence of the
+    call, on the roots on the local supports that their rows' brackets
+    read.  Optimizer concurrence terms are the average concurrence of the
     decomposition the negativity search found.  A pure row's closed form
-    (per kernel), the support dimensions, the spin-flip values, the
+    (per kernel), the roots on the local supports, the spin-flip values, the
     partial-transpose negativity and the minor table's bracket are likewise
     kept on the state, per cut, and computed once however many rows and
     calls read them.
@@ -321,12 +323,13 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
         if direction is None:
             value = pt_negativity(state, cut)
             return value, value, "trace_norm"
-        supports = _memoized(state, ("local_supports", cut), lambda: local_supports(state, cut).shape[1:])
-        if supports == (2, 2):
-            value = _memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut))[direction == "max"]
+        supports = _memoized(state, ("local_supports", cut), lambda: local_supports(state, cut))
+        if spin_flip_closes(supports):
+            values = _memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut, supports))
+            value = values[direction == "max"]
             return value, value, "closed_form"
         floor, ceiling = _memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
-        if min(supports) == 2:
+        if min(supports.shape[1:]) == 2:
             # A two-dimensional support: every member has Schmidt rank <= 2,
             # so N = C on each, and both roofs and both duals share the
             # concurrence bracket, floored by the partial-transpose negativity too.
@@ -373,7 +376,11 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
             needed[owner[~stop(values)[posing]]] = True
             return ~needed
 
-    results = optimize_many([(s, *key[1:]) for s, key in solve], stop=problem_stop)
+    results = optimize_many(
+        [(s, *key[1:]) for s, key in solve],
+        supports=[s._memo["local_supports", key[1]] for s, key in solve],
+        stop=problem_stop,
+    )
     for (state, key), res in zip(solve, results):
         if res is not None:
             state._memo[key] = res

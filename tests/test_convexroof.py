@@ -61,6 +61,20 @@ def full_rank_qutrit_pair():
     return rho
 
 
+def _searched_max(mats, cfg):
+    """The polar ascent optimize runs from its starts on root matrices: the best start's trace and flag.
+
+    optimize solves two-qubit and W-class maxima in closed form, so the
+    search itself is run here on their (uncompressed) root matrices.
+    """
+    starts = _starts(cfg, len(mats))
+    evaluate = _objective(mats[None], np.zeros(len(starts), dtype=int))
+    _, traces, converged = _polar_ascent(evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel)
+    final = np.array([t[-1] for t in traces])
+    best = int(np.flatnonzero(final >= final.max() - 1e-15)[0])
+    return traces[best], converged[best]
+
+
 class TestHaarUnitaries:
     """A batched draw is the per-sample stream, so seeded results stay put."""
 
@@ -254,17 +268,20 @@ class TestOptimize:
             r = rho.matrix @ sy @ rho.matrix.conj() @ sy
             return float(np.sum(np.sqrt(np.abs(np.real(np.linalg.eigvals(r))))))
 
+        # optimize returns the closed form, so the ascent runs on the roots.
         for rank in (1, 2, 3, 4):
             rho = rand_dm((2, 2), rank, rng)
             for cfg in (OptConfig(), _audit_opt_cfg(rank, seed=0)):
-                res = optimize(rho, 1, "max", cfg)
-                assert abs(res.value - ceiling(rho)) <= 1e-6
-                assert res.converged
+                trace, converged = _searched_max(cut_matrices(rho.roots, rho.profile, 1), cfg)
+                assert abs(trace[-1] - ceiling(rho)) <= 1e-6
+                assert converged
 
     def test_max_stops_at_once_on_a_flat_landscape(self):
         # Every decomposition of a W/vacuum mixture averages to
         # 2p sqrt(A(1-A)), A the excitation weight of party 1.  Local
         # unitaries keep that value but move the starting decompositions.
+        # Its supports are 2 x 2, so optimize returns the closed form, and
+        # the ascent runs on the uncompressed (3, 9) root matrices.
         rng = np.random.default_rng(7)
         table = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         spec = PCSSpec(WClassSpec(3, 3, table / np.linalg.norm(table)), 0.6, 0.4)
@@ -274,10 +291,11 @@ class TestOptimize:
         for _ in range(3):
             u = np.kron(np.kron(haar_unitary(3, rng), haar_unitary(3, rng)), haar_unitary(3, rng))
             rotated = DensityOperator(rho.profile, u @ rho.matrix @ u.conj().T)
-            res = optimize(rotated, 1, "max")
-            assert abs(res.value - expected) <= 1e-9
-            assert res.converged
-            assert len(res.objective_trace) <= 3
+            trace, converged = _searched_max(cut_matrices(rotated.roots, rho.profile, 1), OptConfig())
+            assert abs(trace[-1] - expected) <= 1e-9
+            assert converged
+            assert len(trace) <= 3
+            assert abs(optimize(rotated, 1, "max").value - expected) <= 1e-9
 
     def test_min_stops_at_once_on_a_flat_landscape(self):
         # Every decomposition of these rank-2 (3,2) pair marginals averages

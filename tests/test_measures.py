@@ -276,7 +276,10 @@ class TestSpinFlipValues:
             rho = rand_dm((2, 2), rank, rng)
             roof, assistance = spin_flip_values(rho)
             searched = optimize(rho, 1, "max").value
-            # The search's decomposition bounds the maximum from below.
+            # optimize returns the closed form's decomposition, built from
+            # the Takagi factors; its average negativity must meet the
+            # value.  The search's own maximum meets it in
+            # test_convexroof's test_max_attains_two_qubit_assistance_ceiling.
             assert assistance >= searched - 1e-12
             assert assistance - searched <= 1e-8
             if rank >= 2:

@@ -480,6 +480,25 @@ class TestSharedSearches:
                     for m in ("cren", "concurrence", "negativity", "cren", "crenoa", "coa")])
         assert calls == {"spin_flip_values": 1, "negativity_mixed": 2}
 
+    def test_local_supports_read_once_per_state_and_cut(self, monkeypatch):
+        # The bracket's roots on the supports feed the spin-flip values and
+        # the search alike: one read each, a closed form and a searched
+        # row included, with the supports of a qutrit W pair compressed.
+        calls, original = [], measures.local_supports
+
+        def counted(rho, cut):
+            calls.append((id(rho), cut))
+            return original(rho, cut)
+
+        for module in (measures, convexroof, monogamy):
+            monkeypatch.setattr(module, "local_supports", counted)
+        inputs = _term_inputs()
+        terms = pair_terms([(inputs[name], 1, m, OptConfig(starts=2))
+                            for name in ("qubit_pair", "qutrit_w_pair", "qutrit_qubit_mix")
+                            for m in ("cren", "concurrence", "crenoa", "coa")])
+        assert {t.method for t in terms} == {"closed_form", "optimizer"}
+        assert len(calls) == len(set(calls)) == 3
+
     def test_pure_rows_computed_once_per_kernel(self, monkeypatch):
         # The five audits read the Ou state's (3, 9) focus cut matrix
         # through two kernels: one values-only SVD each.
