@@ -76,7 +76,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import local_supports, pure_negativities, spin_flip_closes, spin_flip_takagi
+from .measures import (
+    local_supports,
+    pure_negativities,
+    spin_flip_closes,
+    spin_flip_takagi,
+    two_row_gram,
+)
 from .qlinalg import (
     Bipartition,
     DensityOperator,
@@ -92,6 +98,7 @@ from .qlinalg import (
 ZERO_WEIGHT = 1e-14       # decomposition members below this weight are dropped
 DEFAULT_SIZE_CAP = 16     # cap for the rank**2 default decomposition size
 UNITARY_TOL = 1e-10
+RECONSTRUCTION_TOL = 1e-8  # most a result's isometry deviates from one, and most weight it drops
 
 
 def haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -147,10 +154,12 @@ class Decomposition:
         return self.members.T @ self.members.conj()
 
 
-def _isometry_decomposition(rho: DensityOperator, v: np.ndarray) -> Decomposition:
-    """Decomposition whose members are the rows of v @ rho.roots above ``ZERO_WEIGHT``."""
+def _isometry_members(rho: DensityOperator, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """The rows of v @ rho.roots above ``ZERO_WEIGHT``, and the weight of those dropped."""
     combos = v @ rho.roots
-    return Decomposition(rho.profile, combos[norm_sq(combos) > ZERO_WEIGHT])
+    weights = norm_sq(combos)
+    kept = weights > ZERO_WEIGHT
+    return combos[kept], float(np.sum(weights[~kept]))
 
 
 def decomposition_from_unitary(rho: DensityOperator, u: np.ndarray) -> Decomposition:
@@ -171,7 +180,7 @@ def decomposition_from_unitary(rho: DensityOperator, u: np.ndarray) -> Decomposi
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(r))))
     if dev > UNITARY_TOL:
         raise DomainError(f"matrix deviates from unitarity by {dev}")
-    return _isometry_decomposition(rho, u[:, :rank])
+    return Decomposition(rho.profile, _isometry_members(rho, u[:, :rank])[0])
 
 
 def average_negativity(dec: Decomposition, cut) -> float:
@@ -265,8 +274,9 @@ _RANK_ONE = 1e-12
 def _two_row_roof(mats: np.ndarray, mu: float):
     """Smoothed and exact squared nuclear norms of stacked 2 x d matrices, with no SVD.
 
-    For rows a and b, Gram-Schmidt gives r = b - c a with c = <a,b>/|a|^2,
-    so det G = |a|^2 |r|^2 (G = M M^H) comes free of the cancellation in
+    For rows a and b, Gram-Schmidt (``measures.two_row_gram``, which the
+    pure kernels read too) gives r = b - c a with c = <a,b>/|a|^2, so
+    det G = |a|^2 |r|^2 (G = M M^H) comes free of the cancellation in
     det G.  With q = sqrt(det(G + mu^2 I)) = sqrt(|a|^2 |r|^2 +
     mu^2 ||M||_F^2 + mu^4), the smoothed norm sum_i sqrt(s_i^2 + mu^2) has
     square ||M||_F^2 + 2 mu^2 + 2 q, and its gradient
@@ -283,11 +293,7 @@ def _two_row_roof(mats: np.ndarray, mu: float):
     subgradient, whose second singular pair points off the product.
     """
     a, b = mats[..., 0, :], mats[..., 1, :]
-    g = norm_sq(a)
-    ab = np.sum(a.conj() * b, axis=-1)
-    c = np.divide(ab, g, out=np.zeros_like(ab), where=g > 0.0)
-    r = b - c[..., None] * a
-    rr = norm_sq(r)
+    g, c, r, rr = two_row_gram(a, b)
     fro = g + norm_sq(b)
     det, mu2 = g * rr, mu * mu
     q = np.sqrt(det + mu2 * fro + mu2 * mu2)
@@ -600,12 +606,22 @@ def _closed_form_isometry(mats: np.ndarray, direction: str) -> np.ndarray:
 
 
 def _checked_decomposition(rho: DensityOperator, v: np.ndarray) -> Decomposition:
-    """The decomposition of isometry v, checked to reconstruct rho."""
-    dec = _isometry_decomposition(rho, v)
-    recon_dev = float(np.max(np.abs(dec.reconstruct() - rho.matrix)))
-    if recon_dev > 1e-8:
-        raise NumericalError(f"decomposition reconstruction off by {recon_dev}")
-    return dec
+    """The decomposition of isometry v, checked to reconstruct rho with no D x D matrix.
+
+    With V^H V = I + E, all the rows of V @ roots reconstruct rho + R^T
+    conj(E) conj(R) for the roots R, whose entries are off by at most
+    ||E||_2 ||R||_2^2 <= ||E||_F (||R||_2^2 is rho's top eigenvalue, at
+    most 1); dropping members moves no entry by more than their weight.
+    So ||E||_F and the dropped weight, each within ``RECONSTRUCTION_TOL``,
+    bound the reconstruction's deviation from rho by their sum.
+    """
+    members, dropped = _isometry_members(rho, v)
+    isometry_dev = float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+    if isometry_dev > RECONSTRUCTION_TOL or dropped > RECONSTRUCTION_TOL:
+        raise NumericalError(
+            f"decomposition reconstruction off: isometry by {isometry_dev}, dropped weight {dropped}"
+        )
+    return Decomposition(rho.profile, members)
 
 
 def _closed_form_result(rho, cut, direction, mats) -> OptResult:
@@ -754,11 +770,17 @@ def flatness_scan(
     from a Haar unitary on ``rho.roots``, the spectral roots ``rho`` holds
     (a W/vacuum state of ``states`` takes them from its rank-2 factor, so
     scanning it runs no D x D eigensolve and forms no D x D matrix); all
-    ``samples`` unitaries are one ``haar_unitaries`` draw, in order, and
-    the members of every sample are scored in one ``pure_negativities``
-    call.  A max_abs_dev at rounding
-    level certifies (numerically) that the decomposition landscape is flat,
-    i.e. the convex roof is decomposition independent for this state and cut.
+    ``samples`` unitaries are one ``haar_unitaries`` draw, in order.  The
+    members are scored on the roots' ``local_supports`` across the cut,
+    which local isometries leave every pure-state measure of: the
+    isometries act on the (rank, k_a, k_b) support matrices, and the
+    (samples * size, k_a, k_b) members of every sample are scored in one
+    ``pure_negativities`` call.  A W/vacuum state's members are 2 x 2 there,
+    scored in closed form with no wide SVD; a full-support state's are its
+    roots' cut matrices mixed, as without the supports.  A max_abs_dev at
+    rounding level certifies (numerically) that the decomposition landscape
+    is flat, i.e. the convex roof is decomposition independent for this
+    state and cut.
     """
     if samples < 2:
         raise DomainError("flatness_scan needs at least 2 samples")
@@ -768,7 +790,9 @@ def flatness_scan(
     if r < rank:
         raise DomainError(f"size {r} below rank {rank}")
     isometries = haar_unitaries(samples, r, np.random.default_rng(seed))[:, :, :rank]
-    mats = cut_matrices(isometries @ rho.roots, rho.profile, cut)
+    supports = local_supports(rho, cut)
+    _, k_a, k_b = supports.shape
+    mats = (isometries @ supports.reshape(rank, -1)).reshape(samples * r, k_a, k_b)
     values = pure_negativities(mats).reshape(samples, r).sum(axis=1)
     mean = float(values.mean())
     return FlatnessResult(mean=mean, max_abs_dev=float(np.max(np.abs(values - mean))))

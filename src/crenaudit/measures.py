@@ -1,9 +1,14 @@
 """Closed-form pure-state entanglement measures and mixed-state negativity.
 
 Pure-state concurrence and negativity are functions of the Schmidt
-coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so both come
-from one batched singular-value call on stacked cut matrices: a
-decomposition's members or a flatness scan's samples are scored at once.
+coefficients alone (Vidal & Werner, PRA 65, 032314 (2002)), so both score
+stacked cut matrices at once: a decomposition's members or a flatness
+scan's samples.  Where a stack's short side is 2, every member has Schmidt
+rank <= 2 and N = C = 2 s_1 s_2, twice the norm of its one 2x2 minor
+(Mintert, Kus & Buchleitner, PRL 92, 167902 (2004)), which the two rows'
+Gram-Schmidt data give in closed form (``two_row_gram``, the lines the
+optimizer's two-row objective reads too); every other shape takes one
+batched singular-value call.
 Beside them: the concurrence floor and ceiling over a mixed state's range
 (``range_bracket``), the trace-norm negativity of mixed states, a
 density's roots on its local supports across a cut (``local_supports``),
@@ -30,6 +35,7 @@ from .qlinalg import (
     PureState,
     as_bipartition,
     cut_matrices,
+    norm_sq,
     partial_transpose,
     trace_norm,
 )
@@ -52,12 +58,43 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
     return np.sum(x[..., 1:] * np.cumsum(x[..., :-1], axis=-1), axis=-1)
 
 
+def two_row_gram(a: np.ndarray, b: np.ndarray):
+    """Gram-Schmidt data (|a|^2, c, r, |r|^2) of the rows a, b of stacked 2 x d matrices.
+
+    r = b - c a with c = <a,b>/|a|^2 (0 where a is 0), so det G = |a|^2
+    |r|^2 for G = M M^H, free of the cancellation in |a|^2 |b|^2 -
+    |<a,b>|^2, and s_1 s_2 = |a| |r|.
+    """
+    g = norm_sq(a)
+    ab = np.sum(a.conj() * b, axis=-1)
+    c = np.divide(ab, g, out=np.zeros_like(ab), where=g > 0.0)
+    r = b - c[..., None] * a
+    return g, c, r, norm_sq(r)
+
+
+def _two_row_values(mats: np.ndarray) -> np.ndarray | None:
+    """2 s_1 s_2 = 2 |a| |r| of each stacked matrix whose short side is 2, or None for other shapes.
+
+    A (k, d, 2) stack is transposed first, which leaves its singular values.
+    """
+    if min(mats.shape[-2:]) != 2:
+        return None
+    if mats.shape[-2] != 2:
+        mats = np.swapaxes(mats, -1, -2)
+    g, _, _, rr = two_row_gram(mats[..., 0, :], mats[..., 1, :])
+    return 2.0 * np.sqrt(g * rr)
+
+
 def pure_negativities(mats: np.ndarray) -> np.ndarray:
     """p_k N(phi_k) for stacked cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
 
-    With s the singular values of M_k, from one batched SVD, this is
-    ||M_k||_*^2 - ||M_k||_F^2 = 2 sum_{i<j} s_i s_j.
+    With s the singular values of M_k this is ||M_k||_*^2 - ||M_k||_F^2 =
+    2 sum_{i<j} s_i s_j: 2 s_1 s_2 in closed form where the short side is
+    2, else from one batched SVD.
     """
+    two_row = _two_row_values(mats)
+    if two_row is not None:
+        return two_row
     s = np.linalg.svd(mats, compute_uv=False)
     return 2.0 * _pair_sum(s)
 
@@ -65,11 +102,15 @@ def pure_negativities(mats: np.ndarray) -> np.ndarray:
 def pure_concurrences(mats: np.ndarray) -> np.ndarray:
     """p_k C(phi_k) for stacked cut matrices M_k = sqrt(p_k) (cut matrix of phi_k).
 
-    With s the singular values of M_k, from one batched SVD, this is
-    sqrt(2 ((tr G_k)^2 - tr G_k^2)) for G_k = M_k M_k^H, that is
-    2 sqrt(sum_{i<j} s_i^2 s_j^2): summed from its nonnegative terms, never
-    as the cancelling difference.
+    With s the singular values of M_k this is sqrt(2 ((tr G_k)^2 -
+    tr G_k^2)) for G_k = M_k M_k^H, that is 2 sqrt(sum_{i<j} s_i^2 s_j^2):
+    where the short side is 2, the closed form 2 s_1 s_2 that
+    ``pure_negativities`` gives too; else from one batched SVD, summed from
+    its nonnegative terms, never as the cancelling difference.
     """
+    two_row = _two_row_values(mats)
+    if two_row is not None:
+        return two_row
     s = np.linalg.svd(mats, compute_uv=False)
     return 2.0 * np.sqrt(_pair_sum(s * s))
 

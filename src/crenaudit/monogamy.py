@@ -188,11 +188,18 @@ def _require_focus(profile: DimensionProfile, focus: int) -> None:
         raise DomainError("audits need at least 3 parties")
 
 
+_MISSING = object()
+
+
 def _memoized(state, key, compute):
-    """``compute()``, kept in ``state``'s memo under ``key`` for every later call."""
-    if key not in state._memo:
-        state._memo[key] = compute()
-    return state._memo[key]
+    """``compute()``, kept in ``state``'s memo under ``key`` for every later call.
+
+    A hit reads the memo once, so the key is hashed once.
+    """
+    value = state._memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = state._memo[key] = compute()
+    return value
 
 
 def _pair_marginals(psi: PureState, focus: int):

@@ -15,7 +15,7 @@ construction: a matrix by ``eigh``, a factor X (rho = X X^H) by a thin
 SVD of X.  The partial trace of a pure state or a density reshapes those
 rows kept | rest into the factor of the marginal, so no partial trace
 forms a D x D matrix, and a factor-built density forms its own only when
-something (a partial transpose, a reconstruction check) reads it.
+something (a partial transpose) reads it.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share between concurrent tasks.  A state's
@@ -110,16 +110,24 @@ def _sorted_parties(parties: Iterable[int], n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A nonempty proper subset of parties versus its complement."""
+    """A nonempty proper subset of parties versus its complement.
+
+    Its hash is computed once, at construction: cuts key every memo.
+    """
 
     side_a: tuple[int, ...]
     n: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         side = _sorted_parties(self.side_a, self.n)
         if len(side) >= self.n:
             raise DomainError("side_a must be a proper subset of the parties")
         object.__setattr__(self, "side_a", side)
+        object.__setattr__(self, "_hash", hash((side, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def side_b(self) -> tuple[int, ...]:

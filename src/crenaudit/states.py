@@ -134,15 +134,21 @@ def _basis_sum(profile: DimensionProfile, terms) -> PureState:
     return PureState(profile, vec)
 
 
+def _w_amplitudes(spec: WClassSpec, scale: float) -> np.ndarray:
+    """The amplitude vector with scale * a[j,i] on the basis state of digit i at party j.
+
+    Party 1 varies slowest, so that basis state's index is i d^(n-j).
+    """
+    n, d = spec.n, spec.d
+    index = np.arange(1, d) * d ** np.arange(n - 1, -1, -1)[:, None]
+    vec = np.zeros(spec.profile.size, dtype=complex)
+    vec[index] = scale * spec.a
+    return vec
+
+
 def build_w_state(spec: WClassSpec) -> PureState:
     """Pure state with amplitude a[j,i] on the basis state of digit i at party j."""
-    terms = [([i if k == j else 0 for k in range(1, spec.n + 1)], spec.a[j - 1, i - 1])
-             for j in range(1, spec.n + 1) for i in range(1, spec.d)]
-    return _basis_sum(spec.profile, terms)
-
-
-def vacuum_state(profile: DimensionProfile) -> PureState:
-    return _basis_sum(profile, [((0,) * profile.n, 1.0)])
+    return PureState(spec.profile, _w_amplitudes(spec, 1.0))
 
 
 def build_pcs_density(spec: PCSSpec) -> DensityOperator:
@@ -157,9 +163,9 @@ def build_pcs_density(spec: PCSSpec) -> DensityOperator:
 
 def coherent_superposition(spec: PCSSpec) -> PureState:
     """The fully coherent case: sqrt(p)|W> + sqrt(1-p)|vac>."""
-    w = build_w_state(spec.w).amplitudes
-    vac = vacuum_state(spec.w.profile).amplitudes
-    return PureState(spec.w.profile, np.sqrt(spec.p) * w + np.sqrt(1.0 - spec.p) * vac)
+    vec = _w_amplitudes(spec.w, np.sqrt(spec.p))
+    vec[0] = np.sqrt(1.0 - spec.p)
+    return PureState(spec.w.profile, vec)
 
 
 def apply_phase_damping(psi: PureState, lam: float) -> DensityOperator:

@@ -7,6 +7,7 @@ from crenaudit import (
     DensityOperator,
     DimensionProfile,
     DomainError,
+    NumericalError,
     OptConfig,
     WClassSpec,
     PCSSpec,
@@ -30,6 +31,8 @@ from crenaudit import (
 from crenaudit.convexroof import (
     _PLAIN_STEPS,
     _SMOOTHING,
+    _checked_decomposition,
+    _closed_form_isometry,
     _descent,
     _objective,
     _polar,
@@ -256,6 +259,45 @@ class TestOptimize:
         res = optimize(rho, 1, "min", OptConfig(starts=2, max_sweeps=30))
         assert np.max(np.abs(res.decomposition.reconstruct() - rho.matrix)) <= 1e-8
 
+    @pytest.mark.parametrize("corrupt", ["scaled", "sheared"])
+    def test_a_corrupted_isometry_raises(self, corrupt, monkeypatch, rng):
+        # The check reads the isometry's deviation, not the D x D
+        # reconstruction.  A closed form's isometry V is scaled by 1 + 1e-6,
+        # or sheared to V (I + 1e-6 H) with H zero on its diagonal, which
+        # moves the members' total weight by 1e-12 only: both are refused.
+        rho = rand_dm((2, 2), 3, rng)
+        shear = np.eye(3) + 1e-6 * (np.ones((3, 3)) - np.eye(3))
+        original = _closed_form_isometry
+
+        def corrupted(mats, direction):
+            v = original(mats, direction)
+            return (1.0 + 1e-6) * v if corrupt == "scaled" else v @ shear
+
+        monkeypatch.setattr("crenaudit.convexroof._closed_form_isometry", corrupted)
+        for direction in ("min", "max"):
+            with pytest.raises(NumericalError, match="isometry by"):
+                optimize(rho, 1, direction)
+
+    def test_dropped_weight_raises(self, monkeypatch, rng):
+        # Members dropped for a weight at or below ZERO_WEIGHT move the
+        # reconstruction by their weight; raised to 0.1 here, that is refused.
+        rho = rand_dm((2, 3), 4, rng)
+        v = haar_unitary(6, np.random.default_rng(2))[:, :4]
+        monkeypatch.setattr("crenaudit.convexroof.ZERO_WEIGHT", 0.1)
+        with pytest.raises(NumericalError, match="dropped weight"):
+            _checked_decomposition(rho, v)
+
+    def test_the_isometry_check_bounds_the_reconstruction(self, rng):
+        # With no member dropped, |reconstruct - rho| <= ||V^H V - I||_F entrywise.
+        rho = rand_dm((3, 3), 5, rng)
+        for eps in (1e-12, 1e-11, 1e-10):
+            z = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+            v = haar_unitary(8, rng)[:, :5] + eps * z
+            dec = _checked_decomposition(rho, v)
+            assert len(dec.members) == 8
+            dev = np.max(np.abs(dec.reconstruct() - rho.matrix))
+            assert dev <= np.linalg.norm(v.conj().T @ v - np.eye(5)) + 1e-15
+
     def test_max_attains_two_qubit_assistance_ceiling(self, rng):
         # For two-qubit states the maximum average negativity is the
         # concurrence of assistance, the sum of the sqrt eigenvalues of
@@ -446,8 +488,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_w_vacuum_mixtures_meet_the_analytic_values(self, n, d):
         # Both cuts of every W/vacuum mixture have local supports of two
-        # dimensions: the focus|rest cut (up to D = 1024 here, as the
-        # reconstruction check forms D x D matrices) and every pair.
+        # dimensions: the focus|rest cut (up to D = 4096 here) and every pair.
         rng = np.random.default_rng(10 * n + d)
         z = rng.standard_normal((n, d - 1)) + 1j * rng.standard_normal((n, d - 1))
         spec = WClassSpec(n, d, z / np.linalg.norm(z))
@@ -455,7 +496,7 @@ class TestClosedForm:
         rho = build_pcs_density(PCSSpec(spec, p, rng.uniform(0.0, 1.0)))
         values = analytic_w_values(spec, p)
         problems = [(partial_trace(rho, (1, j)), 1, want) for j, want in enumerate(values.pair_cren, 2)]
-        if rho.profile.size <= 1024:
+        if rho.profile.size <= 4096:
             problems.append((rho, Bipartition((1,), n), values.global_cren))
         for state, cut, want in problems:
             assert local_supports(state, cut).shape[1:] == (2, 2)
@@ -901,3 +942,52 @@ class TestFlatnessScan:
         rho = rand_dm((2, 2), 2, rng)
         with pytest.raises(DomainError):
             flatness_scan(rho, 1, samples=1)
+
+    @staticmethod
+    def _full_cut_scan(rho, samples, seed, size):
+        """Mean and spread of the scan's samples scored on the full cut matrices by their SVD."""
+        rank = rho.rank()
+        isometries = haar_unitaries(samples, size, np.random.default_rng(seed))[:, :, :rank]
+        s = np.linalg.svd(cut_matrices(isometries @ rho.roots, rho.profile, 1), compute_uv=False)
+        pairs = np.sum(s[..., 1:] * np.cumsum(s[..., :-1], axis=-1), axis=-1)
+        values = 2.0 * pairs.reshape(samples, size).sum(axis=1)
+        return values.mean(), np.max(np.abs(values - values.mean()))
+
+    def test_w_vacuum_scan_on_the_supports_meets_the_full_cut_scan(self):
+        # A (7, 4) W/vacuum density has 2 x 2 supports across 1|rest, D = 16384:
+        # its members are scored there, not as 4 x 4096 cut matrices.
+        rng = np.random.default_rng(74)
+        z = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        rho = build_pcs_density(PCSSpec(WClassSpec(7, 4, z / np.linalg.norm(z)), 0.7, 0.4))
+        assert local_supports(rho, 1).shape == (2, 2, 2)
+        flat = flatness_scan(rho, 1, samples=64, seed=5)
+        mean, dev = self._full_cut_scan(rho, 64, 5, 2)
+        assert abs(flat.mean - mean) <= 1e-12
+        assert abs(flat.max_abs_dev - dev) <= 1e-12
+
+    @pytest.mark.parametrize("dims, rank", [((3, 3), 4), ((2, 4), 3), ((3, 4), 9)])
+    def test_full_support_scan_is_unchanged(self, dims, rank, rng):
+        # A full-support state's support matrices are its roots' cut matrices.
+        rho = rand_dm(dims, rank, rng)
+        assert np.array_equal(local_supports(rho, 1), cut_matrices(rho.roots, rho.profile, 1))
+        flat = flatness_scan(rho, 1, samples=16, seed=2, size=rank + 1)
+        mean, dev = self._full_cut_scan(rho, 16, 2, rank + 1)
+        assert abs(flat.mean - mean) <= 1e-14
+        assert abs(flat.max_abs_dev - dev) <= 1e-14
+
+    def test_w_vacuum_scan_runs_no_wide_member_svd(self, monkeypatch):
+        # The only SVDs with both sides above 2 are the supports' own frames,
+        # one stacked matrix a side; no sample's member is a wide SVD.
+        rho = build_pcs_density(PCSSpec(WClassSpec.symmetric(7, 4), 0.6, 0.3))
+        shapes = []
+
+        def counted(a, *args, _original=np.linalg.svd, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        local_supports(rho, 1)
+        frames, shapes[:] = list(shapes), []
+        flatness_scan(rho, 1, samples=64)
+        assert frames and all(len(shape) == 2 for shape in frames)
+        assert [shape for shape in shapes if min(shape[-2:]) > 2] == frames

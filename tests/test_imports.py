@@ -178,17 +178,18 @@ def test_monogamy_decomposes_no_matrix_itself():
     assert not callers, f"decompositions in monogamy: {callers}"
 
 
-def test_only_partial_transpose_and_the_reconstruction_check_read_matrix():
+def test_only_partial_transpose_reads_matrix():
     # A density is held as its range factor (its roots); the D x D matrix is
-    # read only to transpose a party's indices and where optimize checks
-    # that its decomposition, searched or closed form, rebuilds the density.
+    # read only to transpose a party's indices.  optimize checks that its
+    # decomposition rebuilds the density from the isometry and the dropped
+    # weight, with no D x D matrix.
     readers = {
         owner
         for owner, node in _top_level_owners(include_init=True)
         if isinstance(node, ast.Attribute) and node.attr == "matrix"
         and isinstance(node.ctx, ast.Load)
     }
-    assert readers == {"qlinalg.partial_transpose", "convexroof._checked_decomposition"}
+    assert readers == {"qlinalg.partial_transpose"}
 
 
 def test_no_module_runs_a_general_eigensolve():

@@ -176,6 +176,82 @@ class TestPureKernels:
         assert pure_negativities(mats)[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def _svd_pair_products(mats):
+    """2 s_1 s_2 of each stacked matrix, from its singular values."""
+    s = np.linalg.svd(mats, compute_uv=False)
+    return 2.0 * s[..., 0] * s[..., 1]
+
+
+class TestTwoRowKernel:
+    """Stacks whose short side is 2 are scored in closed form, 2 s_1 s_2 = 2 |a| |r|."""
+
+    @staticmethod
+    def _members(shape, rng):
+        # sqrt(p_k) times unit members, weights from a Dirichlet draw.
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z /= np.linalg.norm(z, axis=(-2, -1), keepdims=True)
+        return z * np.sqrt(rng.dirichlet(np.ones(shape[0])))[:, None, None]
+
+    @staticmethod
+    def _assert_matches_the_svd(mats):
+        want = _svd_pair_products(mats)
+        for kernel in (pure_negativities, pure_concurrences):
+            assert np.all(np.abs(kernel(mats) - want) <= 1e-14 * np.maximum(1.0, want))
+
+    @pytest.mark.parametrize("shape", [(32, 2, 2), (32, 2, 3), (32, 2, 9), (32, 3, 2), (32, 16, 2),
+                                       (8, 2, 4096)])
+    def test_random_stacks_match_the_svd(self, shape, rng):
+        self._assert_matches_the_svd(self._members(shape, rng))
+
+    @pytest.mark.parametrize("shape", [(6, 2, 5), (6, 5, 2)])
+    def test_product_and_zero_members_match_the_svd(self, shape, rng):
+        # s_2 = 0: rank-one members (one with a zero row) and zero members.
+        mats = self._members(shape, rng)
+        _, rows, cols = shape
+        u = rng.standard_normal((3, rows)) + 1j * rng.standard_normal((3, rows))
+        v = rng.standard_normal((3, cols)) + 1j * rng.standard_normal((3, cols))
+        outer = u[:, :, None] * v[:, None, :]
+        mats[:3] = outer / np.linalg.norm(outer, axis=(-2, -1), keepdims=True) / np.sqrt(6.0)
+        # The first of the two rows (or columns) of the last product is zero: a = 0.
+        if rows == 2:
+            mats[2, 0, :] = 0.0
+        else:
+            mats[2, :, 0] = 0.0
+        mats[3:5] = 0.0
+        values = pure_negativities(mats)
+        assert np.all(values[:5] <= 1e-15)
+        assert np.all(values[3:5] == 0.0)
+        self._assert_matches_the_svd(mats)
+
+    @pytest.mark.parametrize("shape", [(8, 2, 3), (8, 4, 2)])
+    def test_members_near_the_zero_weight_match_the_svd(self, shape, rng):
+        # Members of weight about ZERO_WEIGHT, 1e-14, the least a decomposition keeps.
+        mats = self._members(shape, rng)
+        mats *= np.sqrt(1e-14 / np.linalg.norm(mats, axis=(-2, -1)) ** 2)[:, None, None]
+        want = _svd_pair_products(mats)
+        assert np.all(want > 1e-17)
+        for kernel in (pure_negativities, pure_concurrences):
+            assert np.all(np.abs(kernel(mats) - want) <= 1e-13 * want)
+
+    def test_two_row_stacks_run_no_svd(self, monkeypatch, rng):
+        # The closed form replaces the SVD on every stack whose short side is
+        # 2, whatever its leading axes; every other shape keeps one SVD call.
+        shapes = []
+
+        def counted(a, *args, _original=np.linalg.svd, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for shape in ((8, 2, 5), (8, 5, 2), (3, 4, 2, 2), (1, 2, 4096)):
+            mats = rng.standard_normal(shape) + 0j
+            pure_negativities(mats)
+            pure_concurrences(mats)
+        assert shapes == []
+        pure_negativities(np.ones((8, 3, 3), dtype=complex))
+        assert shapes == [(8, 3, 3)]
+
+
 class TestNegativityMixed:
     def test_separable_mixture_is_ppt(self, rng):
         profile = DimensionProfile((2, 3))
