@@ -558,6 +558,29 @@ class TestGoldenSweep:
         assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
+
+class TestGoldenAudits:
+    """The exact output of the paper's counterexample audits, of a qutrit GHZ
+    audit and of a seeded hunt, checked in as files, so that a change of a
+    value, a bound kind or a verdict shows between commits."""
+
+    MEASURES = ("--measures", "cren,ckw,crenoa,coa,negativity", "--format", "csv")
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("--family", "ou"), "audit_ou_all_measures.csv"),
+        (("--family", "kim_sanders"), "audit_kim_sanders_all_measures.csv"),
+        (("--family", "ghz", "--n", "4", "--d", "3"), "audit_ghz_n4_d3_all_measures.csv"),
+    ])
+    def test_audit_csv(self, argv, golden, capsys):
+        code, out, _ = run_cli("audit", *argv, *self.MEASURES, capsys=capsys)
+        assert code == 0
+        assert out == (DATA / golden).read_text(encoding="utf-8")
+
+    def test_hunt_summary(self, capsys):
+        code, _, err = run_cli("hunt", "--profile", "3,3,3", "--trials", "200", capsys=capsys)
+        assert code == 0
+        assert err == (DATA / "hunt_333_trials200.err").read_text(encoding="utf-8")
+
 class TestHuntCommand:
     def test_zero_trials(self, capsys):
         code, out, err = run_cli(
