@@ -1,45 +1,15 @@
 """Pair terms, monogamy-of-entanglement audits and the analytic W-class oracle.
 
-``PAIR_MEASURES`` maps each pair measure to its pure-state kernel
-(concurrence or negativity) and roof direction.  ``pair_terms`` reads it,
-keeps each value in the state's memo, so later calls on the same object
-reuse it, and says how the value relates to the true one: ``exact``,
-``upper`` (an optimizer minimum) or ``lower`` (an optimizer maximum);
-``pair_term`` is its one-item call.  Each term carries a bracket
-``[lower, upper]`` that holds the true value, and every row reads its
-bracket from one closed form first: the pure kernel, the trace norm, the
-spin-flip values (``spin_flip_values``, in both directions) of a state
-whose local supports are at most two-dimensional, or the minor table of
-the range (``range_bracket``).  A row whose bracket
-closes to rounding is ``exact`` at its ceiling and poses no search; the
-others are solved by the decomposition optimizer, in one batched
-``optimize_many`` call, and bracketed ``[floor, value]`` (a minimum) or
-``[value, ceiling]`` (a maximum).  The minor table bounds every mixed
-roof row: every decomposition member lies in the range, and twice the
-extreme singular values of the table of 2x2 minors of the range basis
-bound the concurrence C of every unit vector there, so they are a proof
-up to floating point.
-
-* Every pure state has N >= C, so the concurrence floor floors both roofs;
-  the negativity roof keeps the partial-transpose negativity as a floor too.
-* Where a side's local support is two-dimensional every member has
-  Schmidt rank <= 2, so N = C on each: all four roof rows share one
-  bracket, [max(PT negativity, C floor), C ceiling].
-* Elsewhere the C ceiling bounds ``concurrence`` and ``coa`` from above,
-  and nothing but a search bounds ``cren`` (its value) or ``crenoa`` (+inf).
-
-So neither a qubit audit nor a W-class audit poses a search, and the
-Kim-Sanders qutrit-qubit pairs, whose ranges have constant concurrence
-sqrt(8/9), get all four roof terms exact from the table.
-
-An audit compares the squared entanglement of one focus party with the
-rest of a pure multipartite state against the sum of its squared pair
-terms, and reads its verdict from their brackets alone, the same way for
-monogamy and its assistance dual (``_verdict``).  Verdict boundaries use
-``TOL_SAT``; anything within it counts as saturation.
-``audits`` takes ``(psi, state_id, seed)`` rows and resolves the terms of
-all of them under all its measures in one ``pair_terms`` call; ``audit``
-is its one-item call.
+``pair_terms`` brackets each pair term by one rule over the bound sources
+of ``_BOUND_SOURCES`` and, where they leave it open, a search: the term is
+``exact`` once its largest floor meets its least ceiling, and otherwise
+``upper`` (an optimizer minimum) or ``lower`` (an optimizer maximum).  So
+no qubit or W-class audit poses a search, the Kim-Sanders qutrit-qubit
+pairs are exact from their minor tables, and Ou's pairs close their
+``cren`` terms at the search's value.  ``audits`` read each monogamy
+inequality, or its assistance dual, from the brackets of its terms
+(``_verdict``), within ``TOL_SAT``; ``pair_term`` and ``audit`` are the
+one-item calls.
 """
 
 from __future__ import annotations
@@ -73,14 +43,13 @@ from .states import PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coars
 
 TOL_SAT = 1e-7
 # A pair_terms row whose bracket is this narrow, relative to max(1, floor),
-# is closed and reported exact at its ceiling.  A closed form's bracket is
-# one point.  A minor table's floor and ceiling are twice the extreme
-# singular values of one SVD of a table whose entries are products of
-# unit-norm coefficients, so on a range of constant concurrence
-# (sigma_min = sigma_max in exact arithmetic) their computed gap is a few
-# ulps, about 3e-16 on the Kim-Sanders pairs.  The constant leaves that a
-# margin of over 10^3 and is 10^5 below TOL_SAT, the resolution of every
-# verdict.
+# is closed, before its search or after it, and reported exact at its
+# ceiling.  On a range of constant concurrence the minor table's floor and
+# ceiling, twice the extreme singular values of one SVD of products of
+# unit-norm coefficients, differ by a few ulps (3e-16 on the Kim-Sanders
+# pairs), and a search meets the floor to rounding (both are 1 - 2.2e-16 on
+# Ou's pairs).  The constant leaves that a margin of over 10^3 and is 10^5
+# below TOL_SAT, the resolution of every verdict.
 _TABLE_CLOSED = 1e-12
 
 VERDICT_HOLDS = "holds"
@@ -105,6 +74,81 @@ AUDIT_MEASURES = {
     "crenoa": "crenoa",
     "coa": "coa",
 }
+
+
+def _pure_bound(state, cut, kernel, direction):
+    # A pure state, or a density of rank 1, is its one root's kernel value.
+    if isinstance(state, PureState) or state.rank() == 1:
+        root = state.amplitudes if isinstance(state, PureState) else state.roots
+        value = _memoized(state, ("pure", kernel, cut), lambda: float(
+            kernel(cut_matrices(root, state.profile, cut))[0]))
+        return value, value
+    return None
+
+
+def _trace_norm_bound(state, cut, kernel, direction):
+    if direction is None:
+        value = _memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
+        return value, value
+    return None
+
+
+def _supports(state, cut):
+    return _memoized(state, ("local_supports", cut), lambda: local_supports(state, cut))
+
+
+def _spin_flip_bound(state, cut, kernel, direction):
+    # Wootters' value for a minimum, the concurrence of assistance for a maximum.
+    supports = _supports(state, cut)
+    if spin_flip_closes(supports):
+        values = _memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut, supports))
+        return (values[direction == "max"],) * 2
+    return None
+
+
+def _bounds_kernel(state, cut, kernel, bounded) -> bool:
+    # Whether a bound on the ``bounded`` kernel bounds ``kernel``'s roofs: where a local
+    # support is two-dimensional, every member has Schmidt rank <= 2, so N = C on each.
+    return kernel is bounded or min(_supports(state, cut).shape[1:]) == 2
+
+
+def _minor_table(state, cut):
+    # The concurrence bracket of every unit vector in the range, so of every member.
+    return _memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
+
+
+def _c_ceiling(state, cut, kernel, direction):
+    if _bounds_kernel(state, cut, kernel, pure_concurrences):
+        return -np.inf, _minor_table(state, cut)[1]
+    return None
+
+
+def _c_floor(state, cut, kernel, direction):
+    # N >= C on every pure state, so the C floor floors both kernels' roofs.
+    return _minor_table(state, cut)[0], np.inf
+
+
+def _pt_floor(state, cut, kernel, direction):
+    # Negativity is convex, so the trace norm's value floors the negativity roofs.
+    if _bounds_kernel(state, cut, kernel, pure_negativities):
+        return _trace_norm_bound(state, cut, kernel, None)[0], np.inf
+    return None
+
+
+# The bound sources of a pair_terms row, in the order it reads them:
+# (method, floor_only, source).  A source maps (state, cut, kernel,
+# direction) to a (floor, ceiling) pair, an infinite side bounding nothing,
+# or to None where it does not apply, and keeps what it reads in the
+# state's memo.  The floor-only sources come last: a row reads them only
+# where its ceiling is finite, as nowhere else can they close it.
+_BOUND_SOURCES = (
+    ("closed_form", False, _pure_bound),
+    ("trace_norm", False, _trace_norm_bound),
+    ("closed_form", False, _spin_flip_bound),
+    ("minor_table", False, _c_ceiling),
+    ("minor_table", True, _c_floor),
+    ("minor_table", True, _pt_floor),
+)
 
 
 @dataclass(frozen=True)
@@ -247,135 +291,102 @@ def range_floor(rho: DensityOperator, cut) -> float:
 
 
 def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
-    """One measure of each state across its cut, by the method the table below picks.
+    """One measure of each state across its cut, by the one bracket rule below.
 
-    ``rows`` is a sequence of ``(state, cut, measure, cfg)`` tuples, the
-    arguments of ``pair_term``, and every measure is a key of
-    ``PAIR_MEASURES``, whose entry gives the row's pure-state kernel and
-    roof direction.  On mixed input ``cren`` and ``concurrence`` are the
-    convex roofs (minima over decompositions) of negativity and
-    concurrence, ``crenoa`` and ``coa`` their assistance duals (maxima),
-    and ``negativity`` the partial-transpose negativity; on pure input
-    every measure is its kernel's value on the state's cut matrix.
+    ``rows`` holds ``(state, cut, measure, cfg)`` tuples, the arguments of
+    ``pair_term``; ``PAIR_MEASURES`` gives each measure's kernel and roof
+    direction.  On a pure state, or a density of rank 1, every measure is
+    its kernel's value on the cut matrix of the state (of its one root).
 
     ================================  ===========  =====  ==================
     input                             method       kind   [lower, upper]
     ================================  ===========  =====  ==================
-    pure                              closed_form  exact  [value, value]
+    pure or rank 1                    closed_form  exact  [value, value]
     mixed, negativity                 trace_norm   exact  [value, value]
     2x2 local supports, min or max    closed_form  exact  [value, value]
     mixed roof, table closed          minor_table  exact  [ceiling, ceiling]
+    roof search meets its floor       optimizer    exact  [value, value]
     other roof minimum                optimizer    upper  [floor, value]
     other roof maximum                optimizer    lower  [value, ceiling]
     ================================  ===========  =====  ==================
 
-    Every row first reads one bracket [floor, ceiling] from its closed
-    forms, and is ``exact`` at its ceiling, posing no search, exactly when
-    it closes: when ceiling - floor is at most ``_TABLE_CLOSED * max(1,
-    floor)``.  A roof row whose local supports across its cut
-    (``local_supports``) are both at most two-dimensional, as on every
-    two-qubit state and every W-class pair marginal, reads
-    ``spin_flip_values``: Wootters' concurrence (PRL 80, 2245 (1998)) for
-    the minima, the concurrence of assistance (Laustsen, Verstraete & van
-    Enk, QIC 3, 64 (2003)) for the maxima; N = C on every member there.
-    Every other roof row reads the bracket the minor table of its range proves
-    (``range_bracket``): the concurrence floor and ceiling, raised to the
-    partial-transpose negativity for ``cren``, and for every row where a
-    support is two-dimensional, where N = C on every member.  Elsewhere
-    ``cren``'s ceiling is its search's value and ``crenoa``'s is +inf.  A
-    search is posed only for the rows whose brackets stay open, and a
-    searched row keeps its search's value.  Every bracket holds the true
-    value up to floating point; the floor is 0 where the range is too wide
-    for its minor table, and the bracket of a flat or rank-1 range is
-    exact, so its floor can round above a search's value by a few ulps.
-    Each optimizer row is solved under its own row's cfg (other rows
-    ignore theirs, and None means ``OptConfig()``); its result is what
-    ``optimize`` returns for that row alone.  A state keeps every search
-    in its memo, keyed by cut, direction and cfg, so there is one search
-    per distinct (state object, cut, direction, cfg) across calls: a
-    ``cren`` and a ``concurrence`` row of one state share a minimum, and a
-    ``crenoa`` and a ``coa`` row a maximum, in one call or in separate
-    ones.  The searches no memo holds yet run in one ``optimize_many``
-    call, on the roots on the local supports that their rows' brackets
-    read.  Optimizer concurrence terms are the average concurrence of the
-    decomposition the negativity search found.  A pure row's closed form
-    (per kernel), the roots on the local supports, the spin-flip values, the
-    partial-transpose negativity and the minor table's bracket are likewise
-    kept on the state, per cut, and computed once however many rows and
-    calls read them.
+    A row reads the sources of ``_BOUND_SOURCES`` in order while it is
+    open, a floor only where its ceiling is finite.  Its bracket, which
+    holds the true value up to floating point, is the largest floor and the
+    least ceiling read, and it is closed, ``exact`` at its ceiling, once
+    ceiling - floor is at most ``_TABLE_CLOSED * max(1, floor)``.  An open
+    row is searched; the search's value is a minimum's ceiling, or a
+    maximum's floor in place of every other, and the same test runs again.
+    So a ``cren`` row with no two-dimensional support reads its floors only
+    after its search, and none if its search is stopped, and a maximum
+    whose ceiling is +inf reads none.  A row still open reports the search's
+    value.  ``method`` names the source of the reported value.
+
+    Each search runs under its own row's cfg (None means ``OptConfig()``;
+    other rows ignore theirs) and gives what ``optimize`` gives for that row
+    alone.  A state keeps every search in its memo, keyed by cut, direction
+    and cfg, so a ``cren`` and a ``concurrence`` row of one state share a
+    minimum, and a ``crenoa`` and a ``coa`` row a maximum, in one call or
+    across calls.  The searches no memo holds run in one ``optimize_many``
+    call, on the roots on the local supports.  A concurrence row scores the
+    decomposition that its negativity search found.
 
     ``stop``, if given, is ``optimize_many``'s stop rule over the rows: it
-    takes an array of every row's value so far (a closed form's value, and
-    a search row's search value so far, which never rises for a minimum)
-    and returns a mask of the rows whose searches may stop.  A minimum's
-    search stops once every row that poses it may, and a maximum's never
-    does.  The rows of a stopped search get None in place of a term, and
-    nothing is kept in the state's memo for it, so a later call searches
-    again.
+    takes an array of every row's value so far (its term's, or its search's
+    so far, which never rises for a minimum) and returns a mask of the rows
+    whose searches may stop.  A minimum's search stops once every row that
+    poses it may, and a maximum's never does.  The rows of a stopped search
+    get None in place of a term, and nothing is kept in the state's memo
+    for it, so a later call searches again.
     """
-    for _, _, measure, _ in rows:
-        if measure not in PAIR_MEASURES:
-            raise DomainError(f"unknown measure {measure!r}")
 
-    def pt_negativity(state, cut):
-        return _memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
-
-    def bracket(state, cut, kernel, direction):
-        # The row's [floor, ceiling] from its closed forms, and their method.
-        if isinstance(state, PureState):
-            value = _memoized(state, ("pure", kernel, cut), lambda: float(
-                kernel(cut_matrices(state.amplitudes, state.profile, cut))[0]
-            ))
-            return value, value, "closed_form"
-        if direction is None:
-            value = pt_negativity(state, cut)
-            return value, value, "trace_norm"
-        supports = _memoized(state, ("local_supports", cut), lambda: local_supports(state, cut))
-        if spin_flip_closes(supports):
-            values = _memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut, supports))
-            value = values[direction == "max"]
-            return value, value, "closed_form"
-        floor, ceiling = _memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
-        if min(supports.shape[1:]) == 2:
-            # A two-dimensional support: every member has Schmidt rank <= 2,
-            # so N = C on each, and both roofs and both duals share the
-            # concurrence bracket, floored by the partial-transpose negativity too.
-            return max(pt_negativity(state, cut), floor), ceiling, "minor_table"
-        if kernel is pure_negativities:
-            # N >= C on every member: the concurrence floor floors the
-            # negativity roof, but its ceiling bounds no negativity.
-            return max(pt_negativity(state, cut), floor), np.inf, "minor_table"
-        return floor, ceiling, "minor_table"
+    def term(state, cut, kernel, direction, res=None):
+        # The rule, with ``res`` the row's search result; None if open before its search.
+        floor, ceiling, method = -np.inf, np.inf, "optimizer"
+        search_floor = res is not None and direction == "max"
+        if res is not None:  # res.value is a negativity average: concurrence rows rescore
+            found = res.value if kernel is pure_negativities else float(
+                kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
+            floor, ceiling = (found, np.inf) if search_floor else (-np.inf, found)
+        for source_method, floor_only, source in _BOUND_SOURCES:
+            if floor_only and (ceiling == np.inf or search_floor):
+                continue
+            bound = source(state, cut, kernel, direction)
+            if bound is not None:
+                floor = max(floor, bound[0])
+                if bound[1] < ceiling:
+                    ceiling, method = bound[1], source_method
+                if ceiling - floor <= _TABLE_CLOSED * max(1.0, floor):  # the closing test
+                    return PairTerm(ceiling, ceiling, ceiling, "exact", method)
+        if search_floor:
+            return PairTerm(floor, floor, ceiling, "lower", "optimizer")
+        return None if res is None else PairTerm(ceiling, floor, ceiling, "upper", method)
 
     terms: list = [None] * len(rows)
-    # ``solve`` keys, in row order, the (state, key) searches no memo holds
-    # yet; states hash by identity, so each runs once however many rows pose it.
+    # The rows of the searches no memo holds yet, and ``solve``, in row order,
+    # their (state, key) searches: each runs once however many rows pose it.
     searches, solve = [], {}
     for k, (state, cut, measure, cfg) in enumerate(rows):
+        if measure not in PAIR_MEASURES:
+            raise DomainError(f"unknown measure {measure!r}")
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
-        lower, upper, method = bracket(state, cut, kernel, direction)
-        if upper - lower <= _TABLE_CLOSED * max(1.0, lower):
-            terms[k] = PairTerm(upper, upper, upper, "exact", method)
-            continue
-        key = ("search", cut, direction, cfg or OptConfig())
-        if key not in state._memo:
-            solve[state, key] = None
-        searches.append((k, state, cut, kernel, key, lower, upper))
+        terms[k] = term(state, cut, kernel, direction)
+        if terms[k] is None:
+            key = ("search", cut, direction, cfg or OptConfig())
+            if key in state._memo:
+                terms[k] = term(state, cut, kernel, direction, state._memo[key])
+            else:
+                solve[state, key] = None
+                searches.append((k, state, cut, kernel, direction, key))
     problem_stop = None
     if stop is not None:
-        # The rows at their values so far: closed forms and kept searches
-        # as they are, each row of a new search at its problem's value.
+        # The rows at their values so far: every term as it is, and each
+        # row of a search at its problem's value.
         values = np.array([np.nan if t is None else t.value for t in terms])
         order = {problem: j for j, problem in enumerate(solve)}
-        posing, owner = [], []
-        for k, state, _, _, key, _, _ in searches:
-            if (state, key) in order:
-                posing.append(k)
-                owner.append(order[state, key])
-            else:
-                values[k] = state._memo[key].value
-        posing, owner = np.array(posing, dtype=int), np.array(owner, dtype=int)
+        posing = np.array([k for k, *_ in searches], dtype=int)
+        owner = np.array([order[state, key] for _, state, *_, key in searches], dtype=int)
 
         def problem_stop(best):
             values[posing] = best[owner]
@@ -391,20 +402,9 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     for (state, key), res in zip(solve, results):
         if res is not None:
             state._memo[key] = res
-    for k, state, cut, kernel, key, lower, upper in searches:
-        res = state._memo.get(key)
-        if res is None:
-            continue  # its search was stopped
-        # res.value is the search's own negativity average; only a
-        # concurrence row scores the decomposition again.
-        value = res.value
-        if kernel is not pure_negativities:
-            value = float(kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
-        # A decomposition's average bounds a minimum from above and a maximum from below.
-        if res.direction == "max":
-            terms[k] = PairTerm(value, value, upper, "lower", "optimizer")
-        else:
-            terms[k] = PairTerm(value, lower, value, "upper", "optimizer")
+    for k, state, cut, kernel, direction, key in searches:
+        if key in state._memo:  # not where its search was stopped
+            terms[k] = term(state, cut, kernel, direction, state._memo[key])
     return terms
 
 

@@ -228,14 +228,16 @@ class TestMeasureCommand:
         assert code == 0
         assert "0.666666666667  closed_form  exact" in out
 
-    def test_qutrit_pair_cren_is_optimizer_upper_bound(self, capsys):
+    def test_qutrit_pair_cren_is_optimizer_exact(self, capsys):
+        # The Ou pair's search meets the minor table's floor, so its bracket
+        # closes at the search's value.
         code, out, _ = run_cli(
             "measure", "--family", "ou", "--trace-out", "3", "--measure", "cren",
             capsys=capsys,
         )
         assert code == 0
         _, _, value, method, kind = out.split("\n")[1].split()
-        assert (method, kind) == ("optimizer", "upper")
+        assert (method, kind) == ("optimizer", "exact")
         assert abs(float(value) - 1.0) <= 1e-6
 
     def test_flat_qutrit_pair_concurrence_is_exact_from_the_minor_table(self, capsys):

@@ -38,8 +38,9 @@ def _top_level_owners(include_init: bool):
 
 
 def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
-    # monogamy.pair_terms is the one table that picks how a term is computed;
-    # a second caller of either solver would be a second table.
+    # monogamy.pair_terms and its bound sources are the one table that picks
+    # how a term is computed; a second caller of either solver would be a
+    # second table.
     # convexroof.optimize is optimize_many's one-problem call, not a table,
     # and measures.wootters_concurrence_2q is spin_flip_values' one-item call.
     # Every read of a solver's name counts, called or not, so a helper
@@ -58,7 +59,7 @@ def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
         ("optimize_many", "convexroof.optimize"),
         ("optimize_many", "monogamy.pair_terms"),
         ("spin_flip_values", "measures.wootters_concurrence_2q"),
-        ("spin_flip_values", "monogamy.pair_terms"),
+        ("spin_flip_values", "monogamy._spin_flip_bound"),
     }
 
 
@@ -98,10 +99,10 @@ def test_only_hunt_stops_searches_early():
 
 
 def test_only_pair_terms_and_the_dual_helper_compare_roof_directions():
-    # pair_terms picks each term's computation and bracket by direction, and
-    # _is_dual says which audits are duals; _verdict reads brackets alone.
-    # A third comparison with "min" or "max" would be a second copy of the
-    # direction decision.
+    # pair_terms sides each search's bound by direction, the spin-flip
+    # source picks its closed form by it, and _is_dual says which audits
+    # are duals; _verdict reads brackets alone.  A further comparison with
+    # "min" or "max" would be a second copy of the direction decision.
     comparers = {
         owner
         for owner, node in _top_level_owners(include_init=False)
@@ -109,7 +110,7 @@ def test_only_pair_terms_and_the_dual_helper_compare_roof_directions():
         and any(isinstance(e, ast.Constant) and e.value in ("min", "max")
                 for e in (node.left, *node.comparators))
     }
-    assert comparers == {"monogamy.pair_terms", "monogamy._is_dual"}
+    assert comparers == {"monogamy.pair_terms", "monogamy._spin_flip_bound", "monogamy._is_dual"}
 
 
 def test_modules_use_every_private_name_they_define():

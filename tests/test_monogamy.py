@@ -325,13 +325,15 @@ class TestPairTerm:
 
 
 def _audited_states():
-    """(name, psi, focus) of the acceptance audits, and of states with rank-1 pair marginals.
+    """(name, psi, focus) of the acceptance audits, a Haar state, and states with rank-1 pair marginals.
 
-    The latter are products of a random 3x2 or 3x3 pair with a qubit, whose
-    (1, 2) marginal is pure; their floors are exact, so rounding can put
-    them above the value.
+    The Haar 3x3x3 state's (3, 3) pairs leave their searches open, so its
+    minima are ``upper``.  The others are products of a random 3x2 or 3x3
+    pair with a qubit, whose (1, 2) marginal is pure; their floors are
+    exact, so rounding can put them above the value.
     """
     states = [("ou", ou_state(), 1)]
+    states += [("haar333", random_pure_state(DimensionProfile((3, 3, 3)), np.random.default_rng(2)), 1)]
     states += [(f"ks-{focus}", kim_sanders_state(), focus) for focus in (1, 2, 3)]
     states += [("w4", build_w_state(WClassSpec.symmetric(4, 2)), 1),
                ("w3x3", build_w_state(WClassSpec.symmetric(3, 3)), 1),
@@ -700,15 +702,124 @@ class TestCounterexampleBrackets:
         for measure in ("ckw", "coa"):
             assert reports[measure].rhs_bound_kinds == ("exact", "exact")
             assert reports[measure].rhs_terms_sq == pytest.approx([1.0, 1.0], abs=1e-12)
-        assert reports["cren"].rhs_bound_kinds == ("upper", "upper")
+        # The concurrence floor 1 floors cren too, and its search meets it:
+        # the bracket closes after the search.  crenoa has no ceiling.
+        assert reports["cren"].rhs_bound_kinds == ("exact", "exact")
         assert reports["crenoa"].rhs_bound_kinds == ("lower", "lower")
-        # The concurrence floor 1 floors cren too: its bracket is [1, value].
         assert reports["cren"].rhs_lower_sq == pytest.approx([1.0, 1.0], abs=1e-12)
         [(problems, _)] = searches
         assert sorted(direction for _, _, direction, _ in problems) == ["max", "max", "min", "min"]
         verdicts = {m: r.verdict for m, r in reports.items()}
         assert verdicts == {"cren": "holds", "ckw": "certified_violation", "negativity": "holds",
                             "crenoa": "candidate_violation", "coa": "holds"}
+
+
+@pytest.fixture
+def floor_reads(monkeypatch):
+    """Calls of what the floors read: the minor table and the partial-transpose negativity."""
+    calls = {"range_bracket": 0, "negativity_mixed": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(monogamy, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(monogamy, name, counted)
+    return calls
+
+
+def _audited_pair(psi):
+    """The (1, 2) marginal of psi and the search config its audits give it."""
+    rho = partial_trace(psi, (1, 2))
+    return rho, monogamy._audit_opt_cfg(rho.rank(), 0)
+
+
+class TestBracketRule:
+    """One rule brackets every row: the largest floor and the least ceiling
+    of its sources, closed before its search and again after it, with the
+    floors read only where the row's ceiling is finite."""
+
+    def test_searches_that_meet_their_floors_close(self, searches):
+        # The Ou pair's range has N = C = 1 on every unit vector, and the
+        # qutrit GHZ pair is separable: each minimum is searched, meets its
+        # floor to rounding and closes at the search's value.
+        (ou, ou_cfg), (ghz, ghz_cfg) = _audited_pair(ou_state()), _audited_pair(ghz_state(3, 3))
+        rows = [(ou, 1, "cren", ou_cfg), (ghz, 1, "cren", ghz_cfg), (ghz, 1, "concurrence", ghz_cfg)]
+        terms = pair_terms(rows)
+        [(problems, _)] = searches
+        assert [direction for _, _, direction, _ in problems] == ["min", "min"]
+        assert [(t.kind, t.method) for t in terms] == [("exact", "optimizer")] * 3
+        assert terms[0].value == pytest.approx(1.0, abs=1e-12)
+        assert terms[1].value == terms[2].value == 0.0
+        for term in terms:
+            _assert_bracket_holds(term)
+
+    def test_a_floor_short_of_the_search_leaves_the_row_open(self, monkeypatch):
+        def lowered(rho, cut, _original=monogamy.range_bracket):
+            floor, ceiling = _original(rho, cut)
+            return floor - 1e-9, ceiling
+
+        monkeypatch.setattr(monogamy, "range_bracket", lowered)
+        rho, cfg = _audited_pair(ou_state())
+        term = pair_term(rho, 1, "cren", cfg)
+        assert (term.kind, term.method) == ("upper", "optimizer")
+        assert term.upper == term.value == pytest.approx(1.0, abs=1e-12)
+        assert term.lower == pytest.approx(1.0 - 1e-9, abs=1e-12)
+
+    def test_a_maximum_reports_its_search_in_place_of_every_floor(self, monkeypatch):
+        # The C ceiling bounds coa on a Haar (3, 3) pair before its search,
+        # so the row reads its floors; a floor raised above the search's
+        # value (as rounding may raise one on a flat range) still gives way
+        # to that value, so the reported maximum is its bracket's bottom.
+        def raised(rho, cut, _original=monogamy.range_bracket):
+            ceiling = _original(rho, cut)[1]
+            return ceiling - 1e-6, ceiling
+
+        monkeypatch.setattr(monogamy, "range_bracket", raised)
+        rho, cfg = _audited_pair(random_pure_state(DimensionProfile((3, 3, 3)), np.random.default_rng(2)))
+        term = pair_term(rho, 1, "coa", cfg)
+        assert (term.kind, term.method) == ("lower", "optimizer")
+        assert term.lower == term.value < term.upper - 1e-6
+
+    def test_a_kept_search_gives_an_equal_term(self, searches):
+        rho, cfg = _audited_pair(ou_state())
+        first = [pair_term(rho, 1, measure, cfg) for measure in ("cren", "crenoa")]
+        # The second call reads both searches from the state's memo.
+        assert [pair_term(rho, 1, measure, cfg) for measure in ("cren", "crenoa")] == first
+        assert [len(problems) for problems, _ in searches] == [1, 1, 0, 0]
+
+    def test_a_maximum_with_no_ceiling_reads_no_floor(self, floor_reads):
+        # No (3, 3) support is two-dimensional, so nothing bounds crenoa from
+        # above, and its search's value replaces every floor.
+        rho, cfg = _audited_pair(ou_state())
+        term = pair_term(rho, 1, "crenoa", cfg)
+        assert (term.kind, term.upper) == ("lower", np.inf)
+        assert floor_reads == {"range_bracket": 0, "negativity_mixed": 0}
+
+    def test_rank_one_pairs_close_before_any_search(self, searches):
+        # A pure (3, 3) pair marginal is its one root's kernel value under
+        # every roof, as a pure state is, so no audit measure searches it.
+        rng = np.random.default_rng(1)
+        phi = rand_pure((3, 3), rng)
+        psi = tensor_product(phi, rand_pure((2,), rng))
+        reports = audits([(psi, "product", 0)], 1, list(monogamy.AUDIT_MEASURES))
+        assert not [problem for problems, _ in searches for problem in problems]
+        assert {kind for r in reports for kind in r.rhs_bound_kinds} == {"exact"}
+        pair = dict(monogamy._pair_marginals(psi, 1))[2]
+        assert pair.rank() == 1
+        for measure in ("cren", "crenoa", "negativity"):
+            term = pair_term(pair, 1, measure)
+            assert term.method == "closed_form"
+            assert term.value == pytest.approx(negativity_pure(phi, 1), abs=1e-12)
+
+    @pytest.mark.parametrize("dims, reads", [((3, 3, 3), 0), ((2, 3, 4), 124)])
+    def test_hunts_read_floors_only_where_a_ceiling_is_finite(self, floor_reads, dims, reads):
+        # Every unscreened 3x3x3 trial is stopped, and its (3, 3) cren rows
+        # have no ceiling before their searches, so no floor is read.  A
+        # 2x3x4 trial's pairs have a two-dimensional side, so their minor
+        # tables bound cren from above before the search, and are read.
+        findings = hunt(DimensionProfile(dims), 64, 5)
+        assert findings.stopped > 0 and findings.searched == 0
+        assert floor_reads == {"range_bracket": reads, "negativity_mixed": reads}
 
 
 class TestEigendecompositionCount:
