@@ -31,8 +31,8 @@ restarted) wherever they gain too little, and it has converged only once a
 plain step gains no more than the tolerance.
 
 Every problem first has its roots compressed onto their local supports
-across the cut (``measures.local_supports``), so a search runs on root
-matrices no larger than the supports.  A problem whose supports are both
+across the cut (``measures.local_supports``, which the density keeps), so
+a search runs on root matrices no larger than the supports.  A problem whose supports are both
 at most two-dimensional (every two-qubit state, and the pair marginals of
 W-class states) runs no search: its optimal decomposition is explicit.
 With tau = W diag(lambda) W^T the Takagi form of the roots' spin-flip
@@ -244,12 +244,9 @@ class OptResult:
     start_values: tuple[float, ...]  # final objective of every start, in start order
 
 
-def _root_matrices(rho: DensityOperator, cut: Bipartition, supports=None) -> np.ndarray:
-    """The spectral roots of rho on its local supports across the cut, one (short side, long side) matrix each.
-
-    ``supports`` are the ``local_supports`` matrices where the caller holds them.
-    """
-    mats = local_supports(rho, cut) if supports is None else supports
+def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
+    """The spectral roots of rho on its local supports across the cut, one (short side, long side) matrix each."""
+    mats = local_supports(rho, cut)
     # The nuclear norm is transpose invariant; put the short side first.
     if mats.shape[1] > mats.shape[2]:
         mats = np.swapaxes(mats, -1, -2)
@@ -654,16 +651,16 @@ def _result(rho, cut, direction, v, traces, converged) -> OptResult:
     )
 
 
-def optimize_many(problems, *, supports=None, stop=None) -> list[OptResult | None]:
+def optimize_many(problems, *, stop=None) -> list[OptResult | None]:
     """Solve roof problems in as few batched searches as their shapes allow.
 
     ``problems`` is a sequence of ``(rho, cut, direction, cfg)`` tuples,
-    the arguments of ``optimize``; ``supports``, if given, holds each
-    problem's ``local_supports`` matrices, in the same order, so that a
-    caller that has read them does not pay for them twice.  The problems
-    of one direction, decomposition size, root-matrix shape (rank and
-    cut), ``max_sweeps`` and ``tol_rel`` run all their starts in one ``_descent`` or
-    ``_polar_ascent`` call; they may differ in ``starts`` and ``seed``.
+    the arguments of ``optimize``.  Each runs on its roots on the density's
+    ``local_supports``, which the density keeps, so no caller pays for them
+    twice.  The problems of one direction, decomposition size, root-matrix
+    shape (rank and cut), ``max_sweeps`` and ``tol_rel`` run all their
+    starts in one ``_descent`` or ``_polar_ascent`` call; they may differ
+    in ``starts`` and ``seed``.
     Every start steps as it would alone, so each result is bit for bit the
     one its problem gets alone.  A problem whose local supports are both
     at most two-dimensional (``measures.spin_flip_closes``) joins no
@@ -681,13 +678,13 @@ def optimize_many(problems, *, supports=None, stop=None) -> list[OptResult | Non
     stopped get their results bit for bit, as without a rule.
     """
     prepared, groups, results = [], {}, []
-    for k, (rho, cut, direction, cfg) in enumerate(problems):
+    for rho, cut, direction, cfg in problems:
         if direction not in ("min", "max"):
             raise DomainError(f"direction must be 'min' or 'max', got {direction!r}")
         cfg = cfg or OptConfig()
         cut = as_bipartition(cut, rho.profile.n)
         size = cfg.resolve_size(rho.rank())
-        mats = _root_matrices(rho, cut, None if supports is None else supports[k])
+        mats = _root_matrices(rho, cut)
         if spin_flip_closes(mats):
             results.append(_closed_form_result(rho, cut, direction, mats))
         else:

@@ -35,6 +35,7 @@ from .qlinalg import (
     PureState,
     as_bipartition,
     cut_matrices,
+    memoized,
     norm_sq,
     partial_transpose,
     trace_norm,
@@ -223,12 +224,19 @@ def local_supports(rho: DensityOperator, cut) -> np.ndarray:
     support, of at least two, leaves out at most ``SUPPORT_DROP`` of the
     weight; every other side keeps its basis, so a full-support state's
     matrices are its roots' ``cut_matrices`` bit for bit.  The supports are
-    found with party 1 on side A, so the two namings of a cut give the
-    same numbers, transposed.
+    found once per density and cut, with party 1 on side A, and kept in
+    rho's memo, so every reader of them (the spin-flip values, the roof
+    searches, flatness scans and ``monogamy.pair_terms``) shares one
+    computation; the other naming of a cut reads them transposed.
     """
     cut = as_bipartition(cut, rho.profile.n)
     if 1 not in cut.side_a:
         return np.swapaxes(local_supports(rho, Bipartition(cut.side_b, cut.n)), 1, 2)
+    return memoized(rho, ("local_supports", cut), lambda: _compressed_roots(rho, cut))
+
+
+def _compressed_roots(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
+    # ``local_supports``' computation, for a cut with party 1 on side A.
     mats = cut_matrices(rho.roots, rho.profile, cut)
     _, d_a, d_b = mats.shape
     frame = _support_frame(np.swapaxes(mats, 0, 1).reshape(d_a, -1)) if d_a > 2 else None
@@ -237,10 +245,12 @@ def local_supports(rho: DensityOperator, cut) -> np.ndarray:
     frame = _support_frame(np.swapaxes(mats, 0, 2).reshape(d_b, -1)) if d_b > 2 else None
     if frame is not None:
         mats = mats @ frame.conj()
+    # Read-only: every reader of rho's supports shares this one array.
+    mats.setflags(write=False)
     return mats
 
 
-def spin_flip_closes(supports: np.ndarray) -> bool:
+def spin_flip_closes(mats: np.ndarray) -> bool:
     """Whether roots on their ``local_supports`` pose a spin-flip closed form: both supports at most two-dimensional.
 
     ``local_supports`` keeps at least two dimensions a side, so these are
@@ -248,7 +258,7 @@ def spin_flip_closes(supports: np.ndarray) -> bool:
     ``monogamy.pair_terms`` and ``convexroof.optimize_many`` all take their
     closed forms by this one test.
     """
-    return supports.shape[1:] == (2, 2)
+    return mats.shape[1:] == (2, 2)
 
 
 _SY_SY = np.array(
@@ -268,7 +278,7 @@ def _spin_flip_matrix(mats: np.ndarray) -> np.ndarray:
     return x @ _SY_SY @ x.T
 
 
-def spin_flip_values(rho: DensityOperator, cut=1, supports=None) -> tuple[float, float]:
+def spin_flip_values(rho: DensityOperator, cut=1) -> tuple[float, float]:
     """Exact concurrence roof and concurrence of assistance of a state with two-dimensional local supports.
 
     Every two-qubit state qualifies, and so does every state whose
@@ -283,16 +293,13 @@ def spin_flip_values(rho: DensityOperator, cut=1, supports=None) -> tuple[float,
     both, with no non-Hermitian eigensolve and no D x D matrix.  Every
     member has Schmidt rank <= 2, so these are also the convex-roof
     extended negativity and its assistance dual.  The form is symmetric in
-    the sides, and is read with party 1 on side A, so either naming of a
-    cut gives the same bits.  ``supports``, if given, are rho's
-    ``local_supports`` across the cut, held by the caller.
+    the sides, and reads the supports with party 1 on side A, so either
+    naming of a cut gives the same bits.
     """
     cut = as_bipartition(cut, rho.profile.n)
-    mats = local_supports(rho, cut) if supports is None else supports
+    mats = local_supports(rho, cut if 1 in cut.side_a else Bipartition(cut.side_b, cut.n))
     if not spin_flip_closes(mats):
         raise DomainError(f"local supports across {cut} are {mats.shape[1:]}, not at most 2 x 2")
-    if 1 not in cut.side_a:
-        mats = np.swapaxes(mats, 1, 2)
     lam = np.linalg.svd(_spin_flip_matrix(mats), compute_uv=False)
     return float(max(0.0, lam[0] - np.sum(lam[1:]))), float(np.sum(lam))
 

@@ -37,6 +37,7 @@ from .qlinalg import (
     PureState,
     as_bipartition,
     cut_matrices,
+    memoized,
     partial_trace,
 )
 from .states import PCSSpec, PartitionSpec, WClassSpec, build_pcs_density, coarse_grain
@@ -80,7 +81,7 @@ def _pure_bound(state, cut, kernel, direction):
     # A pure state, or a density of rank 1, is its one root's kernel value.
     if isinstance(state, PureState) or state.rank() == 1:
         root = state.amplitudes if isinstance(state, PureState) else state.roots
-        value = _memoized(state, ("pure", kernel, cut), lambda: float(
+        value = memoized(state, ("pure", kernel, cut), lambda: float(
             kernel(cut_matrices(root, state.profile, cut))[0]))
         return value, value
     return None
@@ -88,20 +89,15 @@ def _pure_bound(state, cut, kernel, direction):
 
 def _trace_norm_bound(state, cut, kernel, direction):
     if direction is None:
-        value = _memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
+        value = memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
         return value, value
     return None
 
 
-def _supports(state, cut):
-    return _memoized(state, ("local_supports", cut), lambda: local_supports(state, cut))
-
-
 def _spin_flip_bound(state, cut, kernel, direction):
     # Wootters' value for a minimum, the concurrence of assistance for a maximum.
-    supports = _supports(state, cut)
-    if spin_flip_closes(supports):
-        values = _memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut, supports))
+    if spin_flip_closes(local_supports(state, cut)):
+        values = memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut))
         return (values[direction == "max"],) * 2
     return None
 
@@ -109,12 +105,12 @@ def _spin_flip_bound(state, cut, kernel, direction):
 def _bounds_kernel(state, cut, kernel, bounded) -> bool:
     # Whether a bound on the ``bounded`` kernel bounds ``kernel``'s roofs: where a local
     # support is two-dimensional, every member has Schmidt rank <= 2, so N = C on each.
-    return kernel is bounded or min(_supports(state, cut).shape[1:]) == 2
+    return kernel is bounded or min(local_supports(state, cut).shape[1:]) == 2
 
 
 def _minor_table(state, cut):
     # The concurrence bracket of every unit vector in the range, so of every member.
-    return _memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
+    return memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
 
 
 def _c_ceiling(state, cut, kernel, direction):
@@ -232,23 +228,9 @@ def _require_focus(profile: DimensionProfile, focus: int) -> None:
         raise DomainError("audits need at least 3 parties")
 
 
-_MISSING = object()
-
-
-def _memoized(state, key, compute):
-    """``compute()``, kept in ``state``'s memo under ``key`` for every later call.
-
-    A hit reads the memo once, so the key is hashed once.
-    """
-    value = state._memo.get(key, _MISSING)
-    if value is _MISSING:
-        value = state._memo[key] = compute()
-    return value
-
-
 def _pair_marginals(psi: PureState, focus: int):
     _require_focus(psi.profile, focus)
-    return _memoized(psi, ("pair_marginals", focus), lambda: tuple(
+    return memoized(psi, ("pair_marginals", focus), lambda: tuple(
         (i, partial_trace(psi, (focus, i))) for i in psi.profile.parties if i != focus
     ))
 
@@ -394,11 +376,7 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
             needed[owner[~stop(values)[posing]]] = True
             return ~needed
 
-    results = optimize_many(
-        [(s, *key[1:]) for s, key in solve],
-        supports=[s._memo["local_supports", key[1]] for s, key in solve],
-        stop=problem_stop,
-    )
+    results = optimize_many([(s, *key[1:]) for s, key in solve], stop=problem_stop)
     for (state, key), res in zip(solve, results):
         if res is not None:
             state._memo[key] = res

@@ -19,9 +19,10 @@ something (a partial transpose) reads it.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share between concurrent tasks.  A state's
-private ``_memo``, and a factor-built density's ``matrix``, hold only
-values derived deterministically from its immutable fields, so a race on
-them at worst computes one value twice.
+private ``_memo`` (read and filled through ``memoized``), and a
+factor-built density's ``matrix``, hold only values derived
+deterministically from its immutable fields, so a race on them at worst
+computes one value twice.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def _as_unit_vector(amplitudes: np.ndarray, size: int) -> np.ndarray:
 class PureState:
     """A normalized amplitude vector over a DimensionProfile.
 
-    Equality is identity.  ``_memo`` keeps what ``monogamy`` derives from
+    Equality is identity.  ``_memo`` keeps what the package derives from
     the state (its pair marginals and pure-row values), so every later call
-    on the same object reuses them.
+    on the same object reuses them (``memoized``).
     """
 
     profile: DimensionProfile
@@ -214,8 +215,9 @@ class DensityOperator:
     way.
 
     Instances are immutable, and equality is identity.  ``_memo`` keeps
-    what ``monogamy`` derives from the operator (its pair-term values and
-    roof searches), so every later call on the same object reuses them.
+    what the package derives from the operator (its local supports,
+    pair-term values and roof searches), so every later call on the same
+    object reuses them (``memoized``).
     """
 
     def __init__(
@@ -304,6 +306,20 @@ class DensityOperator:
 
     def rank(self) -> int:
         return len(self.roots)
+
+
+_MISSING = object()
+
+
+def memoized(state: PureState | DensityOperator, key, compute):
+    """``compute()``, kept in ``state``'s memo under ``key`` for every later call.
+
+    A hit reads the memo once, so the key is hashed once.
+    """
+    value = state._memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = state._memo[key] = compute()
+    return value
 
 
 def partial_trace(state: PureState | DensityOperator, keep: Iterable[int]) -> DensityOperator:

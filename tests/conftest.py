@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crenaudit import DensityOperator, DimensionProfile, PureState
+from crenaudit import DensityOperator, DimensionProfile, PureState, random_pure_state
 
 # pytest imports the package from src/ (pyproject's ``pythonpath``); the
 # subprocesses some tests start (the console entry point) import it from there too.
@@ -18,9 +18,7 @@ def rng():
 
 
 def rand_pure(dims, rng) -> PureState:
-    profile = DimensionProfile(tuple(dims))
-    z = rng.standard_normal(profile.size) + 1j * rng.standard_normal(profile.size)
-    return PureState(profile, z / np.linalg.norm(z))
+    return random_pure_state(DimensionProfile(tuple(dims)), rng)
 
 
 def rand_dm(dims, rank, rng, factor: bool = False) -> DensityOperator:

@@ -977,8 +977,11 @@ class TestFlatnessScan:
 
     def test_w_vacuum_scan_runs_no_wide_member_svd(self, monkeypatch):
         # The only SVDs with both sides above 2 are the supports' own frames,
-        # one stacked matrix a side; no sample's member is a wide SVD.
-        rho = build_pcs_density(PCSSpec(WClassSpec.symmetric(7, 4), 0.6, 0.3))
+        # one stacked matrix a side; no sample's member is a wide SVD.  The
+        # frames are read on a second density of the same spec, since a
+        # density keeps its supports once found.
+        spec = PCSSpec(WClassSpec.symmetric(7, 4), 0.6, 0.3)
+        rho, twin = build_pcs_density(spec), build_pcs_density(spec)
         shapes = []
 
         def counted(a, *args, _original=np.linalg.svd, **kwargs):
@@ -986,7 +989,7 @@ class TestFlatnessScan:
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        local_supports(rho, 1)
+        local_supports(twin, 1)
         frames, shapes[:] = list(shapes), []
         flatness_scan(rho, 1, samples=64)
         assert frames and all(len(shape) == 2 for shape in frames)

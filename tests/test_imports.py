@@ -63,6 +63,34 @@ def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
     }
 
 
+def test_only_memoized_and_pair_terms_touch_a_state_memo():
+    # qlinalg.memoized is the one way to keep a value derived from a state
+    # (its local supports, pure values, brackets, marginals); pair_terms
+    # alone reads and writes its searches, which a stop rule may leave
+    # unfinished.  A second reader would be a second copy of where a
+    # state's derived values live.
+    owners = {
+        owner
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, ast.Attribute) and node.attr == "_memo"
+    }
+    assert owners == {"qlinalg.memoized", "monogamy.pair_terms"}
+
+
+def test_no_function_takes_local_supports():
+    # A density keeps its own local supports (measures.local_supports reads
+    # them from its memo), so no function takes them from a caller that
+    # holds them.
+    taking = sorted(
+        f"{owner} line {node.lineno}"
+        for owner, node in _top_level_owners(include_init=True)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg == "supports"
+    )
+    assert not taking, f"functions with a supports parameter: {taking}"
+
+
 def test_only_optimize_many_runs_the_roof_searches():
     # Every roof problem is solved through optimize_many's grouping, so no
     # other function may call, or hold, either search or build an evaluator

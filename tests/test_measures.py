@@ -8,10 +8,12 @@ from crenaudit import (
     DensityOperator,
     DimensionProfile,
     DomainError,
+    OptConfig,
     PureState,
     WClassSpec,
     build_w_state,
     concurrence_pure,
+    flatness_scan,
     ghz_state,
     haar_unitary,
     maximally_entangled,
@@ -19,9 +21,11 @@ from crenaudit import (
     negativity_pure,
     optimize,
     ou_state,
+    pair_terms,
     partial_trace,
     wootters_concurrence_2q,
 )
+from crenaudit import measures
 
 from crenaudit.measures import (
     SUPPORT_DROP,
@@ -415,6 +419,36 @@ class TestLocalSupports:
     def test_a_direction_counts_above_the_strict_threshold(self, weight, shape, rng):
         # TOL_RANK (1e-12) would drop a 1e-13 direction; the support keeps it.
         assert local_supports(_two_level_leak(weight, rng), 1).shape[1:] == shape
+
+    def test_every_reader_of_a_density_shares_one_computation(self, monkeypatch, rng):
+        # Both roof directions, a flatness scan and a pair term's search all
+        # read a full-support (3, 3) density's supports; the density keeps
+        # them, so they are computed once.  The other naming of the cut
+        # reads them transposed, with no second computation.
+        calls, original = [], measures._compressed_roots
+
+        def counted(rho, cut):
+            calls.append(cut)
+            return original(rho, cut)
+
+        monkeypatch.setattr(measures, "_compressed_roots", counted)
+        rho = rand_dm((3, 3), 2, rng)
+        cheap = OptConfig(starts=2, max_sweeps=5)
+        optimize(rho, 1, "min", cheap)
+        optimize(rho, 1, "max", cheap)
+        flatness_scan(rho, 1, samples=4)
+        [term] = pair_terms([(rho, 1, "cren", cheap)])
+        assert term.method == "optimizer"
+        assert np.array_equal(local_supports(rho, 2), np.swapaxes(local_supports(rho, 1), 1, 2))
+        assert calls == [Bipartition((1,), 2)]
+
+    @pytest.mark.parametrize("weight", [SUPPORT_DROP / 10, 1e-13])
+    def test_kept_supports_are_read_only(self, weight, rng):
+        # Compressed or not, the matrices are shared by every later reader.
+        rho = _two_level_leak(weight, rng)
+        for cut in (1, 2):
+            with pytest.raises(ValueError):
+                local_supports(rho, cut)[0, 0, 0] = 1.0
 
     def test_two_qubit_values_keep_their_bits(self, rng):
         # On (2, 2) profiles the spin-flip values are those of the roots

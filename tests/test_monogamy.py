@@ -482,18 +482,17 @@ class TestSharedSearches:
                     for m in ("cren", "concurrence", "negativity", "cren", "crenoa", "coa")])
         assert calls == {"spin_flip_values": 1, "negativity_mixed": 2}
 
-    def test_local_supports_read_once_per_state_and_cut(self, monkeypatch):
+    def test_local_supports_computed_once_per_state_and_cut(self, monkeypatch):
         # The bracket's roots on the supports feed the spin-flip values and
-        # the search alike: one read each, a closed form and a searched
-        # row included, with the supports of a qutrit W pair compressed.
-        calls, original = [], measures.local_supports
+        # the search alike: one computation each, a closed form and a
+        # searched row included, with the supports of a qutrit W pair compressed.
+        calls, original = [], measures._compressed_roots
 
         def counted(rho, cut):
             calls.append((id(rho), cut))
             return original(rho, cut)
 
-        for module in (measures, convexroof, monogamy):
-            monkeypatch.setattr(module, "local_supports", counted)
+        monkeypatch.setattr(measures, "_compressed_roots", counted)
         inputs = _term_inputs()
         terms = pair_terms([(inputs[name], 1, m, OptConfig(starts=2))
                             for name in ("qubit_pair", "qutrit_w_pair", "qutrit_qubit_mix")
