@@ -342,7 +342,18 @@ def _run_hunt(args) -> int:
     return 0
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared after it.
+
+    Parsing keeps nothing in the parser: each ``parse_args`` call fills a
+    fresh ``Namespace``.
+    """
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="crenaudit",
         description="Entanglement measures and monogamy audits for qudit states.",
@@ -408,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--trials", type=int, required=True)
     p_hunt.add_argument("--focus", type=int, default=1)
 
+    _parser = parser
     return parser
 
 
@@ -421,8 +433,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    0 on success, 2 on input errors and 3 on internal numerical failures.
+    A malformed command line raises ``SystemExit(2)`` from argparse, and
+    ``--help`` ``SystemExit(0)``.  The parser is built once per process, so
+    repeated in-process calls pay for it once; nothing else carries over
+    from one call to the next.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -19,7 +19,8 @@ from crenaudit import (
     pair_term,
     partial_trace,
 )
-from crenaudit.cli import AUDIT_COLUMNS, _write_reports, fmt, main
+from crenaudit import cli
+from crenaudit.cli import AUDIT_COLUMNS, _write_reports, build_parser, fmt, main
 
 
 W3_SPEC = """kind: w_class
@@ -573,15 +574,20 @@ class TestGoldenAudits:
         (("--family", "kim_sanders"), "audit_kim_sanders_all_measures.csv"),
         (("--family", "ghz", "--n", "4", "--d", "3"), "audit_ghz_n4_d3_all_measures.csv"),
     ])
+    # Each command runs twice in one process: a repeated in-process call
+    # prints the same bytes as the first.
     def test_audit_csv(self, argv, golden, capsys):
-        code, out, _ = run_cli("audit", *argv, *self.MEASURES, capsys=capsys)
-        assert code == 0
-        assert out == (DATA / golden).read_text(encoding="utf-8")
+        expected = (DATA / golden).read_text(encoding="utf-8")
+        for _ in range(2):
+            code, out, _ = run_cli("audit", *argv, *self.MEASURES, capsys=capsys)
+            assert (code, out) == (0, expected)
 
     def test_hunt_summary(self, capsys):
-        code, _, err = run_cli("hunt", "--profile", "3,3,3", "--trials", "200", capsys=capsys)
-        assert code == 0
-        assert err == (DATA / "hunt_333_trials200.err").read_text(encoding="utf-8")
+        expected = (DATA / "hunt_333_trials200.err").read_text(encoding="utf-8")
+        for _ in range(2):
+            code, _, err = run_cli("hunt", "--profile", "3,3,3", "--trials", "200",
+                                   capsys=capsys)
+            assert (code, err) == (0, expected)
 
 class TestHuntCommand:
     def test_zero_trials(self, capsys):
@@ -700,6 +706,53 @@ class TestExitCodes:
             warnings.simplefilter("error")
             code, out, err = run_cli(*argv, capsys=capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestRepeatedCalls:
+    """In-process ``main`` calls share the one parser and nothing else."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from crenaudit import cli; print(cli._parser)"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "None\n")
+
+    def test_options_do_not_carry_over(self, capsys):
+        argv = ["audit", "--family", "ou"]
+        code, _, _ = run_cli(*argv, "--seed", "5", "--format", "json", capsys=capsys)
+        assert code == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "crenaudit", *argv], capture_output=True, text=True
+        )
+        assert run_cli(*argv, capsys=capsys) == (proc.returncode, proc.stdout, proc.stderr)
+
+    def test_parse_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hunt", "--profile", "3,2,2", "--trials", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        code, _, err = run_cli("hunt", "--profile", "3,2,2", "--trials", "2", capsys=capsys)
+        assert code == 0
+        assert err.startswith("hunt: trials=2 ")
+
+    @pytest.mark.parametrize("argv", [[], ["audit"], ["hunt"]])
+    def test_help_matches_a_fresh_parser(self, argv, capsys, monkeypatch):
+        def help_text():
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        shared = build_parser()
+        text = help_text()
+        monkeypatch.setattr(cli, "_parser", None)
+        assert help_text() == text
+        assert cli._parser is not shared
+        assert text.startswith("usage: crenaudit")
 
 
 class TestReportEmission:
