@@ -13,10 +13,11 @@ the searches, ``flatness_scan`` and ``measures.range_bracket`` share it, and
 Both directions run all starts at once on the isometries (the Stiefel
 manifold, as in Rothlisberger, Lehmann & Loss, PRA 80, 042301 (2009)) and
 share one objective evaluator: a batched SVD of the stacked cut matrices
-gives the smoothed value and its gradient, the unsmoothed one being its
-mu = 0 case.  Where the short side of the cut is 2, the objective at
-every smoothing (every ascent step and every stage of the descent) comes
-in closed form from each member's 2 x 2 Gram data instead.
+gives the smoothed value, the unsmoothed one being its mu = 0 case, and,
+from the same factors, the gradient of only the rows a search steps from.
+Where the short side of the cut is 2, the objective at every smoothing
+(every ascent step and every stage of the descent) comes in closed form
+from each member's 2 x 2 Gram data instead.
 The minimization (convex-roof extended negativity) is a
 Barzilai-Borwein gradient descent on the manifold (Wen & Yin, Math.
 Program. 142, 397 (2013)) over nuclear norms smoothed as
@@ -204,7 +205,8 @@ class OptConfig:
     all.  A maximum has converged when a plain polar step gains no more
     than ``tol_rel * max(1, |value|)`` before that cap; a minimum when a step of
     its last, unsmoothed stage does, or when that stage finds it
-    stationary.
+    stationary.  ``size`` (unless None), ``starts``, ``max_sweeps`` and
+    ``seed`` are integers, not bools, and ``seed`` is nonnegative.
     """
 
     size: int | None = None
@@ -214,6 +216,12 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in (("size",) if self.size is not None else ()) + ("starts", "max_sweeps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.starts < 1:
             raise DomainError("starts must be >= 1")
         if self.tol_rel <= 0.0:
@@ -281,7 +289,8 @@ def _two_row_roof(mats: np.ndarray, mu: float):
     where adj(G) M has rows |r|^2 a - conj(c) |a|^2 r and |a|^2 r.  The
     exact square ||M||_F^2 + 2 |a| |r| is the mu = 0 value; a zero member
     scores 4 mu^2 with zero gradient, as the SVD gives.  Returns
-    (smoothed, exact, gradient of the smoothed square).
+    (smoothed, exact, gradient): ``gradient(keep)`` forms the smoothed
+    square's gradient of the rows ``keep`` (all by default) from this data.
 
     For mu >= 1e-8, q >= mu ||M||_F keeps every member of a trace-one
     decomposition (||M||_F <= 1) off the rank-one test.  At mu = 0, on a rank-one member (q <= _RANK_ONE * ||M||_F^2)
@@ -294,33 +303,42 @@ def _two_row_roof(mats: np.ndarray, mu: float):
     fro = g + norm_sq(b)
     det, mu2 = g * rr, mu * mu
     q = np.sqrt(det + mu2 * fro + mu2 * mu2)
-    rank_one = q <= _RANK_ONE * fro
-    inv = np.divide(1.0, q, out=np.zeros_like(q), where=~rank_one)
-    gr = (g * inv)[..., None] * r
-    adj = np.stack([(rr * inv)[..., None] * a - c.conj()[..., None] * gr, gr], axis=-2)
-    # At mu = 0 the scale 1 + mu^2 / q is 1 and the smoothed square is the
-    # exact one, so every polar-ascent step skips both.
-    scaled = (1.0 + mu2 * inv)[..., None, None] * mats if mu else mats
-    grad = 2.0 * (scaled + adj)
-    odd = rank_one & (fro > 0.0)
-    if odd.any():
-        u, sv, wh = np.linalg.svd(mats[odd], full_matrices=False)
-        grad[odd] = 2.0 * sv.sum(axis=-1)[..., None, None] * (u @ wh)
+
+    def gradient(keep=slice(None)):
+        m, q_k, fro_k = mats[keep], q[keep], fro[keep]
+        rank_one = q_k <= _RANK_ONE * fro_k
+        inv = np.divide(1.0, q_k, out=np.zeros_like(q_k), where=~rank_one)
+        grad = np.empty_like(m)  # adj(G) M / q, then plus the scaled M, then doubled
+        grad[..., 1, :] = (g[keep] * inv)[..., None] * r[keep]
+        grad[..., 0, :] = (rr[keep] * inv)[..., None] * a[keep] - c[keep].conj()[..., None] * grad[..., 1, :]
+        # At mu = 0 the scale 1 + mu^2 / q is 1 and the smoothed square is the
+        # exact one, so every polar-ascent step skips both.
+        grad += (1.0 + mu2 * inv)[..., None, None] * m if mu else m
+        grad *= 2.0
+        odd = rank_one & (fro_k > 0.0)
+        if odd.any():
+            u, sv, wh = np.linalg.svd(m[odd], full_matrices=False)
+            grad[odd] = 2.0 * sv.sum(axis=-1)[..., None, None] * (u @ wh)
+        return grad
+
     smoothed = fro + 2.0 * mu2 + 2.0 * q
-    return smoothed, fro + 2.0 * np.sqrt(det) if mu else smoothed, grad
+    return smoothed, fro + 2.0 * np.sqrt(det) if mu else smoothed, gradient
 
 
 def _objective(root_mats: np.ndarray, problem_of: np.ndarray):
-    """Batched objective sum_k ||M_k||_*^2 - 1, M_k = sum_j V_kj R_j, and its gradient.
+    """Batched objective sum_k ||M_k||_*^2 - 1, M_k = sum_j V_kj R_j: values first, gradients on request.
 
     ``root_mats`` is the (problems, rank, d_a, d_b) stack of the problems'
     root matrices and ``problem_of`` gives the problem of each start.
     ``evaluate(v, rows, mu)`` takes the (size, rank) isometries of the
-    starts ``rows`` and returns (f_mu, grad, exact) of the stacked M_k,
-    each built from its own start's roots.  f_mu replaces each nuclear norm
-    by the smoothed sum_i sqrt(s_i^2 + mu^2), an upper bound equal to it at
-    mu = 0, and grad is the Euclidean gradient of f_mu; exact is the
-    unsmoothed value.
+    starts ``rows`` and returns (f_mu, exact, gradient) of the stacked M_k,
+    each built from its own start's roots (a lone problem's serve every
+    start in one product).  f_mu replaces each nuclear norm by the smoothed
+    sum_i sqrt(s_i^2 + mu^2), an upper bound equal to it at mu = 0, and
+    exact is the unsmoothed value.  ``gradient(keep)`` forms the Euclidean
+    gradient of f_mu of the rows ``keep`` (a mask; all by default) from the
+    factors of the values: a row the caller discards costs its value alone,
+    and a kept row's gradient is bit for bit its gradient among all rows.
 
     One batched SVD of the M_k gives them, except when the short side is 2
     (d_a = 2).  There ``_two_row_roof`` gives the smoothed and exact values
@@ -331,29 +349,43 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray):
     """
     d_a, d_b = root_mats.shape[-2:]
     roots = root_mats.reshape(*root_mats.shape[:-2], d_a * d_b)
-    roots_h = np.conj(np.swapaxes(roots, -1, -2))
+    # Laid out as its gathered copies, so that a lone problem's one product
+    # gives each row what the gathered products give it (TestOptimizeMany
+    # compares the two bit for bit).
+    roots_h = np.ascontiguousarray(np.conj(np.swapaxes(roots, -1, -2)))
+    lone = len(roots) == 1
 
     def evaluate(v, rows, mu=0.0):
-        # Gather each start's own roots; take is cheaper than fancy indexing here.
-        own = problem_of.take(rows)
-        r, r_h = roots.take(own, axis=0), roots_h.take(own, axis=0)
-        n, size, _ = v.shape
-        mats = (v @ r).reshape(n, size, d_a, d_b)
+        n, size, rank = v.shape
+        if lone:  # one product for all starts
+            mats = (v.reshape(n * size, rank) @ roots[0]).reshape(n, size, d_a, d_b)
+        else:  # gather each start's own roots; take is cheaper than fancy indexing here
+            own = problem_of.take(rows)
+            mats = (v @ roots.take(own, axis=0)).reshape(n, size, d_a, d_b)
+
+        def back(m, keep):  # the kept rows' member gradients m, times their roots' adjoints
+            if lone:
+                return (m.reshape(-1, d_a * d_b) @ roots_h[0]).reshape(-1, size, rank)
+            return m.reshape(-1, size, d_a * d_b) @ roots_h.take(own[keep], axis=0)
+
         if d_a == 2:
             nuc_sq_mu, nuc_sq, grad = _two_row_roof(mats, mu)
-            f_mu = np.sum(nuc_sq_mu, axis=-1) - 1.0
-            exact = np.sum(nuc_sq, axis=-1) - 1.0 if mu else f_mu
-            return f_mu, grad.reshape(n, size, d_a * d_b) @ r_h, exact
+            f_mu = nuc_sq_mu.sum(axis=-1) - 1.0
+            exact = nuc_sq.sum(axis=-1) - 1.0 if mu else f_mu
+            return f_mu, exact, lambda keep=slice(None): back(grad(keep), keep)
         u, sv, wh = np.linalg.svd(mats, full_matrices=False)
         nuc = sv.sum(axis=-1)
-        # df/dV_kj = 2 ||M_k||_mu tr(R_j^H U_k D_k W_k^H), D_k = diag(s_i / sqrt(s_i^2 + mu^2));
-        # at mu = 0, D_k = 1 on every singular pair, a zero one too: the subgradient U_k W_k^H.
         smooth = np.sqrt(sv * sv + mu * mu)
         nuc_mu = smooth.sum(axis=-1)
-        ratio = np.divide(sv, smooth, out=np.ones_like(sv), where=smooth > 0)
-        dirs = ((u * ratio[..., None, :]) @ wh).reshape(n, size, d_a * d_b)
-        grad = 2.0 * nuc_mu[..., None] * (dirs @ r_h)
-        return np.sum(nuc_mu * nuc_mu, axis=-1) - 1.0, grad, np.sum(nuc * nuc, axis=-1) - 1.0
+
+        def gradient(keep=slice(None)):
+            # df/dV_kj = 2 ||M_k||_mu tr(R_j^H U_k D_k W_k^H), D_k = diag(s_i / sqrt(s_i^2 + mu^2));
+            # at mu = 0, D_k = 1 on every singular pair, a zero one too: the subgradient U_k W_k^H.
+            sv_k, smooth_k = sv[keep], smooth[keep]
+            ratio = np.divide(sv_k, smooth_k, out=np.ones_like(sv_k), where=smooth_k > 0)
+            return 2.0 * nuc_mu[keep][..., None] * back((u[keep] * ratio[..., None, :]) @ wh[keep], keep)
+
+        return (nuc_mu * nuc_mu).sum(axis=-1) - 1.0, (nuc * nuc).sum(axis=-1) - 1.0, gradient
 
     return evaluate
 
@@ -396,15 +428,17 @@ def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
     loses, the start takes P instead and t restarts at 1 (adaptive restart:
     O'Donoghue & Candes, Found. Comput. Math. 15, 715 (2015)).  So values
     never fall, and a start stops, converged, only once a plain step gains
-    no more than the tolerance.
+    no more than the tolerance.  Only the starts that go on get a gradient,
+    of the point they took: a redone extrapolation costs its value alone.
 
     ``v`` holds one (size, rank) isometry per start.  Returns every start's
     final isometry, objective trace and convergence flag.
     """
     v = v.copy()
     live = np.arange(v.shape[0])
-    f, grad, _ = evaluate(v, live)
-    first, log = f, []
+    f, _, gradient = evaluate(v, live)
+    grad, first, log = gradient(), f, []
+    del gradient
     converged = np.zeros(v.shape[0], dtype=bool)
     t, prev = np.ones(v.shape[0]), np.empty_like(v)
     for step in range(max_steps):
@@ -415,19 +449,30 @@ def _polar_ascent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float):
         y = p.copy()
         if moving.any():
             y[moving] = _polar(p[moving] + beta[moving, None, None] * (p[moving] - prev[live[moving]]))
-        f_new, grad, _ = evaluate(y, live)
+        f_new, _, gradient = evaluate(y, live)
         redo = moving & (f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new)))
         if redo.any():
             y[redo] = p[redo]
-            f_new[redo], grad[redo], _ = evaluate(p[redo], live[redo])
+            f_new[redo], _, redone = evaluate(p[redo], live[redo])
         v[live], prev[live] = y, p
         t[live] = np.where(redo | (step < _PLAIN_STEPS), 1.0, t_next)
         log.append((live, f_new))
         stalled = f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new))
         converged[live[stalled]] = True
-        live, f, grad = live[~stalled], f_new[~stalled], grad[~stalled]
+        go = ~stalled
+        live, f = live[go], f_new[go]
         if not live.size:
             break
+        # Only the starts that go on need a gradient, each at the point it took;
+        # then the factors are let go before the next evaluation.
+        if not redo.any():
+            grad = gradient(go) if stalled.any() else gradient()
+        else:
+            grad, took_p = np.empty((live.size, *v.shape[1:]), dtype=complex), redo[go]
+            grad[~took_p] = gradient(go & ~redo)
+            grad[took_p] = redone(go[redo])
+            del redone
+        del gradient
     return v, _traces(first, log), converged
 
 
@@ -456,7 +501,7 @@ def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real Frobenius inner products Re tr(a^H b) of stacked matrices."""
-    return np.sum((np.conj(a) * b).real, axis=(-2, -1))
+    return (np.conj(a) * b).real.sum(axis=(-2, -1))
 
 
 def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float, halt=None):
@@ -467,9 +512,11 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float, halt=None)
     0), by Barzilai-Borwein steps on the isometries (Wen & Yin, Math.
     Program. 142, 397 (2013)): the Euclidean gradient is projected on the
     tangent space, the step is retracted by the polar factor, and an
-    Armijo test backtracks it.  The stage tolerance is ``_STAGE_TOL``
-    (smoothed stages) or ``tol_rel`` (the exact last stage), relative to
-    the value.  A start whose first trial step could gain no more than it,
+    Armijo test backtracks it; a trial step that the test rejects costs its
+    value alone, and only a stage's starts and accepted steps get a
+    gradient.  The stage tolerance is ``_STAGE_TOL`` (smoothed stages) or
+    ``tol_rel`` (the exact last stage), relative to the value.  A start
+    whose first trial step could gain no more than it,
     _FIRST_STEP * |projected gradient|^2, takes no step in the stage;
     otherwise the stage runs at most ``max_steps`` steps and stops the
     start once a step gains no more than it.
@@ -494,10 +541,11 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float, halt=None)
     log = []
     for mu in _SMOOTHING:
         tol = tol_rel if mu == 0.0 else _STAGE_TOL
-        f[active], g, exact = evaluate(v[active], active, mu)
+        f[active], exact, gradient = evaluate(v[active], active, mu)
         if mu == _SMOOTHING[0]:
             best, first = exact, exact.copy()
-        grad[active] = _tangent(v[active], g)
+        grad[active] = _tangent(v[active], gradient())
+        del gradient
         grad_sq[active] = _inner(grad[active], grad[active])
         step[active] = _FIRST_STEP
         # To first order, a first trial step gains at most _FIRST_STEP * grad_sq.
@@ -515,25 +563,27 @@ def _descent(evaluate, v: np.ndarray, max_steps: int, tol_rel: float, halt=None)
             pending = live
             for _ in range(_MAX_BACKTRACKS):
                 trial = _polar(v[pending] - step[pending, None, None] * grad[pending])
-                f_new, g_new, exact = evaluate(trial, pending, mu)
+                f_new, exact, gradient = evaluate(trial, pending, mu)
                 f_old = f[pending]
                 decrease = _ARMIJO * step[pending] * grad_sq[pending]
                 ok = f_new <= f_old - decrease + _ARMIJO_SLACK * np.maximum(1.0, np.abs(f_old))
-                done, moved = pending[ok], trial[ok]
-                g_new = _tangent(moved, g_new[ok])
-                s, y = moved - v[done], g_new - grad[done]
-                yy = _inner(y, y)
-                bb = np.full(done.size, _STEP_RANGE[1])
-                np.divide(np.abs(_inner(s, y)), yy, out=bb, where=yy > 0.0)
-                step[done] = np.clip(bb, *_STEP_RANGE)
-                stalled[done] = f_old[ok] - f_new[ok] <= tol * np.maximum(1.0, np.abs(f_new[ok]))
-                v[done], f[done], grad[done] = moved, f_new[ok], g_new
-                grad_sq[done] = _inner(g_new, g_new)
-                reached = exact[ok]
-                better = reached < best[done]
-                best[done[better]] = reached[better]
-                best_v[done[better]] = moved[better]
-                log.append((done, best[done]))
+                if ok.any():  # a rejected trial costs its value alone
+                    done, moved = pending[ok], trial[ok]
+                    g_new = _tangent(moved, gradient(ok))
+                    s, y = moved - v[done], g_new - grad[done]
+                    yy = _inner(y, y)
+                    bb = np.full(done.size, _STEP_RANGE[1])
+                    np.divide(np.abs(_inner(s, y)), yy, out=bb, where=yy > 0.0)
+                    step[done] = np.clip(bb, *_STEP_RANGE)
+                    stalled[done] = f_old[ok] - f_new[ok] <= tol * np.maximum(1.0, np.abs(f_new[ok]))
+                    v[done], f[done], grad[done] = moved, f_new[ok], g_new
+                    grad_sq[done] = _inner(g_new, g_new)
+                    reached = exact[ok]
+                    better = reached < best[done]
+                    best[done[better]] = reached[better]
+                    best_v[done[better]] = moved[better]
+                    log.append((done, best[done]))
+                del gradient  # its factors would otherwise live through the next trial
                 pending = pending[~ok]
                 if not pending.size:
                     break

@@ -693,6 +693,17 @@ class TestExitCodes:
         )
         assert (code, out, err) == (2, "", f"error: tol_rel must be finite, got {tol}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("audit", "--family", "kim_sanders"),
+        ("audit", "--family", "w", "--n", "3", "--d", "3"),
+        ("measure", "--family", "kim_sanders", "--trace-out", "3", "--measure", "cren"),
+        ("audit", "--family", "ou"),
+    ])
+    def test_negative_seed_exits_2_whether_or_not_a_search_runs(self, argv, capsys):
+        # Kim-Sanders and qutrit W terms close without a search, Ou's do not.
+        code, out, err = run_cli(*argv, "--seed", "-1", capsys=capsys)
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("sweep", "--n", "0"), "need at least 2 parties, got 0"),
         (("sweep", "--n", "-1"), "need at least 2 parties, got -1"),

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,23 @@ class TestOptimize:
         # nan would run every start to the step cap.
         with pytest.raises(DomainError, match=f"tol_rel must be finite, got {tol}"):
             OptConfig(tol_rel=tol)
+
+    @pytest.mark.parametrize("field, value", [
+        ("size", 4.0), ("size", True), ("starts", 2.5), ("max_sweeps", 2.5), ("seed", 1.0), ("seed", False),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # A float or bool would pass construction and fail deep in a search.
+        with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}"):
+            OptConfig(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        # Rejected at construction, whether or not a search draws from it.
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            OptConfig(seed=-1)
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptConfig(size=np.int64(4), starts=np.int32(2), max_sweeps=np.int64(3), seed=np.uint8(5))
+        assert cfg.resolve_size(2) == 4
 
     def test_reconstruction_of_returned_decomposition(self, rng):
         rho = rand_dm((3, 2), 3, rng)
@@ -599,12 +618,14 @@ def _plain_ascent(evaluate, v, max_steps, tol_rel):
     Returns what ``_polar_ascent`` does: final isometries, traces and flags.
     """
     v, live = v.copy(), np.arange(len(v))
-    f, grad, _ = evaluate(v, live)
+    f, _, gradient = evaluate(v, live)
+    grad = gradient()
     traces, converged = [[x] for x in f], np.zeros(len(v), dtype=bool)
     for _ in range(max_steps):
         left, _, right_h = np.linalg.svd(grad, full_matrices=False)
         v[live] = left @ right_h
-        f_new, grad, _ = evaluate(v[live], live)
+        f_new, _, gradient = evaluate(v[live], live)
+        grad = gradient()
         for k, x in zip(live, f_new):
             traces[k].append(x)
         stalled = f_new - f <= tol_rel * np.maximum(1.0, np.abs(f_new))
@@ -640,8 +661,8 @@ class TestPolarAscent:
         tol = OptConfig().tol_rel
         for evaluate, _, _, (v, _, converged) in ascent_corpus:
             rows = np.arange(len(v))
-            f, grad, _ = evaluate(v, rows)
-            f_next = evaluate(_polar(grad), rows)[0]
+            f, _, gradient = evaluate(v, rows)
+            f_next = evaluate(_polar(gradient()), rows)[0]
             assert converged.all()
             assert np.all(f_next - f <= tol * np.maximum(1.0, np.abs(f_next)))
 
@@ -713,7 +734,8 @@ class TestTwoRowObjective:
             evaluate = _objective(mats[None], np.zeros(len(v), dtype=int))
             unsmoothed = evaluate(v, np.arange(len(v)), 0.0)[0]
             for mu in _SMOOTHING:
-                f, grad, exact = evaluate(v, np.arange(len(v)), mu)
+                f, exact, gradient = evaluate(v, np.arange(len(v)), mu)
+                grad = gradient()
                 want_f, want_grad, sv = _svd_objective(mats, v, mu)
                 spectral = sv[0, :3]
                 assert np.any(np.abs(spectral[:, 0] - spectral[:, 1]) <= 1e-12)
@@ -729,7 +751,8 @@ class TestTwoRowObjective:
         mats = np.zeros((2, 2, 3), dtype=complex)
         mats[1] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         for mu in _SMOOTHING[:-1]:
-            smoothed, exact, grad = _two_row_roof(mats, mu)
+            smoothed, exact, gradient = _two_row_roof(mats, mu)
+            grad = gradient()
             assert smoothed[0] == 4.0 * mu * mu
             assert exact[0] == 0.0
             assert np.all(grad[0] == 0.0)
@@ -781,7 +804,8 @@ class TestSvdObjective:
         mats = _root_matrices(rho, Bipartition((1,), 2))
         v = _starts(OptConfig(starts=4, seed=3), rho.rank())
         evaluate = _objective(mats[None], np.zeros(len(v), dtype=int))
-        f, grad, exact = evaluate(v, np.arange(len(v)), 0.0)
+        f, exact, gradient = evaluate(v, np.arange(len(v)), 0.0)
+        grad = gradient()
         want_f, want_grad, sv = _svd_objective(mats, v)
         spectral = sv[0]
         assert np.any(spectral[:3, 1] <= 1e-12 * spectral[:3, 0])
@@ -789,6 +813,79 @@ class TestSvdObjective:
         assert np.array_equal(f, exact)
         assert np.max(np.abs(f - want_f)) <= 1e-13
         assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+
+def _counting(evaluate, calls):
+    """The evaluator, recording each call's row count and the gradient rows asked of it."""
+
+    def counted(v, rows, mu=0.0):
+        f, exact, gradient = evaluate(v, rows, mu)
+        call = {"rows": len(v), "mu": mu, "gradient_rows": 0}
+        calls.append(call)
+
+        def counted_gradient(keep=slice(None)):
+            grad = gradient(keep)
+            call["gradient_rows"] += len(grad)
+            return grad
+
+        return f, exact, counted_gradient
+
+    return counted
+
+
+class TestValueFirst:
+    # The searches ask for a gradient only where they step: a rejected or
+    # redone trial costs its value alone.
+    @pytest.fixture
+    def qutrit_pair(self):
+        rho = rand_dm((3, 3), 2, np.random.default_rng(19))
+        mats = _root_matrices(rho, Bipartition((1,), 2))
+        assert mats.shape == (2, 3, 3)
+        cfg = OptConfig()
+        starts = _starts(cfg, rho.rank())
+        calls = []
+        evaluate = _counting(_objective(mats[None], np.zeros(len(starts), dtype=int)), calls)
+        return evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel, calls
+
+    def test_descent_grades_stage_starts_and_accepted_trials_alone(self, qutrit_pair):
+        evaluate, starts, max_steps, tol_rel, calls = qutrit_pair
+        _, traces, _ = _descent(evaluate, starts, max_steps, tol_rel)
+        # Each stage opens with one call on every start; the rest are trials.
+        stage_rows = sum(c["rows"] for k, c in enumerate(calls) if k == 0 or c["mu"] != calls[k - 1]["mu"])
+        assert stage_rows == len(_SMOOTHING) * len(starts)
+        accepted = sum(len(t) - 1 for t in traces)
+        trial_rows = sum(c["rows"] for c in calls) - stage_rows
+        assert sum(c["gradient_rows"] for c in calls) == stage_rows + accepted
+        assert trial_rows > accepted
+
+    def test_ascent_grades_no_redone_extrapolation(self, qutrit_pair):
+        evaluate, starts, max_steps, tol_rel, calls = qutrit_pair
+        _, traces, converged = _polar_ascent(evaluate, starts, max_steps, tol_rel)
+        # The first call grades every start; after that, each step grades
+        # the starts that go on (all but the one step where a start stops),
+        # at the point each took.
+        steps = sum(len(t) - 1 for t in traces)
+        assert converged.all()
+        assert sum(c["gradient_rows"] for c in calls) == len(starts) + steps - len(starts)
+        redone = sum(c["rows"] for c in calls) - len(starts) - steps
+        assert redone > 0
+
+    @pytest.mark.parametrize("search, held", [(_descent, 0), (_polar_ascent, 1)])
+    def test_each_gradient_is_let_go_before_the_next_trial(self, qutrit_pair, search, held):
+        # A gradient holds its call's factors; a search keeps none into its
+        # next evaluation but the ascent's unredone rows while it redoes others.
+        evaluate, starts, max_steps, tol_rel, _ = qutrit_pair
+        refs, alive = [], []
+
+        def watched(v, rows, mu=0.0):
+            alive.append(sum(r() is not None for r in refs))
+            f, exact, gradient = evaluate(v, rows, mu)
+            refs.append(weakref.ref(gradient))
+            return f, exact, gradient
+
+        search(watched, starts, max_steps, tol_rel)
+        assert len(alive) > 10
+        assert max(alive) == held
 
 
 class TestOptimizeMany:

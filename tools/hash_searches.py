@@ -1,22 +1,33 @@
-"""Fingerprint every roof search of the qudit benchmark plan.
+"""Fingerprint every roof search of the qudit benchmark plan, and the stop rule's.
 
 Usage: python tools/hash_searches.py CHECKOUT SEED...
 
 Runs the ``roof_min``, ``roof_max`` and ``audit`` operations of
 ``perfbench/workloads.py``'s qudit plan for each seed against the package
-in ``CHECKOUT/src``, and prints the number of searched problems and one
-sha256 of each one's ``objective_trace``, ``start_values`` and
-decomposition members, in the order they are solved.  Closed forms (one
-start) are not counted.  Equal output at two checkouts means every
-search ran bit for bit the same, which the benchmark's value sums rest on.
-Nothing is written under the checkout; the operations' files go to a
-temporary directory.
+in ``CHECKOUT/src``, and prints, on its first line, the number of searched
+problems and one sha256 of each one's ``objective_trace``,
+``start_values`` and decomposition members, in the order they are solved.
+Closed forms (one start) are not counted.
+
+Its second line fingerprints the searches a stop rule ends: it runs
+``monogamy.hunt`` on the profiles 3,3,3 and 2,3,4 (200 trials each, seed
+0, whatever SEEDs are given) and prints the number of problems stopped and
+one sha256 of which problems each ``optimize_many`` call stopped and of
+every result it completed, closed forms included.
+
+Equal output at two checkouts means every search ran bit for bit the
+same, which the benchmark's value sums rest on, and the second line
+extends that to the descent's ``halt`` path.  Nothing is written under
+the checkout; the operations' files go to a temporary directory.
 """
 
 import hashlib
 import os
 import sys
 import tempfile
+
+HUNTS = ((3, 3, 3), (2, 3, 4))
+HUNT_TRIALS = 200
 
 
 def main(argv: list[str]) -> None:
@@ -25,17 +36,35 @@ def main(argv: list[str]) -> None:
     sys.dont_write_bytecode = True
     import numpy as np
     import workloads
-    from crenaudit import convexroof, monogamy
+    from crenaudit import DimensionProfile, convexroof, monogamy
 
-    digest, count, inner = hashlib.sha256(), [0], convexroof.optimize_many
+    inner = convexroof.optimize_many
+    digest, count = hashlib.sha256(), [0]
+    hunt_digest, stopped = hashlib.sha256(), [0]
 
-    def recording(problems, **kw):
-        results = inner(problems, **kw)
+    def update(target, res):
+        for part in (res.objective_trace, res.start_values, res.decomposition.members):
+            target.update(np.ascontiguousarray(part).tobytes())
+
+    def record_searches(results):
         for res in results:
             if res is not None and len(res.start_values) > 1:  # searched, not a closed form
                 count[0] += 1
-                for part in (res.objective_trace, res.start_values, res.decomposition.members):
-                    digest.update(np.ascontiguousarray(part).tobytes())
+                update(digest, res)
+
+    def record_hunt(results):
+        mask = np.array([res is None for res in results])
+        stopped[0] += int(mask.sum())
+        hunt_digest.update(mask.tobytes())
+        for res in results:
+            if res is not None:
+                update(hunt_digest, res)
+
+    record = [record_searches]
+
+    def recording(problems, **kw):
+        results = inner(problems, **kw)
+        record[0](results)
         return results
 
     convexroof.optimize_many = monogamy.optimize_many = recording
@@ -45,6 +74,11 @@ def main(argv: list[str]) -> None:
                 if op.kind in ("roof_min", "roof_max", "audit"):
                     op.call()
     print(count[0], digest.hexdigest())
+
+    record[0] = record_hunt
+    for dims in HUNTS:
+        monogamy.hunt(DimensionProfile(dims), HUNT_TRIALS, 0)
+    print(stopped[0], hunt_digest.hexdigest())
 
 
 if __name__ == "__main__":
