@@ -32,10 +32,11 @@ restarted) wherever they gain too little, and it has converged only once a
 plain step gains no more than the tolerance.
 
 Every problem first has its roots compressed onto their local supports
-across the cut (``measures.local_supports``, which the density keeps), so
-a search runs on root matrices no larger than the supports.  A problem whose supports are both
-at most two-dimensional (every two-qubit state, and the pair marginals of
-W-class states) runs no search: its optimal decomposition is explicit.
+across the cut (``measures.local_supports``, which the density keeps,
+short side first), so a search runs on root matrices no larger than the
+supports, and a cut and its complement run one search.  A problem whose
+supports are both at most two-dimensional (every two-qubit state, and the
+pair marginals of W-class states) runs no search: its optimal decomposition is explicit.
 With tau = W diag(lambda) W^T the Takagi form of the roots' spin-flip
 overlaps (``measures.spin_flip_takagi``), the rows of W^H @ roots have
 concurrences lambda_i, and N = C on every member, so they give the
@@ -85,7 +86,6 @@ from .measures import (
     two_row_gram,
 )
 from .qlinalg import (
-    Bipartition,
     DensityOperator,
     DimensionProfile,
     DomainError,
@@ -206,7 +206,9 @@ class OptConfig:
     than ``tol_rel * max(1, |value|)`` before that cap; a minimum when a step of
     its last, unsmoothed stage does, or when that stage finds it
     stationary.  ``size`` (unless None), ``starts``, ``max_sweeps`` and
-    ``seed`` are integers, not bools, and ``seed`` is nonnegative.
+    ``seed`` are integers, not bools, the counts at least 1 and ``seed``
+    nonnegative; a ``size`` below the rank is caught only where a problem
+    is posed (``resolve_size``).
     """
 
     size: int | None = None
@@ -216,20 +218,20 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in (("size",) if self.size is not None else ()) + ("starts", "max_sweeps", "seed"):
+        counts = (("size",) if self.size is not None else ()) + ("starts", "max_sweeps")
+        for name in counts + ("seed",):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.starts < 1:
-            raise DomainError("starts must be >= 1")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.tol_rel <= 0.0:
             raise DomainError("tol_rel must be positive")
         if not math.isfinite(self.tol_rel):
             raise DomainError(f"tol_rel must be finite, got {self.tol_rel}")
-        if self.max_sweeps < 1:
-            raise DomainError("max_sweeps must be >= 1")
 
     def resolve_size(self, rank: int) -> int:
         if self.size is not None:
@@ -250,15 +252,6 @@ class OptResult:
     converged: bool
     best_start: int
     start_values: tuple[float, ...]  # final objective of every start, in start order
-
-
-def _root_matrices(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
-    """The spectral roots of rho on its local supports across the cut, one (short side, long side) matrix each."""
-    mats = local_supports(rho, cut)
-    # The nuclear norm is transpose invariant; put the short side first.
-    if mats.shape[1] > mats.shape[2]:
-        mats = np.swapaxes(mats, -1, -2)
-    return np.ascontiguousarray(mats)
 
 
 def _starts(cfg: OptConfig, rank: int) -> np.ndarray:
@@ -340,10 +333,11 @@ def _objective(root_mats: np.ndarray, problem_of: np.ndarray):
     factors of the values: a row the caller discards costs its value alone,
     and a kept row's gradient is bit for bit its gradient among all rows.
 
-    One batched SVD of the M_k gives them, except when the short side is 2
-    (d_a = 2).  There ``_two_row_roof`` gives the smoothed and exact values
-    and the gradient in closed form from each member's two rows, at every
-    mu, with no SVD but for rank-one members at mu = 0.  It agrees with
+    One batched SVD of the M_k gives them, except when the short side,
+    which ``measures.local_supports`` puts first, is 2 (d_a = 2).  There
+    ``_two_row_roof`` gives the smoothed and exact values and the gradient
+    in closed form from each member's two rows, at every mu, with no SVD
+    but for rank-one members at mu = 0.  It agrees with
     the SVD to rounding; the descent's endpoints on the hardest two-qubit
     states turn on such rounding, so they differ from the SVD's.
     """
@@ -734,7 +728,7 @@ def optimize_many(problems, *, stop=None) -> list[OptResult | None]:
         cfg = cfg or OptConfig()
         cut = as_bipartition(cut, rho.profile.n)
         size = cfg.resolve_size(rho.rank())
-        mats = _root_matrices(rho, cut)
+        mats = local_supports(rho, cut)
         if spin_flip_closes(mats):
             results.append(_closed_form_result(rho, cut, direction, mats))
         else:

@@ -212,7 +212,7 @@ def _support_frame(stacked: np.ndarray) -> np.ndarray | None:
 
 
 def local_supports(rho: DensityOperator, cut) -> np.ndarray:
-    """The roots of rho across the cut, as (rank, k_a, k_b) matrices on its local supports.
+    """The roots of rho across the cut, as (rank, k_short, k_long) matrices on its local supports.
 
     Every member of every decomposition of rho lies in its range, so in
     supp(rho_A) (x) supp(rho_B), and local isometries change no pure-state
@@ -223,15 +223,15 @@ def local_supports(rho: DensityOperator, cut) -> np.ndarray:
     side is compressed only where it has more than two dimensions and its
     support, of at least two, leaves out at most ``SUPPORT_DROP`` of the
     weight; every other side keeps its basis, so a full-support state's
-    matrices are its roots' ``cut_matrices`` bit for bit.  The supports are
-    found once per density and cut, with party 1 on side A, and kept in
-    rho's memo, so every reader of them (the spin-flip values, the roof
-    searches, flatness scans and ``monogamy.pair_terms``) shares one
-    computation; the other naming of a cut reads them transposed.
+    matrices are its roots' ``cut_matrices`` bit for bit, short side first
+    (on a tie, party 1's).  A cut and its complement name one read-only,
+    C-contiguous array, found once per density and kept in rho's memo, so
+    every reader of it (the spin-flip values, the roof searches, flatness
+    scans and ``monogamy.pair_terms``) shares one computation.
     """
     cut = as_bipartition(cut, rho.profile.n)
     if 1 not in cut.side_a:
-        return np.swapaxes(local_supports(rho, Bipartition(cut.side_b, cut.n)), 1, 2)
+        cut = Bipartition(cut.side_b, cut.n)
     return memoized(rho, ("local_supports", cut), lambda: _compressed_roots(rho, cut))
 
 
@@ -245,6 +245,10 @@ def _compressed_roots(rho: DensityOperator, cut: Bipartition) -> np.ndarray:
     frame = _support_frame(np.swapaxes(mats, 0, 2).reshape(d_b, -1)) if d_b > 2 else None
     if frame is not None:
         mats = mats @ frame.conj()
+    # The nuclear norm is transpose invariant; put the short side first.
+    if mats.shape[1] > mats.shape[2]:
+        mats = np.swapaxes(mats, 1, 2)
+    mats = np.ascontiguousarray(mats)
     # Read-only: every reader of rho's supports shares this one array.
     mats.setflags(write=False)
     return mats
@@ -292,12 +296,10 @@ def spin_flip_values(rho: DensityOperator, cut=1) -> tuple[float, float]:
     values of the symmetric X (sy sy) X^T (rank x rank), so one SVD gives
     both, with no non-Hermitian eigensolve and no D x D matrix.  Every
     member has Schmidt rank <= 2, so these are also the convex-roof
-    extended negativity and its assistance dual.  The form is symmetric in
-    the sides, and reads the supports with party 1 on side A, so either
-    naming of a cut gives the same bits.
+    extended negativity and its assistance dual.
     """
     cut = as_bipartition(cut, rho.profile.n)
-    mats = local_supports(rho, cut if 1 in cut.side_a else Bipartition(cut.side_b, cut.n))
+    mats = local_supports(rho, cut)
     if not spin_flip_closes(mats):
         raise DomainError(f"local supports across {cut} are {mats.shape[1:]}, not at most 2 x 2")
     lam = np.linalg.svd(_spin_flip_matrix(mats), compute_uv=False)

@@ -103,9 +103,9 @@ def _spin_flip_bound(state, cut, kernel, direction):
 
 
 def _bounds_kernel(state, cut, kernel, bounded) -> bool:
-    # Whether a bound on the ``bounded`` kernel bounds ``kernel``'s roofs: where a local
-    # support is two-dimensional, every member has Schmidt rank <= 2, so N = C on each.
-    return kernel is bounded or min(local_supports(state, cut).shape[1:]) == 2
+    # Whether a bound on the ``bounded`` kernel bounds ``kernel``'s roofs: where the short
+    # (first) local support is two-dimensional, every member has Schmidt rank <= 2, so N = C.
+    return kernel is bounded or local_supports(state, cut).shape[1] == 2
 
 
 def _minor_table(state, cut):

@@ -704,6 +704,12 @@ class TestExitCodes:
         code, out, err = run_cli(*argv, "--seed", "-1", capsys=capsys)
         assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_opt_size_below_one_exits_2_with_no_search(self, size, capsys):
+        # Kim-Sanders terms close without a search, so no rank check reaches the size.
+        code, out, err = run_cli("audit", "--family", "kim_sanders", "--opt-size", size, capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: size must be >= 1, got {size}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("sweep", "--n", "0"), "need at least 2 parties, got 0"),
         (("sweep", "--n", "-1"), "need at least 2 parties, got -1"),

@@ -40,7 +40,6 @@ from crenaudit.convexroof import (
     _polar,
     _polar_ascent,
     _roof_phases,
-    _root_matrices,
     _starts,
     _two_row_roof,
 )
@@ -264,6 +263,12 @@ class TestOptimize:
         with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}"):
             OptConfig(**{field: value})
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_below_one_rejected(self, size):
+        # Rejected at construction, whether or not a search resolves it.
+        with pytest.raises(DomainError, match=f"size must be >= 1, got {size}"):
+            OptConfig(size=size)
+
     def test_negative_seed_rejected(self):
         # Rejected at construction, whether or not a search draws from it.
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
@@ -406,7 +411,7 @@ class TestOptimize:
         for rho in rhos:
             starts = _starts(cfg, rho.rank())
             evaluate = _objective(
-                _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
+                local_supports(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
             )
             for k in range(len(starts)):
                 max_steps = cfg.max_sweeps * starts.shape[1]
@@ -548,7 +553,7 @@ class TestClosedForm:
         embed = np.kron(haar_unitary(3, rng)[:, :2], np.eye(3))
         narrow = rand_dm((2, 3), 3, rng)
         rho = DensityOperator(DimensionProfile((3, 3)), embed @ narrow.matrix @ embed.conj().T)
-        assert _root_matrices(rho, Bipartition((1,), 2)).shape == (3, 2, 3)
+        assert local_supports(rho, Bipartition((1,), 2)).shape == (3, 2, 3)
         shapes = []
 
         def counted(mats, mu, _original=_two_row_roof):
@@ -567,7 +572,7 @@ class TestClosedForm:
         # they ended before the supports were compressed.
         rho = rand_dm((3, 3), 3, np.random.default_rng(21))
         cut = Bipartition((1,), 2)
-        assert np.array_equal(_root_matrices(rho, cut), cut_matrices(rho.roots, rho.profile, cut))
+        assert np.array_equal(local_supports(rho, cut), cut_matrices(rho.roots, rho.profile, cut))
         cfg = OptConfig(starts=3, max_sweeps=40, seed=2)
         pinned = {
             "min": ("0x1.be5dd9ab90578p-1", 93,
@@ -646,7 +651,7 @@ def ascent_corpus():
     rng, cfg, corpus = np.random.default_rng(41), OptConfig(), []
     for dims in ((3, 2), (2, 4), (3, 3)):
         for rank in (2, 3, 4):
-            mats = [_root_matrices(rand_dm(dims, rank, rng), Bipartition((1,), 2)) for _ in range(3)]
+            mats = [local_supports(rand_dm(dims, rank, rng), Bipartition((1,), 2)) for _ in range(3)]
             starts = _starts(cfg, rank)
             evaluate = _objective(np.stack(mats), np.repeat(np.arange(3), len(starts)))
             v0, max_steps = np.concatenate([starts] * 3), cfg.max_sweeps * starts.shape[1]
@@ -684,7 +689,7 @@ class TestPolarAscent:
         for rho in [rand_dm((2, 2), rank, rng) for rank in (1, 2, 3, 4) for _ in range(3)]:
             starts = _starts(cfg, rho.rank())
             evaluate = _objective(
-                _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
+                local_supports(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
             )
             args = (evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel)
             (v, traces, converged), plain = _polar_ascent(*args), _plain_ascent(*args)
@@ -728,7 +733,7 @@ class TestTwoRowObjective:
         ]
         for dims, members, cut in cases:
             rho = _orthogonal_mixture(dims, members, np.array([0.5, 0.3, 0.2]), rng)
-            mats = _root_matrices(rho, cut)
+            mats = local_supports(rho, cut)
             assert mats.shape[1] == 2
             v = _starts(OptConfig(starts=4, seed=3), rho.rank())
             evaluate = _objective(mats[None], np.zeros(len(v), dtype=int))
@@ -768,7 +773,7 @@ class TestTwoRowObjective:
         cfg = OptConfig()
         starts = _starts(cfg, rho.rank())
         evaluate = _objective(
-            _root_matrices(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
+            local_supports(rho, Bipartition((1,), 2))[None], np.zeros(len(starts), dtype=int)
         )
         _, traces, _ = _polar_ascent(evaluate, starts, cfg.max_sweeps * starts.shape[1], cfg.tol_rel)
         assert all(np.all(np.diff(t) >= -1e-12) for t in traces)
@@ -801,7 +806,7 @@ class TestSvdObjective:
         phi = [(0, 0), (1, 1), (2, 2)], [3 ** -0.5] * 3
         weights = np.array([0.5, 0.3, 0.2])
         rho = _orthogonal_mixture((3, 3), [phi, ([(2, 1)], [1.0])], weights, rng)
-        mats = _root_matrices(rho, Bipartition((1,), 2))
+        mats = local_supports(rho, Bipartition((1,), 2))
         v = _starts(OptConfig(starts=4, seed=3), rho.rank())
         evaluate = _objective(mats[None], np.zeros(len(v), dtype=int))
         f, exact, gradient = evaluate(v, np.arange(len(v)), 0.0)
@@ -839,7 +844,7 @@ class TestValueFirst:
     @pytest.fixture
     def qutrit_pair(self):
         rho = rand_dm((3, 3), 2, np.random.default_rng(19))
-        mats = _root_matrices(rho, Bipartition((1,), 2))
+        mats = local_supports(rho, Bipartition((1,), 2))
         assert mats.shape == (2, 3, 3)
         cfg = OptConfig()
         starts = _starts(cfg, rho.rank())
@@ -919,6 +924,34 @@ class TestOptimizeMany:
             for a, b in zip(got.decomposition.states, alone.decomposition.states):
                 assert np.array_equal(a.amplitudes, b.amplitudes)
             assert np.array_equal(got.decomposition.weights, alone.decomposition.weights)
+
+
+class TestCutNaming:
+    # A cut and its complement read one support array, so they pose one
+    # problem: the same search, whose value each naming scores on its own cut.
+    CASES = [((3, 3), (1,)), ((3, 2), (1,)), ((2, 4), (1,)), ((2, 3, 2), (1, 3))]
+
+    @pytest.mark.parametrize("dims, side", CASES)
+    def test_a_cut_and_its_complement_share_one_support_array(self, dims, side, rng):
+        rho = rand_dm(dims, 3, rng)
+        cut = Bipartition(side, len(dims))
+        mats = local_supports(rho, cut)
+        assert local_supports(rho, Bipartition(cut.side_b, cut.n)) is mats
+        assert mats.flags.c_contiguous and not mats.flags.writeable
+        assert mats.shape[1] <= mats.shape[2]
+
+    @pytest.mark.parametrize("dims, side", CASES)
+    def test_a_cut_and_its_complement_run_one_search(self, dims, side):
+        rho = rand_dm(dims, 3, np.random.default_rng(5))
+        cut = Bipartition(side, len(dims))
+        cfg = OptConfig(starts=3, max_sweeps=20, seed=1)
+        for direction in ("min", "max"):
+            named = optimize(rho, cut, direction, cfg)
+            other = optimize(rho, Bipartition(cut.side_b, cut.n), direction, cfg)
+            assert named.objective_trace == other.objective_trace
+            assert named.start_values == other.start_values
+            assert np.array_equal(named.decomposition.members, other.decomposition.members)
+            assert abs(named.value - other.value) <= 1e-15
 
 
 def _same_result(a, b):

@@ -15,6 +15,12 @@ Its second line fingerprints the searches a stop rule ends: it runs
 one sha256 of which problems each ``optimize_many`` call stopped and of
 every result it completed, closed forms included.
 
+Its third line re-solves every searched problem of the first through
+``optimize_many``, one call per recorded call, with each cut named by
+its complement, and prints the count and digest in the first line's
+format.  A cut and its complement pose one problem, so the third line
+equals the first.
+
 Equal output at two checkouts means every search ran bit for bit the
 same, which the benchmark's value sums rest on, and the second line
 extends that to the descent's ``halt`` path.  Nothing is written under
@@ -36,7 +42,8 @@ def main(argv: list[str]) -> None:
     sys.dont_write_bytecode = True
     import numpy as np
     import workloads
-    from crenaudit import DimensionProfile, convexroof, monogamy
+    from crenaudit import Bipartition, DimensionProfile, convexroof, monogamy
+    from crenaudit.qlinalg import as_bipartition
 
     inner = convexroof.optimize_many
     digest, count = hashlib.sha256(), [0]
@@ -46,13 +53,17 @@ def main(argv: list[str]) -> None:
         for part in (res.objective_trace, res.start_values, res.decomposition.members):
             target.update(np.ascontiguousarray(part).tobytes())
 
-    def record_searches(results):
-        for res in results:
+    searched = []  # per recorded call, its searched problems
+
+    def record_searches(problems, results):
+        searched.append([])
+        for problem, res in zip(problems, results):
             if res is not None and len(res.start_values) > 1:  # searched, not a closed form
                 count[0] += 1
                 update(digest, res)
+                searched[-1].append(problem)
 
-    def record_hunt(results):
+    def record_hunt(problems, results):
         mask = np.array([res is None for res in results])
         stopped[0] += int(mask.sum())
         hunt_digest.update(mask.tobytes())
@@ -63,8 +74,9 @@ def main(argv: list[str]) -> None:
     record = [record_searches]
 
     def recording(problems, **kw):
+        problems = list(problems)
         results = inner(problems, **kw)
-        record[0](results)
+        record[0](problems, results)
         return results
 
     convexroof.optimize_many = monogamy.optimize_many = recording
@@ -79,6 +91,17 @@ def main(argv: list[str]) -> None:
     for dims in HUNTS:
         monogamy.hunt(DimensionProfile(dims), HUNT_TRIALS, 0)
     print(stopped[0], hunt_digest.hexdigest())
+
+    complement_digest, complements = hashlib.sha256(), 0
+    for problems in searched:
+        renamed = []
+        for rho, cut, direction, cfg in problems:
+            cut = as_bipartition(cut, rho.profile.n)
+            renamed.append((rho, Bipartition(cut.side_b, cut.n), direction, cfg))
+        for res in inner(renamed):
+            complements += 1
+            update(complement_digest, res)
+    print(complements, complement_digest.hexdigest())
 
 
 if __name__ == "__main__":
