@@ -229,9 +229,7 @@ def local_supports(rho: DensityOperator, cut) -> np.ndarray:
     every reader of it (the spin-flip values, the roof searches, flatness
     scans and ``monogamy.pair_terms``) shares one computation.
     """
-    cut = as_bipartition(cut, rho.profile.n)
-    if 1 not in cut.side_a:
-        cut = Bipartition(cut.side_b, cut.n)
+    cut = as_bipartition(cut, rho.profile.n).canonical()
     return memoized(rho, ("local_supports", cut), lambda: _compressed_roots(rho, cut))
 
 

@@ -213,6 +213,10 @@ def _require_pure(psi) -> PureState:
     return psi
 
 
+# Party 1 of a pair marginal against party 2.
+_PAIR_CUT = Bipartition((1,), 2)
+
+
 def _audit_opt_cfg(rank: int, seed: int) -> OptConfig:
     # A handful of starts on a rank-sized chart.  Against a reference of
     # size 12, 24 starts and 300 sweeps, its minimum ends at most 4e-10
@@ -306,12 +310,16 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
 
     Each search runs under its own row's cfg (None means ``OptConfig()``;
     other rows ignore theirs) and gives what ``optimize`` gives for that row
-    alone.  A state keeps every search in its memo, keyed by cut, direction
-    and cfg, so a ``cren`` and a ``concurrence`` row of one state share a
-    minimum, and a ``crenoa`` and a ``coa`` row a maximum, in one call or
-    across calls.  The searches no memo holds run in one ``optimize_many``
-    call, on the roots on the local supports.  A concurrence row scores the
-    decomposition that its negativity search found.
+    alone.  A state keeps every search in its memo, keyed by the unordered
+    cut (``Bipartition.canonical``), direction and cfg, so a ``cren`` and a
+    ``concurrence`` row of one state share a minimum, and a ``crenoa`` and
+    a ``coa`` row a maximum, in one call or across calls, and so do rows
+    naming a cut and its complement.  A search runs on the cut as the first
+    row posing it names it, so a call naming one side only gets what
+    ``optimize`` gives on that naming.  The searches no memo holds run in
+    one ``optimize_many`` call, on the roots on the local supports.  A
+    concurrence row scores the decomposition that its negativity search
+    found.
 
     ``stop``, if given, is ``optimize_many``'s stop rule over the rows: it
     takes an array of every row's value so far (its term's, or its search's
@@ -346,7 +354,8 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
 
     terms: list = [None] * len(rows)
     # The rows of the searches no memo holds yet, and ``solve``, in row order,
-    # their (state, key) searches: each runs once however many rows pose it.
+    # their (state, key) searches, each under the cut as the first row posing
+    # it names it: each runs once however many rows pose it.
     searches, solve = [], {}
     for k, (state, cut, measure, cfg) in enumerate(rows):
         if measure not in PAIR_MEASURES:
@@ -355,11 +364,11 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
         kernel, direction = PAIR_MEASURES[measure]
         terms[k] = term(state, cut, kernel, direction)
         if terms[k] is None:
-            key = ("search", cut, direction, cfg or OptConfig())
+            key = ("search", cut.canonical(), direction, cfg or OptConfig())
             if key in state._memo:
                 terms[k] = term(state, cut, kernel, direction, state._memo[key])
             else:
-                solve[state, key] = None
+                solve.setdefault((state, key), cut)
                 searches.append((k, state, cut, kernel, direction, key))
     problem_stop = None
     if stop is not None:
@@ -376,7 +385,7 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
             needed[owner[~stop(values)[posing]]] = True
             return ~needed
 
-    results = optimize_many([(s, *key[1:]) for s, key in solve], stop=problem_stop)
+    results = optimize_many([(s, cut, *key[2:]) for (s, key), cut in solve.items()], stop=problem_stop)
     for (state, key), res in zip(solve, results):
         if res is not None:
             state._memo[key] = res
@@ -475,16 +484,19 @@ def _audit_rows(rows, focus: int, measures, opt_cfg: OptConfig | None):
         if measure not in AUDIT_MEASURES:
             raise DomainError(f"unknown audit measure {measure!r}")
     marginals = [_pair_marginals(psi, focus) for psi, _, _ in rows]
+    # Built once a call, not once a measure: each row's focus cut, and each
+    # pair's search cfg where some measure searches (other rows ignore it).
+    cuts = [Bipartition((focus,), psi.profile.n) for psi, _, _ in rows]
+    searched = opt_cfg is None and any(PAIR_MEASURES[AUDIT_MEASURES[m]][1] for m in measures)
+    cfgs = [[_audit_opt_cfg(pair.rank(), seed) if searched else opt_cfg for _, pair in pairs]
+            for (_, _, seed), pairs in zip(rows, marginals)]
     term_rows = []
     for measure in measures:
         term_measure = AUDIT_MEASURES[measure]
-        for (psi, _, seed), pairs in zip(rows, marginals):
-            term_rows.append((psi, Bipartition((focus,), psi.profile.n), term_measure, None))
-            for _, pair in pairs:
-                cfg = opt_cfg
-                if cfg is None and PAIR_MEASURES[term_measure][1] is not None:
-                    cfg = _audit_opt_cfg(pair.rank(), seed)
-                term_rows.append((pair, 1, term_measure, cfg))
+        for (psi, _, _), cut, pairs, pair_cfgs in zip(rows, cuts, marginals, cfgs):
+            term_rows.append((psi, cut, term_measure, None))
+            for (_, pair), cfg in zip(pairs, pair_cfgs):
+                term_rows.append((pair, _PAIR_CUT, term_measure, cfg))
     return marginals, term_rows
 
 

@@ -14,22 +14,21 @@ only place the package decomposes a density, and it does so once, at
 construction: a matrix by ``eigh``, a factor X (rho = X X^H) by a thin
 SVD of X.  The partial trace of a pure state or a density reshapes those
 rows kept | rest into the factor of the marginal, so no partial trace
-forms a D x D matrix, and a factor-built density forms its own only when
-something (a partial transpose) reads it.
+forms a D x D matrix.  A factor-built density keeps no D x D matrix
+either: it forms X X^H, at O(D^2 k), each time something (a partial
+transpose) reads ``matrix``, so its resident size stays O(D k).
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share between concurrent tasks.  A state's
-private ``_memo`` (read and filled through ``memoized``), and a
-factor-built density's ``matrix``, hold only values derived
-deterministically from its immutable fields, so a race on them at worst
-computes one value twice.
+private ``_memo`` (read and filled through ``memoized``) holds only values
+derived deterministically from its immutable fields, so a race on it at
+worst computes one value twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,6 +134,10 @@ class Bipartition:
         inside = set(self.side_a)
         return tuple(p for p in range(1, self.n + 1) if p not in inside)
 
+    def canonical(self) -> "Bipartition":
+        """The one name of this cut and its complement: party 1's side as side A."""
+        return self if 1 in self.side_a else Bipartition(self.side_b, self.n)
+
     def __str__(self) -> str:
         # Digit runs such as "12" read as parties 1 and 2, so labels from
         # 10 up need a separator.
@@ -210,9 +213,10 @@ class DensityOperator:
     eigensolve runs.  Either way the operator holds ``roots``, its range
     factor, ``range_basis``, and the read-only ``eigenvalues``: ascending,
     exactly as decomposed (min(D, k) of them for a D x k factor), those
-    below ``TOL_RANK`` included.  A factor-built operator keeps X and forms
-    ``matrix`` only when it is first read.  ``matrix`` is read-only either
-    way.
+    below ``TOL_RANK`` included.  A matrix-built operator keeps its
+    symmetrized matrix; a factor-built one keeps X alone and forms
+    ``matrix``, X X^H at O(D^2 k), afresh on every read, keeping none of
+    it.  ``matrix`` is read-only either way.
 
     Instances are immutable, and equality is identity.  ``_memo`` keeps
     what the package derives from the operator (its local supports,
@@ -251,7 +255,7 @@ class DensityOperator:
             if evals[0] < -TOL_PSD:
                 raise DomainError(f"matrix has negative eigenvalue {float(evals[0])}")
             mat.setflags(write=False)
-            attrs["matrix"] = mat
+            attrs["_matrix"] = mat
         else:
             x = np.array(factor, dtype=complex)
             if x.ndim != 2 or x.shape[0] != size:
@@ -263,7 +267,7 @@ class DensityOperator:
             if tr != 1.0:
                 x = x / np.sqrt(tr)
             x.setflags(write=False)
-            attrs["_factor"] = x
+            attrs["_matrix"], attrs["_factor"] = None, x
             u, s, _ = np.linalg.svd(x, full_matrices=False)
             evals, vecs = s[::-1] ** 2, u[:, ::-1]
         top = evals.size - int(np.sum(evals > TOL_RANK))
@@ -289,13 +293,17 @@ class DensityOperator:
     def __repr__(self) -> str:
         return f"DensityOperator(profile={self.profile!r}, rank={self.rank()})"
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The D x D matrix; for a factor X, X X^H formed on first read."""
-        x = self._factor
-        mat = x @ x.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-        mat.setflags(write=False)
+        """The D x D matrix; for a factor X, X X^H formed on this read and not kept."""
+        mat = self._matrix
+        if mat is None:
+            x = self._factor
+            # (m + m^H) / 2 bit for bit, in place: at most two D x D arrays live.
+            mat = x @ x.conj().T
+            mat += mat.conj().T
+            mat /= 2.0
+            mat.setflags(write=False)
         return mat
 
     def trace(self) -> float:

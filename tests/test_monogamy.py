@@ -446,6 +446,37 @@ class TestSharedSearches:
                  for m, run in _NAMED_AUDITS.items()}
         assert {m: _NAMED_AUDITS[m](psi) for m in order} == fresh
 
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_a_cut_and_its_complement_share_one_search(self, problems, first):
+        # One problem, posed under the first row's naming; both rows read it.
+        def fresh():
+            return rand_dm((3, 3), 3, np.random.default_rng(5), factor=True)
+
+        rho, cfg = fresh(), OptConfig(starts=2)
+        one, two = pair_terms([(rho, first, "cren", cfg), (rho, 3 - first, "cren", cfg)])
+        [call] = problems
+        assert [(cut, direction) for _, cut, direction, _ in call] == [(Bipartition((first,), 2), "min")]
+        assert one == two
+        assert one.value == convexroof.optimize(fresh(), first, "min", cfg).value
+        # A later call naming either side reads the kept search.
+        assert pair_terms([(rho, 3 - first, "concurrence", cfg)])[0].kind == "upper"
+        assert [len(call) for call in problems] == [1, 0]
+
+    def test_audit_rows_build_each_search_cfg_once(self, monkeypatch):
+        # One cfg per pair marginal and call, not one per roof measure.
+        built = []
+
+        def counted(rank, seed, _original=monogamy._audit_opt_cfg):
+            built.append((rank, seed))
+            return _original(rank, seed)
+
+        monkeypatch.setattr(monogamy, "_audit_opt_cfg", counted)
+        _, rows = monogamy._audit_rows([(ou_state(), "ou", 0)], 1, list(monogamy.AUDIT_MEASURES), None)
+        assert built == [(3, 0), (3, 0)]
+        assert len(rows) == 5 * 3
+        monogamy._audit_rows([(ou_state(), "ou", 0)], 1, ["negativity"], None)
+        assert len(built) == 2
+
     def test_negativity_audit_searches_nothing(self, problems):
         audits([(ou_state(), "ou", 0)], 1, ["negativity"])
         assert not any(problems)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -433,17 +434,58 @@ class TestFactorPath:
         with pytest.raises(DomainError, match="non-finite"):
             DensityOperator(DimensionProfile((2, 2)), factor=x)
 
-    def test_matrix_is_formed_on_first_read(self, rng):
+    def test_matrix_is_formed_on_every_read_and_never_kept(self, rng):
         profile = DimensionProfile((2, 3, 2))
         x = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
         x /= np.linalg.norm(x)
         rho = DensityOperator(profile, factor=x)
+
+        def square_arrays():
+            return [name for name, value in vars(rho).items()
+                    if isinstance(value, np.ndarray) and value.shape == (12, 12)]
+
         flatness_scan(rho, 1, 4)
-        assert "matrix" not in vars(rho)
-        mat = rho.matrix
-        assert np.max(np.abs(mat - x @ x.conj().T)) <= 1e-15
-        assert not mat.flags.writeable
-        assert rho.matrix is mat
+        assert square_arrays() == []
+        first, second = rho.matrix, rho.matrix
+        assert np.max(np.abs(first - x @ x.conj().T)) <= 1e-15
+        assert first.tobytes() == second.tobytes()
+        assert first is not second
+        assert not first.flags.writeable and not second.flags.writeable
+        assert square_arrays() == []
+
+    def test_matrix_is_the_symmetrized_product_bit_for_bit(self):
+        # The in-place form equals (m + m^H) / 2.0 on every bit, signed
+        # zeros included: the factors hold exact zeros, sign flips and
+        # rows down to 1e-200 beside rows of order one.
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            profile = DimensionProfile(tuple(int(d) for d in rng.integers(2, 5, int(rng.integers(1, 4)))))
+            k = int(rng.integers(1, 4))
+            x = rng.standard_normal((profile.size, k)) + 1j * rng.standard_normal((profile.size, k))
+            x[rng.random(x.shape) < 0.3] = 0.0
+            x[rng.random(x.shape) < 0.2] *= -1.0
+            x[1:] *= 10.0 ** -rng.integers(0, 201, (profile.size - 1, 1))
+            x[0, 0] = 1.0
+            x /= np.linalg.norm(x)
+            m = x @ x.conj().T
+            want = (m + m.conj().T) / 2.0
+            assert DensityOperator(profile, factor=x).matrix.tobytes() == want.tobytes()
+
+    def test_a_read_matrix_leaves_nothing_behind(self):
+        # D = 1024: one matrix is 16 MiB, the density's factor 32 KiB.
+        rho = build_pcs_density(PCSSpec(WClassSpec.symmetric(5, 4), 0.6, 0.3))
+        size = rho.profile.size
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert rho.matrix.shape == (size, size)
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2**20
+        # At most two D x D arrays live while it is formed.
+        assert peak <= 2 * 16 * size * size + 2**20
 
     def test_factor_is_copied(self, rng):
         x = rand_pure((2, 2), rng).amplitudes[:, None].copy()
