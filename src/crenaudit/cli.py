@@ -235,11 +235,13 @@ def _run_state(args) -> int:
 def _opt_config(args) -> OptConfig | None:
     """The OptConfig of the --opt-* flags given, or None when none is.
 
-    OptConfig's own defaults fill the fields no flag sets.
+    OptConfig's own defaults fill the fields no flag sets.  It is built
+    either way, so a bad --seed exits 2 whether or not a search runs.
     """
     flags = {dest: getattr(args, dest) for _, dest, _ in _OPT_FLAGS}
     overrides = {field: value for field, value in flags.items() if value is not None}
-    return OptConfig(seed=args.seed, **overrides) if overrides else None
+    cfg = OptConfig(seed=args.seed, **overrides)
+    return cfg if overrides else None
 
 
 def _run_measure(args) -> int:

@@ -6,10 +6,10 @@ of ``_BOUND_SOURCES`` and, where they leave it open, a search: the term is
 ``upper`` (an optimizer minimum) or ``lower`` (an optimizer maximum).  So
 no qubit or W-class audit poses a search, the Kim-Sanders qutrit-qubit
 pairs are exact from their minor tables, and Ou's pairs close their
-``cren`` terms at the search's value.  ``audits`` read each monogamy
-inequality, or its assistance dual, from the brackets of its terms
-(``_verdict``), within ``TOL_SAT``; ``pair_term`` and ``audit`` are the
-one-item calls.
+``cren`` terms at their spectral decompositions, before any search.
+``audits`` read each monogamy inequality, or its assistance dual, from the
+brackets of its terms (``_verdict``), within ``TOL_SAT``; ``pair_term``
+and ``audit`` are the one-item calls.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ TOL_SAT = 1e-7
 # ceiling.  On a range of constant concurrence the minor table's floor and
 # ceiling, twice the extreme singular values of one SVD of products of
 # unit-norm coefficients, differ by a few ulps (3e-16 on the Kim-Sanders
-# pairs), and a search meets the floor to rounding (both are 1 - 2.2e-16 on
-# Ou's pairs).  The constant leaves that a margin of over 10^3 and is 10^5
-# below TOL_SAT, the resolution of every verdict.
+# pairs), and a flat decomposition's average meets the floor to rounding
+# (both are 1 - 2.2e-16 on Ou's pairs, whose spectral decompositions close
+# their cren rows).  The constant leaves that a margin of over 10^3 and is
+# 10^5 below TOL_SAT, the resolution of every verdict.
 _TABLE_CLOSED = 1e-12
 
 VERDICT_HOLDS = "holds"
@@ -119,6 +120,25 @@ def _c_ceiling(state, cut, kernel, direction):
     return None
 
 
+def _spectral_ceiling(state, cut, kernel, direction):
+    # The spectral decomposition's average, a decomposition's, so a minimum's
+    # ceiling.  Every member's C is at least the C floor, and N >= C, so the
+    # average can meet that floor only where the members' concurrences are
+    # equal: elsewhere the source gives nothing.  It tests their squares,
+    # C^2 = 2 - 2 tr G^2 / (tr G)^2 with G = M M^H, equal within
+    # _TABLE_CLOSED, which takes no SVD.
+    def flat_average():
+        mats = local_supports(state, cut)
+        gram = np.einsum("kij,klj->kil", mats, mats.conj())
+        purity = np.einsum("kij,kji->k", gram, gram).real / np.einsum("kii->k", gram).real ** 2
+        purity = purity.tolist()  # a few members: Python's min and max are the cheaper
+        if 2.0 * (max(purity) - min(purity)) > _TABLE_CLOSED:
+            return None
+        return -np.inf, float(kernel(mats).sum())
+
+    return memoized(state, ("spectral", kernel, cut), flat_average)
+
+
 def _c_floor(state, cut, kernel, direction):
     # N >= C on every pure state, so the C floor floors both kernels' roofs.
     return _minor_table(state, cut)[0], np.inf
@@ -132,18 +152,22 @@ def _pt_floor(state, cut, kernel, direction):
 
 
 # The bound sources of a pair_terms row, in the order it reads them:
-# (method, floor_only, source).  A source maps (state, cut, kernel,
-# direction) to a (floor, ceiling) pair, an infinite side bounding nothing,
-# or to None where it does not apply, and keeps what it reads in the
-# state's memo.  The floor-only sources come last: a row reads them only
-# where its ceiling is finite, as nowhere else can they close it.
+# (method, reads, source).  A source maps (state, cut, kernel, direction)
+# to a (floor, ceiling) pair, an infinite side bounding nothing, or to None
+# where it does not apply, and keeps what it reads in the state's memo.
+# ``reads`` says where a row reads it: None wherever the row is open;
+# "open_min" only where the row is a minimum with no ceiling yet (after its
+# search, the search's value is its ceiling); "floor" only where the
+# ceiling is finite, as nowhere else can a floor close the row, so the
+# floor-only sources come last.
 _BOUND_SOURCES = (
-    ("closed_form", False, _pure_bound),
-    ("trace_norm", False, _trace_norm_bound),
-    ("closed_form", False, _spin_flip_bound),
-    ("minor_table", False, _c_ceiling),
-    ("minor_table", True, _c_floor),
-    ("minor_table", True, _pt_floor),
+    ("closed_form", None, _pure_bound),
+    ("trace_norm", None, _trace_norm_bound),
+    ("closed_form", None, _spin_flip_bound),
+    ("minor_table", None, _c_ceiling),
+    ("spectral", "open_min", _spectral_ceiling),
+    ("minor_table", "floor", _c_floor),
+    ("minor_table", "floor", _pt_floor),
 )
 
 
@@ -155,7 +179,7 @@ class PairTerm:
     lower: float      # [lower, upper] holds the true value
     upper: float
     kind: str         # exact | upper | lower: how value relates to the true value
-    method: str       # closed_form | trace_norm | minor_table | optimizer
+    method: str       # closed_form | trace_norm | minor_table | spectral | optimizer
 
 
 @dataclass(frozen=True)
@@ -284,29 +308,34 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     direction.  On a pure state, or a density of rank 1, every measure is
     its kernel's value on the cut matrix of the state (of its one root).
 
-    ================================  ===========  =====  ==================
-    input                             method       kind   [lower, upper]
-    ================================  ===========  =====  ==================
-    pure or rank 1                    closed_form  exact  [value, value]
-    mixed, negativity                 trace_norm   exact  [value, value]
-    2x2 local supports, min or max    closed_form  exact  [value, value]
-    mixed roof, table closed          minor_table  exact  [ceiling, ceiling]
-    roof search meets its floor       optimizer    exact  [value, value]
-    other roof minimum                optimizer    upper  [floor, value]
-    other roof maximum                optimizer    lower  [value, ceiling]
-    ================================  ===========  =====  ==================
+    ===========================================  ===========  =====  ==================
+    input                                        method       kind   [lower, upper]
+    ===========================================  ===========  =====  ==================
+    pure or rank 1                               closed_form  exact  [value, value]
+    mixed, negativity                            trace_norm   exact  [value, value]
+    2x2 local supports, min or max               closed_form  exact  [value, value]
+    mixed roof, table closed                     minor_table  exact  [ceiling, ceiling]
+    flat spectral decomposition meets its floor  spectral     exact  [value, value]
+    roof search meets its floor                  optimizer    exact  [value, value]
+    other roof minimum                           optimizer    upper  [floor, value]
+    other roof maximum                           optimizer    lower  [value, ceiling]
+    ===========================================  ===========  =====  ==================
 
     A row reads the sources of ``_BOUND_SOURCES`` in order while it is
     open, a floor only where its ceiling is finite.  Its bracket, which
     holds the true value up to floating point, is the largest floor and the
     least ceiling read, and it is closed, ``exact`` at its ceiling, once
-    ceiling - floor is at most ``_TABLE_CLOSED * max(1, floor)``.  An open
-    row is searched; the search's value is a minimum's ceiling, or a
-    maximum's floor in place of every other, and the same test runs again.
-    So a ``cren`` row with no two-dimensional support reads its floors only
-    after its search, and none if its search is stopped, and a maximum
-    whose ceiling is +inf reads none.  A row still open reports the search's
-    value.  ``method`` names the source of the reported value.
+    ceiling - floor is at most ``_TABLE_CLOSED * max(1, floor)``.  A
+    minimum with no ceiling yet takes its spectral decomposition's average
+    as one where that decomposition's members have equal concurrences (are
+    flat), the only place where it can meet the C floor.  An open row is
+    searched; the search's value is a minimum's ceiling, or a maximum's
+    floor in place of every other, and the same test runs again.  So a
+    ``cren`` row with no two-dimensional support and no flat spectral
+    decomposition reads its floors only after its search, and none if its
+    search is stopped, and a maximum whose ceiling is +inf reads none.  A
+    row still open reports the search's value.  ``method`` names the source
+    of the reported value.
 
     Each search runs under its own row's cfg (None means ``OptConfig()``;
     other rows ignore theirs) and gives what ``optimize`` gives for that row
@@ -338,8 +367,10 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
             found = res.value if kernel is pure_negativities else float(
                 kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
             floor, ceiling = (found, np.inf) if search_floor else (-np.inf, found)
-        for source_method, floor_only, source in _BOUND_SOURCES:
-            if floor_only and (ceiling == np.inf or search_floor):
+        for source_method, reads, source in _BOUND_SOURCES:
+            if reads == "floor" and (ceiling == np.inf or search_floor):
+                continue
+            if reads == "open_min" and (ceiling < np.inf or direction != "min"):
                 continue
             bound = source(state, cut, kernel, direction)
             if bound is not None:
@@ -485,10 +516,13 @@ def _audit_rows(rows, focus: int, measures, opt_cfg: OptConfig | None):
             raise DomainError(f"unknown audit measure {measure!r}")
     marginals = [_pair_marginals(psi, focus) for psi, _, _ in rows]
     # Built once a call, not once a measure: each row's focus cut, and each
-    # pair's search cfg where some measure searches (other rows ignore it).
+    # pair's search cfg where some measure searches and the pair's supports
+    # pose no spin-flip closed form (other rows ignore it).
     cuts = [Bipartition((focus,), psi.profile.n) for psi, _, _ in rows]
     searched = opt_cfg is None and any(PAIR_MEASURES[AUDIT_MEASURES[m]][1] for m in measures)
-    cfgs = [[_audit_opt_cfg(pair.rank(), seed) if searched else opt_cfg for _, pair in pairs]
+    cfgs = [[_audit_opt_cfg(pair.rank(), seed)
+             if searched and not spin_flip_closes(local_supports(pair, _PAIR_CUT)) else opt_cfg
+             for _, pair in pairs]
             for (_, _, seed), pairs in zip(rows, marginals)]
     term_rows = []
     for measure in measures:

@@ -59,6 +59,17 @@ amplitudes:
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _amplitudes_spec(path, amps, dims):
+    """Write an amplitudes state-spec document of ``amps`` on ``dims`` to ``path``."""
+    lines = ["kind: amplitudes", f"profile: {list(dims)}", "amplitudes:"]
+    lines += [
+        f'  - ["{"".join(map(str, index))}", {float(a.real)!r}, {float(a.imag)!r}]'
+        for index, a in zip(np.ndindex(*dims), amps)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def run_cli(*argv, capsys):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -229,16 +240,26 @@ class TestMeasureCommand:
         assert code == 0
         assert "0.666666666667  closed_form  exact" in out
 
-    def test_qutrit_pair_cren_is_optimizer_exact(self, capsys):
-        # The Ou pair's search meets the minor table's floor, so its bracket
-        # closes at the search's value.
+    def test_qutrit_pair_cren_is_spectral_exact(self, capsys, monkeypatch):
+        # The Ou pair's spectral decomposition meets the minor table's
+        # floor, so its bracket closes before any search.
+        from crenaudit import monogamy
+
+        problems = []
+
+        def counted(batch, _original=monogamy.optimize_many, **kwargs):
+            problems.extend(batch)
+            return _original(batch, **kwargs)
+
+        monkeypatch.setattr(monogamy, "optimize_many", counted)
         code, out, _ = run_cli(
             "measure", "--family", "ou", "--trace-out", "3", "--measure", "cren",
             capsys=capsys,
         )
         assert code == 0
+        assert problems == []
         _, _, value, method, kind = out.split("\n")[1].split()
-        assert (method, kind) == ("optimizer", "exact")
+        assert (method, kind) == ("spectral", "exact")
         assert abs(float(value) - 1.0) <= 1e-6
 
     def test_flat_qutrit_pair_concurrence_is_exact_from_the_minor_table(self, capsys):
@@ -263,27 +284,21 @@ class TestMeasureCommand:
         rng = np.random.default_rng(2)
         amps = rng.standard_normal(18) + 1j * rng.standard_normal(18)
         amps /= np.linalg.norm(amps)
-        lines = ["kind: amplitudes", "profile: [3, 3, 2]", "amplitudes:"]
-        lines += [
-            f'  - ["{i}{j}{k}", {float(a.real)!r}, {float(a.imag)!r}]'
-            for (i, j, k), a in zip(np.ndindex(3, 3, 2), amps)
-        ]
-        spec = tmp_path / "state.yaml"
-        spec.write_text("\n".join(lines) + "\n")
+        spec = _amplitudes_spec(tmp_path / "state.yaml", amps, (3, 3, 2))
         code, out, _ = run_cli(
-            "measure", "--spec", str(spec), "--trace-out", "3", "--measure", "cren",
+            "measure", "--spec", spec, "--trace-out", "3", "--measure", "cren",
             "--seed", "4", "--opt-starts", "2", "--opt-sweeps", "5", capsys=capsys,
         )
         assert code == 0
-        rho = partial_trace(load_state_spec(str(spec)), (1, 2))
+        rho = partial_trace(load_state_spec(spec), (1, 2))
         want = pair_term(rho, 1, "cren", OptConfig(starts=2, max_sweeps=5, seed=4))
         assert want.value != pair_term(rho, 1, "cren", OptConfig(seed=4)).value
         assert out.split("\n")[1].split()[2:] == [fmt(want.value), "optimizer", "upper"]
 
-    def test_measure_list_matches_one_measure_runs(self, capsys, monkeypatch):
-        # One call resolves the list: cren and concurrence share the
+    def test_measure_list_matches_one_measure_runs(self, tmp_path, capsys, monkeypatch):
+        # One call resolves the list: cren and concurrence share the (3, 3)
         # marginal's minimum, crenoa and coa its maximum.
-        from crenaudit import monogamy
+        from crenaudit import DimensionProfile, monogamy, random_pure_state
 
         problems = []
 
@@ -292,8 +307,10 @@ class TestMeasureCommand:
             return _original(batch, **kwargs)
 
         monkeypatch.setattr(monogamy, "optimize_many", counted)
+        psi = random_pure_state(DimensionProfile((3, 3, 3)), np.random.default_rng(11))
+        spec = _amplitudes_spec(tmp_path / "haar.yaml", psi.amplitudes, (3, 3, 3))
         # CSV, as a table's column widths depend on every row.
-        argv = ["measure", "--family", "ou", "--trace-out", "3", "--format", "csv", "--measure"]
+        argv = ["measure", "--spec", spec, "--trace-out", "3", "--format", "csv", "--measure"]
         measures = ["concurrence", "negativity", "cren", "crenoa", "coa"]
         code, out, _ = run_cli(*argv, ",".join(measures), capsys=capsys)
         assert code == 0

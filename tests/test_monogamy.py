@@ -374,6 +374,11 @@ class TestBrackets:
         assert verdicts == {"holds", "saturated", "certified_violation", "candidate_violation"}
 
 
+def _haar_qutrits():
+    """A fresh object of one seeded Haar 3x3x3 state, whose (3, 3) pair marginals are searched."""
+    return random_pure_state(DimensionProfile((3, 3, 3)), np.random.default_rng(11))
+
+
 # The five named audits of focus party 1, by audit measure.
 _NAMED_AUDITS = {
     "cren": lambda psi: cren_audit(psi, 1),
@@ -401,9 +406,9 @@ class TestSharedSearches:
         return calls
 
     def test_all_five_audits_search_each_marginal_once_per_direction(self, problems):
-        # The Ou state has two (3, 3) pair marginals: cren and ckw share
+        # The Haar state has two (3, 3) pair marginals: cren and ckw share
         # each one's minimum, crenoa and coa its maximum.
-        audits([(ou_state(), "ou", 0)], 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
+        audits([(_haar_qutrits(), "haar", 0)], 1, ["cren", "ckw", "coa", "crenoa", "negativity"])
         [call] = problems
         assert sorted(direction for _, _, direction, _ in call) == ["max", "max", "min", "min"]
         assert len(set(call)) == 4
@@ -411,7 +416,7 @@ class TestSharedSearches:
     def test_named_audits_search_each_marginal_once_per_direction(self, problems):
         # Separate calls on one state object: its two (3, 3) pair marginals
         # each get one minimum and one maximum across the four roof audits.
-        psi = ou_state()
+        psi = _haar_qutrits()
         for run in _NAMED_AUDITS.values():
             run(psi)
         posed = [problem for call in problems for problem in call]
@@ -419,11 +424,11 @@ class TestSharedSearches:
         assert len({(rho, direction) for rho, _, direction, _ in posed}) == 4
 
     def test_new_seed_cfg_or_object_searches_again(self, problems):
-        psi = ou_state()
+        psi = _haar_qutrits()
         cren_audit(psi, 1)
         cren_audit(psi, 1, seed=1)
         cren_audit(psi, 1, opt_cfg=OptConfig(starts=2))
-        cren_audit(ou_state(), 1)  # equal values, a distinct object
+        cren_audit(_haar_qutrits(), 1)  # equal values, a distinct object
         cren_audit(psi, 1)
         ckw_audit(psi, 1, seed=1)
         cren_audit(psi, 1, opt_cfg=OptConfig(starts=2))
@@ -476,6 +481,24 @@ class TestSharedSearches:
         assert len(rows) == 5 * 3
         monogamy._audit_rows([(ou_state(), "ou", 0)], 1, ["negativity"], None)
         assert len(built) == 2
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2)])
+    def test_qubit_audits_build_no_search_cfg(self, monkeypatch, dims):
+        # Pairs with 2x2 supports close at their spin-flip values, so none
+        # gets a search cfg, and the reports are those of any cfg.
+        built = []
+
+        def counted(*args, _original=monogamy.OptConfig, **kwargs):
+            built.append(args or kwargs)
+            return _original(*args, **kwargs)
+
+        def fresh():
+            return random_pure_state(DimensionProfile(dims), np.random.default_rng(3))
+
+        monkeypatch.setattr(monogamy, "OptConfig", counted)
+        reports = audits([(fresh(), "qubits", 0)], 1, list(monogamy.AUDIT_MEASURES))
+        assert built == []
+        assert audits([(fresh(), "qubits", 0)], 1, list(monogamy.AUDIT_MEASURES), OptConfig(starts=2)) == reports
 
     def test_negativity_audit_searches_nothing(self, problems):
         audits([(ou_state(), "ou", 0)], 1, ["negativity"])
@@ -712,7 +735,8 @@ class TestCounterexampleBrackets:
     """The paper's qudit counterexamples under all five audits.  The
     Kim-Sanders (3, 2) pairs close their minor-table brackets at sqrt(8/9),
     so their four roof terms are exact and pose no search; the Ou pairs'
-    ranges have constant concurrence 1, which closes their ckw and coa terms."""
+    ranges have constant concurrence 1, which closes their ckw and coa terms,
+    and their spectral decompositions meet it, which closes cren."""
 
     @pytest.mark.parametrize("focus", [1, 2, 3])
     def test_kim_sanders_pair_terms_are_exact(self, focus, searches):
@@ -727,18 +751,19 @@ class TestCounterexampleBrackets:
         else:
             assert set(verdicts.values()) == {"holds"}
 
-    def test_ou_closes_ckw_and_coa_but_searches_cren_and_crenoa(self, searches):
+    def test_ou_closes_ckw_coa_and_cren_but_searches_crenoa(self, searches):
         reports = {r.measure: r for r in audits([(ou_state(), "ou", 0)], 1, list(monogamy.AUDIT_MEASURES))}
         for measure in ("ckw", "coa"):
             assert reports[measure].rhs_bound_kinds == ("exact", "exact")
             assert reports[measure].rhs_terms_sq == pytest.approx([1.0, 1.0], abs=1e-12)
-        # The concurrence floor 1 floors cren too, and its search meets it:
-        # the bracket closes after the search.  crenoa has no ceiling.
+        # The concurrence floor 1 floors cren too, and the spectral
+        # decomposition meets it: the bracket closes before any search.
+        # crenoa has no ceiling.
         assert reports["cren"].rhs_bound_kinds == ("exact", "exact")
         assert reports["crenoa"].rhs_bound_kinds == ("lower", "lower")
         assert reports["cren"].rhs_lower_sq == pytest.approx([1.0, 1.0], abs=1e-12)
         [(problems, _)] = searches
-        assert sorted(direction for _, _, direction, _ in problems) == ["max", "max", "min", "min"]
+        assert [direction for _, _, direction, _ in problems] == ["max", "max"]
         verdicts = {m: r.verdict for m, r in reports.items()}
         assert verdicts == {"cren": "holds", "ckw": "certified_violation", "negativity": "holds",
                             "crenoa": "candidate_violation", "coa": "holds"}
@@ -770,14 +795,17 @@ class TestBracketRule:
 
     def test_searches_that_meet_their_floors_close(self, searches):
         # The Ou pair's range has N = C = 1 on every unit vector, and the
-        # qutrit GHZ pair is separable: each minimum is searched, meets its
-        # floor to rounding and closes at the search's value.
+        # qutrit GHZ pair is separable: their cren rows close at their
+        # spectral decompositions before any search.  The GHZ pair's
+        # concurrence row has the minor table's finite ceiling, so it is
+        # searched, meets its floor and closes at the search's value.
         (ou, ou_cfg), (ghz, ghz_cfg) = _audited_pair(ou_state()), _audited_pair(ghz_state(3, 3))
         rows = [(ou, 1, "cren", ou_cfg), (ghz, 1, "cren", ghz_cfg), (ghz, 1, "concurrence", ghz_cfg)]
         terms = pair_terms(rows)
         [(problems, _)] = searches
-        assert [direction for _, _, direction, _ in problems] == ["min", "min"]
-        assert [(t.kind, t.method) for t in terms] == [("exact", "optimizer")] * 3
+        assert [(rho, direction) for rho, _, direction, _ in problems] == [(ghz, "min")]
+        assert [(t.kind, t.method) for t in terms] == [
+            ("exact", "spectral"), ("exact", "spectral"), ("exact", "optimizer")]
         assert terms[0].value == pytest.approx(1.0, abs=1e-12)
         assert terms[1].value == terms[2].value == 0.0
         for term in terms:
@@ -811,7 +839,7 @@ class TestBracketRule:
         assert term.lower == term.value < term.upper - 1e-6
 
     def test_a_kept_search_gives_an_equal_term(self, searches):
-        rho, cfg = _audited_pair(ou_state())
+        rho, cfg = _audited_pair(_haar_qutrits())
         first = [pair_term(rho, 1, measure, cfg) for measure in ("cren", "crenoa")]
         # The second call reads both searches from the state's memo.
         assert [pair_term(rho, 1, measure, cfg) for measure in ("cren", "crenoa")] == first
@@ -844,12 +872,70 @@ class TestBracketRule:
     @pytest.mark.parametrize("dims, reads", [((3, 3, 3), 0), ((2, 3, 4), 124)])
     def test_hunts_read_floors_only_where_a_ceiling_is_finite(self, floor_reads, dims, reads):
         # Every unscreened 3x3x3 trial is stopped, and its (3, 3) cren rows
-        # have no ceiling before their searches, so no floor is read.  A
+        # have no ceiling before their searches (their spectral members are
+        # not flat), so no floor is read.  A
         # 2x3x4 trial's pairs have a two-dimensional side, so their minor
         # tables bound cren from above before the search, and are read.
         findings = hunt(DimensionProfile(dims), 64, 5)
         assert findings.stopped > 0 and findings.searched == 0
         assert floor_reads == {"range_bracket": reads, "negativity_mixed": reads}
+
+
+class TestSpectralSource:
+    """A minimum with no ceiling before its search takes its spectral
+    decomposition's average as one where the members are flat, and so
+    closes where that average meets the floor; elsewhere it searches as a
+    row with no ceiling does."""
+
+    @pytest.mark.parametrize("psi, value", [(ou_state(), 1.0), (ghz_state(3, 3), 0.0)], ids=["ou", "ghz"])
+    def test_flat_spectral_decompositions_close_before_any_search(self, searches, psi, value):
+        rho, cfg = _audited_pair(psi)
+        term = pair_term(rho, 1, "cren", cfg)
+        assert not [problem for problems, _ in searches for problem in problems]
+        assert (term.kind, term.method) == ("exact", "spectral")
+        assert term.value == pytest.approx(value, abs=1e-12)
+        _assert_bracket_holds(term)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_haar_rows_read_no_floor_and_no_svd_before_their_search(self, monkeypatch, floor_reads, rank):
+        def fresh():
+            return rand_dm((3, 3), rank, np.random.default_rng(23), factor=True)
+
+        rho, cfg = fresh(), OptConfig(starts=2, seed=3)
+        measures.local_supports(rho, 1)  # the search's supports, read before the row
+        svds, at_search = [], []
+
+        def counted_svd(a, *args, _original=np.linalg.svd, **kwargs):
+            svds.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        def spied(problems, _original=monogamy.optimize_many, **kwargs):
+            at_search.append((dict(floor_reads), len(svds)))
+            return _original(problems, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(monogamy, "optimize_many", spied)
+        term = pair_term(rho, 1, "cren", cfg)
+        assert at_search == [({"range_bracket": 0, "negativity_mixed": 0}, 0)]
+        assert (term.kind, term.method) == ("upper", "optimizer")
+        assert term.value == convexroof.optimize(fresh(), 1, "min", cfg).value
+        assert term.lower == max(range_floor(rho, 1), negativity_mixed(rho, 1))
+
+    def test_a_depolarized_ou_marginal_is_searched(self, searches):
+        # Mixed with 1e-3 of white noise, the range is the whole space and
+        # the spectral members are no longer flat: the row searches.
+        def fresh():
+            ou = partial_trace(ou_state(), (1, 2))
+            return DensityOperator(ou.profile, 0.999 * ou.matrix + 0.001 * np.eye(9) / 9)
+
+        rho = fresh()
+        cfg = monogamy._audit_opt_cfg(rho.rank(), 0)
+        term = pair_term(rho, 1, "cren", cfg)
+        [(problems, _)] = searches
+        assert [direction for _, _, direction, _ in problems] == ["min"]
+        assert (term.kind, term.method) == ("upper", "optimizer")
+        assert term.value == convexroof.optimize(fresh(), 1, "min", cfg).value
+        _assert_bracket_holds(term)
 
 
 class TestEigendecompositionCount:

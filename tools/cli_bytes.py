@@ -5,10 +5,12 @@ Usage: python tools/cli_bytes.py CHECKOUT
 Runs each command below against the package in ``CHECKOUT/src`` three
 times: twice in one process through ``crenaudit.cli.main``, and once as
 ``python -m crenaudit``.  Each run's stdout, stderr and exit code are
-hashed; the tool prints the number of commands and one sha256 over all of
-them.  If the three runs of a command disagree, it names the command and
-exits 1.  Equal output at two checkouts means the CLI printed the same
-bytes at both, and an in-process caller sees what a fresh process does.
+hashed; the tool prints one ``sha256  argv`` line per command, then the
+number of commands and one sha256 over all of them.  If the three runs of
+a command disagree, it names the command and exits 1.  Equal output at two
+checkouts means the CLI printed the same bytes at both, and an in-process
+caller sees what a fresh process does; where the last lines differ, the
+per-command lines name the commands whose bytes moved.
 Nothing is written under the checkout: the subprocesses run in a
 temporary directory and no bytecode is written.
 """
@@ -70,8 +72,11 @@ def main(argv: list[str]) -> int:
             if runs[1] != runs[0] or runs[2] != runs[0]:
                 mismatched.append(command)
             out, err, code = runs[0]
+            own = hashlib.sha256()
             for part in (" ".join(command).encode(), out, err, str(code).encode()):
                 digest.update(len(part).to_bytes(8, "little") + part)
+                own.update(len(part).to_bytes(8, "little") + part)
+            print(own.hexdigest(), " ".join(command), sep="  ")
     for command in mismatched:
         print("mismatch:", " ".join(command), file=sys.stderr)
     print(len(COMMANDS), digest.hexdigest())
