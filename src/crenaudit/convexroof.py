@@ -193,6 +193,22 @@ def average_negativity(dec: Decomposition, cut) -> float:
     return float(pure_negativities(mats).sum())
 
 
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def require_seed(seed) -> None:
+    """Raise DomainError unless ``seed`` is an integer, not a bool, and at least 0.
+
+    The one seed rule of every entry that takes a seed: ``OptConfig``, the
+    audits (each row's), ``hunt`` and ``flatness_scan``.
+    """
+    _require_integer("seed", seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class OptConfig:
     """Search controls for the decomposition optimizer.
@@ -219,12 +235,9 @@ class OptConfig:
 
     def __post_init__(self) -> None:
         counts = (("size",) if self.size is not None else ()) + ("starts", "max_sweeps")
-        for name in counts + ("seed",):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        for name in counts:
+            _require_integer(name, getattr(self, name))
+        require_seed(self.seed)
         for name in counts:
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -823,6 +836,7 @@ def flatness_scan(
     is flat, i.e. the convex roof is decomposition independent for this
     state and cut.
     """
+    require_seed(seed)
     if samples < 2:
         raise DomainError("flatness_scan needs at least 2 samples")
     cut = as_bipartition(cut, rho.profile.n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexroof import OptConfig, flatness_scan, optimize_many
+from .convexroof import OptConfig, flatness_scan, optimize_many, require_seed
 from .measures import (
     local_supports,
     negativity_mixed,
@@ -481,7 +481,8 @@ def audit(
     where the minor tables of the pair ranges bound every maximum from
     above, as on the Kim-Sanders state.  Without ``opt_cfg`` each optimizer
     term searches a rank-sized decomposition from three starts seeded by
-    ``seed``.  This is the one-item call of ``audits``.
+    ``seed``, which must pass ``require_seed`` whether or not a term searches.
+    This is the one-item call of ``audits``.
     """
     return audits([(psi, state_id, seed)], focus, [measure], opt_cfg)[0]
 
@@ -490,7 +491,8 @@ def audits(rows, focus: int, measures, opt_cfg: OptConfig | None = None) -> list
     """The ``audit`` of each ``(psi, state_id, seed)`` row under each measure.
 
     ``state_id`` labels a row's reports and ``seed`` seeds its default
-    searches, as in ``audit``.  Reports come measure by measure, and
+    searches, as in ``audit``; every row's seed is checked before any
+    marginal is built.  Reports come measure by measure, and
     within a measure in row order.  One ``pair_terms`` call resolves every
     term of all the rows under all the measures, so the searches of every
     state run in one batch.  Each state keeps its pair marginals, so each
@@ -509,8 +511,9 @@ def _audit_rows(rows, focus: int, measures, opt_cfg: OptConfig | None):
     The term rows run measure by measure, and within a measure audit row by
     audit row: the focus|rest row, then one row per pair marginal.
     """
-    for psi, _, _ in rows:
+    for psi, _, seed in rows:
         _require_pure(psi)
+        require_seed(seed)
     for measure in measures:
         if measure not in AUDIT_MEASURES:
             raise DomainError(f"unknown audit measure {measure!r}")
@@ -688,6 +691,7 @@ def hunt(
     """
     if trials < 0:
         raise DomainError("trials must be >= 0")
+    require_seed(seed)
     _require_focus(profile, focus)
     rng = np.random.default_rng(seed)
     findings = HuntFindings()

@@ -6,7 +6,9 @@ counterexample states to the concurrence monogamy inequality, maximally
 entangled pairs, GHZ states, and coarse-graining of parties into blocks.
 
 Also defines the on-disk state-spec document format (YAML key-value tree)
-consumed by the command line front end.
+consumed by the command line front end.  PyYAML is imported when a
+document is read (``_load_doc``), so importing the package, or running a
+command without ``--spec``, never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import yaml
 
 from .qlinalg import (
     TOL_NORM,
@@ -321,16 +322,18 @@ def _parse_w_doc(doc: dict) -> WClassSpec | PCSSpec:
         raise SpecFormatError(f"fields 'p'/'lambda': {exc}") from exc
 
 
-class _SpecLoader(yaml.SafeLoader):
-    """The safe loader, reading ``1e-4`` as a float as YAML 1.2 does (1.1 wants a dot)."""
-
-
-_SpecLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-    r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
-
-
 def _load_doc(text: str) -> dict:
-    """The key-value mapping of a state-spec document."""
+    """The key-value mapping of a state-spec document.
+
+    PyYAML is imported here, so a process that reads no document never loads it.
+    """
+    import yaml
+
+    class _SpecLoader(yaml.SafeLoader):
+        """The safe loader, reading ``1e-4`` as a float as YAML 1.2 does (1.1 wants a dot)."""
+
+    _SpecLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
     try:
         doc = yaml.load(text, Loader=_SpecLoader)
     except yaml.YAMLError as exc:

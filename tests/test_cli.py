@@ -715,6 +715,8 @@ class TestExitCodes:
         ("audit", "--family", "w", "--n", "3", "--d", "3"),
         ("measure", "--family", "kim_sanders", "--trace-out", "3", "--measure", "cren"),
         ("audit", "--family", "ou"),
+        ("sweep", "--n", "3", "--d", "2"),
+        ("hunt", "--profile", "3,2,2", "--trials", "2"),
     ])
     def test_negative_seed_exits_2_whether_or_not_a_search_runs(self, argv, capsys):
         # Kim-Sanders and qutrit W terms close without a search, Ou's do not.
@@ -754,6 +756,24 @@ class TestRepeatedCalls:
             capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stdout) == (0, "None\n")
+
+    def test_yaml_loads_only_when_a_spec_is_read(self, tmp_path, capsys):
+        # PyYAML is imported by the first document read, not by the package.
+        script = (
+            "import sys, crenaudit, crenaudit.cli\n"
+            "from crenaudit.states import parse_state_spec\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', '_yaml')))\n"
+            f"print(parse_state_spec({PCS_SPEC!r}).rank(), 'yaml' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n2 True\n", "")
+        spec = tmp_path / "pcs.yaml"
+        spec.write_text(PCS_SPEC)
+        argv = ["sweep", "--spec", str(spec)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "crenaudit", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv, capsys=capsys)
 
     def test_options_do_not_carry_over(self, capsys):
         argv = ["audit", "--family", "ou"]

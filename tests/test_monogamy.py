@@ -1205,6 +1205,41 @@ class TestHunt:
         assert hunt(profile, 70, seed) == expected
 
 
+def _qubit_pcs():
+    return PCSSpec(WClassSpec.symmetric(3, 2), 0.5, 0.3)
+
+
+# Every library entry that takes a seed, on inputs where the W audit's
+# (3, 3) pair terms close without a search and the 2,2,2 state's do not.
+_SEEDED_ENTRIES = {
+    "audit_w": lambda seed: audit(build_w_state(WClassSpec.symmetric(3, 3)), 1, "cren", seed=seed),
+    "audit_222": lambda seed: audit(
+        random_pure_state(DimensionProfile((2, 2, 2)), np.random.default_rng(0)), 1, "cren",
+        seed=seed,
+    ),
+    "hunt": lambda seed: hunt(DimensionProfile((3, 2, 2)), 2, seed),
+    "flatness_scan": lambda seed: flatness_scan(
+        build_pcs_density(_qubit_pcs()), Bipartition((1,), 3), samples=4, seed=seed
+    ),
+    "analytic_w_audit": lambda seed: analytic_w_audit(_qubit_pcs(), samples=4, seed=seed),
+}
+
+
+class TestSeedRule:
+    """One rule, OptConfig's, for the seed of every entry that takes one."""
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ])
+    @pytest.mark.parametrize("entry", sorted(_SEEDED_ENTRIES))
+    def test_bad_seed_raises_domain_error(self, entry, seed, message):
+        with pytest.raises(DomainError) as exc:
+            _SEEDED_ENTRIES[entry](seed)
+        assert str(exc.value) == message
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Each optimize_many call's problems and results."""

@@ -12,7 +12,8 @@ checkouts means the CLI printed the same bytes at both, and an in-process
 caller sees what a fresh process does; where the last lines differ, the
 per-command lines name the commands whose bytes moved.
 Nothing is written under the checkout: the subprocesses run in a
-temporary directory and no bytecode is written.
+temporary directory and no bytecode is written.  A bad argument prints
+the usage line and exits 2 (``checkout.py``).
 """
 
 import contextlib
@@ -23,6 +24,10 @@ import subprocess
 import sys
 import tempfile
 
+sys.dont_write_bytecode = True  # set before the helper's import, so no bytecode is written
+from checkout import import_checkout, usage_error
+
+USAGE = "python tools/cli_bytes.py CHECKOUT"
 ALL_MEASURES = ["--measures", "cren,ckw,crenoa,coa,negativity", "--format", "csv"]
 PAIR_MEASURES = ["--trace-out", "3", "--measure", "cren,concurrence,crenoa,coa,negativity"]
 
@@ -59,9 +64,9 @@ def _subprocess(src: str, cwd: str, argv: list[str]) -> tuple[bytes, bytes, int]
 
 
 def main(argv: list[str]) -> int:
-    src = os.path.join(os.path.abspath(argv[0]), "src")
-    sys.path.insert(0, src)
-    sys.dont_write_bytecode = True
+    if len(argv) != 1:
+        usage_error(USAGE)
+    src = import_checkout(argv[0], USAGE)
     from crenaudit import cli
 
     digest, mismatched = hashlib.sha256(), []

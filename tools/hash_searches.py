@@ -24,22 +24,27 @@ equals the first.
 Equal output at two checkouts means every search ran bit for bit the
 same, which the benchmark's value sums rest on, and the second line
 extends that to the descent's ``halt`` path.  Nothing is written under
-the checkout; the operations' files go to a temporary directory.
+the checkout; the operations' files go to a temporary directory.  A bad
+argument, or no SEED, prints the usage line and exits 2 (``checkout.py``).
 """
 
 import hashlib
-import os
 import sys
 import tempfile
 
+sys.dont_write_bytecode = True  # set before the helper's import, so no bytecode is written
+from checkout import import_checkout, seeds, usage_error
+
+USAGE = "python tools/hash_searches.py CHECKOUT SEED..."
 HUNTS = ((3, 3, 3), (2, 3, 4))
 HUNT_TRIALS = 200
 
 
 def main(argv: list[str]) -> None:
-    root = os.path.abspath(argv[0])
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    sys.dont_write_bytecode = True
+    if len(argv) < 2:
+        usage_error(USAGE)
+    plan_seeds = seeds(argv[1:], USAGE)
+    import_checkout(argv[0], USAGE, "perfbench")
     import numpy as np
     import workloads
     from crenaudit import Bipartition, DimensionProfile, convexroof, monogamy
@@ -81,7 +86,7 @@ def main(argv: list[str]) -> None:
 
     convexroof.optimize_many = monogamy.optimize_many = recording
     with tempfile.TemporaryDirectory() as out_dir:
-        for seed in map(int, argv[1:]):
+        for seed in plan_seeds:
             for op in workloads.instantiate(workloads.plan("qudit", seed), out_dir):
                 if op.kind in ("roof_min", "roof_max", "audit"):
                     op.call()

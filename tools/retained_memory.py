@@ -13,7 +13,8 @@ inputs are built before tracing starts, so they are not counted.
 
 A line of ``failed N`` follows if any operation raised or failed its
 check.  Nothing is written under the checkout; the operations' files go
-to a temporary directory.
+to a temporary directory.  A bad argument prints the usage line and
+exits 2 (``checkout.py``).
 """
 
 import gc
@@ -22,14 +23,19 @@ import sys
 import tempfile
 import tracemalloc
 
+sys.dont_write_bytecode = True  # set before the helper's import, so no bytecode is written
+from checkout import WORKLOADS, import_checkout, seeds, usage_error
+
+USAGE = "python tools/retained_memory.py CHECKOUT WORKLOAD SEED"
 TOP_LINES = 5
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) != 3 or argv[1] not in WORKLOADS:
+        usage_error(USAGE)
+    workload, (seed,) = argv[1], seeds(argv[2:], USAGE)
     root = os.path.abspath(argv[0])
-    workload, seed = argv[1], int(argv[2])
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    sys.dont_write_bytecode = True
+    import_checkout(root, USAGE, "perfbench")
     import workloads
 
     with tempfile.TemporaryDirectory() as out_dir:
