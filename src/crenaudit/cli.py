@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .convexroof import OptConfig
+from .convexroof import OptConfig, require_seed
 from .monogamy import (
     TOL_SAT,
     VERDICT_CANDIDATE,
@@ -235,13 +235,11 @@ def _run_state(args) -> int:
 def _opt_config(args) -> OptConfig | None:
     """The OptConfig of the --opt-* flags given, or None when none is.
 
-    OptConfig's own defaults fill the fields no flag sets.  It is built
-    either way, so a bad --seed exits 2 whether or not a search runs.
+    OptConfig's own defaults fill the fields no flag sets.
     """
     flags = {dest: getattr(args, dest) for _, dest, _ in _OPT_FLAGS}
     overrides = {field: value for field, value in flags.items() if value is not None}
-    cfg = OptConfig(seed=args.seed, **overrides)
-    return cfg if overrides else None
+    return OptConfig(seed=args.seed, **overrides) if overrides else None
 
 
 def _run_measure(args) -> int:
@@ -300,12 +298,7 @@ def _run_sweep(args) -> int:
     pair_cols = tuple(f"pair_cren_{i}" for i in range(2, m + 1))
     for p in p_grid:
         for lam in lam_grid:
-            audit = analytic_w_audit(
-                PCSSpec(wspec, p, lam),
-                partition,
-                samples=args.samples,
-                seed=args.seed,
-            )
+            audit = analytic_w_audit(PCSSpec(wspec, p, lam), partition, seed=args.seed)
             row = {
                 "p": fmt(p),
                 "lambda": fmt(lam),
@@ -413,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p-grid", help="default: a pcs spec's p, else 0.25,0.5,0.75")
     p_sweep.add_argument("--lambda-grid", help="default: a pcs spec's lambda, else 0,0.5,1")
     p_sweep.add_argument("--partition", help="party blocks, e.g. 1|23")
-    p_sweep.add_argument("--samples", type=int, default=64, help="flatness scan samples")
 
     p_hunt = sub.add_parser("hunt", help="random search for monogamy violations")
     add_common(p_hunt, with_state=False)
@@ -445,6 +437,8 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
+        # One seed rule for every subcommand, whether or not it draws.
+        require_seed(args.seed)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         # DomainError and the spec-document errors subclass ValueError;

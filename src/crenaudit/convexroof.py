@@ -201,8 +201,8 @@ def _require_integer(name: str, value) -> None:
 def require_seed(seed) -> None:
     """Raise DomainError unless ``seed`` is an integer, not a bool, and at least 0.
 
-    The one seed rule of every entry that takes a seed: ``OptConfig``, the
-    audits (each row's), ``hunt`` and ``flatness_scan``.
+    The one seed rule of every entry that takes a seed: ``OptConfig``, the audits
+    (each row's), ``hunt``, ``flatness_scan``, ``analytic_w_audit`` and ``cli.main``.
     """
     _require_integer("seed", seed)
     if seed < 0:

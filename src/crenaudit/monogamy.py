@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexroof import OptConfig, flatness_scan, optimize_many, require_seed
+from .convexroof import OptConfig, optimize_many, require_seed
 from .measures import (
     local_supports,
     negativity_mixed,
@@ -219,6 +219,13 @@ class AnalyticWValues:
 
 @dataclass(frozen=True)
 class AnalyticWAudit:
+    """The closed-form audit of a W-class/vacuum mixture and its certificate.
+
+    ``flatness_mean`` and ``flatness_max_dev`` are the midpoint and half-width
+    of [roof, assistance dual] of the focus|rest cut, both exact.  Every
+    decomposition's average lies there, so the half-width bounds its deviation.
+    """
+
     values: AnalyticWValues
     report: AuditReport
     flatness_mean: float
@@ -586,30 +593,28 @@ def analytic_w_values(spec: WClassSpec, p: float) -> AnalyticWValues:
 
 
 def analytic_w_audit(
-    spec: PCSSpec,
-    partition: PartitionSpec | None = None,
-    *,
-    samples: int = 64,
-    seed: int = 0,
+    spec: PCSSpec, partition: PartitionSpec | None = None, *, seed: int = 0
 ) -> AnalyticWAudit:
     """Saturation audit of a partially coherent W-class/vacuum state.
 
     Computes the closed-form global and pairwise roof values (after
-    coarse-graining when a partition is given) and cross-validates the
-    global value against a flatness scan of the built density operator.
+    coarse-graining when a partition is given) and certifies the global
+    value: on the built density's focus|rest cut, whose local supports are
+    2x2, ``pair_terms`` gives the ``cren`` roof and ``crenoa`` dual exactly,
+    and both must meet it to 1e-12 * max(1, value), else NumericalError.
+    The certificate draws nothing; ``seed`` need only pass ``require_seed``.
     """
+    require_seed(seed)
     wspec = coarse_grain(spec.w, partition) if partition is not None else spec.w
     values = analytic_w_values(wspec, spec.p)
-    flat = flatness_scan(
-        build_pcs_density(PCSSpec(wspec, spec.p, spec.lam)),
-        Bipartition((1,), wspec.n),
-        samples=samples,
-        seed=seed,
-    )
-    if abs(flat.mean - values.global_cren) > 1e-6:
-        raise NumericalError(
-            f"flatness mean {flat.mean} disagrees with the analytic value {values.global_cren}"
-        )
+    rho = build_pcs_density(PCSSpec(wspec, spec.p, spec.lam))
+    cut = Bipartition((1,), wspec.n)
+    roof, dual = pair_terms([(rho, cut, "cren", None), (rho, cut, "crenoa", None)])
+    tol = 1e-12 * max(1.0, values.global_cren)
+    for t in (roof, dual):
+        if t.kind != "exact" or abs(t.value - values.global_cren) > tol:
+            raise NumericalError(f"{t.kind} {t.method} value {t.value} disagrees with the analytic"
+                                 f" value {values.global_cren}")
     state_id = f"pcs(n={spec.w.n},d={spec.w.d},p={spec.p:g},lam={spec.lam:g})"
     terms = [PairTerm(v, v, v, "exact", "closed_form") for v in values.pair_cren]
     partners = range(2, len(terms) + 2)
@@ -617,8 +622,8 @@ def analytic_w_audit(
     return AnalyticWAudit(
         values=values,
         report=report,
-        flatness_mean=flat.mean,
-        flatness_max_dev=flat.max_abs_dev,
+        flatness_mean=(roof.value + dual.value) / 2.0,
+        flatness_max_dev=abs(dual.value - roof.value) / 2.0,
     )
 
 

@@ -230,7 +230,7 @@ def test_criterion_6_coherent_mixture_saturation():
             per_lambda_global = []
             per_lambda_mean = []
             for lam in lam_grid:
-                audit = analytic_w_audit(PCSSpec(wspec, p, lam), samples=64, seed=0)
+                audit = analytic_w_audit(PCSSpec(wspec, p, lam), seed=0)
                 if abs(audit.report.residual) > 1e-12:
                     failures.append(f"{name} p={p} lam={lam}: residual {audit.report.residual}")
                 if audit.flatness_max_dev > 1e-9:
@@ -282,9 +282,7 @@ def test_criterion_7_partition_invariance():
         for partition_blocks in _partitions_into(4, blocks):
             count += 1
             partition = PartitionSpec(partition_blocks)
-            audit = analytic_w_audit(
-                PCSSpec(wspec, 0.7, 0.5), partition, samples=16, seed=0
-            )
+            audit = analytic_w_audit(PCSSpec(wspec, 0.7, 0.5), partition, seed=0)
             if abs(audit.report.residual) > 1e-12:
                 failures.append(f"{partition_blocks}: residual {audit.report.residual}")
             rebuilt = expand_coarse_state(wspec, partition)
@@ -373,8 +371,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["audit", "--family", "kim_sanders", "--format", "csv", "--seed", "0"],
         [
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0.25,0.75",
-            "--lambda-grid", "0,1", "--format", "csv", "--samples", "16",
-            "--seed", "0",
+            "--lambda-grid", "0,1", "--format", "csv", "--seed", "0",
         ],
         ["hunt", "--profile", "2,2,2", "--trials", "5", "--seed", "0"],
     ]

@@ -391,7 +391,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.txt"
         tracemalloc.start()
         try:
-            code = main(["sweep", "--n", "6", "--d", "4", "--samples", "2", "--output", str(out)])
+            code = main(["sweep", "--n", "6", "--d", "4", "--output", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,8 +402,7 @@ class TestSweepCommand:
     def test_lambda_invariance_rows(self, capsys):
         code, out, _ = run_cli(
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0.5",
-            "--lambda-grid", "0,1", "--format", "csv", "--samples", "16",
-            capsys=capsys,
+            "--lambda-grid", "0,1", "--format", "csv", capsys=capsys,
         )
         assert code == 0
         rows = out.strip().split("\n")[1:]
@@ -416,22 +415,21 @@ class TestSweepCommand:
     def test_zero_weight_rows_vanish(self, capsys):
         code, out, _ = run_cli(
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0",
-            "--lambda-grid", "0.5", "--format", "csv", "--samples", "16",
-            capsys=capsys,
+            "--lambda-grid", "0.5", "--format", "csv", capsys=capsys,
         )
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert float(row[2]) == 0.0 and float(row[3]) == 0.0
 
     def test_saturated_residuals_print_zero(self, capsys):
-        code, out, _ = run_cli("sweep", "--format", "csv", "--samples", "16", capsys=capsys)
+        code, out, _ = run_cli("sweep", "--format", "csv", capsys=capsys)
         assert code == 0
         header, *rows = [line.split(",") for line in out.strip().split("\n")]
         column = header.index("residual")
         assert [row[column] for row in rows] == ["0"] * 9
 
     def test_flatness_deviation_prints_zero(self, capsys):
-        # A flat scan's deviation is rounding noise, printed like a saturated residual.
+        # The certificate's half-width is rounding noise, printed like a saturated residual.
         code, out, _ = run_cli(
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0.5",
             "--lambda-grid", "0,1", "--format", "csv", capsys=capsys,
@@ -554,7 +552,7 @@ class TestSweepCommand:
         code, out, _ = run_cli(
             "sweep", "--n", "3", "--d", "2", "--p-grid", "0.5",
             "--lambda-grid", "0.5", "--partition", "1|23", "--format", "csv",
-            "--samples", "16", capsys=capsys,
+            capsys=capsys,
         )
         assert code == 0
         row = out.strip().split("\n")[1]
@@ -562,18 +560,17 @@ class TestSweepCommand:
 
 
 class TestGoldenSweep:
-    """The exact stdout of two seeded sweeps, checked in as files, so that a
-    change of rendering, of the closed forms or of a flatness verdict shows
-    between commits.  The Haar stream itself is pinned in test_convexroof."""
+    """The exact stdout of two sweeps, checked in as files, so that a change
+    of rendering, of the closed forms or of their certificate shows between
+    commits."""
 
     @pytest.mark.parametrize("argv, golden", [
-        (("--n", "3", "--d", "2"), "sweep_n3_d2_samples16.csv"),
+        (("--n", "3", "--d", "2"), "sweep_n3_d2.csv"),
         (("--n", "4", "--d", "3", "--partition", "1|23|4"),
-         "sweep_n4_d3_partition_1-23-4_samples16.csv"),
+         "sweep_n4_d3_partition_1-23-4.csv"),
     ])
     def test_csv(self, argv, golden, capsys):
-        code, out, _ = run_cli("sweep", *argv, "--samples", "16", "--format", "csv",
-                               capsys=capsys)
+        code, out, _ = run_cli("sweep", *argv, "--format", "csv", capsys=capsys)
         assert code == 0
         assert out == (DATA / golden).read_text(encoding="utf-8")
 
@@ -720,6 +717,18 @@ class TestExitCodes:
     ])
     def test_negative_seed_exits_2_whether_or_not_a_search_runs(self, argv, capsys):
         # Kim-Sanders and qutrit W terms close without a search, Ou's do not.
+        code, out, err = run_cli(*argv, "--seed", "-1", capsys=capsys)
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("state", "--family", "w", "--n", "3"),
+        ("measure", "--family", "w", "--measure", "cren"),
+        ("audit", "--family", "w"),
+        ("sweep", "--n", "3", "--d", "2"),
+        ("hunt", "--profile", "2,2,2", "--trials", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_checks_its_seed(self, argv, capsys):
+        # One rule before dispatch, whether or not the subcommand draws.
         code, out, err = run_cli(*argv, "--seed", "-1", capsys=capsys)
         assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 

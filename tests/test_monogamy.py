@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from decimal import Decimal, localcontext
 
@@ -9,6 +10,7 @@ from crenaudit import (
     DensityOperator,
     DimensionProfile,
     DomainError,
+    NumericalError,
     OptConfig,
     PCSSpec,
     PartitionSpec,
@@ -363,7 +365,7 @@ class TestBrackets:
         measures = list(monogamy.AUDIT_MEASURES)
         reports = [report for name, psi, focus in _audited_states()
                    for report in audits([(psi, name, 0)], focus, measures)]
-        reports += [analytic_w_audit(PCSSpec(WClassSpec.symmetric(n, d), 0.6, 0.3), samples=8).report
+        reports += [analytic_w_audit(PCSSpec(WClassSpec.symmetric(n, d), 0.6, 0.3)).report
                     for n, d in ((3, 2), (4, 3))]
         verdicts = set()
         for r in reports:
@@ -1163,11 +1165,55 @@ class TestAnalyticWAudit:
     def test_partition_saturation(self, blocks, rng):
         a = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         spec = WClassSpec(4, 2, a / np.linalg.norm(a))
-        audit = analytic_w_audit(
-            PCSSpec(spec, 0.7, 0.5), PartitionSpec(blocks), samples=16
-        )
+        audit = analytic_w_audit(PCSSpec(spec, 0.7, 0.5), PartitionSpec(blocks))
         assert abs(audit.report.residual) <= 1e-12
         assert audit.report.verdict == "saturated"
+
+
+def _complex_table(n, d, seed):
+    a = np.random.default_rng(seed).standard_normal((n, d - 1, 2)) @ [1, 1j]
+    return WClassSpec(n, d, a / np.linalg.norm(a))
+
+
+# Mixtures whose certificate must meet the formula: the skewed tables of
+# test_skewed_table_keeps_its_digits and test_focus_weight_near_one_keeps_its_digits,
+# random complex tables at d = 2, 3 and 4, and coarse-grained partitions.
+_CERTIFIED = {
+    "skewed_focus_1e-8": (WClassSpec(3, 2, np.array([[1e-4], [0.7], [0.71414284285]])), None),
+    "skewed_focus_near_1": (WClassSpec(3, 2, np.array([[np.sqrt(1 - 2e-8)], [1e-4], [1e-4]])), None),
+    "d2": (_complex_table(4, 2, 1), None),
+    "d3": (_complex_table(3, 3, 2), None),
+    "d4": (_complex_table(5, 4, 3), None),
+    "1|23|4": (_complex_table(4, 2, 4), PartitionSpec(((1,), (2, 3), (4,)))),
+    "24|13": (_complex_table(4, 3, 5), PartitionSpec(((2, 4), (1, 3)))),
+    "12|3|45": (_complex_table(5, 4, 6), PartitionSpec(((1, 2), (3,), (4, 5)))),
+}
+
+
+class TestWCertificate:
+    """analytic_w_audit's exact roof and dual of the focus|rest cut meet the
+    closed-form global value, or it raises."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("case", sorted(_CERTIFIED))
+    def test_meets_the_formula(self, case, p, lam):
+        spec, partition = _CERTIFIED[case]
+        audit = analytic_w_audit(PCSSpec(spec, p, lam), partition)
+        assert audit.report.verdict == "saturated"
+        assert abs(audit.flatness_mean - audit.values.global_cren) <= 1e-12
+        assert 0.0 <= audit.flatness_max_dev <= 1e-12
+
+    def test_a_formula_off_by_1e_9_raises(self, monkeypatch):
+        exact = monogamy.analytic_w_values
+
+        def scaled(spec, p):
+            values = exact(spec, p)
+            return dataclasses.replace(values, global_cren=values.global_cren * (1 + 1e-9))
+
+        monkeypatch.setattr(monogamy, "analytic_w_values", scaled)
+        with pytest.raises(NumericalError, match="disagrees with the analytic value"):
+            analytic_w_audit(PCSSpec(WClassSpec.symmetric(3, 2), 0.5, 0.5))
 
 
 class TestHunt:
@@ -1221,7 +1267,7 @@ _SEEDED_ENTRIES = {
     "flatness_scan": lambda seed: flatness_scan(
         build_pcs_density(_qubit_pcs()), Bipartition((1,), 3), samples=4, seed=seed
     ),
-    "analytic_w_audit": lambda seed: analytic_w_audit(_qubit_pcs(), samples=4, seed=seed),
+    "analytic_w_audit": lambda seed: analytic_w_audit(_qubit_pcs(), seed=seed),
 }
 
 

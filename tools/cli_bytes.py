@@ -45,7 +45,7 @@ COMMANDS = [
     ["hunt", "--profile", "2,3,4", "--trials", "200"],
     ["hunt", "--profile", "3,3,3,3", "--trials", "32"],
     ["sweep", "--n", "7", "--d", "4"],
-    ["sweep", "--n", "4", "--d", "3", "--partition", "1|23|4", "--samples", "16"],
+    ["sweep", "--n", "4", "--d", "3", "--partition", "1|23|4"],
 ]
 
 
