@@ -94,6 +94,7 @@ from .qlinalg import (
     as_bipartition,
     cut_matrices,
     norm_sq,
+    require_integer,
 )
 
 ZERO_WEIGHT = 1e-14       # decomposition members below this weight are dropped
@@ -193,18 +194,13 @@ def average_negativity(dec: Decomposition, cut) -> float:
     return float(pure_negativities(mats).sum())
 
 
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def require_seed(seed) -> None:
     """Raise DomainError unless ``seed`` is an integer, not a bool, and at least 0.
 
     The one seed rule of every entry that takes a seed: ``OptConfig``, the audits
     (each row's), ``hunt``, ``flatness_scan``, ``analytic_w_audit`` and ``cli.main``.
     """
-    _require_integer("seed", seed)
+    require_integer("seed", seed)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
@@ -236,7 +232,7 @@ class OptConfig:
     def __post_init__(self) -> None:
         counts = (("size",) if self.size is not None else ()) + ("starts", "max_sweeps")
         for name in counts:
-            _require_integer(name, getattr(self, name))
+            require_integer(name, getattr(self, name))
         require_seed(self.seed)
         for name in counts:
             if getattr(self, name) < 1:

@@ -1,12 +1,13 @@
 """Pair terms, monogamy-of-entanglement audits and the analytic W-class oracle.
 
-``pair_terms`` brackets each pair term by one rule over the bound sources
-of ``_BOUND_SOURCES`` and, where they leave it open, a search: the term is
-``exact`` once its largest floor meets its least ceiling, and otherwise
-``upper`` (an optimizer minimum) or ``lower`` (an optimizer maximum).  So
-no qubit or W-class audit poses a search, the Kim-Sanders qutrit-qubit
-pairs are exact from their minor tables, and Ou's pairs close their
-``cren`` terms at their spectral decompositions, before any search.
+``pair_terms`` brackets each pair term by one straight-line rule,
+``_bracket``, before a search and, where the bounds leave it open, after
+one: the term is ``exact`` once its largest floor meets its least
+ceiling, and otherwise ``upper`` (an optimizer minimum) or ``lower`` (an
+optimizer maximum).  So no qubit or W-class audit poses a search, the
+Kim-Sanders qutrit-qubit pairs are exact from their minor tables, and
+Ou's pairs close their ``cren`` terms at their spectral decompositions,
+before any search.
 ``audits`` read each monogamy inequality, or its assistance dual, from the
 brackets of its terms (``_verdict``), within ``TOL_SAT``; ``pair_term``
 and ``audit`` are the one-item calls.
@@ -76,99 +77,6 @@ AUDIT_MEASURES = {
     "crenoa": "crenoa",
     "coa": "coa",
 }
-
-
-def _pure_bound(state, cut, kernel, direction):
-    # A pure state, or a density of rank 1, is its one root's kernel value.
-    if isinstance(state, PureState) or state.rank() == 1:
-        root = state.amplitudes if isinstance(state, PureState) else state.roots
-        value = memoized(state, ("pure", kernel, cut), lambda: float(
-            kernel(cut_matrices(root, state.profile, cut))[0]))
-        return value, value
-    return None
-
-
-def _trace_norm_bound(state, cut, kernel, direction):
-    if direction is None:
-        value = memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
-        return value, value
-    return None
-
-
-def _spin_flip_bound(state, cut, kernel, direction):
-    # Wootters' value for a minimum, the concurrence of assistance for a maximum.
-    if spin_flip_closes(local_supports(state, cut)):
-        values = memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut))
-        return (values[direction == "max"],) * 2
-    return None
-
-
-def _bounds_kernel(state, cut, kernel, bounded) -> bool:
-    # Whether a bound on the ``bounded`` kernel bounds ``kernel``'s roofs: where the short
-    # (first) local support is two-dimensional, every member has Schmidt rank <= 2, so N = C.
-    return kernel is bounded or local_supports(state, cut).shape[1] == 2
-
-
-def _minor_table(state, cut):
-    # The concurrence bracket of every unit vector in the range, so of every member.
-    return memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
-
-
-def _c_ceiling(state, cut, kernel, direction):
-    if _bounds_kernel(state, cut, kernel, pure_concurrences):
-        return -np.inf, _minor_table(state, cut)[1]
-    return None
-
-
-def _spectral_ceiling(state, cut, kernel, direction):
-    # The spectral decomposition's average, a decomposition's, so a minimum's
-    # ceiling.  Every member's C is at least the C floor, and N >= C, so the
-    # average can meet that floor only where the members' concurrences are
-    # equal: elsewhere the source gives nothing.  It tests their squares,
-    # C^2 = 2 - 2 tr G^2 / (tr G)^2 with G = M M^H, equal within
-    # _TABLE_CLOSED, which takes no SVD.
-    def flat_average():
-        mats = local_supports(state, cut)
-        gram = np.einsum("kij,klj->kil", mats, mats.conj())
-        purity = np.einsum("kij,kji->k", gram, gram).real / np.einsum("kii->k", gram).real ** 2
-        purity = purity.tolist()  # a few members: Python's min and max are the cheaper
-        if 2.0 * (max(purity) - min(purity)) > _TABLE_CLOSED:
-            return None
-        return -np.inf, float(kernel(mats).sum())
-
-    return memoized(state, ("spectral", kernel, cut), flat_average)
-
-
-def _c_floor(state, cut, kernel, direction):
-    # N >= C on every pure state, so the C floor floors both kernels' roofs.
-    return _minor_table(state, cut)[0], np.inf
-
-
-def _pt_floor(state, cut, kernel, direction):
-    # Negativity is convex, so the trace norm's value floors the negativity roofs.
-    if _bounds_kernel(state, cut, kernel, pure_negativities):
-        return _trace_norm_bound(state, cut, kernel, None)[0], np.inf
-    return None
-
-
-# The bound sources of a pair_terms row, in the order it reads them:
-# (method, reads, source).  A source maps (state, cut, kernel, direction)
-# to a (floor, ceiling) pair, an infinite side bounding nothing, or to None
-# where it does not apply, and keeps what it reads in the state's memo.
-# ``reads`` says where a row reads it: None wherever the row is open;
-# "open_min" only where the row is a minimum with no ceiling yet (after its
-# search, the search's value is its ceiling); "floor" only where the
-# ceiling is finite, as nowhere else can a floor close the row, so the
-# floor-only sources come last.
-_BOUND_SOURCES = (
-    ("closed_form", None, _pure_bound),
-    ("trace_norm", None, _trace_norm_bound),
-    ("closed_form", None, _spin_flip_bound),
-    ("minor_table", None, _c_ceiling),
-    ("spectral", "open_min", _spectral_ceiling),
-    ("minor_table", "floor", _c_floor),
-    ("minor_table", "floor", _pt_floor),
-)
 
 
 @dataclass(frozen=True)
@@ -307,8 +215,95 @@ def range_floor(rho: DensityOperator, cut) -> float:
     return range_bracket(rho, cut)[0]
 
 
+def _spectral_ceiling(state, cut, kernel) -> float:
+    # The spectral decomposition's average, a decomposition's, so a minimum's
+    # ceiling.  Every member's C is at least the C floor, and N >= C, so the
+    # average can meet that floor only where the members' concurrences are
+    # equal: elsewhere it is +inf, which bounds nothing.  It tests their
+    # squares, C^2 = 2 - 2 tr G^2 / (tr G)^2 with G = M M^H, equal within
+    # _TABLE_CLOSED, which takes no SVD.
+    def flat_average():
+        mats = local_supports(state, cut)
+        gram = np.einsum("kij,klj->kil", mats, mats.conj())
+        purity = np.einsum("kij,kji->k", gram, gram).real / np.einsum("kii->k", gram).real ** 2
+        purity = purity.tolist()  # a few members: Python's min and max are the cheaper
+        if 2.0 * (max(purity) - min(purity)) > _TABLE_CLOSED:
+            return np.inf
+        return float(kernel(mats).sum())
+
+    return memoized(state, ("spectral", kernel, cut), flat_average)
+
+
+def _closes(floor: float, ceiling: float) -> bool:
+    return ceiling - floor <= _TABLE_CLOSED * max(1.0, floor)
+
+
+def _exact(value: float, method: str) -> PairTerm:
+    return PairTerm(value, value, value, "exact", method)
+
+
+def _bracket(state, cut, kernel, direction, res=None) -> PairTerm | None:
+    """The bracket rule of ``pair_terms``: one row's term, or None where the
+    row is open before its search; ``res`` is the row's search result."""
+    if res is None:
+        # The closed forms: a pure state, or a density of rank 1, is its one
+        # root's kernel value, and a negativity row is the trace norm's.
+        if isinstance(state, PureState) or state.rank() == 1:
+            root = state.amplitudes if isinstance(state, PureState) else state.roots
+            return _exact(memoized(state, ("pure", kernel, cut), lambda: float(
+                kernel(cut_matrices(root, state.profile, cut))[0])), "closed_form")
+        if direction is None:
+            value = memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
+            return _exact(value, "trace_norm")
+        if spin_flip_closes(local_supports(state, cut)):
+            # Wootters' value for a minimum, the concurrence of assistance for a maximum.
+            values = memoized(state, ("spin_flip", cut), lambda: spin_flip_values(state, cut))
+            return _exact(values[direction == "max"], "closed_form")
+        floor, ceiling = -np.inf, np.inf
+    else:
+        # The search's value is a minimum's ceiling, or a maximum's floor in
+        # place of every other.  It is a negativity average: concurrence rows
+        # rescore its decomposition.
+        found = res.value if kernel is pure_negativities else float(
+            kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
+        floor, ceiling = (found, np.inf) if direction == "max" else (-np.inf, found)
+    method = "optimizer"
+    # Where the short (first) local support is two-dimensional, every member
+    # has Schmidt rank <= 2, so N = C: a bound on either kernel bounds both.
+    n_is_c = local_supports(state, cut).shape[1] == 2
+    if kernel is pure_concurrences or n_is_c:
+        # The minor table brackets the concurrence of every unit vector in
+        # the range, so of every member.
+        table = memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
+        if table[1] < ceiling:
+            ceiling, method = table[1], "minor_table"
+        if _closes(floor, ceiling):  # only a searched maximum has a floor yet
+            return _exact(ceiling, method)
+    if direction == "min" and ceiling == np.inf:  # still +inf unless the spectral members are flat
+        ceiling, method = _spectral_ceiling(state, cut, kernel), "spectral"
+    # Only a finite ceiling can close, so only then are the floors read; a
+    # searched maximum's floor is its search's value.
+    if ceiling < np.inf and (res is None or direction == "min"):
+        # N >= C on every pure state, so the C floor floors both kernels' roofs.
+        table = memoized(state, ("range_bracket", cut), lambda: range_bracket(state, cut))
+        floor = max(floor, table[0])
+        if _closes(floor, ceiling):
+            return _exact(ceiling, method)
+        if kernel is pure_negativities or n_is_c:
+            # Negativity is convex, so the trace norm's value floors the negativity roofs.
+            value = memoized(state, ("pt_negativity", cut), lambda: negativity_mixed(state, cut))
+            floor = max(floor, value)
+            if _closes(floor, ceiling):
+                return _exact(ceiling, method)
+    if res is None:
+        return None
+    if direction == "max":
+        return PairTerm(floor, floor, ceiling, "lower", "optimizer")
+    return PairTerm(ceiling, floor, ceiling, "upper", method)
+
+
 def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
-    """One measure of each state across its cut, by the one bracket rule below.
+    """One measure of each state across its cut, by the one bracket rule, ``_bracket``.
 
     ``rows`` holds ``(state, cut, measure, cfg)`` tuples, the arguments of
     ``pair_term``; ``PAIR_MEASURES`` gives each measure's kernel and roof
@@ -328,21 +323,23 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     other roof maximum                           optimizer    lower  [value, ceiling]
     ===========================================  ===========  =====  ==================
 
-    A row reads the sources of ``_BOUND_SOURCES`` in order while it is
-    open, a floor only where its ceiling is finite.  Its bracket, which
-    holds the true value up to floating point, is the largest floor and the
-    least ceiling read, and it is closed, ``exact`` at its ceiling, once
-    ceiling - floor is at most ``_TABLE_CLOSED * max(1, floor)``.  A
-    minimum with no ceiling yet takes its spectral decomposition's average
-    as one where that decomposition's members have equal concurrences (are
-    flat), the only place where it can meet the C floor.  An open row is
-    searched; the search's value is a minimum's ceiling, or a maximum's
-    floor in place of every other, and the same test runs again.  So a
-    ``cren`` row with no two-dimensional support and no flat spectral
-    decomposition reads its floors only after its search, and none if its
-    search is stopped, and a maximum whose ceiling is +inf reads none.  A
-    row still open reports the search's value.  ``method`` names the source
-    of the reported value.
+    ``_bracket`` reads a row's bounds in one order, each only while the
+    row is open: the closed forms; the minor table's ceiling, where the
+    kernel is the concurrence or the short local support is
+    two-dimensional; for a minimum with no ceiling yet, its spectral
+    decomposition's average, where that decomposition's members have equal
+    concurrences (are flat), the only place where it can meet the C floor;
+    and, only where the ceiling is finite, the C floor and then the
+    partial-transpose negativity.  Its bracket, which holds the true value
+    up to floating point, is the largest floor and the least ceiling read,
+    and it is closed, ``exact`` at its ceiling, once ceiling - floor is at
+    most ``_TABLE_CLOSED * max(1, floor)``.  An open row is searched; the
+    search's value is a minimum's ceiling, or a maximum's floor in place of
+    every other, and the rule runs again.  So a ``cren`` row with no
+    two-dimensional support and no flat spectral decomposition reads its
+    floors only after its search, and none if its search is stopped, and a
+    maximum whose ceiling is +inf reads none.  A row still open reports the
+    search's value.  ``method`` names the source of the reported value.
 
     Each search runs under its own row's cfg (None means ``OptConfig()``;
     other rows ignore theirs) and gives what ``optimize`` gives for that row
@@ -366,30 +363,6 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
     for it, so a later call searches again.
     """
 
-    def term(state, cut, kernel, direction, res=None):
-        # The rule, with ``res`` the row's search result; None if open before its search.
-        floor, ceiling, method = -np.inf, np.inf, "optimizer"
-        search_floor = res is not None and direction == "max"
-        if res is not None:  # res.value is a negativity average: concurrence rows rescore
-            found = res.value if kernel is pure_negativities else float(
-                kernel(cut_matrices(res.decomposition.members, state.profile, cut)).sum())
-            floor, ceiling = (found, np.inf) if search_floor else (-np.inf, found)
-        for source_method, reads, source in _BOUND_SOURCES:
-            if reads == "floor" and (ceiling == np.inf or search_floor):
-                continue
-            if reads == "open_min" and (ceiling < np.inf or direction != "min"):
-                continue
-            bound = source(state, cut, kernel, direction)
-            if bound is not None:
-                floor = max(floor, bound[0])
-                if bound[1] < ceiling:
-                    ceiling, method = bound[1], source_method
-                if ceiling - floor <= _TABLE_CLOSED * max(1.0, floor):  # the closing test
-                    return PairTerm(ceiling, ceiling, ceiling, "exact", method)
-        if search_floor:
-            return PairTerm(floor, floor, ceiling, "lower", "optimizer")
-        return None if res is None else PairTerm(ceiling, floor, ceiling, "upper", method)
-
     terms: list = [None] * len(rows)
     # The rows of the searches no memo holds yet, and ``solve``, in row order,
     # their (state, key) searches, each under the cut as the first row posing
@@ -400,11 +373,11 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
             raise DomainError(f"unknown measure {measure!r}")
         cut = as_bipartition(cut, state.profile.n)
         kernel, direction = PAIR_MEASURES[measure]
-        terms[k] = term(state, cut, kernel, direction)
+        terms[k] = _bracket(state, cut, kernel, direction)
         if terms[k] is None:
             key = ("search", cut.canonical(), direction, cfg or OptConfig())
             if key in state._memo:
-                terms[k] = term(state, cut, kernel, direction, state._memo[key])
+                terms[k] = _bracket(state, cut, kernel, direction, state._memo[key])
             else:
                 solve.setdefault((state, key), cut)
                 searches.append((k, state, cut, kernel, direction, key))
@@ -429,7 +402,7 @@ def pair_terms(rows, *, stop=None) -> list[PairTerm | None]:
             state._memo[key] = res
     for k, state, cut, kernel, direction, key in searches:
         if key in state._memo:  # not where its search was stopped
-            terms[k] = term(state, cut, kernel, direction, state._memo[key])
+            terms[k] = _bracket(state, cut, kernel, direction, state._memo[key])
     return terms
 
 
@@ -616,7 +589,7 @@ def analytic_w_audit(
             raise NumericalError(f"{t.kind} {t.method} value {t.value} disagrees with the analytic"
                                  f" value {values.global_cren}")
     state_id = f"pcs(n={spec.w.n},d={spec.w.d},p={spec.p:g},lam={spec.lam:g})"
-    terms = [PairTerm(v, v, v, "exact", "closed_form") for v in values.pair_cren]
+    terms = [_exact(v, "closed_form") for v in values.pair_cren]
     partners = range(2, len(terms) + 2)
     report = _build_report(state_id, 1, "cren", values.global_cren ** 2, partners, terms)
     return AnalyticWAudit(

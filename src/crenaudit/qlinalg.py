@@ -49,6 +49,16 @@ class NumericalError(RuntimeError):
     """An internal numerical consistency check failed beyond tolerance."""
 
 
+def require_integer(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is an int or a numpy integer, not a bool.
+
+    The one integer rule: of local dimensions, party labels, seeds and
+    ``OptConfig``'s counts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DimensionProfile:
     """Ordered local dimensions (d_1, ..., d_n) of the parties.
@@ -61,7 +71,10 @@ class DimensionProfile:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        for d in dims:
+            require_integer("local dimension", d)
+        dims = tuple(int(d) for d in dims)
         if len(dims) == 0:
             raise DomainError("profile needs at least one party")
         if any(d < 2 for d in dims):
@@ -99,6 +112,9 @@ class DimensionProfile:
 
 
 def _sorted_parties(parties: Iterable[int], n: int) -> tuple[int, ...]:
+    parties = tuple(parties)
+    for p in parties:
+        require_integer("party", p)
     out = tuple(sorted({int(p) for p in parties}))
     if not out:
         raise DomainError("party set must be nonempty")
@@ -152,7 +168,7 @@ def as_bipartition(cut: "Bipartition | int | Iterable[int]", n: int) -> Bipartit
             raise DomainError(f"cut is over {cut.n} parties, state has {n}")
         return cut
     if isinstance(cut, (int, np.integer)):
-        return Bipartition((int(cut),), n)
+        return Bipartition((cut,), n)
     return Bipartition(tuple(cut), n)
 
 

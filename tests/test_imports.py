@@ -38,9 +38,9 @@ def _top_level_owners(include_init: bool):
 
 
 def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
-    # monogamy.pair_terms and its bound sources are the one table that picks
-    # how a term is computed; a second caller of either solver would be a
-    # second table.
+    # monogamy.pair_terms and its bracket rule, _bracket, are the one table
+    # that picks how a term is computed; a second caller of either solver
+    # would be a second table.
     # convexroof.optimize is optimize_many's one-problem call, not a table,
     # and measures.wootters_concurrence_2q is spin_flip_values' one-item call.
     # Every read of a solver's name counts, called or not, so a helper
@@ -59,7 +59,26 @@ def test_only_pair_term_calls_the_roof_optimizer_and_wootters():
         ("optimize_many", "convexroof.optimize"),
         ("optimize_many", "monogamy.pair_terms"),
         ("spin_flip_values", "measures.wootters_concurrence_2q"),
-        ("spin_flip_values", "monogamy._spin_flip_bound"),
+        ("spin_flip_values", "monogamy._bracket"),
+    }
+
+
+def test_only_the_bracket_rule_reads_the_bounds_in_monogamy():
+    # monogamy._bracket is the one rule that reads a row's bounds; a second
+    # reader of the minor table, the trace norm or the spin-flip values would
+    # be a second bracket rule.  range_floor, the minor table's floor for
+    # callers outside the package, is the one other reader.
+    readers = {
+        (node.id, owner)
+        for owner, node in _top_level_owners(include_init=False)
+        if owner.startswith("monogamy.") and isinstance(node, ast.Name)
+        and node.id in ("range_bracket", "negativity_mixed", "spin_flip_values")
+    }
+    assert readers == {
+        ("range_bracket", "monogamy._bracket"),
+        ("negativity_mixed", "monogamy._bracket"),
+        ("spin_flip_values", "monogamy._bracket"),
+        ("range_bracket", "monogamy.range_floor"),
     }
 
 
@@ -127,8 +146,8 @@ def test_only_hunt_stops_searches_early():
 
 
 def test_only_pair_terms_and_the_dual_helper_compare_roof_directions():
-    # pair_terms sides each search's bound by direction, the spin-flip
-    # source picks its closed form by it, and _is_dual says which audits
+    # The bracket rule, _bracket, sides each search's bound by direction and
+    # picks the spin-flip closed form by it, and _is_dual says which audits
     # are duals; _verdict reads brackets alone.  A further comparison with
     # "min" or "max" would be a second copy of the direction decision.
     comparers = {
@@ -138,7 +157,7 @@ def test_only_pair_terms_and_the_dual_helper_compare_roof_directions():
         and any(isinstance(e, ast.Constant) and e.value in ("min", "max")
                 for e in (node.left, *node.comparators))
     }
-    assert comparers == {"monogamy.pair_terms", "monogamy._spin_flip_bound", "monogamy._is_dual"}
+    assert comparers == {"monogamy._bracket", "monogamy._is_dual"}
 
 
 def test_modules_use_every_private_name_they_define():

@@ -940,6 +940,37 @@ class TestSpectralSource:
         _assert_bracket_holds(term)
 
 
+def _werner(d, f, rng):
+    """The d x d Werner state with <F> = f (F the swap), under a seeded Haar U (x) V."""
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    matrix = ((d - f) * np.eye(d * d) + (d * f - 1) * swap) / (d ** 3 - d)
+    local = np.kron(*convexroof.haar_unitaries(2, d, rng))
+    return DensityOperator(DimensionProfile((d, d)), local @ matrix @ local.conj().T)
+
+
+class TestWernerOracle:
+    """A d x d Werner state's cren roof is max(0, -f): a pure state's
+    negativity is at least minus its swap average <F>, the U (x) U twirl
+    keeps f, and a|01> - b|10> with 2ab = -f meets the bound.  Local
+    unitaries keep the roof, so a rotated Werner state is an exact oracle
+    for the bracket rule on (3, 3) pairs, full-rank ones included, which no
+    audit poses."""
+
+    @pytest.mark.parametrize("f", [-1.0, -0.5, -0.2])
+    def test_the_cren_bracket_holds_the_roof(self, f):
+        rho = _werner(3, f, np.random.default_rng(7))
+        term = pair_term(rho, 1, "cren", monogamy._audit_opt_cfg(rho.rank(), 0))
+        roof = max(0.0, -f)
+        _assert_bracket_holds(term)
+        assert term.lower - 1e-9 <= roof <= term.upper + 1e-9
+        if f == -1.0:
+            # The antisymmetric projector: every member has two equal Schmidt
+            # coefficients, so its spectral decomposition is flat and meets the floor.
+            assert (rho.rank(), term.kind, term.method) == (3, "exact", "spectral")
+        else:
+            assert (rho.rank(), term.kind, term.method) == (9, "upper", "optimizer")
+
+
 class TestEigendecompositionCount:
     """A density operator is decomposed once, at construction, however many callers read its spectrum."""
 

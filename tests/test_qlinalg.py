@@ -24,7 +24,7 @@ from crenaudit import (
     partial_transpose,
     trace_norm,
 )
-from crenaudit.qlinalg import TOL_PSD, TOL_RANK
+from crenaudit.qlinalg import TOL_PSD, TOL_RANK, as_bipartition
 from crenaudit.states import maximally_entangled
 
 from conftest import rand_dm, rand_pure
@@ -47,6 +47,34 @@ class TestProfilesAndStates:
     def test_profile_rejects_dimension_one(self):
         with pytest.raises(DomainError):
             DimensionProfile((2, 1))
+
+    @pytest.mark.parametrize("dims", [(2.9, 3), (2, 3.0), (np.float64(2), 3), (2, True)])
+    def test_profile_rejects_non_integer_dimensions(self, dims):
+        # int() would truncate 2.9 to 2 and describe another system.
+        with pytest.raises(DomainError, match="local dimension must be an integer"):
+            DimensionProfile(dims)
+
+    def test_profile_takes_numpy_integer_dimensions(self):
+        profile = DimensionProfile((np.int64(2), np.int32(3)))
+        assert profile.dims == (2, 3)
+        assert all(type(d) is int for d in profile.dims)
+
+    @pytest.mark.parametrize("side", [(1.7,), (1.0,), (True,), (np.float64(2),), (1, 2.5)])
+    def test_cuts_reject_non_integer_parties(self, side):
+        with pytest.raises(DomainError, match="party must be an integer"):
+            Bipartition(side, 3)
+
+    def test_party_sets_reject_bools_and_floats_everywhere(self):
+        psi = rand_pure((2, 2, 2), np.random.default_rng(0))
+        for call in (lambda: as_bipartition(True, 3), lambda: partial_trace(psi, (1, 2.0)),
+                     lambda: DimensionProfile((2, 3, 4)).restrict((1.5,))):
+            with pytest.raises(DomainError, match="party must be an integer"):
+                call()
+
+    def test_cuts_take_numpy_integer_parties(self):
+        cut = Bipartition((np.int64(2), np.int32(1)), 3)
+        assert cut.side_a == (1, 2) and all(type(p) is int for p in cut.side_a)
+        assert as_bipartition(np.int64(2), 3) == Bipartition((2,), 3)
 
     def test_pure_state_renormalizes_small_deviation(self):
         profile = DimensionProfile((2,))

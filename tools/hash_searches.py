@@ -1,4 +1,4 @@
-"""Fingerprint every roof search of the qudit benchmark plan, and the stop rule's.
+"""Fingerprint the qudit plan's roof searches, the stop rule's, and every audit term.
 
 Usage: python tools/hash_searches.py CHECKOUT SEED...
 
@@ -21,9 +21,17 @@ its complement, and prints the count and digest in the first line's
 format.  A cut and its complement pose one problem, so the third line
 equals the first.
 
+Its fourth line fingerprints every pair term, not only the searched
+ones: it prints the number of reports returned by the ``audit``
+operations of the qudit plan (the runs of the first line) and then of
+the qubit plan, for each seed, and one sha256 over each report's
+``rhs_bound_kinds`` and the ``float.hex`` of its ``lhs_sq``,
+``rhs_terms_sq``, ``rhs_lower_sq`` and ``rhs_upper_sq``.
+
 Equal output at two checkouts means every search ran bit for bit the
-same, which the benchmark's value sums rest on, and the second line
-extends that to the descent's ``halt`` path.  Nothing is written under
+same, which the benchmark's value sums rest on, the second line extends
+that to the descent's ``halt`` path, and the fourth to every term's
+value, bracket and bound kind, closed forms included.  Nothing is written under
 the checkout; the operations' files go to a temporary directory.  A bad
 argument, or no SEED, prints the usage line and exits 2 (``checkout.py``).
 """
@@ -84,12 +92,15 @@ def main(argv: list[str]) -> None:
         record[0](problems, results)
         return results
 
+    reports = []  # of the audit operations, qudit plan then qubit plan
     convexroof.optimize_many = monogamy.optimize_many = recording
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in plan_seeds:
             for op in workloads.instantiate(workloads.plan("qudit", seed), out_dir):
                 if op.kind in ("roof_min", "roof_max", "audit"):
-                    op.call()
+                    result = op.call()
+                    if op.kind == "audit":
+                        reports.append(result)
     print(count[0], digest.hexdigest())
 
     record[0] = record_hunt
@@ -107,6 +118,19 @@ def main(argv: list[str]) -> None:
             complements += 1
             update(complement_digest, res)
     print(complements, complement_digest.hexdigest())
+
+    convexroof.optimize_many = monogamy.optimize_many = inner
+    with tempfile.TemporaryDirectory() as out_dir:
+        for seed in plan_seeds:
+            for op in workloads.instantiate(workloads.plan("qubit", seed), out_dir):
+                if op.kind == "audit":
+                    reports.append(op.call())
+    term_digest = hashlib.sha256()
+    for r in reports:
+        values = (r.lhs_sq, *r.rhs_terms_sq, *r.rhs_lower_sq, *r.rhs_upper_sq)
+        line = " ".join([*r.rhs_bound_kinds, *map(float.hex, values)])
+        term_digest.update((line + "\n").encode())
+    print(len(reports), term_digest.hexdigest())
 
 
 if __name__ == "__main__":
